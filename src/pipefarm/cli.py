@@ -12,7 +12,6 @@ JSON record on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -26,7 +25,7 @@ from .economics import break_even_unit_cost, light_cost_comparison, \
     sensitivity_sweep
 from .engine import CalibrationError, SimulationError, calibrate_lue_scale, \
     compare_scenarios, load_calibration, load_lue_table, prepare_efficiency_table, \
-    run_many, run_scenario, solar_angles
+    run_scenario, scenario_capex_delta, solar_angles, write_csv
 from .tracer import build_efficiency_table
 
 EXIT_OK = 0
@@ -40,15 +39,6 @@ def _fail(code: int, kind: str, message: str) -> int:
     sys.stderr.write(json.dumps({"error": kind, "code": code, "detail": message},
                                 sort_keys=True) + "\n")
     return code
-
-
-def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(["" if c is None else repr(float(c)) if isinstance(c, float)
-                        else c for c in row])
 
 
 def _meta(cfg: Optional[ScenarioConfig] = None, **extra) -> dict:
@@ -121,8 +111,7 @@ def _cmd_trace_optics(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     cfg = _load_cfg(args)
-    if cfg.scenario != "Bench":
-        cfg = dataclasses.replace(cfg, scenario="Bench")
+    cfg = dataclasses.replace(cfg, scenario="Bench")
     climate = _climate_for(cfg)
     table = prepare_efficiency_table(cfg) if cfg.uses_light_pipes else None
     lue = load_lue_table(cfg)
@@ -161,7 +150,7 @@ def _cmd_compare(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    jobs = []
+    results = []
     shared = {}
     for p in paths:
         cfg = load_scenario_config(base_dir / p)
@@ -171,19 +160,18 @@ def _cmd_compare(args) -> int:
         key = (cfg.site, cfg.hour_center_offset)
         if key not in shared:
             shared[key] = solar_angles(cfg.site, cfg.hour_center_offset)
-        jobs.append((cfg, climate, table, lue, shared[key]))
-    results = run_many(jobs, workers=args.workers)
+        results.append(run_scenario(cfg, climate, table, lue, solar=shared[key]))
 
     rows = compare_scenarios(results)
     header = list(rows[0].keys())
-    _write_rows(outdir / "comparison.csv", header,
-                [[r[h] for h in header] for r in rows])
+    write_csv(outdir / "comparison.csv", header,
+              [[r[h] for h in header] for r in rows])
     doc_out = {"rows": rows, "metadata": _meta(None, configs=[str(p) for p in paths])}
     (outdir / "comparison.json").write_text(json.dumps(doc_out, indent=2,
                                                        sort_keys=True, default=str))
     lc_rows = light_cost_comparison(results[0].config.costs)
-    _write_rows(outdir / "light_cost.csv", list(lc_rows[0].keys()),
-                [[r[k] for k in r] for r in lc_rows])
+    write_csv(outdir / "light_cost.csv", list(lc_rows[0].keys()),
+              [[r[k] for k in r] for r in lc_rows])
     print(f"compared {len(rows)} scenarios -> {outdir}")
     return EXIT_OK
 
@@ -202,8 +190,6 @@ def _cmd_sweep(args) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    from .engine import scenario_capex_delta
-
     res = {}
     for tag, p in (("scenario", scen_path), ("bench", bench_path)):
         cfg = load_scenario_config(base_dir / p)
@@ -220,8 +206,8 @@ def _cmd_sweep(args) -> int:
 
     rows = sensitivity_sweep(capex["total"], d_el, d_yield, scen.config.costs,
                              el_prices, co2_prices)
-    _write_rows(outdir / "pbt_grid.csv", list(rows[0].keys()),
-                [[r[k] for k in r] for r in rows])
+    write_csv(outdir / "pbt_grid.csv", list(rows[0].keys()),
+              [[r[k] for k in r] for r in rows])
 
     # break-even on the per-pipe hardware stack (pipe + auxiliaries + any
     # filter/film), holding the LED and HVAC sizing deltas fixed
@@ -265,7 +251,7 @@ def _cmd_sunpath(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     rows = sunpath_table(cfg.site)
     header = list(rows[0].keys())
-    _write_rows(outdir / "sunpath.csv", header, [[r[h] for h in header] for r in rows])
+    write_csv(outdir / "sunpath.csv", header, [[r[h] for h in header] for r in rows])
     (outdir / "sunpath_meta.json").write_text(json.dumps(
         _meta(cfg, latitude=cfg.site.latitude, longitude=cfg.site.longitude),
         indent=2, sort_keys=True))
@@ -286,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="scenario YAML")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override RNG seed")
-        p.add_argument("--workers", type=int, default=1,
-                       help="reserved for scenario fan-out")
 
     p = sub.add_parser("trace-optics", help="ray-trace the efficiency table")
     common(p)

@@ -196,14 +196,6 @@ class ClimateSeries:
     def __len__(self) -> int:
         return HOURS_PER_YEAR
 
-    @staticmethod
-    def day_of_year(index: int) -> int:
-        return index // 24 + 1
-
-    @staticmethod
-    def hour_of_day(index: int) -> int:
-        return index % 24
-
     def content_hash(self) -> str:
         import hashlib
         h = hashlib.sha256()

@@ -17,7 +17,7 @@ import yaml
 from .climate import SiteConfig
 from .crop import CropParams
 from .economics import CostTable
-from .lighting import STRATEGIES, DriverCurve, EcFilm
+from .lighting import STRATEGIES, DriverCurve, EcFilm, Strategy
 from .optics import LpGeometry
 from .thermal import ChamberGeometry, CopModel, LatentModel, Surface
 
@@ -93,12 +93,9 @@ class ScenarioConfig:
     driver: DriverCurve = field(default_factory=DriverCurve)
     ec_v_max: float = 100.0
     ec_cap_ppfd: float = 400.0
-    ir_tau: Optional[float] = None            # set by the IR scenarios
     setpoint_t: float = 24.0
     setpoint_co2: float = 1400.0
     setpoint_ppfd: float = 250.0
-    rh_light: float = 0.75
-    rh_dark: float = 0.85
     photoperiod: tuple[float, float] = (4.0, 20.0)
     min_threshold_ppfd: float = 100.0
     hour_center_offset: float = 0.5
@@ -116,7 +113,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.scenario not in STRATEGIES:
-            raise ConfigError(f"unknown scenario {self.scenario!r}; expected {STRATEGIES}")
+            raise ConfigError(f"unknown scenario {self.scenario!r}; "
+                              f"expected one of {tuple(STRATEGIES)}")
         if self.ppe <= 0.0:
             raise ConfigError("ppe must be positive")
         if self.n_pipes < 0:
@@ -127,32 +125,27 @@ class ScenarioConfig:
             raise ConfigError("timestep_mode must be 'quasi_steady' or 'transient'")
         if not 0.0 <= self.hour_center_offset < 1.0:
             raise ConfigError("hour_center_offset must be in [0, 1)")
-        if self.scenario.startswith("LP_Dim_IR") and self.ir_tau is None:
-            tau = 0.98 if self.scenario.endswith("98") else 0.90
-            object.__setattr__(self, "ir_tau", tau)
+
+    @property
+    def strategy(self) -> Strategy:
+        """The scenario's row of the strategy table (never stored, so a
+        `replace(scenario=...)` cannot leave a stale one behind)."""
+        return STRATEGIES[self.scenario]
 
     @property
     def uses_light_pipes(self) -> bool:
-        return self.scenario.startswith("LP_")
+        return self.strategy.daylight == "pipe"
 
     @property
     def tier3_nominal_ppfd(self) -> float:
-        if self.scenario in ("LP_NL", "GH"):
-            return 0.0
-        if self.scenario == "LP_Min_200":
-            return 200.0
-        return self.setpoint_ppfd
-
-    @property
-    def is_pwm(self) -> bool:
-        return self.scenario.startswith("LP_Dim")
+        return self.strategy.nominal(self.setpoint_ppfd)
 
     def ec_film(self) -> EcFilm:
         return EcFilm(v_max=self.ec_v_max)
 
     def effective_chamber(self) -> ChamberGeometry:
-        """Scenario envelope; the GH case swaps glazing into roof and walls."""
-        if self.scenario != "GH":
+        """Scenario envelope; a glazed strategy swaps glazing into roof and walls."""
+        if self.strategy.daylight != "glazing":
             return self.chamber
         surfaces = []
         wall_area = sum(s.area_m2 for s in self.chamber.surfaces if s.name == "walls")
@@ -329,13 +322,9 @@ def resolve_config_dict(data: dict, base_dir: Path) -> ScenarioConfig:
             driver=driver,
             ec_v_max=float(section("ec").get("v_max", 100.0)),
             ec_cap_ppfd=float(section("ec").get("cap_ppfd", 400.0)),
-            ir_tau=(float(section("ir")["tau_vis"]) if section("ir").get("tau_vis")
-                    is not None else None),
             setpoint_t=float(sp_d.get("temperature", 24.0)),
             setpoint_co2=float(sp_d.get("co2", 1400.0)),
             setpoint_ppfd=float(sp_d.get("ppfd", 250.0)),
-            rh_light=float(sp_d.get("rh_light", 0.75)),
-            rh_dark=float(sp_d.get("rh_dark", 0.85)),
             photoperiod=photoperiod,
             min_threshold_ppfd=float(data.get("min_threshold_ppfd", 100.0)),
             hour_center_offset=float(data.get("hour_center_offset", 0.5)),

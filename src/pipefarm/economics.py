@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
+from .lighting import STRATEGIES, Strategy
 from .optics import PAR_UMOL_PER_J
 
 __all__ = [
@@ -22,6 +23,8 @@ __all__ = [
     "light_cost",
     "lumens_to_photon_flux",
     "fiber_reference_light_cost",
+    "pipe_light_cost",
+    "light_cost_comparison",
     "payback_time",
     "PaybackResult",
     "sensitivity_sweep",
@@ -139,37 +142,44 @@ def fiber_reference_light_cost(cost_usd: float = 3264.0,
 REFERENCE_PIPE_PPF = 24.9  # umol/s per pipe under the 100 klx reference sky
 
 
+def pipe_light_cost(strategy: Strategy, costs: CostTable, ppf_ref: float,
+                    ec_tau_max: float, ec_cap_ppfd: float, zone_area_m2: float) -> dict:
+    """Per-pipe hardware cost, delivered flux and light cost of a pipe strategy.
+
+    ppf_ref is the delivered flux of a bare pipe under the shared reference
+    daylight. A UV-IR filter passes its visible transmittance of it; a film
+    passes its maximum transmittance, capped at the control bound over the
+    growing zone.
+    """
+    usd, flux = costs.lp_total_usd, ppf_ref
+    if strategy.filter_tau is not None:
+        usd += costs.ir_filter_usd
+        flux = ppf_ref * strategy.filter_tau
+    if strategy.ec_film:
+        usd += costs.ec_film_usd
+        flux = min(ppf_ref * ec_tau_max, ec_cap_ppfd * zone_area_m2)
+    return {"cost_usd": usd, "ppf_umol_s": flux, "light_cost": light_cost(usd, flux)}
+
+
 def light_cost_comparison(costs: CostTable, ppf_ref: float = REFERENCE_PIPE_PPF,
                           ir_tau: float = 0.98, ec_tau_max: float = 0.735,
                           ec_cap_ppfd: float = 400.0,
                           zone_area_m2: float = 0.04) -> list[dict]:
     """Per-pipe light cost of each hardware variant against the fiber system.
 
-    ppf_ref is the delivered flux of a bare pipe under the shared reference
-    daylight. The UV-IR variant loses its visible transmittance; the
-    film variant is additionally capped at the control bound over the
-    growing zone.
+    The LP_Min row stands for both on/off strategies and LP_Dim_IR for a
+    filter of visible transmittance ir_tau.
     """
     fiber_lc, fiber_flux = fiber_reference_light_cost()
-    ec_flux = min(ppf_ref * ec_tau_max, ec_cap_ppfd * zone_area_m2)
-    rows = [
-        {"system": "Optical Fiber", "cost_usd": 3264.0, "ppf_umol_s": fiber_flux,
-         "light_cost": fiber_lc},
-        {"system": "LP_NL", "cost_usd": costs.lp_total_usd, "ppf_umol_s": ppf_ref,
-         "light_cost": light_cost(costs.lp_total_usd, ppf_ref)},
-        {"system": "LP_Min", "cost_usd": costs.lp_total_usd, "ppf_umol_s": ppf_ref,
-         "light_cost": light_cost(costs.lp_total_usd, ppf_ref)},
-        {"system": "LP_Dim", "cost_usd": costs.lp_total_usd, "ppf_umol_s": ppf_ref,
-         "light_cost": light_cost(costs.lp_total_usd, ppf_ref)},
-        {"system": "LP_Dim_IR", "cost_usd": costs.lp_total_usd + costs.ir_filter_usd,
-         "ppf_umol_s": ppf_ref * ir_tau,
-         "light_cost": light_cost(costs.lp_total_usd + costs.ir_filter_usd,
-                                  ppf_ref * ir_tau)},
-        {"system": "LP_Dim_EC", "cost_usd": costs.lp_total_usd + costs.ec_film_usd,
-         "ppf_umol_s": ec_flux,
-         "light_cost": light_cost(costs.lp_total_usd + costs.ec_film_usd, ec_flux)},
-    ]
-    return rows
+    variants = (("LP_NL", STRATEGIES["LP_NL"]), ("LP_Min", STRATEGIES["LP_Min_250"]),
+                ("LP_Dim", STRATEGIES["LP_Dim"]),
+                ("LP_Dim_IR", replace(STRATEGIES["LP_Dim_IR_98"], filter_tau=ir_tau)),
+                ("LP_Dim_EC", STRATEGIES["LP_Dim_EC"]))
+    return [{"system": "Optical Fiber", "cost_usd": 3264.0, "ppf_umol_s": fiber_flux,
+             "light_cost": fiber_lc}] + [
+        {"system": name, **pipe_light_cost(strategy, costs, ppf_ref, ec_tau_max,
+                                           ec_cap_ppfd, zone_area_m2)}
+        for name, strategy in variants]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ strictly sequential in simulated time and deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,8 +22,8 @@ from .climate import HOURS_PER_YEAR, ClimateSeries, SiteConfig, solar_position
 from .config import ScenarioConfig
 from .crop import CropState, LueTable, growth_step, harvest_if_due, \
     interception, standing_credit_kg
-from .economics import KpiReport, PaybackResult, compute_kpis, led_cost_per_watt, \
-    light_cost, payback_time
+from .economics import REFERENCE_PIPE_PPF, KpiReport, PaybackResult, compute_kpis, \
+    led_cost_per_watt, payback_time, pipe_light_cost
 from .lighting import control_tier3, ec_control, led_electric_power
 from .optics import OpticalEfficiencyTable, PAR_UMOL_PER_J, \
     apply_neutral_attenuation, apply_uv_ir_filter, gh_gains, lp_crop_ppfd, lp_solar_gains
@@ -31,9 +32,9 @@ from .thermal import RA_VALID_RANGE, latent_balance, envelope_load, hvac_electri
 from .tracer import build_efficiency_table
 
 __all__ = ["SimulationError", "SimulationResult", "prepare_efficiency_table",
-           "solar_angles", "run_scenario", "run_many", "calibrate_lue_scale",
+           "solar_angles", "run_scenario", "calibrate_lue_scale",
            "compare_scenarios", "load_lue_table", "scenario_capex_delta",
-           "CalibrationError"]
+           "scenario_light_cost", "write_csv", "CalibrationError"]
 
 W_TO_MWH = 1e-6  # 1 W over one hour = 1e-6 MWh
 
@@ -121,12 +122,6 @@ class SimulationResult:
     metadata: dict
     warnings: list = field(default_factory=list)
 
-    def max_balance_residual(self) -> float:
-        return float(self.aggregates.get("max_relative_residual", math.nan))
-
-    def trace_columns(self) -> list[str]:
-        return list(self.hourly)
-
     def save(self, outdir: str | Path) -> list[Path]:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -145,25 +140,25 @@ class SimulationResult:
 
         p = outdir / "hourly_power.csv"
         cols = [c for c in self.hourly if c.startswith(("q_", "p_", "coil"))]
-        _write_csv(p, ["hour"] + cols,
-                   [[i] + [self.hourly[c][i] for c in cols] for i in range(HOURS_PER_YEAR)])
+        write_csv(p, ["hour"] + cols,
+                  [[i] + [self.hourly[c][i] for c in cols] for i in range(HOURS_PER_YEAR)])
         written.append(p)
 
         p = outdir / "hourly_lighting.csv"
         cols = [c for c in self.hourly if c.startswith(("led_", "daylight", "total_ppfd",
                                                         "ec_", "dim"))]
-        _write_csv(p, ["hour"] + cols,
-                   [[i] + [self.hourly[c][i] for c in cols] for i in range(HOURS_PER_YEAR)])
+        write_csv(p, ["hour"] + cols,
+                  [[i] + [self.hourly[c][i] for c in cols] for i in range(HOURS_PER_YEAR)])
         written.append(p)
 
         p = outdir / "dli.csv"
         tiers = self.dli.shape[1]
-        _write_csv(p, ["day"] + [f"tier{t + 1}" for t in range(tiers)],
-                   [[d + 1] + list(self.dli[d]) for d in range(self.dli.shape[0])])
+        write_csv(p, ["day"] + [f"tier{t + 1}" for t in range(tiers)],
+                  [[d + 1] + list(self.dli[d]) for d in range(self.dli.shape[0])])
         written.append(p)
 
         p = outdir / "harvests.csv"
-        _write_csv(p, ["hour", "tier", "kg"], self.harvests)
+        write_csv(p, ["hour", "tier", "kg"], self.harvests)
         written.append(p)
         return written
 
@@ -176,17 +171,21 @@ def _json_num(v):
     return v
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
+def write_csv(path: Path, header: list, rows) -> None:
+    """Comma-separated text with a header line; floats keep their repr and
+    None becomes an empty cell."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(c) for c in row) + "\n")
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([_cell(c) for c in row] for row in rows)
 
 
-def _fmt_cell(c) -> str:
+def _cell(c):
+    if c is None:
+        return ""
     if isinstance(c, float):
         return repr(float(c))
-    return str(c)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +203,10 @@ def run_scenario(cfg: ScenarioConfig, climate: ClimateSeries,
     the calibration scale. `solar` lets callers share the precomputed sun
     positions across runs.
     """
-    if cfg.uses_light_pipes and table is None:
+    strategy = cfg.strategy
+    pipes = cfg.uses_light_pipes
+    glazed = strategy.daylight == "glazing"
+    if pipes and table is None:
         raise SimulationError("light-pipe scenario needs an efficiency table")
     if solar is None:
         solar = solar_angles(cfg.site, cfg.hour_center_offset)
@@ -215,7 +217,7 @@ def run_scenario(cfg: ScenarioConfig, climate: ClimateSeries,
     n_tiers = 3
     tier_area = crop_p.tier_area_m2
     led12_area = tier_area * 2
-    film = cfg.ec_film() if cfg.scenario == "LP_Dim_EC" else None
+    film = cfg.ec_film() if strategy.ec_film else None
     heat_area = cfg.lp_heat_area_m2()
     par_factor = 1.0 / PAR_UMOL_PER_J     # W per (umol s-1) of LED light
     setpoint = cfg.setpoint_ppfd
@@ -261,13 +263,13 @@ def run_scenario(cfg: ScenarioConfig, climate: ClimateSeries,
         daylight_ppfd = 0.0
         daylight_q_crop = 0.0
         ec_tau = math.nan
-        if cfg.uses_light_pipes and alt > 0.0:
+        if pipes and alt > 0.0:
             gains = lp_solar_gains(table, dni, dhi, alt, cfg.lp_geometry, cfg.n_pipes)
             if gains.flags and not clamp_flagged:
                 warnings.append(f"hour {i}: {gains.flags[0]}")
                 clamp_flagged = True
-            if cfg.scenario.startswith("LP_Dim_IR"):
-                gains = apply_uv_ir_filter(gains, cfg.ir_tau)
+            if strategy.filter_tau is not None:
+                gains = apply_uv_ir_filter(gains, strategy.filter_tau)
             elif film is not None:
                 raw_ppfd = lp_crop_ppfd(gains, tier_area)
                 _, tau, _, unreachable = ec_control(raw_ppfd, film, cfg.ec_cap_ppfd)
@@ -279,7 +281,7 @@ def run_scenario(cfg: ScenarioConfig, climate: ClimateSeries,
             q_sol = gains.q_sol
             daylight_q_crop = gains.q_crop
             daylight_ppfd = lp_crop_ppfd(gains, tier_area)
-        elif cfg.scenario == "GH" and alt > 0.0:
+        elif glazed and alt > 0.0:
             gz = gh_gains(dni, dhi, alt, float(azis[i]), cfg.glazing.tau,
                           chamber.floor_area_m2, cfg.glazing.wall_glazed_m2,
                           cfg.tier_occupancy, tier_area)
@@ -298,8 +300,7 @@ def run_scenario(cfg: ScenarioConfig, climate: ClimateSeries,
 
         p12 = led_electric_power(ppfd_12, led12_area, cfg.ppe) if ppfd_12 > 0.0 else 0.0
         if cmd.led_ppfd > 0.0:
-            eff = cmd.driver_eff if cfg.is_pwm else 1.0
-            p3 = led_electric_power(cmd.led_ppfd, tier_area, cfg.ppe, eff)
+            p3 = led_electric_power(cmd.led_ppfd, tier_area, cfg.ppe, cmd.driver_eff)
         else:
             p3 = 0.0
         p_led = p12 + p3
@@ -328,7 +329,7 @@ def run_scenario(cfg: ScenarioConfig, climate: ClimateSeries,
         # --- thermal closure -----------------------------------------------
         q_env = envelope_load(chamber, cfg.setpoint_t, t_ext)
         q_conv = 0.0
-        if cfg.uses_light_pipes:
+        if pipes:
             q_conv, ra = lp_convection(cfg.setpoint_t, t_ext, cfg.lp_geometry.length_m,
                                        heat_area, n_pipes=cfg.n_pipes)
             if ra > 0.0 and not ra_flagged and not (RA_VALID_RANGE[0] <= ra <= RA_VALID_RANGE[1]):
@@ -457,21 +458,6 @@ def run_scenario(cfg: ScenarioConfig, climate: ClimateSeries,
                             metadata=metadata, warnings=warnings)
 
 
-def run_many(jobs: Sequence[tuple], workers: int = 1) -> list[SimulationResult]:
-    """Run independent scenario jobs, optionally across processes.
-
-    Each job is the run_scenario argument tuple. Results come back in
-    submission order, so a multi-worker comparison is identical to the
-    sequential one (runs share no mutable state).
-    """
-    if workers <= 1 or len(jobs) <= 1:
-        return [run_scenario(*job) for job in jobs]
-    import concurrent.futures
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_scenario, *job) for job in jobs]
-        return [f.result() for f in futures]
-
-
 def _staggered_states(cfg: ScenarioConfig, lue: LueTable,
                       states: list[CropState]) -> list[CropState]:
     """Pre-roll each tier by its stagger offset at setpoint light."""
@@ -504,12 +490,14 @@ def _transient_hour(cfg: ScenarioConfig, chamber, bd, t_ext: float
     # proportional drive sized to close the error within one substep; a
     # stiffer gain would hunt around the deadband at this step length
     gain = cap / dt
+    pipes = cfg.uses_light_pipes
+    heat_area = cfg.lp_heat_area_m2()
     for _ in range(cfg.transient_substeps):
         q_env = envelope_load(chamber, t_air, t_ext)
         q_conv = 0.0
-        if cfg.uses_light_pipes:
+        if pipes:
             q_conv, _ = lp_convection(t_air, t_ext, cfg.lp_geometry.length_m,
-                                      cfg.lp_heat_area_m2(), n_pipes=cfg.n_pipes)
+                                      heat_area, n_pipes=cfg.n_pipes)
         err = cfg.setpoint_t - t_air
         q_hc = 0.0
         if abs(err) > cfg.transient_deadband_k:
@@ -609,16 +597,21 @@ def calibrate_lue_scale(cfg: ScenarioConfig, climate: ClimateSeries,
 
 def scenario_capex_delta(cfg: ScenarioConfig, bench: ScenarioConfig,
                          peak_coil_w: float, bench_peak_coil_w: float) -> dict:
-    """Incremental investment of a scenario against the LED-only benchmark."""
+    """Incremental investment of a scenario against the LED-only benchmark.
+
+    The hardware follows from the strategy row: pipes for piped daylight,
+    plus a filter or film in each pipe; glazing for glazed daylight.
+    """
     costs = cfg.costs
+    strategy = cfg.strategy
     lp = filt = film = glazing = 0.0
-    if cfg.uses_light_pipes:
+    if strategy.daylight == "pipe":
         lp = cfg.n_pipes * costs.lp_total_usd
-        if cfg.ir_tau is not None:
+        if strategy.filter_tau is not None:
             filt = cfg.n_pipes * costs.ir_filter_usd
-        if cfg.scenario == "LP_Dim_EC":
+        if strategy.ec_film:
             film = cfg.n_pipes * costs.ec_film_usd
-    if cfg.scenario == "GH":
+    elif strategy.daylight == "glazing":
         glazed = cfg.chamber.floor_area_m2 + cfg.glazing.wall_glazed_m2
         glazing = glazed * cfg.glazing.glazing_usd_per_m2
     usd_per_w = led_cost_per_watt(costs, cfg.ppe)
@@ -631,19 +624,14 @@ def scenario_capex_delta(cfg: ScenarioConfig, bench: ScenarioConfig,
             "led_delta": led_delta, "hvac_delta": hvac_delta, "total": total}
 
 
-def scenario_light_cost(cfg: ScenarioConfig, ppf_ref: float = 24.9) -> Optional[float]:
+def scenario_light_cost(cfg: ScenarioConfig,
+                        ppf_ref: float = REFERENCE_PIPE_PPF) -> Optional[float]:
     """Per-pipe light cost for the scenario's hardware; None without pipes."""
     if not cfg.uses_light_pipes:
         return None
-    costs = cfg.costs
-    if cfg.ir_tau is not None:
-        return light_cost(costs.lp_total_usd + costs.ir_filter_usd, ppf_ref * cfg.ir_tau)
-    if cfg.scenario == "LP_Dim_EC":
-        film = cfg.ec_film()
-        zone = cfg.lp_geometry.target_zone_m ** 2
-        flux = min(ppf_ref * film.tau_max, cfg.ec_cap_ppfd * zone)
-        return light_cost(costs.lp_total_usd + costs.ec_film_usd, flux)
-    return light_cost(costs.lp_total_usd, ppf_ref)
+    return pipe_light_cost(cfg.strategy, cfg.costs, ppf_ref, cfg.ec_film().tau_max,
+                           cfg.ec_cap_ppfd,
+                           cfg.lp_geometry.target_zone_m ** 2)["light_cost"]
 
 
 def compare_scenarios(results: Sequence[SimulationResult]) -> list[dict]:
@@ -675,7 +663,7 @@ def compare_scenarios(results: Sequence[SimulationResult]) -> list[dict]:
                                      bench.aggregates["peak_coil_w"])
         d_el = bench.aggregates["electricity_mwh"] - r.aggregates["electricity_mwh"]
         d_yield = r.kpis.yield_kg - bench.kpis.yield_kg
-        if cfg.scenario == "Bench":
+        if r is bench:
             pbt = PaybackResult(0.0, 0.0, 0.0, True)
         else:
             pbt = payback_time(capex["total"], d_el, d_yield, cfg.costs)
@@ -693,7 +681,7 @@ def compare_scenarios(results: Sequence[SimulationResult]) -> list[dict]:
             "sec_kwh_per_kg": r.kpis.sec_kwh_per_kg,
             "seec_kwh_per_kg": r.kpis.seec_kwh_per_kg,
             "light_cost_usd_per_umol_s": scenario_light_cost(cfg),
-            "delta_capex_usd": capex["total"] if cfg.scenario != "Bench" else 0.0,
+            "delta_capex_usd": 0.0 if r is bench else capex["total"],
             "pbt_years": pbt.years,
             "pbt_viable": pbt.viable,
         })

@@ -1,11 +1,9 @@
-"""LED electrical model and tier-3 supplementation strategies.
+"""LED electrical model and the tier-3 supplementation strategies.
 
-Strategies (scenario ids): Bench (LED only), LP_NL (daylight only),
-LP_Min_200 / LP_Min_250 (on/off below a daylight threshold), LP_Dim
-(PWM dimming to the setpoint), LP_Dim_IR_98 / LP_Dim_IR_90 (dimming with
-a UV-IR filter upstream), LP_Dim_EC (dimming behind a variable-
-transmittance film capped at 400 umol m-2 s-1), GH (glazing, no tier-3
-LEDs).
+`STRATEGIES` is the one place a scenario id gets its meaning: each row
+states where tier 3's daylight comes from, what it passes through, how the
+tier-3 LEDs respond, and the fixtures' nominal PPFD. Everything else
+(optics path, envelope, control, hardware costs) reads the row.
 """
 
 from __future__ import annotations
@@ -17,9 +15,8 @@ import numpy as np
 
 __all__ = [
     "STRATEGIES",
-    "PWM_STRATEGIES",
+    "Strategy",
     "DriverCurve",
-    "LedArray",
     "LightingCommand",
     "EcFilm",
     "led_electric_power",
@@ -29,9 +26,42 @@ __all__ = [
     "ec_control",
 ]
 
-STRATEGIES = ("Bench", "LP_NL", "LP_Min_200", "LP_Min_250", "LP_Dim",
-              "LP_Dim_IR_98", "LP_Dim_IR_90", "LP_Dim_EC", "GH")
-PWM_STRATEGIES = ("LP_Dim", "LP_Dim_IR_98", "LP_Dim_IR_90", "LP_Dim_EC")
+
+@dataclass(frozen=True)
+class Strategy:
+    """One tier-3 strategy.
+
+    daylight: "none", "pipe" (roof light pipes) or "glazing" (glazed roof
+    and walls). filter_tau: visible transmittance of a UV-IR filter in
+    each pipe, None without one. ec_film: a variable-transmittance film in
+    each pipe, capping crop PPFD. led: "fixed" (nominal all photoperiod),
+    "off", "on_off" (nominal while daylight is below the threshold) or
+    "pwm" (dimmed to make up the setpoint). nominal_ppfd: the tier-3
+    fixture rating; None means the PPFD setpoint.
+    """
+
+    daylight: str
+    led: str
+    filter_tau: Optional[float] = None
+    ec_film: bool = False
+    nominal_ppfd: Optional[float] = None
+
+    def nominal(self, setpoint: float) -> float:
+        """Tier-3 fixture PPFD: what the LEDs deliver when fully on."""
+        return setpoint if self.nominal_ppfd is None else self.nominal_ppfd
+
+
+STRATEGIES = {
+    "Bench": Strategy(daylight="none", led="fixed"),
+    "LP_NL": Strategy(daylight="pipe", led="off", nominal_ppfd=0.0),
+    "LP_Min_200": Strategy(daylight="pipe", led="on_off", nominal_ppfd=200.0),
+    "LP_Min_250": Strategy(daylight="pipe", led="on_off", nominal_ppfd=250.0),
+    "LP_Dim": Strategy(daylight="pipe", led="pwm"),
+    "LP_Dim_IR_98": Strategy(daylight="pipe", led="pwm", filter_tau=0.98),
+    "LP_Dim_IR_90": Strategy(daylight="pipe", led="pwm", filter_tau=0.90),
+    "LP_Dim_EC": Strategy(daylight="pipe", led="pwm", ec_film=True),
+    "GH": Strategy(daylight="glazing", led="off", nominal_ppfd=0.0),
+}
 
 
 @dataclass(frozen=True)
@@ -78,21 +108,6 @@ def driver_efficiency(dim: float, curve: DriverCurve) -> float:
     return curve.efficiency(dim)
 
 
-@dataclass(frozen=True)
-class LedArray:
-    ppe_umol_per_j: float      # photosynthetic photon efficacy
-    area_m2: float
-    nominal_ppfd: float
-
-    def __post_init__(self):
-        if self.ppe_umol_per_j <= 0.0 or self.area_m2 <= 0.0 or self.nominal_ppfd < 0.0:
-            raise ValueError("LED array parameters must be positive")
-
-    @property
-    def nominal_power_w(self) -> float:
-        return self.nominal_ppfd * self.area_m2 / self.ppe_umol_per_j
-
-
 def led_electric_power(ppfd: float, area_m2: float, ppe: float,
                        driver_eff: float = 1.0) -> float:
     """Electrical watts to hold a commanded PPFD over an area.
@@ -114,9 +129,6 @@ class LightingCommand:
     driver_eff: float = 1.0
     daylight_ppfd: float = 0.0       # after any film/filter, as delivered
     total_ppfd: float = 0.0
-    ec_voltage: Optional[float] = None
-    ec_tau: Optional[float] = None
-    ec_cap_unreachable: bool = False
 
 
 # -- electrochromic (polymer-dispersed liquid crystal) film -------------------
@@ -203,50 +215,41 @@ def ec_control(ppfd_raw: float, film: EcFilm, cap: float = 400.0
     return v, tau, ppfd_raw * tau, False
 
 
-# -- tier-3 strategy dispatch --------------------------------------------------
+# -- tier-3 control -------------------------------------------------------------
 
 
 def control_tier3(strategy: str, daylight_ppfd: float, clock_hour: float,
                   setpoint: float = 250.0, min_threshold: float = 100.0,
                   curve: DriverCurve = DriverCurve(),
                   photoperiod: tuple[float, float] = (4.0, 20.0)) -> LightingCommand:
-    """LED command for tier 3 given the delivered daylight PPFD.
+    """LED command for tier 3 of scenario `strategy` given the delivered
+    daylight PPFD.
 
     daylight_ppfd must already include any filter or film attenuation.
     Daylight keeps entering outside the photoperiod (there is no shutter);
     only the LEDs follow the 16 h window.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    row = STRATEGIES.get(strategy)
+    if row is None:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {tuple(STRATEGIES)}")
     if daylight_ppfd < 0.0:
         raise ValueError("daylight PPFD must be non-negative")
 
     in_photoperiod = photoperiod[0] <= clock_hour < photoperiod[1]
-    daylight = daylight_ppfd if strategy not in ("Bench",) else 0.0
-
-    if not in_photoperiod or strategy in ("LP_NL", "GH"):
-        return LightingCommand(daylight_ppfd=daylight, total_ppfd=daylight)
-
-    if strategy == "Bench":
-        return LightingCommand(led_ppfd=setpoint, dim_fraction=1.0,
-                               total_ppfd=setpoint)
-
-    if strategy in ("LP_Min_200", "LP_Min_250"):
-        nominal = 200.0 if strategy == "LP_Min_200" else 250.0
-        if daylight < min_threshold:
+    daylight = 0.0 if row.daylight == "none" else daylight_ppfd
+    if in_photoperiod and row.led != "off":
+        nominal = row.nominal(setpoint)
+        if row.led == "pwm":
+            # supplement up to the setpoint, subject to the 30% hardware
+            # floor (below it the LEDs switch off entirely)
+            required = setpoint - daylight
+            if required >= curve.min_dim * nominal:
+                led = min(required, nominal)
+                dim = led / nominal
+                return LightingCommand(led_ppfd=led, dim_fraction=dim,
+                                       driver_eff=curve.efficiency(dim),
+                                       daylight_ppfd=daylight, total_ppfd=led + daylight)
+        elif row.led == "fixed" or daylight < min_threshold:
             return LightingCommand(led_ppfd=nominal, dim_fraction=1.0,
-                                   daylight_ppfd=daylight,
-                                   total_ppfd=nominal + daylight)
-        return LightingCommand(daylight_ppfd=daylight, total_ppfd=daylight)
-
-    # PWM dimming family: supplement up to the setpoint, subject to the
-    # 30% hardware floor (below it the LEDs switch off entirely)
-    required = setpoint - daylight
-    min_led = curve.min_dim * setpoint
-    if required >= min_led:
-        led = min(required, setpoint)
-        dim = led / setpoint
-        return LightingCommand(led_ppfd=led, dim_fraction=dim,
-                               driver_eff=curve.efficiency(dim),
-                               daylight_ppfd=daylight, total_ppfd=led + daylight)
+                                   daylight_ppfd=daylight, total_ppfd=nominal + daylight)
     return LightingCommand(daylight_ppfd=daylight, total_ppfd=daylight)

@@ -35,7 +35,7 @@ from .optics import DIFFUSE_BANDS, FluxMap, LpGeometry, OpticalEfficiencyTable, 
 
 _EPS = 1e-9
 
-__all__ = ["TraceResult", "trace_direct", "trace_diffuse_band", "trace_diffuse_bands",
+__all__ = ["TraceResult", "trace_direct", "trace_diffuse_band",
            "build_efficiency_table", "DEFAULT_RAYS"]
 
 DEFAULT_RAYS = 100_000
@@ -462,13 +462,6 @@ def trace_diffuse_band(geometry: LpGeometry, tilt_deg: Optional[float],
     eta_ch, se_ch = _mean_se((zone_w + chamber_w) * scale)
     return TraceResult(eta_zone=eta_zone, eta_chamber=eta_ch, se_zone=se_zone,
                        se_chamber=se_ch, tallies=tallies, rays=rays)
-
-
-def trace_diffuse_bands(geometry: LpGeometry, tilt_deg: float,
-                        rays: int = DEFAULT_RAYS, seed: int = 0,
-                        bounce_cap: int = 50) -> list[TraceResult]:
-    return [trace_diffuse_band(geometry, tilt_deg, b, rays=rays, seed=seed,
-                               bounce_cap=bounce_cap) for b in DIFFUSE_BANDS]
 
 
 def build_efficiency_table(geometry: LpGeometry, rays: int = DEFAULT_RAYS,

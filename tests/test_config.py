@@ -1,6 +1,8 @@
 import pytest
+import yaml
 
 from pipefarm.config import ConfigError, load_scenario_config
+from pipefarm.lighting import STRATEGIES
 
 
 class TestShippedConfigs:
@@ -24,11 +26,22 @@ class TestShippedConfigs:
             cfg = load_scenario_config(repo_paths["configs"] / f"{name}.yaml")
             assert cfg.chamber.floor_area_m2 == 49.0
 
+    def test_strategy_table_matches_configs(self, repo_paths):
+        """Each table row ships as configs/<id lowercased>.yaml, and the
+        comparison set lists exactly the table's rows."""
+        configs = repo_paths["configs"]
+        for sid in STRATEGIES:
+            assert load_scenario_config(configs / f"{sid.lower()}.yaml").scenario == sid
+        listed = yaml.safe_load((configs / "compare_all.yaml").read_text())["scenarios"]
+        ids = [load_scenario_config(configs / p).scenario for p in listed]
+        assert sorted(ids) == sorted(STRATEGIES)
+        assert len(STRATEGIES) == 9
+
     def test_ir_scenarios_carry_their_transmittance(self, repo_paths):
         cfg98 = load_scenario_config(repo_paths["configs"] / "lp_dim_ir_98.yaml")
         cfg90 = load_scenario_config(repo_paths["configs"] / "lp_dim_ir_90.yaml")
-        assert cfg98.ir_tau == 0.98
-        assert cfg90.ir_tau == 0.90
+        assert cfg98.strategy.filter_tau == 0.98
+        assert cfg90.strategy.filter_tau == 0.90
 
     def test_gh_envelope_swaps_glazing(self, repo_paths):
         cfg = load_scenario_config(repo_paths["configs"] / "gh.yaml")
@@ -102,7 +115,7 @@ class TestValidation:
     def test_ir_auto_tau_from_name(self, tmp_path):
         (tmp_path / "ir.yaml").write_text("scenario: LP_Dim_IR_90\n")
         cfg = load_scenario_config(tmp_path / "ir.yaml")
-        assert cfg.ir_tau == 0.90
+        assert cfg.strategy.filter_tau == 0.90
 
     def test_surrogate_fraction_bounds(self, tmp_path):
         (tmp_path / "bad.yaml").write_text(

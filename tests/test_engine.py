@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from pipefarm.climate import ClimateSeries, HOURS_PER_YEAR
+from pipefarm.config import load_scenario_config
+from pipefarm.economics import led_cost_per_watt
 from pipefarm.engine import (SimulationError, calibrate_lue_scale, compare_scenarios,
                              prepare_efficiency_table, run_scenario,
-                             scenario_capex_delta)
+                             scenario_capex_delta, scenario_light_cost)
+from pipefarm.lighting import control_tier3
 from pipefarm.optics import OpticalEfficiencyTable
 
 
@@ -84,19 +87,6 @@ class TestDeterminism:
         fresh = run_scenario(scenario_configs["LP_Min_200"], climate, reference_table,
                              lue_calibrated, solar=solar)
         assert fresh.aggregates == scenario_results["LP_Min_200"].aggregates
-
-    def test_worker_fanout_matches_sequential(self, scenario_configs, climate,
-                                              reference_table, lue_calibrated,
-                                              solar, scenario_results):
-        from pipefarm.engine import run_many
-        jobs = [(scenario_configs[n],
-                 climate,
-                 reference_table if scenario_configs[n].uses_light_pipes else None,
-                 lue_calibrated, solar)
-                for n in ("Bench", "LP_Dim")]
-        parallel = run_many(jobs, workers=2)
-        assert parallel[0].aggregates == scenario_results["Bench"].aggregates
-        assert parallel[1].aggregates == scenario_results["LP_Dim"].aggregates
 
     def test_rerun_bit_identical(self, scenario_configs, climate, reference_table,
                                  lue_calibrated, solar):
@@ -207,6 +197,42 @@ class TestCompare:
         rows = compare_scenarios([scenario_results["Bench"], scenario_results["LP_NL"]])
         nl = next(r for r in rows if r["scenario"] == "LP_NL")
         assert not nl["pbt_viable"]
+
+
+class TestScenarioOverride:
+    """Everything a scenario id implies follows the id, including after a
+    `replace(scenario=...)` such as the CLI's --scenario flag."""
+
+    def test_ir_override_filters_at_the_new_transmittance(self, scenario_configs, climate,
+                                                          reference_table, lue_calibrated,
+                                                          solar, scenario_results):
+        cfg = dataclasses.replace(scenario_configs["LP_Dim_IR_98"], scenario="LP_Dim_IR_90")
+        res = run_scenario(cfg, climate, reference_table, lue_calibrated, solar=solar)
+        assert res.aggregates == scenario_results["LP_Dim_IR_90"].aggregates
+        assert cfg.strategy.filter_tau == 0.90
+
+    def test_override_to_plain_dimming_drops_the_filter(self, scenario_configs):
+        bench = scenario_configs["Bench"]
+        cfg = dataclasses.replace(scenario_configs["LP_Dim_IR_98"], scenario="LP_Dim")
+        assert scenario_capex_delta(cfg, bench, 0.0, 0.0)["ir_filter"] == 0.0
+        assert scenario_light_cost(cfg) == pytest.approx(12.05, abs=0.02)
+
+    def test_on_off_command_and_fixture_sizing_agree(self, repo_paths, tmp_path):
+        """At a 220 setpoint LP_Min_250's LEDs and its tier-3 capex use one
+        nominal PPFD."""
+        configs = repo_paths["configs"]
+        for name in ("lp_min_250", "bench"):
+            (tmp_path / f"{name}.yaml").write_text(
+                f"include: {configs / (name + '.yaml')}\nsetpoints: {{ppfd: 220.0}}\n")
+        cfg = load_scenario_config(tmp_path / "lp_min_250.yaml")
+        bench = load_scenario_config(tmp_path / "bench.yaml")
+        cmd = control_tier3(cfg.scenario, 0.0, 12.0, cfg.setpoint_ppfd,
+                            cfg.min_threshold_ppfd, cfg.driver, cfg.photoperiod)
+        led_delta = scenario_capex_delta(cfg, bench, 0.0, 0.0)["led_delta"]
+        expected = ((cmd.led_ppfd - bench.setpoint_ppfd) * cfg.crop.tier_area_m2 / cfg.ppe
+                    * led_cost_per_watt(cfg.costs, cfg.ppe))
+        assert led_delta == pytest.approx(expected, rel=1e-12)
+        assert cfg.tier3_nominal_ppfd == cmd.led_ppfd
 
 
 class TestRuntimeGuards:
