@@ -25,7 +25,7 @@ from .economics import break_even_unit_cost, light_cost_comparison, \
     sensitivity_sweep
 from .engine import CalibrationError, SimulationError, calibrate_lue_scale, \
     compare_scenarios, load_calibration, load_lue_table, prepare_efficiency_table, \
-    run_scenario, scenario_capex_delta, solar_angles, write_csv
+    run_scenario, scenario_delta, solar_angles, write_csv
 from .tracer import build_efficiency_table
 
 EXIT_OK = 0
@@ -197,12 +197,10 @@ def _cmd_sweep(args) -> int:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         climate, table, lue, _ = _runnable(cfg)
         res[tag] = run_scenario(cfg, climate, table, lue)
-    scen, bench = res["scenario"], res["bench"]
-    capex = scenario_capex_delta(scen.config, bench.config,
-                                 scen.aggregates["peak_coil_w"],
-                                 bench.aggregates["peak_coil_w"])
-    d_el = bench.aggregates["electricity_mwh"] - scen.aggregates["electricity_mwh"]
-    d_yield = scen.kpis.yield_kg - bench.kpis.yield_kg
+    scen = res["scenario"]
+    delta = scenario_delta(scen, res["bench"])
+    capex, d_el, d_yield = (delta["delta_capex_usd"], delta["delta_electricity_mwh"],
+                            delta["delta_yield_kg"])
 
     rows = sensitivity_sweep(capex["total"], d_el, d_yield, scen.config.costs,
                              el_prices, co2_prices)
@@ -231,9 +229,7 @@ def _cmd_sweep(args) -> int:
         }
     doc_out = {
         "scenario": scen.config.scenario,
-        "delta_capex_usd": capex,
-        "delta_electricity_mwh": d_el,
-        "delta_yield_kg": d_yield,
+        **delta,
         "target_pbt_years": target_pbt,
         "per_pipe_hardware_usd": unit_now,
         "break_even_per_pipe_usd": breakeven,

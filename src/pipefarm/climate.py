@@ -340,16 +340,6 @@ def synthetic_dubai_year(site: Optional[SiteConfig] = None) -> ClimateSeries:
     return ClimateSeries(temps, dni, dhi, source="<synthetic-dubai>")
 
 
-def write_climate_csv(series: ClimateSeries, path: str | Path) -> None:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "temperature", "dni", "dhi"])
-        for i in range(len(series)):
-            writer.writerow([i, f"{series.temperature[i]:.2f}",
-                             f"{series.dni[i]:.1f}", f"{series.dhi[i]:.1f}"])
-
-
 def sunpath_table(site: SiteConfig, days: Sequence[int] = (),
                   step_hours: float = 0.5) -> list[dict]:
     """Altitude/azimuth/incidence rows for selected days (sun-path chart data)."""

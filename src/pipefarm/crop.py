@@ -17,10 +17,8 @@ __all__ = [
     "CropParams",
     "LueTable",
     "CropState",
-    "lue_lookup",
     "interception",
     "growth_step",
-    "plant_heat_sink",
     "harvest_if_due",
 ]
 
@@ -145,18 +143,11 @@ class LueTable:
         return cls(temps, co2s, ppfds, dm, fm, scale)
 
 
-def lue_lookup(table: LueTable, temperature: float, co2: float, ppfd: float
-               ) -> tuple[float, float]:
-    dm, fm, _ = table.lookup(temperature, co2, ppfd)
-    return dm, fm
-
-
 @dataclass(frozen=True)
 class CropState:
     dm_g_m2: float = 0.0
     fm_g_m2: float = 0.0
     lai: float = 0.0
-    hours_since_transplant: float = 0.0
     harvested_kg: float = 0.0
     cycles: int = 0
 
@@ -188,20 +179,7 @@ def growth_step(state: CropState, ppfd: float, dt_s: float, params: CropParams,
     else:
         dm, fm = state.dm_g_m2, state.fm_g_m2
     return replace(state, dm_g_m2=dm, fm_g_m2=fm,
-                   lai=min(params.sla_m2_per_g_dm * dm, params.lai_cap),
-                   hours_since_transplant=state.hours_since_transplant + dt_s / 3600.0)
-
-
-def plant_heat_sink(ppfd: float, lai: float, k: float, area_m2: float,
-                    umol_per_j: float) -> float:
-    """Radiant power intercepted by the canopy, in watts.
-
-    umol_per_j is the conversion of the light source feeding the canopy
-    (4.56 for LED/PAR, 2.247 for unfiltered daylight).
-    """
-    if umol_per_j <= 0.0 or area_m2 <= 0.0:
-        raise ValueError("conversion and area must be positive")
-    return ppfd * interception(lai, k) * area_m2 / umol_per_j
+                   lai=min(params.sla_m2_per_g_dm * dm, params.lai_cap))
 
 
 def harvest_if_due(state: CropState, params: CropParams) -> tuple[CropState, float]:

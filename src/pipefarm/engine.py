@@ -1,9 +1,17 @@
-"""Annual simulation engine: climate -> solar -> optics -> control -> balance
--> crop, hour by hour, plus calibration and multi-scenario comparison.
+"""Annual simulation engine: one scenario-year as four array stages, plus
+calibration and multi-scenario comparison.
+
+`run_scenario` chains the stages, each returning 8760-long hourly arrays:
+daylight (optics, filter and film over the sun-up hours), lighting (LED
+commands and power), crop (the one sequential stage: growth and harvests
+per tier) and thermal (canopy sink, latent terms, air-node balance and
+HVAC electricity); the annual aggregates are reductions of those arrays.
+The benchmark scenario has no daylight, so calibration iterates the crop
+stage alone on its LED light.
 
 Expensive Monte Carlo tracing happens once per geometry and is cached on
-disk; annual runs only interpolate the resulting table. A single run is
-strictly sequential in simulated time and deterministic for a fixed seed.
+disk; annual runs only interpolate the resulting table. A run is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +42,7 @@ from .tracer import build_efficiency_table
 __all__ = ["SimulationError", "SimulationResult", "prepare_efficiency_table",
            "solar_angles", "run_scenario", "calibrate_lue_scale",
            "compare_scenarios", "load_lue_table", "scenario_capex_delta",
-           "scenario_light_cost", "write_csv", "CalibrationError"]
+           "scenario_delta", "scenario_light_cost", "write_csv", "CalibrationError"]
 
 W_TO_MWH = 1e-6  # 1 W over one hour = 1e-6 MWh
 
@@ -189,7 +197,7 @@ def _cell(c):
 
 
 # ---------------------------------------------------------------------------
-# the annual loop
+# the annual run: four array stages
 # ---------------------------------------------------------------------------
 
 def run_scenario(cfg: ScenarioConfig, climate: ClimateSeries,
@@ -203,242 +211,58 @@ def run_scenario(cfg: ScenarioConfig, climate: ClimateSeries,
     the calibration scale. `solar` lets callers share the precomputed sun
     positions across runs.
     """
-    strategy = cfg.strategy
-    pipes = cfg.uses_light_pipes
-    glazed = strategy.daylight == "glazing"
-    if pipes and table is None:
+    if cfg.uses_light_pipes and table is None:
         raise SimulationError("light-pipe scenario needs an efficiency table")
-    if solar is None:
-        solar = solar_angles(cfg.site, cfg.hour_center_offset)
-    alts, azis = solar
+    warnings: list[tuple[int, str]] = []
+    q_sol, q_crop, daylight_ppfd, ec_tau = _daylight_stage(cfg, climate, table, solar,
+                                                           warnings)
+    ppfd, led_ppfd, dim, p12, p3 = _lighting_stage(cfg, daylight_ppfd)
+    crop = _crop_stage(cfg, lue, ppfd)
+    heat = _thermal_stage(cfg, climate.temperature, ppfd, led_ppfd, crop.interception,
+                          q_sol, q_crop, p12 + p3, warnings)
+    hourly = {**heat.hourly, "led_ppfd_t3": led_ppfd, "daylight_ppfd_t3": daylight_ppfd,
+              "total_ppfd_t3": ppfd[:, 2].copy(), "dim_t3": dim, "ec_tau": ec_tau}
 
-    chamber = cfg.effective_chamber()
-    crop_p = cfg.crop
-    n_tiers = 3
-    tier_area = crop_p.tier_area_m2
-    led12_area = tier_area * 2
-    film = cfg.ec_film() if strategy.ec_film else None
-    heat_area = cfg.lp_heat_area_m2()
-    par_factor = 1.0 / PAR_UMOL_PER_J     # W per (umol s-1) of LED light
-    setpoint = cfg.setpoint_ppfd
-
-    states = [crop_p.transplant_state() for _ in range(n_tiers)]
-    if crop_p.stagger_days > 0.0:
-        states = _staggered_states(cfg, lue, states)
-
-    cols = ("q_env q_led q_lp_sol q_lp_conv q_plant q_eva q_hc q_ahu q_hum "
-            "coil_latent p_led_el p_hvac_el p_total_el led_ppfd_t3 daylight_ppfd_t3 "
-            "total_ppfd_t3 dim_t3 ec_tau").split()
-    hourly = {c: np.zeros(HOURS_PER_YEAR) for c in cols}
-    dli = np.zeros((365, n_tiers))
-    harvests: list = []
-    warnings: list[str] = []
-    ra_flagged = False
-    ec_flagged = False
-    clamp_flagged = False
-
-    transpired_kg = 0.0
-    recovered_l = 0.0
-    fm_growth_kg = 0.0
-    max_resid = 0.0
-    peak_coil_w = 0.0
-    peak_heat_w = 0.0
-    led12_mwh = 0.0
-    led3_mwh = 0.0
-    cool_mwh_th = 0.0
-    heat_mwh_th = 0.0
-    summer_cool_el = 0.0
-    winter_cool_el = 0.0
-
-    for i in range(HOURS_PER_YEAR):
-        day = i // 24
-        hour = i % 24
-        t_ext = float(climate.temperature[i])
-        dni = float(climate.dni[i])
-        dhi = float(climate.dhi[i])
-        alt = float(alts[i])
-
-        # --- daylight through the collection system -----------------------
-        q_sol = 0.0
-        daylight_ppfd = 0.0
-        daylight_q_crop = 0.0
-        ec_tau = math.nan
-        if pipes and alt > 0.0:
-            gains = lp_solar_gains(table, dni, dhi, alt, cfg.lp_geometry, cfg.n_pipes)
-            if gains.flags and not clamp_flagged:
-                warnings.append(f"hour {i}: {gains.flags[0]}")
-                clamp_flagged = True
-            if strategy.filter_tau is not None:
-                gains = apply_uv_ir_filter(gains, strategy.filter_tau)
-            elif film is not None:
-                raw_ppfd = lp_crop_ppfd(gains, tier_area)
-                _, tau, _, unreachable = ec_control(raw_ppfd, film, cfg.ec_cap_ppfd)
-                gains = apply_neutral_attenuation(gains, tau, "ec-film")
-                ec_tau = tau
-                if unreachable and not ec_flagged:
-                    warnings.append(f"hour {i}: EC cap unreachable at max attenuation")
-                    ec_flagged = True
-            q_sol = gains.q_sol
-            daylight_q_crop = gains.q_crop
-            daylight_ppfd = lp_crop_ppfd(gains, tier_area)
-        elif glazed and alt > 0.0:
-            gz = gh_gains(dni, dhi, alt, float(azis[i]), cfg.glazing.tau,
-                          chamber.floor_area_m2, cfg.glazing.wall_glazed_m2,
-                          cfg.tier_occupancy, tier_area)
-            q_sol = gz.q_sol
-            daylight_q_crop = gz.q_crop
-            daylight_ppfd = gz.ppfd
-
-        if not (math.isfinite(q_sol) and math.isfinite(daylight_ppfd)):
-            raise SimulationError("non-finite daylight gain", hour=i)
-
-        # --- lighting control ---------------------------------------------
-        cmd = control_tier3(cfg.scenario, daylight_ppfd, float(hour), setpoint,
-                            cfg.min_threshold_ppfd, cfg.driver, cfg.photoperiod)
-        in_photo = cfg.photoperiod[0] <= hour < cfg.photoperiod[1]
-        ppfd_12 = setpoint if in_photo else 0.0
-
-        p12 = led_electric_power(ppfd_12, led12_area, cfg.ppe) if ppfd_12 > 0.0 else 0.0
-        if cmd.led_ppfd > 0.0:
-            p3 = led_electric_power(cmd.led_ppfd, tier_area, cfg.ppe, cmd.driver_eff)
-        else:
-            p3 = 0.0
-        p_led = p12 + p3
-
-        # --- crop: growth, interception, heat sink -------------------------
-        q_plant_gross = 0.0
-        tier_ppfd = (ppfd_12, ppfd_12, cmd.total_ppfd)
-        for t in range(n_tiers):
-            ppfd_t = tier_ppfd[t]
-            f_int = interception(states[t].lai, crop_p.extinction_k)
-            if ppfd_t > 0.0:
-                if t < 2:
-                    q_plant_gross += ppfd_t * f_int * tier_area * par_factor
-                else:
-                    q_plant_gross += cmd.led_ppfd * f_int * tier_area * par_factor
-                    q_plant_gross += f_int * daylight_q_crop
-                fm_before = states[t].fm_g_m2
-                states[t] = growth_step(states[t], ppfd_t, 3600.0, crop_p, lue,
-                                        cfg.setpoint_t, cfg.setpoint_co2)
-                fm_growth_kg += (states[t].fm_g_m2 - fm_before) * tier_area / 1000.0
-                dli[day, t] += ppfd_t * 3600.0   # umol m-2; scaled to mol at the end
-            states[t], got = harvest_if_due(states[t], crop_p)
-            if got > 0.0:
-                harvests.append((i, t + 1, got))
-
-        # --- thermal closure -----------------------------------------------
-        q_env = envelope_load(chamber, cfg.setpoint_t, t_ext)
-        q_conv = 0.0
-        if pipes:
-            q_conv, ra = lp_convection(cfg.setpoint_t, t_ext, cfg.lp_geometry.length_m,
-                                       heat_area, n_pipes=cfg.n_pipes)
-            if ra > 0.0 and not ra_flagged and not (RA_VALID_RANGE[0] <= ra <= RA_VALID_RANGE[1]):
-                warnings.append(f"hour {i}: pipe Rayleigh number {ra:.3g} outside "
-                                f"correlation range {RA_VALID_RANGE}")
-                ra_flagged = True
-
-        q_plant = cfg.surrogates.crop_storage_fraction * q_plant_gross
-        q_eva_target = cfg.surrogates.crop_latent_fraction * q_plant_gross
-        transp_rate = q_eva_target / cfg.latent.latent_heat
-        q_eva, q_ahu, q_hum, coil_latent, rec_l = latent_balance(transp_rate, cfg.latent)
-        transpired_kg += transp_rate * 3600.0
-        recovered_l += rec_l
-
-        bd = solve_hvac_load(q_env=q_env, q_led=p_led, q_lp_sol=q_sol,
-                             q_lp_conv=q_conv, q_plant=q_plant, q_eva=q_eva,
-                             q_ahu=q_ahu, q_hum=q_hum, coil_latent=coil_latent)
-        resid = bd.relative_residual()
-        if resid > max_resid:
-            max_resid = resid
-
-        q_cool = max(0.0, -bd.q_hc)
-        q_heat = max(0.0, bd.q_hc)
-        if cfg.timestep_mode == "transient":
-            q_cool, q_heat = _transient_hour(cfg, chamber, bd, t_ext)
-        p_hvac = hvac_electricity(q_cool, q_heat, t_ext, cfg.cop, coil_latent)
-        p_total = p_led + p_hvac + q_hum
-
-        if not math.isfinite(p_total) or not math.isfinite(bd.q_hc):
-            raise SimulationError("non-finite power term", hour=i)
-
-        # --- bookkeeping ----------------------------------------------------
-        hourly["q_env"][i] = q_env
-        hourly["q_led"][i] = p_led
-        hourly["q_lp_sol"][i] = q_sol
-        hourly["q_lp_conv"][i] = q_conv
-        hourly["q_plant"][i] = q_plant
-        hourly["q_eva"][i] = q_eva
-        hourly["q_hc"][i] = bd.q_hc
-        hourly["q_ahu"][i] = q_ahu
-        hourly["q_hum"][i] = q_hum
-        hourly["coil_latent"][i] = coil_latent
-        hourly["p_led_el"][i] = p_led
-        hourly["p_hvac_el"][i] = p_hvac
-        hourly["p_total_el"][i] = p_total
-        hourly["led_ppfd_t3"][i] = cmd.led_ppfd
-        hourly["daylight_ppfd_t3"][i] = daylight_ppfd
-        hourly["total_ppfd_t3"][i] = cmd.total_ppfd
-        hourly["dim_t3"][i] = cmd.dim_fraction
-        hourly["ec_tau"][i] = ec_tau
-
-        led12_mwh += p12 * W_TO_MWH
-        led3_mwh += p3 * W_TO_MWH
-        cool_mwh_th += q_cool * W_TO_MWH
-        heat_mwh_th += q_heat * W_TO_MWH
-        coil_total = q_cool + coil_latent
-        if coil_total > peak_coil_w:
-            peak_coil_w = coil_total
-        if q_heat > peak_heat_w:
-            peak_heat_w = q_heat
-        month = day // 30
-        cool_el = coil_total / cfg.cop.cop_cooling(t_ext) if coil_total > 0 else 0.0
-        if month in (5, 6, 7):
-            summer_cool_el += cool_el * W_TO_MWH
-        elif month in (0, 1, 11):
-            winter_cool_el += cool_el * W_TO_MWH
-
-    dli /= 1e6  # umol m-2 day-1 -> mol m-2 day-1, one correctly rounded step
-
-    harvested_raw = float(sum(h[2] for h in harvests))
-    standing = float(sum(standing_credit_kg(s, crop_p) for s in states))
-    transplant_credit = standing_credit_kg(crop_p.transplant_state(), crop_p) * n_tiers
-    yield_norm = harvested_raw + max(0.0, standing - transplant_credit)
-
-    electricity_mwh = float(hourly["p_total_el"].sum() * W_TO_MWH)
+    coil_total = heat.q_cool + hourly["coil_latent"]
+    cool_el_mwh = np.where(coil_total > 0.0,
+                           coil_total / cfg.cop.cop_cooling(climate.temperature),
+                           0.0) * W_TO_MWH
+    month = np.arange(HOURS_PER_YEAR) // 24 // 30
+    led12_mwh = float(p12.sum() * W_TO_MWH)
+    led3_mwh = float(p3.sum() * W_TO_MWH)
     led_mwh = led12_mwh + led3_mwh
-    hvac_mwh = float(hourly["p_hvac_el"].sum() * W_TO_MWH)
-    harvested_daylight = float(hourly["q_lp_sol"].sum() * W_TO_MWH)
-    embodied_l = fm_growth_kg * cfg.surrogates.fm_water_l_per_kg
-    net_water_l = embodied_l + max(0.0, transpired_kg - recovered_l)
+    electricity_mwh = float(hourly["p_total_el"].sum() * W_TO_MWH)
+    harvested_daylight = float(q_sol.sum() * W_TO_MWH)
+    embodied_l = crop.fm_growth_kg * cfg.surrogates.fm_water_l_per_kg
+    net_water_l = embodied_l + max(0.0, heat.transpired_kg - heat.recovered_l)
 
-    kpis = compute_kpis(yield_kg=yield_norm, yield_raw_kg=harvested_raw,
+    kpis = compute_kpis(yield_kg=crop.yield_kg, yield_raw_kg=crop.harvested_kg,
                         electricity_mwh=electricity_mwh,
                         harvested_daylight_mwh=harvested_daylight,
                         led_electricity_mwh=led_mwh, net_water_l=net_water_l,
-                        mean_dli_per_tier=tuple(float(dli[:, t].mean())
-                                                for t in range(n_tiers)))
+                        mean_dli_per_tier=tuple(float(m) for m in crop.dli.mean(axis=0)))
 
     aggregates = {
         "electricity_mwh": electricity_mwh,
         "led_electricity_mwh": led_mwh,
         "led_tier12_mwh": led12_mwh,
         "led_tier3_mwh": led3_mwh,
-        "hvac_electricity_mwh": hvac_mwh,
-        "cooling_thermal_mwh": cool_mwh_th,
-        "heating_thermal_mwh": heat_mwh_th,
+        "hvac_electricity_mwh": float(hourly["p_hvac_el"].sum() * W_TO_MWH),
+        "cooling_thermal_mwh": float(heat.q_cool.sum() * W_TO_MWH),
+        "heating_thermal_mwh": float(heat.q_heat.sum() * W_TO_MWH),
         "coil_latent_mwh": float(hourly["coil_latent"].sum() * W_TO_MWH),
         "harvested_daylight_mwh": harvested_daylight,
-        "yield_kg": yield_norm,
-        "yield_harvested_kg": harvested_raw,
-        "cycles": sum(s.cycles for s in states),
-        "transpired_kg": transpired_kg,
-        "condensate_recovered_l": recovered_l,
+        "yield_kg": crop.yield_kg,
+        "yield_harvested_kg": crop.harvested_kg,
+        "cycles": crop.cycles,
+        "transpired_kg": heat.transpired_kg,
+        "condensate_recovered_l": heat.recovered_l,
         "net_water_l": net_water_l,
-        "max_relative_residual": max_resid,
-        "peak_coil_w": peak_coil_w,
-        "peak_heat_w": peak_heat_w,
-        "summer_cooling_el_mwh": summer_cool_el,
-        "winter_cooling_el_mwh": winter_cool_el,
+        "max_relative_residual": heat.max_residual,
+        "peak_coil_w": float(coil_total.max()),
+        "peak_heat_w": float(heat.q_heat.max()),
+        "summer_cooling_el_mwh": float(cool_el_mwh[np.isin(month, (5, 6, 7))].sum()),
+        "winter_cooling_el_mwh": float(cool_el_mwh[np.isin(month, (0, 1, 11))].sum()),
     }
     metadata = {
         "scenario": cfg.scenario,
@@ -453,9 +277,146 @@ def run_scenario(cfg: ScenarioConfig, climate: ClimateSeries,
         "table_geometry_hash": table.geometry_hash if table is not None else None,
         "timestep_mode": cfg.timestep_mode,
     }
+    warnings.sort(key=lambda hw: hw[0])    # stable: stage order within an hour
     return SimulationResult(config=cfg, kpis=kpis, aggregates=aggregates,
-                            hourly=hourly, dli=dli, harvests=harvests,
-                            metadata=metadata, warnings=warnings)
+                            hourly=hourly, dli=crop.dli, harvests=crop.harvests,
+                            metadata=metadata, warnings=[w for _, w in warnings])
+
+
+def _daylight_stage(cfg: ScenarioConfig, climate: ClimateSeries,
+                    table: Optional[OpticalEfficiencyTable],
+                    solar: Optional[tuple[np.ndarray, np.ndarray]],
+                    warnings: list) -> tuple[np.ndarray, ...]:
+    """Tier-3 daylight of every sun-up hour.
+
+    Returns the chamber solar gain q_sol (W), the power reaching the crop
+    plane q_crop (W), the delivered crop PPFD after any filter or film, and
+    the film transmittance (NaN where no film acts). The first table-clamp
+    and unreachable-cap hours go to `warnings` as (hour, text).
+    """
+    q_sol = np.zeros(HOURS_PER_YEAR)
+    q_crop = np.zeros(HOURS_PER_YEAR)
+    ppfd = np.zeros(HOURS_PER_YEAR)
+    ec_tau = np.full(HOURS_PER_YEAR, math.nan)
+    strategy = cfg.strategy
+    if strategy.daylight == "none":
+        return q_sol, q_crop, ppfd, ec_tau
+    alts, azis = solar if solar is not None else solar_angles(cfg.site,
+                                                              cfg.hour_center_offset)
+    tier_area = cfg.crop.tier_area_m2
+    chamber = cfg.effective_chamber()
+    film = cfg.ec_film() if strategy.ec_film else None
+    clamp_flagged = ec_flagged = False
+    for i in np.flatnonzero(alts > 0.0).tolist():
+        dni = float(climate.dni[i])
+        dhi = float(climate.dhi[i])
+        alt = float(alts[i])
+        if strategy.daylight == "glazing":
+            gz = gh_gains(dni, dhi, alt, float(azis[i]), cfg.glazing.tau,
+                          chamber.floor_area_m2, cfg.glazing.wall_glazed_m2,
+                          cfg.tier_occupancy, tier_area)
+            q_sol[i], q_crop[i], ppfd[i] = gz.q_sol, gz.q_crop, gz.ppfd
+            continue
+        gains = lp_solar_gains(table, dni, dhi, alt, cfg.lp_geometry, cfg.n_pipes)
+        if gains.flags and not clamp_flagged:
+            warnings.append((i, f"hour {i}: {gains.flags[0]}"))
+            clamp_flagged = True
+        if strategy.filter_tau is not None:
+            gains = apply_uv_ir_filter(gains, strategy.filter_tau)
+        elif film is not None:
+            _, tau, _, unreachable = ec_control(lp_crop_ppfd(gains, tier_area), film,
+                                                cfg.ec_cap_ppfd)
+            gains = apply_neutral_attenuation(gains, tau, "ec-film")
+            ec_tau[i] = tau
+            if unreachable and not ec_flagged:
+                warnings.append((i, f"hour {i}: EC cap unreachable at max attenuation"))
+                ec_flagged = True
+        q_sol[i], q_crop[i] = gains.q_sol, gains.q_crop
+        ppfd[i] = lp_crop_ppfd(gains, tier_area)
+    bad = ~(np.isfinite(q_sol) & np.isfinite(ppfd))
+    if bad.any():
+        raise SimulationError("non-finite daylight gain", hour=int(np.argmax(bad)))
+    return q_sol, q_crop, ppfd, ec_tau
+
+
+def _lighting_stage(cfg: ScenarioConfig, daylight_ppfd: np.ndarray
+                    ) -> tuple[np.ndarray, ...]:
+    """LED commands and electric power for every hour.
+
+    Tiers 1 and 2 hold the setpoint through the photoperiod; tier 3 follows
+    its strategy against the delivered daylight, one command per hour.
+    Returns the (hours, 3) canopy PPFD, the tier-3 LED PPFD and dim
+    fraction, and the tier-1/2 and tier-3 electric power (W).
+    """
+    tier_area = cfg.crop.tier_area_m2
+    setpoint = cfg.setpoint_ppfd
+    clock = np.arange(HOURS_PER_YEAR) % 24
+    lit = (cfg.photoperiod[0] <= clock) & (clock < cfg.photoperiod[1])
+    p12 = np.where(lit, led_electric_power(max(setpoint, 0.0), tier_area * 2, cfg.ppe),
+                   0.0)
+    ppfd = np.zeros((HOURS_PER_YEAR, 3))
+    ppfd[lit, :2] = setpoint
+    led = np.zeros(HOURS_PER_YEAR)
+    dim = np.zeros(HOURS_PER_YEAR)
+    p3 = np.zeros(HOURS_PER_YEAR)
+    for i in range(HOURS_PER_YEAR):
+        cmd = control_tier3(cfg.scenario, daylight_ppfd.item(i), float(i % 24),
+                            setpoint, cfg.min_threshold_ppfd, cfg.driver, cfg.photoperiod)
+        ppfd[i, 2] = cmd.total_ppfd
+        led[i] = cmd.led_ppfd
+        dim[i] = cmd.dim_fraction
+        if cmd.led_ppfd > 0.0:
+            p3[i] = led_electric_power(cmd.led_ppfd, tier_area, cfg.ppe, cmd.driver_eff)
+    return ppfd, led, dim, p12, p3
+
+
+class _CropYear(NamedTuple):
+    interception: np.ndarray   # (hours, tiers), at the start of each hour
+    dli: np.ndarray            # (365, tiers) mol m-2 day-1
+    harvests: list             # (hour, tier, kg)
+    fm_growth_kg: float
+    cycles: int
+    harvested_kg: float
+    yield_kg: float            # harvested plus standing growth (cycle-normalized)
+
+
+def _crop_stage(cfg: ScenarioConfig, lue: LueTable, ppfd: np.ndarray) -> _CropYear:
+    """Growth and harvests of every tier under an (hours, tiers) PPFD array.
+
+    The one sequential stage: interception follows the LAI grown so far,
+    and a harvest resets its tier to the transplant state.
+    """
+    crop_p = cfg.crop
+    tier_area = crop_p.tier_area_m2
+    n_tiers = ppfd.shape[1]
+    states = [crop_p.transplant_state() for _ in range(n_tiers)]
+    if crop_p.stagger_days > 0.0:
+        states = _staggered_states(cfg, lue, states)
+    f_int = np.empty_like(ppfd)
+    dli = np.zeros((ppfd.shape[0] // 24, n_tiers))
+    harvests: list = []
+    fm_growth_kg = 0.0
+    for i in range(ppfd.shape[0]):
+        for t in range(n_tiers):
+            ppfd_t = ppfd.item(i, t)
+            state = states[t]
+            f_int[i, t] = interception(state.lai, crop_p.extinction_k)
+            if ppfd_t > 0.0:
+                grown = growth_step(state, ppfd_t, 3600.0, crop_p, lue,
+                                    cfg.setpoint_t, cfg.setpoint_co2)
+                fm_growth_kg += (grown.fm_g_m2 - state.fm_g_m2) * tier_area / 1000.0
+                dli[i // 24, t] += ppfd_t * 3600.0   # umol m-2; scaled to mol at the end
+                state = grown
+            states[t], got = harvest_if_due(state, crop_p)
+            if got > 0.0:
+                harvests.append((i, t + 1, got))
+    dli /= 1e6  # umol m-2 day-1 -> mol m-2 day-1, one correctly rounded step
+
+    harvested = float(sum(h[2] for h in harvests))
+    standing = float(sum(standing_credit_kg(s, crop_p) for s in states))
+    transplant_credit = standing_credit_kg(crop_p.transplant_state(), crop_p) * n_tiers
+    return _CropYear(f_int, dli, harvests, fm_growth_kg, sum(s.cycles for s in states),
+                     harvested, harvested + max(0.0, standing - transplant_credit))
 
 
 def _staggered_states(cfg: ScenarioConfig, lue: LueTable,
@@ -473,20 +434,90 @@ def _staggered_states(cfg: ScenarioConfig, lue: LueTable,
     return out
 
 
-def _transient_hour(cfg: ScenarioConfig, chamber, bd, t_ext: float
+class _ThermalYear(NamedTuple):
+    hourly: dict               # q_env ... p_total_el, in the result's column order
+    q_cool: np.ndarray         # delivered cooling and heating magnitudes (W)
+    q_heat: np.ndarray
+    transpired_kg: float
+    recovered_l: float
+    max_residual: float
+
+
+def _thermal_stage(cfg: ScenarioConfig, t_ext: np.ndarray, ppfd: np.ndarray,
+                   led_ppfd: np.ndarray, f_int: np.ndarray, q_sol: np.ndarray,
+                   q_crop: np.ndarray, p_led: np.ndarray, warnings: list) -> _ThermalYear:
+    """Canopy sink, latent terms, the air-node balance and HVAC electricity.
+
+    The canopy sink adds tier 1, tier 2, tier-3 LED and tier-3 daylight
+    light in that order, as an hourly sum would. Quasi-steady mode delivers
+    the balance's closure term; transient mode integrates each hour's air
+    node. The first hour with the pipe Rayleigh number out of range goes to
+    `warnings` as (hour, text).
+    """
+    chamber = cfg.effective_chamber()
+    tier_area = cfg.crop.tier_area_m2
+    par_factor = 1.0 / PAR_UMOL_PER_J     # W per (umol s-1) of LED light
+    lit = ppfd > 0.0
+    gross = np.zeros(HOURS_PER_YEAR)
+    sources = [ppfd[:, t] for t in range(ppfd.shape[1] - 1)] + [led_ppfd]
+    for t, source in enumerate(sources):
+        gross += np.where(lit[:, t], source * f_int[:, t] * tier_area * par_factor, 0.0)
+    gross += np.where(lit[:, -1], f_int[:, -1] * q_crop, 0.0)
+
+    transp = cfg.surrogates.crop_latent_fraction * gross / cfg.latent.latent_heat
+    q_eva, q_ahu, q_hum, coil_latent, recovered = latent_balance(transp, cfg.latent)
+    q_conv = np.zeros(HOURS_PER_YEAR)
+    if cfg.uses_light_pipes:
+        length, heat_area = cfg.lp_geometry.length_m, cfg.lp_heat_area_m2()
+        ra_lo, ra_hi = RA_VALID_RANGE
+        flagged = False
+        for i in range(HOURS_PER_YEAR):
+            q_conv[i], ra = lp_convection(cfg.setpoint_t, t_ext.item(i), length,
+                                          heat_area, n_pipes=cfg.n_pipes)
+            if ra > 0.0 and not flagged and not ra_lo <= ra <= ra_hi:
+                warnings.append((i, f"hour {i}: pipe Rayleigh number {ra:.3g} outside "
+                                    f"correlation range {RA_VALID_RANGE}"))
+                flagged = True
+    bd = solve_hvac_load(q_env=envelope_load(chamber, cfg.setpoint_t, t_ext), q_led=p_led,
+                         q_lp_sol=q_sol, q_lp_conv=q_conv,
+                         q_plant=cfg.surrogates.crop_storage_fraction * gross,
+                         q_eva=q_eva, q_ahu=np.full(HOURS_PER_YEAR, q_ahu),
+                         q_hum=np.full(HOURS_PER_YEAR, q_hum), coil_latent=coil_latent)
+    if cfg.timestep_mode == "transient":
+        gains_fixed = bd.q_led + bd.q_lp_sol - bd.q_plant - bd.q_eva - bd.q_ahu - bd.q_hum
+        q_cool, q_heat = np.empty(HOURS_PER_YEAR), np.empty(HOURS_PER_YEAR)
+        for i in range(HOURS_PER_YEAR):
+            q_cool[i], q_heat[i] = _transient_hour(cfg, chamber, gains_fixed.item(i),
+                                                   t_ext.item(i))
+    else:
+        q_cool = np.maximum(0.0, -bd.q_hc)
+        q_heat = np.maximum(0.0, bd.q_hc)
+    p_hvac = hvac_electricity(q_cool, q_heat, t_ext, cfg.cop, coil_latent)
+    p_total = p_led + p_hvac + bd.q_hum
+    bad = ~(np.isfinite(p_total) & np.isfinite(bd.q_hc))
+    if bad.any():
+        raise SimulationError("non-finite power term", hour=int(np.argmax(bad)))
+
+    hourly = {"q_env": bd.q_env, "q_led": p_led, "q_lp_sol": q_sol, "q_lp_conv": q_conv,
+              "q_plant": bd.q_plant, "q_eva": q_eva, "q_hc": bd.q_hc, "q_ahu": bd.q_ahu,
+              "q_hum": bd.q_hum, "coil_latent": coil_latent, "p_led_el": p_led,
+              "p_hvac_el": p_hvac, "p_total_el": p_total}
+    return _ThermalYear(hourly, q_cool, q_heat, float(transp.sum() * 3600.0),
+                        float(recovered.sum()), float(bd.relative_residual().max()))
+
+
+def _transient_hour(cfg: ScenarioConfig, chamber, gains_fixed: float, t_ext: float
                     ) -> tuple[float, float]:
     """Sub-stepped air-node integration with a thermostat deadband.
 
-    Returns the mean cooling/heating magnitudes actually delivered. The
-    free-floating terms reuse the hour's gains except envelope and pipe
-    convection, which follow the drifting air temperature.
+    Returns the mean cooling/heating magnitudes actually delivered.
+    `gains_fixed` is the hour's net gain from every term except envelope
+    and pipe convection, which follow the drifting air temperature.
     """
     cap = chamber.thermal_capacity_j_per_k
     dt = 3600.0 / cfg.transient_substeps
     t_air = cfg.setpoint_t
     cool = heat = 0.0
-    gains_fixed = (bd.q_led + bd.q_lp_sol - bd.q_plant - bd.q_eva
-                   - bd.q_ahu - bd.q_hum)
     # proportional drive sized to close the error within one substep; a
     # stiffer gain would hunt around the deadband at this step length
     gain = cap / dt
@@ -524,22 +555,22 @@ def calibrate_lue_scale(cfg: ScenarioConfig, climate: ClimateSeries,
                         solar: Optional[tuple] = None) -> dict:
     """Fit the single multiplicative LUE factor to the benchmark yield.
 
+    Bench has no daylight, so its yield depends only on the crop stage fed
+    with its LED light: each trial runs that stage alone, and `table` and
+    `solar` are unused (kept so callers can pass a run's arguments).
+
     The normalized annual yield is monotone in the factor but carries
     small steps from hour-quantized harvest times, so the bracketing
     search accepts the nearest achievable yield once the bracket
     collapses; it fails only if that misses the target by more than
     fail_rel.
     """
-    bench = cfg
-    if bench.scenario != "Bench":
+    if cfg.scenario != "Bench":
         raise CalibrationError("calibration anchors on the Bench scenario")
-    if solar is None:
-        solar = solar_angles(cfg.site, cfg.hour_center_offset)
+    ppfd = _lighting_stage(cfg, np.zeros(HOURS_PER_YEAR))[0]
 
     def yield_at(scale: float) -> float:
-        res = run_scenario(bench, climate, table, lue_base.with_scale(scale),
-                           solar=solar)
-        return res.kpis.yield_kg
+        return _crop_stage(cfg, lue_base.with_scale(scale), ppfd).yield_kg
 
     # bracket the target, then regula falsi with bisection fallback; the
     # objective is continuous and monotone but only piecewise smooth
@@ -634,6 +665,19 @@ def scenario_light_cost(cfg: ScenarioConfig,
                            cfg.lp_geometry.target_zone_m ** 2)["light_cost"]
 
 
+def scenario_delta(result: SimulationResult, bench: SimulationResult) -> dict:
+    """A run against the benchmark run: the capex breakdown, the annual
+    electricity saved (MWh) and the extra yield (kg)."""
+    return {
+        "delta_capex_usd": scenario_capex_delta(result.config, bench.config,
+                                                result.aggregates["peak_coil_w"],
+                                                bench.aggregates["peak_coil_w"]),
+        "delta_electricity_mwh": (bench.aggregates["electricity_mwh"]
+                                  - result.aggregates["electricity_mwh"]),
+        "delta_yield_kg": result.kpis.yield_kg - bench.kpis.yield_kg,
+    }
+
+
 def compare_scenarios(results: Sequence[SimulationResult]) -> list[dict]:
     """Side-by-side comparison rows; needs a Bench run in the set.
 
@@ -658,15 +702,13 @@ def compare_scenarios(results: Sequence[SimulationResult]) -> list[dict]:
     rows = []
     for r in results:
         cfg = r.config
-        capex = scenario_capex_delta(cfg, bench.config,
-                                     r.aggregates["peak_coil_w"],
-                                     bench.aggregates["peak_coil_w"])
-        d_el = bench.aggregates["electricity_mwh"] - r.aggregates["electricity_mwh"]
-        d_yield = r.kpis.yield_kg - bench.kpis.yield_kg
+        delta = scenario_delta(r, bench)
+        capex = delta["delta_capex_usd"]["total"]
         if r is bench:
             pbt = PaybackResult(0.0, 0.0, 0.0, True)
         else:
-            pbt = payback_time(capex["total"], d_el, d_yield, cfg.costs)
+            pbt = payback_time(capex, delta["delta_electricity_mwh"],
+                               delta["delta_yield_kg"], cfg.costs)
         rows.append({
             "scenario": cfg.scenario,
             "yield_kg": r.kpis.yield_kg,
@@ -681,7 +723,7 @@ def compare_scenarios(results: Sequence[SimulationResult]) -> list[dict]:
             "sec_kwh_per_kg": r.kpis.sec_kwh_per_kg,
             "seec_kwh_per_kg": r.kpis.seec_kwh_per_kg,
             "light_cost_usd_per_umol_s": scenario_light_cost(cfg),
-            "delta_capex_usd": 0.0 if r is bench else capex["total"],
+            "delta_capex_usd": 0.0 if r is bench else capex,
             "pbt_years": pbt.years,
             "pbt_viable": pbt.viable,
         })

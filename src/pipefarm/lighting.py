@@ -20,7 +20,6 @@ __all__ = [
     "LightingCommand",
     "EcFilm",
     "led_electric_power",
-    "driver_efficiency",
     "control_tier3",
     "ec_transmittance",
     "ec_control",
@@ -101,13 +100,6 @@ class DriverCurve:
         return float(np.interp(dim, dims, effs))
 
 
-def driver_efficiency(dim: float, curve: DriverCurve) -> float:
-    """Part-load driver efficiency; dim = 0 means no draw at all."""
-    if dim == 0.0:
-        return 1.0
-    return curve.efficiency(dim)
-
-
 def led_electric_power(ppfd: float, area_m2: float, ppe: float,
                        driver_eff: float = 1.0) -> float:
     """Electrical watts to hold a commanded PPFD over an area.
@@ -127,7 +119,6 @@ class LightingCommand:
     led_ppfd: float = 0.0
     dim_fraction: float = 0.0
     driver_eff: float = 1.0
-    daylight_ppfd: float = 0.0       # after any film/filter, as delivered
     total_ppfd: float = 0.0
 
 
@@ -248,8 +239,8 @@ def control_tier3(strategy: str, daylight_ppfd: float, clock_hour: float,
                 dim = led / nominal
                 return LightingCommand(led_ppfd=led, dim_fraction=dim,
                                        driver_eff=curve.efficiency(dim),
-                                       daylight_ppfd=daylight, total_ppfd=led + daylight)
+                                       total_ppfd=led + daylight)
         elif row.led == "fixed" or daylight < min_threshold:
             return LightingCommand(led_ppfd=nominal, dim_fraction=1.0,
-                                   daylight_ppfd=daylight, total_ppfd=nominal + daylight)
-    return LightingCommand(daylight_ppfd=daylight, total_ppfd=daylight)
+                                   total_ppfd=nominal + daylight)
+    return LightingCommand(total_ppfd=daylight)

@@ -3,12 +3,16 @@
 Quasi-steady operation: the air node is held at its setpoint and the
 balance is solved for the heating/cooling power each hour. Sign
 convention: every term is a signed flow into the air node, so cooling
-demand shows up as a negative closure term.
+demand shows up as a negative closure term. The balance, COP, HVAC and
+latent functions take one hour's scalars or arrays of hours alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+
+import numpy as np
 
 __all__ = [
     "Surface",
@@ -141,10 +145,9 @@ class PowerBreakdown:
                 - self.q_plant - self.q_eva + self.q_hc - self.q_ahu - self.q_hum)
 
     def relative_residual(self) -> float:
-        scale = max(1.0, abs(self.q_env), abs(self.q_led), abs(self.q_lp_sol),
-                    abs(self.q_lp_conv), abs(self.q_plant), abs(self.q_eva),
-                    abs(self.q_hc), abs(self.q_ahu), abs(self.q_hum))
-        return abs(self.residual()) / scale
+        terms = (self.q_env, self.q_led, self.q_lp_sol, self.q_lp_conv, self.q_plant,
+                 self.q_eva, self.q_hc, self.q_ahu, self.q_hum)
+        return abs(self.residual()) / reduce(np.maximum, map(abs, terms), 1.0)
 
 
 def solve_hvac_load(q_env: float = 0.0, q_led: float = 0.0, q_lp_sol: float = 0.0,
@@ -190,32 +193,31 @@ class CopModel:
     def cop_cooling(self, t_ext_c: float) -> float:
         t_evap = self.t_evap_c + KELVIN
         t_cond = t_ext_c + self.approach_k + KELVIN
-        lift = t_cond - t_evap
-        if lift <= 0.0:
-            return self.cop_max
-        return min(self.cop_max, max(self.cop_min, self.eta_second_law * t_evap / lift))
+        return self._clamped(self.eta_second_law * t_evap, t_cond - t_evap)
 
     def cop_heating(self, t_ext_c: float) -> float:
         t_cond = self.heat_supply_c + KELVIN
         t_evap = t_ext_c - self.heat_approach_k + KELVIN
-        lift = t_cond - t_evap
-        if lift <= 0.0:
-            return self.cop_max
-        return min(self.cop_max, max(self.cop_min, self.eta_second_law * t_cond / lift))
+        return self._clamped(self.eta_second_law * t_cond, t_cond - t_evap)
+
+    def _clamped(self, carnot_numerator: float, lift: float) -> float:
+        """numerator / lift clamped to [cop_min, cop_max]; cop_max without lift."""
+        lift = np.asarray(lift, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cop = np.where(lift <= 0.0, self.cop_max,
+                           np.clip(carnot_numerator / lift, self.cop_min, self.cop_max))
+        return cop if cop.ndim else float(cop)
 
 
 def hvac_electricity(q_cool_w: float, q_heat_w: float, t_ext_c: float,
                      cop: CopModel, coil_latent_w: float = 0.0) -> float:
     """Electrical draw to meet the sensible loads plus coil latent duty."""
-    if q_cool_w < 0.0 or q_heat_w < 0.0:
+    if np.any(np.asarray(q_cool_w) < 0.0) or np.any(np.asarray(q_heat_w) < 0.0):
         raise ValueError("loads are magnitudes; pass the cooling demand as positive")
-    p = 0.0
     total_cool = q_cool_w + coil_latent_w
-    if total_cool > 0.0:
-        p += total_cool / cop.cop_cooling(t_ext_c)
-    if q_heat_w > 0.0:
-        p += q_heat_w / cop.cop_heating(t_ext_c)
-    return p
+    p = (np.where(total_cool > 0.0, total_cool / cop.cop_cooling(t_ext_c), 0.0)
+         + np.where(q_heat_w > 0.0, q_heat_w / cop.cop_heating(t_ext_c), 0.0))
+    return p if p.ndim else float(p)
 
 
 @dataclass(frozen=True)
@@ -248,7 +250,7 @@ def latent_balance(transpiration_kg_per_s: float, model: LatentModel, dt_s: floa
     reappears at the coil where the vapour condenses, and the recovered
     condensate volume goes back to the water ledger.
     """
-    if transpiration_kg_per_s < 0.0:
+    if np.any(np.asarray(transpiration_kg_per_s) < 0.0):
         raise ValueError("transpiration rate must be non-negative")
     q_eva = transpiration_kg_per_s * model.latent_heat
     condensed_kg = transpiration_kg_per_s * dt_s

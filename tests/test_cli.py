@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from pipefarm.cli import main
+from pipefarm.config import load_config_mapping
 
 # CLI runs get their own config tree so out/ and cache paths stay inside tmp
 pytestmark = pytest.mark.usefixtures("repo_paths")
@@ -153,6 +154,25 @@ class TestCompareCli:
         assert float(rows[1]["harvested_daylight_mwh"]) > 0.0
         lc = {r["system"]: r for r in csv.DictReader(open(out / "light_cost.csv"))}
         assert float(lc["Optical Fiber"]["light_cost"]) == pytest.approx(19.53, abs=0.02)
+
+
+class TestSweepCli:
+    def test_grid_and_breakeven(self, work_tree):
+        _calibrate(work_tree)
+        cfg = work_tree / "configs" / "sweep_lp_dim_ir.yaml"
+        out = work_tree / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        grid = load_config_mapping(cfg)["grid"]
+        with open(out / "pbt_grid.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == (len(grid["electricity_usd_per_mwh"])
+                             * len(grid["carbon_usd_per_t"]))
+        doc = json.loads((out / "breakeven.json").read_text())
+        assert set(doc) == {"scenario", "delta_capex_usd", "delta_electricity_mwh",
+                            "delta_yield_kg", "target_pbt_years", "per_pipe_hardware_usd",
+                            "break_even_per_pipe_usd", "metadata"}
+        assert len(doc["break_even_per_pipe_usd"]) == len(rows)
+        assert doc["delta_capex_usd"]["total"] > 0.0
 
 
 class TestTraceOptics:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from pipefarm.crop import (CropParams, CropState, LueTable, growth_step,
-                           harvest_if_due, interception, lue_lookup,
-                           plant_heat_sink, standing_credit_kg)
+                           harvest_if_due, interception, standing_credit_kg)
 
 
 def small_table(scale=1.0) -> LueTable:
@@ -20,20 +19,20 @@ def small_table(scale=1.0) -> LueTable:
 class TestLueTable:
     def test_grid_node_identity(self):
         t = small_table()
-        dm, fm = lue_lookup(t, 24.0, 1400.0, 100.0)
+        dm, fm, _ = t.lookup(24.0, 1400.0, 100.0)
         assert dm == pytest.approx(2e-6, rel=1e-12)
         assert fm == pytest.approx(4e-5, rel=1e-12)
 
     def test_midpoint_is_mean(self):
         t = small_table()
-        dm, fm = lue_lookup(t, 24.0, 1400.0, 200.0)
+        dm, fm, _ = t.lookup(24.0, 1400.0, 200.0)
         assert dm == pytest.approx(1.5e-6, rel=1e-12)
         assert fm == pytest.approx(3e-5, rel=1e-12)
 
     def test_calibration_factor_is_linear(self):
         t1, t2 = small_table(1.0), small_table(2.0)
-        assert lue_lookup(t2, 24.0, 1400.0, 150.0)[0] == pytest.approx(
-            2.0 * lue_lookup(t1, 24.0, 1400.0, 150.0)[0], rel=1e-12)
+        assert t2.lookup(24.0, 1400.0, 150.0)[0] == pytest.approx(
+            2.0 * t1.lookup(24.0, 1400.0, 150.0)[0], rel=1e-12)
 
     def test_clamping_is_reported(self):
         t = small_table()
@@ -55,7 +54,7 @@ class TestLueTable:
         path.write_text("temperature,co2,ppfd,lue_dm,lue_fm\n"
                         "24,1400,100,2e-6,4e-5\n24,1400,300,1e-6,2e-5\n")
         t = LueTable.from_csv(path)
-        assert lue_lookup(t, 24.0, 1400.0, 300.0)[1] == pytest.approx(2e-5)
+        assert t.lookup(24.0, 1400.0, 300.0)[1] == pytest.approx(2e-5)
 
     def test_incomplete_grid_rejected(self, tmp_path):
         path = tmp_path / "lue.csv"
@@ -96,7 +95,7 @@ class TestGrowthStep:
         state = CropState(dm_g_m2=150.0, fm_g_m2=3000.0, lai=3.0)
         t = small_table()
         out = growth_step(state, 250.0, 1.0, PARAMS, t, 24.0, 1400.0)
-        lue_fm = lue_lookup(t, 24.0, 1400.0, 250.0)[1]
+        lue_fm = t.lookup(24.0, 1400.0, 250.0)[1]
         assert out.fm_g_m2 - state.fm_g_m2 == pytest.approx(250.0 * f * lue_fm, rel=1e-10)
 
     def test_doubling_ppfd_never_more_than_doubles(self, lue_base):
@@ -135,30 +134,15 @@ class TestGrowthStep:
             b = growth_step(b, 250.0, 1800.0, PARAMS, t, 24.0, 1400.0)
         assert a.fm_g_m2 == pytest.approx(b.fm_g_m2, rel=0.005)
 
+    def test_interception_consistency(self):
+        assert interception(3.0, 0.9) == pytest.approx(1.0 - math.exp(-2.7), rel=1e-12)
+
     def test_validation(self):
         state = PARAMS.transplant_state()
         with pytest.raises(ValueError):
             growth_step(state, -1.0, 3600.0, PARAMS, small_table(), 24.0, 1400.0)
         with pytest.raises(ValueError):
             growth_step(state, 250.0, 0.0, PARAMS, small_table(), 24.0, 1400.0)
-
-
-class TestPlantHeatSink:
-    def test_bare_tray_sinks_nothing(self):
-        assert plant_heat_sink(250.0, 0.0, 0.9, 90.0, 4.56) == 0.0
-
-    def test_full_interception_reference(self):
-        q = plant_heat_sink(250.0, 50.0, 0.9, 90.0, 4.56)
-        assert q == pytest.approx(250.0 * 90.0 / 4.56, rel=1e-10)
-        assert q == pytest.approx(4934.0, abs=1.0)
-
-    def test_area_linearity(self):
-        q1 = plant_heat_sink(250.0, 3.0, 0.9, 45.0, 4.56)
-        q2 = plant_heat_sink(250.0, 3.0, 0.9, 90.0, 4.56)
-        assert q2 == pytest.approx(2.0 * q1, rel=1e-12)
-
-    def test_interception_consistency(self):
-        assert interception(3.0, 0.9) == pytest.approx(1.0 - math.exp(-2.7), rel=1e-12)
 
 
 class TestHarvest:

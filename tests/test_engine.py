@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pipefarm import engine
 from pipefarm.climate import ClimateSeries, HOURS_PER_YEAR
 from pipefarm.config import load_scenario_config
 from pipefarm.economics import led_cost_per_watt
@@ -145,6 +146,19 @@ class TestCalibration:
         from pipefarm.engine import CalibrationError
         with pytest.raises(CalibrationError):
             calibrate_lue_scale(scenario_configs["LP_NL"], climate, None, lue_base)
+
+
+    def test_achieved_yield_is_the_bench_run_yield(self, bench_config, climate,
+                                                   calibration, lue_calibrated, solar):
+        res = run_scenario(bench_config, climate, None, lue_calibrated, solar=solar)
+        assert calibration["achieved_yield_kg"] == res.kpis.yield_kg
+
+    def test_iterates_the_crop_stage_alone(self, bench_config, climate, lue_base,
+                                           calibration, monkeypatch):
+        def full_year(*args, **kwargs):
+            raise AssertionError("calibration ran a full scenario-year")
+        monkeypatch.setattr(engine, "run_scenario", full_year)
+        assert calibrate_lue_scale(bench_config, climate, None, lue_base) == calibration
 
 
 class TestSeasonal:

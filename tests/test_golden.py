@@ -1,10 +1,12 @@
-"""Golden guard: the nine quasi-steady scenario-years and one transient
-LP_Dim year must reproduce the KPIs and annual aggregates frozen in
+"""Golden guard: the nine quasi-steady scenario-years, transient Bench,
+LP_Dim and GH years, and a Bench year with 7-day tier staggering must
+reproduce the KPIs and annual aggregates frozen in
 `tests/data/golden_kpis.json` to 1e-12 relative.
 
-The file was written before the tier-3 strategy table replaced the
-scenario-id dispatch; a refactor that keeps behaviour fixed reproduces it
-exactly. Regenerate it (`PYTHONPATH=src python tests/test_golden.py`) only
+The nine quasi-steady runs and transient LP_Dim were frozen before the
+tier-3 strategy table replaced the scenario-id dispatch; the other three
+before the annual loop was split into array stages. A refactor that keeps
+behaviour fixed reproduces them to summation order. Regenerate it (`PYTHONPATH=src python tests/test_golden.py`) only
 for a change that is meant to move the numbers, and say so in CHANGES.md.
 """
 
@@ -31,10 +33,22 @@ def snapshot(res) -> dict:
     return out
 
 
-def transient_lp_dim(scenario_configs, climate, reference_table, lue_calibrated, solar):
+def variant_runs(configs, climate, table, lue, solar) -> dict:
+    """Snapshots of the runs derived from the shipped configs."""
     from pipefarm.engine import run_scenario
-    cfg = dataclasses.replace(scenario_configs["LP_Dim"], timestep_mode="transient")
-    return run_scenario(cfg, climate, reference_table, lue_calibrated, solar=solar)
+    bench = configs["Bench"]
+    variants = {
+        "Bench/transient": dataclasses.replace(bench, timestep_mode="transient"),
+        "GH/transient": dataclasses.replace(configs["GH"], timestep_mode="transient"),
+        "LP_Dim/transient": dataclasses.replace(configs["LP_Dim"],
+                                                timestep_mode="transient"),
+        "Bench/stagger7": dataclasses.replace(
+            bench, crop=dataclasses.replace(bench.crop, stagger_days=7.0)),
+    }
+    return {name: snapshot(run_scenario(cfg, climate,
+                                        table if cfg.uses_light_pipes else None,
+                                        lue, solar=solar))
+            for name, cfg in variants.items()}
 
 
 def _mismatches(expected: dict, actual: dict) -> list[str]:
@@ -52,8 +66,8 @@ def test_runs_reproduce_frozen_outputs(scenario_results, scenario_configs, clima
                                        reference_table, lue_calibrated, solar):
     frozen = json.loads(GOLDEN.read_text())
     runs = {name: snapshot(res) for name, res in scenario_results.items()}
-    runs["LP_Dim/transient"] = snapshot(transient_lp_dim(
-        scenario_configs, climate, reference_table, lue_calibrated, solar))
+    runs.update(variant_runs(scenario_configs, climate, reference_table, lue_calibrated,
+                             solar))
     assert sorted(runs) == sorted(frozen)
     bad = [f"{name} {m}" for name in sorted(runs)
            for m in _mismatches(frozen[name], runs[name])]
@@ -79,7 +93,7 @@ if __name__ == "__main__":
     doc = {name: snapshot(run_scenario(cfg, year, table if cfg.uses_light_pipes else None,
                                        lue, solar=sun))
            for name, cfg in configs.items()}
-    doc["LP_Dim/transient"] = snapshot(transient_lp_dim(configs, year, table, lue, sun))
+    doc.update(variant_runs(configs, year, table, lue, sun))
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")

@@ -1,8 +1,7 @@
 import pytest
 
 from pipefarm.lighting import (STRATEGIES, DriverCurve, EcFilm, ec_control,
-                               ec_transmittance, control_tier3,
-                               driver_efficiency, led_electric_power)
+                               ec_transmittance, control_tier3, led_electric_power)
 
 
 class TestLedPower:
@@ -27,11 +26,14 @@ class TestLedPower:
 
 class TestDriverCurve:
     def test_flat_default(self):
-        assert driver_efficiency(1.0, DriverCurve()) == 0.95
-        assert driver_efficiency(0.5, DriverCurve()) == 0.95
+        assert DriverCurve().efficiency(1.0) == 0.95
+        assert DriverCurve().efficiency(0.5) == 0.95
 
     def test_off_means_no_draw(self):
-        assert driver_efficiency(0.0, DriverCurve()) == 1.0
+        # daylight at the setpoint switches the PWM LEDs off: no driver penalty
+        cmd = control_tier3("LP_Dim", 250.0, 12.0)
+        assert cmd.led_ppfd == 0.0 and cmd.dim_fraction == 0.0
+        assert cmd.driver_eff == 1.0
 
     def test_two_point_curve(self):
         curve = DriverCurve(points=((0.3, 0.88), (1.0, 0.95)))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from pipefarm.thermal import (ChamberGeometry, CopModel, LatentModel,
@@ -155,3 +156,42 @@ class TestLatentBalance:
             latent_balance(-1.0, LatentModel())
         with pytest.raises(ValueError):
             LatentModel(condensate_recovery=1.5)
+
+
+class TestHourArrays:
+    """The balance, COP, HVAC and latent functions take arrays of hours and
+    return, hour by hour, exactly what the scalar call returns."""
+
+    T_EXT = [-60.0, -5.0, 12.0, 24.0, 31.5, 46.0, 80.0]
+
+    def test_cop_and_hvac_match_scalar_calls(self):
+        cop = CopModel()
+        cool = [0.0, 150.0, 0.0, 2000.0, 9000.0, 0.0, 40.0]
+        heat = [300.0, 0.0, 0.0, 0.0, 0.0, 55.0, 0.0]
+        latent = [0.0, 10.0, 0.0, 500.0, 0.0, 0.0, 5.0]
+        t = np.array(self.T_EXT)
+        for got, scalar in (
+                (cop.cop_cooling(t), [cop.cop_cooling(x) for x in self.T_EXT]),
+                (cop.cop_heating(t), [cop.cop_heating(x) for x in self.T_EXT]),
+                (hvac_electricity(np.array(cool), np.array(heat), t, cop, np.array(latent)),
+                 [hvac_electricity(c, h, x, cop, la)
+                  for c, h, x, la in zip(cool, heat, self.T_EXT, latent)])):
+            assert got.tolist() == scalar
+        with pytest.raises(ValueError):
+            hvac_electricity(np.array([1.0, -1.0]), np.zeros(2), np.zeros(2), cop)
+
+    def test_latent_and_residual_match_scalar_calls(self):
+        model = LatentModel(q_ahu_w=120.0, q_hum_w=30.0)
+        rates = [0.0, 1e-4, 3.3e-4]
+        q_eva, q_ahu, q_hum, coil, rec = latent_balance(np.array(rates), model)
+        for k, rate in enumerate(rates):
+            assert (q_eva[k], q_ahu, q_hum, coil[k], rec[k]) == latent_balance(rate, model)
+        with pytest.raises(ValueError):
+            latent_balance(np.array([0.0, -1e-6]), model)
+        terms = dict(q_env=[-800.0, 0.0, 350.0], q_led=[9000.0, 0.0, 4500.0],
+                     q_plant=[1200.0, 0.0, 0.25], q_eva=[0.3, 0.0, 400.0])
+        bd = solve_hvac_load(**{k: np.array(v) for k, v in terms.items()})
+        for k in range(3):
+            one = solve_hvac_load(**{name: v[k] for name, v in terms.items()})
+            assert bd.q_hc[k] == one.q_hc
+            assert bd.relative_residual()[k] == one.relative_residual()
