@@ -67,20 +67,22 @@ def _climate_for(cfg: ScenarioConfig):
 
 
 def _runnable(cfg: ScenarioConfig):
-    """Shared simulate/compare preparation: climate, table, calibrated LUE."""
+    """Shared simulate/compare preparation: climate, table, calibrated LUE.
+
+    A configured calibration file must exist; a config without
+    `crop.calibration` runs at LUE scale 1."""
     climate = _climate_for(cfg)
     table = None
     if cfg.uses_light_pipes:
         table = prepare_efficiency_table(cfg)
     scale = 1.0
-    calibrated = False
-    if cfg.calibration_path is not None and Path(cfg.calibration_path).exists():
+    calibrated = cfg.calibration_path is not None
+    if calibrated:
         calib = load_calibration(cfg.calibration_path)
         if calib.get("climate_hash") not in (None, climate.content_hash()):
             raise SimulationError("calibration was fitted against a different "
                                   "climate year; re-run calibrate")
         scale = float(calib["lue_scale"])
-        calibrated = True
     lue = load_lue_table(cfg, scale=scale)
     return climate, table, lue, calibrated
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -109,7 +109,6 @@ class ScenarioConfig:
     transient_substeps: int = 60
     transient_deadband_k: float = 0.5
     transient_capacity_w: float = 20000.0
-    raw: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.scenario not in STRATEGIES:
@@ -125,6 +124,9 @@ class ScenarioConfig:
             raise ConfigError("timestep_mode must be 'quasi_steady' or 'transient'")
         if not 0.0 <= self.hour_center_offset < 1.0:
             raise ConfigError("hour_center_offset must be in [0, 1)")
+        p = self.photoperiod
+        if len(p) != 2 or not 0 <= p[0] < p[1] <= 24:
+            raise ConfigError(f"invalid photoperiod {p}")
 
     @property
     def strategy(self) -> Strategy:
@@ -175,15 +177,15 @@ class ScenarioConfig:
         return g.aperture_area_m2 if self.lp_heat_area == "aperture" else g.lateral_area_m2
 
     def content_hash(self) -> str:
-        blob = json.dumps(_jsonable(self.raw) if self.raw else _jsonable(self),
-                          sort_keys=True, default=repr)
+        """Hash of the resolved config: every field, overrides and resolved
+        paths included."""
+        blob = json.dumps(_jsonable(self), sort_keys=True, default=repr)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _jsonable(obj: Any) -> Any:
-    if hasattr(obj, "__dataclass_fields__"):
-        return {k: _jsonable(getattr(obj, k)) for k in sorted(obj.__dataclass_fields__)
-                if k != "raw"}
+    if is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in sorted(obj.items())}
     if isinstance(obj, (list, tuple)):
@@ -233,118 +235,92 @@ def _path_or_none(base: Path, value) -> Optional[Path]:
     return p if p.is_absolute() else (base / p)
 
 
+# YAML keys whose ScenarioConfig field has another name
+_RENAMED = {
+    "climate": "climate_path",
+    "lp.count": "n_pipes", "lp.heat_area": "lp_heat_area",
+    "crop.lue_table": "lue_table_path", "crop.calibration": "calibration_path",
+    "ec.v_max": "ec_v_max", "ec.cap_ppfd": "ec_cap_ppfd",
+    "setpoints.temperature": "setpoint_t", "setpoints.co2": "setpoint_co2",
+    "setpoints.ppfd": "setpoint_ppfd",
+    "optics.table": "table_path", "optics.cache_dir": "table_cache_dir",
+    "optics.rays": "rays", "optics.altitude_step": "altitude_step",
+    "optics.tilt_step": "tilt_step", "optics.bounce_cap": "bounce_cap",
+}
+# YAML sections that build one object field; their other keys are its fields
+_SECTIONS = {"site": "site", "chamber": "chamber", "lp": "lp_geometry", "crop": "crop",
+             "costs": "costs", "hvac": "cop", "latent": "latent",
+             "surrogates": "surrogates", "gh": "glazing", "driver": "driver"}
+# top-level keys are the fields neither table targets: `n_pipes` is no key
+_TOP_LEVEL = ({f.name for f in fields(ScenarioConfig)}
+              - set(_RENAMED.values()) - set(_SECTIONS.values()))
+_GROUPS = set(_SECTIONS) | {k.split(".")[0] for k in _RENAMED if "." in k}   # mappings
+# resolved against the config's directory
+_PATHS = {"climate", "crop.lue_table", "crop.calibration", "optics.table", "optics.cache_dir"}
+# list values built into their field's types
+_LISTS = {
+    "chamber.surfaces": lambda v: tuple(
+        Surface(s["name"], float(s["area_m2"]), float(s["u_value"])) for s in v),
+    "driver.points": lambda v: tuple((float(a), float(b)) for a, b in v),
+    "photoperiod": lambda v: tuple(float(x) for x in v),
+}
+
+
+def _build(obj, keys: dict, base_dir: Path):
+    """`obj` with the given fields replaced; `keys` maps field name to
+    (YAML key, value). Values take the type of the field's default."""
+    names = {f.name for f in fields(obj)}
+    changes = {}
+    for name, (key, value) in keys.items():
+        if name not in names:
+            raise ConfigError(f"unknown key {key!r}")
+        default = getattr(obj, name)
+        if key in _LISTS:
+            value = _LISTS[key](value)
+        elif key in _PATHS:
+            value = _path_or_none(base_dir, value)
+        elif isinstance(default, (float, int, str)):
+            value = type(default)(value)
+        changes[name] = value
+    return replace(obj, **changes)
+
+
 def resolve_config_dict(data: dict, base_dir: Path) -> ScenarioConfig:
-    """Build a validated ScenarioConfig from a merged YAML mapping."""
-    def section(name: str) -> dict:
-        v = data.get(name, {})
-        if v is None:
-            return {}
-        if not isinstance(v, dict):
-            raise ConfigError(f"section {name!r} must be a mapping")
-        return v
+    """Build a validated ScenarioConfig from a merged YAML mapping.
 
+    Every default lives on its dataclass field, so a missing key or a
+    partial section keeps the shipped design. A key that names no field is
+    an error, and relative paths resolve against `base_dir`.
+    """
+    default = ScenarioConfig()
+    top: dict = {}
+    objects: dict = {}
     try:
-        site_d = section("site")
-        site = SiteConfig(latitude=float(site_d.get("latitude", 25.0)),
-                          longitude=float(site_d.get("longitude", 55.0)),
-                          utc_offset=float(site_d.get("utc_offset", 4.0)))
-
-        ch_d = section("chamber")
-        surfaces = ch_d.get("surfaces")
-        ch_kwargs: dict = {
-            "floor_area_m2": float(ch_d.get("floor_area_m2", 49.0)),
-            "height_m": float(ch_d.get("height_m", 3.0)),
-            "air_density": float(ch_d.get("air_density", 1.204)),
-            "air_cp": float(ch_d.get("air_cp", 1006.0)),
-        }
-        if surfaces:
-            ch_kwargs["surfaces"] = tuple(
-                Surface(s["name"], float(s["area_m2"]), float(s["u_value"]))
-                for s in surfaces)
-        chamber = ChamberGeometry(**ch_kwargs)
-
-        lp_d = section("lp")
-        geom_keys = {f for f in LpGeometry.__dataclass_fields__}
-        geom_kwargs = {k: v for k, v in lp_d.items() if k in geom_keys}
-        lp_geom = LpGeometry(**geom_kwargs)
-
-        crop_d = section("crop")
-        crop_keys = {f for f in CropParams.__dataclass_fields__}
-        crop = CropParams(**{k: v for k, v in crop_d.items() if k in crop_keys})
-
-        cost_d = section("costs")
-        costs = CostTable(**{k: v for k, v in cost_d.items()
-                             if k in CostTable.__dataclass_fields__})
-        cop_d = section("hvac")
-        cop = CopModel(**{k: v for k, v in cop_d.items()
-                          if k in CopModel.__dataclass_fields__})
-        lat_d = section("latent")
-        latent = LatentModel(**{k: v for k, v in lat_d.items()
-                                if k in LatentModel.__dataclass_fields__})
-        sur_d = section("surrogates")
-        surrogates = SurrogateParams(**{k: v for k, v in sur_d.items()
-                                        if k in SurrogateParams.__dataclass_fields__})
-        gh_d = section("gh")
-        glazing = GlazingParams(**{k: v for k, v in gh_d.items()
-                                   if k in GlazingParams.__dataclass_fields__})
-
-        drv_d = section("driver")
-        points = tuple((float(a), float(b)) for a, b in drv_d.get("points", ()))
-        driver = DriverCurve(nominal=float(drv_d.get("nominal", 0.95)),
-                             min_dim=float(drv_d.get("min_dim", 0.30)),
-                             points=points)
-
-        sp_d = section("setpoints")
-        opt_d = section("optics")
-        photoperiod = tuple(float(x) for x in data.get("photoperiod", (4.0, 20.0)))
-        if len(photoperiod) != 2 or not 0 <= photoperiod[0] < photoperiod[1] <= 24:
-            raise ConfigError(f"invalid photoperiod {photoperiod}")
-
-        cfg = ScenarioConfig(
-            scenario=str(data.get("scenario", "Bench")),
-            ppe=float(data.get("ppe", 2.5)),
-            seed=int(data.get("seed", 42)),
-            site=site,
-            climate_path=_path_or_none(base_dir, data.get("climate")),
-            climate_columns=data.get("climate_columns"),
-            chamber=chamber,
-            lp_geometry=lp_geom,
-            n_pipes=int(lp_d.get("count", 750)),
-            lp_heat_area=str(lp_d.get("heat_area", "aperture")),
-            crop=crop,
-            lue_table_path=_path_or_none(base_dir, crop_d.get("lue_table")),
-            calibration_path=_path_or_none(base_dir, crop_d.get("calibration")),
-            costs=costs,
-            cop=cop,
-            latent=latent,
-            surrogates=surrogates,
-            glazing=glazing,
-            driver=driver,
-            ec_v_max=float(section("ec").get("v_max", 100.0)),
-            ec_cap_ppfd=float(section("ec").get("cap_ppfd", 400.0)),
-            setpoint_t=float(sp_d.get("temperature", 24.0)),
-            setpoint_co2=float(sp_d.get("co2", 1400.0)),
-            setpoint_ppfd=float(sp_d.get("ppfd", 250.0)),
-            photoperiod=photoperiod,
-            min_threshold_ppfd=float(data.get("min_threshold_ppfd", 100.0)),
-            hour_center_offset=float(data.get("hour_center_offset", 0.5)),
-            rays=int(opt_d.get("rays", 100_000)),
-            altitude_step=float(opt_d.get("altitude_step", 5.0)),
-            tilt_step=float(opt_d.get("tilt_step", 5.0)),
-            bounce_cap=int(opt_d.get("bounce_cap", 50)),
-            table_cache_dir=_path_or_none(base_dir, opt_d.get("cache_dir")),
-            table_path=_path_or_none(base_dir, opt_d.get("table")),
-            timestep_mode=str(data.get("timestep_mode", "quasi_steady")),
-            transient_substeps=int(data.get("transient_substeps", 60)),
-            transient_deadband_k=float(data.get("transient_deadband_k", 0.5)),
-            transient_capacity_w=float(data.get("transient_capacity_w", 20000.0)),
-            raw=data,
-        )
+        for key, value in data.items():
+            if key in _RENAMED:
+                top[_RENAMED[key]] = (key, value)
+            elif key in _TOP_LEVEL:
+                top[key] = (key, value)
+            elif key not in _GROUPS:
+                raise ConfigError(f"unknown key {key!r}")
+            elif value is not None:
+                if not isinstance(value, dict):
+                    raise ConfigError(f"section {key!r} must be a mapping")
+                for sub, v in value.items():
+                    dotted = f"{key}.{sub}"
+                    if dotted in _RENAMED:
+                        top[_RENAMED[dotted]] = (dotted, v)
+                    elif key in _SECTIONS:
+                        objects.setdefault(_SECTIONS[key], {})[sub] = (dotted, v)
+                    else:
+                        raise ConfigError(f"unknown key {dotted!r}")
+        for name, keys in objects.items():
+            top[name] = (name, _build(getattr(default, name), keys, base_dir))
+        return _build(default, top, base_dir)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from None
-    return cfg
 
 
 def load_config_mapping(path: str | Path) -> dict:
@@ -355,4 +331,7 @@ def load_config_mapping(path: str | Path) -> dict:
 def load_scenario_config(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     data = _load_yaml_with_includes(path)
-    return resolve_config_dict(data, path.parent.resolve())
+    try:
+        return resolve_config_dict(data, path.parent.resolve())
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

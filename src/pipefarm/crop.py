@@ -49,10 +49,9 @@ class CropParams:
     def target_fresh_g_m2(self) -> float:
         return self.target_fresh_g * self.plant_density
 
-    def transplant_state(self, offset_fm_g_m2: float = 0.0) -> "CropState":
+    def transplant_state(self) -> "CropState":
         dm = self.transplant_dm_g_m2
-        fm = dm / self.dm_fraction + offset_fm_g_m2
-        return CropState(dm_g_m2=dm, fm_g_m2=fm,
+        return CropState(dm_g_m2=dm, fm_g_m2=dm / self.dm_fraction,
                          lai=min(self.sla_m2_per_g_dm * dm, self.lai_cap))
 
 
@@ -148,7 +147,6 @@ class CropState:
     dm_g_m2: float = 0.0
     fm_g_m2: float = 0.0
     lai: float = 0.0
-    harvested_kg: float = 0.0
     cycles: int = 0
 
     def __post_init__(self):
@@ -192,9 +190,7 @@ def harvest_if_due(state: CropState, params: CropParams) -> tuple[CropState, flo
     if per_plant_g < params.target_fresh_g:
         return state, 0.0
     harvested_kg = params.target_fresh_g * params.plants / 1000.0
-    fresh = params.transplant_state()
-    return replace(fresh, harvested_kg=state.harvested_kg + harvested_kg,
-                   cycles=state.cycles + 1), harvested_kg
+    return replace(params.transplant_state(), cycles=state.cycles + 1), harvested_kg
 
 
 def standing_credit_kg(state: CropState, params: CropParams) -> float:

@@ -149,14 +149,14 @@ class SimulationResult:
         p = outdir / "hourly_power.csv"
         cols = [c for c in self.hourly if c.startswith(("q_", "p_", "coil"))]
         write_csv(p, ["hour"] + cols,
-                  [[i] + [self.hourly[c][i] for c in cols] for i in range(HOURS_PER_YEAR)])
+                  ([i] + [self.hourly[c][i] for c in cols] for i in range(HOURS_PER_YEAR)))
         written.append(p)
 
         p = outdir / "hourly_lighting.csv"
         cols = [c for c in self.hourly if c.startswith(("led_", "daylight", "total_ppfd",
                                                         "ec_", "dim"))]
         write_csv(p, ["hour"] + cols,
-                  [[i] + [self.hourly[c][i] for c in cols] for i in range(HOURS_PER_YEAR)])
+                  ([i] + [self.hourly[c][i] for c in cols] for i in range(HOURS_PER_YEAR)))
         written.append(p)
 
         p = outdir / "dli.csv"
@@ -227,7 +227,8 @@ def run_scenario(cfg: ScenarioConfig, climate: ClimateSeries,
     cool_el_mwh = np.where(coil_total > 0.0,
                            coil_total / cfg.cop.cop_cooling(climate.temperature),
                            0.0) * W_TO_MWH
-    month = np.arange(HOURS_PER_YEAR) // 24 // 30
+    days_in_month = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
+    month = np.repeat(np.arange(12), 24 * np.array(days_in_month))   # 0 = January
     led12_mwh = float(p12.sum() * W_TO_MWH)
     led3_mwh = float(p3.sum() * W_TO_MWH)
     led_mwh = led12_mwh + led3_mwh

@@ -64,6 +64,12 @@ class TestDispatch:
         assert rc == 3
         assert "not found" in json.loads(capsys.readouterr().err)["detail"]
 
+    def test_missing_calibration_exit_code(self, work_tree, capsys):
+        rc = main(["simulate", "--config", str(work_tree / "configs" / "bench.yaml"),
+                   "--out", str(work_tree / "o")])
+        assert rc == 4
+        assert "calibration.json" in json.loads(capsys.readouterr().err)["detail"]
+
     def test_missing_climate_exit_code(self, work_tree, capsys):
         (work_tree / "data" / "dubai_hourly_synthetic.csv").unlink()
         rc = main(["simulate", "--config", str(work_tree / "configs" / "bench.yaml"),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 import yaml
 
@@ -62,6 +64,11 @@ class TestShippedConfigs:
         assert a.content_hash() == b.content_hash()
         assert a.content_hash() != c.content_hash()
 
+    def test_content_hash_covers_overrides(self, repo_paths):
+        a = load_scenario_config(repo_paths["configs"] / "bench.yaml")
+        assert dataclasses.replace(a, seed=7).content_hash() != a.content_hash()
+        assert dataclasses.replace(a, scenario="LP_NL").content_hash() != a.content_hash()
+
 
 class TestIncludeMechanism:
     def test_override_wins(self, tmp_path):
@@ -123,6 +130,20 @@ class TestValidation:
             "crop_latent_fraction: 0.5}\n")
         with pytest.raises(ConfigError, match="exceed"):
             load_scenario_config(tmp_path / "bad.yaml")
+
+    @pytest.mark.parametrize("body, key", [
+        ("bogus: 1", "bogus"),                            # top level
+        ("lp: {diamter_mm: 100}", "lp.diamter_mm"),       # object section
+        ("setpoints: {rh_light: 0.6}", "setpoints.rh_light"),   # renamed-only section
+        ("n_pipes: 5", "n_pipes"),                        # field name, not YAML key
+    ])
+    def test_unknown_key_rejected(self, tmp_path, body, key):
+        path = tmp_path / "typo.yaml"
+        path.write_text(f"scenario: Bench\n{body}\n")
+        with pytest.raises(ConfigError) as exc:
+            load_scenario_config(path)
+        assert f"unknown key {key!r}" in str(exc.value)
+        assert str(path) in str(exc.value)
 
     def test_heat_area_switch(self, tmp_path):
         (tmp_path / "ok.yaml").write_text("scenario: Bench\nlp: {heat_area: lateral}\n")

@@ -170,6 +170,16 @@ class TestSeasonal:
         a = scenario_results["Bench"].aggregates
         assert a["heating_thermal_mwh"] < 0.1 * a["cooling_thermal_mwh"]
 
+    def test_seasons_follow_calendar_months(self, bench_config, lue_calibrated):
+        """Warming only Dec 27-31 moves winter cooling and leaves summer's."""
+        temps = np.full(HOURS_PER_YEAR, 24.0)
+        temps[-5 * 24:] = 40.0
+        warm_tail = ClimateSeries(temps, np.zeros(HOURS_PER_YEAR), np.zeros(HOURS_PER_YEAR))
+        base = run_scenario(bench_config, flat_climate(), None, lue_calibrated).aggregates
+        warm = run_scenario(bench_config, warm_tail, None, lue_calibrated).aggregates
+        assert warm["winter_cooling_el_mwh"] > base["winter_cooling_el_mwh"]
+        assert warm["summer_cooling_el_mwh"] == base["summer_cooling_el_mwh"]
+
 
 class TestCompare:
     def test_rows_and_light_costs(self, scenario_results):

@@ -5,9 +5,12 @@ reproduce the KPIs and annual aggregates frozen in
 
 The nine quasi-steady runs and transient LP_Dim were frozen before the
 tier-3 strategy table replaced the scenario-id dispatch; the other three
-before the annual loop was split into array stages. A refactor that keeps
+before the annual loop was split into array stages. The seasonal cooling
+aggregates of every run were re-frozen when the summer/winter split moved
+to calendar months. A refactor that keeps
 behaviour fixed reproduces them to summation order. Regenerate it (`PYTHONPATH=src python tests/test_golden.py`) only
-for a change that is meant to move the numbers, and say so in CHANGES.md.
+for a change that is meant to move the numbers, and say so in CHANGES.md;
+the script prints every entry that moved before it rewrites the file.
 """
 
 from __future__ import annotations
@@ -94,6 +97,10 @@ if __name__ == "__main__":
                                        lue, solar=sun))
            for name, cfg in configs.items()}
     doc.update(variant_runs(configs, year, table, lue, sun))
+    frozen = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for name in sorted(set(frozen) | set(doc)):
+        for m in _mismatches(frozen.get(name, {}), doc.get(name, {})):
+            print(f"moved: {name} {m}")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
