@@ -143,8 +143,32 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# keys a compare or sweep file may set: None for a value, else the keys of
+# that section; a key left out keeps its default
+_COMPARE_KEYS = {"scenarios": None}
+_SWEEP_KEYS = {"scenario_config": None, "bench_config": None, "target_pbt_years": None,
+               "grid": {"electricity_usd_per_mwh", "carbon_usd_per_t"}}
+
+
+def _load_strict(path, keys: dict) -> dict:
+    """The file's merged mapping; a key that `keys` does not list is an error
+    naming the file."""
+    doc = load_config_mapping(path)
+    for key, value in doc.items():
+        if key not in keys:
+            raise ConfigError(f"{path}: unknown key {key!r}")
+        if keys[key] is None:
+            continue
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: section {key!r} must be a mapping")
+        for sub in value:
+            if sub not in keys[key]:
+                raise ConfigError(f"{path}: unknown key {f'{key}.{sub}'!r}")
+    return doc
+
+
 def _cmd_compare(args) -> int:
-    doc = load_config_mapping(args.config)
+    doc = _load_strict(args.config, _COMPARE_KEYS)
     base_dir = Path(args.config).parent
     paths = doc.get("scenarios")
     if not paths or not isinstance(paths, list):
@@ -179,7 +203,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    doc = load_config_mapping(args.config)
+    doc = _load_strict(args.config, _SWEEP_KEYS)
     base_dir = Path(args.config).parent
     scen_path = doc.get("scenario_config")
     bench_path = doc.get("bench_config")

@@ -9,15 +9,21 @@ transplant state.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Sequence
+
 import numpy as np
 
 __all__ = [
     "CropParams",
     "LueTable",
+    "LueCurve",
     "CropState",
     "interception",
+    "grow",
+    "harvest_due",
     "growth_step",
     "harvest_if_due",
 ]
@@ -49,10 +55,18 @@ class CropParams:
     def target_fresh_g_m2(self) -> float:
         return self.target_fresh_g * self.plant_density
 
+    @property
+    def harvest_kg(self) -> float:
+        """Yield booked per harvest of one tier: the target mass per plant."""
+        return self.target_fresh_g * self.plants / 1000.0
+
+    def leaf_area(self, dm_g_m2: float) -> float:
+        """LAI of a canopy with this much dry matter."""
+        return min(self.sla_m2_per_g_dm * dm_g_m2, self.lai_cap)
+
     def transplant_state(self) -> "CropState":
         dm = self.transplant_dm_g_m2
-        return CropState(dm_g_m2=dm, fm_g_m2=dm / self.dm_fraction,
-                         lai=min(self.sla_m2_per_g_dm * dm, self.lai_cap))
+        return CropState(dm_g_m2=dm, fm_g_m2=dm / self.dm_fraction, lai=self.leaf_area(dm))
 
 
 class LueTable:
@@ -87,33 +101,20 @@ class LueTable:
     def with_scale(self, scale: float) -> "LueTable":
         return LueTable(self.temps, self.co2s, self.ppfds, self.lue_dm, self.lue_fm, scale)
 
-    def _axis_weights(self, axis: np.ndarray, x: float) -> tuple[int, int, float, bool]:
-        if axis.size == 1:
-            return 0, 0, 0.0, False
-        clamped = x < axis[0] or x > axis[-1]
-        x = min(max(x, axis[0]), axis[-1])
-        j = int(np.searchsorted(axis, x, side="right") - 1)
-        j = min(j, axis.size - 2)
-        f = (x - axis[j]) / (axis[j + 1] - axis[j])
-        return j, j + 1, f, clamped
+    def curve(self, temperature: float, co2: float) -> "LueCurve":
+        """The table along its PPFD axis at one temperature and CO2."""
+        it0, it1, ft, ct = _axis_weights(self.temps.tolist(), temperature)
+        ic0, ic1, fc, cc = _axis_weights(self.co2s.tolist(), co2)
+        rows = [(wt * wc, self.lue_dm[it, ic].tolist(), self.lue_fm[it, ic].tolist())
+                for it, wt in ((it0, 1.0 - ft), (it1, ft))
+                for ic, wc in ((ic0, 1.0 - fc), (ic1, fc))
+                if wt * wc > 0.0]
+        return LueCurve(self.ppfds.tolist(), rows, self.scale, ct or cc)
 
     def lookup(self, temperature: float, co2: float, ppfd: float
                ) -> tuple[float, float, bool]:
         """(lue_dm, lue_fm, clamped) at the query point, calibration applied."""
-        it0, it1, ft, ct = self._axis_weights(self.temps, temperature)
-        ic0, ic1, fc, cc = self._axis_weights(self.co2s, co2)
-        ip0, ip1, fp, cp = self._axis_weights(self.ppfds, ppfd)
-        out = []
-        for grid in (self.lue_dm, self.lue_fm):
-            v = 0.0
-            for it, wt in ((it0, 1.0 - ft), (it1, ft)):
-                for ic, wc in ((ic0, 1.0 - fc), (ic1, fc)):
-                    for ip, wp in ((ip0, 1.0 - fp), (ip1, fp)):
-                        w = wt * wc * wp
-                        if w > 0.0:
-                            v += w * grid[it, ic, ip]
-            out.append(v * self.scale)
-        return out[0], out[1], (ct or cc or cp)
+        return self.curve(temperature, co2)(ppfd)
 
     @classmethod
     def from_csv(cls, path: str | Path, scale: float = 1.0) -> "LueTable":
@@ -142,6 +143,46 @@ class LueTable:
         return cls(temps, co2s, ppfds, dm, fm, scale)
 
 
+def _axis_weights(axis: Sequence[float], x: float) -> tuple[int, int, float, bool]:
+    """Bracketing indices, the upper weight and the clamp flag of x on an axis."""
+    if len(axis) == 1:
+        return 0, 0, 0.0, False
+    clamped = x < axis[0] or x > axis[-1]
+    x = min(max(x, axis[0]), axis[-1])
+    j = min(bisect_right(axis, x) - 1, len(axis) - 2)
+    f = (x - axis[j]) / (axis[j + 1] - axis[j])
+    return j, j + 1, f, clamped
+
+
+class LueCurve:
+    """LUE along the PPFD axis at a fixed temperature and CO2.
+
+    Holds the (temperature, CO2) corner rows of the table whose weight is
+    non-zero, at most four. Evaluating it adds the terms in the table's
+    (temperature, CO2, PPFD) corner order and then applies the scale, so
+    it is the trilinear interpolation of the table, bit for bit.
+    """
+
+    def __init__(self, ppfds: list[float], rows: list[tuple[float, list, list]],
+                 scale: float, clamped: bool):
+        self.ppfds = ppfds
+        self.rows = rows          # (corner weight, dm row, fm row)
+        self.scale = scale
+        self.clamped = clamped    # temperature or CO2 outside the grid
+
+    def __call__(self, ppfd: float) -> tuple[float, float, bool]:
+        """(lue_dm, lue_fm, clamped) at this PPFD, calibration applied."""
+        ip0, ip1, fp, cp = _axis_weights(self.ppfds, ppfd)
+        v_dm = v_fm = 0.0
+        for w_tc, row_dm, row_fm in self.rows:
+            for ip, wp in ((ip0, 1.0 - fp), (ip1, fp)):
+                w = w_tc * wp
+                if w > 0.0:
+                    v_dm += w * row_dm[ip]
+                    v_fm += w * row_fm[ip]
+        return v_dm * self.scale, v_fm * self.scale, self.clamped or cp
+
+
 @dataclass(frozen=True)
 class CropState:
     dm_g_m2: float = 0.0
@@ -161,6 +202,19 @@ def interception(lai: float, k: float) -> float:
     return 1.0 - np.exp(-k * lai) if lai > 0.0 else 0.0
 
 
+def grow(dm_g_m2: float, fm_g_m2: float, absorbed: float, lue_dm: float, lue_fm: float,
+         params: CropParams) -> tuple[float, float, float]:
+    """One growth step on plain floats: dry matter, fresh matter and LAI
+    after `absorbed` umol m-2 of intercepted light at the given LUEs."""
+    dm = dm_g_m2 + absorbed * lue_dm
+    return dm, fm_g_m2 + absorbed * lue_fm, params.leaf_area(dm)
+
+
+def harvest_due(fm_g_m2: float, params: CropParams) -> bool:
+    """Whether per-plant fresh mass has reached the harvest target."""
+    return fm_g_m2 / params.plant_density >= params.target_fresh_g
+
+
 def growth_step(state: CropState, ppfd: float, dt_s: float, params: CropParams,
                 table: LueTable, temperature: float, co2: float) -> CropState:
     """Advance one tier by dt seconds of constant canopy PPFD."""
@@ -171,13 +225,11 @@ def growth_step(state: CropState, ppfd: float, dt_s: float, params: CropParams,
     f_int = interception(state.lai, params.extinction_k)
     if ppfd > 0.0 and f_int > 0.0:
         lue_dm, lue_fm, _ = table.lookup(temperature, co2, ppfd)
-        absorbed = ppfd * f_int * dt_s          # umol m-2
-        dm = state.dm_g_m2 + absorbed * lue_dm
-        fm = state.fm_g_m2 + absorbed * lue_fm
+        dm, fm, lai = grow(state.dm_g_m2, state.fm_g_m2, ppfd * f_int * dt_s,  # umol m-2
+                           lue_dm, lue_fm, params)
     else:
-        dm, fm = state.dm_g_m2, state.fm_g_m2
-    return replace(state, dm_g_m2=dm, fm_g_m2=fm,
-                   lai=min(params.sla_m2_per_g_dm * dm, params.lai_cap))
+        dm, fm, lai = state.dm_g_m2, state.fm_g_m2, params.leaf_area(state.dm_g_m2)
+    return replace(state, dm_g_m2=dm, fm_g_m2=fm, lai=lai)
 
 
 def harvest_if_due(state: CropState, params: CropParams) -> tuple[CropState, float]:
@@ -186,11 +238,9 @@ def harvest_if_due(state: CropState, params: CropParams) -> tuple[CropState, flo
     Yield is booked at exactly the target mass per plant (trim losses
     absorb any overshoot) and the tier resets to the transplant state.
     """
-    per_plant_g = state.fm_g_m2 / params.plant_density
-    if per_plant_g < params.target_fresh_g:
+    if not harvest_due(state.fm_g_m2, params):
         return state, 0.0
-    harvested_kg = params.target_fresh_g * params.plants / 1000.0
-    return replace(params.transplant_state(), cycles=state.cycles + 1), harvested_kg
+    return replace(params.transplant_state(), cycles=state.cycles + 1), params.harvest_kg
 
 
 def standing_credit_kg(state: CropState, params: CropParams) -> float:

@@ -6,7 +6,10 @@ daylight (optics, filter and film over the sun-up hours), lighting (LED
 commands and power), crop (the one sequential stage: growth and harvests
 per tier) and thermal (canopy sink, latent terms, air-node balance and
 HVAC electricity); the annual aggregates are reductions of those arrays.
-The benchmark scenario has no daylight, so calibration iterates the crop
+The crop stage runs each tier's year as a scalar recurrence on plain
+floats over one LUE curve per run (temperature and CO2 are fixed
+setpoints), bit-identical to stepping `CropState`s hour by hour. The
+benchmark scenario has no daylight, so calibration iterates the crop
 stage alone on its LED light.
 
 Expensive Monte Carlo tracing happens once per geometry and is cached on
@@ -28,8 +31,8 @@ import numpy as np
 from . import __version__
 from .climate import HOURS_PER_YEAR, ClimateSeries, SiteConfig, solar_position
 from .config import ScenarioConfig
-from .crop import CropState, LueTable, growth_step, harvest_if_due, \
-    interception, standing_credit_kg
+from .crop import CropParams, CropState, LueCurve, LueTable, grow, growth_step, \
+    harvest_due, harvest_if_due, interception, standing_credit_kg
 from .economics import REFERENCE_PIPE_PPF, KpiReport, PaybackResult, compute_kpis, \
     led_cost_per_watt, payback_time, pipe_light_cost
 from .lighting import control_tier3, ec_control, led_electric_power
@@ -385,39 +388,83 @@ def _crop_stage(cfg: ScenarioConfig, lue: LueTable, ppfd: np.ndarray) -> _CropYe
     """Growth and harvests of every tier under an (hours, tiers) PPFD array.
 
     The one sequential stage: interception follows the LAI grown so far,
-    and a harvest resets its tier to the transplant state.
+    and a harvest resets its tier to the transplant state. Tiers grow
+    independently, so each runs its year as one scalar recurrence; the
+    sums over tiers keep the hour-major order of an hourly loop.
     """
     crop_p = cfg.crop
-    tier_area = crop_p.tier_area_m2
     n_tiers = ppfd.shape[1]
     states = [crop_p.transplant_state() for _ in range(n_tiers)]
     if crop_p.stagger_days > 0.0:
         states = _staggered_states(cfg, lue, states)
+    curve = lue.curve(cfg.setpoint_t, cfg.setpoint_co2)
     f_int = np.empty_like(ppfd)
-    dli = np.zeros((ppfd.shape[0] // 24, n_tiers))
+    fm_step = np.zeros_like(ppfd)          # fresh-matter growth per tier-hour, g m-2
     harvests: list = []
-    fm_growth_kg = 0.0
-    for i in range(ppfd.shape[0]):
-        for t in range(n_tiers):
-            ppfd_t = ppfd.item(i, t)
-            state = states[t]
-            f_int[i, t] = interception(state.lai, crop_p.extinction_k)
-            if ppfd_t > 0.0:
-                grown = growth_step(state, ppfd_t, 3600.0, crop_p, lue,
-                                    cfg.setpoint_t, cfg.setpoint_co2)
-                fm_growth_kg += (grown.fm_g_m2 - state.fm_g_m2) * tier_area / 1000.0
-                dli[i // 24, t] += ppfd_t * 3600.0   # umol m-2; scaled to mol at the end
-                state = grown
-            states[t], got = harvest_if_due(state, crop_p)
-            if got > 0.0:
-                harvests.append((i, t + 1, got))
+    for t in range(n_tiers):
+        states[t] = _tier_year(states[t], ppfd[:, t], curve, crop_p, t + 1,
+                               f_int[:, t], fm_step[:, t], harvests)
+    harvests.sort()                        # hour-major, then tier
+
+    umol = ppfd.reshape(-1, 24, n_tiers) * 3600.0
+    dli = np.zeros((umol.shape[0], n_tiers))
+    for h in range(24):                    # hour by hour, as an hourly loop adds
+        dli += umol[:, h]
     dli /= 1e6  # umol m-2 day-1 -> mol m-2 day-1, one correctly rounded step
+    # left to right over hours, then tiers, as an hourly loop adds (np.sum
+    # would add pairwise)
+    growth_kg = (fm_step * crop_p.tier_area_m2 / 1000.0).ravel()
+    fm_growth_kg = float(np.add.accumulate(growth_kg)[-1])
 
     harvested = float(sum(h[2] for h in harvests))
     standing = float(sum(standing_credit_kg(s, crop_p) for s in states))
     transplant_credit = standing_credit_kg(crop_p.transplant_state(), crop_p) * n_tiers
     return _CropYear(f_int, dli, harvests, fm_growth_kg, sum(s.cycles for s in states),
                      harvested, harvested + max(0.0, standing - transplant_credit))
+
+
+def _tier_year(state: CropState, ppfd: np.ndarray, curve: LueCurve, p: CropParams,
+               tier: int, f_int: np.ndarray, fm_step: np.ndarray,
+               harvests: list) -> CropState:
+    """One tier's year from `state` under its hourly PPFD column.
+
+    Fills the tier's interception (at the start of each hour) and
+    fresh-growth columns, appends its (hour, tier, kg) harvests and returns
+    the final state. The state is carried as floats: the LUE is evaluated
+    again only when the PPFD changes, and interception only when the LAI
+    does.
+    """
+    k = p.extinction_k
+    start = p.transplant_state()
+    harvest_kg = p.harvest_kg
+    dm, fm, lai, cycles = state.dm_g_m2, state.fm_g_m2, state.lai, state.cycles
+    f = float(interception(lai, k))
+    f_lai = lai
+    due = harvest_due(fm, p)
+    last_ppfd = None
+    lue_dm = lue_fm = 0.0
+    # memoryviews read and write the columns as Python floats, without
+    # an hourly list
+    f_out, step_out = memoryview(f_int), memoryview(fm_step)
+    for i, x in enumerate(memoryview(ppfd)):
+        f_out[i] = f
+        if x > 0.0:
+            if x != last_ppfd:
+                lue_dm, lue_fm, _ = curve(x)
+                last_ppfd = x
+            fm0 = fm
+            dm, fm, lai = grow(dm, fm, x * f * 3600.0, lue_dm, lue_fm, p)
+            step_out[i] = fm - fm0
+            due = harvest_due(fm, p)
+        if due:
+            harvests.append((i, tier, harvest_kg))
+            cycles += 1
+            dm, fm, lai = start.dm_g_m2, start.fm_g_m2, start.lai
+            due = harvest_due(fm, p)
+        if lai != f_lai:
+            f = float(interception(lai, k))
+            f_lai = lai
+    return CropState(dm, fm, lai, cycles)
 
 
 def _staggered_states(cfg: ScenarioConfig, lue: LueTable,

@@ -181,6 +181,31 @@ class TestSweepCli:
         assert doc["delta_capex_usd"]["total"] > 0.0
 
 
+class TestStrictCompareAndSweepFiles:
+    def test_misspelled_grid_key_is_a_config_error(self, work_tree, capsys):
+        cfg = work_tree / "configs" / "sweep_typo.yaml"
+        text = (work_tree / "configs" / "sweep_lp_dim_ir.yaml").read_text()
+        cfg.write_text(text.replace("electricity_usd_per_mwh", "electricity_usd_per_mw"))
+        rc = main(["sweep", "--config", str(cfg), "--out", str(work_tree / "sweep")])
+        assert rc == 3
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert "sweep_typo.yaml" in detail and "'grid.electricity_usd_per_mw'" in detail
+        assert not (work_tree / "sweep").exists()
+
+    def test_unknown_top_level_keys_are_config_errors(self, work_tree, capsys):
+        sweep = work_tree / "configs" / "sweep_typo.yaml"
+        sweep.write_text((work_tree / "configs" / "sweep_lp_dim_ir.yaml").read_text()
+                         + "target_pbt_year: 8.0\n")
+        compare = work_tree / "configs" / "compare_typo.yaml"
+        compare.write_text("scenarios:\n  - bench.yaml\nscenario: [lp_dim.yaml]\n")
+        for command, path, key in (("sweep", sweep, "target_pbt_year"),
+                                   ("compare", compare, "scenario")):
+            rc = main([command, "--config", str(path), "--out", str(work_tree / "o")])
+            assert rc == 3
+            detail = json.loads(capsys.readouterr().err)["detail"]
+            assert path.name in detail and repr(key) in detail
+
+
 class TestTraceOptics:
     def test_small_trace_writes_table(self, work_tree):
         out = work_tree / "trace"

@@ -70,6 +70,85 @@ class TestLueTable:
                 assert np.all(np.diff(fm) <= 1e-15)
 
 
+def trilinear(table: LueTable, temperature, co2, ppfd):
+    """Trilinear interpolation of the table, term by term in corner order."""
+    def bracket(axis, x):
+        clamped = x < axis[0] or x > axis[-1]
+        if axis.size == 1:
+            return [(0, 1.0)], False
+        x = min(max(x, axis[0]), axis[-1])
+        j = min(int(np.searchsorted(axis, x, side="right")) - 1, axis.size - 2)
+        f = (x - axis[j]) / (axis[j + 1] - axis[j])
+        return [(j, 1.0 - f), (j + 1, f)], clamped
+
+    (bt, ct), (bc, cc), (bp, cp) = (bracket(table.temps, temperature),
+                                    bracket(table.co2s, co2), bracket(table.ppfds, ppfd))
+    out = []
+    for grid in (table.lue_dm, table.lue_fm):
+        v = 0.0
+        for it, wt in bt:
+            for ic, wc in bc:
+                for ip, wp in bp:
+                    w = wt * wc * wp
+                    if w != 0.0:
+                        v += w * grid[it, ic, ip]
+        out.append(v * table.scale)
+    return out[0], out[1], ct or cc or cp
+
+
+def random_table(rng, sizes, scale) -> LueTable:
+    axes = [np.cumsum(rng.uniform(0.5, 3.0, n)) * unit
+            for n, unit in zip(sizes, (6.0, 300.0, 100.0))]
+    shape = tuple(sizes)
+    return LueTable(*axes, rng.uniform(1e-6, 3e-6, shape), rng.uniform(2e-5, 6e-5, shape),
+                    scale)
+
+
+def queries(rng, table: LueTable, n: int):
+    """Points whose coordinates are each on a node, between nodes, or below
+    or above the axis."""
+    axes = (table.temps, table.co2s, table.ppfds)
+    for _ in range(n):
+        point = []
+        for a in axes:
+            kind = rng.integers(4)
+            lo, hi = a[0], a[-1]
+            span = max(hi - lo, 1.0)
+            point.append(float(rng.choice(a)) if kind == 0
+                         else float(rng.uniform(lo, hi)) if kind == 1
+                         else float(lo - rng.uniform(0.01, 1.0) * span) if kind == 2
+                         else float(hi + rng.uniform(0.01, 1.0) * span))
+        yield point
+
+
+class TestLueCurve:
+    @pytest.mark.parametrize("sizes", [(4, 3, 6), (1, 3, 5), (3, 1, 4), (2, 2, 1),
+                                       (1, 1, 1)])
+    def test_bit_identical_to_trilinear(self, sizes):
+        rng = np.random.default_rng([7, *sizes])
+        table = random_table(rng, sizes, scale=1.2105210394249837)
+        for t, c, p in queries(rng, table, 400):
+            expected = trilinear(table, t, c, p)
+            assert table.curve(t, c)(p) == expected
+            assert table.lookup(t, c, p) == expected
+
+    def test_shipped_table_bit_identical(self, lue_base):
+        rng = np.random.default_rng(11)
+        table = lue_base.with_scale(1.2105210394249837)
+        for t, c, p in queries(rng, table, 400):
+            assert table.curve(t, c)(p) == trilinear(table, t, c, p)
+
+    def test_keeps_only_weighted_corners(self):
+        rng = np.random.default_rng(3)
+        table = random_table(rng, (3, 3, 4), scale=1.0)
+        on_grid = table.curve(float(table.temps[1]), float(table.co2s[2]))
+        assert len(on_grid.rows) == 1 and not on_grid.clamped
+        between = table.curve(float(table.temps[:2].mean()), float(table.co2s[1:].mean()))
+        assert len(between.rows) == 4
+        outside = table.curve(float(table.temps[0]) - 5.0, float(table.co2s[1:].mean()))
+        assert len(outside.rows) == 2 and outside.clamped
+
+
 PARAMS = CropParams()
 
 

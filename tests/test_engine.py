@@ -6,6 +6,7 @@ import pytest
 from pipefarm import engine
 from pipefarm.climate import ClimateSeries, HOURS_PER_YEAR
 from pipefarm.config import load_scenario_config
+from pipefarm.crop import growth_step, harvest_if_due, interception, standing_credit_kg
 from pipefarm.economics import led_cost_per_watt
 from pipefarm.engine import (SimulationError, calibrate_lue_scale, compare_scenarios,
                              prepare_efficiency_table, run_scenario,
@@ -322,3 +323,65 @@ class TestKpiPlumbing:
     def test_dli_series_shape(self, scenario_results):
         res = scenario_results["Bench"]
         assert res.dli.shape == (365, 3)
+
+
+def _hourly_crop_loop(cfg, lue, ppfd):
+    """The crop stage as one hourly loop over CropState steps: the
+    reference the scalar recurrence must reproduce bit for bit."""
+    crop_p = cfg.crop
+    n_tiers = ppfd.shape[1]
+    states = [crop_p.transplant_state() for _ in range(n_tiers)]
+    if crop_p.stagger_days > 0.0:
+        states = engine._staggered_states(cfg, lue, states)
+    f_int = np.empty_like(ppfd)
+    dli = np.zeros((ppfd.shape[0] // 24, n_tiers))
+    harvests = []
+    fm_growth_kg = 0.0
+    for i in range(ppfd.shape[0]):
+        for t in range(n_tiers):
+            ppfd_t = ppfd.item(i, t)
+            state = states[t]
+            f_int[i, t] = interception(state.lai, crop_p.extinction_k)
+            if ppfd_t > 0.0:
+                grown = growth_step(state, ppfd_t, 3600.0, crop_p, lue,
+                                    cfg.setpoint_t, cfg.setpoint_co2)
+                fm_growth_kg += ((grown.fm_g_m2 - state.fm_g_m2) * crop_p.tier_area_m2
+                                 / 1000.0)
+                dli[i // 24, t] += ppfd_t * 3600.0
+                state = grown
+            states[t], got = harvest_if_due(state, crop_p)
+            if got > 0.0:
+                harvests.append((i, t + 1, got))
+    dli /= 1e6
+    harvested = float(sum(h[2] for h in harvests))
+    standing = float(sum(standing_credit_kg(s, crop_p) for s in states))
+    transplant_credit = standing_credit_kg(crop_p.transplant_state(), crop_p) * n_tiers
+    return (f_int, dli, harvests, fm_growth_kg, sum(s.cycles for s in states),
+            harvested + max(0.0, standing - transplant_credit))
+
+
+class TestCropStageOracle:
+    """`_crop_stage` against the hourly CropState loop over 90 summer days."""
+
+    DAYS = slice(150 * 24, 240 * 24)
+
+    @pytest.mark.parametrize("name,stagger", [("Bench", 0.0), ("LP_Dim", 0.0),
+                                              ("GH", 0.0), ("Bench", 7.0)])
+    def test_matches_hourly_loop_exactly(self, name, stagger, scenario_configs, climate,
+                                         reference_table, lue_calibrated, solar):
+        cfg = scenario_configs[name]
+        cfg = dataclasses.replace(cfg, crop=dataclasses.replace(cfg.crop,
+                                                                stagger_days=stagger))
+        table = reference_table if cfg.uses_light_pipes else None
+        daylight = engine._daylight_stage(cfg, climate, table, solar, [])[2]
+        ppfd = engine._lighting_stage(cfg, daylight)[0][self.DAYS]
+        f_int, dli, harvests, fm_growth_kg, cycles, yield_kg = _hourly_crop_loop(
+            cfg, lue_calibrated, ppfd)
+        got = engine._crop_stage(cfg, lue_calibrated, ppfd)
+        assert all(sum(1 for h in harvests if h[1] == t) >= 2 for t in (1, 2, 3))
+        assert np.array_equal(got.interception, f_int)
+        assert np.array_equal(got.dli, dli)
+        assert got.harvests == harvests
+        assert got.fm_growth_kg == fm_growth_kg
+        assert got.cycles == cycles
+        assert got.yield_kg == yield_kg

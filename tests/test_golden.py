@@ -10,7 +10,7 @@ aggregates of every run were re-frozen when the summer/winter split moved
 to calendar months. A refactor that keeps
 behaviour fixed reproduces them to summation order. Regenerate it (`PYTHONPATH=src python tests/test_golden.py`) only
 for a change that is meant to move the numbers, and say so in CHANGES.md;
-the script prints every entry that moved before it rewrites the file.
+the script prints every entry that moved and rewrites only those.
 """
 
 from __future__ import annotations
@@ -101,6 +101,12 @@ if __name__ == "__main__":
     for name in sorted(set(frozen) | set(doc)):
         for m in _mismatches(frozen.get(name, {}), doc.get(name, {})):
             print(f"moved: {name} {m}")
+    # an entry that did not move keeps its frozen value, so the file's diff
+    # shows exactly what moved
+    for name, run in doc.items():
+        kept = frozen.get(name, {})
+        doc[name] = {k: kept[k] if k in kept and not _mismatches({k: kept[k]}, {k: v})
+                     else v for k, v in run.items()}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")

@@ -1,0 +1,47 @@
+"""Metamorphic relations: what must hold between runs, whatever the numbers.
+
+Under a dark sky (DNI = DHI = 0, shipped temperatures) no daylight reaches
+any tier, so every strategy that keeps tier 3 at the setpoint with LEDs
+grows exactly Bench's crop, and the strategies that leave tier 3 dark grow
+two thirds of it. Measured: 9205.19669184947 kg and 6136.797794566313 kg.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from pipefarm.climate import ClimateSeries
+from pipefarm.engine import run_scenario
+
+LED_SETPOINT_TIER3 = ("LP_Min_250", "LP_Dim", "LP_Dim_IR_98", "LP_Dim_IR_90", "LP_Dim_EC")
+DARK_TIER3 = ("LP_NL", "GH")
+
+
+@pytest.fixture(scope="module")
+def dark_runs(scenario_configs, climate, reference_table, lue_calibrated, solar):
+    dark = ClimateSeries(climate.temperature, np.zeros_like(climate.dni),
+                         np.zeros_like(climate.dhi), source="<dark sky>")
+    names = ("Bench",) + LED_SETPOINT_TIER3 + DARK_TIER3
+    return {name: run_scenario(scenario_configs[name], dark,
+                               reference_table if scenario_configs[name].uses_light_pipes
+                               else None, lue_calibrated, solar=solar)
+            for name in names}
+
+
+class TestDarkSky:
+    @pytest.mark.parametrize("name", LED_SETPOINT_TIER3)
+    def test_led_setpoint_tier3_grows_bench_yield(self, dark_runs, name):
+        assert dark_runs[name].kpis.yield_kg == dark_runs["Bench"].kpis.yield_kg
+
+    @pytest.mark.parametrize("name", DARK_TIER3)
+    def test_dark_tier3_grows_two_thirds(self, dark_runs, name):
+        assert math.isclose(dark_runs[name].kpis.yield_kg,
+                            2.0 / 3.0 * dark_runs["Bench"].kpis.yield_kg,
+                            rel_tol=1e-15, abs_tol=0.0)
+
+    def test_fixed_250_tier3_draws_bench_led_energy(self, dark_runs):
+        assert (dark_runs["LP_Min_250"].aggregates["led_tier3_mwh"]
+                == dark_runs["Bench"].aggregates["led_tier3_mwh"])
