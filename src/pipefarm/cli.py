@@ -234,21 +234,17 @@ def _cmd_sweep(args) -> int:
               [[r[k] for k in r] for r in rows])
 
     # break-even on the per-pipe hardware stack (pipe + auxiliaries + any
-    # filter/film), holding the LED and HVAC sizing deltas fixed
+    # filter/film), holding the LED and HVAC sizing deltas fixed; a scenario
+    # with no per-pipe hardware has no break-even
     n = scen.config.n_pipes
     pipe_stack = capex["lp"] + capex["ir_filter"] + capex["ec_film"]
-    fixed = capex["total"] - pipe_stack
     unit_now = pipe_stack / n if n else 0.0
-
-    def capex_at(unit_cost: float) -> float:
-        return fixed + n * unit_cost
-
     breakeven = {}
     for row in rows:
-        costs = dataclasses.replace(scen.config.costs,
-                                    electricity_usd_per_mwh=row["electricity_usd_per_mwh"],
-                                    carbon_usd_per_t=row["carbon_usd_per_t"])
-        be = break_even_unit_cost(capex_at, d_el, d_yield, costs, target_pbt)
+        be = None
+        if unit_now > 0.0:
+            be = break_even_unit_cost(row["annual_savings_usd"], capex["total"] - pipe_stack,
+                                      n, target_pbt)
         breakeven[f"el{row['electricity_usd_per_mwh']:g}_co2{row['carbon_usd_per_t']:g}"] = {
             "unit_usd": be,
             "reduction_needed": None if be is None else max(0.0, 1.0 - be / unit_now),

@@ -69,10 +69,6 @@ class SolarPosition:
     altitude: float            # deg above horizon (negative at night)
     azimuth: float             # deg clockwise from North in [0, 360)
 
-    @property
-    def sun_up(self) -> bool:
-        return self.altitude > 0.0
-
 
 def declination(day: int) -> float:
     """Solar declination in degrees for day-of-year 1..365 (Cooper)."""

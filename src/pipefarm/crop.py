@@ -52,10 +52,6 @@ class CropParams:
         return self.plant_density * self.tier_area_m2
 
     @property
-    def target_fresh_g_m2(self) -> float:
-        return self.target_fresh_g * self.plant_density
-
-    @property
     def harvest_kg(self) -> float:
         """Yield booked per harvest of one tier: the target mass per plant."""
         return self.target_fresh_g * self.plants / 1000.0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .lighting import STRATEGIES, Strategy
 from .optics import PAR_UMOL_PER_J
@@ -234,34 +234,20 @@ def sensitivity_sweep(delta_capex_usd: float, delta_electricity_mwh: float,
     return rows
 
 
-def break_even_unit_cost(capex_for_unit_cost: Callable[[float], float],
-                         delta_electricity_mwh: float, delta_yield_kg: float,
-                         costs: CostTable, target_pbt_years: float,
-                         lo: float = 0.0, hi: float = 2000.0,
-                         tol: float = 0.01) -> Optional[float]:
-    """Largest per-pipe unit cost keeping payback at or under the target.
+def break_even_unit_cost(annual_savings_usd: float, fixed_capex_usd: float,
+                         n_units: int, target_pbt_years: float) -> Optional[float]:
+    """Largest per-unit cost keeping payback at or under the target.
 
-    capex_for_unit_cost maps a candidate unit cost to the scenario's
-    incremental CAPEX. Payback is monotone in the unit cost, so plain
-    bisection brackets the break-even point; None when even a free system
-    misses the target.
+    The incremental CAPEX is fixed_capex_usd + n_units * unit cost, and
+    `payback_time` accepts a CAPEX of at most max(0, target * savings): a
+    non-positive one always, a positive one when the savings repay it
+    within the target. The break-even cost is therefore
+    (max(0, target * savings) - fixed) / n, exactly; None when that is
+    negative, i.e. even free units miss the target.
     """
     if target_pbt_years <= 0.0:
         raise ValueError("target payback must be positive")
-
-    def pbt(unit_cost: float) -> float:
-        return payback_time(capex_for_unit_cost(unit_cost), delta_electricity_mwh,
-                            delta_yield_kg, costs).years
-
-    if pbt(lo) > target_pbt_years:
-        return None
-    if pbt(hi) <= target_pbt_years:
-        return hi
-    a, b = lo, hi
-    while b - a > tol:
-        mid = (a + b) / 2.0
-        if pbt(mid) <= target_pbt_years:
-            a = mid
-        else:
-            b = mid
-    return a
+    if n_units <= 0:
+        raise ValueError("break-even needs at least one unit")
+    unit = (max(0.0, target_pbt_years * annual_savings_usd) - fixed_capex_usd) / n_units
+    return None if unit < 0.0 else unit

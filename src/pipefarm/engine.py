@@ -513,7 +513,7 @@ def _thermal_stage(cfg: ScenarioConfig, t_ext: np.ndarray, ppfd: np.ndarray,
     gross += np.where(lit[:, -1], f_int[:, -1] * q_crop, 0.0)
 
     transp = cfg.surrogates.crop_latent_fraction * gross / cfg.latent.latent_heat
-    q_eva, q_ahu, q_hum, coil_latent, recovered = latent_balance(transp, cfg.latent)
+    q_eva, coil_latent, recovered = latent_balance(transp, cfg.latent)
     q_conv = np.zeros(HOURS_PER_YEAR)
     if cfg.uses_light_pipes:
         length, heat_area = cfg.lp_geometry.length_m, cfg.lp_heat_area_m2()
@@ -529,10 +529,9 @@ def _thermal_stage(cfg: ScenarioConfig, t_ext: np.ndarray, ppfd: np.ndarray,
     bd = solve_hvac_load(q_env=envelope_load(chamber, cfg.setpoint_t, t_ext), q_led=p_led,
                          q_lp_sol=q_sol, q_lp_conv=q_conv,
                          q_plant=cfg.surrogates.crop_storage_fraction * gross,
-                         q_eva=q_eva, q_ahu=np.full(HOURS_PER_YEAR, q_ahu),
-                         q_hum=np.full(HOURS_PER_YEAR, q_hum), coil_latent=coil_latent)
+                         q_eva=q_eva, coil_latent=coil_latent)
     if cfg.timestep_mode == "transient":
-        gains_fixed = bd.q_led + bd.q_lp_sol - bd.q_plant - bd.q_eva - bd.q_ahu - bd.q_hum
+        gains_fixed = bd.q_led + bd.q_lp_sol - bd.q_plant - bd.q_eva
         q_cool, q_heat = np.empty(HOURS_PER_YEAR), np.empty(HOURS_PER_YEAR)
         for i in range(HOURS_PER_YEAR):
             q_cool[i], q_heat[i] = _transient_hour(cfg, chamber, gains_fixed.item(i),
@@ -541,14 +540,14 @@ def _thermal_stage(cfg: ScenarioConfig, t_ext: np.ndarray, ppfd: np.ndarray,
         q_cool = np.maximum(0.0, -bd.q_hc)
         q_heat = np.maximum(0.0, bd.q_hc)
     p_hvac = hvac_electricity(q_cool, q_heat, t_ext, cfg.cop, coil_latent)
-    p_total = p_led + p_hvac + bd.q_hum
+    p_total = p_led + p_hvac
     bad = ~(np.isfinite(p_total) & np.isfinite(bd.q_hc))
     if bad.any():
         raise SimulationError("non-finite power term", hour=int(np.argmax(bad)))
 
     hourly = {"q_env": bd.q_env, "q_led": p_led, "q_lp_sol": q_sol, "q_lp_conv": q_conv,
-              "q_plant": bd.q_plant, "q_eva": q_eva, "q_hc": bd.q_hc, "q_ahu": bd.q_ahu,
-              "q_hum": bd.q_hum, "coil_latent": coil_latent, "p_led_el": p_led,
+              "q_plant": bd.q_plant, "q_eva": q_eva, "q_hc": bd.q_hc,
+              "coil_latent": coil_latent, "p_led_el": p_led,
               "p_hvac_el": p_hvac, "p_total_el": p_total}
     return _ThermalYear(hourly, q_cool, q_heat, float(transp.sum() * 3600.0),
                         float(recovered.sum()), float(bd.relative_residual().max()))

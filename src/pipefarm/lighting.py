@@ -8,6 +8,7 @@ tier-3 LEDs respond, and the fixtures' nominal PPFD. Everything else
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -137,49 +138,64 @@ def ec_transmittance(voltage: float) -> float:
     return num / den
 
 
+def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
+    """Real roots of a*v**2 + b*v + c = 0 by the cancellation-free form of the
+    quadratic formula; one root when a == 0, none when the discriminant is
+    negative."""
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [c / q] + ([q / a] if a != 0.0 else [])
+
+
 @dataclass(frozen=True)
 class EcFilm:
-    """Voltage domain and empirically bracketed range of the film curve.
+    """Voltage domain and exact range of the film curve.
 
-    The published curve is not monotone over all voltages: it rises from
-    tau(0) to a shallow maximum and settles toward the large-v asymptote.
-    The curve is treated as a black box sampled over the configured
-    domain; the passive state is the maximum-transmittance voltage, and
-    attenuation setpoints are solved on the rising branch by bisection.
+    The published curve tau(v) = N(v)/D(v), N = a*v**2 + b*v + c and
+    D = d*v**2 + e*v + g, is not monotone: it dips from tau(0) to a minimum
+    near 0.57 V, rises to a shallow maximum near 45.4 V and settles toward
+    the asymptote a/d. Its stationary points are the roots of the quadratic
+    N'D - ND' = (a*e - b*d)*v**2 + 2*(a*g - c*d)*v + (b*g - c*e). Over the
+    domain [0, v_max] the extremes lie at those roots or at the ends: the
+    passive state is the candidate with the largest tau, `tau_min` the
+    smallest tau among them. Attenuation setpoints solve N(v) = tau*D(v) on
+    the rising branch below the passive voltage.
     """
 
     v_max: float = 100.0
-    samples: int = 2001
 
     def __post_init__(self):
         if self.v_max <= 0.0:
             raise ValueError("voltage domain must be positive")
-        grid = np.linspace(0.0, self.v_max, self.samples)
-        taus = np.array([ec_transmittance(v) for v in grid])
-        object.__setattr__(self, "_grid", grid)
-        object.__setattr__(self, "_taus", taus)
-        peak = int(np.argmax(taus))
-        object.__setattr__(self, "v_passive", float(grid[peak]))
-        object.__setattr__(self, "tau_max", float(taus[peak]))
-        object.__setattr__(self, "tau_min", float(taus.min()))
-        rising = np.all(np.diff(taus[: peak + 1]) > -1e-12)
-        falling_tail = bool(peak < self.samples - 1)
-        object.__setattr__(self, "non_monotone", falling_tail or not rising)
+        (a, b, c), (d, e, g) = _EC_NUM, _EC_DEN
+        stationary = _quadratic_roots(a * e - b * d, 2.0 * (a * g - c * d), b * g - c * e)
+        volts = sorted({0.0, self.v_max, *(v for v in stationary if 0.0 <= v <= self.v_max)})
+        taus = [ec_transmittance(v) for v in volts]
+        peak = taus.index(max(taus))
+        object.__setattr__(self, "v_passive", volts[peak])
+        object.__setattr__(self, "tau_max", taus[peak])
+        object.__setattr__(self, "tau_min", min(taus))
 
     def voltage_for_tau(self, tau_target: float) -> float:
-        """Smallest-attenuation voltage achieving tau on the rising branch."""
+        """Smallest-attenuation voltage achieving tau on the rising branch.
+
+        Above tau(0) that is the one root of (a - tau*d)*v**2 +
+        (b - tau*e)*v + (c - tau*g) = 0 in [0, v_passive]; the other root
+        is negative or lies on the falling branch beyond the peak, and at
+        the asymptote tau = a/d the equation is linear with that one root.
+        A target within rounding of tau_max, where the two roots merge, may
+        leave no real root; the peak voltage is then the answer.
+        """
         if tau_target >= self.tau_max:
             return self.v_passive
         if tau_target <= ec_transmittance(0.0):
             return 0.0
-        lo, hi = 0.0, self.v_passive
-        for _ in range(80):
-            mid = (lo + hi) / 2.0
-            if ec_transmittance(mid) < tau_target:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+        (a, b, c), (d, e, g) = _EC_NUM, _EC_DEN
+        roots = _quadratic_roots(a - tau_target * d, b - tau_target * e,
+                                 c - tau_target * g)
+        return min((v for v in roots if v >= 0.0), default=self.v_passive)
 
 
 def ec_control(ppfd_raw: float, film: EcFilm, cap: float = 400.0
@@ -188,8 +204,9 @@ def ec_control(ppfd_raw: float, film: EcFilm, cap: float = 400.0
 
     Returns (voltage, tau, ppfd_out, cap_unreachable). With weak daylight
     the film sits at its maximum-transmittance (passive) state; beyond
-    that it dims toward tau(0), and if even full attenuation cannot reach
-    the cap the flag is raised.
+    that the voltage is the exact root `film.voltage_for_tau` gives for
+    cap / ppfd_raw, never below tau(0); if even the film's smallest tau
+    cannot reach the cap, the film rests at 0 V and the flag is raised.
     """
     if ppfd_raw < 0.0:
         raise ValueError("PPFD must be non-negative")

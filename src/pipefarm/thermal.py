@@ -135,31 +135,27 @@ class PowerBreakdown:
     q_plant: float = 0.0
     q_eva: float = 0.0
     q_hc: float = 0.0
-    q_ahu: float = 0.0
-    q_hum: float = 0.0
     coil_latent: float = 0.0
 
     def residual(self) -> float:
         """Signed quasi-steady balance residual (W)."""
         return (self.q_env + self.q_led + self.q_lp_sol - self.q_lp_conv
-                - self.q_plant - self.q_eva + self.q_hc - self.q_ahu - self.q_hum)
+                - self.q_plant - self.q_eva + self.q_hc)
 
     def relative_residual(self) -> float:
         terms = (self.q_env, self.q_led, self.q_lp_sol, self.q_lp_conv, self.q_plant,
-                 self.q_eva, self.q_hc, self.q_ahu, self.q_hum)
+                 self.q_eva, self.q_hc)
         return abs(self.residual()) / reduce(np.maximum, map(abs, terms), 1.0)
 
 
 def solve_hvac_load(q_env: float = 0.0, q_led: float = 0.0, q_lp_sol: float = 0.0,
                     q_lp_conv: float = 0.0, q_plant: float = 0.0, q_eva: float = 0.0,
-                    q_ahu: float = 0.0, q_hum: float = 0.0,
                     coil_latent: float = 0.0) -> PowerBreakdown:
     """Close the air balance for q_hc with the setpoint held (dT/dt = 0)."""
-    q_hc = -(q_env + q_led + q_lp_sol) + q_lp_conv + q_plant + q_eva + q_ahu + q_hum
+    q_hc = -(q_env + q_led + q_lp_sol) + q_lp_conv + q_plant + q_eva
     return PowerBreakdown(q_env=q_env, q_led=q_led, q_lp_sol=q_lp_sol,
                           q_lp_conv=q_lp_conv, q_plant=q_plant, q_eva=q_eva,
-                          q_hc=q_hc, q_ahu=q_ahu, q_hum=q_hum,
-                          coil_latent=coil_latent)
+                          q_hc=q_hc, coil_latent=coil_latent)
 
 
 @dataclass(frozen=True)
@@ -222,17 +218,16 @@ def hvac_electricity(q_cool_w: float, q_heat_w: float, t_ext_c: float,
 
 @dataclass(frozen=True)
 class LatentModel:
-    """Surrogate for the unpublished evapotranspiration/AHU submodels.
+    """Surrogate for the unpublished evapotranspiration submodel.
 
     Transpired vapour is condensed at the cooling coil whenever lights or
     the chiller run (in this quasi-steady model: always, to hold the RH
-    setpoint), and most of the condensate is recovered into the loop.
+    setpoint), and most of the condensate is recovered into the loop. No
+    separate AHU or humidifier load is modelled.
     """
 
     latent_heat: float = LATENT_HEAT_J_PER_KG
     condensate_recovery: float = 0.95
-    q_ahu_w: float = 0.0         # constant sensible AHU load surrogate
-    q_hum_w: float = 0.0         # constant humidification surrogate
 
     def __post_init__(self):
         if not 0.0 <= self.condensate_recovery <= 1.0:
@@ -242,10 +237,10 @@ class LatentModel:
 
 
 def latent_balance(transpiration_kg_per_s: float, model: LatentModel, dt_s: float = 3600.0
-                   ) -> tuple[float, float, float, float, float]:
+                   ) -> tuple[float, float, float]:
     """Latent terms for one step.
 
-    Returns (q_eva_w, q_ahu_w, q_hum_w, coil_latent_w, condensate_recovered_l).
+    Returns (q_eva_w, coil_latent_w, condensate_recovered_l).
     q_eva is the evaporative cooling of the air; the same latent power
     reappears at the coil where the vapour condenses, and the recovered
     condensate volume goes back to the water ledger.
@@ -255,4 +250,4 @@ def latent_balance(transpiration_kg_per_s: float, model: LatentModel, dt_s: floa
     q_eva = transpiration_kg_per_s * model.latent_heat
     condensed_kg = transpiration_kg_per_s * dt_s
     recovered_l = condensed_kg * model.condensate_recovery  # 1 kg == 1 L
-    return q_eva, model.q_ahu_w, model.q_hum_w, q_eva, recovered_l
+    return q_eva, q_eva, recovered_l

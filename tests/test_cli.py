@@ -180,6 +180,24 @@ class TestSweepCli:
         assert len(doc["break_even_per_pipe_usd"]) == len(rows)
         assert doc["delta_capex_usd"]["total"] > 0.0
 
+    @pytest.mark.parametrize("scenario", [
+        "scenario_config: bench.yaml\n",                       # no pipes in the strategy
+        "scenario_config: lp_dim_zero.yaml\n",                 # pipes, but none fitted
+    ], ids=["bench", "zero_pipes"])
+    def test_no_per_pipe_hardware_has_no_break_even(self, work_tree, scenario):
+        _calibrate(work_tree)
+        configs = work_tree / "configs"
+        (configs / "lp_dim_zero.yaml").write_text("include: lp_dim.yaml\nlp:\n  count: 0\n")
+        cfg = configs / "sweep_flat.yaml"
+        cfg.write_text(scenario + "bench_config: bench.yaml\n")
+        out = work_tree / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads((out / "breakeven.json").read_text())
+        assert doc["per_pipe_hardware_usd"] == 0.0
+        assert len(doc["break_even_per_pipe_usd"]) == 9
+        assert all(be == {"unit_usd": None, "reduction_needed": None}
+                   for be in doc["break_even_per_pipe_usd"].values())
+
 
 class TestStrictCompareAndSweepFiles:
     def test_misspelled_grid_key_is_a_config_error(self, work_tree, capsys):

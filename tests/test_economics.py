@@ -54,10 +54,6 @@ class TestLightCost:
         assert rows["LP_Dim_EC"]["light_cost"] == pytest.approx(25.00, abs=0.02)
         assert rows["Optical Fiber"]["light_cost"] == pytest.approx(19.53, abs=0.02)
 
-    def test_break_even_unit_cost_beats_fiber(self):
-        # a pipe at 480 $ still undercuts the fiber photon cost
-        assert 480.0 / 24.9 <= 19.53
-
 
 class TestPayback:
     def test_direct_quotient(self):
@@ -105,17 +101,41 @@ class TestSweep:
         assert len(rows) == 6
 
     def test_break_even_monotone_bracket(self):
-        def capex(unit):
-            return 100.0 * unit
         costs = CostTable(electricity_usd_per_mwh=200.0)
-        be = break_even_unit_cost(capex, 10.0, 0.0, costs, target_pbt_years=10.0)
+        savings = payback_time(1.0, 10.0, 0.0, costs).annual_savings_usd
+        be = break_even_unit_cost(savings, 0.0, 100, target_pbt_years=10.0)
         # at the break-even cost the payback sits on the target
-        assert payback_time(capex(be), 10.0, 0.0, costs).years == pytest.approx(10.0, abs=0.01)
+        assert payback_time(100.0 * be, 10.0, 0.0, costs).years == pytest.approx(10.0, abs=1e-9)
 
     def test_break_even_none_when_unreachable(self):
-        def capex(unit):
-            return 1e9 + unit
-        assert break_even_unit_cost(capex, 0.001, 0.0, COSTS, 10.0) is None
+        savings = payback_time(1.0, 0.001, 0.0, COSTS).annual_savings_usd
+        assert break_even_unit_cost(savings, 1e9, 1, 10.0) is None
+
+    def test_break_even_beyond_any_bracket_is_exact(self):
+        # 10 years of $1M savings over 1000 units: $10 000 each, returned as is
+        assert break_even_unit_cost(1e6, 0.0, 1000, 10.0) == 10_000.0
+
+    @pytest.mark.parametrize("savings,fixed,n,target", [
+        (1044.188, 230.888, 750, 10.0),      # a priced hybrid: pipes carry the cost
+        (-50.0, -400.0, 4, 5.0),             # no savings, but a negative fixed delta
+        (300.0, 0.0, 1, 2.5),
+    ])
+    def test_break_even_is_the_largest_accepted_unit_cost(self, savings, fixed, n, target):
+        costs = CostTable(electricity_usd_per_mwh=1.0, carbon_usd_per_t=0.0)
+
+        def pbt(unit):
+            return payback_time(fixed + n * unit, savings, 0.0, costs)
+
+        be = break_even_unit_cost(savings, fixed, n, target)
+        assert be == (max(0.0, target * savings) - fixed) / n
+        assert pbt(be).viable and pbt(be).years <= target * (1.0 + 1e-12)
+        assert pbt(be * (1.0 + 1e-9) + 1e-9).years > target
+
+    def test_break_even_validation(self):
+        with pytest.raises(ValueError):
+            break_even_unit_cost(100.0, 0.0, 10, 0.0)
+        with pytest.raises(ValueError):
+            break_even_unit_cost(100.0, 0.0, 0, 10.0)
 
 
 class TestKpis:

@@ -7,7 +7,8 @@ The nine quasi-steady runs and transient LP_Dim were frozen before the
 tier-3 strategy table replaced the scenario-id dispatch; the other three
 before the annual loop was split into array stages. The seasonal cooling
 aggregates of every run were re-frozen when the summer/winter split moved
-to calendar months. A refactor that keeps
+to calendar months, and the 22 LP_Dim_EC entries that depend on the film's
+peak transmittance when that peak became exact instead of sampled. A refactor that keeps
 behaviour fixed reproduces them to summation order. Regenerate it (`PYTHONPATH=src python tests/test_golden.py`) only
 for a change that is meant to move the numbers, and say so in CHANGES.md;
 the script prints every entry that moved and rewrites only those.

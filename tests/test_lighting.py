@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
-from pipefarm.lighting import (STRATEGIES, DriverCurve, EcFilm, ec_control,
-                               ec_transmittance, control_tier3, led_electric_power)
+from pipefarm.lighting import (_EC_DEN, _EC_NUM, STRATEGIES, DriverCurve, EcFilm,
+                               ec_control, ec_transmittance, control_tier3,
+                               led_electric_power)
 
 
 class TestLedPower:
@@ -140,9 +142,52 @@ class TestEcFilm:
 
     def test_curve_is_not_monotone(self):
         film = EcFilm()
-        assert film.non_monotone
-        assert film.tau_max > ec_transmittance(1e4)
+        assert ec_transmittance(0.0) > film.tau_min     # dips first
+        assert film.tau_max > ec_transmittance(1e4)     # peaks above the asymptote
         assert 40.0 < film.v_passive < 55.0
+
+    def test_no_voltage_beats_the_exact_peak(self):
+        film = EcFilm()
+        grid = np.arange(0, round(film.v_max * 1000) + 1) / 1000.0
+        assert max(ec_transmittance(v) for v in grid) <= film.tau_max
+        assert min(ec_transmittance(v) for v in grid) >= film.tau_min
+
+    def test_closed_form_matches_bisection(self):
+        film = EcFilm()
+
+        def bisected(tau):
+            lo, hi = 0.0, film.v_passive
+            for _ in range(80):
+                mid = (lo + hi) / 2.0
+                if ec_transmittance(mid) < tau:
+                    lo = mid
+                else:
+                    hi = mid
+            return hi
+
+        tau0 = ec_transmittance(0.0)
+        targets = np.linspace(tau0, film.tau_max, 10_002)[1:-1]
+        targets = np.append(targets, film.tau_max - np.logspace(-15, -6, 50))
+        for tau in targets:
+            v = film.voltage_for_tau(tau)
+            assert 0.0 <= v <= film.v_passive
+            want = ec_transmittance(bisected(tau))
+            assert abs(ec_transmittance(v) - want) <= 1e-15 * want
+
+    def test_asymptote_target_is_the_linear_case(self):
+        film = EcFilm()
+        tau = _EC_NUM[0] / _EC_DEN[0]
+        assert _EC_NUM[0] - tau * _EC_DEN[0] == 0.0         # the v**2 term vanishes
+        assert ec_transmittance(0.0) < tau < film.tau_max
+        v = film.voltage_for_tau(tau)
+        assert 0.0 < v < film.v_passive
+        assert ec_transmittance(v) == pytest.approx(tau, rel=1e-14)
+
+    def test_short_domain_peaks_at_its_end(self):
+        film = EcFilm(v_max=10.0)
+        assert film.v_passive == 10.0
+        assert film.tau_max == ec_transmittance(10.0)
+        assert film.voltage_for_tau(film.tau_max) == 10.0
 
     def test_cap_inactive_uses_passive_state(self):
         film = EcFilm()

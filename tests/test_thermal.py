@@ -80,8 +80,7 @@ class TestBalanceClosure:
 
     def test_residual_is_tiny(self):
         bd = solve_hvac_load(q_env=123.4, q_led=8765.0, q_lp_sol=432.1,
-                             q_lp_conv=55.0, q_plant=321.0, q_eva=654.0,
-                             q_ahu=11.0, q_hum=7.0)
+                             q_lp_conv=55.0, q_plant=321.0, q_eva=654.0)
         assert bd.relative_residual() <= 1e-12
 
     def test_breakdown_is_balance_shaped(self):
@@ -137,18 +136,18 @@ class TestCopModel:
 
 class TestLatentBalance:
     def test_zero_transpiration(self):
-        q_eva, q_ahu, q_hum, coil, rec = latent_balance(0.0, LatentModel())
+        q_eva, coil, rec = latent_balance(0.0, LatentModel())
         assert (q_eva, coil, rec) == (0.0, 0.0, 0.0)
 
     def test_one_kilogram_per_hour(self):
-        q_eva, _, _, coil, rec = latent_balance(1.0 / 3600.0, LatentModel())
+        q_eva, coil, rec = latent_balance(1.0 / 3600.0, LatentModel())
         assert q_eva == pytest.approx(680.0, abs=1.0)
         assert coil == q_eva
         assert rec == pytest.approx(0.95, rel=1e-12)
 
     def test_full_recovery_closes_loop(self):
         model = LatentModel(condensate_recovery=1.0)
-        _, _, _, _, rec = latent_balance(2.0 / 3600.0, model, dt_s=3600.0)
+        _, _, rec = latent_balance(2.0 / 3600.0, model, dt_s=3600.0)
         assert rec == pytest.approx(2.0, rel=1e-12)
 
     def test_validation(self):
@@ -181,11 +180,11 @@ class TestHourArrays:
             hvac_electricity(np.array([1.0, -1.0]), np.zeros(2), np.zeros(2), cop)
 
     def test_latent_and_residual_match_scalar_calls(self):
-        model = LatentModel(q_ahu_w=120.0, q_hum_w=30.0)
+        model = LatentModel(condensate_recovery=0.9)
         rates = [0.0, 1e-4, 3.3e-4]
-        q_eva, q_ahu, q_hum, coil, rec = latent_balance(np.array(rates), model)
+        q_eva, coil, rec = latent_balance(np.array(rates), model)
         for k, rate in enumerate(rates):
-            assert (q_eva[k], q_ahu, q_hum, coil[k], rec[k]) == latent_balance(rate, model)
+            assert (q_eva[k], coil[k], rec[k]) == latent_balance(rate, model)
         with pytest.raises(ValueError):
             latent_balance(np.array([0.0, -1e-6]), model)
         terms = dict(q_env=[-800.0, 0.0, 350.0], q_led=[9000.0, 0.0, 4500.0],
