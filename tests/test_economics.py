@@ -54,6 +54,11 @@ class TestLightCost:
         assert rows["LP_Dim_EC"]["light_cost"] == pytest.approx(25.00, abs=0.02)
         assert rows["Optical Fiber"]["light_cost"] == pytest.approx(19.53, abs=0.02)
 
+    def test_break_even_unit_cost_beats_fiber(self):
+        # a pipe at 480 $ still undercuts the fiber photon cost
+        fiber, _ = fiber_reference_light_cost()
+        assert light_cost(480.0, 24.9) <= fiber
+
 
 class TestPayback:
     def test_direct_quotient(self):
