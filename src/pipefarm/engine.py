@@ -2,10 +2,14 @@
 calibration and multi-scenario comparison.
 
 `run_scenario` chains the stages, each returning 8760-long hourly arrays:
-daylight (optics, filter and film over the sun-up hours), lighting (LED
-commands and power), crop (the one sequential stage: growth and harvests
-per tier) and thermal (canopy sink, latent terms, air-node balance and
-HVAC electricity); the annual aggregates are reductions of those arrays.
+daylight (optics and filter as one array call over the sun-up hours),
+lighting (LED commands and power as one array call over the year), crop
+(the one sequential stage: growth and harvests per tier) and thermal
+(canopy sink, latent terms, air-node balance and HVAC electricity); the
+annual aggregates are reductions of those arrays. Three pieces stay
+scalar calls per hour: the film state (`ec_control`) and pipe
+convection, whose per-call results the benchmark's traced run reads,
+and the transient air node, whose form ROADMAP item 3 still has to settle.
 The crop stage runs each tier's year as a scalar recurrence on plain
 floats over one LUE curve per run (temperature and CO2 are fixed
 setpoints), bit-identical to stepping `CropState`s hour by hour. The
@@ -291,7 +295,7 @@ def _daylight_stage(cfg: ScenarioConfig, climate: ClimateSeries,
                     table: Optional[OpticalEfficiencyTable],
                     solar: Optional[tuple[np.ndarray, np.ndarray]],
                     warnings: list) -> tuple[np.ndarray, ...]:
-    """Tier-3 daylight of every sun-up hour.
+    """Tier-3 daylight of every sun-up hour, as one array call per layer.
 
     Returns the chamber solar gain q_sol (W), the power reaching the crop
     plane q_crop (W), the delivered crop PPFD after any filter or film, and
@@ -307,36 +311,36 @@ def _daylight_stage(cfg: ScenarioConfig, climate: ClimateSeries,
         return q_sol, q_crop, ppfd, ec_tau
     alts, azis = solar if solar is not None else solar_angles(cfg.site,
                                                               cfg.hour_center_offset)
+    sun = np.flatnonzero(alts > 0.0)
+    dni, dhi, alt = climate.dni[sun], climate.dhi[sun], alts[sun]
     tier_area = cfg.crop.tier_area_m2
-    chamber = cfg.effective_chamber()
-    film = cfg.ec_film() if strategy.ec_film else None
-    clamp_flagged = ec_flagged = False
-    for i in np.flatnonzero(alts > 0.0).tolist():
-        dni = float(climate.dni[i])
-        dhi = float(climate.dhi[i])
-        alt = float(alts[i])
+    with np.errstate(over="ignore"):       # inf is reported below, with its hour
         if strategy.daylight == "glazing":
-            gz = gh_gains(dni, dhi, alt, float(azis[i]), cfg.glazing.tau,
-                          chamber.floor_area_m2, cfg.glazing.wall_glazed_m2,
-                          cfg.tier_occupancy, tier_area)
-            q_sol[i], q_crop[i], ppfd[i] = gz.q_sol, gz.q_crop, gz.ppfd
-            continue
-        gains = lp_solar_gains(table, dni, dhi, alt, cfg.lp_geometry, cfg.n_pipes)
-        if gains.flags and not clamp_flagged:
-            warnings.append((i, f"hour {i}: {gains.flags[0]}"))
-            clamp_flagged = True
-        if strategy.filter_tau is not None:
-            gains = apply_uv_ir_filter(gains, strategy.filter_tau)
-        elif film is not None:
-            _, tau, _, unreachable = ec_control(lp_crop_ppfd(gains, tier_area), film,
-                                                cfg.ec_cap_ppfd)
-            gains = apply_neutral_attenuation(gains, tau, "ec-film")
-            ec_tau[i] = tau
-            if unreachable and not ec_flagged:
-                warnings.append((i, f"hour {i}: EC cap unreachable at max attenuation"))
-                ec_flagged = True
-        q_sol[i], q_crop[i] = gains.q_sol, gains.q_crop
-        ppfd[i] = lp_crop_ppfd(gains, tier_area)
+            q_sol[sun], q_crop[sun], ppfd[sun] = gh_gains(
+                dni, dhi, alt, azis[sun], cfg.glazing.tau,
+                cfg.effective_chamber().floor_area_m2, cfg.glazing.wall_glazed_m2,
+                cfg.tier_occupancy, tier_area)
+        else:
+            gains = lp_solar_gains(table, dni, dhi, alt, cfg.lp_geometry, cfg.n_pipes)
+            if gains.flags:
+                i = int(sun[np.argmax(gains.clamped)])
+                warnings.append((i, f"hour {i}: {gains.flags[0]}"))
+            if strategy.filter_tau is not None:
+                gains = apply_uv_ir_filter(gains, strategy.filter_tau)
+            elif strategy.ec_film:
+                film = cfg.ec_film()
+                tau = np.empty(sun.size)
+                unreachable = np.zeros(sun.size, dtype=bool)
+                # memoryview hands ec_control Python floats without an hourly list
+                for k, raw in enumerate(memoryview(lp_crop_ppfd(gains, tier_area))):
+                    _, tau[k], _, unreachable[k] = ec_control(raw, film, cfg.ec_cap_ppfd)
+                if unreachable.any():
+                    i = int(sun[np.argmax(unreachable)])
+                    warnings.append((i, f"hour {i}: EC cap unreachable at max attenuation"))
+                gains = apply_neutral_attenuation(gains, tau)
+                ec_tau[sun] = tau
+            q_sol[sun], q_crop[sun] = gains.q_sol, gains.q_crop
+            ppfd[sun] = lp_crop_ppfd(gains, tier_area)
     bad = ~(np.isfinite(q_sol) & np.isfinite(ppfd))
     if bad.any():
         raise SimulationError("non-finite daylight gain", hour=int(np.argmax(bad)))
@@ -348,7 +352,7 @@ def _lighting_stage(cfg: ScenarioConfig, daylight_ppfd: np.ndarray
     """LED commands and electric power for every hour.
 
     Tiers 1 and 2 hold the setpoint through the photoperiod; tier 3 follows
-    its strategy against the delivered daylight, one command per hour.
+    its strategy against the delivered daylight, in one array call.
     Returns the (hours, 3) canopy PPFD, the tier-3 LED PPFD and dim
     fraction, and the tier-1/2 and tier-3 electric power (W).
     """
@@ -358,20 +362,13 @@ def _lighting_stage(cfg: ScenarioConfig, daylight_ppfd: np.ndarray
     lit = (cfg.photoperiod[0] <= clock) & (clock < cfg.photoperiod[1])
     p12 = np.where(lit, led_electric_power(max(setpoint, 0.0), tier_area * 2, cfg.ppe),
                    0.0)
+    cmd = control_tier3(cfg.scenario, daylight_ppfd, clock, setpoint,
+                        cfg.min_threshold_ppfd, cfg.driver, cfg.photoperiod)
     ppfd = np.zeros((HOURS_PER_YEAR, 3))
     ppfd[lit, :2] = setpoint
-    led = np.zeros(HOURS_PER_YEAR)
-    dim = np.zeros(HOURS_PER_YEAR)
-    p3 = np.zeros(HOURS_PER_YEAR)
-    for i in range(HOURS_PER_YEAR):
-        cmd = control_tier3(cfg.scenario, daylight_ppfd.item(i), float(i % 24),
-                            setpoint, cfg.min_threshold_ppfd, cfg.driver, cfg.photoperiod)
-        ppfd[i, 2] = cmd.total_ppfd
-        led[i] = cmd.led_ppfd
-        dim[i] = cmd.dim_fraction
-        if cmd.led_ppfd > 0.0:
-            p3[i] = led_electric_power(cmd.led_ppfd, tier_area, cfg.ppe, cmd.driver_eff)
-    return ppfd, led, dim, p12, p3
+    ppfd[:, 2] = cmd.total_ppfd
+    p3 = led_electric_power(cmd.led_ppfd, tier_area, cfg.ppe, cmd.driver_eff)
+    return ppfd, cmd.led_ppfd, cmd.dim_fraction, p12, p3
 
 
 class _CropYear(NamedTuple):

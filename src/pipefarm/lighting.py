@@ -4,6 +4,10 @@
 states where tier 3's daylight comes from, what it passes through, how the
 tier-3 LEDs respond, and the fixtures' nominal PPFD. Everything else
 (optics path, envelope, control, hardware costs) reads the row.
+
+Tier-3 control, LED power and the driver curve take arrays of hours (a
+scalar broadcasts); `ec_control` sets the film one hour per call, because
+the benchmark's traced run counts its unreachable-cap results per call.
 """
 
 from __future__ import annotations
@@ -91,36 +95,38 @@ class DriverCurve:
                 if not 0.0 < eff <= 1.0:
                     raise ValueError("efficiencies must be in (0, 1]")
 
-    def efficiency(self, dim: float) -> float:
-        if not self.min_dim - 1e-12 <= dim <= 1.0 + 1e-12:
+    def efficiency(self, dim):
+        """Driver efficiency at dim fractions (an array or a scalar)."""
+        if not np.all((self.min_dim - 1e-12 <= dim) & (dim <= 1.0 + 1e-12)):
             raise ValueError(f"dim {dim} below the {self.min_dim:.0%} hardware floor")
         if not self.points:
             return self.nominal
         dims = [p[0] for p in self.points]
         effs = [p[1] for p in self.points]
-        return float(np.interp(dim, dims, effs))
+        return np.interp(dim, dims, effs)
 
 
-def led_electric_power(ppfd: float, area_m2: float, ppe: float,
-                       driver_eff: float = 1.0) -> float:
-    """Electrical watts to hold a commanded PPFD over an area.
+def led_electric_power(ppfd, area_m2: float, ppe: float, driver_eff=1.0):
+    """Electrical watts to hold commanded PPFDs (array or scalar) over an area.
 
     Non-PWM scenarios take driver_eff = 1 so nominal powers match the
     fixture ratings; PWM scenarios pay the driver penalty.
     """
-    if ppfd < 0.0 or area_m2 <= 0.0 or ppe <= 0.0:
+    if np.any(ppfd < 0.0) or area_m2 <= 0.0 or ppe <= 0.0:
         raise ValueError("PPFD, area and PPE must be non-negative/positive")
-    if not 0.0 < driver_eff <= 1.0:
+    if not np.all((0.0 < driver_eff) & (driver_eff <= 1.0)):
         raise ValueError("driver efficiency must be in (0, 1]")
     return ppfd * area_m2 / ppe / driver_eff
 
 
 @dataclass(frozen=True)
 class LightingCommand:
-    led_ppfd: float = 0.0
-    dim_fraction: float = 0.0
-    driver_eff: float = 1.0
-    total_ppfd: float = 0.0
+    """Tier-3 LED commands, one entry per hour (0-d for a scalar call)."""
+
+    led_ppfd: np.ndarray
+    dim_fraction: np.ndarray
+    driver_eff: np.ndarray
+    total_ppfd: np.ndarray
 
 
 # -- electrochromic (polymer-dispersed liquid crystal) film -------------------
@@ -159,9 +165,9 @@ class EcFilm:
     the asymptote a/d. Its stationary points are the roots of the quadratic
     N'D - ND' = (a*e - b*d)*v**2 + 2*(a*g - c*d)*v + (b*g - c*e). Over the
     domain [0, v_max] the extremes lie at those roots or at the ends: the
-    passive state is the candidate with the largest tau, `tau_min` the
-    smallest tau among them. Attenuation setpoints solve N(v) = tau*D(v) on
-    the rising branch below the passive voltage.
+    passive state is the candidate with the largest tau, `tau_min` (at
+    `v_dip`) the smallest tau among them. Attenuation setpoints solve
+    N(v) = tau*D(v) below the passive voltage.
     """
 
     v_max: float = 100.0
@@ -173,29 +179,34 @@ class EcFilm:
         stationary = _quadratic_roots(a * e - b * d, 2.0 * (a * g - c * d), b * g - c * e)
         volts = sorted({0.0, self.v_max, *(v for v in stationary if 0.0 <= v <= self.v_max)})
         taus = [ec_transmittance(v) for v in volts]
-        peak = taus.index(max(taus))
+        peak, dip = taus.index(max(taus)), taus.index(min(taus))
         object.__setattr__(self, "v_passive", volts[peak])
         object.__setattr__(self, "tau_max", taus[peak])
-        object.__setattr__(self, "tau_min", min(taus))
+        object.__setattr__(self, "v_dip", volts[dip])
+        object.__setattr__(self, "tau_min", taus[dip])
 
     def voltage_for_tau(self, tau_target: float) -> float:
-        """Smallest-attenuation voltage achieving tau on the rising branch.
+        """Smallest voltage achieving tau, the smaller non-negative root of
+        (a - tau*d)*v**2 + (b - tau*e)*v + (c - tau*g) = 0.
 
-        Above tau(0) that is the one root of (a - tau*d)*v**2 +
-        (b - tau*e)*v + (c - tau*g) = 0 in [0, v_passive]; the other root
-        is negative or lies on the falling branch beyond the peak, and at
-        the asymptote tau = a/d the equation is linear with that one root.
-        A target within rounding of tau_max, where the two roots merge, may
-        leave no real root; the peak voltage is then the answer.
+        Above tau(0) that is the one root in [0, v_passive] on the rising
+        branch; the other root is negative or lies on the falling branch
+        beyond the peak, and at the asymptote tau = a/d the equation is
+        linear with that one root. Between tau_min and tau(0) both roots
+        straddle the dip and the smaller one is taken. A target within
+        rounding of tau_max or tau_min, where the two roots merge, may leave
+        no real root; the peak or dip voltage is then the answer. Targets
+        below tau_min, which no voltage reaches, give 0 V.
         """
         if tau_target >= self.tau_max:
             return self.v_passive
-        if tau_target <= ec_transmittance(0.0):
+        if tau_target < self.tau_min:
             return 0.0
         (a, b, c), (d, e, g) = _EC_NUM, _EC_DEN
         roots = _quadratic_roots(a - tau_target * d, b - tau_target * e,
                                  c - tau_target * g)
-        return min((v for v in roots if v >= 0.0), default=self.v_passive)
+        return min((v for v in roots if v >= 0.0), default=self.v_passive
+                   if tau_target > ec_transmittance(0.0) else self.v_dip)
 
 
 def ec_control(ppfd_raw: float, film: EcFilm, cap: float = 400.0
@@ -205,8 +216,8 @@ def ec_control(ppfd_raw: float, film: EcFilm, cap: float = 400.0
     Returns (voltage, tau, ppfd_out, cap_unreachable). With weak daylight
     the film sits at its maximum-transmittance (passive) state; beyond
     that the voltage is the exact root `film.voltage_for_tau` gives for
-    cap / ppfd_raw, never below tau(0); if even the film's smallest tau
-    cannot reach the cap, the film rests at 0 V and the flag is raised.
+    cap / ppfd_raw, down to the dip's tau_min; if even that cannot reach
+    the cap, the film rests at 0 V and the flag is raised.
     """
     if ppfd_raw < 0.0:
         raise ValueError("PPFD must be non-negative")
@@ -226,12 +237,12 @@ def ec_control(ppfd_raw: float, film: EcFilm, cap: float = 400.0
 # -- tier-3 control -------------------------------------------------------------
 
 
-def control_tier3(strategy: str, daylight_ppfd: float, clock_hour: float,
+def control_tier3(strategy: str, daylight_ppfd, clock_hour,
                   setpoint: float = 250.0, min_threshold: float = 100.0,
                   curve: DriverCurve = DriverCurve(),
                   photoperiod: tuple[float, float] = (4.0, 20.0)) -> LightingCommand:
-    """LED command for tier 3 of scenario `strategy` given the delivered
-    daylight PPFD.
+    """LED commands for tier 3 of scenario `strategy` given the delivered
+    daylight PPFD at each clock hour (arrays or scalars, broadcast together).
 
     daylight_ppfd must already include any filter or film attenuation.
     Daylight keeps entering outside the photoperiod (there is no shutter);
@@ -240,24 +251,25 @@ def control_tier3(strategy: str, daylight_ppfd: float, clock_hour: float,
     row = STRATEGIES.get(strategy)
     if row is None:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {tuple(STRATEGIES)}")
-    if daylight_ppfd < 0.0:
+    if np.any(daylight_ppfd < 0.0):
         raise ValueError("daylight PPFD must be non-negative")
 
-    in_photoperiod = photoperiod[0] <= clock_hour < photoperiod[1]
-    daylight = 0.0 if row.daylight == "none" else daylight_ppfd
-    if in_photoperiod and row.led != "off":
-        nominal = row.nominal(setpoint)
-        if row.led == "pwm":
-            # supplement up to the setpoint, subject to the 30% hardware
-            # floor (below it the LEDs switch off entirely)
-            required = setpoint - daylight
-            if required >= curve.min_dim * nominal:
-                led = min(required, nominal)
-                dim = led / nominal
-                return LightingCommand(led_ppfd=led, dim_fraction=dim,
-                                       driver_eff=curve.efficiency(dim),
-                                       total_ppfd=led + daylight)
-        elif row.led == "fixed" or daylight < min_threshold:
-            return LightingCommand(led_ppfd=nominal, dim_fraction=1.0,
-                                   total_ppfd=nominal + daylight)
-    return LightingCommand(total_ppfd=daylight)
+    daylight = np.where(row.daylight == "none", 0.0, daylight_ppfd)
+    on = (photoperiod[0] <= clock_hour) & (clock_hour < photoperiod[1]) & (row.led != "off")
+    nominal = row.nominal(setpoint)
+    if row.led == "pwm":
+        # supplement up to the setpoint, subject to the 30% hardware floor
+        # (below it the LEDs switch off entirely)
+        required = setpoint - daylight
+        on &= required >= curve.min_dim * nominal
+        led = np.where(on, np.minimum(required, nominal), 0.0)
+        dim = led / nominal
+        # the curve sees only lit dims; LEDs that are off draw nothing
+        driver_eff = np.where(on, curve.efficiency(np.where(on, dim, 1.0)), 1.0)
+    else:
+        if row.led == "on_off":
+            on &= daylight < min_threshold
+        led = np.where(on, nominal, 0.0)
+        dim = np.where(on, 1.0, 0.0)
+        driver_eff = np.ones_like(dim)
+    return LightingCommand(led, dim, driver_eff, np.where(on, led + daylight, daylight))

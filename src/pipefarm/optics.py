@@ -3,7 +3,8 @@
 The chain is dome -> tilting mirror -> reflective duct -> pyramidal
 prismatic diffuser. Altitude-resolved efficiencies come either from the
 built-in Monte Carlo tracer (see tracer.py) or from an imported table;
-both feed the same gain formulas here.
+both feed the same gain formulas here. The gain functions take arrays of
+hours (a scalar hour broadcasts), so a scenario-year is one call each.
 """
 
 from __future__ import annotations
@@ -113,14 +114,14 @@ class LpGeometry:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def mirror_tilt(altitude: float) -> float:
+def mirror_tilt(altitude):
     """Tracking mirror tilt from horizontal so the beam reflects straight down.
 
     The mirror normal bisects the incoming beam and the duct axis, which
     puts the plane at (90 + altitude)/2: 45 deg for a horizon sun, 70 deg
     at 50 deg altitude, near-vertical as the sun approaches the zenith.
     """
-    if not 0.0 <= altitude <= 90.0:
+    if not np.all((0.0 <= altitude) & (altitude <= 90.0)):
         raise ValueError(f"altitude out of range: {altitude}")
     return (90.0 + altitude) / 2.0
 
@@ -213,14 +214,13 @@ class OpticalEfficiencyTable:
         object.__setattr__(self, "_band_sum_th", self.eta_diff_th @ f)
         object.__setattr__(self, "_band_sum_crop", self.eta_diff_crop @ f)
 
-    def weighted_diffuse_at(self, tilt: float) -> tuple[float, float, bool]:
-        """Band-fraction-weighted diffuse efficiencies at a mirror tilt."""
-        lo, hi = float(self.tilt_grid[0]), float(self.tilt_grid[-1])
-        clamped = tilt < lo - 1e-9 or tilt > hi + 1e-9
-        t = min(max(tilt, lo), hi)
-        return (float(np.interp(t, self.tilt_grid, self._band_sum_th)),
-                float(np.interp(t, self.tilt_grid, self._band_sum_crop)),
-                clamped)
+    def weighted_diffuse_at(self, tilt):
+        """Band-fraction-weighted diffuse efficiencies (chamber, crop) at
+        mirror tilts, and whether each tilt lies outside the table's support
+        (clamped to the nearest sample)."""
+        return (np.interp(tilt, self.tilt_grid, self._band_sum_th),
+                np.interp(tilt, self.tilt_grid, self._band_sum_crop),
+                _outside(tilt, self.tilt_grid))
 
     def bound_violations(self) -> list[str]:
         """Entries above the documented direct-beam ceiling (flag, not fatal)."""
@@ -230,22 +230,15 @@ class OpticalEfficiencyTable:
                 out.append(f"eta_dir({a:g}) = {e:.4f} above {self.ETA_DIR_CEILING} + 3*stderr")
         return out
 
-    def eta_dir_at(self, altitude: float) -> tuple[float, bool]:
+    def eta_dir_at(self, altitude):
         """Linear interpolation; clamped to the nearest sample outside support."""
-        lo, hi = float(self.alt_grid[0]), float(self.alt_grid[-1])
-        clamped = altitude < lo - 1e-9 or altitude > hi + 1e-9
-        a = min(max(altitude, lo), hi)
-        return float(np.interp(a, self.alt_grid, self.eta_dir)), clamped
+        return (np.interp(altitude, self.alt_grid, self.eta_dir),
+                _outside(altitude, self.alt_grid))
 
     def eta_diff_at(self, tilt: float) -> tuple[np.ndarray, np.ndarray, bool]:
-        lo, hi = float(self.tilt_grid[0]), float(self.tilt_grid[-1])
-        clamped = tilt < lo - 1e-9 or tilt > hi + 1e-9
-        t = min(max(tilt, lo), hi)
-        th = np.array([np.interp(t, self.tilt_grid, self.eta_diff_th[:, j])
-                       for j in range(len(self.bands))])
-        crop = np.array([np.interp(t, self.tilt_grid, self.eta_diff_crop[:, j])
-                         for j in range(len(self.bands))])
-        return th, crop, clamped
+        th = np.array([np.interp(tilt, self.tilt_grid, col) for col in self.eta_diff_th.T])
+        crop = np.array([np.interp(tilt, self.tilt_grid, col) for col in self.eta_diff_crop.T])
+        return th, crop, _outside(tilt, self.tilt_grid)
 
     # -- delimited text round-trip ------------------------------------------
 
@@ -301,46 +294,56 @@ class OpticalEfficiencyTable:
                    provenance="imported", geometry_hash=geometry_hash)
 
 
+def _outside(x, grid: np.ndarray):
+    """Whether x lies beyond the ends of an ascending grid (by over 1e-9)."""
+    return (x < grid[0] - 1e-9) | (x > grid[-1] + 1e-9)
+
+
 @dataclass(frozen=True)
 class LpGains:
-    """Instantaneous light-pipe fleet gains, all in watts.
+    """Light-pipe fleet gains in watts, one entry per hour (or scalars).
 
     The q_* fields share one spectral basis: full solar for plain pipes,
     PAR-only once a UV-IR filter is in the path. ppfd_conversion is the
     matching photons-per-joule factor, so crop PPFD is always
-    (q_dir + q_diff_crop) * ppfd_conversion / area.
+    (q_dir + q_diff_crop) * ppfd_conversion / area. `clamped` marks the
+    hours whose sun lay outside the efficiency table's support.
     """
 
-    q_dir: float = 0.0
-    q_diff_th: float = 0.0
-    q_diff_crop: float = 0.0
+    q_dir: np.ndarray | float = 0.0
+    q_diff_th: np.ndarray | float = 0.0
+    q_diff_crop: np.ndarray | float = 0.0
     ppfd_conversion: float = SOLAR_UMOL_PER_J
-    flags: tuple = ()
+    clamped: np.ndarray | bool = False
 
     def __post_init__(self):
-        if min(self.q_dir, self.q_diff_th, self.q_diff_crop) < 0.0:
+        if any(np.any(q < 0.0) for q in (self.q_dir, self.q_diff_th, self.q_diff_crop)):
             raise ValueError("gains must be non-negative")
 
     @property
-    def q_sol(self) -> float:
+    def flags(self) -> tuple:
+        return ("table-support-clamped",) if np.any(self.clamped) else ()
+
+    @property
+    def q_sol(self):
         """Total solar gain entering the chamber (direct + chamber diffuse)."""
         return self.q_dir + self.q_diff_th
 
     @property
-    def q_crop(self) -> float:
+    def q_crop(self):
         return self.q_dir + self.q_diff_crop
 
-    def scaled(self, factor: float, conversion: Optional[float] = None,
-               extra_flags: tuple = ()) -> "LpGains":
+    def scaled(self, factor, conversion: Optional[float] = None) -> "LpGains":
         return LpGains(self.q_dir * factor, self.q_diff_th * factor,
                        self.q_diff_crop * factor,
                        conversion if conversion is not None else self.ppfd_conversion,
-                       self.flags + extra_flags)
+                       self.clamped)
 
 
-def lp_solar_gains(table: OpticalEfficiencyTable, dni: float, dhi: float,
-                   altitude: float, geometry: LpGeometry, n_pipes: int = 1) -> LpGains:
-    """Fleet solar gains for one hour of direct + diffuse irradiance.
+def lp_solar_gains(table: OpticalEfficiencyTable, dni, dhi, altitude,
+                   geometry: LpGeometry, n_pipes: int = 1) -> LpGains:
+    """Fleet solar gains for hours of direct + diffuse irradiance (arrays
+    or scalars, broadcast together).
 
     Direct: I_dir * sin(alt) * eta_dir * A. Diffuse: isotropic sky split
     into ten-degree bands, halved because the mirror occludes the rear
@@ -348,27 +351,23 @@ def lp_solar_gains(table: OpticalEfficiencyTable, dni: float, dhi: float,
     efficiency at the current mirror tilt. Everything is zero when the
     sun is below the horizon (the tracking mirror is parked at night).
     """
-    if dni < 0.0 or dhi < 0.0:
+    if np.any(dni < 0.0) or np.any(dhi < 0.0):
         raise ValueError("irradiance must be non-negative")
-    if altitude <= 0.0 or (dni == 0.0 and dhi == 0.0):
-        return LpGains()
-
+    up = (altitude > 0.0) & ((dni != 0.0) | (dhi != 0.0))
     area = geometry.aperture_area_m2 * n_pipes
     eta_d, clamped_dir = table.eta_dir_at(altitude)
-    q_dir = dni * math.sin(math.radians(altitude)) * eta_d * area
+    q_dir = dni * np.sin(np.radians(altitude)) * eta_d * area
 
-    tilt = mirror_tilt(altitude)
-    sum_th, sum_crop, clamped_diff = table.weighted_diffuse_at(tilt)
+    sum_th, sum_crop, clamped_diff = table.weighted_diffuse_at(
+        mirror_tilt(np.clip(altitude, 0.0, 90.0)))
     q_th = dhi / 2.0 * area * sum_th
     q_crop = dhi / 2.0 * area * sum_crop
-
-    flags = ()
-    if clamped_dir or clamped_diff:
-        flags = ("table-support-clamped",)
-    return LpGains(q_dir, q_th, q_crop, SOLAR_UMOL_PER_J, flags)
+    return LpGains(np.where(up, q_dir, 0.0), np.where(up, q_th, 0.0),
+                   np.where(up, q_crop, 0.0), SOLAR_UMOL_PER_J,
+                   up & (clamped_dir | clamped_diff))
 
 
-def lp_crop_ppfd(gains: LpGains, crop_area_m2: float) -> float:
+def lp_crop_ppfd(gains: LpGains, crop_area_m2: float):
     """Crop-level PPFD from the delivered direct + crop-side diffuse power."""
     if crop_area_m2 <= 0.0:
         raise ValueError("crop area must be positive")
@@ -389,27 +388,20 @@ def apply_uv_ir_filter(gains: LpGains, tau_vis: float) -> LpGains:
     roughly halving the thermal load, while the photon flux only picks up
     the tau_vis penalty.
     """
-    return gains.scaled(PAR_FRACTION * tau_vis, conversion=PAR_UMOL_PER_J,
-                        extra_flags=("uv-ir-filtered",))
+    return gains.scaled(PAR_FRACTION * tau_vis, conversion=PAR_UMOL_PER_J)
 
 
-def apply_neutral_attenuation(gains: LpGains, tau: float, flag: str = "") -> LpGains:
-    """Spectrally neutral attenuation (electrochromic film state)."""
-    return gains.scaled(tau, extra_flags=(flag,) if flag else ())
+def apply_neutral_attenuation(gains: LpGains, tau) -> LpGains:
+    """Spectrally neutral attenuation (electrochromic film state), per hour
+    when tau is an array."""
+    return gains.scaled(tau)
 
 
-@dataclass(frozen=True)
-class GlazingGains:
-    q_sol: float               # W transmitted into the chamber
-    q_crop: float              # W landing on the cultivation plan area
-    ppfd: float                # umol m-2 s-1 on the daylit tier
-    ppfd_conversion: float = SOLAR_UMOL_PER_J
-
-
-def gh_gains(dni: float, dhi: float, altitude: float, azimuth: float,
-             tau_glass: float, roof_area_m2: float, wall_area_m2: float,
-             tier_occupancy: float, crop_area_m2: float) -> GlazingGains:
-    """Transmitted solar power for the greenhouse-like glazing scenario.
+def gh_gains(dni, dhi, altitude, azimuth, tau_glass: float, roof_area_m2: float,
+             wall_area_m2: float, tier_occupancy: float, crop_area_m2: float) -> tuple:
+    """Transmitted solar power for the greenhouse-like glazing scenario, for
+    hours given as arrays or scalars: (q_sol W into the chamber, q_crop W on
+    the cultivation plan area, ppfd on the daylit tier).
 
     Roof: beam on the horizontal plus full-sky diffuse. Walls: four equal
     orientations, each seeing the beam at its own incidence and half the
@@ -418,20 +410,17 @@ def gh_gains(dni: float, dhi: float, altitude: float, azimuth: float,
     """
     if not 0.0 < tau_glass <= 1.0:
         raise ValueError("glazing transmittance must be in (0, 1]")
-    if dni < 0.0 or dhi < 0.0:
+    if np.any(dni < 0.0) or np.any(dhi < 0.0):
         raise ValueError("irradiance must be non-negative")
-    sin_alt = math.sin(math.radians(max(altitude, 0.0))) if altitude > 0.0 else 0.0
+    up = altitude > 0.0
+    sin_alt = np.where(up, np.sin(np.radians(altitude)), 0.0)
+    cos_alt = np.where(up, np.cos(np.radians(altitude)), 0.0)
     beam_roof = dni * sin_alt * roof_area_m2
-
-    beam_walls = 0.0
-    if altitude > 0.0 and wall_area_m2 > 0.0:
-        cos_alt = math.cos(math.radians(altitude))
-        for wall_az in (0.0, 90.0, 180.0, 270.0):
-            cos_inc = cos_alt * math.cos(math.radians(azimuth - wall_az))
-            beam_walls += dni * max(0.0, cos_inc) * wall_area_m2 / 4.0
-    sky = dhi * roof_area_m2 + dhi / 2.0 * wall_area_m2 if altitude > 0.0 else 0.0
+    beam_walls = sum(dni * np.maximum(0.0, cos_alt * np.cos(np.radians(azimuth - wall_az)))
+                     * wall_area_m2 / 4.0 for wall_az in (0.0, 90.0, 180.0, 270.0))
+    sky = np.where(up, dhi * roof_area_m2 + dhi / 2.0 * wall_area_m2, 0.0)
 
     q_sol = tau_glass * (beam_roof + beam_walls + sky)
     q_crop = q_sol * tier_occupancy
-    ppfd = q_crop * SOLAR_UMOL_PER_J / crop_area_m2 if crop_area_m2 > 0.0 else 0.0
-    return GlazingGains(q_sol=q_sol, q_crop=q_crop, ppfd=ppfd)
+    ppfd = q_crop * SOLAR_UMOL_PER_J / crop_area_m2 if crop_area_m2 > 0.0 else 0.0 * q_crop
+    return q_sol, q_crop, ppfd

@@ -6,7 +6,9 @@ per-layer metrics into nulls. These tests read the binding list from
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
+import math
 
 import pytest
 
@@ -48,3 +50,26 @@ def test_hooks_read_the_returned_shapes(tracing, scenario_results, tmp_path):
         written = scenario_results["LP_Dim_EC"].save(tmp_path)
     assert rec.counts[("", "ec_unreachable_hours", "")] == 1
     assert rec.counts[("", "save_bytes", "")] == sum(p.stat().st_size for p in written) > 0
+
+
+def test_traced_runs_report_finite_metrics(tracing, scenario_configs, climate,
+                                           reference_table, lue_calibrated, solar,
+                                           tmp_path):
+    """Every hook survives a filter, a film, glazing and a transient run, and
+    every per-layer metric comes out a finite number."""
+    runs = [scenario_configs[name] for name in ("Bench", "LP_Dim_IR_98", "LP_Dim_EC", "GH")]
+    runs.append(dataclasses.replace(scenario_configs["LP_Dim"], timestep_mode="transient"))
+    rec = tracing.SpanRecorder()
+    with tracing.installed(rec) as missing:
+        rec.begin_phase("setup")
+        rec.begin_phase("passes")
+        for i, cfg in enumerate(runs):
+            table = reference_table if cfg.uses_light_pipes else None
+            pipefarm.engine.run_scenario(cfg, climate, table, lue_calibrated,
+                                         solar=solar).save(tmp_path / str(i))
+    values, reasons = tracing.layer_metrics(
+        rec, missing, 1, {"ray_state_bytes": 0, "overhead_s": 0.0, "overhead_share": 0.0})
+    assert missing == {} and reasons == {}
+    bad = {k: v for k, v in values.items()
+           if not (isinstance(v, (int, float)) and math.isfinite(v))}
+    assert not bad

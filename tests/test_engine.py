@@ -11,8 +11,9 @@ from pipefarm.economics import led_cost_per_watt
 from pipefarm.engine import (SimulationError, calibrate_lue_scale, compare_scenarios,
                              prepare_efficiency_table, run_scenario,
                              scenario_capex_delta, scenario_light_cost)
-from pipefarm.lighting import control_tier3
-from pipefarm.optics import OpticalEfficiencyTable
+from pipefarm.lighting import STRATEGIES, control_tier3, ec_control, led_electric_power
+from pipefarm.optics import (OpticalEfficiencyTable, apply_neutral_attenuation,
+                             apply_uv_ir_filter, gh_gains, lp_crop_ppfd, lp_solar_gains)
 
 
 def flat_climate(temperature=24.0, dni=0.0, dhi=0.0) -> ClimateSeries:
@@ -385,3 +386,77 @@ class TestCropStageOracle:
         assert got.fm_growth_kg == fm_growth_kg
         assert got.cycles == cycles
         assert got.yield_kg == yield_kg
+
+
+def _hourly_daylight_and_control(cfg, climate, table, solar):
+    """The daylight and lighting stages as per-hour loops of scalar calls:
+    the reference the array stages must reproduce bit for bit."""
+    alts, azis = solar
+    strategy = cfg.strategy
+    tier_area = cfg.crop.tier_area_m2
+    film = cfg.ec_film() if strategy.ec_film else None
+    q_sol, q_crop, daylight = (np.zeros(HOURS_PER_YEAR) for _ in range(3))
+    ec_tau = np.full(HOURS_PER_YEAR, np.nan)
+    warnings = []
+    clamp_flagged = ec_flagged = False
+    sun = np.flatnonzero(alts > 0.0).tolist() if strategy.daylight != "none" else []
+    for i in sun:
+        dni, dhi, alt = climate.dni.item(i), climate.dhi.item(i), alts.item(i)
+        if strategy.daylight == "glazing":
+            q_sol[i], q_crop[i], daylight[i] = gh_gains(
+                dni, dhi, alt, azis.item(i), cfg.glazing.tau,
+                cfg.effective_chamber().floor_area_m2, cfg.glazing.wall_glazed_m2,
+                cfg.tier_occupancy, tier_area)
+            continue
+        gains = lp_solar_gains(table, dni, dhi, alt, cfg.lp_geometry, cfg.n_pipes)
+        if gains.flags and not clamp_flagged:
+            warnings.append((i, f"hour {i}: {gains.flags[0]}"))
+            clamp_flagged = True
+        if strategy.filter_tau is not None:
+            gains = apply_uv_ir_filter(gains, strategy.filter_tau)
+        elif film is not None:
+            _, tau, _, unreachable = ec_control(float(lp_crop_ppfd(gains, tier_area)), film,
+                                                cfg.ec_cap_ppfd)
+            gains = apply_neutral_attenuation(gains, tau)
+            ec_tau[i] = tau
+            if unreachable and not ec_flagged:
+                warnings.append((i, f"hour {i}: EC cap unreachable at max attenuation"))
+                ec_flagged = True
+        q_sol[i], q_crop[i] = gains.q_sol, gains.q_crop
+        daylight[i] = lp_crop_ppfd(gains, tier_area)
+    total, led, dim, p3 = (np.zeros(HOURS_PER_YEAR) for _ in range(4))
+    for i in range(HOURS_PER_YEAR):
+        cmd = control_tier3(cfg.scenario, daylight.item(i), float(i % 24), cfg.setpoint_ppfd,
+                            cfg.min_threshold_ppfd, cfg.driver, cfg.photoperiod)
+        total[i], led[i], dim[i] = cmd.total_ppfd, cmd.led_ppfd, cmd.dim_fraction
+        if cmd.led_ppfd > 0.0:
+            p3[i] = led_electric_power(cmd.led_ppfd, tier_area, cfg.ppe, cmd.driver_eff)
+    return q_sol, q_crop, daylight, ec_tau, total, led, dim, p3, warnings
+
+
+class TestDaylightAndControlOracle:
+    """The array daylight and lighting stages against per-hour scalar loops
+    over the whole year; the brighter sky makes the film attenuate."""
+
+    @pytest.mark.parametrize("name,sky", [(n, 1.0) for n in STRATEGIES]
+                             + [("LP_Dim_EC", 1.3)])
+    def test_matches_hourly_loops_exactly(self, name, sky, scenario_configs, climate,
+                                          reference_table, solar):
+        cfg = scenario_configs[name]
+        climate = ClimateSeries(climate.temperature, climate.dni * sky, climate.dhi * sky,
+                                source="<scaled>")
+        table = reference_table if cfg.uses_light_pipes else None
+        (q_sol, q_crop, daylight, ec_tau, total, led, dim, p3,
+         warnings) = _hourly_daylight_and_control(cfg, climate, table, solar)
+        got_warnings = []
+        got = engine._daylight_stage(cfg, climate, table, solar, got_warnings)
+        ppfd, got_led, got_dim, _, got_p3 = engine._lighting_stage(cfg, got[2])
+        assert np.array_equal(got[0], q_sol)
+        assert np.array_equal(got[1], q_crop)
+        assert np.array_equal(got[2], daylight)
+        assert np.array_equal(got[3], ec_tau, equal_nan=True)
+        assert np.array_equal(ppfd[:, 2], total)
+        assert np.array_equal(got_led, led)
+        assert np.array_equal(got_dim, dim)
+        assert np.array_equal(got_p3, p3)
+        assert got_warnings == warnings

@@ -204,6 +204,30 @@ class TestEcFilm:
         assert 0.0 < v < film.v_passive
         assert not flag
 
+    def test_dip_targets_hold_the_cap(self):
+        # cap / raw in [tau_min, tau(0)) is reached inside the dip below 0.57 V
+        film = EcFilm()
+        tau0 = ec_transmittance(0.0)
+        raws = np.append(np.arange(737_000, 738_501) / 1000.0,
+                         [400.0 / film.tau_min, 400.0 / tau0])
+        reachable = 0
+        for raw in raws:
+            v, tau, out, flag = ec_control(raw, film, 400.0)
+            if 400.0 / raw < film.tau_min:
+                assert flag and v == 0.0 and tau == tau0     # out of the film's reach
+                continue
+            reachable += 1
+            assert not flag
+            assert out <= 400.0 * (1.0 + 1e-12)
+        assert reachable > 1000
+
+    def test_dip_target_at_rounding_of_tau_min(self):
+        film = EcFilm()
+        for tau in (film.tau_min, film.tau_min + 1e-16, film.tau_min + 1e-15):
+            v = film.voltage_for_tau(tau)
+            assert 0.0 < v < 1.0
+            assert ec_transmittance(v) <= tau + 1e-15
+
     def test_unreachable_cap_flags(self):
         film = EcFilm()
         v, tau, out, flag = ec_control(1000.0, film)

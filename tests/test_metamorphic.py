@@ -4,6 +4,10 @@ Under a dark sky (DNI = DHI = 0, shipped temperatures) no daylight reaches
 any tier, so every strategy that keeps tier 3 at the setpoint with LEDs
 grows exactly Bench's crop, and the strategies that leave tier 3 dark grow
 two thirds of it. Measured: 9205.19669184947 kg and 6136.797794566313 kg.
+
+Under a sky 1.3 times brighter (DNI and DHI scaled, temperatures kept) the
+EC film attenuates in some hours, which the shipped year never makes it do,
+and holds tier-3 daylight at its cap in every hour.
 """
 
 from __future__ import annotations
@@ -45,3 +49,22 @@ class TestDarkSky:
     def test_fixed_250_tier3_draws_bench_led_energy(self, dark_runs):
         assert (dark_runs["LP_Min_250"].aggregates["led_tier3_mwh"]
                 == dark_runs["Bench"].aggregates["led_tier3_mwh"])
+
+
+@pytest.fixture(scope="module")
+def bright_ec(scenario_configs, climate, reference_table, lue_calibrated, solar):
+    bright = ClimateSeries(climate.temperature, climate.dni * 1.3, climate.dhi * 1.3,
+                           source="<bright sky>")
+    return run_scenario(scenario_configs["LP_Dim_EC"], bright, reference_table,
+                        lue_calibrated, solar=solar)
+
+
+class TestBrightSkyFilm:
+    def test_film_attenuates_some_hours(self, bright_ec):
+        film = bright_ec.config.ec_film()
+        assert np.count_nonzero(bright_ec.hourly["ec_tau"] < film.tau_max) > 0
+
+    def test_daylight_held_at_the_cap(self, bright_ec):
+        cap = bright_ec.config.ec_cap_ppfd
+        assert bright_ec.hourly["daylight_ppfd_t3"].max() <= cap * (1.0 + 1e-12)
+        assert not any("unreachable" in w for w in bright_ec.warnings)

@@ -226,26 +226,26 @@ class TestFilters:
 
     def test_neutral_attenuation(self):
         gains = LpGains(q_dir=100.0, q_diff_th=20.0, q_diff_crop=5.0)
-        g2 = apply_neutral_attenuation(gains, 0.7, "ec-film")
+        g2 = apply_neutral_attenuation(gains, 0.7)
         assert g2.q_sol == pytest.approx(0.7 * gains.q_sol, rel=1e-12)
-        assert "ec-film" in g2.flags
+        assert g2.ppfd_conversion == gains.ppfd_conversion
 
 
 class TestGlazing:
     def test_zero_irradiance(self):
-        g = gh_gains(0.0, 0.0, 40.0, 180.0, 0.82, 49.0, 18.0, 0.61, 30.0)
-        assert g.q_sol == 0.0 and g.ppfd == 0.0
+        q_sol, _, ppfd = gh_gains(0.0, 0.0, 40.0, 180.0, 0.82, 49.0, 18.0, 0.61, 30.0)
+        assert q_sol == 0.0 and ppfd == 0.0
 
     def test_beam_hand_product(self):
         # 800 W/m2 at 30 deg altitude onto 1 m2 of horizontal glazing
-        g = gh_gains(800.0, 0.0, 30.0, 180.0, 0.82, 1.0, 0.0, 0.61, 30.0)
-        assert g.q_sol == pytest.approx(800.0 * 0.5 * 0.82, rel=1e-12)
-        assert g.q_sol == pytest.approx(328.0, abs=1e-9)
+        q_sol, _, _ = gh_gains(800.0, 0.0, 30.0, 180.0, 0.82, 1.0, 0.0, 0.61, 30.0)
+        assert q_sol == pytest.approx(800.0 * 0.5 * 0.82, rel=1e-12)
+        assert q_sol == pytest.approx(328.0, abs=1e-9)
 
     def test_daylight_utilization_cap(self):
         assert 0.80 * 0.61 == pytest.approx(0.49, abs=0.0025)
-        g = gh_gains(0.0, 100.0, 45.0, 180.0, 0.80, 49.0, 0.0, 0.61, 30.0)
-        assert g.q_crop / (100.0 * 49.0) == pytest.approx(0.49, abs=0.0025)
+        _, q_crop, _ = gh_gains(0.0, 100.0, 45.0, 180.0, 0.80, 49.0, 0.0, 0.61, 30.0)
+        assert q_crop / (100.0 * 49.0) == pytest.approx(0.49, abs=0.0025)
 
     def test_validation(self):
         with pytest.raises(ValueError):
