@@ -167,6 +167,19 @@ def _load_strict(path, keys: dict) -> dict:
     return doc
 
 
+def _price_list(path, grid: dict, key: str, default) -> list[float]:
+    values = grid.get(key, default)
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ConfigError(f"{path}: {f'grid.{key}'!r} must be a non-empty list of prices")
+    return [float(x) for x in values]
+
+
+def _write_rows(path: Path, rows: list[dict]) -> None:
+    """One CSV from a list of same-keyed dicts, keys as the header."""
+    header = list(rows[0])
+    write_csv(path, header, [[r[h] for r in rows] for h in header])
+
+
 def _cmd_compare(args) -> int:
     doc = _load_strict(args.config, _COMPARE_KEYS)
     base_dir = Path(args.config).parent
@@ -189,15 +202,12 @@ def _cmd_compare(args) -> int:
         results.append(run_scenario(cfg, climate, table, lue, solar=shared[key]))
 
     rows = compare_scenarios(results)
-    header = list(rows[0].keys())
-    write_csv(outdir / "comparison.csv", header,
-              [[r[h] for h in header] for r in rows])
+    _write_rows(outdir / "comparison.csv", rows)
     doc_out = {"rows": rows, "metadata": _meta(None, configs=[str(p) for p in paths])}
     (outdir / "comparison.json").write_text(json.dumps(doc_out, indent=2,
                                                        sort_keys=True, default=str))
     lc_rows = light_cost_comparison(results[0].config.costs)
-    write_csv(outdir / "light_cost.csv", list(lc_rows[0].keys()),
-              [[r[k] for k in r] for r in lc_rows])
+    _write_rows(outdir / "light_cost.csv", lc_rows)
     print(f"compared {len(rows)} scenarios -> {outdir}")
     return EXIT_OK
 
@@ -210,8 +220,8 @@ def _cmd_sweep(args) -> int:
     if not scen_path or not bench_path:
         raise ConfigError("sweep config needs scenario_config and bench_config paths")
     grid = doc.get("grid", {})
-    el_prices = [float(x) for x in grid.get("electricity_usd_per_mwh", (100, 200, 350))]
-    co2_prices = [float(x) for x in grid.get("carbon_usd_per_t", (0, 50, 100))]
+    el_prices = _price_list(args.config, grid, "electricity_usd_per_mwh", (100, 200, 350))
+    co2_prices = _price_list(args.config, grid, "carbon_usd_per_t", (0, 50, 100))
     target_pbt = float(doc.get("target_pbt_years", 10.0))
 
     outdir = Path(args.out)
@@ -230,8 +240,7 @@ def _cmd_sweep(args) -> int:
 
     rows = sensitivity_sweep(capex["total"], d_el, d_yield, scen.config.costs,
                              el_prices, co2_prices)
-    write_csv(outdir / "pbt_grid.csv", list(rows[0].keys()),
-              [[r[k] for k in r] for r in rows])
+    _write_rows(outdir / "pbt_grid.csv", rows)
 
     # break-even on the per-pipe hardware stack (pipe + auxiliaries + any
     # filter/film), holding the LED and HVAC sizing deltas fixed; a scenario
@@ -267,9 +276,7 @@ def _cmd_sunpath(args) -> int:
     cfg = _load_cfg(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = sunpath_table(cfg.site)
-    header = list(rows[0].keys())
-    write_csv(outdir / "sunpath.csv", header, [[r[h] for h in header] for r in rows])
+    _write_rows(outdir / "sunpath.csv", sunpath_table(cfg.site))
     (outdir / "sunpath_meta.json").write_text(json.dumps(
         _meta(cfg, latitude=cfg.site.latitude, longitude=cfg.site.longitude),
         indent=2, sort_keys=True))

@@ -210,6 +210,19 @@ class TestStrictCompareAndSweepFiles:
         assert "sweep_typo.yaml" in detail and "'grid.electricity_usd_per_mw'" in detail
         assert not (work_tree / "sweep").exists()
 
+    @pytest.mark.parametrize("key", ["electricity_usd_per_mwh", "carbon_usd_per_t"])
+    def test_empty_price_list_is_a_config_error(self, work_tree, capsys, key):
+        _calibrate(work_tree)
+        capsys.readouterr()
+        cfg = work_tree / "configs" / "sweep_empty.yaml"
+        cfg.write_text("scenario_config: lp_dim_ir_98.yaml\nbench_config: bench.yaml\n"
+                       f"grid:\n  {key}: []\n")
+        rc = main(["sweep", "--config", str(cfg), "--out", str(work_tree / "sweep")])
+        assert rc == 3
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert "sweep_empty.yaml" in detail and repr(f"grid.{key}") in detail
+        assert not (work_tree / "sweep").exists()
+
     def test_unknown_top_level_keys_are_config_errors(self, work_tree, capsys):
         sweep = work_tree / "configs" / "sweep_typo.yaml"
         sweep.write_text((work_tree / "configs" / "sweep_lp_dim_ir.yaml").read_text()

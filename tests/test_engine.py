@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -460,3 +462,98 @@ class TestDaylightAndControlOracle:
         assert np.array_equal(got_dim, dim)
         assert np.array_equal(got_p3, p3)
         assert got_warnings == warnings
+
+
+def _row_writer(path, header, rows):
+    """The row-major csv.writer path that `write_csv` replaced: the
+    reference its bytes must match."""
+    def cell(c):
+        if c is None:
+            return ""
+        if isinstance(c, float):
+            return repr(float(c))
+        return c
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([cell(c) for c in row] for row in rows)
+
+
+def _row_save(res, outdir):
+    """`SimulationResult.save`'s CSV files as the row writer wrote them."""
+    n = HOURS_PER_YEAR
+    for name, prefixes in (("hourly_power.csv", ("q_", "p_", "coil")),
+                           ("hourly_lighting.csv", ("led_", "daylight", "total_ppfd",
+                                                    "ec_", "dim"))):
+        cols = [c for c in res.hourly if c.startswith(prefixes)]
+        _row_writer(outdir / name, ["hour"] + cols,
+                    ([i] + [res.hourly[c][i] for c in cols] for i in range(n)))
+    _row_writer(outdir / "dli.csv", ["day"] + [f"tier{t + 1}" for t in range(res.dli.shape[1])],
+                [[d + 1] + list(res.dli[d]) for d in range(res.dli.shape[0])])
+    _row_writer(outdir / "harvests.csv", ["hour", "tier", "kg"], res.harvests)
+
+
+SAVED = ["kpis.json", "hourly_power.csv", "hourly_lighting.csv", "dli.csv", "harvests.csv"]
+
+
+class TestWriteCsvOracle:
+    """The column writer against the csv.writer row path, byte for byte."""
+
+    SPECIAL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e-05, 1e16, 5e-324,
+               0.1, 0.1, -0.0, 2.0 / 3.0, 0.0, 1e16]
+
+    @pytest.mark.parametrize("n", [2 * engine._BLOCK_ROWS, 2 * engine._BLOCK_ROWS + 37, 17],
+                             ids=["whole_blocks", "partial_last_block", "under_one_block"])
+    def test_constructed_columns(self, n, tmp_path):
+        floats = np.resize(np.array(self.SPECIAL), n)
+        ints = list(range(-3, n - 3))
+        mixed = [None if i % 3 == 0 else (i if i % 3 == 1 else i / 7.0) for i in range(n)]
+        labels = [f"s{i % 5}" for i in range(n)]
+        header = ["x", "i", "m", "s", "j"]
+        columns = [floats, ints, mixed, labels, np.arange(n)]
+        engine.write_csv(tmp_path / "new.csv", header, columns)
+        _row_writer(tmp_path / "old.csv", header, zip(*columns))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_lp_dim_ec_files(self, scenario_results, tmp_path):
+        res = scenario_results["LP_Dim_EC"]
+        paths = res.save(tmp_path / "new")
+        assert [p.name for p in paths] == SAVED
+        (tmp_path / "old").mkdir()
+        _row_save(res, tmp_path / "old")
+        for p in paths[1:]:
+            assert p.read_bytes() == (tmp_path / "old" / p.name).read_bytes(), p.name
+
+    @pytest.mark.parametrize("text", ["a,b", 'say "hi"', "two\nlines", "cr\r"])
+    def test_cell_that_needs_quoting_raises(self, text, tmp_path):
+        with pytest.raises(ValueError, match="quoting"):
+            engine.write_csv(tmp_path / "t.csv", ["name", "v"], [["ok", text], [1.0, 2.0]])
+        with pytest.raises(ValueError, match="quoting"):
+            engine.write_csv(tmp_path / "t.csv", ["name", text], [["ok"], [1.0]])
+
+
+class TestSavedRoundTrip:
+    """The hourly CSVs read back with float() give the arrays bit for bit."""
+
+    @staticmethod
+    def _columns(path):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        return {h: np.array([float(r[j]) for r in rows[1:]]) for j, h in enumerate(rows[0])}
+
+    @pytest.mark.parametrize("name", list(STRATEGIES))
+    def test_hourly_and_dli_read_back_exactly(self, name, scenario_results, tmp_path):
+        res = scenario_results[name]
+        res.save(tmp_path)
+        power = self._columns(tmp_path / "hourly_power.csv")
+        lighting = self._columns(tmp_path / "hourly_lighting.csv")
+        for cols in (power, lighting):
+            assert np.array_equal(cols.pop("hour"), np.arange(HOURS_PER_YEAR))
+        assert sorted(power.keys() | lighting.keys()) == sorted(res.hourly)
+        assert not power.keys() & lighting.keys()
+        for key, col in (power | lighting).items():
+            assert np.array_equal(col.view(np.int64), res.hourly[key].view(np.int64)), key
+        dli = self._columns(tmp_path / "dli.csv")
+        assert np.array_equal(dli.pop("day"), np.arange(1, res.dli.shape[0] + 1))
+        got = np.column_stack([dli[f"tier{t + 1}"] for t in range(res.dli.shape[1])])
+        assert np.array_equal(got.view(np.int64), res.dli.view(np.int64))

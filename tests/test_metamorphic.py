@@ -8,6 +8,10 @@ two thirds of it. Measured: 9205.19669184947 kg and 6136.797794566313 kg.
 Under a sky 1.3 times brighter (DNI and DHI scaled, temperatures kept) the
 EC film attenuates in some hours, which the shipped year never makes it do,
 and holds tier-3 daylight at its cap in every hour.
+
+With the outside air at the chamber setpoint every hour (shipped sky) there
+is no temperature difference to drive heat through the envelope or into the
+light pipes, so both of those loads are exactly zero in every hour.
 """
 
 from __future__ import annotations
@@ -68,3 +72,25 @@ class TestBrightSkyFilm:
         cap = bright_ec.config.ec_cap_ppfd
         assert bright_ec.hourly["daylight_ppfd_t3"].max() <= cap * (1.0 + 1e-12)
         assert not any("unreachable" in w for w in bright_ec.warnings)
+
+
+NO_DRIVE = ("Bench", "LP_Dim", "LP_Dim_EC", "GH")
+
+
+@pytest.fixture(scope="module")
+def setpoint_runs(scenario_configs, climate, reference_table, lue_calibrated, solar):
+    out = {}
+    for name in NO_DRIVE:
+        cfg = scenario_configs[name]
+        still = ClimateSeries(np.full_like(climate.temperature, cfg.setpoint_t), climate.dni,
+                              climate.dhi, source="<setpoint air>")
+        out[name] = run_scenario(cfg, still, reference_table if cfg.uses_light_pipes
+                                 else None, lue_calibrated, solar=solar)
+    return out
+
+
+class TestNoDrive:
+    @pytest.mark.parametrize("name", NO_DRIVE)
+    @pytest.mark.parametrize("column", ["q_env", "q_lp_conv"])
+    def test_no_envelope_or_pipe_convection_load(self, setpoint_runs, name, column):
+        assert np.all(setpoint_runs[name].hourly[column] == 0.0)
