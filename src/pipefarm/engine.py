@@ -196,11 +196,11 @@ def write_csv(path: Path, header: list, columns: Sequence) -> None:
     """Comma-separated text with a header line, written column-major.
 
     `columns` holds one equal-length sequence per header name. A float64
-    array is rendered block by block with one `repr` pass over the distinct
-    bit patterns in the block, so -0.0 stays apart from 0.0; any other
-    sequence goes cell by cell. A float cell keeps its shortest round-trip
-    repr, None becomes an empty cell and anything else is `str`. A cell that
-    csv would have to quote (a comma, a double quote, CR or LF) is refused.
+    array is rendered block by block with one `repr` of the block's list;
+    any other sequence goes cell by cell. A float cell keeps its shortest
+    round-trip repr, None becomes an empty cell and anything else is `str`.
+    A cell that csv would have to quote (a comma, a double quote, CR or LF)
+    is refused.
     """
     if len(columns) != len(header):
         raise ValueError(f"{path}: {len(header)} header names for {len(columns)} columns")
@@ -216,11 +216,7 @@ def write_csv(path: Path, header: list, columns: Sequence) -> None:
 
 def _render(col) -> list:
     if isinstance(col, np.ndarray) and col.dtype == np.float64:
-        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        text = repr(bits.view(np.float64).tolist())[1:-1].split(", ")
-        return np.array(text, dtype=object)[inverse].tolist()
-    if isinstance(col, range):
-        return list(map(str, col))
+        return repr(col.tolist())[1:-1].split(", ")
     return [_cell(c) for c in col]
 
 
