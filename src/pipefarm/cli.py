@@ -4,9 +4,11 @@ Subcommands: trace-optics (geometry -> efficiency table + flux maps),
 calibrate (fit the LUE factor to the benchmark yield), simulate (one
 scenario -> result files), compare (scenario set -> comparison tables),
 sweep (price/carbon grids and a break-even unit cost), sunpath (solar
-position tables). Outputs are delimited text plus JSON; every file embeds
-the config hash and tool version. Errors exit nonzero with a one-line
-JSON record on stderr.
+position tables). Outputs are delimited text plus JSON. Every JSON file
+carries the tool version and config hash (comparison.json one hash per
+config); kpis.json, calibration.json and comparison.json also carry the
+climate hash and LUE scale. CSV files carry neither. Errors exit nonzero
+with a one-line JSON record on stderr.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from .climate import ClimateError, load_climate, sunpath_table
 from .config import ConfigError, ScenarioConfig, load_config_mapping, load_scenario_config
 from .economics import break_even_unit_cost, light_cost_comparison, \
     sensitivity_sweep
-from .engine import CalibrationError, SimulationError, calibrate_lue_scale, \
-    compare_scenarios, load_calibration, load_lue_table, prepare_efficiency_table, \
-    run_scenario, scenario_delta, solar_angles, write_csv
+from .engine import CalibrationError, SimulationError, Study, calibrate_lue_scale, \
+    compare_scenarios, load_lue_table, scenario_delta, write_csv
 from .tracer import build_efficiency_table
 
 EXIT_OK = 0
@@ -42,49 +43,20 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 
 def _meta(cfg: Optional[ScenarioConfig] = None, **extra) -> dict:
-    meta = {"version": __version__}
+    meta = {"version": __version__, **extra}
     if cfg is not None:
-        meta["config_hash"] = cfg.content_hash()
-        meta["scenario"] = cfg.scenario
-        meta["seed"] = cfg.seed
-    meta.update(extra)
+        meta.update(config_hash=cfg.content_hash(), scenario=cfg.scenario, seed=cfg.seed)
     return meta
 
 
-def _load_cfg(args) -> ScenarioConfig:
-    cfg = load_scenario_config(args.config)
+def _load_cfg(args, path=None) -> ScenarioConfig:
+    """The config at `path` (default --config) with the command's overrides."""
+    cfg = load_scenario_config(path or args.config)
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if getattr(args, "scenario", None):
         cfg = dataclasses.replace(cfg, scenario=args.scenario)
     return cfg
-
-
-def _climate_for(cfg: ScenarioConfig):
-    if cfg.climate_path is None:
-        raise ConfigError("no climate file configured")
-    return load_climate(cfg.climate_path, cfg.climate_columns)
-
-
-def _runnable(cfg: ScenarioConfig):
-    """Shared simulate/compare preparation: climate, table, calibrated LUE.
-
-    A configured calibration file must exist; a config without
-    `crop.calibration` runs at LUE scale 1."""
-    climate = _climate_for(cfg)
-    table = None
-    if cfg.uses_light_pipes:
-        table = prepare_efficiency_table(cfg)
-    scale = 1.0
-    calibrated = cfg.calibration_path is not None
-    if calibrated:
-        calib = load_calibration(cfg.calibration_path)
-        if calib.get("climate_hash") not in (None, climate.content_hash()):
-            raise SimulationError("calibration was fitted against a different "
-                                  "climate year; re-run calibrate")
-        scale = float(calib["lue_scale"])
-    lue = load_lue_table(cfg, scale=scale)
-    return climate, table, lue, calibrated
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -112,12 +84,13 @@ def _cmd_trace_optics(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    cfg = _load_cfg(args)
-    cfg = dataclasses.replace(cfg, scenario="Bench")
-    climate = _climate_for(cfg)
-    table = prepare_efficiency_table(cfg) if cfg.uses_light_pipes else None
-    lue = load_lue_table(cfg)
-    calib = calibrate_lue_scale(cfg, climate, table, lue, target_kg=args.target)
+    # runs before a calibration exists, so it loads its climate itself
+    cfg = dataclasses.replace(_load_cfg(args), scenario="Bench")
+    if cfg.climate_path is None:
+        raise ConfigError("no climate file configured")
+    climate = load_climate(cfg.climate_path, cfg.climate_columns)
+    calib = calibrate_lue_scale(cfg, climate, None, load_lue_table(cfg),
+                                target_kg=args.target)
     calib.update(_meta(cfg))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -129,11 +102,9 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
-    outdir = Path(args.out)
-    climate, table, lue, calibrated = _runnable(cfg)
-    result = run_scenario(cfg, climate, table, lue)
-    result.metadata["calibrated"] = calibrated
-    files = result.save(outdir)
+    result = Study([cfg]).run(cfg)
+    result.metadata["calibrated"] = cfg.calibration_path is not None
+    files = result.save(args.out)
     k = result.kpis
     print(f"{cfg.scenario} (PPE {cfg.ppe:g}): yield {k.yield_kg:.0f} kg, "
           f"electricity {k.electricity_mwh:.2f} MWh, "
@@ -186,28 +157,17 @@ def _cmd_compare(args) -> int:
     paths = doc.get("scenarios")
     if not paths or not isinstance(paths, list):
         raise ConfigError("compare config needs a 'scenarios' list of config paths")
+    study = Study([_load_cfg(args, base_dir / p) for p in paths])
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    results = []
-    shared = {}
-    for p in paths:
-        cfg = load_scenario_config(base_dir / p)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        climate, table, lue, calibrated = _runnable(cfg)
-        key = (cfg.site, cfg.hour_center_offset)
-        if key not in shared:
-            shared[key] = solar_angles(cfg.site, cfg.hour_center_offset)
-        results.append(run_scenario(cfg, climate, table, lue, solar=shared[key]))
-
-    rows = compare_scenarios(results)
+    rows = compare_scenarios(study.results())
     _write_rows(outdir / "comparison.csv", rows)
-    doc_out = {"rows": rows, "metadata": _meta(None, configs=[str(p) for p in paths])}
-    (outdir / "comparison.json").write_text(json.dumps(doc_out, indent=2,
-                                                       sort_keys=True, default=str))
-    lc_rows = light_cost_comparison(results[0].config.costs)
-    _write_rows(outdir / "light_cost.csv", lc_rows)
+    meta = _meta(None, configs=[str(p) for p in paths],
+                 config_hashes=[cfg.content_hash() for cfg in study.configs],
+                 climate_hash=study.climate.content_hash(), lue_scale=study.lue.scale)
+    (outdir / "comparison.json").write_text(json.dumps({"rows": rows, "metadata": meta},
+                                                       indent=2, sort_keys=True, default=str))
+    _write_rows(outdir / "light_cost.csv", light_cost_comparison(study.configs[0].costs))
     print(f"compared {len(rows)} scenarios -> {outdir}")
     return EXIT_OK
 
@@ -215,26 +175,18 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     doc = _load_strict(args.config, _SWEEP_KEYS)
     base_dir = Path(args.config).parent
-    scen_path = doc.get("scenario_config")
-    bench_path = doc.get("bench_config")
-    if not scen_path or not bench_path:
+    paths = (doc.get("scenario_config"), doc.get("bench_config"))
+    if not all(paths):
         raise ConfigError("sweep config needs scenario_config and bench_config paths")
     grid = doc.get("grid", {})
     el_prices = _price_list(args.config, grid, "electricity_usd_per_mwh", (100, 200, 350))
     co2_prices = _price_list(args.config, grid, "carbon_usd_per_t", (0, 50, 100))
     target_pbt = float(doc.get("target_pbt_years", 10.0))
-
+    study = Study([_load_cfg(args, base_dir / p) for p in paths])
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    res = {}
-    for tag, p in (("scenario", scen_path), ("bench", bench_path)):
-        cfg = load_scenario_config(base_dir / p)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        climate, table, lue, _ = _runnable(cfg)
-        res[tag] = run_scenario(cfg, climate, table, lue)
-    scen = res["scenario"]
-    delta = scenario_delta(scen, res["bench"])
+    scen, bench = study.results()
+    delta = scenario_delta(scen, bench)
     capex, d_el, d_yield = (delta["delta_capex_usd"], delta["delta_electricity_mwh"],
                             delta["delta_yield_kg"])
 

@@ -1,5 +1,5 @@
 """Annual simulation engine: one scenario-year as four array stages, plus
-calibration and multi-scenario comparison.
+studies, calibration and multi-scenario comparison.
 
 `run_scenario` chains the stages, each returning 8760-long hourly arrays:
 daylight (optics and filter as one array call over the sun-up hours),
@@ -16,6 +16,8 @@ setpoints), bit-identical to stepping `CropState`s hour by hour. The
 benchmark scenario has no daylight, so calibration iterates the crop
 stage alone on its LED light.
 
+A `Study` is a scenario set under one climate year and one calibration: it
+builds their shared inputs once and refuses mixed ones before any run.
 Expensive Monte Carlo tracing happens once per geometry and is cached on
 disk; annual runs only interpolate the resulting table. A run is
 deterministic for a fixed seed.
@@ -23,6 +25,7 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -32,8 +35,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .climate import HOURS_PER_YEAR, ClimateSeries, SiteConfig, solar_position
-from .config import ScenarioConfig
+from .climate import HOURS_PER_YEAR, ClimateSeries, SiteConfig, load_climate, \
+    solar_position
+from .config import ConfigError, ScenarioConfig
 from .crop import CropParams, CropState, LueCurve, LueTable, grow, growth_step, \
     harvest_due, harvest_if_due, interception, standing_credit_kg
 from .economics import REFERENCE_PIPE_PPF, KpiReport, PaybackResult, compute_kpis, \
@@ -45,7 +49,7 @@ from .thermal import RA_VALID_RANGE, latent_balance, envelope_load, hvac_electri
     lp_convection, solve_hvac_load
 from .tracer import build_efficiency_table
 
-__all__ = ["SimulationError", "SimulationResult", "prepare_efficiency_table",
+__all__ = ["SimulationError", "SimulationResult", "Study", "prepare_efficiency_table",
            "solar_angles", "run_scenario", "calibrate_lue_scale",
            "compare_scenarios", "load_lue_table", "scenario_capex_delta",
            "scenario_delta", "scenario_light_cost", "write_csv", "CalibrationError"]
@@ -114,11 +118,74 @@ def solar_angles(site: SiteConfig, hour_center_offset: float = 0.5
     return alts, azis
 
 
-def load_calibration(path: Path) -> dict:
-    data = json.loads(Path(path).read_text())
-    if "lue_scale" not in data:
-        raise SimulationError(f"calibration file {path} lacks lue_scale")
-    return data
+_SHARED_INPUTS = ("climate_path", "climate_columns", "site", "hour_center_offset",
+                  "calibration_path", "lue_table_path", "ppe")
+
+
+class Study:
+    """Scenario configs whose `_SHARED_INPUTS` agree; it refuses any other.
+
+    Builds the climate, one optical table per distinct optics input of the
+    piped scenarios, the LUE table at the calibration file's scale (or
+    `lue`, a table the caller calibrated) and, lazily, the solar angles."""
+
+    def __init__(self, configs: Sequence[ScenarioConfig], lue: Optional[LueTable] = None):
+        self.configs = tuple(configs)
+        for i, cfg in enumerate(self.configs[1:], 2):
+            self._check(cfg, f"config {i} ({cfg.scenario})")
+        first = self.configs[0]
+        if first.climate_path is None:
+            raise ConfigError("no climate file configured")
+        self.climate = load_climate(first.climate_path, first.climate_columns)
+        self._tables: dict = {}
+        for cfg in self.configs:
+            self.table(cfg)
+        if lue is None:
+            scale = 1.0
+            if first.calibration_path is not None:
+                calib = json.loads(Path(first.calibration_path).read_text())
+                if "lue_scale" not in calib:
+                    raise SimulationError(f"calibration file {first.calibration_path} "
+                                          "lacks lue_scale")
+                if calib.get("climate_hash") not in (None, self.climate.content_hash()):
+                    raise SimulationError("calibration was fitted against a different "
+                                          "climate year; re-run calibrate")
+                scale = float(calib["lue_scale"])
+            lue = load_lue_table(first, scale=scale)
+        self.lue = lue
+
+    def _check(self, cfg: ScenarioConfig, name: str) -> None:
+        first = self.configs[0]
+        for attr in _SHARED_INPUTS:
+            ours, theirs = getattr(first, attr), getattr(cfg, attr)
+            if theirs != ours:
+                raise SimulationError(f"mixed {attr} in one study: {name} has {theirs}, "
+                                      f"config 1 ({first.scenario}) has {ours}")
+
+    @functools.cached_property
+    def solar(self) -> tuple[np.ndarray, np.ndarray]:
+        return solar_angles(self.configs[0].site, self.configs[0].hour_center_offset)
+
+    def table(self, cfg: ScenarioConfig) -> Optional[OpticalEfficiencyTable]:
+        """The optical table of a piped scenario; None without pipes."""
+        if not cfg.uses_light_pipes:
+            return None
+        # what prepare_efficiency_table reads (the seed and steps only trace)
+        key = (cfg.table_path, cfg.lp_geometry, cfg.rays, cfg.seed, cfg.altitude_step,
+               cfg.tilt_step, cfg.bounce_cap)
+        if key not in self._tables:
+            self._tables[key] = prepare_efficiency_table(cfg)
+        return self._tables[key]
+
+    def run(self, cfg: ScenarioConfig) -> SimulationResult:
+        """One scenario-year of `cfg`, a config that shares the study's inputs."""
+        self._check(cfg, cfg.scenario)
+        solar = self.solar if cfg.strategy.daylight != "none" else None
+        return run_scenario(cfg, self.climate, self.table(cfg), self.lue, solar=solar)
+
+    def results(self) -> list[SimulationResult]:
+        """Every config's scenario-year, in order."""
+        return [self.run(cfg) for cfg in self.configs]
 
 
 # ---------------------------------------------------------------------------
@@ -751,22 +818,8 @@ def scenario_delta(result: SimulationResult, bench: SimulationResult) -> dict:
 
 
 def compare_scenarios(results: Sequence[SimulationResult]) -> list[dict]:
-    """Side-by-side comparison rows; needs a Bench run in the set.
-
-    Rejects mixed calibration or climate so the comparison is apples to
-    apples.
-    """
-    if not results:
-        raise SimulationError("no results to compare")
-    scales = {r.metadata["lue_scale"] for r in results}
-    climates = {r.metadata["climate_hash"] for r in results}
-    ppes = {r.metadata["ppe"] for r in results}
-    if len(scales) > 1:
-        raise SimulationError(f"mixed calibration states across runs: {sorted(scales)}")
-    if len(climates) > 1:
-        raise SimulationError("runs use different climate years")
-    if len(ppes) > 1:
-        raise SimulationError(f"mixed LED efficacies across runs: {sorted(ppes)}")
+    """Side-by-side comparison rows; needs a Bench run in the set. The runs
+    should come from one `Study`, which refuses mixed inputs."""
     bench = next((r for r in results if r.config.scenario == "Bench"), None)
     if bench is None:
         raise SimulationError("comparison requires a Bench scenario run")

@@ -9,10 +9,9 @@ from pathlib import Path
 import pytest
 
 from pipefarm.climate import load_climate
-from pipefarm.config import load_scenario_config
+from pipefarm.config import load_config_mapping, load_scenario_config
 from pipefarm.crop import LueTable
-from pipefarm.engine import (calibrate_lue_scale, load_lue_table,
-                             prepare_efficiency_table, run_scenario, solar_angles)
+from pipefarm.engine import Study, calibrate_lue_scale, load_lue_table
 from pipefarm.optics import OpticalEfficiencyTable
 from pipefarm.tracer import build_efficiency_table
 
@@ -20,17 +19,11 @@ REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
 DATA_DIR = REPO / "data"
 
-SCENARIO_FILES = {
-    "Bench": "bench.yaml",
-    "LP_NL": "lp_nl.yaml",
-    "LP_Min_200": "lp_min_200.yaml",
-    "LP_Min_250": "lp_min_250.yaml",
-    "LP_Dim": "lp_dim.yaml",
-    "LP_Dim_IR_98": "lp_dim_ir_98.yaml",
-    "LP_Dim_IR_90": "lp_dim_ir_90.yaml",
-    "LP_Dim_EC": "lp_dim_ec.yaml",
-    "GH": "gh.yaml",
-}
+
+def shipped_configs() -> dict:
+    """The nine scenarios of configs/compare_all.yaml, by scenario id."""
+    files = load_config_mapping(CONFIG_DIR / "compare_all.yaml")["scenarios"]
+    return {c.scenario: c for c in (load_scenario_config(CONFIG_DIR / f) for f in files)}
 
 
 @pytest.fixture(scope="session")
@@ -45,23 +38,7 @@ def bench_config():
 
 @pytest.fixture(scope="session")
 def scenario_configs():
-    return {name: load_scenario_config(CONFIG_DIR / fn)
-            for name, fn in SCENARIO_FILES.items()}
-
-
-@pytest.fixture(scope="session")
-def climate(bench_config):
-    return load_climate(bench_config.climate_path, bench_config.climate_columns)
-
-
-@pytest.fixture(scope="session")
-def solar(bench_config):
-    return solar_angles(bench_config.site, bench_config.hour_center_offset)
-
-
-@pytest.fixture(scope="session")
-def reference_table(bench_config) -> OpticalEfficiencyTable:
-    return prepare_efficiency_table(bench_config)
+    return shipped_configs()
 
 
 @pytest.fixture(scope="session")
@@ -79,8 +56,9 @@ def lue_base(bench_config) -> LueTable:
 
 
 @pytest.fixture(scope="session")
-def calibration(bench_config, climate, lue_base, solar):
-    return calibrate_lue_scale(bench_config, climate, None, lue_base, solar=solar)
+def calibration(bench_config, lue_base):
+    year = load_climate(bench_config.climate_path, bench_config.climate_columns)
+    return calibrate_lue_scale(bench_config, year, None, lue_base)
 
 
 @pytest.fixture(scope="session")
@@ -89,10 +67,25 @@ def lue_calibrated(lue_base, calibration) -> LueTable:
 
 
 @pytest.fixture(scope="session")
-def scenario_results(scenario_configs, climate, reference_table, lue_calibrated, solar):
-    """All nine shipped scenarios at PPE 2.5 with shared calibration."""
-    out = {}
-    for name, cfg in scenario_configs.items():
-        table = reference_table if cfg.uses_light_pipes else None
-        out[name] = run_scenario(cfg, climate, table, lue_calibrated, solar=solar)
-    return out
+def study(scenario_configs, lue_calibrated) -> Study:
+    return Study(scenario_configs.values(), lue=lue_calibrated)
+
+
+@pytest.fixture(scope="session")
+def climate(study):
+    return study.climate
+
+
+@pytest.fixture(scope="session")
+def solar(study):
+    return study.solar
+
+
+@pytest.fixture(scope="session")
+def reference_table(study, scenario_configs) -> OpticalEfficiencyTable:
+    return study.table(scenario_configs["LP_Dim"])
+
+
+@pytest.fixture(scope="session")
+def scenario_results(scenario_configs, study):
+    return dict(zip(scenario_configs, study.results()))

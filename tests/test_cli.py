@@ -1,10 +1,13 @@
 import csv
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
+import pipefarm.climate
+import pipefarm.engine
 from pipefarm.cli import main
 from pipefarm.config import load_config_mapping
 
@@ -23,6 +26,19 @@ def work_tree(tmp_path, repo_paths):
                  "lp_efficiency_reference.csv"):
         shutil.copy(repo_paths["data"] / name, tmp_path / "data" / name)
     return tmp_path
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Count calls of `module.name` through every pipefarm module that binds it."""
+    fn, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("pipefarm") and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def _calibrate(work_tree) -> Path:
@@ -160,6 +176,19 @@ class TestCompareCli:
         assert float(rows[1]["harvested_daylight_mwh"]) > 0.0
         lc = {r["system"]: r for r in csv.DictReader(open(out / "light_cost.csv"))}
         assert float(lc["Optical Fiber"]["light_cost"]) == pytest.approx(19.53, abs=0.02)
+        meta = json.loads((out / "comparison.json").read_text())["metadata"]
+        assert len(meta["config_hashes"]) == 2 and meta["climate_hash"]
+        assert meta["lue_scale"] == json.loads(
+            (work_tree / "out" / "calibration.json").read_text())["lue_scale"]
+
+    def test_nine_scenarios_load_the_climate_and_sun_once(self, work_tree, monkeypatch):
+        _calibrate(work_tree)
+        loads = _count_calls(monkeypatch, pipefarm.climate, "load_climate")
+        suns = _count_calls(monkeypatch, pipefarm.engine, "solar_angles")
+        rc = main(["compare", "--config", str(work_tree / "configs" / "compare_all.yaml"),
+                   "--out", str(work_tree / "cmp")])
+        assert rc == 0
+        assert (len(loads), len(suns)) == (1, 1)
 
 
 class TestSweepCli:
@@ -179,6 +208,20 @@ class TestSweepCli:
                             "break_even_per_pipe_usd", "metadata"}
         assert len(doc["break_even_per_pipe_usd"]) == len(rows)
         assert doc["delta_capex_usd"]["total"] > 0.0
+
+    def test_mixed_ppe_is_refused_before_any_run(self, work_tree, capsys):
+        _calibrate(work_tree)
+        configs = work_tree / "configs"
+        (configs / "lp_dim_ir_98_ppe30.yaml").write_text("include: lp_dim_ir_98.yaml\n"
+                                                         "ppe: 3.0\n")
+        cfg = configs / "sweep_mixed.yaml"
+        cfg.write_text("scenario_config: lp_dim_ir_98_ppe30.yaml\nbench_config: bench.yaml\n")
+        out = work_tree / "sweep"
+        rc = main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert rc == 5
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert "mixed ppe" in detail and "LP_Dim_IR_98" in detail
+        assert not out.exists()
 
     @pytest.mark.parametrize("scenario", [
         "scenario_config: bench.yaml\n",                       # no pipes in the strategy

@@ -1,16 +1,18 @@
 import csv
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pipefarm import engine
-from pipefarm.climate import ClimateSeries, HOURS_PER_YEAR
+from pipefarm.climate import ClimateSeries, HOURS_PER_YEAR, SiteConfig
 from pipefarm.config import load_scenario_config
 from pipefarm.crop import growth_step, harvest_if_due, interception, standing_credit_kg
 from pipefarm.economics import led_cost_per_watt
-from pipefarm.engine import (SimulationError, calibrate_lue_scale, compare_scenarios,
+from pipefarm.engine import (SimulationError, Study, calibrate_lue_scale, compare_scenarios,
                              prepare_efficiency_table, run_scenario,
                              scenario_capex_delta, scenario_light_cost)
 from pipefarm.lighting import STRATEGIES, control_tier3, ec_control, led_electric_power
@@ -195,13 +197,6 @@ class TestCompare:
         assert by["LP_Dim_EC"]["light_cost_usd_per_umol_s"] == pytest.approx(25.00, abs=0.02)
         assert by["Bench"]["pbt_years"] == 0.0
 
-    def test_mixed_calibration_rejected(self, scenario_results, scenario_configs,
-                                        climate, reference_table, lue_base, solar):
-        other = run_scenario(scenario_configs["LP_Dim"], climate, reference_table,
-                             lue_base.with_scale(1.0), solar=solar)
-        with pytest.raises(SimulationError, match="calibration"):
-            compare_scenarios([scenario_results["Bench"], other])
-
     def test_requires_bench(self, scenario_results):
         with pytest.raises(SimulationError, match="Bench"):
             compare_scenarios([scenario_results["LP_Dim"]])
@@ -225,6 +220,33 @@ class TestCompare:
         rows = compare_scenarios([scenario_results["Bench"], scenario_results["LP_NL"]])
         nl = next(r for r in rows if r["scenario"] == "LP_NL")
         assert not nl["pbt_viable"]
+
+
+class TestStudy:
+    @pytest.mark.parametrize("field, value", [
+        ("calibration_path", Path("other_calibration.json")),
+        ("climate_path", Path("other_year.csv")),
+        ("ppe", 3.0),
+        ("site", SiteConfig(24.0, 55.0, 4.0)),
+    ], ids=["calibration", "climate", "ppe", "site"])
+    def test_mixed_inputs_refused_at_build(self, scenario_configs, monkeypatch, field, value):
+        runs = []
+        monkeypatch.setattr(engine, "run_scenario", lambda *a, **k: runs.append(a))
+        other = dataclasses.replace(scenario_configs["LP_Dim"], **{field: value})
+        with pytest.raises(SimulationError, match=rf"mixed {field} .*config 2 \(LP_Dim\) "
+                                                  rf"has {re.escape(str(value))}"):
+            Study([scenario_configs["Bench"], other])
+        assert runs == []
+
+    def test_run_refuses_a_config_with_other_inputs(self, study, scenario_configs):
+        with pytest.raises(SimulationError, match="mixed ppe"):
+            study.run(dataclasses.replace(scenario_configs["LP_Dim"], ppe=3.0))
+
+    def test_piped_scenarios_share_one_table(self, study, scenario_configs):
+        tables = {name: study.table(cfg) for name, cfg in scenario_configs.items()}
+        assert tables["Bench"] is None and tables["GH"] is None
+        piped = {id(t) for t in tables.values() if t is not None}
+        assert len(piped) == 1
 
 
 class TestScenarioOverride:

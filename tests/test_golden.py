@@ -37,9 +37,8 @@ def snapshot(res) -> dict:
     return out
 
 
-def variant_runs(configs, climate, table, lue, solar) -> dict:
+def variant_runs(configs, study) -> dict:
     """Snapshots of the runs derived from the shipped configs."""
-    from pipefarm.engine import run_scenario
     bench = configs["Bench"]
     variants = {
         "Bench/transient": dataclasses.replace(bench, timestep_mode="transient"),
@@ -49,10 +48,7 @@ def variant_runs(configs, climate, table, lue, solar) -> dict:
         "Bench/stagger7": dataclasses.replace(
             bench, crop=dataclasses.replace(bench.crop, stagger_days=7.0)),
     }
-    return {name: snapshot(run_scenario(cfg, climate,
-                                        table if cfg.uses_light_pipes else None,
-                                        lue, solar=solar))
-            for name, cfg in variants.items()}
+    return {name: snapshot(study.run(cfg)) for name, cfg in variants.items()}
 
 
 def _mismatches(expected: dict, actual: dict) -> list[str]:
@@ -66,12 +62,10 @@ def _mismatches(expected: dict, actual: dict) -> list[str]:
     return bad
 
 
-def test_runs_reproduce_frozen_outputs(scenario_results, scenario_configs, climate,
-                                       reference_table, lue_calibrated, solar):
+def test_runs_reproduce_frozen_outputs(scenario_results, scenario_configs, study):
     frozen = json.loads(GOLDEN.read_text())
     runs = {name: snapshot(res) for name, res in scenario_results.items()}
-    runs.update(variant_runs(scenario_configs, climate, reference_table, lue_calibrated,
-                             solar))
+    runs.update(variant_runs(scenario_configs, study))
     assert sorted(runs) == sorted(frozen)
     bad = [f"{name} {m}" for name in sorted(runs)
            for m in _mismatches(frozen[name], runs[name])]
@@ -81,23 +75,16 @@ def test_runs_reproduce_frozen_outputs(scenario_results, scenario_configs, clima
 if __name__ == "__main__":
     import conftest
     from pipefarm.climate import load_climate
-    from pipefarm.config import load_scenario_config
-    from pipefarm.engine import (calibrate_lue_scale, load_lue_table,
-                                 prepare_efficiency_table, run_scenario, solar_angles)
+    from pipefarm.engine import Study, calibrate_lue_scale, load_lue_table
 
-    configs = {name: load_scenario_config(conftest.CONFIG_DIR / fn)
-               for name, fn in conftest.SCENARIO_FILES.items()}
+    configs = conftest.shipped_configs()
     bench = configs["Bench"]
-    year = load_climate(bench.climate_path, bench.climate_columns)
-    sun = solar_angles(bench.site, bench.hour_center_offset)
-    table = prepare_efficiency_table(bench)
     base = load_lue_table(bench)
-    lue = base.with_scale(calibrate_lue_scale(bench, year, None, base,
-                                              solar=sun)["lue_scale"])
-    doc = {name: snapshot(run_scenario(cfg, year, table if cfg.uses_light_pipes else None,
-                                       lue, solar=sun))
-           for name, cfg in configs.items()}
-    doc.update(variant_runs(configs, year, table, lue, sun))
+    year = load_climate(bench.climate_path, bench.climate_columns)
+    study = Study(configs.values(), lue=base.with_scale(
+        calibrate_lue_scale(bench, year, None, base)["lue_scale"]))
+    doc = {name: snapshot(res) for name, res in zip(configs, study.results())}
+    doc.update(variant_runs(configs, study))
     frozen = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     for name in sorted(set(frozen) | set(doc)):
         for m in _mismatches(frozen.get(name, {}), doc.get(name, {})):
