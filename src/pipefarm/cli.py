@@ -6,7 +6,8 @@ scenario -> result files), compare (scenario set -> comparison tables),
 sweep (price/carbon grids and a break-even unit cost), sunpath (solar
 position tables). Outputs are delimited text plus JSON. Every JSON file
 carries the tool version and config hash (comparison.json one hash per
-config); kpis.json, calibration.json and comparison.json also carry the
+config, breakeven.json the bench config's too); kpis.json,
+calibration.json, comparison.json and breakeven.json also carry the
 climate hash and LUE scale. CSV files carry neither. Errors exit nonzero
 with a one-line JSON record on stderr.
 """
@@ -216,7 +217,9 @@ def _cmd_sweep(args) -> int:
         "target_pbt_years": target_pbt,
         "per_pipe_hardware_usd": unit_now,
         "break_even_per_pipe_usd": breakeven,
-        "metadata": _meta(scen.config),
+        "metadata": _meta(scen.config, bench_config_hash=bench.config.content_hash(),
+                          climate_hash=study.climate.content_hash(),
+                          lue_scale=study.lue.scale),
     }
     (outdir / "breakeven.json").write_text(json.dumps(doc_out, indent=2,
                                                       sort_keys=True))

@@ -5,16 +5,16 @@ studies, calibration and multi-scenario comparison.
 daylight (optics and filter as one array call over the sun-up hours),
 lighting (LED commands and power as one array call over the year), crop
 (the one sequential stage: growth and harvests per tier) and thermal
-(canopy sink, latent terms, air-node balance and HVAC electricity); the
-annual aggregates are reductions of those arrays. Three pieces stay
-scalar calls per hour: the film state (`ec_control`) and pipe
-convection, whose per-call results the benchmark's traced run reads,
-and the transient air node, whose form ROADMAP item 3 still has to settle.
-The crop stage runs each tier's year as a scalar recurrence on plain
-floats over one LUE curve per run (temperature and CO2 are fixed
-setpoints), bit-identical to stepping `CropState`s hour by hour. The
-benchmark scenario has no daylight, so calibration iterates the crop
-stage alone on its LED light.
+(canopy sink, latent terms, air-node balance and HVAC electricity, with
+the transient air node in `thermal.transient_loads`); the annual
+aggregates are reductions of those arrays. Two pieces stay scalar calls
+per hour, because the benchmark's traced run reads their per-call
+results: the film state (`ec_control`) and the quasi-steady pipe
+convection. The crop stage runs each tier's year, and the stagger
+pre-roll, as a scalar recurrence on plain floats over one LUE curve per
+run (temperature and CO2 are fixed setpoints), bit-identical to stepping
+`CropState`s hour by hour. The benchmark scenario has no daylight, so
+calibration iterates the crop stage alone on its LED light.
 
 A `Study` is a scenario set under one climate year and one calibration: it
 builds their shared inputs once and refuses mixed ones before any run.
@@ -38,6 +38,7 @@ from . import __version__
 from .climate import HOURS_PER_YEAR, ClimateSeries, SiteConfig, load_climate, \
     solar_position
 from .config import ConfigError, ScenarioConfig
+# growth_step and harvest_if_due: no caller, but traced by the benchmark (ROADMAP item 12)
 from .crop import CropParams, CropState, LueCurve, LueTable, grow, growth_step, \
     harvest_due, harvest_if_due, interception, standing_credit_kg
 from .economics import REFERENCE_PIPE_PPF, KpiReport, PaybackResult, compute_kpis, \
@@ -46,7 +47,7 @@ from .lighting import control_tier3, ec_control, led_electric_power
 from .optics import OpticalEfficiencyTable, PAR_UMOL_PER_J, \
     apply_neutral_attenuation, apply_uv_ir_filter, gh_gains, lp_crop_ppfd, lp_solar_gains
 from .thermal import RA_VALID_RANGE, latent_balance, envelope_load, hvac_electricity, \
-    lp_convection, solve_hvac_load
+    lp_convection, solve_hvac_load, transient_loads
 from .tracer import build_efficiency_table
 
 __all__ = ["SimulationError", "SimulationResult", "Study", "prepare_efficiency_table",
@@ -220,7 +221,7 @@ class SimulationResult:
         written.append(p)
 
         p = outdir / "hourly_power.csv"
-        cols = [c for c in self.hourly if c.startswith(("q_", "p_", "coil"))]
+        cols = [c for c in self.hourly if c.startswith(("q_", "p_"))]
         write_csv(p, ["hour"] + cols,
                   [range(HOURS_PER_YEAR)] + [self.hourly[c] for c in cols])
         written.append(p)
@@ -325,10 +326,7 @@ def run_scenario(cfg: ScenarioConfig, climate: ClimateSeries,
     hourly = {**heat.hourly, "led_ppfd_t3": led_ppfd, "daylight_ppfd_t3": daylight_ppfd,
               "total_ppfd_t3": ppfd[:, 2].copy(), "dim_t3": dim, "ec_tau": ec_tau}
 
-    coil_total = heat.q_cool + hourly["coil_latent"]
-    cool_el_mwh = np.where(coil_total > 0.0,
-                           coil_total / cfg.cop.cop_cooling(climate.temperature),
-                           0.0) * W_TO_MWH
+    cool_el_mwh = heat.cool_el * W_TO_MWH
     days_in_month = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
     month = np.repeat(np.arange(12), 24 * np.array(days_in_month))   # 0 = January
     led12_mwh = float(p12.sum() * W_TO_MWH)
@@ -353,7 +351,7 @@ def run_scenario(cfg: ScenarioConfig, climate: ClimateSeries,
         "hvac_electricity_mwh": float(hourly["p_hvac_el"].sum() * W_TO_MWH),
         "cooling_thermal_mwh": float(heat.q_cool.sum() * W_TO_MWH),
         "heating_thermal_mwh": float(heat.q_heat.sum() * W_TO_MWH),
-        "coil_latent_mwh": float(hourly["coil_latent"].sum() * W_TO_MWH),
+        "coil_latent_mwh": float(hourly["q_eva"].sum() * W_TO_MWH),
         "harvested_daylight_mwh": harvested_daylight,
         "yield_kg": crop.yield_kg,
         "yield_harvested_kg": crop.harvested_kg,
@@ -362,7 +360,7 @@ def run_scenario(cfg: ScenarioConfig, climate: ClimateSeries,
         "condensate_recovered_l": heat.recovered_l,
         "net_water_l": net_water_l,
         "max_relative_residual": heat.max_residual,
-        "peak_coil_w": float(coil_total.max()),
+        "peak_coil_w": float((heat.q_cool + hourly["q_eva"]).max()),
         "peak_heat_w": float(heat.q_heat.max()),
         "summer_cooling_el_mwh": float(cool_el_mwh[np.isin(month, (5, 6, 7))].sum()),
         "winter_cooling_el_mwh": float(cool_el_mwh[np.isin(month, (0, 1, 11))].sum()),
@@ -561,16 +559,15 @@ def _tier_year(state: CropState, ppfd: np.ndarray, curve: LueCurve, p: CropParam
 
 def _staggered_states(cfg: ScenarioConfig, lue: LueTable,
                       states: list[CropState]) -> list[CropState]:
-    """Pre-roll each tier by its stagger offset at setpoint light."""
+    """Pre-roll each tier by its stagger offset: `_tier_year` at setpoint light."""
     photo_h = cfg.photoperiod[1] - cfg.photoperiod[0]
+    curve = lue.curve(cfg.setpoint_t, cfg.setpoint_co2)
     out = []
     for t, s in enumerate(states):
         hours = int(round(cfg.crop.stagger_days * t * photo_h))
-        for _ in range(hours):
-            s = growth_step(s, cfg.setpoint_ppfd, 3600.0, cfg.crop, lue,
-                            cfg.setpoint_t, cfg.setpoint_co2)
-            s, _ = harvest_if_due(s, cfg.crop)
-        out.append(s)
+        light = np.full(hours, float(cfg.setpoint_ppfd))
+        out.append(_tier_year(s, light, curve, cfg.crop, t + 1, np.empty(hours),
+                              np.empty(hours), []))
     return out
 
 
@@ -578,6 +575,7 @@ class _ThermalYear(NamedTuple):
     hourly: dict               # q_env ... p_total_el, in the result's column order
     q_cool: np.ndarray         # delivered cooling and heating magnitudes (W)
     q_heat: np.ndarray
+    cool_el: np.ndarray        # the cooling share of p_hvac_el (W)
     transpired_kg: float
     recovered_l: float
     max_residual: float
@@ -590,9 +588,9 @@ def _thermal_stage(cfg: ScenarioConfig, t_ext: np.ndarray, ppfd: np.ndarray,
 
     The canopy sink adds tier 1, tier 2, tier-3 LED and tier-3 daylight
     light in that order, as an hourly sum would. Quasi-steady mode delivers
-    the balance's closure term; transient mode integrates each hour's air
-    node. The first hour with the pipe Rayleigh number out of range goes to
-    `warnings` as (hour, text).
+    the balance's closure term; transient mode delivers what
+    `transient_loads` integrates. The first hour with the pipe Rayleigh
+    number out of range goes to `warnings` as (hour, text).
     """
     chamber = cfg.effective_chamber()
     tier_area = cfg.crop.tier_area_m2
@@ -605,10 +603,12 @@ def _thermal_stage(cfg: ScenarioConfig, t_ext: np.ndarray, ppfd: np.ndarray,
     gross += np.where(lit[:, -1], f_int[:, -1] * q_crop, 0.0)
 
     transp = cfg.surrogates.crop_latent_fraction * gross / cfg.latent.latent_heat
-    q_eva, coil_latent, recovered = latent_balance(transp, cfg.latent)
+    q_eva, recovered = latent_balance(transp, cfg.latent)
     q_conv = np.zeros(HOURS_PER_YEAR)
+    pipe = None
     if cfg.uses_light_pipes:
         length, heat_area = cfg.lp_geometry.length_m, cfg.lp_heat_area_m2()
+        pipe = dict(length_m=length, heat_area_m2=heat_area, n_pipes=cfg.n_pipes)
         ra_lo, ra_hi = RA_VALID_RANGE
         flagged = False
         for i in range(HOURS_PER_YEAR):
@@ -620,18 +620,16 @@ def _thermal_stage(cfg: ScenarioConfig, t_ext: np.ndarray, ppfd: np.ndarray,
                 flagged = True
     bd = solve_hvac_load(q_env=envelope_load(chamber, cfg.setpoint_t, t_ext), q_led=p_led,
                          q_lp_sol=q_sol, q_lp_conv=q_conv,
-                         q_plant=cfg.surrogates.crop_storage_fraction * gross,
-                         q_eva=q_eva, coil_latent=coil_latent)
+                         q_plant=cfg.surrogates.crop_storage_fraction * gross, q_eva=q_eva)
     if cfg.timestep_mode == "transient":
-        gains_fixed = bd.q_led + bd.q_lp_sol - bd.q_plant - bd.q_eva
-        q_cool, q_heat = np.empty(HOURS_PER_YEAR), np.empty(HOURS_PER_YEAR)
-        for i in range(HOURS_PER_YEAR):
-            q_cool[i], q_heat[i] = _transient_hour(cfg, chamber, gains_fixed.item(i),
-                                                   t_ext.item(i))
+        q_cool, q_heat = transient_loads(bd, t_ext, chamber, cfg.setpoint_t,
+                                         cfg.transient_substeps, cfg.transient_deadband_k,
+                                         cfg.transient_capacity_w, pipe)
     else:
         q_cool = np.maximum(0.0, -bd.q_hc)
         q_heat = np.maximum(0.0, bd.q_hc)
-    p_hvac = hvac_electricity(q_cool, q_heat, t_ext, cfg.cop, coil_latent)
+    cool_el, heat_el = hvac_electricity(q_cool, q_heat, t_ext, cfg.cop, q_eva)
+    p_hvac = cool_el + heat_el
     p_total = p_led + p_hvac
     bad = ~(np.isfinite(p_total) & np.isfinite(bd.q_hc))
     if bad.any():
@@ -639,47 +637,9 @@ def _thermal_stage(cfg: ScenarioConfig, t_ext: np.ndarray, ppfd: np.ndarray,
 
     hourly = {"q_env": bd.q_env, "q_led": p_led, "q_lp_sol": q_sol, "q_lp_conv": q_conv,
               "q_plant": bd.q_plant, "q_eva": q_eva, "q_hc": bd.q_hc,
-              "coil_latent": coil_latent, "p_led_el": p_led,
               "p_hvac_el": p_hvac, "p_total_el": p_total}
-    return _ThermalYear(hourly, q_cool, q_heat, float(transp.sum() * 3600.0),
+    return _ThermalYear(hourly, q_cool, q_heat, cool_el, float(transp.sum() * 3600.0),
                         float(recovered.sum()), float(bd.relative_residual().max()))
-
-
-def _transient_hour(cfg: ScenarioConfig, chamber, gains_fixed: float, t_ext: float
-                    ) -> tuple[float, float]:
-    """Sub-stepped air-node integration with a thermostat deadband.
-
-    Returns the mean cooling/heating magnitudes actually delivered.
-    `gains_fixed` is the hour's net gain from every term except envelope
-    and pipe convection, which follow the drifting air temperature.
-    """
-    cap = chamber.thermal_capacity_j_per_k
-    dt = 3600.0 / cfg.transient_substeps
-    t_air = cfg.setpoint_t
-    cool = heat = 0.0
-    # proportional drive sized to close the error within one substep; a
-    # stiffer gain would hunt around the deadband at this step length
-    gain = cap / dt
-    pipes = cfg.uses_light_pipes
-    heat_area = cfg.lp_heat_area_m2()
-    for _ in range(cfg.transient_substeps):
-        q_env = envelope_load(chamber, t_air, t_ext)
-        q_conv = 0.0
-        if pipes:
-            q_conv, _ = lp_convection(t_air, t_ext, cfg.lp_geometry.length_m,
-                                      heat_area, n_pipes=cfg.n_pipes)
-        err = cfg.setpoint_t - t_air
-        q_hc = 0.0
-        if abs(err) > cfg.transient_deadband_k:
-            q_hc = max(-cfg.transient_capacity_w,
-                       min(cfg.transient_capacity_w, gain * err))
-            if q_hc < 0.0:
-                cool -= q_hc
-            else:
-                heat += q_hc
-        t_air += (gains_fixed + q_env - q_conv + q_hc) * dt / cap
-    n = cfg.transient_substeps
-    return cool / n, heat / n
 
 
 # ---------------------------------------------------------------------------

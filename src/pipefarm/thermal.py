@@ -1,10 +1,12 @@
-"""Growing-chamber energy balance and HVAC electricity.
+"""Growing-chamber energy balance, the transient air node and HVAC electricity.
 
 Quasi-steady operation: the air node is held at its setpoint and the
-balance is solved for the heating/cooling power each hour. Sign
-convention: every term is a signed flow into the air node, so cooling
-demand shows up as a negative closure term. The balance, COP, HVAC and
-latent functions take one hour's scalars or arrays of hours alike.
+balance is solved for the heating/cooling power each hour. Transient
+operation (`transient_loads`) sub-steps every hour's air node at once
+under a deadband thermostat. Sign convention: every term is a signed flow
+into the air node, so cooling demand shows up as a negative closure term.
+The convection, balance, COP, HVAC and latent functions take one hour's
+scalars or arrays of hours alike.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "lp_convection",
     "envelope_load",
     "solve_hvac_load",
+    "transient_loads",
     "hvac_electricity",
     "latent_balance",
     "LATENT_HEAT_J_PER_KG",
@@ -99,12 +102,15 @@ def lp_convection(t_in: float, t_ext: float, length_m: float, heat_area_m2: floa
                   ) -> tuple[float, float]:
     """Buoyancy-driven heat loss through the open light pipes, in watts.
 
-    Suppressed entirely when the chamber is no warmer than outside.
+    Suppressed entirely (+0.0) when the chamber is no warmer than outside.
     Returns (Q, Ra); Ra is 0 on the suppressed branch and lets callers
-    flag operation outside the correlation's comfortable range.
+    flag operation outside the correlation's comfortable range. A float
+    difference takes a plain scalar path, the hot per-hour call.
     """
     dt = t_in - t_ext
-    if dt <= 0.0:
+    if not isinstance(dt, float):
+        dt = np.where(dt > 0.0, dt, 0.0)
+    elif dt <= 0.0:
         return 0.0, 0.0
     ra = (props.g * props.beta * dt * length_m ** 3
           / (props.kinematic_viscosity ** 2 / props.prandtl))
@@ -123,9 +129,8 @@ class PowerBreakdown:
     """Signed air-node balance terms for one hour, all in watts.
 
     q_hc closes the quasi-steady balance: negative is cooling demand,
-    positive heating. coil_latent is the vapour load condensed at the
-    cooling coil; it rides along for HVAC electricity and water
-    bookkeeping but is not an air-node term.
+    positive heating. q_eva, the evaporative cooling of the air, is also
+    the latent load condensed at the cooling coil.
     """
 
     q_env: float = 0.0
@@ -135,7 +140,6 @@ class PowerBreakdown:
     q_plant: float = 0.0
     q_eva: float = 0.0
     q_hc: float = 0.0
-    coil_latent: float = 0.0
 
     def residual(self) -> float:
         """Signed quasi-steady balance residual (W)."""
@@ -149,13 +153,44 @@ class PowerBreakdown:
 
 
 def solve_hvac_load(q_env: float = 0.0, q_led: float = 0.0, q_lp_sol: float = 0.0,
-                    q_lp_conv: float = 0.0, q_plant: float = 0.0, q_eva: float = 0.0,
-                    coil_latent: float = 0.0) -> PowerBreakdown:
+                    q_lp_conv: float = 0.0, q_plant: float = 0.0, q_eva: float = 0.0
+                    ) -> PowerBreakdown:
     """Close the air balance for q_hc with the setpoint held (dT/dt = 0)."""
     q_hc = -(q_env + q_led + q_lp_sol) + q_lp_conv + q_plant + q_eva
     return PowerBreakdown(q_env=q_env, q_led=q_led, q_lp_sol=q_lp_sol,
-                          q_lp_conv=q_lp_conv, q_plant=q_plant, q_eva=q_eva,
-                          q_hc=q_hc, coil_latent=coil_latent)
+                          q_lp_conv=q_lp_conv, q_plant=q_plant, q_eva=q_eva, q_hc=q_hc)
+
+
+def transient_loads(bd: PowerBreakdown, t_ext: np.ndarray, chamber: ChamberGeometry,
+                    setpoint_c: float, substeps: int, deadband_k: float,
+                    capacity_w: float, pipe: dict | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cooling and heating magnitudes (W) a thermostat delivers each hour.
+
+    Every hour restarts at the setpoint and is integrated over `substeps`
+    explicit steps, all hours at once. The envelope and, with `pipe`
+    (`lp_convection`'s length_m, heat_area_m2 and n_pipes), the pipe
+    convection follow the drifting air temperature; the other terms of
+    `bd` hold their setpoint values.
+    """
+    cap = chamber.thermal_capacity_j_per_k
+    dt = 3600.0 / substeps
+    # proportional drive sized to close the error within one substep; a
+    # stiffer gain would hunt around the deadband at this step length
+    gain = cap / dt
+    gains_fixed = bd.q_led + bd.q_lp_sol - bd.q_plant - bd.q_eva
+    t_air = np.full(np.shape(t_ext), float(setpoint_c))
+    cool, heat = np.zeros_like(t_air), np.zeros_like(t_air)
+    for _ in range(substeps):
+        q_env = envelope_load(chamber, t_air, t_ext)
+        q_conv = 0.0 if pipe is None else lp_convection(t_air, t_ext, **pipe)[0]
+        err = setpoint_c - t_air
+        q_hc = np.where(np.abs(err) > deadband_k,
+                        np.clip(gain * err, -capacity_w, capacity_w), 0.0)
+        cool -= np.minimum(q_hc, 0.0)
+        heat += np.maximum(q_hc, 0.0)
+        t_air += (gains_fixed + q_env - q_conv + q_hc) * dt / cap
+    return cool / substeps, heat / substeps
 
 
 @dataclass(frozen=True)
@@ -206,14 +241,15 @@ class CopModel:
 
 
 def hvac_electricity(q_cool_w: float, q_heat_w: float, t_ext_c: float,
-                     cop: CopModel, coil_latent_w: float = 0.0) -> float:
-    """Electrical draw to meet the sensible loads plus coil latent duty."""
+                     cop: CopModel, q_eva_w: float = 0.0) -> tuple[float, float]:
+    """Electrical (cooling, heating) draws; the coil's cooling duty is the
+    sensible cooling plus the latent load q_eva condensed on it."""
     if np.any(np.asarray(q_cool_w) < 0.0) or np.any(np.asarray(q_heat_w) < 0.0):
         raise ValueError("loads are magnitudes; pass the cooling demand as positive")
-    total_cool = q_cool_w + coil_latent_w
-    p = (np.where(total_cool > 0.0, total_cool / cop.cop_cooling(t_ext_c), 0.0)
-         + np.where(q_heat_w > 0.0, q_heat_w / cop.cop_heating(t_ext_c), 0.0))
-    return p if p.ndim else float(p)
+    coil = q_cool_w + q_eva_w
+    draws = (np.where(coil > 0.0, coil / cop.cop_cooling(t_ext_c), 0.0),
+             np.where(q_heat_w > 0.0, q_heat_w / cop.cop_heating(t_ext_c), 0.0))
+    return tuple(p if p.ndim else float(p) for p in draws)
 
 
 @dataclass(frozen=True)
@@ -237,17 +273,17 @@ class LatentModel:
 
 
 def latent_balance(transpiration_kg_per_s: float, model: LatentModel, dt_s: float = 3600.0
-                   ) -> tuple[float, float, float]:
+                   ) -> tuple[float, float]:
     """Latent terms for one step.
 
-    Returns (q_eva_w, coil_latent_w, condensate_recovered_l).
-    q_eva is the evaporative cooling of the air; the same latent power
-    reappears at the coil where the vapour condenses, and the recovered
-    condensate volume goes back to the water ledger.
+    Returns (q_eva_w, condensate_recovered_l). q_eva is the evaporative
+    cooling of the air; the same latent power reappears at the coil where
+    the vapour condenses, and the recovered condensate volume goes back to
+    the water ledger.
     """
     if np.any(np.asarray(transpiration_kg_per_s) < 0.0):
         raise ValueError("transpiration rate must be non-negative")
     q_eva = transpiration_kg_per_s * model.latent_heat
     condensed_kg = transpiration_kg_per_s * dt_s
     recovered_l = condensed_kg * model.condensate_recovery  # 1 kg == 1 L
-    return q_eva, q_eva, recovered_l
+    return q_eva, recovered_l

@@ -9,7 +9,7 @@ import pytest
 import pipefarm.climate
 import pipefarm.engine
 from pipefarm.cli import main
-from pipefarm.config import load_config_mapping
+from pipefarm.config import load_config_mapping, load_scenario_config
 
 # CLI runs get their own config tree so out/ and cache paths stay inside tmp
 pytestmark = pytest.mark.usefixtures("repo_paths")
@@ -208,6 +208,13 @@ class TestSweepCli:
                             "break_even_per_pipe_usd", "metadata"}
         assert len(doc["break_even_per_pipe_usd"]) == len(rows)
         assert doc["delta_capex_usd"]["total"] > 0.0
+        meta = doc["metadata"]
+        bench = load_scenario_config(work_tree / "configs" / "bench.yaml")
+        assert meta["bench_config_hash"] == bench.content_hash() != meta["config_hash"]
+        assert meta["climate_hash"] == pipefarm.climate.load_climate(
+            bench.climate_path, bench.climate_columns).content_hash()
+        assert meta["lue_scale"] == json.loads(
+            (work_tree / "out" / "calibration.json").read_text())["lue_scale"]
 
     def test_mixed_ppe_is_refused_before_any_run(self, work_tree, capsys):
         _calibrate(work_tree)

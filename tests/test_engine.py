@@ -64,7 +64,7 @@ class TestTraceConsistency:
         for name, res in scenario_results.items():
             el = float(res.hourly["p_total_el"].sum() * 1e-6)
             assert res.aggregates["electricity_mwh"] == pytest.approx(el, rel=1e-9)
-            led = float(res.hourly["p_led_el"].sum() * 1e-6)
+            led = float(res.hourly["q_led"].sum() * 1e-6)
             assert res.aggregates["led_electricity_mwh"] == pytest.approx(led, rel=1e-9)
             sol = float(res.hourly["q_lp_sol"].sum() * 1e-6)
             assert res.aggregates["harvested_daylight_mwh"] == pytest.approx(sol, rel=1e-9)
@@ -350,6 +350,20 @@ class TestKpiPlumbing:
         assert res.dli.shape == (365, 3)
 
 
+def _hourly_pre_roll(cfg, lue, states):
+    """Each tier pre-rolled by its stagger offset, one CropState step per hour
+    at setpoint light: the reference `engine._staggered_states` must match."""
+    photo_h = cfg.photoperiod[1] - cfg.photoperiod[0]
+    out = []
+    for t, s in enumerate(states):
+        for _ in range(int(round(cfg.crop.stagger_days * t * photo_h))):
+            s = growth_step(s, cfg.setpoint_ppfd, 3600.0, cfg.crop, lue,
+                            cfg.setpoint_t, cfg.setpoint_co2)
+            s, _ = harvest_if_due(s, cfg.crop)
+        out.append(s)
+    return out
+
+
 def _hourly_crop_loop(cfg, lue, ppfd):
     """The crop stage as one hourly loop over CropState steps: the
     reference the scalar recurrence must reproduce bit for bit."""
@@ -357,7 +371,7 @@ def _hourly_crop_loop(cfg, lue, ppfd):
     n_tiers = ppfd.shape[1]
     states = [crop_p.transplant_state() for _ in range(n_tiers)]
     if crop_p.stagger_days > 0.0:
-        states = engine._staggered_states(cfg, lue, states)
+        states = _hourly_pre_roll(cfg, lue, states)
     f_int = np.empty_like(ppfd)
     dli = np.zeros((ppfd.shape[0] // 24, n_tiers))
     harvests = []
@@ -390,8 +404,10 @@ class TestCropStageOracle:
 
     DAYS = slice(150 * 24, 240 * 24)
 
+    # at 22 days tier 2's offset (352 lit hours) ends exactly on a harvest
     @pytest.mark.parametrize("name,stagger", [("Bench", 0.0), ("LP_Dim", 0.0),
-                                              ("GH", 0.0), ("Bench", 7.0)])
+                                              ("GH", 0.0), ("Bench", 7.0),
+                                              ("Bench", 22.0)])
     def test_matches_hourly_loop_exactly(self, name, stagger, scenario_configs, climate,
                                          reference_table, lue_calibrated, solar):
         cfg = scenario_configs[name]
@@ -410,6 +426,15 @@ class TestCropStageOracle:
         assert got.fm_growth_kg == fm_growth_kg
         assert got.cycles == cycles
         assert got.yield_kg == yield_kg
+
+    def test_stagger_offset_on_a_harvest(self, scenario_configs, lue_calibrated):
+        bench = scenario_configs["Bench"]
+        cfg = dataclasses.replace(bench, crop=dataclasses.replace(bench.crop,
+                                                                  stagger_days=22.0))
+        start = [cfg.crop.transplant_state() for _ in range(3)]
+        got = engine._staggered_states(cfg, lue_calibrated, start)
+        assert got == _hourly_pre_roll(cfg, lue_calibrated, start)
+        assert got[1] == dataclasses.replace(cfg.crop.transplant_state(), cycles=1)
 
 
 def _hourly_daylight_and_control(cfg, climate, table, solar):
@@ -504,7 +529,7 @@ def _row_writer(path, header, rows):
 def _row_save(res, outdir):
     """`SimulationResult.save`'s CSV files as the row writer wrote them."""
     n = HOURS_PER_YEAR
-    for name, prefixes in (("hourly_power.csv", ("q_", "p_", "coil")),
+    for name, prefixes in (("hourly_power.csv", ("q_", "p_")),
                            ("hourly_lighting.csv", ("led_", "daylight", "total_ppfd",
                                                     "ec_", "dim"))):
         cols = [c for c in res.hourly if c.startswith(prefixes)]
