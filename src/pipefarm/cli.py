@@ -1,15 +1,17 @@
-"""Command-line entry point.
+"""Command-line entry point. It reads files, builds one `engine.Study` for
+any runs and writes what the engine returns; `economics` decides every cost.
 
 Subcommands: trace-optics (geometry -> efficiency table + flux maps),
 calibrate (fit the LUE factor to the benchmark yield), simulate (one
-scenario -> result files), compare (scenario set -> comparison tables),
-sweep (price/carbon grids and a break-even unit cost), sunpath (solar
-position tables). Outputs are delimited text plus JSON. Every JSON file
-carries the tool version and config hash (comparison.json one hash per
-config, breakeven.json the bench config's too); kpis.json,
-calibration.json, comparison.json and breakeven.json also carry the
-climate hash and LUE scale. CSV files carry neither. Errors exit nonzero
-with a one-line JSON record on stderr.
+scenario -> result files), compare (scenario set -> comparison tables,
+and light_cost.csv under the set's first config), sweep (price/carbon
+grid and a break-even pipe cost), sunpath (solar position tables).
+Outputs are delimited text plus JSON. Every JSON file carries the tool
+version and config hash (comparison.json one hash per config,
+breakeven.json the bench config's too); kpis.json, calibration.json,
+comparison.json and breakeven.json also carry the climate hash and LUE
+scale. CSV files carry neither. Errors, unwritable outputs included, exit
+nonzero with a one-line JSON record on stderr.
 """
 
 from __future__ import annotations
@@ -17,17 +19,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .climate import ClimateError, load_climate, sunpath_table
+from .climate import ClimateError, sunpath_table
 from .config import ConfigError, ScenarioConfig, load_config_mapping, load_scenario_config
-from .economics import break_even_unit_cost, light_cost_comparison, \
-    sensitivity_sweep
+from .economics import light_cost_comparison
 from .engine import CalibrationError, SimulationError, Study, calibrate_lue_scale, \
-    compare_scenarios, load_lue_table, scenario_delta, write_csv
+    compare_scenarios, light_cost_inputs, scenario_sweep, write_csv
 from .tracer import build_efficiency_table
 
 EXIT_OK = 0
@@ -85,13 +87,10 @@ def _cmd_trace_optics(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    # runs before a calibration exists, so it loads its climate itself
     cfg = dataclasses.replace(_load_cfg(args), scenario="Bench")
-    if cfg.climate_path is None:
-        raise ConfigError("no climate file configured")
-    climate = load_climate(cfg.climate_path, cfg.climate_columns)
-    calib = calibrate_lue_scale(cfg, climate, None, load_lue_table(cfg),
-                                target_kg=args.target)
+    # the fit runs before a calibration exists: the study loads none
+    study = Study([dataclasses.replace(cfg, calibration_path=None)])
+    calib = calibrate_lue_scale(cfg, study.climate, None, study.lue, target_kg=args.target)
     calib.update(_meta(cfg))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -143,7 +142,12 @@ def _price_list(path, grid: dict, key: str, default) -> list[float]:
     values = grid.get(key, default)
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError(f"{path}: {f'grid.{key}'!r} must be a non-empty list of prices")
-    return [float(x) for x in values]
+    prices = [float(x) for x in values]
+    bad = [p for p in prices if not (math.isfinite(p) and p >= 0.0)]
+    if bad:
+        raise ConfigError(f"{path}: {f'grid.{key}'!r} has a price that is negative or "
+                          f"not finite: {bad[0]:g}")
+    return prices
 
 
 def _write_rows(path: Path, rows: list[dict]) -> None:
@@ -168,7 +172,8 @@ def _cmd_compare(args) -> int:
                  climate_hash=study.climate.content_hash(), lue_scale=study.lue.scale)
     (outdir / "comparison.json").write_text(json.dumps({"rows": rows, "metadata": meta},
                                                        indent=2, sort_keys=True, default=str))
-    _write_rows(outdir / "light_cost.csv", light_cost_comparison(study.configs[0].costs))
+    _write_rows(outdir / "light_cost.csv",
+                light_cost_comparison(*light_cost_inputs(study.configs[0])))
     print(f"compared {len(rows)} scenarios -> {outdir}")
     return EXIT_OK
 
@@ -187,42 +192,12 @@ def _cmd_sweep(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     scen, bench = study.results()
-    delta = scenario_delta(scen, bench)
-    capex, d_el, d_yield = (delta["delta_capex_usd"], delta["delta_electricity_mwh"],
-                            delta["delta_yield_kg"])
-
-    rows = sensitivity_sweep(capex["total"], d_el, d_yield, scen.config.costs,
-                             el_prices, co2_prices)
+    breakeven, rows = scenario_sweep(scen, bench, el_prices, co2_prices, target_pbt)
     _write_rows(outdir / "pbt_grid.csv", rows)
-
-    # break-even on the per-pipe hardware stack (pipe + auxiliaries + any
-    # filter/film), holding the LED and HVAC sizing deltas fixed; a scenario
-    # with no per-pipe hardware has no break-even
-    n = scen.config.n_pipes
-    pipe_stack = capex["lp"] + capex["ir_filter"] + capex["ec_film"]
-    unit_now = pipe_stack / n if n else 0.0
-    breakeven = {}
-    for row in rows:
-        be = None
-        if unit_now > 0.0:
-            be = break_even_unit_cost(row["annual_savings_usd"], capex["total"] - pipe_stack,
-                                      n, target_pbt)
-        breakeven[f"el{row['electricity_usd_per_mwh']:g}_co2{row['carbon_usd_per_t']:g}"] = {
-            "unit_usd": be,
-            "reduction_needed": None if be is None else max(0.0, 1.0 - be / unit_now),
-        }
-    doc_out = {
-        "scenario": scen.config.scenario,
-        **delta,
-        "target_pbt_years": target_pbt,
-        "per_pipe_hardware_usd": unit_now,
-        "break_even_per_pipe_usd": breakeven,
-        "metadata": _meta(scen.config, bench_config_hash=bench.config.content_hash(),
-                          climate_hash=study.climate.content_hash(),
-                          lue_scale=study.lue.scale),
-    }
-    (outdir / "breakeven.json").write_text(json.dumps(doc_out, indent=2,
-                                                      sort_keys=True))
+    breakeven["metadata"] = _meta(scen.config, bench_config_hash=bench.config.content_hash(),
+                                  climate_hash=study.climate.content_hash(),
+                                  lue_scale=study.lue.scale)
+    (outdir / "breakeven.json").write_text(json.dumps(breakeven, indent=2, sort_keys=True))
     print(f"swept {len(rows)} price points -> {outdir}")
     return EXIT_OK
 
@@ -298,6 +273,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail(EXIT_MISSING, "missing-input", str(exc))
     except (SimulationError, CalibrationError) as exc:
         return _fail(EXIT_RUNTIME, "runtime", str(exc))
+    except OSError as exc:
+        return _fail(EXIT_RUNTIME, "io", str(exc))
     except ValueError as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
 

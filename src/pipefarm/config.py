@@ -122,6 +122,12 @@ class ScenarioConfig:
             raise ConfigError("lp_heat_area must be 'aperture' or 'lateral'")
         if self.timestep_mode not in ("quasi_steady", "transient"):
             raise ConfigError("timestep_mode must be 'quasi_steady' or 'transient'")
+        if self.transient_substeps < 1:
+            raise ConfigError("transient_substeps must be at least 1")
+        if self.transient_deadband_k < 0.0:
+            raise ConfigError("transient_deadband_k must be non-negative")
+        if self.transient_capacity_w <= 0.0:
+            raise ConfigError("transient_capacity_w must be positive")
         if not 0.0 <= self.hour_center_offset < 1.0:
             raise ConfigError("hour_center_offset must be in [0, 1)")
         p = self.photoperiod

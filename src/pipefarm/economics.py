@@ -9,30 +9,20 @@ delta from yield changes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .lighting import STRATEGIES, Strategy
 from .optics import PAR_UMOL_PER_J
 
-__all__ = [
-    "CostTable",
-    "KpiReport",
-    "compute_kpis",
-    "led_cost_per_watt",
-    "light_cost",
-    "lumens_to_photon_flux",
-    "fiber_reference_light_cost",
-    "pipe_light_cost",
-    "light_cost_comparison",
-    "payback_time",
-    "PaybackResult",
-    "sensitivity_sweep",
-    "break_even_unit_cost",
-]
+__all__ = ["CostTable", "KpiReport", "compute_kpis", "led_cost_per_watt", "light_cost",
+           "lumens_to_photon_flux", "fiber_reference_light_cost", "pipe_hardware",
+           "pipe_light_cost", "light_cost_comparison", "payback_time", "PaybackResult",
+           "sensitivity_sweep", "break_even_unit_cost"]
 
 FT2_PER_M2 = 10.763910416709722
 LUMENS_PER_W_PAR = 251.0      # luminous efficacy used for the fiber reference
+FIBER_USD, FIBER_LUMENS = 3264.0, 9200.0   # the optical-fiber reference system
 
 
 @dataclass(frozen=True)
@@ -123,23 +113,31 @@ def light_cost(capex_usd: float, flux_umol_s: float) -> float:
     return capex_usd / flux_umol_s
 
 
-def lumens_to_photon_flux(lumens: float,
-                          lumens_per_watt: float = LUMENS_PER_W_PAR,
-                          umol_per_j: float = PAR_UMOL_PER_J) -> float:
+def lumens_to_photon_flux(lumens: float) -> float:
     """Luminous flux to photon flux assuming a PAR-band spectrum."""
-    if lumens < 0.0 or lumens_per_watt <= 0.0:
-        raise ValueError("invalid luminous flux conversion inputs")
-    return lumens / lumens_per_watt * umol_per_j
+    if lumens < 0.0:
+        raise ValueError("luminous flux must be non-negative")
+    return lumens / LUMENS_PER_W_PAR * PAR_UMOL_PER_J
 
 
-def fiber_reference_light_cost(cost_usd: float = 3264.0,
-                               lumens: float = 9200.0) -> tuple[float, float]:
+def fiber_reference_light_cost() -> tuple[float, float]:
     """(light cost, photon flux) of the optical-fiber reference system."""
-    flux = lumens_to_photon_flux(lumens)
-    return light_cost(cost_usd, flux), flux
+    flux = lumens_to_photon_flux(FIBER_LUMENS)
+    return light_cost(FIBER_USD, flux), flux
 
 
 REFERENCE_PIPE_PPF = 24.9  # umol/s per pipe under the 100 klx reference sky
+
+
+def pipe_hardware(strategy: Strategy, costs: CostTable) -> dict:
+    """Hardware each pipe of a strategy carries, $ per pipe: the pipe with
+    its auxiliaries ("lp"), a UV-IR filter ("ir_filter") and an EC film
+    ("ec_film"), 0.0 where it has none; all 0.0 without piped daylight."""
+    if strategy.daylight != "pipe":
+        return {"lp": 0.0, "ir_filter": 0.0, "ec_film": 0.0}
+    return {"lp": costs.lp_total_usd,
+            "ir_filter": costs.ir_filter_usd if strategy.filter_tau is not None else 0.0,
+            "ec_film": costs.ec_film_usd if strategy.ec_film else 0.0}
 
 
 def pipe_light_cost(strategy: Strategy, costs: CostTable, ppf_ref: float,
@@ -151,35 +149,27 @@ def pipe_light_cost(strategy: Strategy, costs: CostTable, ppf_ref: float,
     passes its maximum transmittance, capped at the control bound over the
     growing zone.
     """
-    usd, flux = costs.lp_total_usd, ppf_ref
+    usd, flux = sum(pipe_hardware(strategy, costs).values()), ppf_ref
     if strategy.filter_tau is not None:
-        usd += costs.ir_filter_usd
         flux = ppf_ref * strategy.filter_tau
     if strategy.ec_film:
-        usd += costs.ec_film_usd
         flux = min(ppf_ref * ec_tau_max, ec_cap_ppfd * zone_area_m2)
     return {"cost_usd": usd, "ppf_umol_s": flux, "light_cost": light_cost(usd, flux)}
 
 
-def light_cost_comparison(costs: CostTable, ppf_ref: float = REFERENCE_PIPE_PPF,
-                          ir_tau: float = 0.98, ec_tau_max: float = 0.735,
-                          ec_cap_ppfd: float = 400.0,
-                          zone_area_m2: float = 0.04) -> list[dict]:
-    """Per-pipe light cost of each hardware variant against the fiber system.
-
-    The LP_Min row stands for both on/off strategies and LP_Dim_IR for a
-    filter of visible transmittance ir_tau.
-    """
+def light_cost_comparison(costs: CostTable, ppf_ref: float, ec_tau_max: float,
+                          ec_cap_ppfd: float, zone_area_m2: float) -> list[dict]:
+    """Per-pipe light cost of each hardware variant against the fiber
+    system; the arguments after `costs` are `pipe_light_cost`'s. The LP_Min
+    row stands for both on/off strategies and LP_Dim_IR for the 98% filter."""
     fiber_lc, fiber_flux = fiber_reference_light_cost()
-    variants = (("LP_NL", STRATEGIES["LP_NL"]), ("LP_Min", STRATEGIES["LP_Min_250"]),
-                ("LP_Dim", STRATEGIES["LP_Dim"]),
-                ("LP_Dim_IR", replace(STRATEGIES["LP_Dim_IR_98"], filter_tau=ir_tau)),
-                ("LP_Dim_EC", STRATEGIES["LP_Dim_EC"]))
-    return [{"system": "Optical Fiber", "cost_usd": 3264.0, "ppf_umol_s": fiber_flux,
+    variants = {"LP_NL": "LP_NL", "LP_Min": "LP_Min_250", "LP_Dim": "LP_Dim",
+                "LP_Dim_IR": "LP_Dim_IR_98", "LP_Dim_EC": "LP_Dim_EC"}
+    return [{"system": "Optical Fiber", "cost_usd": FIBER_USD, "ppf_umol_s": fiber_flux,
              "light_cost": fiber_lc}] + [
-        {"system": name, **pipe_light_cost(strategy, costs, ppf_ref, ec_tau_max,
+        {"system": name, **pipe_light_cost(STRATEGIES[sid], costs, ppf_ref, ec_tau_max,
                                            ec_cap_ppfd, zone_area_m2)}
-        for name, strategy in variants]
+        for name, sid in variants.items()]
 
 
 @dataclass(frozen=True)
@@ -189,8 +179,18 @@ class PaybackResult:
     annual_savings_usd: float            # electricity + carbon + revenue delta
     viable: bool
 
-    def __str__(self) -> str:
-        return "non-viable" if not self.viable else f"{self.years:.1f} yr"
+
+def _payback(delta_capex_usd: float, delta_electricity_mwh: float, delta_yield_kg: float,
+             costs: CostTable, electricity_usd_per_mwh: float,
+             carbon_usd_per_t: float) -> PaybackResult:
+    savings = (electricity_usd_per_mwh * delta_electricity_mwh
+               + carbon_usd_per_t * costs.grid_t_co2_per_mwh * delta_electricity_mwh
+               + costs.lettuce_usd_per_kg * delta_yield_kg)
+    if delta_capex_usd <= 0.0:
+        return PaybackResult(0.0, delta_capex_usd, savings, True)
+    if savings <= 0.0:
+        return PaybackResult(math.inf, delta_capex_usd, savings, False)
+    return PaybackResult(delta_capex_usd / savings, delta_capex_usd, savings, True)
 
 
 def payback_time(delta_capex_usd: float, delta_electricity_mwh: float,
@@ -202,34 +202,39 @@ def payback_time(delta_capex_usd: float, delta_electricity_mwh: float,
     the avoided grid energy. A non-positive denominator means the
     investment never pays back.
     """
-    savings = (costs.electricity_usd_per_mwh * delta_electricity_mwh
-               + costs.carbon_usd_per_t * costs.grid_t_co2_per_mwh * delta_electricity_mwh
-               + costs.lettuce_usd_per_kg * delta_yield_kg)
-    if delta_capex_usd <= 0.0:
-        return PaybackResult(0.0, delta_capex_usd, savings, True)
-    if savings <= 0.0:
-        return PaybackResult(math.inf, delta_capex_usd, savings, False)
-    return PaybackResult(delta_capex_usd / savings, delta_capex_usd, savings, True)
+    return _payback(delta_capex_usd, delta_electricity_mwh, delta_yield_kg, costs,
+                    costs.electricity_usd_per_mwh, costs.carbon_usd_per_t)
 
 
 def sensitivity_sweep(delta_capex_usd: float, delta_electricity_mwh: float,
-                      delta_yield_kg: float, base_costs: CostTable,
-                      electricity_prices: Sequence[float],
-                      carbon_prices: Sequence[float]) -> list[dict]:
-    """Payback over a price grid; re-prices a finished run, never re-simulates."""
+                      delta_yield_kg: float, costs: CostTable,
+                      electricity_prices: Sequence[float], carbon_prices: Sequence[float],
+                      per_pipe_usd: float, n_pipes: int,
+                      target_pbt_years: float) -> list[dict]:
+    """`payback_time` over a price grid, re-pricing a finished run.
+
+    Each row also holds the break-even per-pipe cost for the target
+    payback, the rest of the capex held fixed, and the cut from
+    per_pipe_usd it needs; both None without pipe hardware.
+    """
+    fixed = delta_capex_usd - n_pipes * per_pipe_usd
     rows = []
     for c_el in electricity_prices:
         for c_co2 in carbon_prices:
-            costs = replace(base_costs, electricity_usd_per_mwh=c_el,
-                            carbon_usd_per_t=c_co2)
-            pbt = payback_time(delta_capex_usd, delta_electricity_mwh,
-                               delta_yield_kg, costs)
+            pbt = _payback(delta_capex_usd, delta_electricity_mwh, delta_yield_kg, costs,
+                           c_el, c_co2)
+            unit = None
+            if n_pipes and per_pipe_usd > 0.0:
+                unit = break_even_unit_cost(pbt.annual_savings_usd, fixed, n_pipes,
+                                            target_pbt_years)
             rows.append({
                 "electricity_usd_per_mwh": c_el,
                 "carbon_usd_per_t": c_co2,
                 "pbt_years": pbt.years,
                 "annual_savings_usd": pbt.annual_savings_usd,
                 "viable": pbt.viable,
+                "break_even": {"unit_usd": unit, "reduction_needed": None if unit is None
+                               else max(0.0, 1.0 - unit / per_pipe_usd)},
             })
     return rows
 

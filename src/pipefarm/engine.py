@@ -41,8 +41,8 @@ from .config import ConfigError, ScenarioConfig
 # growth_step and harvest_if_due: no caller, but traced by the benchmark (ROADMAP item 12)
 from .crop import CropParams, CropState, LueCurve, LueTable, grow, growth_step, \
     harvest_due, harvest_if_due, interception, standing_credit_kg
-from .economics import REFERENCE_PIPE_PPF, KpiReport, PaybackResult, compute_kpis, \
-    led_cost_per_watt, payback_time, pipe_light_cost
+from .economics import REFERENCE_PIPE_PPF, KpiReport, compute_kpis, led_cost_per_watt, \
+    payback_time, pipe_hardware, pipe_light_cost, sensitivity_sweep
 from .lighting import control_tier3, ec_control, led_electric_power
 from .optics import OpticalEfficiencyTable, PAR_UMOL_PER_J, \
     apply_neutral_attenuation, apply_uv_ir_filter, gh_gains, lp_crop_ppfd, lp_solar_gains
@@ -52,8 +52,9 @@ from .tracer import build_efficiency_table
 
 __all__ = ["SimulationError", "SimulationResult", "Study", "prepare_efficiency_table",
            "solar_angles", "run_scenario", "calibrate_lue_scale",
-           "compare_scenarios", "load_lue_table", "scenario_capex_delta",
-           "scenario_delta", "scenario_light_cost", "write_csv", "CalibrationError"]
+           "compare_scenarios", "light_cost_inputs", "load_lue_table",
+           "scenario_capex_delta", "scenario_delta", "scenario_light_cost",
+           "scenario_sweep", "write_csv", "CalibrationError"]
 
 W_TO_MWH = 1e-6  # 1 W over one hour = 1e-6 MWh
 
@@ -727,21 +728,12 @@ def calibrate_lue_scale(cfg: ScenarioConfig, climate: ClimateSeries,
 
 def scenario_capex_delta(cfg: ScenarioConfig, bench: ScenarioConfig,
                          peak_coil_w: float, bench_peak_coil_w: float) -> dict:
-    """Incremental investment of a scenario against the LED-only benchmark.
-
-    The hardware follows from the strategy row: pipes for piped daylight,
-    plus a filter or film in each pipe; glazing for glazed daylight.
-    """
+    """Incremental investment of a scenario against the LED-only benchmark:
+    `pipe_hardware` times the pipe count, glazing for glazed daylight."""
     costs = cfg.costs
-    strategy = cfg.strategy
-    lp = filt = film = glazing = 0.0
-    if strategy.daylight == "pipe":
-        lp = cfg.n_pipes * costs.lp_total_usd
-        if strategy.filter_tau is not None:
-            filt = cfg.n_pipes * costs.ir_filter_usd
-        if strategy.ec_film:
-            film = cfg.n_pipes * costs.ec_film_usd
-    elif strategy.daylight == "glazing":
+    hardware = {k: cfg.n_pipes * usd for k, usd in pipe_hardware(cfg.strategy, costs).items()}
+    glazing = 0.0
+    if cfg.strategy.daylight == "glazing":
         glazed = cfg.chamber.floor_area_m2 + cfg.glazing.wall_glazed_m2
         glazing = glazed * cfg.glazing.glazing_usd_per_m2
     usd_per_w = led_cost_per_watt(costs, cfg.ppe)
@@ -749,19 +741,23 @@ def scenario_capex_delta(cfg: ScenarioConfig, bench: ScenarioConfig,
     bench_tier3_w = bench.tier3_nominal_ppfd * bench.crop.tier_area_m2 / bench.ppe
     led_delta = (tier3_w - bench_tier3_w) * usd_per_w
     hvac_delta = (peak_coil_w - bench_peak_coil_w) * costs.hvac_usd_per_w
-    total = lp + filt + film + glazing + led_delta + hvac_delta
-    return {"lp": lp, "ir_filter": filt, "ec_film": film, "glazing": glazing,
-            "led_delta": led_delta, "hvac_delta": hvac_delta, "total": total}
+    total = sum(hardware.values()) + glazing + led_delta + hvac_delta
+    return {**hardware, "glazing": glazing, "led_delta": led_delta,
+            "hvac_delta": hvac_delta, "total": total}
 
 
-def scenario_light_cost(cfg: ScenarioConfig,
-                        ppf_ref: float = REFERENCE_PIPE_PPF) -> Optional[float]:
+def light_cost_inputs(cfg: ScenarioConfig) -> tuple:
+    """`pipe_light_cost`'s arguments after the strategy, which are also
+    `light_cost_comparison`'s, from the config."""
+    return (cfg.costs, REFERENCE_PIPE_PPF, cfg.ec_film().tau_max, cfg.ec_cap_ppfd,
+            cfg.lp_geometry.target_zone_m ** 2)
+
+
+def scenario_light_cost(cfg: ScenarioConfig) -> Optional[float]:
     """Per-pipe light cost for the scenario's hardware; None without pipes."""
     if not cfg.uses_light_pipes:
         return None
-    return pipe_light_cost(cfg.strategy, cfg.costs, ppf_ref, cfg.ec_film().tau_max,
-                           cfg.ec_cap_ppfd,
-                           cfg.lp_geometry.target_zone_m ** 2)["light_cost"]
+    return pipe_light_cost(cfg.strategy, *light_cost_inputs(cfg))["light_cost"]
 
 
 def scenario_delta(result: SimulationResult, bench: SimulationResult) -> dict:
@@ -777,6 +773,24 @@ def scenario_delta(result: SimulationResult, bench: SimulationResult) -> dict:
     }
 
 
+def scenario_sweep(result: SimulationResult, bench: SimulationResult,
+                   electricity_prices: Sequence[float], carbon_prices: Sequence[float],
+                   target_pbt_years: float) -> tuple[dict, list[dict]]:
+    """A run's break-even record (`scenario_delta`, the per-pipe hardware
+    cost, 0.0 without pipes, and each price point's break-even, taken out of
+    `sensitivity_sweep`'s rows) and those rows: the payback grid."""
+    cfg = result.config
+    delta = scenario_delta(result, bench)
+    per_pipe = sum(pipe_hardware(cfg.strategy, cfg.costs).values()) if cfg.n_pipes else 0.0
+    grid = sensitivity_sweep(delta["delta_capex_usd"]["total"], delta["delta_electricity_mwh"],
+                             delta["delta_yield_kg"], cfg.costs, electricity_prices,
+                             carbon_prices, per_pipe, cfg.n_pipes, target_pbt_years)
+    breakeven = {f"el{row['electricity_usd_per_mwh']:g}_co2{row['carbon_usd_per_t']:g}":
+                 row.pop("break_even") for row in grid}
+    return {"scenario": cfg.scenario, **delta, "target_pbt_years": target_pbt_years,
+            "per_pipe_hardware_usd": per_pipe, "break_even_per_pipe_usd": breakeven}, grid
+
+
 def compare_scenarios(results: Sequence[SimulationResult]) -> list[dict]:
     """Side-by-side comparison rows; needs a Bench run in the set. The runs
     should come from one `Study`, which refuses mixed inputs."""
@@ -788,12 +802,9 @@ def compare_scenarios(results: Sequence[SimulationResult]) -> list[dict]:
     for r in results:
         cfg = r.config
         delta = scenario_delta(r, bench)
-        capex = delta["delta_capex_usd"]["total"]
-        if r is bench:
-            pbt = PaybackResult(0.0, 0.0, 0.0, True)
-        else:
-            pbt = payback_time(capex, delta["delta_electricity_mwh"],
-                               delta["delta_yield_kg"], cfg.costs)
+        capex = delta["delta_capex_usd"]["total"]       # 0.0 for the bench run
+        pbt = payback_time(capex, delta["delta_electricity_mwh"], delta["delta_yield_kg"],
+                           cfg.costs)
         rows.append({
             "scenario": cfg.scenario,
             "yield_kg": r.kpis.yield_kg,
@@ -808,7 +819,7 @@ def compare_scenarios(results: Sequence[SimulationResult]) -> list[dict]:
             "sec_kwh_per_kg": r.kpis.sec_kwh_per_kg,
             "seec_kwh_per_kg": r.kpis.seec_kwh_per_kg,
             "light_cost_usd_per_umol_s": scenario_light_cost(cfg),
-            "delta_capex_usd": 0.0 if r is bench else capex,
+            "delta_capex_usd": capex,
             "pbt_years": pbt.years,
             "pbt_viable": pbt.viable,
         })

@@ -14,8 +14,8 @@ import numpy as np
 from pipefarm.climate import SiteConfig, equation_of_time, incidence_cosine, \
     solar_position
 from pipefarm.economics import light_cost_comparison, lumens_to_photon_flux
-from pipefarm.engine import run_scenario
-from pipefarm.lighting import EcFilm, ec_transmittance, led_electric_power
+from pipefarm.engine import light_cost_inputs, run_scenario
+from pipefarm.lighting import ec_transmittance, led_electric_power
 from pipefarm.optics import DIFFUSE_BANDS, LpGeometry, OpticalEfficiencyTable, \
     dome_band_fraction, filtered_efficiency, lp_crop_ppfd, lp_solar_gains, mirror_tilt
 from pipefarm.thermal import lp_convection
@@ -66,10 +66,9 @@ class TestCriterion03BenchDli:
 
 
 class TestCriterion04LightCostTable:
-    def test_table_reproduction(self):
-        from pipefarm.economics import CostTable
+    def test_table_reproduction(self, bench_config):
         rows = {r["system"]: r["light_cost"]
-                for r in light_cost_comparison(CostTable(), ec_tau_max=EcFilm().tau_max)}
+                for r in light_cost_comparison(*light_cost_inputs(bench_config))}
         targets = {"LP_NL": 12.05, "LP_Min": 12.05, "LP_Dim": 12.05,
                    "LP_Dim_IR": 16.56, "LP_Dim_EC": 25.00, "Optical Fiber": 19.53}
         ok = all(abs(rows[k] - v) <= 0.02 for k, v in targets.items())

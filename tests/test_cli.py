@@ -115,6 +115,16 @@ class TestCalibrateAndSimulate:
         assert doc["lue_scale"] > 0.0
         assert doc["climate_hash"]
 
+    def test_unwritable_out_is_one_json_line(self, work_tree, capsys):
+        out = work_tree / "taken"
+        out.mkdir()
+        rc = main(["calibrate", "--config", str(work_tree / "configs" / "bench.yaml"),
+                   "--out", str(out)])
+        assert rc != 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert str(out) in json.loads(lines[0])["detail"]
+
     def test_simulate_bench(self, work_tree, capsys):
         _calibrate(work_tree)
         out = work_tree / "sim"
@@ -180,6 +190,24 @@ class TestCompareCli:
         assert len(meta["config_hashes"]) == 2 and meta["climate_hash"]
         assert meta["lue_scale"] == json.loads(
             (work_tree / "out" / "calibration.json").read_text())["lue_scale"]
+
+    @pytest.mark.parametrize("ec", ["", "ec: {cap_ppfd: 600}\n"], ids=["shipped", "cap600"])
+    def test_light_cost_csv_follows_the_config(self, work_tree, ec):
+        _calibrate(work_tree)
+        configs = work_tree / "configs"
+        for name in ("bench", "lp_dim_ec"):
+            (configs / f"{name}_x.yaml").write_text(f"include: {name}.yaml\n{ec}")
+        cmp_cfg = configs / "ec_compare.yaml"
+        cmp_cfg.write_text("scenarios:\n  - bench_x.yaml\n  - lp_dim_ec_x.yaml\n")
+        out = work_tree / "cmp"
+        assert main(["compare", "--config", str(cmp_cfg), "--out", str(out)]) == 0
+        with open(out / "comparison.csv") as fh:
+            cmp_row = list(csv.DictReader(fh))[1]
+        with open(out / "light_cost.csv") as fh:
+            lc_row = next(r for r in csv.DictReader(fh) if r["system"] == "LP_Dim_EC")
+        assert lc_row["light_cost"] == cmp_row["light_cost_usd_per_umol_s"]
+        expected = 24.999999999999993 if not ec else 21.61
+        assert float(lc_row["light_cost"]) == pytest.approx(expected, abs=0.005)
 
     def test_nine_scenarios_load_the_climate_and_sun_once(self, work_tree, monkeypatch):
         _calibrate(work_tree)
@@ -272,6 +300,22 @@ class TestStrictCompareAndSweepFiles:
         detail = json.loads(capsys.readouterr().err)["detail"]
         assert "sweep_empty.yaml" in detail and repr(f"grid.{key}") in detail
         assert not (work_tree / "sweep").exists()
+
+    @pytest.mark.parametrize("key, prices", [
+        ("electricity_usd_per_mwh", "[0, -50]"), ("carbon_usd_per_t", "[0, -50]"),
+        ("carbon_usd_per_t", "[.nan]"), ("carbon_usd_per_t", "[.inf]"),
+    ])
+    def test_bad_price_is_refused_before_any_run(self, work_tree, capsys, monkeypatch,
+                                                 key, prices):
+        runs = _count_calls(monkeypatch, pipefarm.engine, "run_scenario")
+        cfg = work_tree / "configs" / "sweep_negative.yaml"
+        cfg.write_text("scenario_config: lp_dim_ir_98.yaml\nbench_config: bench.yaml\n"
+                       f"grid:\n  {key}: {prices}\n")
+        rc = main(["sweep", "--config", str(cfg), "--out", str(work_tree / "sweep")])
+        assert rc == 3
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert "sweep_negative.yaml" in detail and repr(f"grid.{key}") in detail
+        assert runs == [] and not (work_tree / "sweep").exists()
 
     def test_unknown_top_level_keys_are_config_errors(self, work_tree, capsys):
         sweep = work_tree / "configs" / "sweep_typo.yaml"

@@ -152,3 +152,16 @@ class TestValidation:
         (tmp_path / "bad.yaml").write_text("scenario: Bench\nlp: {heat_area: top}\n")
         with pytest.raises(ConfigError, match="heat_area"):
             load_scenario_config(tmp_path / "bad.yaml")
+
+    @pytest.mark.parametrize("key, value", [
+        ("transient_substeps", 0),
+        ("transient_substeps", -3),
+        ("transient_deadband_k", -0.1),
+        ("transient_capacity_w", -5.0),
+        ("transient_capacity_w", 0.0),
+    ])
+    def test_transient_keys_checked(self, tmp_path, key, value):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"scenario: Bench\ntimestep_mode: transient\n{key}: {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_scenario_config(path)

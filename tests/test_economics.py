@@ -2,11 +2,12 @@ import math
 
 import pytest
 
-from pipefarm.economics import (CostTable, break_even_unit_cost, compute_kpis,
-                                fiber_reference_light_cost, led_cost_per_watt,
-                                light_cost, light_cost_comparison,
-                                lumens_to_photon_flux, payback_time,
-                                sensitivity_sweep)
+from pipefarm.economics import (REFERENCE_PIPE_PPF, CostTable, break_even_unit_cost,
+                                compute_kpis, fiber_reference_light_cost,
+                                led_cost_per_watt, light_cost, light_cost_comparison,
+                                lumens_to_photon_flux, payback_time, pipe_hardware,
+                                pipe_light_cost, sensitivity_sweep)
+from pipefarm.lighting import STRATEGIES
 
 COSTS = CostTable()
 
@@ -48,11 +49,23 @@ class TestLightCost:
         assert lumens_to_photon_flux(9200.0) == pytest.approx(167.1, abs=0.2)
 
     def test_comparison_rows(self):
-        rows = {r["system"]: r for r in light_cost_comparison(COSTS, ec_tau_max=0.7432)}
+        rows = {r["system"]: r for r in light_cost_comparison(COSTS, REFERENCE_PIPE_PPF,
+                                                                      0.7432, 400.0, 0.04)}
         assert rows["LP_NL"]["light_cost"] == pytest.approx(12.05, abs=0.02)
         assert rows["LP_Dim_IR"]["light_cost"] == pytest.approx(16.56, abs=0.02)
         assert rows["LP_Dim_EC"]["light_cost"] == pytest.approx(25.00, abs=0.02)
         assert rows["Optical Fiber"]["light_cost"] == pytest.approx(19.53, abs=0.02)
+
+    @pytest.mark.parametrize("sid, items", [
+        ("Bench", (0.0, 0.0, 0.0)), ("GH", (0.0, 0.0, 0.0)), ("LP_NL", (300.0, 0.0, 0.0)),
+        ("LP_Dim_IR_90", (300.0, 104.0, 0.0)), ("LP_Dim_EC", (300.0, 0.0, 100.0)),
+    ])
+    def test_pipe_hardware_follows_the_strategy_row(self, sid, items):
+        hardware = pipe_hardware(STRATEGIES[sid], COSTS)
+        assert tuple(hardware.values()) == items
+        if STRATEGIES[sid].daylight == "pipe":
+            cost = pipe_light_cost(STRATEGIES[sid], COSTS, 24.9, 0.74, 400.0, 0.04)
+            assert cost["cost_usd"] == sum(items)
 
     def test_break_even_unit_cost_beats_fiber(self):
         # a pipe at 480 $ still undercuts the fiber photon cost
@@ -98,12 +111,36 @@ class TestPayback:
 
 class TestSweep:
     def test_zero_prices_nonviable_everywhere(self):
-        rows = sensitivity_sweep(1000.0, 5.0, 0.0, COSTS, [0.0], [0.0])
+        rows = sensitivity_sweep(1000.0, 5.0, 0.0, COSTS, [0.0], [0.0], 0.0, 0, 10.0)
         assert all(not r["viable"] for r in rows)
 
     def test_grid_shape(self):
-        rows = sensitivity_sweep(1000.0, 5.0, 0.0, COSTS, [100, 200], [0, 50, 100])
+        rows = sensitivity_sweep(1000.0, 5.0, 0.0, COSTS, [100, 200], [0, 50, 100],
+                                 0.0, 0, 10.0)
         assert len(rows) == 6
+
+    def test_rows_are_payback_time_and_break_even_at_each_price(self):
+        costs = CostTable(lettuce_usd_per_kg=5.0, grid_t_co2_per_mwh=0.3)
+        rows = sensitivity_sweep(5000.0, 7.0, 40.0, costs, [100, 350], [0, 80],
+                                 10.0, 300, 10.0)
+        for row in rows:
+            priced = CostTable(lettuce_usd_per_kg=5.0, grid_t_co2_per_mwh=0.3,
+                               electricity_usd_per_mwh=row["electricity_usd_per_mwh"],
+                               carbon_usd_per_t=row["carbon_usd_per_t"])
+            pbt = payback_time(5000.0, 7.0, 40.0, priced)
+            assert (row["pbt_years"], row["annual_savings_usd"], row["viable"]) == (
+                pbt.years, pbt.annual_savings_usd, pbt.viable)
+            unit = break_even_unit_cost(pbt.annual_savings_usd, 5000.0 - 3000.0, 300, 10.0)
+            assert row["break_even"] == {
+                "unit_usd": unit,
+                "reduction_needed": None if unit is None else max(0.0, 1.0 - unit / 10.0)}
+
+    @pytest.mark.parametrize("per_pipe, n", [(0.0, 750), (300.0, 0)], ids=["no_hardware",
+                                                                           "no_pipes"])
+    def test_no_pipe_hardware_has_no_break_even(self, per_pipe, n):
+        rows = sensitivity_sweep(1000.0, 5.0, 0.0, COSTS, [100, 200], [0], per_pipe, n, 10.0)
+        assert all(r["break_even"] == {"unit_usd": None, "reduction_needed": None}
+                   for r in rows)
 
     def test_break_even_monotone_bracket(self):
         costs = CostTable(electricity_usd_per_mwh=200.0)

@@ -9,12 +9,13 @@ import pytest
 
 from pipefarm import engine
 from pipefarm.climate import ClimateSeries, HOURS_PER_YEAR, SiteConfig
-from pipefarm.config import load_scenario_config
+from pipefarm.config import load_config_mapping, load_scenario_config
 from pipefarm.crop import growth_step, harvest_if_due, interception, standing_credit_kg
-from pipefarm.economics import led_cost_per_watt
+from pipefarm.economics import break_even_unit_cost, led_cost_per_watt, light_cost_comparison, \
+    payback_time
 from pipefarm.engine import (SimulationError, Study, calibrate_lue_scale, compare_scenarios,
-                             prepare_efficiency_table, run_scenario,
-                             scenario_capex_delta, scenario_light_cost)
+                             light_cost_inputs, prepare_efficiency_table, run_scenario,
+                             scenario_capex_delta, scenario_light_cost, scenario_sweep)
 from pipefarm.lighting import STRATEGIES, control_tier3, ec_control, led_electric_power
 from pipefarm.optics import (OpticalEfficiencyTable, apply_neutral_attenuation,
                              apply_uv_ir_filter, gh_gains, lp_crop_ppfd, lp_solar_gains)
@@ -215,6 +216,44 @@ class TestCompare:
                                         nl.aggregates["peak_coil_w"],
                                         bench.aggregates["peak_coil_w"])
         assert capex_nl["led_delta"] < 0.0    # tier-3 fixtures removed
+
+    def test_light_cost_table_reads_the_config(self, scenario_configs):
+        def film_row(cfg):
+            rows = light_cost_comparison(*light_cost_inputs(cfg))
+            return next(r["light_cost"] for r in rows if r["system"] == "LP_Dim_EC")
+        ec = scenario_configs["LP_Dim_EC"]
+        assert film_row(ec) == scenario_light_cost(ec)
+        capped = film_row(dataclasses.replace(ec, ec_cap_ppfd=600.0))
+        assert capped == 400.0 / (24.9 * ec.ec_film().tau_max)
+        assert capped == pytest.approx(21.61, abs=0.005)
+
+    def test_shipped_sweep_matches_payback_and_break_even(self, scenario_results,
+                                                           repo_paths):
+        """Every row of the shipped grid is `payback_time` at its prices and
+        `break_even_unit_cost` on the capex breakdown's pipe stack, bit for bit."""
+        grid = load_config_mapping(repo_paths["configs"] / "sweep_lp_dim_ir.yaml")["grid"]
+        scen, bench = scenario_results["LP_Dim_IR_98"], scenario_results["Bench"]
+        breakeven, rows = scenario_sweep(scen, bench, grid["electricity_usd_per_mwh"],
+                                         grid["carbon_usd_per_t"], 10.0)
+        capex, n = breakeven["delta_capex_usd"], scen.config.n_pipes
+        stack = capex["lp"] + capex["ir_filter"] + capex["ec_film"]
+        assert breakeven["per_pipe_hardware_usd"] == stack / n == 404.0
+        assert len(rows) == len(breakeven["break_even_per_pipe_usd"]) == 12
+        for row in rows:
+            costs = dataclasses.replace(scen.config.costs,
+                                        electricity_usd_per_mwh=row["electricity_usd_per_mwh"],
+                                        carbon_usd_per_t=row["carbon_usd_per_t"])
+            pbt = payback_time(capex["total"], breakeven["delta_electricity_mwh"],
+                               breakeven["delta_yield_kg"], costs)
+            assert row == {"electricity_usd_per_mwh": row["electricity_usd_per_mwh"],
+                           "carbon_usd_per_t": row["carbon_usd_per_t"],
+                           "pbt_years": pbt.years, "annual_savings_usd": pbt.annual_savings_usd,
+                           "viable": pbt.viable}
+            unit = break_even_unit_cost(pbt.annual_savings_usd, capex["total"] - stack, n, 10.0)
+            key = f"el{row['electricity_usd_per_mwh']:g}_co2{row['carbon_usd_per_t']:g}"
+            assert breakeven["break_even_per_pipe_usd"][key] == {
+                "unit_usd": unit,
+                "reduction_needed": None if unit is None else max(0.0, 1.0 - unit / (stack / n))}
 
     def test_daylight_only_is_non_viable(self, scenario_results):
         rows = compare_scenarios([scenario_results["Bench"], scenario_results["LP_NL"]])
