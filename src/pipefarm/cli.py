@@ -4,8 +4,9 @@ any runs and writes what the engine returns; `economics` decides every cost.
 Subcommands: trace-optics (geometry -> efficiency table + flux maps),
 calibrate (fit the LUE factor to the benchmark yield), simulate (one
 scenario -> result files), compare (scenario set -> comparison tables,
-and light_cost.csv under the set's first config), sweep (price/carbon
-grid and a break-even pipe cost), sunpath (solar position tables).
+and light_cost.csv, each variant under its scenario's config when the set
+has one, else the first config), sweep (price/carbon grid and a
+break-even pipe cost), sunpath (solar position tables).
 Outputs are delimited text plus JSON. Every JSON file carries the tool
 version and config hash (comparison.json one hash per config,
 breakeven.json the bench config's too); kpis.json, calibration.json,
@@ -172,8 +173,10 @@ def _cmd_compare(args) -> int:
                  climate_hash=study.climate.content_hash(), lue_scale=study.lue.scale)
     (outdir / "comparison.json").write_text(json.dumps({"rows": rows, "metadata": meta},
                                                        indent=2, sort_keys=True, default=str))
+    # each variant under its own scenario's config (the first, if repeated)
+    own = {cfg.scenario: light_cost_inputs(cfg) for cfg in reversed(study.configs)}
     _write_rows(outdir / "light_cost.csv",
-                light_cost_comparison(*light_cost_inputs(study.configs[0])))
+                light_cost_comparison(*light_cost_inputs(study.configs[0]), own))
     print(f"compared {len(rows)} scenarios -> {outdir}")
     return EXIT_OK
 

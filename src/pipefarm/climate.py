@@ -1,14 +1,15 @@
 """Site solar geometry and hourly climate ingestion.
 
 Solar position follows the classic Cooper declination / equation-of-time
-chain (degrees throughout, North = 0 azimuth). Climate data is a plain
-delimited text file with one row per hour covering a full non-leap year.
+chain (degrees throughout, North = 0 azimuth). The solar functions take
+days and clock hours (or altitudes) as arrays, a scalar broadcasting, so a
+year of hours is one call. Climate data is a plain delimited text file
+with one row per hour covering a full non-leap year.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -60,33 +61,43 @@ class SiteConfig:
 
 @dataclass(frozen=True)
 class SolarPosition:
-    day: int                   # day of year, 1..365
-    declination: float         # deg
-    eot_minutes: float         # equation of time, min
-    aux_angle: float           # deg, drives the equation of time
-    solar_time: float          # h
-    hour_angle: float          # deg, 0 at solar noon, positive afternoon
-    altitude: float            # deg above horizon (negative at night)
-    azimuth: float             # deg clockwise from North in [0, 360)
+    """Sun position per hour: each field has the broadcast shape of the
+    call's days and clock hours (0-d for a scalar call)."""
+
+    day: np.ndarray            # day of year, 1..365
+    declination: np.ndarray    # deg
+    eot_minutes: np.ndarray    # equation of time, min
+    aux_angle: np.ndarray      # deg, drives the equation of time
+    solar_time: np.ndarray     # h
+    hour_angle: np.ndarray     # deg, 0 at solar noon, positive afternoon
+    altitude: np.ndarray       # deg above horizon (negative at night)
+    azimuth: np.ndarray        # deg clockwise from North in [0, 360)
 
 
-def declination(day: int) -> float:
+def _check_range(name: str, values: np.ndarray, ok: np.ndarray) -> None:
+    """ValueError naming the first of `values` where `ok` is false."""
+    if not np.all(ok):
+        raise ValueError(f"{name} out of range: {values[~ok][0]}")
+
+
+def declination(day):
     """Solar declination in degrees for day-of-year 1..365 (Cooper)."""
-    return 23.45 * math.sin(math.radians(360.0 * (284 + day) / 365.0))
+    return 23.45 * np.sin(np.radians(360.0 * (284 + day) / 365.0))
 
 
-def _aux_angle(day: int) -> float:
+def _aux_angle(day):
     return (day - 81) * 360.0 / 364.0
 
 
-def equation_of_time(day: int) -> float:
+def equation_of_time(day):
     """Equation of time in minutes for day-of-year 1..365."""
-    b = math.radians(_aux_angle(day))
-    return 9.87 * math.sin(2.0 * b) - 7.53 * math.cos(b) - 1.5 * math.sin(b)
+    b = np.radians(_aux_angle(day))
+    return 9.87 * np.sin(2.0 * b) - 7.53 * np.cos(b) - 1.5 * np.sin(b)
 
 
-def solar_position(site: SiteConfig, day: int, clock_hour: float) -> SolarPosition:
-    """Sun position for local clock time on a given day of year.
+def solar_position(site: SiteConfig, day, clock_hour) -> SolarPosition:
+    """Sun position for local clock times on given days of year (arrays or
+    scalars, broadcast together).
 
     Solar time carries the equation-of-time correction plus 4 minutes per
     degree of longitude east of the zone reference meridian, so solar noon
@@ -96,27 +107,26 @@ def solar_position(site: SiteConfig, day: int, clock_hour: float) -> SolarPositi
     Day 366 is folded onto 365; the declination formula is periodic over
     365 days and the residual error is negligible.
     """
-    if not 1 <= day <= 366:
-        raise ValueError(f"day of year out of range: {day}")
-    if not 0.0 <= clock_hour < 24.0:
-        raise ValueError(f"clock hour out of range: {clock_hour}")
-    n = min(day, 365)
+    day = np.asarray(day)
+    clock_hour = np.asarray(clock_hour, dtype=float)
+    _check_range("day of year", day, (day >= 1) & (day <= 366))
+    _check_range("clock hour", clock_hour, (clock_hour >= 0.0) & (clock_hour < 24.0))
+    n = np.minimum(day, 365)
 
     delta = declination(n)
     eot = equation_of_time(n)
     h_sol = clock_hour + (eot + 4.0 * (site.longitude - site.reference_longitude)) / 60.0
     omega = 15.0 * (h_sol - 12.0)
 
-    phi_r = math.radians(site.latitude)
-    delta_r = math.radians(delta)
-    omega_r = math.radians(omega)
+    phi_r = np.radians(site.latitude)
+    delta_r = np.radians(delta)
+    omega_r = np.radians(omega)
 
-    sin_alt = (math.sin(delta_r) * math.sin(phi_r)
-               + math.cos(delta_r) * math.cos(phi_r) * math.cos(omega_r))
-    sin_alt = max(-1.0, min(1.0, sin_alt))
-    alt = math.degrees(math.asin(sin_alt))
+    sin_alt = np.clip(np.sin(delta_r) * np.sin(phi_r)
+                      + np.cos(delta_r) * np.cos(phi_r) * np.cos(omega_r), -1.0, 1.0)
+    alt = np.degrees(np.arcsin(sin_alt))
 
-    azimuth = _resolve_azimuth(phi_r, delta_r, omega_r, math.radians(alt))
+    azimuth = _resolve_azimuth(phi_r, delta_r, omega_r, np.radians(alt))
     return SolarPosition(
         day=n,
         declination=delta,
@@ -129,31 +139,32 @@ def solar_position(site: SiteConfig, day: int, clock_hour: float) -> SolarPositi
     )
 
 
-def _resolve_azimuth(phi_r: float, delta_r: float, omega_r: float, alt_r: float) -> float:
-    """Compass azimuth in [0, 360), North = 0, East = 90.
+def _resolve_azimuth(phi_r, delta_r, omega_r, alt_r):
+    """Compass azimuth in [0, 360), North = 0, East = 90 (radian arrays or
+    scalars in, broadcast together).
 
     The arcsin form of the azimuth is quadrant-ambiguous; the sign of
     sin(alt)*sin(phi) - sin(delta) (equivalently cos(omega) vs
     tan(delta)/tan(phi)) tells whether the sun sits on the equator side of
-    the east-west vertical circle, which fixes the quadrant.
+    the east-west vertical circle, which fixes the quadrant. At the zenith
+    (cos(alt) < 1e-12) the azimuth is the equator side's.
     """
-    cos_alt = math.cos(alt_r)
-    if cos_alt < 1e-12:
-        return 180.0 if phi_r >= delta_r else 0.0
-    s = math.cos(delta_r) * math.sin(omega_r) / cos_alt
-    s = max(-1.0, min(1.0, s))
-    gamma_s = math.degrees(math.asin(s))  # from South, positive toward West
-    south_side = (math.sin(alt_r) * math.sin(phi_r) - math.sin(delta_r)) >= 0.0
-    if not south_side:
-        gamma_s = 180.0 - gamma_s if gamma_s >= 0.0 else -180.0 - gamma_s
-    return (180.0 + gamma_s) % 360.0
+    cos_alt = np.cos(alt_r)
+    s = np.clip(np.cos(delta_r) * np.sin(omega_r) / cos_alt, -1.0, 1.0)
+    gamma_s = np.degrees(np.arcsin(s))  # from South, positive toward West
+    south_side = (np.sin(alt_r) * np.sin(phi_r) - np.sin(delta_r)) >= 0.0
+    gamma_s = np.where(south_side, gamma_s,
+                       np.where(gamma_s >= 0.0, 180.0 - gamma_s, -180.0 - gamma_s))
+    return np.where(cos_alt < 1e-12, np.where(phi_r >= delta_r, 180.0, 0.0),
+                    (180.0 + gamma_s) % 360.0)
 
 
-def incidence_cosine(altitude: float) -> float:
-    """cos(theta) on a horizontal aperture: sin(altitude), clamped at 0."""
-    if not -90.0 <= altitude <= 90.0:
-        raise ValueError(f"altitude out of range: {altitude}")
-    return max(0.0, math.sin(math.radians(altitude)))
+def incidence_cosine(altitude):
+    """cos(theta) on a horizontal aperture: sin(altitude), clamped at 0
+    (an array or a scalar)."""
+    altitude = np.asarray(altitude, dtype=float)
+    _check_range("altitude", altitude, (altitude >= -90.0) & (altitude <= 90.0))
+    return np.maximum(0.0, np.sin(np.radians(altitude)))
 
 
 class ClimateSeries:
@@ -298,62 +309,46 @@ def synthetic_dubai_year(site: Optional[SiteConfig] = None) -> ClimateSeries:
     """
     site = site or SiteConfig(latitude=25.0, longitude=55.0, utc_offset=4.0)
     solar_constant = 1361.0  # W m-2
-    temps = np.empty(HOURS_PER_YEAR)
-    dni = np.empty(HOURS_PER_YEAR)
-    dhi = np.empty(HOURS_PER_YEAR)
+    i = np.arange(HOURS_PER_YEAR)
+    day = i // 24 + 1
+    hour = i % 24 + 0.5
+    sin_alt = np.sin(np.radians(solar_position(site, day, hour).altitude))
 
-    for i in range(HOURS_PER_YEAR):
-        day = i // 24 + 1
-        hour = i % 24 + 0.5
-        pos = solar_position(site, day, hour)
-        sin_alt = math.sin(math.radians(pos.altitude))
+    # smooth deterministic "weather": winter passing clouds, summer dust haze
+    season = np.cos(2.0 * np.pi * (day - 15) / 365.0)            # 1 mid-January
+    wobble = np.sin(0.71 * day) * np.sin(0.23 * day + 1.3) + 0.4 * np.sin(2.9 * day)
+    cloud = np.maximum(0.0, 0.55 * np.maximum(0.0, season) * wobble)  # winter episodes
+    haze = 0.10 + 0.10 * np.maximum(0.0, -season)                # summer dust
+    clear_frac = np.maximum(0.20, 1.0 - cloud - haze)
 
-        # smooth deterministic "weather": winter passing clouds, summer dust haze
-        season = math.cos(2.0 * math.pi * (day - 15) / 365.0)      # 1 mid-January
-        wobble = (math.sin(0.71 * day) * math.sin(0.23 * day + 1.3)
-                  + 0.4 * math.sin(2.9 * day))
-        cloud = max(0.0, 0.55 * max(0.0, season) * wobble)         # winter episodes
-        haze = 0.10 + 0.10 * max(0.0, -season)                     # summer dust
-        clear_frac = max(0.20, 1.0 - cloud - haze)
+    # Hottel clear-sky beam (23 km visibility, sea level), scaled by the
+    # haze/cloud state; scattered share grows as the beam drops; none at night
+    up = sin_alt > 0.0
+    tau_b = 0.124 + 0.749 * np.exp(-0.395 / np.maximum(sin_alt, 0.02))
+    dni = np.where(up, solar_constant * tau_b * clear_frac, 0.0)
+    tau_d = np.maximum(0.06, 0.271 - 0.294 * tau_b)
+    dhi = np.where(up, solar_constant * sin_alt * (tau_d + 0.24 * (1.0 - clear_frac)), 0.0)
 
-        if sin_alt <= 0.0:
-            dni[i] = 0.0
-            dhi[i] = 0.0
-        else:
-            # Hottel clear-sky beam (23 km visibility, sea level), scaled by
-            # the haze/cloud state; scattered share grows as the beam drops
-            tau_b = 0.124 + 0.749 * math.exp(-0.395 / max(sin_alt, 0.02))
-            dni[i] = solar_constant * tau_b * clear_frac
-            tau_d = max(0.06, 0.271 - 0.294 * tau_b)
-            dhi[i] = solar_constant * sin_alt * (tau_d + 0.24 * (1.0 - clear_frac))
-
-        t_mean = 27.5 - 8.5 * math.cos(2.0 * math.pi * (day - 28) / 365.0)
-        diurnal = 5.5 * math.cos(2.0 * math.pi * (hour - 14.5) / 24.0)
-        temps[i] = round(t_mean + diurnal - 1.5 * cloud, 2)
-        dni[i] = round(dni[i], 1)
-        dhi[i] = round(dhi[i], 1)
-
-    return ClimateSeries(temps, dni, dhi, source="<synthetic-dubai>")
+    t_mean = 27.5 - 8.5 * np.cos(2.0 * np.pi * (day - 28) / 365.0)
+    diurnal = 5.5 * np.cos(2.0 * np.pi * (hour - 14.5) / 24.0)
+    return ClimateSeries(np.round(t_mean + diurnal - 1.5 * cloud, 2), np.round(dni, 1),
+                         np.round(dhi, 1), source="<synthetic-dubai>")
 
 
 def sunpath_table(site: SiteConfig, days: Sequence[int] = (),
                   step_hours: float = 0.5) -> list[dict]:
-    """Altitude/azimuth/incidence rows for selected days (sun-path chart data)."""
+    """Altitude/azimuth/incidence rows for selected days (sun-path chart
+    data), one row per clock hour 0, step_hours, ... below 24."""
     if not days:
         days = (21, 52, 80, 111, 141, 172, 202, 233, 264, 294, 325, 355)
-    rows = []
-    for day in days:
-        h = 0.0
-        while h < 24.0:
-            pos = solar_position(site, day, h)
-            rows.append({
-                "day": day,
-                "clock_hour": round(h, 4),
-                "declination": pos.declination,
-                "eot_minutes": pos.eot_minutes,
-                "altitude": pos.altitude,
-                "azimuth": pos.azimuth,
-                "incidence_cosine": incidence_cosine(max(-90.0, min(90.0, pos.altitude))),
-            })
-            h += step_hours
-    return rows
+    hours = np.arange(0.0, 24.0, step_hours)
+    day = np.repeat(np.asarray(days), hours.size)
+    hour = np.tile(hours, len(days))
+    pos = solar_position(site, day, hour)
+    cosine = incidence_cosine(np.clip(pos.altitude, -90.0, 90.0))
+    return [{"day": d, "clock_hour": round(h, 4), "declination": dec, "eot_minutes": eot,
+             "altitude": alt, "azimuth": azi, "incidence_cosine": c}
+            for d, h, dec, eot, alt, azi, c in zip(
+                day.tolist(), hour.tolist(), pos.declination.tolist(),
+                pos.eot_minutes.tolist(), pos.altitude.tolist(), pos.azimuth.tolist(),
+                cosine.tolist())]

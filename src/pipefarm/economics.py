@@ -158,17 +158,20 @@ def pipe_light_cost(strategy: Strategy, costs: CostTable, ppf_ref: float,
 
 
 def light_cost_comparison(costs: CostTable, ppf_ref: float, ec_tau_max: float,
-                          ec_cap_ppfd: float, zone_area_m2: float) -> list[dict]:
+                          ec_cap_ppfd: float, zone_area_m2: float,
+                          own: Optional[dict] = None) -> list[dict]:
     """Per-pipe light cost of each hardware variant against the fiber
-    system; the arguments after `costs` are `pipe_light_cost`'s. The LP_Min
-    row stands for both on/off strategies and LP_Dim_IR for the 98% filter."""
+    system; the arguments after `costs` are `pipe_light_cost`'s. `own` maps
+    a strategy id onto that variant's own such arguments, which price its
+    row instead. The LP_Min row stands for both on/off strategies and
+    LP_Dim_IR for the 98% filter."""
     fiber_lc, fiber_flux = fiber_reference_light_cost()
+    shared = (costs, ppf_ref, ec_tau_max, ec_cap_ppfd, zone_area_m2)
     variants = {"LP_NL": "LP_NL", "LP_Min": "LP_Min_250", "LP_Dim": "LP_Dim",
                 "LP_Dim_IR": "LP_Dim_IR_98", "LP_Dim_EC": "LP_Dim_EC"}
     return [{"system": "Optical Fiber", "cost_usd": FIBER_USD, "ppf_umol_s": fiber_flux,
              "light_cost": fiber_lc}] + [
-        {"system": name, **pipe_light_cost(STRATEGIES[sid], costs, ppf_ref, ec_tau_max,
-                                           ec_cap_ppfd, zone_area_m2)}
+        {"system": name, **pipe_light_cost(STRATEGIES[sid], *(own or {}).get(sid, shared))}
         for name, sid in variants.items()]
 
 

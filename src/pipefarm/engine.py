@@ -111,13 +111,9 @@ def load_lue_table(cfg: ScenarioConfig, scale: float = 1.0) -> LueTable:
 def solar_angles(site: SiteConfig, hour_center_offset: float = 0.5
                  ) -> tuple[np.ndarray, np.ndarray]:
     """(altitude, azimuth) for all 8760 hourly records of a non-leap year."""
-    alts = np.empty(HOURS_PER_YEAR)
-    azis = np.empty(HOURS_PER_YEAR)
-    for i in range(HOURS_PER_YEAR):
-        pos = solar_position(site, i // 24 + 1, i % 24 + hour_center_offset)
-        alts[i] = pos.altitude
-        azis[i] = pos.azimuth
-    return alts, azis
+    hours = np.arange(HOURS_PER_YEAR)
+    pos = solar_position(site, hours // 24 + 1, hours % 24 + hour_center_offset)
+    return pos.altitude, pos.azimuth
 
 
 _SHARED_INPUTS = ("climate_path", "climate_columns", "site", "hour_center_offset",

@@ -159,9 +159,6 @@ class FluxMap:
         area = self.pitch_m ** 2
         return float(self.cells[np.ix_(inside, inside)].sum() * area)
 
-    def scaled(self, incident_w: float) -> np.ndarray:
-        return self.cells * incident_w
-
     def export(self, path: str | Path, meta: Optional[dict] = None) -> None:
         """Delimited grid plus a JSON sidecar with extent/pitch metadata."""
         import json

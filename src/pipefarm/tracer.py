@@ -40,6 +40,8 @@ __all__ = ["TraceResult", "trace_direct", "trace_diffuse_band",
 
 DEFAULT_RAYS = 100_000
 MIN_RAYS = 10_000
+FLUXMAP_EXTENT_M = 0.6     # crop-plane flux map: full side length
+FLUXMAP_PITCH_M = 0.02     # and cell pitch
 
 
 @dataclass
@@ -88,8 +90,6 @@ class _Scene:
     disable_diffuser: bool
     half_zone: float
     z_canopy: float
-    fluxmap_extent: float
-    fluxmap_pitch: float
     collect_fluxmap: bool
 
     def __post_init__(self):
@@ -107,7 +107,7 @@ class _Scene:
         self.facet_sin = math.sin(s)
         self.facet_cos = math.cos(s)
         self.n_index = g.diffuser_refractive_index
-        nbin = int(round(self.fluxmap_extent / self.fluxmap_pitch))
+        nbin = int(round(FLUXMAP_EXTENT_M / FLUXMAP_PITCH_M))
         self.fluxbins = np.zeros((nbin, nbin)) if self.collect_fluxmap else None
 
 
@@ -322,11 +322,11 @@ def _diffuser_interaction(scene: _Scene, j, h, d, pos, w, alive, zone_w, chamber
     zone_w[jo[in_zone]] = w[jo[in_zone]]
     chamber_w[jo[~in_zone]] = w[jo[~in_zone]]
     if scene.fluxbins is not None:
-        half = scene.fluxmap_extent / 2.0
+        half = FLUXMAP_EXTENT_M / 2.0
         nbin = scene.fluxbins.shape[0]
         inside = (np.abs(xc) < half) & (np.abs(yc) < half)
-        ix = np.floor((xc[inside] + half) / scene.fluxmap_pitch).astype(int)
-        iy = np.floor((yc[inside] + half) / scene.fluxmap_pitch).astype(int)
+        ix = np.floor((xc[inside] + half) / FLUXMAP_PITCH_M).astype(int)
+        iy = np.floor((yc[inside] + half) / FLUXMAP_PITCH_M).astype(int)
         np.clip(ix, 0, nbin - 1, out=ix)
         np.clip(iy, 0, nbin - 1, out=iy)
         np.add.at(scene.fluxbins, (iy, ix), w[jo[inside]])
@@ -346,8 +346,8 @@ def _perp_basis(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def _launch(scene: _Scene, dirs: np.ndarray, rng: np.random.Generator,
-            launch_radius: float, up_beam: float = 3.0) -> np.ndarray:
+def _launch(dirs: np.ndarray, rng: np.random.Generator, launch_radius: float,
+            up_beam: float = 3.0) -> np.ndarray:
     e1, e2 = _perp_basis(dirs)
     n = dirs.shape[0]
     r = launch_radius * np.sqrt(rng.random(n))
@@ -374,8 +374,7 @@ def _validate(rays: int, geometry: LpGeometry) -> None:
 
 def trace_direct(geometry: LpGeometry, altitude: float, rays: int = DEFAULT_RAYS,
                  seed: int = 0, bounce_cap: int = 50, use_mirror: bool = True,
-                 disable_diffuser: bool = False, collect_fluxmap: bool = True,
-                 fluxmap_extent: float = 0.6, fluxmap_pitch: float = 0.02) -> TraceResult:
+                 disable_diffuser: bool = False, collect_fluxmap: bool = True) -> TraceResult:
     """Parallel beam at the given solar altitude (azimuth 0 by symmetry)."""
     if not 0.0 < altitude <= 90.0:
         raise ValueError(f"altitude must be in (0, 90]: {altitude}")
@@ -386,7 +385,6 @@ def trace_direct(geometry: LpGeometry, altitude: float, rays: int = DEFAULT_RAYS
                    disable_diffuser=disable_diffuser,
                    half_zone=geometry.target_zone_m / 2.0,
                    z_canopy=-geometry.length_m - geometry.canopy_distance_m,
-                   fluxmap_extent=fluxmap_extent, fluxmap_pitch=fluxmap_pitch,
                    collect_fluxmap=collect_fluxmap)
 
     alt_r = math.radians(altitude)
@@ -394,7 +392,7 @@ def trace_direct(geometry: LpGeometry, altitude: float, rays: int = DEFAULT_RAYS
     dirs = np.broadcast_to(d, (rays, 3)).copy()
     launch_radius = max(geometry.radius_m, geometry.mirror_radius_m)
     rng = np.random.default_rng([seed, 11, int(round(altitude * 100))])
-    origins = _launch(scene, dirs, rng, launch_radius)
+    origins = _launch(dirs, rng, launch_radius)
 
     zone_w, chamber_w, tallies = _trace(scene, origins, dirs, rng)
 
@@ -408,10 +406,9 @@ def trace_direct(geometry: LpGeometry, altitude: float, rays: int = DEFAULT_RAYS
 
     fluxmap = None
     if collect_fluxmap and scene.fluxbins is not None:
-        cell_area = fluxmap_pitch ** 2
-        norm = rays * per_ray_aperture * cell_area
-        fluxmap = FluxMap(cells=scene.fluxbins / norm, pitch_m=fluxmap_pitch,
-                          extent_m=fluxmap_extent)
+        norm = rays * per_ray_aperture * FLUXMAP_PITCH_M ** 2
+        fluxmap = FluxMap(cells=scene.fluxbins / norm, pitch_m=FLUXMAP_PITCH_M,
+                          extent_m=FLUXMAP_EXTENT_M)
 
     return TraceResult(eta_zone=eta_zone, eta_chamber=eta_ch, se_zone=se_zone,
                        se_chamber=se_ch, tallies=tallies, rays=rays, fluxmap=fluxmap)
@@ -437,7 +434,7 @@ def trace_diffuse_band(geometry: LpGeometry, tilt_deg: Optional[float],
                    disable_diffuser=disable_diffuser,
                    half_zone=geometry.target_zone_m / 2.0,
                    z_canopy=-geometry.length_m - geometry.canopy_distance_m,
-                   fluxmap_extent=0.6, fluxmap_pitch=0.02, collect_fluxmap=False)
+                   collect_fluxmap=False)
 
     lo = math.radians(band_upper_deg - 10.0)
     hi = math.radians(band_upper_deg)
@@ -450,7 +447,7 @@ def trace_diffuse_band(geometry: LpGeometry, tilt_deg: Optional[float],
     dirs = np.column_stack([-cos_alt * np.cos(az), -cos_alt * np.sin(az), -sin_alt])
 
     launch_radius = max(geometry.radius_m, geometry.mirror_radius_m)
-    origins = _launch(scene, dirs, rng, launch_radius)
+    origins = _launch(dirs, rng, launch_radius)
     zone_w, chamber_w, tallies = _trace(scene, origins, dirs, rng)
 
     # analytic mean of sin(alt) under the sampling pdf ~ sin*cos

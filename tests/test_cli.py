@@ -172,6 +172,9 @@ class TestCalibrateAndSimulate:
         assert "different climate" in json.loads(capsys.readouterr().err)["detail"]
 
 
+CAP600 = "ec: {cap_ppfd: 600}\n"
+
+
 class TestCompareCli:
     def test_two_scenario_comparison(self, work_tree):
         _calibrate(work_tree)
@@ -191,12 +194,13 @@ class TestCompareCli:
         assert meta["lue_scale"] == json.loads(
             (work_tree / "out" / "calibration.json").read_text())["lue_scale"]
 
-    @pytest.mark.parametrize("ec", ["", "ec: {cap_ppfd: 600}\n"], ids=["shipped", "cap600"])
-    def test_light_cost_csv_follows_the_config(self, work_tree, ec):
+    @pytest.mark.parametrize("bench_ec,ec", [("", ""), (CAP600, CAP600), ("", CAP600)],
+                             ids=["shipped", "cap600", "cap600_in_lp_dim_ec_only"])
+    def test_light_cost_csv_follows_the_config(self, work_tree, bench_ec, ec):
         _calibrate(work_tree)
         configs = work_tree / "configs"
-        for name in ("bench", "lp_dim_ec"):
-            (configs / f"{name}_x.yaml").write_text(f"include: {name}.yaml\n{ec}")
+        for name, extra in (("bench", bench_ec), ("lp_dim_ec", ec)):
+            (configs / f"{name}_x.yaml").write_text(f"include: {name}.yaml\n{extra}")
         cmp_cfg = configs / "ec_compare.yaml"
         cmp_cfg.write_text("scenarios:\n  - bench_x.yaml\n  - lp_dim_ec_x.yaml\n")
         out = work_tree / "cmp"

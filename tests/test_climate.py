@@ -1,11 +1,13 @@
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pipefarm.climate import (ClimateError, SiteConfig, declination,
+from pipefarm.climate import (ClimateError, SiteConfig, _resolve_azimuth, declination,
                               equation_of_time, incidence_cosine, load_climate,
                               solar_position, sunpath_table, synthetic_dubai_year)
+from pipefarm.engine import solar_angles
 
 DUBAI = SiteConfig(latitude=25.0, longitude=55.0, utc_offset=4.0)
 
@@ -78,6 +80,86 @@ class TestSolarPosition:
             solar_position(DUBAI, 12, 24.0)
 
 
+def scalar_azimuth(phi_r, delta_r, omega_r, alt_r):
+    """Compass azimuth of one hour on plain floats: the reference the array
+    `_resolve_azimuth` must reproduce."""
+    cos_alt = math.cos(alt_r)
+    if cos_alt < 1e-12:
+        return 180.0 if phi_r >= delta_r else 0.0
+    s = math.cos(delta_r) * math.sin(omega_r) / cos_alt
+    s = max(-1.0, min(1.0, s))
+    gamma_s = math.degrees(math.asin(s))
+    south_side = (math.sin(alt_r) * math.sin(phi_r) - math.sin(delta_r)) >= 0.0
+    if not south_side:
+        gamma_s = 180.0 - gamma_s if gamma_s >= 0.0 else -180.0 - gamma_s
+    return (180.0 + gamma_s) % 360.0
+
+
+def scalar_sun(site, day, clock_hour):
+    """(altitude, azimuth) of one hour on plain floats: the reference the
+    array `solar_position` must reproduce."""
+    n = min(day, 365)
+    delta = 23.45 * math.sin(math.radians(360.0 * (284 + n) / 365.0))
+    b = math.radians((n - 81) * 360.0 / 364.0)
+    eot = 9.87 * math.sin(2.0 * b) - 7.53 * math.cos(b) - 1.5 * math.sin(b)
+    h_sol = clock_hour + (eot + 4.0 * (site.longitude - site.reference_longitude)) / 60.0
+    phi_r = math.radians(site.latitude)
+    delta_r = math.radians(delta)
+    omega_r = math.radians(15.0 * (h_sol - 12.0))
+    sin_alt = (math.sin(delta_r) * math.sin(phi_r)
+               + math.cos(delta_r) * math.cos(phi_r) * math.cos(omega_r))
+    alt = math.degrees(math.asin(max(-1.0, min(1.0, sin_alt))))
+    return alt, scalar_azimuth(phi_r, delta_r, omega_r, math.radians(alt))
+
+
+class TestScalarOracle:
+    """One array call against the per-hour scalar chain: `np.arcsin` may
+    differ from libm's `asin` by an ulp, so altitude agrees to 4e-16
+    relative and azimuth to 1e-11 degrees."""
+
+    @staticmethod
+    def assert_matches(alt, azi, want):
+        want_alt, want_azi = np.array(want).T
+        assert np.all(np.abs(alt - want_alt) <= 4e-16 * np.abs(want_alt))
+        assert np.all(np.abs(azi - want_azi) <= 1e-11)
+
+    @pytest.mark.parametrize("site", [DUBAI, SiteConfig(-33.9, 18.4, 2.0)],
+                             ids=["dubai", "south"])
+    def test_year_of_hours(self, site):
+        alt, azi = solar_angles(site, 0.5)
+        self.assert_matches(alt, azi, [scalar_sun(site, i // 24 + 1, i % 24 + 0.5)
+                                       for i in range(8760)])
+
+    def test_sunpath_grid(self):
+        rows = sunpath_table(DUBAI)
+        assert len(rows) == 12 * 48
+        self.assert_matches(np.array([r["altitude"] for r in rows]),
+                            np.array([r["azimuth"] for r in rows]),
+                            [scalar_sun(DUBAI, r["day"], r["clock_hour"]) for r in rows])
+
+    def test_zenith_takes_the_equator_side(self):
+        phi = np.radians([25.0, 10.0, 25.0, 10.0])
+        delta = np.radians([20.0, 20.0, 20.0, 20.0])
+        alt = np.radians([90.0, 90.0, 60.0, 60.0])
+        got = _resolve_azimuth(phi, delta, 0.3, alt)
+        want = [scalar_azimuth(*args) for args in zip(phi, delta, [0.3] * 4, alt)]
+        assert got[:2].tolist() == [180.0, 0.0] == want[:2]
+        assert np.all(np.abs(got - want) <= 1e-11)
+
+    def test_scalar_call_is_the_array_entry(self):
+        pos = solar_position(DUBAI, np.array([80, 172]), np.array([[9.25], [15.5]]))
+        assert pos.altitude.shape == (2, 2)
+        one = solar_position(DUBAI, 172, 15.5)
+        assert (one.altitude, one.azimuth) == (pos.altitude[1, 1], pos.azimuth[1, 1])
+
+    @pytest.mark.parametrize("day,hour,bad", [([1, 367, 5], 12.0, "367"),
+                                              (12, [3.0, 24.5], "24.5"),
+                                              (12, [0.5, float("nan")], "nan")])
+    def test_out_of_range_entry_is_named(self, day, hour, bad):
+        with pytest.raises(ValueError, match=f"out of range: {bad}$"):
+            solar_position(DUBAI, np.array(day), np.array(hour))
+
+
 class TestIncidenceCosine:
     @pytest.mark.parametrize("alt,expected", [(90.0, 1.0), (30.0, 0.5), (-5.0, 0.0)])
     def test_values(self, alt, expected):
@@ -90,6 +172,12 @@ class TestIncidenceCosine:
     def test_range_check(self):
         with pytest.raises(ValueError):
             incidence_cosine(91.0)
+        with pytest.raises(ValueError, match="altitude out of range: -90.5"):
+            incidence_cosine(np.array([10.0, -90.5]))
+
+    def test_array_of_altitudes(self):
+        alts = np.array([-5.0, 0.0, 30.0, 90.0])
+        assert incidence_cosine(alts).tolist() == [incidence_cosine(a) for a in alts]
 
 
 def _write_year(path: Path, rows):
