@@ -70,11 +70,9 @@ def _cmd_trace_optics(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rays = args.rays or cfg.rays
-    table, fluxmaps = build_efficiency_table(
-        cfg.lp_geometry, rays=rays, seed=cfg.seed, altitude_step=cfg.altitude_step,
-        tilt_step=cfg.tilt_step, bounce_cap=cfg.bounce_cap,
-        collect_fluxmaps=not args.no_fluxmaps)
-    table.export_csv(outdir / "efficiency_table.csv")
+    table, fluxmaps = build_efficiency_table(cfg.lp_geometry, rays=rays, seed=cfg.seed,
+                                             collect_fluxmaps=not args.no_fluxmaps)
+    write_csv(outdir / "efficiency_table.csv", *table.csv_columns())
     for alt, fm in fluxmaps.items():
         if int(alt) % 15 == 0:
             fm.export(outdir / f"fluxmap_alt{int(alt):02d}.csv",

@@ -153,8 +153,7 @@ def _resolve_azimuth(phi_r, delta_r, omega_r, alt_r):
     s = np.clip(np.cos(delta_r) * np.sin(omega_r) / cos_alt, -1.0, 1.0)
     gamma_s = np.degrees(np.arcsin(s))  # from South, positive toward West
     south_side = (np.sin(alt_r) * np.sin(phi_r) - np.sin(delta_r)) >= 0.0
-    gamma_s = np.where(south_side, gamma_s,
-                       np.where(gamma_s >= 0.0, 180.0 - gamma_s, -180.0 - gamma_s))
+    gamma_s = np.where(south_side, gamma_s, np.copysign(180.0, gamma_s) - gamma_s)
     return np.where(cos_alt < 1e-12, np.where(phi_r >= delta_r, 180.0, 0.0),
                     (180.0 + gamma_s) % 360.0)
 

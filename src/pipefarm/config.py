@@ -100,9 +100,6 @@ class ScenarioConfig:
     min_threshold_ppfd: float = 100.0
     hour_center_offset: float = 0.5
     rays: int = 100_000
-    altitude_step: float = 5.0
-    tilt_step: float = 5.0
-    bounce_cap: int = 50
     table_cache_dir: Optional[Path] = None
     table_path: Optional[Path] = None         # imported efficiency table
     timestep_mode: str = "quasi_steady"       # quasi_steady | transient
@@ -250,8 +247,7 @@ _RENAMED = {
     "setpoints.temperature": "setpoint_t", "setpoints.co2": "setpoint_co2",
     "setpoints.ppfd": "setpoint_ppfd",
     "optics.table": "table_path", "optics.cache_dir": "table_cache_dir",
-    "optics.rays": "rays", "optics.altitude_step": "altitude_step",
-    "optics.tilt_step": "tilt_step", "optics.bounce_cap": "bounce_cap",
+    "optics.rays": "rays",
 }
 # YAML sections that build one object field; their other keys are its fields
 _SECTIONS = {"site": "site", "chamber": "chamber", "lp": "lp_geometry", "crop": "crop",

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -73,32 +73,25 @@ class CalibrationError(RuntimeError):
 # shared preparation
 # ---------------------------------------------------------------------------
 
-def prepare_efficiency_table(cfg: ScenarioConfig,
-                             cache_dir: Optional[Path] = None
-                             ) -> OpticalEfficiencyTable:
+def prepare_efficiency_table(cfg: ScenarioConfig) -> OpticalEfficiencyTable:
     """Load or trace the optical table for this geometry (cached on disk).
 
     Annual runs never trace inline; this is the explicit expensive stage.
+    A table read back from the cache keeps its `traced` provenance.
     """
+    geometry_hash = cfg.lp_geometry.content_hash()
     if cfg.table_path is not None:
-        return OpticalEfficiencyTable.import_csv(cfg.table_path,
-                                                 geometry_hash=cfg.lp_geometry.content_hash())
-    cache = cache_dir or cfg.table_cache_dir
-    key = (f"{cfg.lp_geometry.content_hash()}_r{cfg.rays}_s{cfg.seed}"
-           f"_a{cfg.altitude_step:g}_t{cfg.tilt_step:g}_b{cfg.bounce_cap}")
-    if cache is not None:
-        cache = Path(cache)
-        cache.mkdir(parents=True, exist_ok=True)
-        path = cache / f"optics_{key}.csv"
+        return OpticalEfficiencyTable.import_csv(cfg.table_path, geometry_hash=geometry_hash)
+    path = None
+    if cfg.table_cache_dir is not None:
+        path = Path(cfg.table_cache_dir) / f"optics_{geometry_hash}_r{cfg.rays}_s{cfg.seed}.csv"
         if path.exists():
-            table = OpticalEfficiencyTable.import_csv(
-                path, geometry_hash=cfg.lp_geometry.content_hash())
-            return table
-    table, _ = build_efficiency_table(cfg.lp_geometry, rays=cfg.rays, seed=cfg.seed,
-                                      altitude_step=cfg.altitude_step,
-                                      tilt_step=cfg.tilt_step, bounce_cap=cfg.bounce_cap)
-    if cache is not None:
-        table.export_csv(cache / f"optics_{key}.csv")
+            table = OpticalEfficiencyTable.import_csv(path, geometry_hash=geometry_hash)
+            return replace(table, provenance="traced")
+        path.parent.mkdir(parents=True, exist_ok=True)
+    table, _ = build_efficiency_table(cfg.lp_geometry, rays=cfg.rays, seed=cfg.seed)
+    if path is not None:
+        write_csv(path, *table.csv_columns())
     return table
 
 
@@ -168,9 +161,8 @@ class Study:
         """The optical table of a piped scenario; None without pipes."""
         if not cfg.uses_light_pipes:
             return None
-        # what prepare_efficiency_table reads (the seed and steps only trace)
-        key = (cfg.table_path, cfg.lp_geometry, cfg.rays, cfg.seed, cfg.altitude_step,
-               cfg.tilt_step, cfg.bounce_cap)
+        # what prepare_efficiency_table reads (the rays and seed only trace)
+        key = (cfg.table_path, cfg.lp_geometry, cfg.rays, cfg.seed)
         if key not in self._tables:
             self._tables[key] = prepare_efficiency_table(cfg)
         return self._tables[key]

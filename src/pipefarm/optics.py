@@ -23,6 +23,8 @@ PAR_UMOL_PER_J = 4.56      # 400-700 nm band -> photons
 PAR_FRACTION = SOLAR_UMOL_PER_J / PAR_UMOL_PER_J  # PAR share of solar power
 
 DIFFUSE_BANDS = tuple(range(10, 91, 10))  # upper edges of ten-degree sky bands
+ALTITUDE_STEP_DEG = 5.0   # traced table: direct-beam altitudes 5, 10, ..., 90 deg
+TILT_STEP_DEG = 5.0       # and mirror tilts 45, 50, ..., 90 deg
 
 __all__ = [
     "LpGeometry",
@@ -39,6 +41,8 @@ __all__ = [
     "PAR_UMOL_PER_J",
     "PAR_FRACTION",
     "DIFFUSE_BANDS",
+    "ALTITUDE_STEP_DEG",
+    "TILT_STEP_DEG",
 ]
 
 
@@ -47,10 +51,11 @@ class LpGeometry:
     """One roof light pipe: collector dome, tracking mirror, duct, diffuser.
 
     The prismatic diffuser is a regular array of shallow four-sided
-    pyramids; its optically relevant parameter is the facet slope, which
-    follows from the apex angle between opposite facets. Pitch and pyramid
-    height only set the microstructure scale, far below the duct diameter,
-    so the tracer treats the sheet as a thin deterministic deviator.
+    pyramids, modelled by its facet slope alone: the slope follows from
+    the apex angle between opposite facets, and the pyramids are far
+    smaller than the duct, so the tracer treats the sheet as a thin
+    deterministic deviator. The tracking mirror is a disc with the duct's
+    radius, hinged through its centre on the aperture plane.
     """
 
     diameter_mm: float = 150.0
@@ -58,10 +63,6 @@ class LpGeometry:
     dome_transmittance: float = 0.91
     wall_reflectance: float = 0.90
     mirror_reflectance: float = 0.90
-    mirror_diameter_mm: Optional[float] = None   # defaults to pipe diameter
-    mirror_hinge_height_m: float = 0.0           # disc centre on the dome base plane
-    diffuser_pitch_mm: float = 2.0
-    diffuser_pyramid_height_mm: float = 4.0
     diffuser_apex_angle_deg: float = 152.0
     diffuser_refractive_index: float = 1.49
     diffuser_throughput: float = 0.89            # bulk Fresnel/absorption factor
@@ -69,8 +70,7 @@ class LpGeometry:
     target_zone_m: float = 0.20
 
     def __post_init__(self):
-        for name in ("diameter_mm", "length_mm", "diffuser_pitch_mm",
-                     "diffuser_pyramid_height_mm", "canopy_distance_m", "target_zone_m"):
+        for name in ("diameter_mm", "length_mm", "canopy_distance_m", "target_zone_m"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         for name in ("dome_transmittance", "wall_reflectance", "mirror_reflectance",
@@ -98,11 +98,6 @@ class LpGeometry:
     @property
     def lateral_area_m2(self) -> float:
         return math.pi * (self.diameter_mm / 1000.0) * self.length_m
-
-    @property
-    def mirror_radius_m(self) -> float:
-        d = self.mirror_diameter_mm if self.mirror_diameter_mm is not None else self.diameter_mm
-        return d / 2000.0
 
     @property
     def diffuser_facet_slope_deg(self) -> float:
@@ -239,21 +234,23 @@ class OpticalEfficiencyTable:
 
     # -- delimited text round-trip ------------------------------------------
 
-    def export_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["kind", "angle", "tilt", "eta", "eta_crop", "stderr", "stderr_crop"])
-            for a, e, s in zip(self.alt_grid, self.eta_dir, self.se_dir):
-                w.writerow(["direct", repr(float(a)), "", repr(float(e)), "",
-                            repr(float(s)), ""])
-            for i, t in enumerate(self.tilt_grid):
-                for j, b in enumerate(self.bands):
-                    w.writerow(["diffuse", repr(float(b)), repr(float(t)),
-                                repr(float(self.eta_diff_th[i, j])),
-                                repr(float(self.eta_diff_crop[i, j])),
-                                repr(float(self.se_diff_th[i, j])),
-                                repr(float(self.se_diff_crop[i, j]))])
+    def csv_columns(self) -> tuple[list, list]:
+        """Header and columns of the delimited form (write with
+        `engine.write_csv`): one `direct` row per altitude, then one
+        `diffuse` row per tilt and band, with the angle column holding the
+        band's upper edge."""
+        n_dir, n_diff = self.alt_grid.size, self.eta_diff_th.size
+        tilts, bands = np.meshgrid(self.tilt_grid, np.asarray(self.bands, dtype=float),
+                                   indexing="ij")
+        blank = [None] * n_dir
+        return (["kind", "angle", "tilt", "eta", "eta_crop", "stderr", "stderr_crop"],
+                [["direct"] * n_dir + ["diffuse"] * n_diff,
+                 np.concatenate([self.alt_grid, bands.ravel()]),
+                 blank + tilts.ravel().tolist(),
+                 np.concatenate([self.eta_dir, self.eta_diff_th.ravel()]),
+                 blank + self.eta_diff_crop.ravel().tolist(),
+                 np.concatenate([self.se_dir, self.se_diff_th.ravel()]),
+                 blank + self.se_diff_crop.ravel().tolist()])
 
     @classmethod
     def import_csv(cls, path: str | Path, geometry_hash: str = "") -> "OpticalEfficiencyTable":

@@ -3,13 +3,17 @@
 Geometry (metres, z up): the collector aperture is the disc r <= R on the
 plane z = 0; the reflective duct spans -L <= z <= 0; the prismatic
 diffuser sits at z = -L; the crop plane lies a canopy distance below it.
-The tracking mirror is a flat disc hinged about a horizontal axis through
-its centre on the dome base plane, coated side facing the sun (azimuth 0
-by dome-rotation symmetry). The dome itself is reduced to a bulk
-transmittance applied at launch.
+The tracking mirror is a flat disc of the duct's radius R, hinged about a
+horizontal axis through its centre, which sits on the aperture plane at
+the origin; its coated side faces the sun (azimuth 0 by dome-rotation
+symmetry). The dome itself is reduced to a bulk transmittance applied at
+launch. The diffuser is modelled by its facet slope alone: its pyramids
+are far smaller than the duct, so the sheet acts as a thin deterministic
+deviator.
 
-Direct-beam efficiencies are normalized to the beam power over the
-aperture area (irradiance times A_LP, no incidence cosine); the cosine
+Rays are launched over a disc of radius R perpendicular to their
+direction. Direct-beam efficiencies are normalized to the beam power over
+the aperture area (irradiance times A_LP, no incidence cosine); the cosine
 enters exactly once, downstream in the gain formula. Under this
 convention the mirror picking up rays that never cross the aperture disc
 lifts low-sun delivery without breaking the documented 73% ceiling.
@@ -31,7 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .optics import DIFFUSE_BANDS, FluxMap, LpGeometry, OpticalEfficiencyTable, mirror_tilt
+from .optics import ALTITUDE_STEP_DEG, DIFFUSE_BANDS, TILT_STEP_DEG, FluxMap, LpGeometry, \
+    OpticalEfficiencyTable, mirror_tilt
 
 _EPS = 1e-9
 
@@ -88,16 +93,14 @@ class _Scene:
     tilt_deg: Optional[float]      # None removes the mirror
     bounce_cap: int
     disable_diffuser: bool
-    half_zone: float
-    z_canopy: float
     collect_fluxmap: bool
 
     def __post_init__(self):
         g = self.geom
         self.R = g.radius_m
         self.L = g.length_m
-        self.Rm = g.mirror_radius_m
-        self.m0 = np.array([0.0, 0.0, g.mirror_hinge_height_m])
+        self.half_zone = g.target_zone_m / 2.0
+        self.z_canopy = -g.length_m - g.canopy_distance_m
         if self.tilt_deg is not None:
             t = math.radians(self.tilt_deg)
             self.mirror_n = np.array([math.sin(t), 0.0, -math.cos(t)])
@@ -135,7 +138,7 @@ def _trace(scene: _Scene, origins: np.ndarray, dirs: np.ndarray,
         "missed_roof": 0.0,
         "escaped": 0.0,
     }
-    R, L, Rm = scene.R, scene.L, scene.Rm
+    R, L = scene.R, scene.L
 
     for _ in range(scene.bounce_cap):
         idx = np.flatnonzero(alive)
@@ -163,18 +166,18 @@ def _trace(scene: _Scene, origins: np.ndarray, dirs: np.ndarray,
             good = ok & (troot > _EPS) & (z_hit <= 1e-12) & (z_hit >= -L - 1e-12)
             tc[:, 0] = np.where(good & (troot < tc[:, 0]), troot, tc[:, 0])
 
-        # mirror disc
+        # mirror disc: radius R, centred at the origin
         if scene.mirror_n is not None:
             denom = dd @ scene.mirror_n
             with np.errstate(divide="ignore", invalid="ignore"):
-                tm = ((scene.m0 - p) @ scene.mirror_n) / denom
+                tm = ((-p) @ scene.mirror_n) / denom
             tm = np.where((np.abs(denom) > 1e-14) & (tm > _EPS), tm, np.inf)
             finite = np.isfinite(tm)
             if np.any(finite):
                 mhit = p[finite] + tm[finite, None] * dd[finite]
-                r2 = np.einsum("ij,ij->i", mhit - scene.m0, mhit - scene.m0)
+                r2 = np.einsum("ij,ij->i", mhit, mhit)
                 keep = np.zeros_like(tm, dtype=bool)
-                keep[finite] = r2 <= Rm * Rm
+                keep[finite] = r2 <= R * R
                 tc[:, 1] = np.where(keep, tm, np.inf)
 
         # roof plane z = 0 outside the aperture, from above only
@@ -372,6 +375,31 @@ def _validate(rays: int, geometry: LpGeometry) -> None:
                          "assumes the zone covers the duct footprint")
 
 
+def _estimate(scene: _Scene, dirs: np.ndarray, rng: np.random.Generator,
+              mean_sin: float = 1.0) -> TraceResult:
+    """Launch `dirs` over a disc of the duct's radius, trace them and
+    normalize to the aperture power: the beam's irradiance times A_LP,
+    times `mean_sin`, the mean projection onto the aperture of a sampled
+    sky direction (1 for the direct beam, which carries no cosine)."""
+    origins = _launch(dirs, rng, scene.R)
+    zone_w, chamber_w, tallies = _trace(scene, origins, dirs, rng)
+
+    a_launch = math.pi * scene.R ** 2
+    per_ray_aperture = scene.geom.aperture_area_m2 * mean_sin / a_launch
+    scale = 1.0 / per_ray_aperture
+    eta_zone, se_zone = _mean_se(zone_w * scale)
+    eta_ch, se_ch = _mean_se((zone_w + chamber_w) * scale)
+
+    rays = dirs.shape[0]
+    fluxmap = None
+    if scene.fluxbins is not None:
+        norm = rays * per_ray_aperture * FLUXMAP_PITCH_M ** 2
+        fluxmap = FluxMap(cells=scene.fluxbins / norm, pitch_m=FLUXMAP_PITCH_M,
+                          extent_m=FLUXMAP_EXTENT_M)
+    return TraceResult(eta_zone=eta_zone, eta_chamber=eta_ch, se_zone=se_zone,
+                       se_chamber=se_ch, tallies=tallies, rays=rays, fluxmap=fluxmap)
+
+
 def trace_direct(geometry: LpGeometry, altitude: float, rays: int = DEFAULT_RAYS,
                  seed: int = 0, bounce_cap: int = 50, use_mirror: bool = True,
                  disable_diffuser: bool = False, collect_fluxmap: bool = True) -> TraceResult:
@@ -382,36 +410,12 @@ def trace_direct(geometry: LpGeometry, altitude: float, rays: int = DEFAULT_RAYS
 
     tilt = mirror_tilt(altitude) if use_mirror else None
     scene = _Scene(geom=geometry, tilt_deg=tilt, bounce_cap=bounce_cap,
-                   disable_diffuser=disable_diffuser,
-                   half_zone=geometry.target_zone_m / 2.0,
-                   z_canopy=-geometry.length_m - geometry.canopy_distance_m,
-                   collect_fluxmap=collect_fluxmap)
-
+                   disable_diffuser=disable_diffuser, collect_fluxmap=collect_fluxmap)
     alt_r = math.radians(altitude)
     d = np.array([-math.cos(alt_r), 0.0, -math.sin(alt_r)])
     dirs = np.broadcast_to(d, (rays, 3)).copy()
-    launch_radius = max(geometry.radius_m, geometry.mirror_radius_m)
     rng = np.random.default_rng([seed, 11, int(round(altitude * 100))])
-    origins = _launch(dirs, rng, launch_radius)
-
-    zone_w, chamber_w, tallies = _trace(scene, origins, dirs, rng)
-
-    # flat normalization: beam irradiance times the aperture area, no cosine
-    # (the incidence cosine is applied once, downstream in the gain formula)
-    a_launch = math.pi * launch_radius ** 2
-    per_ray_aperture = geometry.aperture_area_m2 / a_launch
-    scale = 1.0 / per_ray_aperture
-    eta_zone, se_zone = _mean_se(zone_w * scale)
-    eta_ch, se_ch = _mean_se((zone_w + chamber_w) * scale)
-
-    fluxmap = None
-    if collect_fluxmap and scene.fluxbins is not None:
-        norm = rays * per_ray_aperture * FLUXMAP_PITCH_M ** 2
-        fluxmap = FluxMap(cells=scene.fluxbins / norm, pitch_m=FLUXMAP_PITCH_M,
-                          extent_m=FLUXMAP_EXTENT_M)
-
-    return TraceResult(eta_zone=eta_zone, eta_chamber=eta_ch, se_zone=se_zone,
-                       se_chamber=se_ch, tallies=tallies, rays=rays, fluxmap=fluxmap)
+    return _estimate(scene, dirs, rng)
 
 
 def trace_diffuse_band(geometry: LpGeometry, tilt_deg: Optional[float],
@@ -431,11 +435,7 @@ def trace_diffuse_band(geometry: LpGeometry, tilt_deg: Optional[float],
     _validate(rays, geometry)
 
     scene = _Scene(geom=geometry, tilt_deg=tilt_deg, bounce_cap=bounce_cap,
-                   disable_diffuser=disable_diffuser,
-                   half_zone=geometry.target_zone_m / 2.0,
-                   z_canopy=-geometry.length_m - geometry.canopy_distance_m,
-                   collect_fluxmap=False)
-
+                   disable_diffuser=disable_diffuser, collect_fluxmap=False)
     lo = math.radians(band_upper_deg - 10.0)
     hi = math.radians(band_upper_deg)
     s2lo, s2hi = math.sin(lo) ** 2, math.sin(hi) ** 2
@@ -445,44 +445,31 @@ def trace_diffuse_band(geometry: LpGeometry, tilt_deg: Optional[float],
     cos_alt = np.sqrt(1.0 - sin_alt ** 2)
     az = math.pi * (rng.random(rays) - 0.5)  # front half-dome
     dirs = np.column_stack([-cos_alt * np.cos(az), -cos_alt * np.sin(az), -sin_alt])
-
-    launch_radius = max(geometry.radius_m, geometry.mirror_radius_m)
-    origins = _launch(dirs, rng, launch_radius)
-    zone_w, chamber_w, tallies = _trace(scene, origins, dirs, rng)
-
     # analytic mean of sin(alt) under the sampling pdf ~ sin*cos
     e_sin = 2.0 * (math.sin(hi) ** 3 - math.sin(lo) ** 3) / (3.0 * (s2hi - s2lo))
-    a_launch = math.pi * launch_radius ** 2
-    per_ray_aperture = geometry.aperture_area_m2 * e_sin / a_launch
-    scale = 1.0 / per_ray_aperture
-    eta_zone, se_zone = _mean_se(zone_w * scale)
-    eta_ch, se_ch = _mean_se((zone_w + chamber_w) * scale)
-    return TraceResult(eta_zone=eta_zone, eta_chamber=eta_ch, se_zone=se_zone,
-                       se_chamber=se_ch, tallies=tallies, rays=rays)
+    return _estimate(scene, dirs, rng, e_sin)
 
 
 def build_efficiency_table(geometry: LpGeometry, rays: int = DEFAULT_RAYS,
-                           seed: int = 0, altitude_step: float = 5.0,
-                           tilt_step: float = 5.0, bounce_cap: int = 50,
-                           collect_fluxmaps: bool = False
+                           seed: int = 0, collect_fluxmaps: bool = False
                            ) -> tuple[OpticalEfficiencyTable, dict]:
     """Altitude sweep for the direct beam plus a tilt x band diffuse grid.
 
     Returns the table and, optionally, flux maps keyed by altitude.
     """
-    alts = np.arange(altitude_step, 90.0 + 1e-9, altitude_step)
+    alts = np.arange(ALTITUDE_STEP_DEG, 90.0 + 1e-9, ALTITUDE_STEP_DEG)
     eta_dir = np.empty(alts.size)
     se_dir = np.empty(alts.size)
     fluxmaps: dict = {}
     for i, alt in enumerate(alts):
         res = trace_direct(geometry, float(alt), rays=rays, seed=seed,
-                           bounce_cap=bounce_cap, collect_fluxmap=collect_fluxmaps)
+                           collect_fluxmap=collect_fluxmaps)
         eta_dir[i] = res.eta_zone
         se_dir[i] = res.se_zone
-        if collect_fluxmaps and res.fluxmap is not None:
+        if res.fluxmap is not None:
             fluxmaps[float(alt)] = res.fluxmap
 
-    tilts = np.arange(45.0, 90.0 + 1e-9, tilt_step)
+    tilts = np.arange(45.0, 90.0 + 1e-9, TILT_STEP_DEG)
     nb = len(DIFFUSE_BANDS)
     eta_th = np.empty((tilts.size, nb))
     eta_crop = np.empty((tilts.size, nb))
@@ -490,8 +477,7 @@ def build_efficiency_table(geometry: LpGeometry, rays: int = DEFAULT_RAYS,
     se_crop = np.empty((tilts.size, nb))
     for i, tilt in enumerate(tilts):
         for j, band in enumerate(DIFFUSE_BANDS):
-            res = trace_diffuse_band(geometry, float(tilt), band, rays=rays,
-                                     seed=seed, bounce_cap=bounce_cap)
+            res = trace_diffuse_band(geometry, float(tilt), band, rays=rays, seed=seed)
             eta_th[i, j] = res.eta_chamber
             eta_crop[i, j] = res.eta_zone
             se_th[i, j] = res.se_chamber

@@ -136,6 +136,9 @@ class TestValidation:
         ("lp: {diamter_mm: 100}", "lp.diamter_mm"),       # object section
         ("setpoints: {rh_light: 0.6}", "setpoints.rh_light"),   # renamed-only section
         ("n_pipes: 5", "n_pipes"),                        # field name, not YAML key
+        ("lp: {diffuser_pitch_mm: 2.0}", "lp.diffuser_pitch_mm"),         # removed keys
+        ("lp: {mirror_hinge_height_m: 0.0}", "lp.mirror_hinge_height_m"),
+        ("optics: {bounce_cap: 50}", "optics.bounce_cap"),
     ])
     def test_unknown_key_rejected(self, tmp_path, body, key):
         path = tmp_path / "typo.yaml"

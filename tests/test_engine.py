@@ -17,7 +17,7 @@ from pipefarm.engine import (SimulationError, Study, calibrate_lue_scale, compar
                              light_cost_inputs, prepare_efficiency_table, run_scenario,
                              scenario_capex_delta, scenario_light_cost, scenario_sweep)
 from pipefarm.lighting import STRATEGIES, control_tier3, ec_control, led_electric_power
-from pipefarm.optics import (OpticalEfficiencyTable, apply_neutral_attenuation,
+from pipefarm.optics import (DIFFUSE_BANDS, OpticalEfficiencyTable, apply_neutral_attenuation,
                              apply_uv_ir_filter, gh_gains, lp_crop_ppfd, lp_solar_gains)
 
 
@@ -127,12 +127,43 @@ class TestTableSwap:
         cfg = scenario_configs["LP_Dim"]
         table = prepare_efficiency_table(cfg)
         path = tmp_path / "table.csv"
-        table.export_csv(path)
+        engine.write_csv(path, *table.csv_columns())
         reload = OpticalEfficiencyTable.import_csv(path)
         a = run_scenario(cfg, climate, table, lue_calibrated, solar=solar)
         b = run_scenario(cfg, climate, reload, lue_calibrated, solar=solar)
         assert a.aggregates == b.aggregates
         assert a.kpis == b.kpis
+
+
+class TestTableCache:
+    def test_cached_trace_reads_back_as_traced(self, scenario_configs, monkeypatch,
+                                               tmp_path):
+        """A rerun that reads the table from the disk cache reports the same
+        provenance and the same arrays as the run that traced it."""
+        rng = np.random.default_rng(0)
+        tilts = np.arange(45.0, 91.0, 5.0)
+        th = rng.uniform(0.1, 0.6, (tilts.size, 9))
+        traced = OpticalEfficiencyTable(
+            alt_grid=np.arange(5.0, 91.0, 5.0), eta_dir=rng.uniform(0.2, 0.7, 18),
+            se_dir=rng.uniform(0.0, 0.01, 18), tilt_grid=tilts, bands=DIFFUSE_BANDS,
+            eta_diff_th=th, eta_diff_crop=th * 0.3, se_diff_th=np.zeros_like(th),
+            se_diff_crop=np.zeros_like(th), provenance="traced")
+        calls = []
+
+        def trace(geometry, rays, seed):
+            calls.append((rays, seed))
+            return traced, {}
+
+        monkeypatch.setattr(engine, "build_efficiency_table", trace)
+        cfg = dataclasses.replace(scenario_configs["LP_Dim"], table_path=None,
+                                  table_cache_dir=tmp_path)
+        first = prepare_efficiency_table(cfg)
+        second = prepare_efficiency_table(cfg)
+        assert len(calls) == 1
+        assert first.provenance == second.provenance == "traced"
+        for name in ("alt_grid", "eta_dir", "se_dir", "tilt_grid", "eta_diff_th",
+                     "eta_diff_crop", "se_diff_th", "se_diff_crop"):
+            assert np.array_equal(getattr(first, name), getattr(second, name)), name
 
 
 class TestCalibration:

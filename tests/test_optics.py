@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pipefarm.engine import write_csv
 from pipefarm.optics import (DIFFUSE_BANDS, LpGains, LpGeometry,
                              OpticalEfficiencyTable, apply_neutral_attenuation,
                              apply_uv_ir_filter, dome_band_fraction,
@@ -97,7 +98,7 @@ class TestEfficiencyTable:
             se_diff_th=np.zeros_like(th), se_diff_crop=np.zeros_like(th),
             provenance="traced", geometry_hash="abc")
         path = tmp_path / "table.csv"
-        table.export_csv(path)
+        write_csv(path, *table.csv_columns())
         loaded = OpticalEfficiencyTable.import_csv(path)
         assert np.array_equal(loaded.eta_dir, table.eta_dir)
         assert np.array_equal(loaded.eta_diff_th, table.eta_diff_th)

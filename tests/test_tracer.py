@@ -105,6 +105,17 @@ class TestDiffuseProperties:
         assert res.tallies["absorbed_mirror_back"] > 0.05 * res.rays
 
 
+@pytest.mark.parametrize("name", sorted(LpGeometry.__dataclass_fields__))
+def test_every_geometry_field_moves_the_trace(name):
+    """The geometry holds only inputs the tracer models: scaling any one
+    field changes an efficiency or a tally."""
+    base = trace_direct(GEOM, 60.0, rays=10_000, seed=1)
+    res = trace_direct(replace(GEOM, **{name: 0.9 * getattr(GEOM, name)}), 60.0,
+                       rays=10_000, seed=1)
+    assert ((res.eta_zone, res.eta_chamber, res.tallies)
+            != (base.eta_zone, base.eta_chamber, base.tallies))
+
+
 class TestMonteCarloBehavior:
     def test_stderr_scales_with_ray_count(self):
         a = trace_direct(GEOM, 60.0, rays=25_000, seed=11)
