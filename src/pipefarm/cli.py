@@ -1,12 +1,15 @@
 """Command-line entry point. It reads files, builds one `engine.Study` for
 any runs and writes what the engine returns; `economics` decides every cost.
+Each study fits its own LUE factor to the benchmark yield, so no command
+reads a calibration file.
 
 Subcommands: trace-optics (geometry -> efficiency table + flux maps),
-calibrate (fit the LUE factor to the benchmark yield), simulate (one
-scenario -> result files), compare (scenario set -> comparison tables,
-and light_cost.csv, each variant under its scenario's config when the set
-has one, else the first config), sweep (price/carbon grid and a
-break-even pipe cost), sunpath (solar position tables).
+calibrate (a report of the fit a study of the config makes; nothing
+reads it back), simulate (one scenario -> result files), compare
+(scenario set -> comparison tables, and light_cost.csv, each variant
+under its scenario's config when the set has one, else the first
+config), sweep (price/carbon grid and a break-even pipe cost), sunpath
+(solar position tables).
 Outputs are delimited text plus JSON. Every JSON file carries the tool
 version and config hash (comparison.json one hash per config,
 breakeven.json the bench config's too); kpis.json, calibration.json,
@@ -29,8 +32,8 @@ from . import __version__
 from .climate import ClimateError, sunpath_table
 from .config import ConfigError, ScenarioConfig, load_config_mapping, load_scenario_config
 from .economics import light_cost_comparison
-from .engine import CalibrationError, SimulationError, Study, calibrate_lue_scale, \
-    compare_scenarios, light_cost_inputs, scenario_sweep, write_csv
+from .engine import CalibrationError, SimulationError, Study, compare_scenarios, \
+    light_cost_inputs, scenario_sweep, write_csv
 from .tracer import build_efficiency_table
 
 EXIT_OK = 0
@@ -75,8 +78,12 @@ def _cmd_trace_optics(args) -> int:
     write_csv(outdir / "efficiency_table.csv", *table.csv_columns())
     for alt, fm in fluxmaps.items():
         if int(alt) % 15 == 0:
-            fm.export(outdir / f"fluxmap_alt{int(alt):02d}.csv",
-                      meta=_meta(cfg, altitude=alt, rays=rays))
+            path = outdir / f"fluxmap_alt{int(alt):02d}.csv"
+            write_csv(path, *fm.csv_columns())
+            Path(f"{path}.json").write_text(json.dumps(
+                _meta(cfg, pitch_m=fm.pitch_m, extent_m=fm.extent_m,
+                      shape=list(fm.cells.shape), altitude=alt, rays=rays),
+                indent=2, sort_keys=True))
     (outdir / "trace_meta.json").write_text(json.dumps(
         _meta(cfg, rays=rays, geometry_hash=cfg.lp_geometry.content_hash(),
               bound_flags=table.bound_violations()), indent=2, sort_keys=True))
@@ -86,11 +93,9 @@ def _cmd_trace_optics(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    """Report the LUE fit that every study of this config makes for itself."""
     cfg = dataclasses.replace(_load_cfg(args), scenario="Bench")
-    # the fit runs before a calibration exists: the study loads none
-    study = Study([dataclasses.replace(cfg, calibration_path=None)])
-    calib = calibrate_lue_scale(cfg, study.climate, None, study.lue, target_kg=args.target)
-    calib.update(_meta(cfg))
+    calib = {**Study([cfg]).calibration, **_meta(cfg)}
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(calib, indent=2, sort_keys=True))
@@ -102,7 +107,6 @@ def _cmd_calibrate(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     result = Study([cfg]).run(cfg)
-    result.metadata["calibrated"] = cfg.calibration_path is not None
     files = result.save(args.out)
     k = result.kpis
     print(f"{cfg.scenario} (PPE {cfg.ppe:g}): yield {k.yield_kg:.0f} kg, "
@@ -235,9 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-fluxmaps", action="store_true")
     p.set_defaults(func=_cmd_trace_optics)
 
-    p = sub.add_parser("calibrate", help="fit the LUE factor to the benchmark yield")
+    p = sub.add_parser("calibrate", help="report the LUE fit to the benchmark yield")
     common(p)
-    p.add_argument("--target", type=float, default=9221.0)
     p.set_defaults(func=_cmd_calibrate)
     p.set_defaults(out="out/calibration.json")
 

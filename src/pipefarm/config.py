@@ -84,7 +84,6 @@ class ScenarioConfig:
     lp_heat_area: str = "aperture"            # pipe heat-loss area: aperture | lateral
     crop: CropParams = field(default_factory=CropParams)
     lue_table_path: Optional[Path] = None
-    calibration_path: Optional[Path] = None
     costs: CostTable = field(default_factory=CostTable)
     cop: CopModel = field(default_factory=CopModel)
     latent: LatentModel = field(default_factory=LatentModel)
@@ -242,7 +241,7 @@ def _path_or_none(base: Path, value) -> Optional[Path]:
 _RENAMED = {
     "climate": "climate_path",
     "lp.count": "n_pipes", "lp.heat_area": "lp_heat_area",
-    "crop.lue_table": "lue_table_path", "crop.calibration": "calibration_path",
+    "crop.lue_table": "lue_table_path",
     "ec.v_max": "ec_v_max", "ec.cap_ppfd": "ec_cap_ppfd",
     "setpoints.temperature": "setpoint_t", "setpoints.co2": "setpoint_co2",
     "setpoints.ppfd": "setpoint_ppfd",
@@ -258,7 +257,7 @@ _TOP_LEVEL = ({f.name for f in fields(ScenarioConfig)}
               - set(_RENAMED.values()) - set(_SECTIONS.values()))
 _GROUPS = set(_SECTIONS) | {k.split(".")[0] for k in _RENAMED if "." in k}   # mappings
 # resolved against the config's directory
-_PATHS = {"climate", "crop.lue_table", "crop.calibration", "optics.table", "optics.cache_dir"}
+_PATHS = {"climate", "crop.lue_table", "optics.table", "optics.cache_dir"}
 # list values built into their field's types
 _LISTS = {
     "chamber.surfaces": lambda v: tuple(

@@ -16,8 +16,9 @@ run (temperature and CO2 are fixed setpoints), bit-identical to stepping
 `CropState`s hour by hour. The benchmark scenario has no daylight, so
 calibration iterates the crop stage alone on its LED light.
 
-A `Study` is a scenario set under one climate year and one calibration: it
-builds their shared inputs once and refuses mixed ones before any run.
+A `Study` is a scenario set under one climate year and one LUE scale,
+which it fits itself: it builds their shared inputs once and refuses mixed
+ones before any run.
 Expensive Monte Carlo tracing happens once per geometry and is cached on
 disk; annual runs only interpolate the resulting table. A run is
 deterministic for a fixed seed.
@@ -95,10 +96,11 @@ def prepare_efficiency_table(cfg: ScenarioConfig) -> OpticalEfficiencyTable:
     return table
 
 
-def load_lue_table(cfg: ScenarioConfig, scale: float = 1.0) -> LueTable:
+def load_lue_table(cfg: ScenarioConfig) -> LueTable:
+    """The configured LUE table at scale 1."""
     if cfg.lue_table_path is None:
         raise SimulationError("no LUE table configured (crop.lue_table)")
-    return LueTable.from_csv(cfg.lue_table_path, scale=scale)
+    return LueTable.from_csv(cfg.lue_table_path)
 
 
 def solar_angles(site: SiteConfig, hour_center_offset: float = 0.5
@@ -109,16 +111,20 @@ def solar_angles(site: SiteConfig, hour_center_offset: float = 0.5
     return pos.altitude, pos.azimuth
 
 
+# the LUE fit reads the crop, setpoints and photoperiod, so they are shared too
 _SHARED_INPUTS = ("climate_path", "climate_columns", "site", "hour_center_offset",
-                  "calibration_path", "lue_table_path", "ppe")
+                  "lue_table_path", "ppe", "crop", "setpoint_t", "setpoint_co2",
+                  "setpoint_ppfd", "photoperiod")
 
 
 class Study:
     """Scenario configs whose `_SHARED_INPUTS` agree; it refuses any other.
 
     Builds the climate, one optical table per distinct optics input of the
-    piped scenarios, the LUE table at the calibration file's scale (or
-    `lue`, a table the caller calibrated) and, lazily, the solar angles."""
+    piped scenarios, the LUE table and, lazily, the solar angles. Without
+    `lue` (a table the caller scaled) it fits the LUE scale on the first
+    config run as Bench and keeps `calibrate_lue_scale`'s record in
+    `calibration`; with `lue`, `calibration` is None."""
 
     def __init__(self, configs: Sequence[ScenarioConfig], lue: Optional[LueTable] = None):
         self.configs = tuple(configs)
@@ -131,18 +137,12 @@ class Study:
         self._tables: dict = {}
         for cfg in self.configs:
             self.table(cfg)
+        self.calibration: Optional[dict] = None
         if lue is None:
-            scale = 1.0
-            if first.calibration_path is not None:
-                calib = json.loads(Path(first.calibration_path).read_text())
-                if "lue_scale" not in calib:
-                    raise SimulationError(f"calibration file {first.calibration_path} "
-                                          "lacks lue_scale")
-                if calib.get("climate_hash") not in (None, self.climate.content_hash()):
-                    raise SimulationError("calibration was fitted against a different "
-                                          "climate year; re-run calibrate")
-                scale = float(calib["lue_scale"])
-            lue = load_lue_table(first, scale=scale)
+            base = load_lue_table(first)
+            self.calibration = calibrate_lue_scale(replace(first, scenario="Bench"),
+                                                   self.climate, None, base)
+            lue = base.with_scale(self.calibration["lue_scale"])
         self.lue = lue
 
     def _check(self, cfg: ScenarioConfig, name: str) -> None:
@@ -300,7 +300,7 @@ def run_scenario(cfg: ScenarioConfig, climate: ClimateSeries,
     """One scenario over one climate year.
 
     `table` may be None for scenarios without light pipes. `lue` carries
-    the calibration scale. `solar` lets callers share the precomputed sun
+    the fitted scale. `solar` lets callers share the precomputed sun
     positions across runs.
     """
     if cfg.uses_light_pipes and table is None:

@@ -146,24 +146,22 @@ class FluxMap:
         if np.any(self.cells < -1e-12):
             raise ValueError("flux map cells must be non-negative")
 
+    def centers(self) -> np.ndarray:
+        """Cell-centre coordinates (m) along either axis of the square grid."""
+        n = self.cells.shape[0]
+        return (np.arange(n) + 0.5) * self.pitch_m - self.extent_m / 2.0
+
     def zone_integral(self, half_width_m: float) -> float:
         """Fraction of incident power landing within the centred square zone."""
-        n = self.cells.shape[0]
-        centers = (np.arange(n) + 0.5) * self.pitch_m - self.extent_m / 2.0
-        inside = np.abs(centers) <= half_width_m + 1e-12
+        inside = np.abs(self.centers()) <= half_width_m + 1e-12
         area = self.pitch_m ** 2
         return float(self.cells[np.ix_(inside, inside)].sum() * area)
 
-    def export(self, path: str | Path, meta: Optional[dict] = None) -> None:
-        """Delimited grid plus a JSON sidecar with extent/pitch metadata."""
-        import json
-        path = Path(path)
-        np.savetxt(path, self.cells, delimiter=",", fmt="%.8e")
-        sidecar = {"pitch_m": self.pitch_m, "extent_m": self.extent_m,
-                   "shape": list(self.cells.shape)}
-        if meta:
-            sidecar.update(meta)
-        Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+    def csv_columns(self) -> tuple[list, list]:
+        """Header and columns of the delimited grid (write with
+        `engine.write_csv`): the header holds each column's centre x (m),
+        and each row is one row of cells."""
+        return self.centers().tolist(), list(self.cells.T)
 
 
 @dataclass(frozen=True)
@@ -226,11 +224,6 @@ class OpticalEfficiencyTable:
         """Linear interpolation; clamped to the nearest sample outside support."""
         return (np.interp(altitude, self.alt_grid, self.eta_dir),
                 _outside(altitude, self.alt_grid))
-
-    def eta_diff_at(self, tilt: float) -> tuple[np.ndarray, np.ndarray, bool]:
-        th = np.array([np.interp(tilt, self.tilt_grid, col) for col in self.eta_diff_th.T])
-        crop = np.array([np.interp(tilt, self.tilt_grid, col) for col in self.eta_diff_crop.T])
-        return th, crop, _outside(tilt, self.tilt_grid)
 
     # -- delimited text round-trip ------------------------------------------
 

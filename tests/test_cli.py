@@ -2,7 +2,6 @@ import csv
 import json
 import shutil
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -10,6 +9,7 @@ import pipefarm.climate
 import pipefarm.engine
 from pipefarm.cli import main
 from pipefarm.config import load_config_mapping, load_scenario_config
+from pipefarm.engine import calibrate_lue_scale, load_lue_table
 
 # CLI runs get their own config tree so out/ and cache paths stay inside tmp
 pytestmark = pytest.mark.usefixtures("repo_paths")
@@ -17,7 +17,7 @@ pytestmark = pytest.mark.usefixtures("repo_paths")
 
 @pytest.fixture()
 def work_tree(tmp_path, repo_paths):
-    """Copy configs and data into a scratch tree with a local calibration."""
+    """Copy configs and data into a scratch tree."""
     (tmp_path / "configs").mkdir()
     (tmp_path / "data").mkdir()
     for f in (repo_paths["configs"]).glob("*.yaml"):
@@ -41,12 +41,11 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
-def _calibrate(work_tree) -> Path:
-    out = work_tree / "out" / "calibration.json"
-    rc = main(["calibrate", "--config", str(work_tree / "configs" / "bench.yaml"),
-               "--out", str(out)])
-    assert rc == 0
-    return out
+def _fitted_scale(work_tree) -> float:
+    """The LUE scale fitted in process on the tree's Bench config."""
+    bench = load_scenario_config(work_tree / "configs" / "bench.yaml")
+    return calibrate_lue_scale(bench, pipefarm.climate.load_climate(
+        bench.climate_path, bench.climate_columns), None, load_lue_table(bench))["lue_scale"]
 
 
 class TestDispatch:
@@ -80,12 +79,6 @@ class TestDispatch:
         assert rc == 3
         assert "not found" in json.loads(capsys.readouterr().err)["detail"]
 
-    def test_missing_calibration_exit_code(self, work_tree, capsys):
-        rc = main(["simulate", "--config", str(work_tree / "configs" / "bench.yaml"),
-                   "--out", str(work_tree / "o")])
-        assert rc == 4
-        assert "calibration.json" in json.loads(capsys.readouterr().err)["detail"]
-
     def test_missing_climate_exit_code(self, work_tree, capsys):
         (work_tree / "data" / "dubai_hourly_synthetic.csv").unlink()
         rc = main(["simulate", "--config", str(work_tree / "configs" / "bench.yaml"),
@@ -108,11 +101,16 @@ class TestSunpath:
 
 
 class TestCalibrateAndSimulate:
-    def test_calibrate_writes_artifact(self, work_tree):
-        out = _calibrate(work_tree)
+    def test_calibrate_writes_artifact(self, work_tree, monkeypatch):
+        fits = _count_calls(monkeypatch, pipefarm.engine, "calibrate_lue_scale")
+        out = work_tree / "out" / "calibration.json"
+        rc = main(["calibrate", "--config", str(work_tree / "configs" / "bench.yaml"),
+                   "--out", str(out)])
+        assert rc == 0
+        assert len(fits) == 1                  # the report is the study's own fit
         doc = json.loads(out.read_text())
         assert doc["achieved_yield_kg"] == pytest.approx(9221.0, rel=0.02)
-        assert doc["lue_scale"] > 0.0
+        assert doc["lue_scale"] == _fitted_scale(work_tree)
         assert doc["climate_hash"]
 
     def test_unwritable_out_is_one_json_line(self, work_tree, capsys):
@@ -126,13 +124,13 @@ class TestCalibrateAndSimulate:
         assert str(out) in json.loads(lines[0])["detail"]
 
     def test_simulate_bench(self, work_tree, capsys):
-        _calibrate(work_tree)
         out = work_tree / "sim"
         rc = main(["simulate", "--config", str(work_tree / "configs" / "bench.yaml"),
                    "--out", str(out)])
         assert rc == 0
         doc = json.loads((out / "kpis.json").read_text())
-        assert doc["metadata"]["calibrated"] is True
+        assert "calibrated" not in doc["metadata"]
+        assert doc["metadata"]["lue_scale"] == _fitted_scale(work_tree)
         assert doc["metadata"]["config_hash"]
         assert doc["metadata"]["version"]
         # design-range sanity for the LED-only benchmark at PPE 2.5
@@ -141,7 +139,6 @@ class TestCalibrateAndSimulate:
         assert (out / "dli.csv").exists()
 
     def test_simulate_rerun_is_byte_identical(self, work_tree):
-        _calibrate(work_tree)
         cfg = str(work_tree / "configs" / "lp_dim.yaml")
         out1, out2 = work_tree / "r1", work_tree / "r2"
         assert main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
@@ -151,7 +148,6 @@ class TestCalibrateAndSimulate:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_scenario_override_flag(self, work_tree):
-        _calibrate(work_tree)
         out = work_tree / "ovr"
         rc = main(["simulate", "--config", str(work_tree / "configs" / "bench.yaml"),
                    "--scenario", "LP_NL", "--out", str(out)])
@@ -160,24 +156,12 @@ class TestCalibrateAndSimulate:
         assert doc["metadata"]["scenario"] == "LP_NL"
         assert doc["kpis"]["harvested_daylight_mwh"] > 0.0
 
-    def test_stale_calibration_rejected(self, work_tree, capsys):
-        _calibrate(work_tree)
-        calib_path = work_tree / "out" / "calibration.json"
-        doc = json.loads(calib_path.read_text())
-        doc["climate_hash"] = "deadbeef"
-        calib_path.write_text(json.dumps(doc))
-        rc = main(["simulate", "--config", str(work_tree / "configs" / "bench.yaml"),
-                   "--out", str(work_tree / "o")])
-        assert rc == 5
-        assert "different climate" in json.loads(capsys.readouterr().err)["detail"]
-
 
 CAP600 = "ec: {cap_ppfd: 600}\n"
 
 
 class TestCompareCli:
     def test_two_scenario_comparison(self, work_tree):
-        _calibrate(work_tree)
         cmp_cfg = work_tree / "configs" / "mini_compare.yaml"
         cmp_cfg.write_text("scenarios:\n  - bench.yaml\n  - lp_dim.yaml\n")
         out = work_tree / "cmp"
@@ -191,13 +175,11 @@ class TestCompareCli:
         assert float(lc["Optical Fiber"]["light_cost"]) == pytest.approx(19.53, abs=0.02)
         meta = json.loads((out / "comparison.json").read_text())["metadata"]
         assert len(meta["config_hashes"]) == 2 and meta["climate_hash"]
-        assert meta["lue_scale"] == json.loads(
-            (work_tree / "out" / "calibration.json").read_text())["lue_scale"]
+        assert meta["lue_scale"] == _fitted_scale(work_tree)
 
     @pytest.mark.parametrize("bench_ec,ec", [("", ""), (CAP600, CAP600), ("", CAP600)],
                              ids=["shipped", "cap600", "cap600_in_lp_dim_ec_only"])
     def test_light_cost_csv_follows_the_config(self, work_tree, bench_ec, ec):
-        _calibrate(work_tree)
         configs = work_tree / "configs"
         for name, extra in (("bench", bench_ec), ("lp_dim_ec", ec)):
             (configs / f"{name}_x.yaml").write_text(f"include: {name}.yaml\n{extra}")
@@ -214,7 +196,6 @@ class TestCompareCli:
         assert float(lc_row["light_cost"]) == pytest.approx(expected, abs=0.005)
 
     def test_nine_scenarios_load_the_climate_and_sun_once(self, work_tree, monkeypatch):
-        _calibrate(work_tree)
         loads = _count_calls(monkeypatch, pipefarm.climate, "load_climate")
         suns = _count_calls(monkeypatch, pipefarm.engine, "solar_angles")
         rc = main(["compare", "--config", str(work_tree / "configs" / "compare_all.yaml"),
@@ -225,7 +206,6 @@ class TestCompareCli:
 
 class TestSweepCli:
     def test_grid_and_breakeven(self, work_tree):
-        _calibrate(work_tree)
         cfg = work_tree / "configs" / "sweep_lp_dim_ir.yaml"
         out = work_tree / "sweep"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
@@ -245,11 +225,9 @@ class TestSweepCli:
         assert meta["bench_config_hash"] == bench.content_hash() != meta["config_hash"]
         assert meta["climate_hash"] == pipefarm.climate.load_climate(
             bench.climate_path, bench.climate_columns).content_hash()
-        assert meta["lue_scale"] == json.loads(
-            (work_tree / "out" / "calibration.json").read_text())["lue_scale"]
+        assert meta["lue_scale"] == _fitted_scale(work_tree)
 
     def test_mixed_ppe_is_refused_before_any_run(self, work_tree, capsys):
-        _calibrate(work_tree)
         configs = work_tree / "configs"
         (configs / "lp_dim_ir_98_ppe30.yaml").write_text("include: lp_dim_ir_98.yaml\n"
                                                          "ppe: 3.0\n")
@@ -267,7 +245,6 @@ class TestSweepCli:
         "scenario_config: lp_dim_zero.yaml\n",                 # pipes, but none fitted
     ], ids=["bench", "zero_pipes"])
     def test_no_per_pipe_hardware_has_no_break_even(self, work_tree, scenario):
-        _calibrate(work_tree)
         configs = work_tree / "configs"
         (configs / "lp_dim_zero.yaml").write_text("include: lp_dim.yaml\nlp:\n  count: 0\n")
         cfg = configs / "sweep_flat.yaml"
@@ -294,7 +271,6 @@ class TestStrictCompareAndSweepFiles:
 
     @pytest.mark.parametrize("key", ["electricity_usd_per_mwh", "carbon_usd_per_t"])
     def test_empty_price_list_is_a_config_error(self, work_tree, capsys, key):
-        _calibrate(work_tree)
         capsys.readouterr()
         cfg = work_tree / "configs" / "sweep_empty.yaml"
         cfg.write_text("scenario_config: lp_dim_ir_98.yaml\nbench_config: bench.yaml\n"
@@ -347,3 +323,8 @@ class TestTraceOptics:
         assert meta["rays"] == 10000
         maps = list(out.glob("fluxmap_alt*.csv"))
         assert maps and all(p.with_suffix(".csv.json").exists() for p in maps)
+        side = json.loads(maps[0].with_suffix(".csv.json").read_text())
+        assert {"pitch_m", "extent_m", "shape", "altitude", "rays"} <= set(side)
+        with open(maps[0]) as fh:
+            rows = list(csv.reader(fh))
+        assert [len(rows) - 1, len(rows[0])] == side["shape"]

@@ -139,6 +139,7 @@ class TestValidation:
         ("lp: {diffuser_pitch_mm: 2.0}", "lp.diffuser_pitch_mm"),         # removed keys
         ("lp: {mirror_hinge_height_m: 0.0}", "lp.mirror_hinge_height_m"),
         ("optics: {bounce_cap: 50}", "optics.bounce_cap"),
+        ("crop: {calibration: x.json}", "crop.calibration"),
     ])
     def test_unknown_key_rejected(self, tmp_path, body, key):
         path = tmp_path / "typo.yaml"

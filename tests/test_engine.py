@@ -10,7 +10,8 @@ import pytest
 from pipefarm import engine
 from pipefarm.climate import ClimateSeries, HOURS_PER_YEAR, SiteConfig
 from pipefarm.config import load_config_mapping, load_scenario_config
-from pipefarm.crop import growth_step, harvest_if_due, interception, standing_credit_kg
+from pipefarm.crop import CropParams, growth_step, harvest_if_due, interception, \
+    standing_credit_kg
 from pipefarm.economics import break_even_unit_cost, led_cost_per_watt, light_cost_comparison, \
     payback_time
 from pipefarm.engine import (SimulationError, Study, calibrate_lue_scale, compare_scenarios,
@@ -294,11 +295,12 @@ class TestCompare:
 
 class TestStudy:
     @pytest.mark.parametrize("field, value", [
-        ("calibration_path", Path("other_calibration.json")),
+        ("crop", dataclasses.replace(CropParams(), stagger_days=7.0)),
+        ("setpoint_ppfd", 200.0),
         ("climate_path", Path("other_year.csv")),
         ("ppe", 3.0),
         ("site", SiteConfig(24.0, 55.0, 4.0)),
-    ], ids=["calibration", "climate", "ppe", "site"])
+    ], ids=["crop", "setpoint_ppfd", "climate", "ppe", "site"])
     def test_mixed_inputs_refused_at_build(self, scenario_configs, monkeypatch, field, value):
         runs = []
         monkeypatch.setattr(engine, "run_scenario", lambda *a, **k: runs.append(a))
@@ -307,6 +309,23 @@ class TestStudy:
                                                   rf"has {re.escape(str(value))}"):
             Study([scenario_configs["Bench"], other])
         assert runs == []
+
+    @pytest.mark.parametrize("first", [None, "LP_Dim_IR_98"], ids=["compare", "sweep"])
+    def test_fits_its_own_lue_scale(self, scenario_configs, calibration, first):
+        """Fitted on the first config run as Bench: the Bench config's fit, bit for bit."""
+        configs = list(scenario_configs.values())
+        if first is not None:
+            configs = [scenario_configs[first], scenario_configs["Bench"]]
+        study = Study(configs)
+        assert study.calibration == calibration
+        assert study.lue.scale == calibration["lue_scale"] == 1.2105210394249837
+
+    def test_given_lue_is_not_refitted(self, scenario_configs, lue_calibrated, monkeypatch):
+        def fit(*args, **kwargs):
+            raise AssertionError("a study given its LUE table fitted one")
+        monkeypatch.setattr(engine, "calibrate_lue_scale", fit)
+        study = Study([scenario_configs["Bench"]], lue=lue_calibrated)
+        assert study.lue is lue_calibrated and study.calibration is None
 
     def test_run_refuses_a_config_with_other_inputs(self, study, scenario_configs):
         with pytest.raises(SimulationError, match="mixed ppe"):

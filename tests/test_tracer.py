@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pipefarm.engine import write_csv
 from pipefarm.optics import LpGeometry
 from pipefarm.tracer import trace_diffuse_band, trace_direct
 
@@ -151,7 +152,11 @@ class TestFluxMap:
 
     def test_cells_non_negative_and_exportable(self, tmp_path):
         res = trace_direct(GEOM, 60.0, rays=20_000, seed=15)
-        assert np.all(res.fluxmap.cells >= 0.0)
+        cells = res.fluxmap.cells
+        assert np.all(cells >= 0.0)
         out = tmp_path / "fm.csv"
-        res.fluxmap.export(out, meta={"altitude": 60.0})
-        assert out.exists() and out.with_suffix(".csv.json").exists()
+        write_csv(out, *res.fluxmap.csv_columns())
+        back = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert back.shape == cells.shape and np.array_equal(back, cells)
+        header = np.loadtxt(out, delimiter=",", max_rows=1)
+        assert np.array_equal(header, res.fluxmap.centers())
