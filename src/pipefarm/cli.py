@@ -141,15 +141,23 @@ def _load_strict(path, keys: dict) -> dict:
     return doc
 
 
+def _as_float(value) -> float:
+    """`value` as a float; NaN for a boolean or anything float() refuses."""
+    try:
+        return math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
 def _price_list(path, grid: dict, key: str, default) -> list[float]:
     values = grid.get(key, default)
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError(f"{path}: {f'grid.{key}'!r} must be a non-empty list of prices")
-    prices = [float(x) for x in values]
-    bad = [p for p in prices if not (math.isfinite(p) and p >= 0.0)]
+    prices = [_as_float(x) for x in values]
+    bad = [x for x, p in zip(values, prices) if not (math.isfinite(p) and p >= 0.0)]
     if bad:
         raise ConfigError(f"{path}: {f'grid.{key}'!r} has a price that is negative or "
-                          f"not finite: {bad[0]:g}")
+                          f"not a finite number: {bad[0]!r}")
     return prices
 
 
@@ -163,8 +171,9 @@ def _cmd_compare(args) -> int:
     doc = _load_strict(args.config, _COMPARE_KEYS)
     base_dir = Path(args.config).parent
     paths = doc.get("scenarios")
-    if not paths or not isinstance(paths, list):
-        raise ConfigError("compare config needs a 'scenarios' list of config paths")
+    if not (isinstance(paths, list) and paths and all(isinstance(p, str) and p for p in paths)):
+        raise ConfigError(f"{args.config}: 'scenarios' must be a non-empty list of "
+                          "config paths")
     study = Study([_load_cfg(args, base_dir / p) for p in paths])
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -187,12 +196,16 @@ def _cmd_sweep(args) -> int:
     doc = _load_strict(args.config, _SWEEP_KEYS)
     base_dir = Path(args.config).parent
     paths = (doc.get("scenario_config"), doc.get("bench_config"))
-    if not all(paths):
-        raise ConfigError("sweep config needs scenario_config and bench_config paths")
+    for key, value in zip(("scenario_config", "bench_config"), paths):
+        if not (isinstance(value, str) and value):
+            raise ConfigError(f"{args.config}: {key!r} must be a config path")
     grid = doc.get("grid", {})
     el_prices = _price_list(args.config, grid, "electricity_usd_per_mwh", (100, 200, 350))
     co2_prices = _price_list(args.config, grid, "carbon_usd_per_t", (0, 50, 100))
-    target_pbt = float(doc.get("target_pbt_years", 10.0))
+    target_pbt = _as_float(doc.get("target_pbt_years", 10.0))
+    if not (math.isfinite(target_pbt) and target_pbt > 0.0):
+        raise ConfigError(f"{args.config}: 'target_pbt_years' must be a positive finite "
+                          f"number, not {doc['target_pbt_years']!r}")
     study = Study([_load_cfg(args, base_dir / p) for p in paths])
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

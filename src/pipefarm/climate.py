@@ -230,10 +230,8 @@ def _parse_time_cell(cell: str, row: int) -> float:
     raise ClimateError(f"unparseable timestamp {cell!r} at row {row}")
 
 
-def load_climate(path: str | Path,
-                 columns: Optional[dict] = None,
-                 delimiter: Optional[str] = None) -> ClimateSeries:
-    """Read an hourly climate file (csv or semicolon separated).
+def load_climate(path: str | Path, columns: Optional[dict] = None) -> ClimateSeries:
+    """Read an hourly climate file, comma or semicolon separated (detected).
 
     `columns` maps the logical names time/temperature/dni/dhi onto the
     file's header names. Units are fixed: degC and W m-2. The file must
@@ -250,8 +248,7 @@ def load_climate(path: str | Path,
 
     with open(path, newline="") as fh:
         head = fh.readline()
-        if delimiter is None:
-            delimiter = ";" if head.count(";") > head.count(",") else ","
+        delimiter = ";" if head.count(";") > head.count(",") else ","
         header = [c.strip() for c in head.strip().split(delimiter)]
         missing = [v for v in names.values() if v not in header]
         if missing:

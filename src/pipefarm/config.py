@@ -17,7 +17,7 @@ import yaml
 from .climate import SiteConfig
 from .crop import CropParams
 from .economics import CostTable
-from .lighting import STRATEGIES, DriverCurve, EcFilm, Strategy
+from .lighting import STRATEGIES, DriverCurve, Strategy
 from .optics import LpGeometry
 from .thermal import ChamberGeometry, CopModel, LatentModel, Surface
 
@@ -90,7 +90,6 @@ class ScenarioConfig:
     surrogates: SurrogateParams = field(default_factory=SurrogateParams)
     glazing: GlazingParams = field(default_factory=GlazingParams)
     driver: DriverCurve = field(default_factory=DriverCurve)
-    ec_v_max: float = 100.0
     ec_cap_ppfd: float = 400.0
     setpoint_t: float = 24.0
     setpoint_co2: float = 1400.0
@@ -102,8 +101,6 @@ class ScenarioConfig:
     table_cache_dir: Optional[Path] = None
     table_path: Optional[Path] = None         # imported efficiency table
     timestep_mode: str = "quasi_steady"       # quasi_steady | transient
-    transient_substeps: int = 60
-    transient_deadband_k: float = 0.5
     transient_capacity_w: float = 20000.0
 
     def __post_init__(self):
@@ -118,10 +115,6 @@ class ScenarioConfig:
             raise ConfigError("lp_heat_area must be 'aperture' or 'lateral'")
         if self.timestep_mode not in ("quasi_steady", "transient"):
             raise ConfigError("timestep_mode must be 'quasi_steady' or 'transient'")
-        if self.transient_substeps < 1:
-            raise ConfigError("transient_substeps must be at least 1")
-        if self.transient_deadband_k < 0.0:
-            raise ConfigError("transient_deadband_k must be non-negative")
         if self.transient_capacity_w <= 0.0:
             raise ConfigError("transient_capacity_w must be positive")
         if not 0.0 <= self.hour_center_offset < 1.0:
@@ -144,9 +137,6 @@ class ScenarioConfig:
     def tier3_nominal_ppfd(self) -> float:
         return self.strategy.nominal(self.setpoint_ppfd)
 
-    def ec_film(self) -> EcFilm:
-        return EcFilm(v_max=self.ec_v_max)
-
     def effective_chamber(self) -> ChamberGeometry:
         """Scenario envelope; a glazed strategy swaps glazing into roof and walls."""
         if self.strategy.daylight != "glazing":
@@ -164,11 +154,7 @@ class ScenarioConfig:
                     surfaces.append(Surface("walls", wall_area - glazed_wall, s.u_value))
             else:
                 surfaces.append(s)
-        return ChamberGeometry(floor_area_m2=self.chamber.floor_area_m2,
-                               height_m=self.chamber.height_m,
-                               air_density=self.chamber.air_density,
-                               air_cp=self.chamber.air_cp,
-                               surfaces=tuple(surfaces))
+        return replace(self.chamber, surfaces=tuple(surfaces))
 
     @property
     def tier_occupancy(self) -> float:
@@ -242,7 +228,7 @@ _RENAMED = {
     "climate": "climate_path",
     "lp.count": "n_pipes", "lp.heat_area": "lp_heat_area",
     "crop.lue_table": "lue_table_path",
-    "ec.v_max": "ec_v_max", "ec.cap_ppfd": "ec_cap_ppfd",
+    "ec.cap_ppfd": "ec_cap_ppfd",
     "setpoints.temperature": "setpoint_t", "setpoints.co2": "setpoint_co2",
     "setpoints.ppfd": "setpoint_ppfd",
     "optics.table": "table_path", "optics.cache_dir": "table_cache_dir",
@@ -267,6 +253,19 @@ _LISTS = {
 }
 
 
+def _number(key: str, default, value):
+    """`value` as the type of the numeric `default`; a boolean, a non-number
+    or a fractional value for an integer key is an error naming the key."""
+    try:
+        fractional = isinstance(default, int) and not float(value).is_integer()
+        if isinstance(value, bool) or fractional:
+            raise ValueError
+        return type(default)(value)
+    except (TypeError, ValueError):
+        kind = "an integer" if isinstance(default, int) else "a number"
+        raise ConfigError(f"{key!r} must be {kind}, not {value!r}") from None
+
+
 def _build(obj, keys: dict, base_dir: Path):
     """`obj` with the given fields replaced; `keys` maps field name to
     (YAML key, value). Values take the type of the field's default."""
@@ -280,8 +279,10 @@ def _build(obj, keys: dict, base_dir: Path):
             value = _LISTS[key](value)
         elif key in _PATHS:
             value = _path_or_none(base_dir, value)
-        elif isinstance(default, (float, int, str)):
-            value = type(default)(value)
+        elif isinstance(default, str):
+            value = str(value)
+        elif isinstance(default, (float, int)):
+            value = _number(key, default, value)
         changes[name] = value
     return replace(obj, **changes)
 

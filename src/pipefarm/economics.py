@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .lighting import STRATEGIES, Strategy
+from .lighting import EC_FILM, STRATEGIES, Strategy
 from .optics import PAR_UMOL_PER_J
 
 __all__ = ["CostTable", "KpiReport", "compute_kpis", "led_cost_per_watt", "light_cost",
@@ -141,32 +141,31 @@ def pipe_hardware(strategy: Strategy, costs: CostTable) -> dict:
 
 
 def pipe_light_cost(strategy: Strategy, costs: CostTable, ppf_ref: float,
-                    ec_tau_max: float, ec_cap_ppfd: float, zone_area_m2: float) -> dict:
+                    ec_cap_ppfd: float, zone_area_m2: float) -> dict:
     """Per-pipe hardware cost, delivered flux and light cost of a pipe strategy.
 
     ppf_ref is the delivered flux of a bare pipe under the shared reference
-    daylight. A UV-IR filter passes its visible transmittance of it; a film
-    passes its maximum transmittance, capped at the control bound over the
-    growing zone.
+    daylight. A UV-IR filter passes its visible transmittance of it; the
+    film passes `EC_FILM`'s maximum transmittance, capped at the control
+    bound over the growing zone.
     """
     usd, flux = sum(pipe_hardware(strategy, costs).values()), ppf_ref
     if strategy.filter_tau is not None:
         flux = ppf_ref * strategy.filter_tau
     if strategy.ec_film:
-        flux = min(ppf_ref * ec_tau_max, ec_cap_ppfd * zone_area_m2)
+        flux = min(ppf_ref * EC_FILM.tau_max, ec_cap_ppfd * zone_area_m2)
     return {"cost_usd": usd, "ppf_umol_s": flux, "light_cost": light_cost(usd, flux)}
 
 
-def light_cost_comparison(costs: CostTable, ppf_ref: float, ec_tau_max: float,
-                          ec_cap_ppfd: float, zone_area_m2: float,
-                          own: Optional[dict] = None) -> list[dict]:
+def light_cost_comparison(costs: CostTable, ppf_ref: float, ec_cap_ppfd: float,
+                          zone_area_m2: float, own: Optional[dict] = None) -> list[dict]:
     """Per-pipe light cost of each hardware variant against the fiber
     system; the arguments after `costs` are `pipe_light_cost`'s. `own` maps
     a strategy id onto that variant's own such arguments, which price its
     row instead. The LP_Min row stands for both on/off strategies and
     LP_Dim_IR for the 98% filter."""
     fiber_lc, fiber_flux = fiber_reference_light_cost()
-    shared = (costs, ppf_ref, ec_tau_max, ec_cap_ppfd, zone_area_m2)
+    shared = (costs, ppf_ref, ec_cap_ppfd, zone_area_m2)
     variants = {"LP_NL": "LP_NL", "LP_Min": "LP_Min_250", "LP_Dim": "LP_Dim",
                 "LP_Dim_IR": "LP_Dim_IR_98", "LP_Dim_EC": "LP_Dim_EC"}
     return [{"system": "Optical Fiber", "cost_usd": FIBER_USD, "ppf_umol_s": fiber_flux,

@@ -47,8 +47,8 @@ from .economics import REFERENCE_PIPE_PPF, KpiReport, compute_kpis, led_cost_per
 from .lighting import control_tier3, ec_control, led_electric_power
 from .optics import OpticalEfficiencyTable, PAR_UMOL_PER_J, \
     apply_neutral_attenuation, apply_uv_ir_filter, gh_gains, lp_crop_ppfd, lp_solar_gains
-from .thermal import RA_VALID_RANGE, latent_balance, envelope_load, hvac_electricity, \
-    lp_convection, solve_hvac_load, transient_loads
+from .thermal import LATENT_HEAT_J_PER_KG, RA_VALID_RANGE, latent_balance, envelope_load, \
+    hvac_electricity, lp_convection, solve_hvac_load, transient_loads
 from .tracer import build_efficiency_table
 
 __all__ = ["SimulationError", "SimulationResult", "Study", "prepare_efficiency_table",
@@ -400,7 +400,7 @@ def _daylight_stage(cfg: ScenarioConfig, climate: ClimateSeries,
         if strategy.daylight == "glazing":
             q_sol[sun], q_crop[sun], ppfd[sun] = gh_gains(
                 dni, dhi, alt, azis[sun], cfg.glazing.tau,
-                cfg.effective_chamber().floor_area_m2, cfg.glazing.wall_glazed_m2,
+                cfg.chamber.floor_area_m2, cfg.glazing.wall_glazed_m2,
                 cfg.tier_occupancy, tier_area)
         else:
             gains = lp_solar_gains(table, dni, dhi, alt, cfg.lp_geometry, cfg.n_pipes)
@@ -410,12 +410,11 @@ def _daylight_stage(cfg: ScenarioConfig, climate: ClimateSeries,
             if strategy.filter_tau is not None:
                 gains = apply_uv_ir_filter(gains, strategy.filter_tau)
             elif strategy.ec_film:
-                film = cfg.ec_film()
                 tau = np.empty(sun.size)
                 unreachable = np.zeros(sun.size, dtype=bool)
                 # memoryview hands ec_control Python floats without an hourly list
                 for k, raw in enumerate(memoryview(lp_crop_ppfd(gains, tier_area))):
-                    _, tau[k], _, unreachable[k] = ec_control(raw, film, cfg.ec_cap_ppfd)
+                    _, tau[k], _, unreachable[k] = ec_control(raw, cfg.ec_cap_ppfd)
                 if unreachable.any():
                     i = int(sun[np.argmax(unreachable)])
                     warnings.append((i, f"hour {i}: EC cap unreachable at max attenuation"))
@@ -591,7 +590,7 @@ def _thermal_stage(cfg: ScenarioConfig, t_ext: np.ndarray, ppfd: np.ndarray,
         gross += np.where(lit[:, t], source * f_int[:, t] * tier_area * par_factor, 0.0)
     gross += np.where(lit[:, -1], f_int[:, -1] * q_crop, 0.0)
 
-    transp = cfg.surrogates.crop_latent_fraction * gross / cfg.latent.latent_heat
+    transp = cfg.surrogates.crop_latent_fraction * gross / LATENT_HEAT_J_PER_KG
     q_eva, recovered = latent_balance(transp, cfg.latent)
     q_conv = np.zeros(HOURS_PER_YEAR)
     pipe = None
@@ -612,7 +611,6 @@ def _thermal_stage(cfg: ScenarioConfig, t_ext: np.ndarray, ppfd: np.ndarray,
                          q_plant=cfg.surrogates.crop_storage_fraction * gross, q_eva=q_eva)
     if cfg.timestep_mode == "transient":
         q_cool, q_heat = transient_loads(bd, t_ext, chamber, cfg.setpoint_t,
-                                         cfg.transient_substeps, cfg.transient_deadband_k,
                                          cfg.transient_capacity_w, pipe)
     else:
         q_cool = np.maximum(0.0, -bd.q_hc)
@@ -737,8 +735,7 @@ def scenario_capex_delta(cfg: ScenarioConfig, bench: ScenarioConfig,
 def light_cost_inputs(cfg: ScenarioConfig) -> tuple:
     """`pipe_light_cost`'s arguments after the strategy, which are also
     `light_cost_comparison`'s, from the config."""
-    return (cfg.costs, REFERENCE_PIPE_PPF, cfg.ec_film().tau_max, cfg.ec_cap_ppfd,
-            cfg.lp_geometry.target_zone_m ** 2)
+    return cfg.costs, REFERENCE_PIPE_PPF, cfg.ec_cap_ppfd, cfg.lp_geometry.target_zone_m ** 2
 
 
 def scenario_light_cost(cfg: ScenarioConfig) -> Optional[float]:

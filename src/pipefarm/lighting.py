@@ -8,6 +8,7 @@ tier-3 LEDs respond, and the fixtures' nominal PPFD. Everything else
 Tier-3 control, LED power and the driver curve take arrays of hours (a
 scalar broadcasts); `ec_control` sets the film one hour per call, because
 the benchmark's traced run counts its unreachable-cap results per call.
+The film is the one published curve, `EC_FILM`, over all voltages >= 0.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "DriverCurve",
     "LightingCommand",
     "EcFilm",
+    "EC_FILM",
     "led_electric_power",
     "control_tier3",
     "ec_transmittance",
@@ -157,27 +159,23 @@ def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
 
 @dataclass(frozen=True)
 class EcFilm:
-    """Voltage domain and exact range of the film curve.
+    """Exact range of the film curve over the voltage domain [0, inf).
 
     The published curve tau(v) = N(v)/D(v), N = a*v**2 + b*v + c and
     D = d*v**2 + e*v + g, is not monotone: it dips from tau(0) to a minimum
-    near 0.57 V, rises to a shallow maximum near 45.4 V and settles toward
-    the asymptote a/d. Its stationary points are the roots of the quadratic
-    N'D - ND' = (a*e - b*d)*v**2 + 2*(a*g - c*d)*v + (b*g - c*e). Over the
-    domain [0, v_max] the extremes lie at those roots or at the ends: the
-    passive state is the candidate with the largest tau, `tau_min` (at
-    `v_dip`) the smallest tau among them. Attenuation setpoints solve
-    N(v) = tau*D(v) below the passive voltage.
+    near 0.57 V, rises to a shallow maximum near 45.4 V and falls back
+    toward the asymptote a/d. Its stationary points are the roots of the
+    quadratic N'D - ND' = (a*e - b*d)*v**2 + 2*(a*g - c*d)*v + (b*g - c*e),
+    so the extremes lie at 0 V or at a non-negative root: the passive state
+    is the candidate with the largest tau, `tau_min` (at `v_dip`) the
+    smallest tau among them. Attenuation setpoints solve N(v) = tau*D(v)
+    below the passive voltage.
     """
 
-    v_max: float = 100.0
-
     def __post_init__(self):
-        if self.v_max <= 0.0:
-            raise ValueError("voltage domain must be positive")
         (a, b, c), (d, e, g) = _EC_NUM, _EC_DEN
         stationary = _quadratic_roots(a * e - b * d, 2.0 * (a * g - c * d), b * g - c * e)
-        volts = sorted({0.0, self.v_max, *(v for v in stationary if 0.0 <= v <= self.v_max)})
+        volts = sorted({0.0, *(v for v in stationary if v >= 0.0)})
         taus = [ec_transmittance(v) for v in volts]
         peak, dip = taus.index(max(taus)), taus.index(min(taus))
         object.__setattr__(self, "v_passive", volts[peak])
@@ -209,13 +207,15 @@ class EcFilm:
                    if tau_target > ec_transmittance(0.0) else self.v_dip)
 
 
-def ec_control(ppfd_raw: float, film: EcFilm, cap: float = 400.0
-               ) -> tuple[float, float, float, bool]:
-    """Pick the film state limiting crop PPFD to the cap.
+EC_FILM = EcFilm()
+
+
+def ec_control(ppfd_raw: float, cap: float = 400.0) -> tuple[float, float, float, bool]:
+    """Pick the `EC_FILM` state limiting crop PPFD to the cap.
 
     Returns (voltage, tau, ppfd_out, cap_unreachable). With weak daylight
     the film sits at its maximum-transmittance (passive) state; beyond
-    that the voltage is the exact root `film.voltage_for_tau` gives for
+    that the voltage is the exact root `EC_FILM.voltage_for_tau` gives for
     cap / ppfd_raw, down to the dip's tau_min; if even that cannot reach
     the cap, the film rests at 0 V and the flag is raised.
     """
@@ -223,13 +223,13 @@ def ec_control(ppfd_raw: float, film: EcFilm, cap: float = 400.0
         raise ValueError("PPFD must be non-negative")
     if cap <= 0.0:
         raise ValueError("cap must be positive")
-    if ppfd_raw * film.tau_max <= cap:
-        return film.v_passive, film.tau_max, ppfd_raw * film.tau_max, False
+    if ppfd_raw * EC_FILM.tau_max <= cap:
+        return EC_FILM.v_passive, EC_FILM.tau_max, ppfd_raw * EC_FILM.tau_max, False
     tau_needed = cap / ppfd_raw
-    if tau_needed < film.tau_min:
+    if tau_needed < EC_FILM.tau_min:
         tau0 = ec_transmittance(0.0)
         return 0.0, tau0, ppfd_raw * tau0, True
-    v = film.voltage_for_tau(tau_needed)
+    v = EC_FILM.voltage_for_tau(tau_needed)
     tau = ec_transmittance(v)
     return v, tau, ppfd_raw * tau, False
 

@@ -3,8 +3,10 @@
 Quasi-steady operation: the air node is held at its setpoint and the
 balance is solved for the heating/cooling power each hour. Transient
 operation (`transient_loads`) sub-steps every hour's air node at once
-under a deadband thermostat. Sign convention: every term is a signed flow
-into the air node, so cooling demand shows up as a negative closure term.
+under a deadband thermostat. Constants no config varies (air properties,
+latent heat, the COP floor, the substeps and deadband) sit beside the code
+that reads them. Sign convention: every term is a signed flow into the air
+node, so cooling demand shows up as a negative closure term.
 The convection, balance, COP, HVAC and latent functions take one hour's
 scalars or arrays of hours alike.
 """
@@ -19,7 +21,6 @@ import numpy as np
 __all__ = [
     "Surface",
     "ChamberGeometry",
-    "AirProperties",
     "PowerBreakdown",
     "CopModel",
     "LatentModel",
@@ -34,6 +35,8 @@ __all__ = [
 
 LATENT_HEAT_J_PER_KG = 2.45e6  # vaporization, near-ambient water
 KELVIN = 273.15
+AIR_DENSITY = 1.204            # kg m-3
+AIR_CP = 1006.0                # J kg-1 K-1
 
 
 @dataclass(frozen=True)
@@ -51,8 +54,6 @@ class Surface:
 class ChamberGeometry:
     floor_area_m2: float = 49.0
     height_m: float = 3.0
-    air_density: float = 1.204          # kg m-3
-    air_cp: float = 1006.0              # J kg-1 K-1
     surfaces: tuple[Surface, ...] = (
         Surface("roof", 49.0, 0.175),
         Surface("walls", 84.0, 0.175),
@@ -69,37 +70,21 @@ class ChamberGeometry:
 
     @property
     def thermal_capacity_j_per_k(self) -> float:
-        return self.air_density * self.air_cp * self.air_volume_m3
+        return AIR_DENSITY * AIR_CP * self.air_volume_m3
 
 
-@dataclass(frozen=True)
-class AirProperties:
-    """Film-temperature air properties for the in-pipe buoyancy correlation.
-
-    Fixed 300 K values by default; the setpoint-to-ambient difference is
-    small enough that property variation is noise next to the correlation.
-    """
-
-    g: float = 9.81                     # m s-2
-    beta: float = 1.0 / 297.0           # K-1
-    kinematic_viscosity: float = 1.5e-5  # m2 s-1
-    prandtl: float = 0.71
-    conductivity: float = 0.026         # W m-1 K-1
-
-    def __post_init__(self):
-        for name, v in (("g", self.g), ("beta", self.beta),
-                        ("kinematic_viscosity", self.kinematic_viscosity),
-                        ("prandtl", self.prandtl), ("conductivity", self.conductivity)):
-            if v <= 0.0:
-                raise ValueError(f"{name} must be positive")
-
-
+# Film-temperature air properties for the in-pipe buoyancy correlation, fixed
+# at 300 K: next to the correlation, their variation over the ambient is noise.
+GRAVITY = 9.81                 # m s-2
+AIR_BETA = 1.0 / 297.0         # K-1
+AIR_KINEMATIC_VISCOSITY = 1.5e-5  # m2 s-1
+AIR_PRANDTL = 0.71
+AIR_CONDUCTIVITY = 0.026       # W m-1 K-1
 RA_VALID_RANGE = (1e7, 1e11)
 
 
 def lp_convection(t_in: float, t_ext: float, length_m: float, heat_area_m2: float,
-                  props: AirProperties = AirProperties(), n_pipes: int = 1
-                  ) -> tuple[float, float]:
+                  n_pipes: int = 1) -> tuple[float, float]:
     """Buoyancy-driven heat loss through the open light pipes, in watts.
 
     Suppressed entirely (+0.0) when the chamber is no warmer than outside.
@@ -112,10 +97,10 @@ def lp_convection(t_in: float, t_ext: float, length_m: float, heat_area_m2: floa
         dt = np.where(dt > 0.0, dt, 0.0)
     elif dt <= 0.0:
         return 0.0, 0.0
-    ra = (props.g * props.beta * dt * length_m ** 3
-          / (props.kinematic_viscosity ** 2 / props.prandtl))
+    ra = (GRAVITY * AIR_BETA * dt * length_m ** 3
+          / (AIR_KINEMATIC_VISCOSITY ** 2 / AIR_PRANDTL))
     nu = 0.15 * ra ** 0.33
-    u_lp = nu * props.conductivity / length_m
+    u_lp = nu * AIR_CONDUCTIVITY / length_m
     return u_lp * heat_area_m2 * dt * n_pipes, ra
 
 
@@ -161,36 +146,43 @@ def solve_hvac_load(q_env: float = 0.0, q_led: float = 0.0, q_lp_sol: float = 0.
                           q_lp_conv=q_lp_conv, q_plant=q_plant, q_eva=q_eva, q_hc=q_hc)
 
 
+TRANSIENT_SUBSTEPS = 60
+TRANSIENT_DEADBAND_K = 0.5
+
+
 def transient_loads(bd: PowerBreakdown, t_ext: np.ndarray, chamber: ChamberGeometry,
-                    setpoint_c: float, substeps: int, deadband_k: float,
-                    capacity_w: float, pipe: dict | None = None
+                    setpoint_c: float, capacity_w: float, pipe: dict | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Mean cooling and heating magnitudes (W) a thermostat delivers each hour.
 
-    Every hour restarts at the setpoint and is integrated over `substeps`
-    explicit steps, all hours at once. The envelope and, with `pipe`
+    Every hour restarts at the setpoint and is integrated over
+    `TRANSIENT_SUBSTEPS` explicit steps, all hours at once; the drive acts
+    outside the `TRANSIENT_DEADBAND_K` band. The envelope and, with `pipe`
     (`lp_convection`'s length_m, heat_area_m2 and n_pipes), the pipe
     convection follow the drifting air temperature; the other terms of
     `bd` hold their setpoint values.
     """
     cap = chamber.thermal_capacity_j_per_k
-    dt = 3600.0 / substeps
+    dt = 3600.0 / TRANSIENT_SUBSTEPS
     # proportional drive sized to close the error within one substep; a
     # stiffer gain would hunt around the deadband at this step length
     gain = cap / dt
     gains_fixed = bd.q_led + bd.q_lp_sol - bd.q_plant - bd.q_eva
     t_air = np.full(np.shape(t_ext), float(setpoint_c))
     cool, heat = np.zeros_like(t_air), np.zeros_like(t_air)
-    for _ in range(substeps):
+    for _ in range(TRANSIENT_SUBSTEPS):
         q_env = envelope_load(chamber, t_air, t_ext)
         q_conv = 0.0 if pipe is None else lp_convection(t_air, t_ext, **pipe)[0]
         err = setpoint_c - t_air
-        q_hc = np.where(np.abs(err) > deadband_k,
+        q_hc = np.where(np.abs(err) > TRANSIENT_DEADBAND_K,
                         np.clip(gain * err, -capacity_w, capacity_w), 0.0)
         cool -= np.minimum(q_hc, 0.0)
         heat += np.maximum(q_hc, 0.0)
         t_air += (gains_fixed + q_env - q_conv + q_hc) * dt / cap
-    return cool / substeps, heat / substeps
+    return cool / TRANSIENT_SUBSTEPS, heat / TRANSIENT_SUBSTEPS
+
+
+COP_MIN = 1.5
 
 
 @dataclass(frozen=True)
@@ -207,14 +199,13 @@ class CopModel:
     approach_k: float = 10.0
     heat_supply_c: float = 45.0
     heat_approach_k: float = 5.0
-    cop_min: float = 1.5
     cop_max: float = 8.0
 
     def __post_init__(self):
         if not 0.0 < self.eta_second_law <= 1.0:
             raise ValueError("second-law efficiency must be in (0, 1]")
-        if self.cop_min <= 0.0 or self.cop_max < self.cop_min:
-            raise ValueError("COP clamp range is non-physical")
+        if self.cop_max < COP_MIN:
+            raise ValueError(f"cop_max is below the COP floor {COP_MIN}")
         # condenser at or below the evaporator is rejected at config time
         if self.approach_k <= 0.0 or self.heat_approach_k < 0.0:
             raise ValueError("approach temperatures must be positive")
@@ -232,11 +223,11 @@ class CopModel:
         return self._clamped(self.eta_second_law * t_cond, t_cond - t_evap)
 
     def _clamped(self, carnot_numerator: float, lift: float) -> float:
-        """numerator / lift clamped to [cop_min, cop_max]; cop_max without lift."""
+        """numerator / lift clamped to [COP_MIN, cop_max]; cop_max without lift."""
         lift = np.asarray(lift, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             cop = np.where(lift <= 0.0, self.cop_max,
-                           np.clip(carnot_numerator / lift, self.cop_min, self.cop_max))
+                           np.clip(carnot_numerator / lift, COP_MIN, self.cop_max))
         return cop if cop.ndim else float(cop)
 
 
@@ -262,14 +253,11 @@ class LatentModel:
     separate AHU or humidifier load is modelled.
     """
 
-    latent_heat: float = LATENT_HEAT_J_PER_KG
     condensate_recovery: float = 0.95
 
     def __post_init__(self):
         if not 0.0 <= self.condensate_recovery <= 1.0:
             raise ValueError("condensate recovery must be in [0, 1]")
-        if self.latent_heat <= 0.0:
-            raise ValueError("latent heat must be positive")
 
 
 def latent_balance(transpiration_kg_per_s: float, model: LatentModel, dt_s: float = 3600.0
@@ -283,7 +271,7 @@ def latent_balance(transpiration_kg_per_s: float, model: LatentModel, dt_s: floa
     """
     if np.any(np.asarray(transpiration_kg_per_s) < 0.0):
         raise ValueError("transpiration rate must be non-negative")
-    q_eva = transpiration_kg_per_s * model.latent_heat
+    q_eva = transpiration_kg_per_s * LATENT_HEAT_J_PER_KG
     condensed_kg = transpiration_kg_per_s * dt_s
     recovered_l = condensed_kg * model.condensate_recovery  # 1 kg == 1 L
     return q_eva, recovered_l

@@ -284,6 +284,7 @@ class TestStrictCompareAndSweepFiles:
     @pytest.mark.parametrize("key, prices", [
         ("electricity_usd_per_mwh", "[0, -50]"), ("carbon_usd_per_t", "[0, -50]"),
         ("carbon_usd_per_t", "[.nan]"), ("carbon_usd_per_t", "[.inf]"),
+        ("carbon_usd_per_t", "[[1]]"), ("electricity_usd_per_mwh", "[true]"),
     ])
     def test_bad_price_is_refused_before_any_run(self, work_tree, capsys, monkeypatch,
                                                  key, prices):
@@ -309,6 +310,32 @@ class TestStrictCompareAndSweepFiles:
             assert rc == 3
             detail = json.loads(capsys.readouterr().err)["detail"]
             assert path.name in detail and repr(key) in detail
+
+
+    @pytest.mark.parametrize("command, body, key", [
+        ("compare", "scenarios: [1, 2]\n", "scenarios"),
+        ("compare", "scenarios: bench.yaml\n", "scenarios"),
+        ("sweep", "scenario_config: 5\nbench_config: bench.yaml\n", "scenario_config"),
+        ("sweep", "scenario_config: bench.yaml\nbench_config: [bench.yaml]\n", "bench_config"),
+        ("sweep", "target_pbt_years: [1]\n", "target_pbt_years"),
+        ("sweep", "target_pbt_years: -5\n", "target_pbt_years"),   # Bench vs Bench: no pipes
+        ("sweep", "target_pbt_years: 0\n", "target_pbt_years"),
+        ("sweep", "target_pbt_years: .nan\n", "target_pbt_years"),
+        ("sweep", "target_pbt_years: true\n", "target_pbt_years"),
+    ])
+    def test_malformed_file_is_refused_before_any_run(self, work_tree, capsys, monkeypatch,
+                                                      command, body, key):
+        runs = _count_calls(monkeypatch, pipefarm.engine, "run_scenario")
+        path = work_tree / "configs" / "malformed.yaml"
+        if command == "sweep" and "_config" not in body:
+            body = "scenario_config: bench.yaml\nbench_config: bench.yaml\n" + body
+        path.write_text(body)
+        capsys.readouterr()
+        rc = main([command, "--config", str(path), "--out", str(work_tree / "o")])
+        assert rc == 3
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert path.name in detail and repr(key) in detail
+        assert runs == [] and not (work_tree / "o").exists()
 
 
 class TestTraceOptics:

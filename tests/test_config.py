@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 import yaml
 
+from pipefarm import config
 from pipefarm.config import ConfigError, load_scenario_config
 from pipefarm.lighting import STRATEGIES
 
@@ -140,6 +141,13 @@ class TestValidation:
         ("lp: {mirror_hinge_height_m: 0.0}", "lp.mirror_hinge_height_m"),
         ("optics: {bounce_cap: 50}", "optics.bounce_cap"),
         ("crop: {calibration: x.json}", "crop.calibration"),
+        ("ec: {v_max: 100.0}", "ec.v_max"),               # now module constants
+        ("hvac: {cop_min: 1.5}", "hvac.cop_min"),
+        ("chamber: {air_density: 1.204}", "chamber.air_density"),
+        ("chamber: {air_cp: 1006.0}", "chamber.air_cp"),
+        ("latent: {latent_heat: 2.45e+6}", "latent.latent_heat"),
+        ("transient_substeps: 60", "transient_substeps"),
+        ("transient_deadband_k: 0.5", "transient_deadband_k"),
     ])
     def test_unknown_key_rejected(self, tmp_path, body, key):
         path = tmp_path / "typo.yaml"
@@ -158,9 +166,6 @@ class TestValidation:
             load_scenario_config(tmp_path / "bad.yaml")
 
     @pytest.mark.parametrize("key, value", [
-        ("transient_substeps", 0),
-        ("transient_substeps", -3),
-        ("transient_deadband_k", -0.1),
         ("transient_capacity_w", -5.0),
         ("transient_capacity_w", 0.0),
     ])
@@ -169,3 +174,60 @@ class TestValidation:
         path.write_text(f"scenario: Bench\ntimestep_mode: transient\n{key}: {value}\n")
         with pytest.raises(ConfigError, match=key):
             load_scenario_config(path)
+
+    @pytest.mark.parametrize("body, key", [
+        ("lp: {count: 750.9}", "lp.count"),               # fractional int
+        ("seed: 1.9", "seed"),
+        ("optics: {rays: .inf}", "optics.rays"),
+        ("ppe: true", "ppe"),                             # boolean number
+        ("lp: {count: false}", "lp.count"),
+        ("setpoints: {temperature: [24]}", "setpoints.temperature"),
+    ])
+    def test_numbers_are_not_coerced(self, tmp_path, body, key):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"scenario: Bench\n{body}\n")
+        with pytest.raises(ConfigError) as exc:
+            load_scenario_config(path)
+        assert repr(key) in str(exc.value) and str(path) in str(exc.value)
+
+    def test_integral_and_int_values_still_load(self, tmp_path):
+        path = tmp_path / "ok.yaml"
+        path.write_text("scenario: Bench\nlp: {count: 700.0}\nseed: 7\nppe: 3\n")
+        cfg = load_scenario_config(path)
+        assert (cfg.n_pipes, cfg.seed, cfg.ppe) == (700, 7, 3.0)
+        assert type(cfg.n_pipes) is int and type(cfg.ppe) is float
+
+
+# every key a scenario file may set, as the loader resolves it: a key added
+# or removed shows up in this list's diff
+SETTABLE_KEYS = [
+    "chamber.floor_area_m2", "chamber.height_m", "chamber.surfaces", "climate",
+    "climate_columns", "costs.carbon_usd_per_t", "costs.ec_film_usd",
+    "costs.electricity_usd_per_mwh", "costs.grid_t_co2_per_mwh", "costs.hvac_usd_per_w",
+    "costs.ir_filter_usd", "costs.led_usd_per_ft2", "costs.lettuce_usd_per_kg",
+    "costs.lp_aux_usd", "costs.lp_unit_usd", "costs.reference_ppfd", "crop.dm_fraction",
+    "crop.extinction_k", "crop.lai_cap", "crop.lue_table", "crop.plant_density",
+    "crop.sla_m2_per_g_dm", "crop.stagger_days", "crop.target_fresh_g", "crop.tier_area_m2",
+    "crop.transplant_dm_g_m2", "driver.min_dim", "driver.nominal", "driver.points",
+    "ec.cap_ppfd", "gh.glazing_usd_per_m2", "gh.tau", "gh.u_value", "gh.wall_glazed_m2",
+    "hour_center_offset", "hvac.approach_k", "hvac.cop_max", "hvac.eta_second_law",
+    "hvac.heat_approach_k", "hvac.heat_supply_c", "hvac.t_evap_c",
+    "latent.condensate_recovery", "lp.canopy_distance_m", "lp.count", "lp.diameter_mm",
+    "lp.diffuser_apex_angle_deg", "lp.diffuser_refractive_index", "lp.diffuser_throughput",
+    "lp.dome_transmittance", "lp.heat_area", "lp.length_mm", "lp.mirror_reflectance",
+    "lp.target_zone_m", "lp.wall_reflectance", "min_threshold_ppfd", "optics.cache_dir",
+    "optics.rays", "optics.table", "photoperiod", "ppe", "scenario", "seed",
+    "setpoints.co2", "setpoints.ppfd", "setpoints.temperature", "site.latitude",
+    "site.longitude", "site.utc_offset", "surrogates.crop_latent_fraction",
+    "surrogates.crop_storage_fraction", "surrogates.fm_water_l_per_kg", "timestep_mode",
+    "transient_capacity_w",
+]
+
+
+def test_settable_keys_are_frozen():
+    default = config.ScenarioConfig()
+    keys = set(config._RENAMED) | config._TOP_LEVEL
+    for section, name in config._SECTIONS.items():
+        keys |= {f"{section}.{f.name}" for f in dataclasses.fields(getattr(default, name))}
+    assert sorted(keys) == SETTABLE_KEYS
+    assert len(SETTABLE_KEYS) == 73

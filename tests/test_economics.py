@@ -50,7 +50,7 @@ class TestLightCost:
 
     def test_comparison_rows(self):
         rows = {r["system"]: r for r in light_cost_comparison(COSTS, REFERENCE_PIPE_PPF,
-                                                                      0.7432, 400.0, 0.04)}
+                                                                      400.0, 0.04)}
         assert rows["LP_NL"]["light_cost"] == pytest.approx(12.05, abs=0.02)
         assert rows["LP_Dim_IR"]["light_cost"] == pytest.approx(16.56, abs=0.02)
         assert rows["LP_Dim_EC"]["light_cost"] == pytest.approx(25.00, abs=0.02)
@@ -64,7 +64,7 @@ class TestLightCost:
         hardware = pipe_hardware(STRATEGIES[sid], COSTS)
         assert tuple(hardware.values()) == items
         if STRATEGIES[sid].daylight == "pipe":
-            cost = pipe_light_cost(STRATEGIES[sid], COSTS, 24.9, 0.74, 400.0, 0.04)
+            cost = pipe_light_cost(STRATEGIES[sid], COSTS, 24.9, 400.0, 0.04)
             assert cost["cost_usd"] == sum(items)
 
     def test_break_even_unit_cost_beats_fiber(self):

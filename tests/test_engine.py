@@ -17,7 +17,7 @@ from pipefarm.economics import break_even_unit_cost, led_cost_per_watt, light_co
 from pipefarm.engine import (SimulationError, Study, calibrate_lue_scale, compare_scenarios,
                              light_cost_inputs, prepare_efficiency_table, run_scenario,
                              scenario_capex_delta, scenario_light_cost, scenario_sweep)
-from pipefarm.lighting import STRATEGIES, control_tier3, ec_control, led_electric_power
+from pipefarm.lighting import EC_FILM, STRATEGIES, control_tier3, ec_control, led_electric_power
 from pipefarm.optics import (DIFFUSE_BANDS, OpticalEfficiencyTable, apply_neutral_attenuation,
                              apply_uv_ir_filter, gh_gains, lp_crop_ppfd, lp_solar_gains)
 
@@ -256,7 +256,7 @@ class TestCompare:
         ec = scenario_configs["LP_Dim_EC"]
         assert film_row(ec) == scenario_light_cost(ec)
         capped = film_row(dataclasses.replace(ec, ec_cap_ppfd=600.0))
-        assert capped == 400.0 / (24.9 * ec.ec_film().tau_max)
+        assert capped == 400.0 / (24.9 * EC_FILM.tau_max)
         assert capped == pytest.approx(21.61, abs=0.005)
 
     def test_shipped_sweep_matches_payback_and_break_even(self, scenario_results,
@@ -532,7 +532,6 @@ def _hourly_daylight_and_control(cfg, climate, table, solar):
     alts, azis = solar
     strategy = cfg.strategy
     tier_area = cfg.crop.tier_area_m2
-    film = cfg.ec_film() if strategy.ec_film else None
     q_sol, q_crop, daylight = (np.zeros(HOURS_PER_YEAR) for _ in range(3))
     ec_tau = np.full(HOURS_PER_YEAR, np.nan)
     warnings = []
@@ -552,8 +551,8 @@ def _hourly_daylight_and_control(cfg, climate, table, solar):
             clamp_flagged = True
         if strategy.filter_tau is not None:
             gains = apply_uv_ir_filter(gains, strategy.filter_tau)
-        elif film is not None:
-            _, tau, _, unreachable = ec_control(float(lp_crop_ppfd(gains, tier_area)), film,
+        elif strategy.ec_film:
+            _, tau, _, unreachable = ec_control(float(lp_crop_ppfd(gains, tier_area)),
                                                 cfg.ec_cap_ppfd)
             gains = apply_neutral_attenuation(gains, tau)
             ec_tau[i] = tau

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pipefarm.lighting import (_EC_DEN, _EC_NUM, STRATEGIES, DriverCurve, EcFilm,
+from pipefarm.lighting import (_EC_DEN, _EC_NUM, EC_FILM, STRATEGIES, DriverCurve, EcFilm,
                                ec_control, ec_transmittance, control_tier3,
                                led_electric_power)
 
@@ -146,9 +146,15 @@ class TestEcFilm:
         assert film.tau_max > ec_transmittance(1e4)     # peaks above the asymptote
         assert 40.0 < film.v_passive < 55.0
 
+    def test_extremes_are_pinned(self):
+        # bit for bit; above the peak the curve only falls toward a/d
+        for film in (EcFilm(), EC_FILM):
+            assert (film.v_passive, film.tau_max) == (45.4038754726109, 0.7433189252414235)
+            assert (film.v_dip, film.tau_min) == (0.5748534631870031, 0.5418663347357237)
+
     def test_no_voltage_beats_the_exact_peak(self):
         film = EcFilm()
-        grid = np.arange(0, round(film.v_max * 1000) + 1) / 1000.0
+        grid = np.arange(0, 100_001) / 1000.0
         assert max(ec_transmittance(v) for v in grid) <= film.tau_max
         assert min(ec_transmittance(v) for v in grid) >= film.tau_min
 
@@ -183,36 +189,30 @@ class TestEcFilm:
         assert 0.0 < v < film.v_passive
         assert ec_transmittance(v) == pytest.approx(tau, rel=1e-14)
 
-    def test_short_domain_peaks_at_its_end(self):
-        film = EcFilm(v_max=10.0)
-        assert film.v_passive == 10.0
-        assert film.tau_max == ec_transmittance(10.0)
-        assert film.voltage_for_tau(film.tau_max) == 10.0
-
     def test_cap_inactive_uses_passive_state(self):
-        film = EcFilm()
-        v, tau, out, flag = ec_control(300.0, film)
+        film = EC_FILM
+        v, tau, out, flag = ec_control(300.0)
         assert v == film.v_passive
         assert tau == film.tau_max
         assert out == pytest.approx(300.0 * film.tau_max)
         assert not flag
 
     def test_active_capping_hits_bound(self):
-        film = EcFilm()
-        v, tau, out, flag = ec_control(600.0, film)
+        film = EC_FILM
+        v, tau, out, flag = ec_control(600.0)
         assert out == pytest.approx(400.0, abs=0.1)
         assert 0.0 < v < film.v_passive
         assert not flag
 
     def test_dip_targets_hold_the_cap(self):
         # cap / raw in [tau_min, tau(0)) is reached inside the dip below 0.57 V
-        film = EcFilm()
+        film = EC_FILM
         tau0 = ec_transmittance(0.0)
         raws = np.append(np.arange(737_000, 738_501) / 1000.0,
                          [400.0 / film.tau_min, 400.0 / tau0])
         reachable = 0
         for raw in raws:
-            v, tau, out, flag = ec_control(raw, film, 400.0)
+            v, tau, out, flag = ec_control(raw, 400.0)
             if 400.0 / raw < film.tau_min:
                 assert flag and v == 0.0 and tau == tau0     # out of the film's reach
                 continue
@@ -229,8 +229,8 @@ class TestEcFilm:
             assert ec_transmittance(v) <= tau + 1e-15
 
     def test_unreachable_cap_flags(self):
-        film = EcFilm()
-        v, tau, out, flag = ec_control(1000.0, film)
+        film = EC_FILM
+        v, tau, out, flag = ec_control(1000.0)
         assert flag
         assert v == 0.0
         assert out == pytest.approx(1000.0 * ec_transmittance(0.0), rel=1e-12)
@@ -239,4 +239,4 @@ class TestEcFilm:
         with pytest.raises(ValueError):
             ec_transmittance(-1.0)
         with pytest.raises(ValueError):
-            ec_control(-5.0, EcFilm())
+            ec_control(-5.0)

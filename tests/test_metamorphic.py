@@ -23,6 +23,7 @@ import pytest
 
 from pipefarm.climate import ClimateSeries
 from pipefarm.engine import run_scenario
+from pipefarm.lighting import EC_FILM
 
 LED_SETPOINT_TIER3 = ("LP_Min_250", "LP_Dim", "LP_Dim_IR_98", "LP_Dim_IR_90", "LP_Dim_EC")
 DARK_TIER3 = ("LP_NL", "GH")
@@ -65,8 +66,7 @@ def bright_ec(scenario_configs, climate, reference_table, lue_calibrated, solar)
 
 class TestBrightSkyFilm:
     def test_film_attenuates_some_hours(self, bright_ec):
-        film = bright_ec.config.ec_film()
-        assert np.count_nonzero(bright_ec.hourly["ec_tau"] < film.tau_max) > 0
+        assert np.count_nonzero(bright_ec.hourly["ec_tau"] < EC_FILM.tau_max) > 0
 
     def test_daylight_held_at_the_cap(self, bright_ec):
         cap = bright_ec.config.ec_cap_ppfd

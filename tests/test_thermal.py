@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pipefarm.thermal import (ChamberGeometry, CopModel, LatentModel,
-                              PowerBreakdown, Surface, envelope_load,
+from pipefarm.thermal import (TRANSIENT_DEADBAND_K, TRANSIENT_SUBSTEPS, ChamberGeometry,
+                              CopModel, LatentModel, PowerBreakdown, Surface, envelope_load,
                               hvac_electricity, latent_balance, lp_convection,
                               solve_hvac_load, transient_loads)
 
@@ -116,7 +116,7 @@ class TestCopModel:
         with pytest.raises(ValueError):
             CopModel(approach_k=0.0)
         with pytest.raises(ValueError):
-            CopModel(cop_min=5.0, cop_max=2.0)
+            CopModel(cop_max=1.0)                     # below the COP floor
 
     def test_latent_duty_added_to_cooling(self):
         cop = CopModel()
@@ -244,7 +244,7 @@ def scalar_air_node(chamber, gains_fixed, t_ext, setpoint, substeps, deadband, c
 class TestTransientAirNode:
     """`transient_loads` against the scalar per-hour air node."""
 
-    SETPOINT, SUBSTEPS, DEADBAND, CAPACITY = 24.0, 60, 0.5, 20000.0
+    SETPOINT, CAPACITY = 24.0, 20000.0
     PIPE = dict(length_m=1.0, heat_area_m2=math.pi * 0.075 ** 2, n_pipes=750)
     # net fixed gains (W) and outside temperature (C) per hour: idle, mild
     # drifts across each deadband edge, and loads past the capacity both ways
@@ -264,10 +264,10 @@ class TestTransientAirNode:
         gains = bd.q_led + bd.q_lp_sol - bd.q_plant - bd.q_eva
         chamber = ChamberGeometry()
         got = transient_loads(bd, np.array(self.T_EXT), chamber, self.SETPOINT,
-                              self.SUBSTEPS, self.DEADBAND, self.CAPACITY, pipe)
+                              self.CAPACITY, pipe)
         events = set()
-        want = [scalar_air_node(chamber, gains.item(i), x, self.SETPOINT, self.SUBSTEPS,
-                                self.DEADBAND, self.CAPACITY, pipe, events)
+        want = [scalar_air_node(chamber, gains.item(i), x, self.SETPOINT, TRANSIENT_SUBSTEPS,
+                                TRANSIENT_DEADBAND_K, self.CAPACITY, pipe, events)
                 for i, x in enumerate(self.T_EXT)]
         assert events == {"above_band", "below_band", "cool_clamp", "heat_clamp"}
         return got, np.array(want).T
