@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Optional
@@ -17,7 +18,7 @@ import yaml
 from .climate import SiteConfig
 from .crop import CropParams
 from .economics import CostTable
-from .lighting import STRATEGIES, DriverCurve, Strategy
+from .lighting import STRATEGIES, Strategy
 from .optics import LpGeometry
 from .thermal import ChamberGeometry, CopModel, LatentModel, Surface
 
@@ -89,7 +90,7 @@ class ScenarioConfig:
     latent: LatentModel = field(default_factory=LatentModel)
     surrogates: SurrogateParams = field(default_factory=SurrogateParams)
     glazing: GlazingParams = field(default_factory=GlazingParams)
-    driver: DriverCurve = field(default_factory=DriverCurve)
+    min_dim: float = 0.30                     # PWM floor, a fraction of nominal PPFD
     ec_cap_ppfd: float = 400.0
     setpoint_t: float = 24.0
     setpoint_co2: float = 1400.0
@@ -117,6 +118,11 @@ class ScenarioConfig:
             raise ConfigError("timestep_mode must be 'quasi_steady' or 'transient'")
         if self.transient_capacity_w <= 0.0:
             raise ConfigError("transient_capacity_w must be positive")
+        if not 0.0 < self.min_dim < 1.0:
+            raise ConfigError(f"'driver.min_dim' must be in (0, 1), not {self.min_dim!r}")
+        if not (math.isfinite(self.ec_cap_ppfd) and self.ec_cap_ppfd > 0.0):
+            raise ConfigError(f"'ec.cap_ppfd' must be positive and finite, "
+                              f"not {self.ec_cap_ppfd!r}")
         if not 0.0 <= self.hour_center_offset < 1.0:
             raise ConfigError("hour_center_offset must be in [0, 1)")
         p = self.photoperiod
@@ -228,7 +234,7 @@ _RENAMED = {
     "climate": "climate_path",
     "lp.count": "n_pipes", "lp.heat_area": "lp_heat_area",
     "crop.lue_table": "lue_table_path",
-    "ec.cap_ppfd": "ec_cap_ppfd",
+    "driver.min_dim": "min_dim", "ec.cap_ppfd": "ec_cap_ppfd",
     "setpoints.temperature": "setpoint_t", "setpoints.co2": "setpoint_co2",
     "setpoints.ppfd": "setpoint_ppfd",
     "optics.table": "table_path", "optics.cache_dir": "table_cache_dir",
@@ -237,20 +243,13 @@ _RENAMED = {
 # YAML sections that build one object field; their other keys are its fields
 _SECTIONS = {"site": "site", "chamber": "chamber", "lp": "lp_geometry", "crop": "crop",
              "costs": "costs", "hvac": "cop", "latent": "latent",
-             "surrogates": "surrogates", "gh": "glazing", "driver": "driver"}
+             "surrogates": "surrogates", "gh": "glazing"}
 # top-level keys are the fields neither table targets: `n_pipes` is no key
 _TOP_LEVEL = ({f.name for f in fields(ScenarioConfig)}
               - set(_RENAMED.values()) - set(_SECTIONS.values()))
 _GROUPS = set(_SECTIONS) | {k.split(".")[0] for k in _RENAMED if "." in k}   # mappings
 # resolved against the config's directory
 _PATHS = {"climate", "crop.lue_table", "optics.table", "optics.cache_dir"}
-# list values built into their field's types
-_LISTS = {
-    "chamber.surfaces": lambda v: tuple(
-        Surface(s["name"], float(s["area_m2"]), float(s["u_value"])) for s in v),
-    "driver.points": lambda v: tuple((float(a), float(b)) for a, b in v),
-    "photoperiod": lambda v: tuple(float(x) for x in v),
-}
 
 
 def _number(key: str, default, value):
@@ -266,6 +265,20 @@ def _number(key: str, default, value):
         raise ConfigError(f"{key!r} must be {kind}, not {value!r}") from None
 
 
+def _surface(key: str, entry) -> Surface:
+    """One `chamber.surfaces` entry; `key` names it, as 'chamber.surfaces[0]'."""
+    if not isinstance(entry, dict) or set(entry) != {"name", "area_m2", "u_value"}:
+        raise ConfigError(f"{key!r} must set exactly name, area_m2 and u_value, "
+                          f"not {entry!r}")
+    return Surface(str(entry["name"]), _number(f"{key}.area_m2", 0.0, entry["area_m2"]),
+                   _number(f"{key}.u_value", 0.0, entry["u_value"]))
+
+
+# list values, built entry by entry into their field's types
+_LISTS = {"chamber.surfaces": _surface,
+          "photoperiod": lambda key, x: _number(key, 0.0, x)}
+
+
 def _build(obj, keys: dict, base_dir: Path):
     """`obj` with the given fields replaced; `keys` maps field name to
     (YAML key, value). Values take the type of the field's default."""
@@ -276,7 +289,9 @@ def _build(obj, keys: dict, base_dir: Path):
             raise ConfigError(f"unknown key {key!r}")
         default = getattr(obj, name)
         if key in _LISTS:
-            value = _LISTS[key](value)
+            if not isinstance(value, list):
+                raise ConfigError(f"{key!r} must be a list, not {value!r}")
+            value = tuple(_LISTS[key](f"{key}[{i}]", v) for i, v in enumerate(value))
         elif key in _PATHS:
             value = _path_or_none(base_dir, value)
         elif isinstance(default, str):

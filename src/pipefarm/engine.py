@@ -444,11 +444,11 @@ def _lighting_stage(cfg: ScenarioConfig, daylight_ppfd: np.ndarray
     p12 = np.where(lit, led_electric_power(max(setpoint, 0.0), tier_area * 2, cfg.ppe),
                    0.0)
     cmd = control_tier3(cfg.scenario, daylight_ppfd, clock, setpoint,
-                        cfg.min_threshold_ppfd, cfg.driver, cfg.photoperiod)
+                        cfg.min_threshold_ppfd, cfg.min_dim, cfg.photoperiod)
     ppfd = np.zeros((HOURS_PER_YEAR, 3))
     ppfd[lit, :2] = setpoint
     ppfd[:, 2] = cmd.total_ppfd
-    p3 = led_electric_power(cmd.led_ppfd, tier_area, cfg.ppe, cmd.driver_eff)
+    p3 = led_electric_power(cmd.led_ppfd, tier_area, cfg.ppe)
     return ppfd, cmd.led_ppfd, cmd.dim_fraction, p12, p3
 
 

@@ -5,10 +5,12 @@ states where tier 3's daylight comes from, what it passes through, how the
 tier-3 LEDs respond, and the fixtures' nominal PPFD. Everything else
 (optics path, envelope, control, hardware costs) reads the row.
 
-Tier-3 control, LED power and the driver curve take arrays of hours (a
-scalar broadcasts); `ec_control` sets the film one hour per call, because
-the benchmark's traced run counts its unreachable-cap results per call.
-The film is the one published curve, `EC_FILM`, over all voltages >= 0.
+Every LED fixture draws its rating, PPFD x area / PPE, dimmed or not: the
+paper gives no part-load driver curve. Tier-3 control and LED power take
+arrays of hours (a scalar broadcasts); `ec_control` sets the film one hour
+per call, because the benchmark's traced run counts its unreachable-cap
+results per call. The film is the one published curve, `EC_FILM`, over
+all voltages >= 0.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 __all__ = [
     "STRATEGIES",
     "Strategy",
-    "DriverCurve",
     "LightingCommand",
     "EcFilm",
     "EC_FILM",
@@ -70,55 +71,12 @@ STRATEGIES = {
 }
 
 
-@dataclass(frozen=True)
-class DriverCurve:
-    """Part-load efficiency of the PWM driver over dim fraction [min_dim, 1].
-
-    The published curve gives only the nominal 95% point, so the default
-    is flat; measured points can be loaded as (dim, efficiency) pairs.
-    """
-
-    nominal: float = 0.95
-    min_dim: float = 0.30
-    points: tuple[tuple[float, float], ...] = ()
-
-    def __post_init__(self):
-        if not 0.0 < self.nominal <= 1.0:
-            raise ValueError("nominal efficiency must be in (0, 1]")
-        if not 0.0 < self.min_dim < 1.0:
-            raise ValueError("minimum dim fraction must be in (0, 1)")
-        if self.points:
-            dims = [p[0] for p in self.points]
-            if sorted(dims) != dims or len(set(dims)) != len(dims):
-                raise ValueError("curve points must have strictly increasing dim")
-            if abs(dims[0] - self.min_dim) > 1e-9 or abs(dims[-1] - 1.0) > 1e-9:
-                raise ValueError("curve must be defined at min_dim and 1.0")
-            for _, eff in self.points:
-                if not 0.0 < eff <= 1.0:
-                    raise ValueError("efficiencies must be in (0, 1]")
-
-    def efficiency(self, dim):
-        """Driver efficiency at dim fractions (an array or a scalar)."""
-        if not np.all((self.min_dim - 1e-12 <= dim) & (dim <= 1.0 + 1e-12)):
-            raise ValueError(f"dim {dim} below the {self.min_dim:.0%} hardware floor")
-        if not self.points:
-            return self.nominal
-        dims = [p[0] for p in self.points]
-        effs = [p[1] for p in self.points]
-        return np.interp(dim, dims, effs)
-
-
-def led_electric_power(ppfd, area_m2: float, ppe: float, driver_eff=1.0):
-    """Electrical watts to hold commanded PPFDs (array or scalar) over an area.
-
-    Non-PWM scenarios take driver_eff = 1 so nominal powers match the
-    fixture ratings; PWM scenarios pay the driver penalty.
-    """
+def led_electric_power(ppfd, area_m2: float, ppe: float):
+    """Electrical watts to hold commanded PPFDs (array or scalar) over an
+    area: every fixture, dimmed or not, converts at its efficacy `ppe`."""
     if np.any(ppfd < 0.0) or area_m2 <= 0.0 or ppe <= 0.0:
         raise ValueError("PPFD, area and PPE must be non-negative/positive")
-    if not np.all((0.0 < driver_eff) & (driver_eff <= 1.0)):
-        raise ValueError("driver efficiency must be in (0, 1]")
-    return ppfd * area_m2 / ppe / driver_eff
+    return ppfd * area_m2 / ppe
 
 
 @dataclass(frozen=True)
@@ -127,7 +85,6 @@ class LightingCommand:
 
     led_ppfd: np.ndarray
     dim_fraction: np.ndarray
-    driver_eff: np.ndarray
     total_ppfd: np.ndarray
 
 
@@ -239,14 +196,15 @@ def ec_control(ppfd_raw: float, cap: float = 400.0) -> tuple[float, float, float
 
 def control_tier3(strategy: str, daylight_ppfd, clock_hour,
                   setpoint: float = 250.0, min_threshold: float = 100.0,
-                  curve: DriverCurve = DriverCurve(),
+                  min_dim: float = 0.30,
                   photoperiod: tuple[float, float] = (4.0, 20.0)) -> LightingCommand:
     """LED commands for tier 3 of scenario `strategy` given the delivered
     daylight PPFD at each clock hour (arrays or scalars, broadcast together).
 
     daylight_ppfd must already include any filter or film attenuation.
     Daylight keeps entering outside the photoperiod (there is no shutter);
-    only the LEDs follow the 16 h window.
+    only the LEDs follow the 16 h window. PWM LEDs that would dim below
+    `min_dim` of nominal switch off instead.
     """
     row = STRATEGIES.get(strategy)
     if row is None:
@@ -258,18 +216,15 @@ def control_tier3(strategy: str, daylight_ppfd, clock_hour,
     on = (photoperiod[0] <= clock_hour) & (clock_hour < photoperiod[1]) & (row.led != "off")
     nominal = row.nominal(setpoint)
     if row.led == "pwm":
-        # supplement up to the setpoint, subject to the 30% hardware floor
-        # (below it the LEDs switch off entirely)
+        # supplement up to the setpoint, subject to the min_dim hardware
+        # floor (below it the LEDs switch off entirely)
         required = setpoint - daylight
-        on &= required >= curve.min_dim * nominal
+        on &= required >= min_dim * nominal
         led = np.where(on, np.minimum(required, nominal), 0.0)
         dim = led / nominal
-        # the curve sees only lit dims; LEDs that are off draw nothing
-        driver_eff = np.where(on, curve.efficiency(np.where(on, dim, 1.0)), 1.0)
     else:
         if row.led == "on_off":
             on &= daylight < min_threshold
         led = np.where(on, nominal, 0.0)
         dim = np.where(on, 1.0, 0.0)
-        driver_eff = np.ones_like(dim)
-    return LightingCommand(led, dim, driver_eff, np.where(on, led + daylight, daylight))
+    return LightingCommand(led, dim, np.where(on, led + daylight, daylight))

@@ -79,6 +79,23 @@ class TestDispatch:
         assert rc == 3
         assert "not found" in json.loads(capsys.readouterr().err)["detail"]
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_bad_film_cap_is_refused_before_any_output(self, work_tree, capsys, command,
+                                                       cap):
+        configs = work_tree / "configs"
+        bad = configs / "lp_dim_ec_cap.yaml"
+        bad.write_text(f"include: lp_dim_ec.yaml\nec: {{cap_ppfd: {cap}}}\n")
+        path = bad
+        if command == "compare":
+            path = configs / "cap_compare.yaml"
+            path.write_text(f"scenarios:\n  - bench.yaml\n  - {bad.name}\n")
+        out = work_tree / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 3
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert "'ec.cap_ppfd'" in detail and str(bad) in detail
+        assert not out.exists()
+
     def test_missing_climate_exit_code(self, work_tree, capsys):
         (work_tree / "data" / "dubai_hourly_synthetic.csv").unlink()
         rc = main(["simulate", "--config", str(work_tree / "configs" / "bench.yaml"),

@@ -148,6 +148,8 @@ class TestValidation:
         ("latent: {latent_heat: 2.45e+6}", "latent.latent_heat"),
         ("transient_substeps: 60", "transient_substeps"),
         ("transient_deadband_k: 0.5", "transient_deadband_k"),
+        ("driver: {nominal: 0.95}", "driver.nominal"),    # every fixture draws its rating
+        ("driver: {points: [[0.3, 0.9], [1.0, 0.95]]}", "driver.points"),
     ])
     def test_unknown_key_rejected(self, tmp_path, body, key):
         path = tmp_path / "typo.yaml"
@@ -190,6 +192,35 @@ class TestValidation:
             load_scenario_config(path)
         assert repr(key) in str(exc.value) and str(path) in str(exc.value)
 
+    @pytest.mark.parametrize("body, key", [
+        ("ec: {cap_ppfd: 0}", "ec.cap_ppfd"),
+        ("ec: {cap_ppfd: -5}", "ec.cap_ppfd"),
+        ("ec: {cap_ppfd: .inf}", "ec.cap_ppfd"),
+        ("driver: {min_dim: 0}", "driver.min_dim"),
+        ("driver: {min_dim: 1.0}", "driver.min_dim"),
+        ("photoperiod: [4, x]", "photoperiod[1]"),
+        ("photoperiod: [true, 20]", "photoperiod[0]"),
+        ("photoperiod: 4", "photoperiod"),
+        ("chamber: {surfaces: [{name: roof, area_m2: 49.0}]}", "chamber.surfaces[0]"),
+        ("chamber: {surfaces: [{name: roof, area_m2: 49.0, u_value: 0.2, u: 1}]}",
+         "chamber.surfaces[0]"),
+        ("chamber: {surfaces: [{name: a, area_m2: 9, u_value: 1}, roof]}",
+         "chamber.surfaces[1]"),
+        ("chamber: {surfaces: [{name: roof, area_m2: big, u_value: 0.2}]}",
+         "chamber.surfaces[0].area_m2"),
+    ])
+    def test_invalid_value_names_the_key(self, tmp_path, body, key):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"scenario: LP_Dim_EC\n{body}\n")
+        with pytest.raises(ConfigError) as exc:
+            load_scenario_config(path)
+        assert repr(key) in str(exc.value) and str(path) in str(exc.value)
+
+    def test_min_dim_reaches_the_config(self, tmp_path):
+        path = tmp_path / "ok.yaml"
+        path.write_text("scenario: LP_Dim\ndriver: {min_dim: 0.25}\n")
+        assert load_scenario_config(path).min_dim == 0.25
+
     def test_integral_and_int_values_still_load(self, tmp_path):
         path = tmp_path / "ok.yaml"
         path.write_text("scenario: Bench\nlp: {count: 700.0}\nseed: 7\nppe: 3\n")
@@ -208,8 +239,8 @@ SETTABLE_KEYS = [
     "costs.lp_aux_usd", "costs.lp_unit_usd", "costs.reference_ppfd", "crop.dm_fraction",
     "crop.extinction_k", "crop.lai_cap", "crop.lue_table", "crop.plant_density",
     "crop.sla_m2_per_g_dm", "crop.stagger_days", "crop.target_fresh_g", "crop.tier_area_m2",
-    "crop.transplant_dm_g_m2", "driver.min_dim", "driver.nominal", "driver.points",
-    "ec.cap_ppfd", "gh.glazing_usd_per_m2", "gh.tau", "gh.u_value", "gh.wall_glazed_m2",
+    "crop.transplant_dm_g_m2", "driver.min_dim", "ec.cap_ppfd", "gh.glazing_usd_per_m2",
+    "gh.tau", "gh.u_value", "gh.wall_glazed_m2",
     "hour_center_offset", "hvac.approach_k", "hvac.cop_max", "hvac.eta_second_law",
     "hvac.heat_approach_k", "hvac.heat_supply_c", "hvac.t_evap_c",
     "latent.condensate_recovery", "lp.canopy_distance_m", "lp.count", "lp.diameter_mm",
@@ -230,4 +261,4 @@ def test_settable_keys_are_frozen():
     for section, name in config._SECTIONS.items():
         keys |= {f"{section}.{f.name}" for f in dataclasses.fields(getattr(default, name))}
     assert sorted(keys) == SETTABLE_KEYS
-    assert len(SETTABLE_KEYS) == 73
+    assert len(SETTABLE_KEYS) == 71

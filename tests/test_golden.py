@@ -1,17 +1,22 @@
 """Golden guard: the nine quasi-steady scenario-years, transient Bench,
-LP_Dim and GH years, and a Bench year with 7-day tier staggering must
-reproduce the KPIs and annual aggregates frozen in
-`tests/data/golden_kpis.json` to 1e-12 relative.
+LP_Dim and GH years, a Bench year with 7-day tier staggering and LP_Dim_EC
+years with the film capped at 250 and 300 umol m-2 s-1 (the only runs whose
+film attenuates, the 250 cap past reach) must reproduce the KPIs and annual
+aggregates frozen in `tests/data/golden_kpis.json` to 1e-12 relative.
 
 The nine quasi-steady runs and transient LP_Dim were frozen before the
 tier-3 strategy table replaced the scenario-id dispatch; the other three
 before the annual loop was split into array stages. The seasonal cooling
 aggregates of every run were re-frozen when the summer/winter split moved
 to calendar months, and the 22 LP_Dim_EC entries that depend on the film's
-peak transmittance when that peak became exact instead of sampled. A refactor that keeps
-behaviour fixed reproduces them to summation order. Regenerate it (`PYTHONPATH=src python tests/test_golden.py`) only
-for a change that is meant to move the numbers, and say so in CHANGES.md;
-the script prints every entry that moved and rewrites only those.
+peak transmittance when that peak became exact instead of sampled. The
+five PWM entries (LP_Dim, LP_Dim_IR_98, LP_Dim_IR_90, LP_Dim_EC and
+LP_Dim/transient) were re-frozen when PWM fixtures stopped paying a flat
+0.95 driver efficiency that fixed fixtures did not. A refactor that keeps
+behaviour fixed reproduces them to summation order. Regenerate it
+(`PYTHONPATH=src python tests/test_golden.py`) only for a change that is
+meant to move the numbers, and say so in CHANGES.md; the script prints
+every entry that moved and rewrites only those.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ def variant_runs(configs, study) -> dict:
         "GH/transient": dataclasses.replace(configs["GH"], timestep_mode="transient"),
         "LP_Dim/transient": dataclasses.replace(configs["LP_Dim"],
                                                 timestep_mode="transient"),
+        "LP_Dim_EC/cap250": dataclasses.replace(configs["LP_Dim_EC"], ec_cap_ppfd=250.0),
+        "LP_Dim_EC/cap300": dataclasses.replace(configs["LP_Dim_EC"], ec_cap_ppfd=300.0),
     }
     runs = {name: snapshot(study.run(cfg)) for name, cfg in variants.items()}
     stagger = dataclasses.replace(bench, crop=dataclasses.replace(bench.crop, stagger_days=7.0))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pipefarm.lighting import (_EC_DEN, _EC_NUM, EC_FILM, STRATEGIES, DriverCurve, EcFilm,
+from pipefarm.lighting import (_EC_DEN, _EC_NUM, EC_FILM, STRATEGIES, EcFilm,
                                ec_control, ec_transmittance, control_tier3,
                                led_electric_power)
 
@@ -15,43 +15,36 @@ class TestLedPower:
     def test_zero_command_zero_draw(self):
         assert led_electric_power(0.0, 90.0, 3.0) == 0.0
 
-    def test_driver_penalty(self):
-        p = led_electric_power(250.0, 30.0, 2.5, driver_eff=0.95)
-        assert p == pytest.approx(250.0 * 30.0 / 2.5 / 0.95, rel=1e-12)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             led_electric_power(250.0, 0.0, 2.5)
         with pytest.raises(ValueError):
-            led_electric_power(250.0, 30.0, 2.5, driver_eff=1.2)
+            led_electric_power(-1.0, 30.0, 2.5)
 
 
-class TestDriverCurve:
-    def test_flat_default(self):
-        assert DriverCurve().efficiency(1.0) == 0.95
-        assert DriverCurve().efficiency(0.5) == 0.95
-
+class TestPwmFloor:
     def test_off_means_no_draw(self):
-        # daylight at the setpoint switches the PWM LEDs off: no driver penalty
+        # daylight at the setpoint switches the PWM LEDs off
         cmd = control_tier3("LP_Dim", 250.0, 12.0)
         assert cmd.led_ppfd == 0.0 and cmd.dim_fraction == 0.0
-        assert cmd.driver_eff == 1.0
 
-    def test_two_point_curve(self):
-        curve = DriverCurve(points=((0.3, 0.88), (1.0, 0.95)))
-        assert curve.efficiency(0.3) == pytest.approx(0.88)
-        assert curve.efficiency(1.0) == pytest.approx(0.95)
-        assert curve.efficiency(0.65) == pytest.approx(0.915, rel=1e-12)
+    @pytest.mark.parametrize("min_dim,lit", [(0.30, False), (0.25, True)])
+    def test_floor_follows_min_dim(self, min_dim, lit):
+        # a 28% supplement sits below a 30% floor and above a 25% one
+        cmd = control_tier3("LP_Dim", 180.0, 12.0, min_dim=min_dim)
+        assert cmd.led_ppfd == pytest.approx(70.0 if lit else 0.0)
+        assert cmd.total_ppfd == pytest.approx(250.0 if lit else 180.0)
 
-    def test_below_floor_rejected(self):
-        with pytest.raises(ValueError, match="floor"):
-            DriverCurve().efficiency(0.2)
+    def test_floor_is_a_share_of_the_setpoint_nominal(self):
+        # a 200 setpoint: 30% of nominal is 60, so 140 of daylight still lights
+        cmd = control_tier3("LP_Dim", np.array([140.0, 141.0]), 12.0, setpoint=200.0)
+        assert cmd.led_ppfd.tolist() == [60.0, 0.0]
+        assert cmd.dim_fraction[0] == pytest.approx(0.3)
 
-    def test_curve_validation(self):
-        with pytest.raises(ValueError):
-            DriverCurve(points=((0.5, 0.9), (1.0, 0.95)))     # missing min_dim point
-        with pytest.raises(ValueError):
-            DriverCurve(points=((0.3, 0.9), (0.3, 0.95)))     # duplicate dim
+    def test_floor_applies_only_to_pwm(self):
+        # on/off and fixed fixtures run at nominal whatever the floor
+        for name in ("Bench", "LP_Min_250"):
+            assert control_tier3(name, 0.0, 12.0, min_dim=0.9).led_ppfd == 250.0
 
 
 class TestTier3Control:
@@ -80,7 +73,6 @@ class TestTier3Control:
         cmd = control_tier3("LP_Dim", 0.0, 12.0)
         assert cmd.led_ppfd == 250.0
         assert cmd.dim_fraction == 1.0
-        assert cmd.driver_eff == pytest.approx(0.95)
 
     def test_dim_tracks_setpoint(self):
         cmd = control_tier3("LP_Dim", 100.0, 12.0)

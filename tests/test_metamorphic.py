@@ -4,6 +4,9 @@ Under a dark sky (DNI = DHI = 0, shipped temperatures) no daylight reaches
 any tier, so every strategy that keeps tier 3 at the setpoint with LEDs
 grows exactly Bench's crop, and the strategies that leave tier 3 dark grow
 two thirds of it. Measured: 9205.19669184947 kg and 6136.797794566313 kg.
+The first run Bench's tier-3 fixtures at full output for Bench's hours,
+and every fixture, dimmable or not, draws its rating, so they also draw
+Bench's 17.52 MWh of tier-3 LED energy.
 
 Under a sky 1.3 times brighter (DNI and DHI scaled, temperatures kept) the
 EC film attenuates in some hours, which the shipped year never makes it do,
@@ -51,8 +54,9 @@ class TestDarkSky:
                             2.0 / 3.0 * dark_runs["Bench"].kpis.yield_kg,
                             rel_tol=1e-15, abs_tol=0.0)
 
-    def test_fixed_250_tier3_draws_bench_led_energy(self, dark_runs):
-        assert (dark_runs["LP_Min_250"].aggregates["led_tier3_mwh"]
+    @pytest.mark.parametrize("name", LED_SETPOINT_TIER3)
+    def test_full_output_tier3_draws_bench_led_energy(self, dark_runs, name):
+        assert (dark_runs[name].aggregates["led_tier3_mwh"]
                 == dark_runs["Bench"].aggregates["led_tier3_mwh"])
 
 
