@@ -270,8 +270,12 @@ def _surface(key: str, entry) -> Surface:
     if not isinstance(entry, dict) or set(entry) != {"name", "area_m2", "u_value"}:
         raise ConfigError(f"{key!r} must set exactly name, area_m2 and u_value, "
                           f"not {entry!r}")
-    return Surface(str(entry["name"]), _number(f"{key}.area_m2", 0.0, entry["area_m2"]),
-                   _number(f"{key}.u_value", 0.0, entry["u_value"]))
+    area = _number(f"{key}.area_m2", 0.0, entry["area_m2"])
+    u_value = _number(f"{key}.u_value", 0.0, entry["u_value"])
+    try:
+        return Surface(str(entry["name"]), area, u_value)
+    except ValueError as exc:
+        raise ConfigError(f"{key!r}: {exc}") from None
 
 
 # list values, built entry by entry into their field's types
@@ -279,9 +283,12 @@ _LISTS = {"chamber.surfaces": _surface,
           "photoperiod": lambda key, x: _number(key, 0.0, x)}
 
 
-def _build(obj, keys: dict, base_dir: Path):
+def _build(obj, keys: dict, base_dir: Path, section: Optional[str] = None):
     """`obj` with the given fields replaced; `keys` maps field name to
-    (YAML key, value). Values take the type of the field's default."""
+    (YAML key, value). Values take the type of the field's default.
+
+    A failed check of a `section` object is raised under the YAML key of
+    the field its message starts with, else under the section."""
     names = {f.name for f in fields(obj)}
     changes = {}
     for name, (key, value) in keys.items():
@@ -299,7 +306,14 @@ def _build(obj, keys: dict, base_dir: Path):
         elif isinstance(default, (float, int)):
             value = _number(key, default, value)
         changes[name] = value
-    return replace(obj, **changes)
+    try:
+        return replace(obj, **changes)
+    except ValueError as exc:
+        if section is None:
+            raise
+        name = str(exc).split(" ", 1)[0]
+        key = f"{section}.{name}" if name in names else section
+        raise ConfigError(f"{key!r}: {exc}") from None
 
 
 def resolve_config_dict(data: dict, base_dir: Path) -> ScenarioConfig:
@@ -328,11 +342,12 @@ def resolve_config_dict(data: dict, base_dir: Path) -> ScenarioConfig:
                     if dotted in _RENAMED:
                         top[_RENAMED[dotted]] = (dotted, v)
                     elif key in _SECTIONS:
-                        objects.setdefault(_SECTIONS[key], {})[sub] = (dotted, v)
+                        objects.setdefault(key, {})[sub] = (dotted, v)
                     else:
                         raise ConfigError(f"unknown key {dotted!r}")
-        for name, keys in objects.items():
-            top[name] = (name, _build(getattr(default, name), keys, base_dir))
+        for section, keys in objects.items():
+            name = _SECTIONS[section]
+            top[name] = (section, _build(getattr(default, name), keys, base_dir, section))
         return _build(default, top, base_dir)
     except ConfigError:
         raise

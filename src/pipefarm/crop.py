@@ -46,6 +46,11 @@ class CropParams:
                      "sla_m2_per_g_dm", "lai_cap", "dm_fraction", "transplant_dm_g_m2"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        # a transplant already at the target would be harvested every hour
+        transplant_g = self.transplant_dm_g_m2 / self.dm_fraction / self.plant_density
+        if transplant_g >= self.target_fresh_g:
+            raise ValueError(f"target_fresh_g must exceed the transplant's "
+                             f"{transplant_g:g} g per plant")
 
     @property
     def plants(self) -> float:

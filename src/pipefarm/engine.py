@@ -13,8 +13,10 @@ results: the film state (`ec_control`) and the quasi-steady pipe
 convection. The crop stage runs each tier's year, and the stagger
 pre-roll, as a scalar recurrence on plain floats over one LUE curve per
 run (temperature and CO2 are fixed setpoints), bit-identical to stepping
-`CropState`s hour by hour. The benchmark scenario has no daylight, so
-calibration iterates the crop stage alone on its LED light.
+`CropState`s hour by hour; a tier lit at one PPFD steps one cycle from
+transplant to harvest and tiles it over the year. The benchmark scenario
+has no daylight, so calibration iterates the crop stage alone on its LED
+light.
 
 A `Study` is a scenario set under one climate year and one LUE scale,
 which it fits itself: it builds their shared inputs once and refuses mixed
@@ -253,9 +255,10 @@ def write_csv(path: Path, header: list, columns: Sequence) -> None:
     """Comma-separated text with a header line, written column-major.
 
     `columns` holds one equal-length sequence per header name. A float64
-    array is rendered block by block with one `repr` of the block's list;
-    any other sequence goes cell by cell. A float cell keeps its shortest
-    round-trip repr, None becomes an empty cell and anything else is `str`.
+    array is rendered block by block with one `repr` of the block's list,
+    a `range` with one `str` map; any other sequence goes cell by cell. A
+    float cell keeps its shortest round-trip repr, None becomes an empty
+    cell and anything else is `str`.
     A cell that csv would have to quote (a comma, a double quote, CR or LF)
     is refused.
     """
@@ -274,6 +277,8 @@ def write_csv(path: Path, header: list, columns: Sequence) -> None:
 def _render(col) -> list:
     if isinstance(col, np.ndarray) and col.dtype == np.float64:
         return repr(col.tolist())[1:-1].split(", ")
+    if isinstance(col, range):             # an int never needs quoting
+        return list(map(str, col))
     return [_cell(c) for c in col]
 
 
@@ -508,9 +513,50 @@ def _tier_year(state: CropState, ppfd: np.ndarray, curve: LueCurve, p: CropParam
 
     Fills the tier's interception (at the start of each hour) and
     fresh-growth columns, appends its (hour, tier, kg) harvests and returns
-    the final state. The state is carried as floats: the LUE is evaluated
-    again only when the PPFD changes, and interception only when the LAI
-    does.
+    the final state. A column lit at one PPFD repeats one cycle from
+    transplant to harvest, since dark hours change nothing: it is stepped
+    to its first harvest and through one cycle from the transplant state
+    (the first one, when `state` is that state), and that cycle is tiled
+    over the column's remaining lit hours. Any other column is stepped hour
+    by hour to its end.
+    """
+    lit = np.flatnonzero(ppfd > 0.0)
+    light = ppfd[lit]
+    if light.size and (light != light[0]).any():
+        return _step_hours(state, ppfd, 0, curve, p, tier, f_int, fm_step, harvests)[0]
+    transplant = p.transplant_state()
+    begin, trail = 0, []
+    now, end = _step_hours(state, ppfd, 0, curve, p, tier, f_int, fm_step, harvests, trail)
+    if replace(state, cycles=0) != transplant and end < ppfd.size:
+        begin, trail = end, []                  # one cycle from the transplant state
+        now, end = _step_hours(now, ppfd, end, curve, p, tier, f_int, fm_step, harvests,
+                               trail)
+    if end == ppfd.size:
+        return now
+    # the cycle's lit hours [begin, end) end on its harvest; tile it from `end`
+    cycle = lit[np.searchsorted(lit, begin):np.searchsorted(lit, end)]
+    rest = lit[np.searchsorted(lit, end):]
+    n = cycle.size
+    fm_step[rest] = np.resize(fm_step[cycle], rest.size)
+    # an hour's interception is that of the cycle phase its tier has reached
+    f_int[end:] = f_int[cycle][np.searchsorted(rest, np.arange(end, ppfd.size)) % n]
+    harvests.extend((h, tier, p.harvest_kg) for h in rest[n - 1::n].tolist())
+    full, phase = divmod(rest.size, n)
+    cycles = now.cycles + full
+    return CropState(*trail[phase - 1], cycles) if phase else replace(transplant, cycles=cycles)
+
+
+def _step_hours(state: CropState, ppfd: np.ndarray, begin: int, curve: LueCurve,
+                p: CropParams, tier: int, f_int: np.ndarray, fm_step: np.ndarray,
+                harvests: list, trail: Optional[list] = None) -> tuple[CropState, int]:
+    """Step a tier hour by hour from hour `begin` of its column.
+
+    Writes the hours' interception and fresh growth and appends their
+    harvests, like `_tier_year`. Runs to the column's end or, given a
+    `trail`, through the first harvest, appending (dm, fm, lai) to the trail
+    after each lit hour. Returns the state and the next hour. The state is
+    carried as floats: the LUE is evaluated again only when the PPFD
+    changes, and interception only when the LAI does.
     """
     k = p.extinction_k
     start = p.transplant_state()
@@ -524,7 +570,7 @@ def _tier_year(state: CropState, ppfd: np.ndarray, curve: LueCurve, p: CropParam
     # memoryviews read and write the columns as Python floats, without
     # an hourly list
     f_out, step_out = memoryview(f_int), memoryview(fm_step)
-    for i, x in enumerate(memoryview(ppfd)):
+    for i, x in enumerate(memoryview(ppfd)[begin:], begin):
         f_out[i] = f
         if x > 0.0:
             if x != last_ppfd:
@@ -534,15 +580,19 @@ def _tier_year(state: CropState, ppfd: np.ndarray, curve: LueCurve, p: CropParam
             dm, fm, lai = grow(dm, fm, x * f * 3600.0, lue_dm, lue_fm, p)
             step_out[i] = fm - fm0
             due = harvest_due(fm, p)
+            if trail is not None:
+                trail.append((dm, fm, lai))
         if due:
             harvests.append((i, tier, harvest_kg))
             cycles += 1
             dm, fm, lai = start.dm_g_m2, start.fm_g_m2, start.lai
+            if trail is not None:
+                return CropState(dm, fm, lai, cycles), i + 1
             due = harvest_due(fm, p)
         if lai != f_lai:
             f = float(interception(lai, k))
             f_lai = lai
-    return CropState(dm, fm, lai, cycles)
+    return CropState(dm, fm, lai, cycles), ppfd.size
 
 
 def _staggered_states(cfg: ScenarioConfig, lue: LueTable,

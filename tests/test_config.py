@@ -208,6 +208,15 @@ class TestValidation:
          "chamber.surfaces[1]"),
         ("chamber: {surfaces: [{name: roof, area_m2: big, u_value: 0.2}]}",
          "chamber.surfaces[0].area_m2"),
+        # a section object's own check, under the key that set the field
+        ("chamber: {surfaces: [{name: roof, area_m2: 49.0, u_value: -1}]}",
+         "chamber.surfaces[0]"),
+        ("crop: {lai_cap: -1}", "crop.lai_cap"),
+        ("crop: {target_fresh_g: 1.0}", "crop.target_fresh_g"),
+        ("crop: {transplant_dm_g_m2: 1000}", "crop.target_fresh_g"),
+        ("site: {latitude: 95}", "site.latitude"),
+        ("surrogates: {crop_latent_fraction: 2}", "surrogates.crop_latent_fraction"),
+        ("chamber: {height_m: 0}", "chamber"),
     ])
     def test_invalid_value_names_the_key(self, tmp_path, body, key):
         path = tmp_path / "bad.yaml"

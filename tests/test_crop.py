@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,6 +248,16 @@ class TestHarvest:
         assert standing_credit_kg(state, PARAMS) == pytest.approx(187.5, rel=1e-12)
         half = CropState(dm_g_m2=150.0, fm_g_m2=125.0 * 25.0, lai=4.0)
         assert standing_credit_kg(half, PARAMS) == pytest.approx(93.75, rel=1e-12)
+
+
+class TestCropParams:
+    @pytest.mark.parametrize("change", [{"target_fresh_g": 1.6},
+                                        {"transplant_dm_g_m2": 1000.0},
+                                        {"dm_fraction": 0.0001}])
+    def test_transplant_at_the_target_refused(self, change):
+        # such a tier would book a harvest every hour, dark ones included
+        with pytest.raises(ValueError, match="target_fresh_g"):
+            replace(PARAMS, **change)
 
 
 class TestCropState:

@@ -10,7 +10,7 @@ import pytest
 from pipefarm import engine
 from pipefarm.climate import ClimateSeries, HOURS_PER_YEAR, SiteConfig
 from pipefarm.config import load_config_mapping, load_scenario_config
-from pipefarm.crop import CropParams, growth_step, harvest_if_due, interception, \
+from pipefarm.crop import CropParams, grow, growth_step, harvest_if_due, interception, \
     standing_credit_kg
 from pipefarm.economics import break_even_unit_cost, led_cost_per_watt, light_cost_comparison, \
     payback_time
@@ -469,7 +469,7 @@ def _hourly_crop_loop(cfg, lue, ppfd):
     if crop_p.stagger_days > 0.0:
         states = _hourly_pre_roll(cfg, lue, states)
     f_int = np.empty_like(ppfd)
-    dli = np.zeros((ppfd.shape[0] // 24, n_tiers))
+    dli = np.zeros((-(-ppfd.shape[0] // 24), n_tiers))     # a partial last day too
     harvests = []
     fm_growth_kg = 0.0
     for i in range(ppfd.shape[0]):
@@ -531,6 +531,98 @@ class TestCropStageOracle:
         got = engine._staggered_states(cfg, lue_calibrated, start)
         assert got == _hourly_pre_roll(cfg, lue_calibrated, start)
         assert got[1] == dataclasses.replace(cfg.crop.transplant_state(), cycles=1)
+
+
+def _bench_light(cfg, case):
+    """Bench's (hours, 3) canopy PPFD, reshaped as a test case names it."""
+    year = engine._lighting_stage(cfg, np.zeros(HOURS_PER_YEAR))[0]
+    lit = year > 0.0
+    return {"setpoint": year[:90 * 24],
+            "short": year[:30 * 24],                  # the second cycle does not fit
+            "s700": year[:700],
+            "low": 0.3 * year[:30 * 24],              # never reaches a harvest
+            "x180": np.where(lit, 180.0, 0.0)[:90 * 24],
+            "zero": np.zeros((30 * 24, 3)),
+            "two": np.where(np.arange(HOURS_PER_YEAR)[:, None] % 24 < 12, year,
+                            0.5 * year)[:90 * 24]}[case]
+
+
+def _with_stagger(cfg, stagger):
+    return dataclasses.replace(cfg, crop=dataclasses.replace(cfg.crop, stagger_days=stagger))
+
+
+class TestTiledTierYear:
+    """A tier lit at one PPFD steps one cycle and tiles it: `_crop_stage`
+    and `_tier_year` against the hourly CropState loops, bit for bit."""
+
+    @pytest.mark.parametrize("case,stagger,harvests_per_tier", [
+        ("setpoint", 3.3, [4, 4, 4]), ("short", 7.0, [1, 1, 2]), ("low", 0.0, [0, 0, 0]),
+        ("x180", 0.0, [3, 3, 3]), ("zero", 7.0, [0, 0, 0]), ("two", 0.0, [3, 3, 3])])
+    def test_crop_stage_matches_hourly_loop(self, case, stagger, harvests_per_tier,
+                                            bench_config, lue_calibrated):
+        cfg = _with_stagger(bench_config, stagger)
+        ppfd = _bench_light(cfg, case)
+        f_int, dli, harvests, fm_growth_kg, cycles, yield_kg = _hourly_crop_loop(
+            cfg, lue_calibrated, ppfd)
+        got = engine._crop_stage(cfg, lue_calibrated, ppfd)
+        assert [sum(1 for h in harvests if h[1] == t) for t in (1, 2, 3)] == harvests_per_tier
+        assert np.array_equal(got.interception, f_int)
+        assert np.array_equal(got.dli, dli)
+        assert got.harvests == harvests
+        assert got.fm_growth_kg == fm_growth_kg
+        assert got.cycles == cycles
+        assert got.yield_kg == yield_kg
+
+    @pytest.mark.parametrize("stagger", [0.0, 3.3])
+    def test_a_700_hour_column(self, stagger, bench_config, lue_calibrated):
+        cfg = _with_stagger(bench_config, stagger)
+        ppfd = _bench_light(cfg, "s700")
+        f_int, _, harvests, _, cycles, _ = _hourly_crop_loop(cfg, lue_calibrated, ppfd)
+        states = [cfg.crop.transplant_state() for _ in range(3)]
+        if stagger:
+            states = engine._staggered_states(cfg, lue_calibrated, states)
+        curve = lue_calibrated.curve(cfg.setpoint_t, cfg.setpoint_co2)
+        got_f, got_harvests = np.empty_like(ppfd), []
+        ends = [engine._tier_year(s, ppfd[:, t], curve, cfg.crop, t + 1, got_f[:, t],
+                                  np.zeros(ppfd.shape[0]), got_harvests)
+                for t, s in enumerate(states)]
+        assert np.array_equal(got_f, f_int)
+        assert sorted(got_harvests) == harvests and len(harvests) == 3
+        assert sum(s.cycles for s in ends) == cycles
+
+    # 30 days pre-roll tier 3 by 960 lit hours: two cycles and a partial one
+    @pytest.mark.parametrize("stagger", [3.3, 30.0])
+    def test_pre_roll_matches_hourly_steps(self, stagger, bench_config, lue_calibrated):
+        cfg = _with_stagger(bench_config, stagger)
+        start = [cfg.crop.transplant_state() for _ in range(3)]
+        got = engine._staggered_states(cfg, lue_calibrated, start)
+        assert got == _hourly_pre_roll(cfg, lue_calibrated, start)
+
+    # from the transplant state the first cycle is the one tiled; from any
+    # other state the second is
+    @pytest.mark.parametrize("case,grown_before", [("setpoint", 0), ("setpoint", 100),
+                                                   ("x180", 0), ("x180", 100),
+                                                   ("two", 100)])
+    def test_one_ppfd_is_stepped_only_through_one_cycle(self, case, grown_before,
+                                                        bench_config, lue_calibrated,
+                                                        monkeypatch):
+        cfg = bench_config
+        curve = lue_calibrated.curve(cfg.setpoint_t, cfg.setpoint_co2)
+        start = engine._tier_year(cfg.crop.transplant_state(), np.full(grown_before, 250.0),
+                                  curve, cfg.crop, 1, np.empty(grown_before),
+                                  np.empty(grown_before), [])
+        column = _bench_light(cfg, case)[:, 0].copy()
+        grown, harvests = [], []
+        monkeypatch.setattr(engine, "grow", lambda *a: grown.append(a) or grow(*a))
+        engine._tier_year(start, column, curve, cfg.crop, 1, np.empty(column.size),
+                          np.zeros(column.size), harvests)
+        lit = np.flatnonzero(column > 0.0)
+        if case == "two":                       # two PPFDs: stepped hour by hour
+            assert len(grown) == lit.size
+        else:
+            assert len(harvests) >= 3
+            last = harvests[1 if grown_before else 0][0]
+            assert len(grown) == np.count_nonzero(lit <= last)
 
 
 def _hourly_daylight_and_control(cfg, climate, table, solar):
@@ -651,8 +743,8 @@ class TestWriteCsvOracle:
         ints = list(range(-3, n - 3))
         mixed = [None if i % 3 == 0 else (i if i % 3 == 1 else i / 7.0) for i in range(n)]
         labels = [f"s{i % 5}" for i in range(n)]
-        header = ["x", "i", "m", "s", "j"]
-        columns = [floats, ints, mixed, labels, np.arange(n)]
+        header = ["x", "i", "m", "s", "j", "r"]
+        columns = [floats, ints, mixed, labels, np.arange(n), range(1, n + 1)]
         engine.write_csv(tmp_path / "new.csv", header, columns)
         _row_writer(tmp_path / "old.csv", header, zip(*columns))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
