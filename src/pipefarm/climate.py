@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 HOURS_PER_YEAR = 8760
+CLIMATE_COLUMNS = ("time", "temperature", "dni", "dhi")   # the logical names of a climate file
 
 __all__ = [
     "SiteConfig",
@@ -242,7 +243,7 @@ def load_climate(path: str | Path, columns: Optional[dict] = None) -> ClimateSer
     path = Path(path)
     if not path.exists():
         raise ClimateError(f"climate file not found: {path}")
-    names = {"time": "time", "temperature": "temperature", "dni": "dni", "dhi": "dhi"}
+    names = {name: name for name in CLIMATE_COLUMNS}
     if columns:
         names.update(columns)
 

@@ -15,7 +15,7 @@ from typing import Any, Optional
 
 import yaml
 
-from .climate import SiteConfig
+from .climate import CLIMATE_COLUMNS, SiteConfig
 from .crop import CropParams
 from .economics import CostTable
 from .lighting import STRATEGIES, Strategy
@@ -128,6 +128,15 @@ class ScenarioConfig:
         p = self.photoperiod
         if len(p) != 2 or not 0 <= p[0] < p[1] <= 24:
             raise ConfigError(f"invalid photoperiod {p}")
+        columns = self.climate_columns
+        if columns is not None and not isinstance(columns, dict):
+            raise ConfigError(f"'climate_columns' must be a mapping, not {columns!r}")
+        for name, header in (columns or {}).items():
+            if name not in CLIMATE_COLUMNS:
+                raise ConfigError(f"unknown key 'climate_columns.{name}'")
+            if not isinstance(header, str) or not header:
+                raise ConfigError(f"'climate_columns.{name}' must be a non-empty string, "
+                                  f"not {header!r}")
 
     @property
     def strategy(self) -> Strategy:
@@ -213,6 +222,12 @@ def _load_yaml_with_includes(path: Path, seen: Optional[set] = None) -> dict:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"top level of {path} must be a mapping")
+    for key in _PATHS:                     # relative to this file's own directory
+        section, _, name = key.rpartition(".")
+        values = data.get(section) if section else data
+        value = values.get(name) if isinstance(values, dict) else None
+        if isinstance(value, str) and value not in _NO_PATH:
+            values[name] = str(path.parent.resolve() / value)
     includes = data.pop("include", [])
     if isinstance(includes, str):
         includes = [includes]
@@ -220,13 +235,6 @@ def _load_yaml_with_includes(path: Path, seen: Optional[set] = None) -> dict:
     for inc in includes:
         merged = _deep_merge(merged, _load_yaml_with_includes(path.parent / inc, seen))
     return _deep_merge(merged, data)
-
-
-def _path_or_none(base: Path, value) -> Optional[Path]:
-    if value in (None, "", "traced"):
-        return None
-    p = Path(value)
-    return p if p.is_absolute() else (base / p)
 
 
 # YAML keys whose ScenarioConfig field has another name
@@ -248,8 +256,9 @@ _SECTIONS = {"site": "site", "chamber": "chamber", "lp": "lp_geometry", "crop": 
 _TOP_LEVEL = ({f.name for f in fields(ScenarioConfig)}
               - set(_RENAMED.values()) - set(_SECTIONS.values()))
 _GROUPS = set(_SECTIONS) | {k.split(".")[0] for k in _RENAMED if "." in k}   # mappings
-# resolved against the config's directory
+# path keys, resolved by the loader against the directory of the file that sets them
 _PATHS = {"climate", "crop.lue_table", "optics.table", "optics.cache_dir"}
+_NO_PATH = (None, "", "traced")            # path values that set no path
 
 
 def _number(key: str, default, value):
@@ -283,7 +292,7 @@ _LISTS = {"chamber.surfaces": _surface,
           "photoperiod": lambda key, x: _number(key, 0.0, x)}
 
 
-def _build(obj, keys: dict, base_dir: Path, section: Optional[str] = None):
+def _build(obj, keys: dict, section: Optional[str] = None):
     """`obj` with the given fields replaced; `keys` maps field name to
     (YAML key, value). Values take the type of the field's default.
 
@@ -300,7 +309,7 @@ def _build(obj, keys: dict, base_dir: Path, section: Optional[str] = None):
                 raise ConfigError(f"{key!r} must be a list, not {value!r}")
             value = tuple(_LISTS[key](f"{key}[{i}]", v) for i, v in enumerate(value))
         elif key in _PATHS:
-            value = _path_or_none(base_dir, value)
+            value = None if value in _NO_PATH else Path(value)
         elif isinstance(default, str):
             value = str(value)
         elif isinstance(default, (float, int)):
@@ -316,12 +325,13 @@ def _build(obj, keys: dict, base_dir: Path, section: Optional[str] = None):
         raise ConfigError(f"{key!r}: {exc}") from None
 
 
-def resolve_config_dict(data: dict, base_dir: Path) -> ScenarioConfig:
+def resolve_config_dict(data: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a merged YAML mapping.
 
     Every default lives on its dataclass field, so a missing key or a
     partial section keeps the shipped design. A key that names no field is
-    an error, and relative paths resolve against `base_dir`.
+    an error. Paths are taken as given: the loader has resolved each
+    relative one against the directory of the file that sets it.
     """
     default = ScenarioConfig()
     top: dict = {}
@@ -347,8 +357,8 @@ def resolve_config_dict(data: dict, base_dir: Path) -> ScenarioConfig:
                         raise ConfigError(f"unknown key {dotted!r}")
         for section, keys in objects.items():
             name = _SECTIONS[section]
-            top[name] = (section, _build(getattr(default, name), keys, base_dir, section))
-        return _build(default, top, base_dir)
+            top[name] = (section, _build(getattr(default, name), keys, section))
+        return _build(default, top)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -364,6 +374,6 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     data = _load_yaml_with_includes(path)
     try:
-        return resolve_config_dict(data, path.parent.resolve())
+        return resolve_config_dict(data)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None

@@ -9,10 +9,10 @@ transplant state.
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
+import itertools
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -92,9 +92,9 @@ class LueTable:
         if self.lue_dm.shape != shape or self.lue_fm.shape != shape:
             raise ValueError(f"LUE table shape {self.lue_dm.shape} != axes {shape}")
         for name, axis in (("temps", self.temps), ("co2s", self.co2s), ("ppfds", self.ppfds)):
-            if axis.size > 1 and np.any(np.diff(axis) <= 0.0):
-                raise ValueError(f"{name} axis must be strictly increasing")
-        if np.any(self.lue_dm <= 0.0) or np.any(self.lue_fm <= 0.0):
+            if not np.all(np.isfinite(axis)) or np.any(np.diff(axis) <= 0.0):
+                raise ValueError(f"{name} axis must be finite and strictly increasing")
+        if not (np.all(self.lue_dm > 0.0) and np.all(self.lue_fm > 0.0)):
             raise ValueError("LUE values must be positive")
         if self.scale <= 0.0:
             raise ValueError("calibration scale must be positive")
@@ -104,13 +104,13 @@ class LueTable:
 
     def curve(self, temperature: float, co2: float) -> "LueCurve":
         """The table along its PPFD axis at one temperature and CO2."""
-        it0, it1, ft, ct = _axis_weights(self.temps.tolist(), temperature)
-        ic0, ic1, fc, cc = _axis_weights(self.co2s.tolist(), co2)
-        rows = [(wt * wc, self.lue_dm[it, ic].tolist(), self.lue_fm[it, ic].tolist())
+        it0, it1, ft, ct = _axis_weights(self.temps, temperature)
+        ic0, ic1, fc, cc = _axis_weights(self.co2s, co2)
+        rows = [(wt * wc, self.lue_dm[it, ic], self.lue_fm[it, ic])
                 for it, wt in ((it0, 1.0 - ft), (it1, ft))
                 for ic, wc in ((ic0, 1.0 - fc), (ic1, fc))
                 if wt * wc > 0.0]
-        return LueCurve(self.ppfds.tolist(), rows, self.scale, ct or cc)
+        return LueCurve(self.ppfds, rows, self.scale, ct or cc)
 
     def lookup(self, temperature: float, co2: float, ppfd: float
                ) -> tuple[float, float, bool]:
@@ -121,40 +121,44 @@ class LueTable:
     def from_csv(cls, path: str | Path, scale: float = 1.0) -> "LueTable":
         """Columns: temperature, co2, ppfd, lue_dm, lue_fm (full grid required)."""
         path = Path(path)
-        rows = []
+        named = "point (temperature {:g}, co2 {:g}, ppfd {:g})".format
+        points: dict = {}
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                rows.append((float(row["temperature"]), float(row["co2"]),
-                             float(row["ppfd"]), float(row["lue_dm"]),
-                             float(row["lue_fm"])))
-        if not rows:
+            rows = csv.DictReader(fh)
+            for row in rows:
+                point = (float(row["temperature"]), float(row["co2"]), float(row["ppfd"]))
+                if not all(map(math.isfinite, point)):
+                    raise ValueError(f"LUE table {path.name} line {rows.line_num}: "
+                                     f"the {named(*point)} is not finite")
+                if point in points:
+                    raise ValueError(f"LUE table {path.name} repeats the {named(*point)}")
+                points[point] = (float(row["lue_dm"]), float(row["lue_fm"]))
+        if not points:
             raise ValueError(f"empty LUE table: {path}")
-        temps = np.unique([r[0] for r in rows])
-        co2s = np.unique([r[1] for r in rows])
-        ppfds = np.unique([r[2] for r in rows])
-        dm = np.full((temps.size, co2s.size, ppfds.size), np.nan)
-        fm = np.full_like(dm, np.nan)
-        for t, c, p, vdm, vfm in rows:
-            dm[np.searchsorted(temps, t), np.searchsorted(co2s, c),
-               np.searchsorted(ppfds, p)] = vdm
-            fm[np.searchsorted(temps, t), np.searchsorted(co2s, c),
-               np.searchsorted(ppfds, p)] = vfm
-        if np.any(np.isnan(dm)) or np.any(np.isnan(fm)):
-            raise ValueError(f"LUE table {path.name} does not cover the full grid")
-        return cls(temps, co2s, ppfds, dm, fm, scale)
+        axes = [sorted({point[i] for point in points}) for i in range(3)]
+        grid = list(itertools.product(*axes))
+        for point in grid:
+            if point not in points:
+                raise ValueError(f"LUE table {path.name} does not cover the full grid: it "
+                                 f"has no {named(*point)}")
+        dm, fm = (np.array([points[point][i] for point in grid]).reshape(*map(len, axes))
+                  for i in range(2))
+        return cls(*axes, dm, fm, scale)
 
 
-def _axis_weights(axis: Sequence[float], x: float) -> tuple[int, int, float, bool]:
-    """Bracketing indices, the upper weight and the clamp flag of x on an axis."""
-    if len(axis) == 1:
-        return 0, 0, 0.0, False
-    clamped = x < axis[0] or x > axis[-1]
-    x = min(max(x, axis[0]), axis[-1])
-    j = min(bisect_right(axis, x) - 1, len(axis) - 2)
-    f = (x - axis[j]) / (axis[j + 1] - axis[j])
-    return j, j + 1, f, clamped
+def _axis_weights(axis: np.ndarray, x):
+    """Lower and upper bracketing indices, the upper weight and the clamp
+    flag of each x on an axis."""
+    x = np.asarray(x, dtype=float)
+    if axis.size == 1:
+        j = k = np.zeros(x.shape, dtype=int)
+        return j, k, np.zeros(x.shape), np.zeros(x.shape, dtype=bool)
+    clamp = x.clip(axis[0], axis[-1])
+    j = np.searchsorted(axis[1:-1], clamp, side="right")   # in [0, size - 2]
+    return j, j + 1, (clamp - axis[j]) / (axis[j + 1] - axis[j]), clamp != x
 
 
+@dataclass(frozen=True)
 class LueCurve:
     """LUE along the PPFD axis at a fixed temperature and CO2.
 
@@ -164,24 +168,25 @@ class LueCurve:
     it is the trilinear interpolation of the table, bit for bit.
     """
 
-    def __init__(self, ppfds: list[float], rows: list[tuple[float, list, list]],
-                 scale: float, clamped: bool):
-        self.ppfds = ppfds
-        self.rows = rows          # (corner weight, dm row, fm row)
-        self.scale = scale
-        self.clamped = clamped    # temperature or CO2 outside the grid
+    ppfds: np.ndarray
+    rows: list                # (corner weight, dm row, fm row)
+    scale: float
+    clamped: bool             # temperature or CO2 outside the grid
 
-    def __call__(self, ppfd: float) -> tuple[float, float, bool]:
-        """(lue_dm, lue_fm, clamped) at this PPFD, calibration applied."""
+    def __call__(self, ppfd):
+        """(lue_dm, lue_fm, clamped) at each PPFD, calibration applied;
+        floats and a bool for a scalar PPFD."""
         ip0, ip1, fp, cp = _axis_weights(self.ppfds, ppfd)
-        v_dm = v_fm = 0.0
+        v_dm = v_fm = 0.0          # a zero weight adds +0.0, which changes no sum
         for w_tc, row_dm, row_fm in self.rows:
             for ip, wp in ((ip0, 1.0 - fp), (ip1, fp)):
                 w = w_tc * wp
-                if w > 0.0:
-                    v_dm += w * row_dm[ip]
-                    v_fm += w * row_fm[ip]
-        return v_dm * self.scale, v_fm * self.scale, self.clamped or cp
+                v_dm += w * row_dm[ip]
+                v_fm += w * row_fm[ip]
+        v_dm, v_fm = v_dm * self.scale, v_fm * self.scale
+        if np.ndim(ppfd):
+            return v_dm, v_fm, self.clamped | cp
+        return float(v_dm), float(v_fm), bool(self.clamped or cp)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,12 @@ the transient air node in `thermal.transient_loads`); the annual
 aggregates are reductions of those arrays. Two pieces stay scalar calls
 per hour, because the benchmark's traced run reads their per-call
 results: the film state (`ec_control`) and the quasi-steady pipe
-convection. The crop stage runs each tier's year, and the stagger
-pre-roll, as a scalar recurrence on plain floats over one LUE curve per
-run (temperature and CO2 are fixed setpoints), bit-identical to stepping
-`CropState`s hour by hour; a tier lit at one PPFD steps one cycle from
-transplant to harvest and tiles it over the year. The benchmark scenario
-has no daylight, so calibration iterates the crop stage alone on its LED
-light.
+convection. The crop stage steps only the lit hours of each tier's year
+(and of the stagger pre-roll), on plain floats, with their LUE from one
+array call of the run's LUE curve (temperature and CO2 are fixed
+setpoints), bit-identical to stepping `CropState`s hour by hour; a tier
+lit at one PPFD steps one cycle and tiles it over the year. Bench has no
+daylight, so calibration iterates the crop stage alone on its LED light.
 
 A `Study` is a scenario set under one climate year and one LUE scale,
 which it fits itself: it builds their shared inputs once and refuses mixed
@@ -472,7 +471,7 @@ def _crop_stage(cfg: ScenarioConfig, lue: LueTable, ppfd: np.ndarray) -> _CropYe
 
     The one sequential stage: interception follows the LAI grown so far,
     and a harvest resets its tier to the transplant state. Tiers grow
-    independently, so each runs its year as one scalar recurrence; the
+    independently, so each steps its lit hours as one recurrence; the
     sums over tiers keep the hour-major order of an hourly loop.
     """
     crop_p = cfg.crop
@@ -513,86 +512,65 @@ def _tier_year(state: CropState, ppfd: np.ndarray, curve: LueCurve, p: CropParam
 
     Fills the tier's interception (at the start of each hour) and
     fresh-growth columns, appends its (hour, tier, kg) harvests and returns
-    the final state. A column lit at one PPFD repeats one cycle from
-    transplant to harvest, since dark hours change nothing: it is stepped
-    to its first harvest and through one cycle from the transplant state
-    (the first one, when `state` is that state), and that cycle is tiled
-    over the column's remaining lit hours. Any other column is stepped hour
-    by hour to its end.
+    the final state. Dark hours change nothing, so only lit hours are
+    stepped. A column lit at one PPFD is stepped to its first harvest and
+    through one cycle from the transplant state (the first one, when
+    `state` is that state), and that cycle is tiled over the rest.
     """
+    if harvest_due(state.fm_g_m2, p):
+        raise ValueError("a tier cannot start at its harvest target")
+    transplant = p.transplant_state()
     lit = np.flatnonzero(ppfd > 0.0)
     light = ppfd[lit]
-    if light.size and (light != light[0]).any():
-        return _step_hours(state, ppfd, 0, curve, p, tier, f_int, fm_step, harvests)[0]
-    transplant = p.transplant_state()
-    begin, trail = 0, []
-    now, end = _step_hours(state, ppfd, 0, curve, p, tier, f_int, fm_step, harvests, trail)
-    if replace(state, cycles=0) != transplant and end < ppfd.size:
-        begin, trail = end, []                  # one cycle from the transplant state
-        now, end = _step_hours(now, ppfd, end, curve, p, tier, f_int, fm_step, harvests,
-                               trail)
-    if end == ppfd.size:
-        return now
-    # the cycle's lit hours [begin, end) end on its harvest; tile it from `end`
-    cycle = lit[np.searchsorted(lit, begin):np.searchsorted(lit, end)]
-    rest = lit[np.searchsorted(lit, end):]
-    n = cycle.size
-    fm_step[rest] = np.resize(fm_step[cycle], rest.size)
-    # an hour's interception is that of the cycle phase its tier has reached
-    f_int[end:] = f_int[cycle][np.searchsorted(rest, np.arange(end, ppfd.size)) % n]
-    harvests.extend((h, tier, p.harvest_kg) for h in rest[n - 1::n].tolist())
-    full, phase = divmod(rest.size, n)
-    cycles = now.cycles + full
-    return CropState(*trail[phase - 1], cycles) if phase else replace(transplant, cycles=cycles)
+    tiled = not (light != light[:1]).any()          # one PPFD, or none
+    light = light[:1] if tiled else light
+    hours = list(zip(light.tolist(), *(v.tolist() for v in curve(light)[:2])))
+    hours *= lit.size if tiled else 1
+    steps = _step_lit(state, hours, p, once=tiled)
+    if tiled and replace(state, cycles=0) != transplant and len(steps) < lit.size:
+        cycle = _step_lit(transplant, hours[len(steps):], p, once=True)
+        steps = np.concatenate((steps, np.resize(cycle, (lit.size - len(steps), 5))))
+    elif tiled:                                     # the first cycle is the one tiled
+        steps = np.resize(steps, (lit.size, 5))
+    cut = steps[:, 3] > 0.0
+    fm_step[lit] = steps[:, 0]
+    harvests.extend((h, tier, p.harvest_kg) for h in lit[cut].tolist())
+    # each hour reads the interception after the last lit hour before it
+    f_int[:] = np.repeat(np.append(interception(state.lai, p.extinction_k), steps[:, 4]),
+                         np.diff(np.concatenate(([-1], lit, [ppfd.size - 1]))))
+    if not lit.size:
+        return state
+    cycles = state.cycles + int(np.count_nonzero(cut))
+    if cut[-1]:
+        return replace(transplant, cycles=cycles)
+    dm, fm = steps[-1, 1:3].tolist()
+    return CropState(dm, fm, p.leaf_area(dm), cycles)
 
 
-def _step_hours(state: CropState, ppfd: np.ndarray, begin: int, curve: LueCurve,
-                p: CropParams, tier: int, f_int: np.ndarray, fm_step: np.ndarray,
-                harvests: list, trail: Optional[list] = None) -> tuple[CropState, int]:
-    """Step a tier hour by hour from hour `begin` of its column.
+def _step_lit(state: CropState, hours: list, p: CropParams, once: bool) -> np.ndarray:
+    """Step a tier from `state` over lit hours given as (PPFD, lue_dm,
+    lue_fm), to their end or, when `once`, through the first harvest.
 
-    Writes the hours' interception and fresh growth and appends their
-    harvests, like `_tier_year`. Runs to the column's end or, given a
-    `trail`, through the first harvest, appending (dm, fm, lai) to the trail
-    after each lit hour. Returns the state and the next hour. The state is
-    carried as floats: the LUE is evaluated again only when the PPFD
-    changes, and interception only when the LAI does.
+    One row per hour: the fresh growth, the dry and fresh matter after
+    growth, 1.0 where the hour ends in a harvest (which resets the tier to
+    the transplant state) else 0.0, and the interception after the hour.
     """
     k = p.extinction_k
     start = p.transplant_state()
-    harvest_kg = p.harvest_kg
-    dm, fm, lai, cycles = state.dm_g_m2, state.fm_g_m2, state.lai, state.cycles
-    f = float(interception(lai, k))
-    f_lai = lai
-    due = harvest_due(fm, p)
-    last_ppfd = None
-    lue_dm = lue_fm = 0.0
-    # memoryviews read and write the columns as Python floats, without
-    # an hourly list
-    f_out, step_out = memoryview(f_int), memoryview(fm_step)
-    for i, x in enumerate(memoryview(ppfd)[begin:], begin):
-        f_out[i] = f
-        if x > 0.0:
-            if x != last_ppfd:
-                lue_dm, lue_fm, _ = curve(x)
-                last_ppfd = x
-            fm0 = fm
-            dm, fm, lai = grow(dm, fm, x * f * 3600.0, lue_dm, lue_fm, p)
-            step_out[i] = fm - fm0
-            due = harvest_due(fm, p)
-            if trail is not None:
-                trail.append((dm, fm, lai))
-        if due:
-            harvests.append((i, tier, harvest_kg))
-            cycles += 1
-            dm, fm, lai = start.dm_g_m2, start.fm_g_m2, start.lai
-            if trail is not None:
-                return CropState(dm, fm, lai, cycles), i + 1
-            due = harvest_due(fm, p)
-        if lai != f_lai:
-            f = float(interception(lai, k))
-            f_lai = lai
-    return CropState(dm, fm, lai, cycles), ppfd.size
+    dm, fm = state.dm_g_m2, state.fm_g_m2
+    f = float(interception(state.lai, k))
+    rows: list = []
+    for x, lue_dm, lue_fm in hours:
+        fm0 = fm
+        dm, fm, lai = grow(dm, fm, x * f * 3600.0, lue_dm, lue_fm, p)
+        cut = harvest_due(fm, p)
+        f = float(interception(start.lai if cut else lai, k))
+        rows += (fm - fm0, dm, fm, cut, f)
+        if cut:
+            if once:
+                break
+            dm, fm = start.dm_g_m2, start.fm_g_m2
+    return np.array(rows, dtype=float).reshape(-1, 5)
 
 
 def _staggered_states(cfg: ScenarioConfig, lue: LueTable,
@@ -773,9 +751,9 @@ def scenario_capex_delta(cfg: ScenarioConfig, bench: ScenarioConfig,
         glazed = cfg.chamber.floor_area_m2 + cfg.glazing.wall_glazed_m2
         glazing = glazed * cfg.glazing.glazing_usd_per_m2
     usd_per_w = led_cost_per_watt(costs, cfg.ppe)
-    tier3_w = cfg.tier3_nominal_ppfd * cfg.crop.tier_area_m2 / cfg.ppe
-    bench_tier3_w = bench.tier3_nominal_ppfd * bench.crop.tier_area_m2 / bench.ppe
-    led_delta = (tier3_w - bench_tier3_w) * usd_per_w
+    led_delta = (led_electric_power(cfg.tier3_nominal_ppfd, cfg.crop.tier_area_m2, cfg.ppe)
+                 - led_electric_power(bench.tier3_nominal_ppfd, bench.crop.tier_area_m2,
+                                      bench.ppe)) * usd_per_w
     hvac_delta = (peak_coil_w - bench_peak_coil_w) * costs.hvac_usd_per_w
     total = sum(hardware.values()) + glazing + led_delta + hvac_delta
     return {**hardware, "glazing": glazing, "led_delta": led_delta,

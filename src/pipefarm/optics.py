@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -248,36 +249,40 @@ class OpticalEfficiencyTable:
     @classmethod
     def import_csv(cls, path: str | Path, geometry_hash: str = "") -> "OpticalEfficiencyTable":
         path = Path(path)
-        alt, ed, sd = [], [], []
+        direct: dict[float, tuple] = {}
         diff: dict[float, dict[float, tuple]] = {}
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
                 kind = row["kind"].strip()
                 if kind == "direct":
-                    alt.append(float(row["angle"]))
-                    ed.append(float(row["eta"]))
-                    sd.append(float(row["stderr"] or 0.0))
+                    a = float(row["angle"])
+                    if a in direct:
+                        raise ValueError(f"efficiency table {path.name} repeats the direct "
+                                         f"altitude {a:g}")
+                    direct[a] = (float(row["eta"]), float(row["stderr"] or 0.0))
                 elif kind == "diffuse":
-                    t = float(row["tilt"])
-                    b = float(row["angle"])
-                    diff.setdefault(t, {})[b] = (
-                        float(row["eta"]), float(row["eta_crop"] or 0.0),
-                        float(row["stderr"] or 0.0), float(row["stderr_crop"] or 0.0))
+                    t, b = float(row["tilt"]), float(row["angle"])
+                    if b in diff.setdefault(t, {}):
+                        raise ValueError(f"efficiency table {path.name} repeats the diffuse "
+                                         f"cell at tilt {t:g}, band {b:g}")
+                    diff[t][b] = (float(row["eta"]), float(row["eta_crop"] or 0.0),
+                                  float(row["stderr"] or 0.0), float(row["stderr_crop"] or 0.0))
                 else:
                     raise ValueError(f"unknown efficiency row kind {kind!r} in {path.name}")
-        if not alt or not diff:
+        if not direct or not diff:
             raise ValueError(f"efficiency table {path.name} is missing direct or diffuse rows")
-        order = np.argsort(alt)
-        tilts = sorted(diff)
-        bands = tuple(sorted(next(iter(diff.values()))))
-        th = np.array([[diff[t][b][0] for b in bands] for t in tilts])
-        crop = np.array([[diff[t][b][1] for b in bands] for t in tilts])
-        se_th = np.array([[diff[t][b][2] for b in bands] for t in tilts])
-        se_crop = np.array([[diff[t][b][3] for b in bands] for t in tilts])
-        return cls(alt_grid=np.asarray(alt)[order], eta_dir=np.asarray(ed)[order],
-                   se_dir=np.asarray(sd)[order], tilt_grid=np.asarray(tilts, dtype=float),
-                   bands=bands, eta_diff_th=th, eta_diff_crop=crop,
-                   se_diff_th=se_th, se_diff_crop=se_crop,
+        alt, tilts = sorted(direct), sorted(diff)
+        bands = tuple(sorted(set().union(*diff.values())))
+        for t, b in itertools.product(tilts, bands):
+            if b not in diff[t]:
+                raise ValueError(f"efficiency table {path.name} has no diffuse cell at "
+                                 f"tilt {t:g}, band {b:g}")
+        eta_dir, se_dir = (np.array([direct[a][i] for a in alt]) for i in range(2))
+        th, crop, se_th, se_crop = (np.array([[diff[t][b][i] for b in bands] for t in tilts])
+                                    for i in range(4))
+        return cls(alt_grid=np.asarray(alt), eta_dir=eta_dir, se_dir=se_dir,
+                   tilt_grid=np.asarray(tilts, dtype=float), bands=bands, eta_diff_th=th,
+                   eta_diff_crop=crop, se_diff_th=se_th, se_diff_crop=se_crop,
                    provenance="imported", geometry_hash=geometry_hash)
 
 

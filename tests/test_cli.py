@@ -96,6 +96,22 @@ class TestDispatch:
         assert "'ec.cap_ppfd'" in detail and str(bad) in detail
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, drop, config, point", [
+        ("lp_efficiency_reference.csv", "diffuse,20.0,60.0,", "lp_dim.yaml",
+         "no diffuse cell at tilt 60, band 20"),
+        ("lue_lettuce_default.csv", "24.0,1400.0,250.0,", "bench.yaml",
+         "no point (temperature 24, co2 1400, ppfd 250)"),
+    ], ids=["optics", "lue"])
+    def test_incomplete_table_exit_code(self, work_tree, capsys, name, drop, config, point):
+        path = work_tree / "data" / name
+        rows = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(r for r in rows if not r.startswith(drop)))
+        rc = main(["simulate", "--config", str(work_tree / "configs" / config),
+                   "--out", str(work_tree / "o")])
+        assert rc == 3
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert point in detail and name in detail
+
     def test_missing_climate_exit_code(self, work_tree, capsys):
         (work_tree / "data" / "dubai_hourly_synthetic.csv").unlink()
         rc = main(["simulate", "--config", str(work_tree / "configs" / "bench.yaml"),

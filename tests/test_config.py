@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 import yaml
@@ -98,6 +99,25 @@ class TestIncludeMechanism:
         with pytest.raises(ConfigError, match="not found"):
             load_scenario_config(tmp_path / "nope.yaml")
 
+    def test_included_paths_resolve_against_their_own_file(self, tmp_path):
+        (tmp_path / "shared").mkdir()
+        (tmp_path / "sub" / "scen").mkdir(parents=True)
+        (tmp_path / "shared" / "base.yaml").write_text(
+            "climate: ../data/x.csv\noptics: {table: traced}\n"
+            "crop: {lue_table: /abs/lue.csv}\n")
+        (tmp_path / "sub" / "scen" / "a.yaml").write_text(
+            "include: ../../shared/base.yaml\nscenario: Bench\n")
+        cfg = load_scenario_config(tmp_path / "sub" / "scen" / "a.yaml")
+        assert cfg.climate_path == tmp_path.resolve() / "shared" / "../data/x.csv"
+        assert cfg.lue_table_path == Path("/abs/lue.csv") and cfg.table_path is None
+
+    def test_own_paths_resolve_against_the_file(self, tmp_path):
+        (tmp_path / "base.yaml").write_text("climate: ../data/x.csv\n")
+        (tmp_path / "top.yaml").write_text("include: base.yaml\noptics: {cache_dir: c}\n")
+        cfg = load_scenario_config(tmp_path / "top.yaml")
+        assert cfg.climate_path == tmp_path.resolve() / "../data/x.csv"
+        assert cfg.table_cache_dir == tmp_path.resolve() / "c"
+
 
 class TestValidation:
     def test_unknown_scenario(self, tmp_path):
@@ -150,6 +170,7 @@ class TestValidation:
         ("transient_deadband_k: 0.5", "transient_deadband_k"),
         ("driver: {nominal: 0.95}", "driver.nominal"),    # every fixture draws its rating
         ("driver: {points: [[0.3, 0.9], [1.0, 0.95]]}", "driver.points"),
+        ("climate_columns: {temprature: temperature}", "climate_columns.temprature"),
     ])
     def test_unknown_key_rejected(self, tmp_path, body, key):
         path = tmp_path / "typo.yaml"
@@ -158,6 +179,17 @@ class TestValidation:
             load_scenario_config(path)
         assert f"unknown key {key!r}" in str(exc.value)
         assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("value, key", [
+        ("5", "climate_columns"), ("[time, dni]", "climate_columns"),
+        ("{dni: 5}", "climate_columns.dni"), ("{dhi: ''}", "climate_columns.dhi"),
+    ])
+    def test_malformed_climate_columns(self, tmp_path, value, key):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"scenario: Bench\nclimate_columns: {value}\n")
+        with pytest.raises(ConfigError) as exc:
+            load_scenario_config(path)
+        assert repr(key) in str(exc.value) and str(path) in str(exc.value)
 
     def test_heat_area_switch(self, tmp_path):
         (tmp_path / "ok.yaml").write_text("scenario: Bench\nlp: {heat_area: lateral}\n")

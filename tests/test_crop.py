@@ -49,6 +49,10 @@ class TestLueTable:
         with pytest.raises(ValueError):
             LueTable(np.array([24.0]), np.array([1400.0]), np.array([100.0]),
                      np.array([[[0.0]]]), np.array([[[1e-5]]]))
+        for temps in ([np.nan], [24.0, np.nan]):
+            lue = np.full((len(temps), 1, 1), 1e-5)
+            with pytest.raises(ValueError, match="temps axis must be finite"):
+                LueTable(np.array(temps), np.array([1400.0]), np.array([100.0]), lue, lue)
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "lue.csv"
@@ -63,6 +67,23 @@ class TestLueTable:
                         "24,1400,100,2e-6,4e-5\n22,1400,300,1e-6,2e-5\n")
         with pytest.raises(ValueError, match="grid"):
             LueTable.from_csv(path)
+
+    @pytest.mark.parametrize("rows, point", [
+        ("24,1400,100,2e-6,4e-5\n22,1400,300,1e-6,2e-5\n",
+         "full grid: it has no point (temperature 22, co2 1400, ppfd 100)"),
+        ("24,1400,100,2e-6,4e-5\n24,1400,300,1e-6,2e-5\n24,1400.0,100,3e-6,5e-5\n",
+         "repeats the point (temperature 24, co2 1400, ppfd 100)"),
+        ("24,1400,100,2e-6,4e-5\nnan,1400,100,1e-6,2e-5\n",
+         "line 3: the point (temperature nan, co2 1400, ppfd 100) is not finite"),
+        ("24,1400,100,2e-6,4e-5\n24,1400,inf,1e-6,2e-5\n",
+         "line 3: the point (temperature 24, co2 1400, ppfd inf) is not finite"),
+    ], ids=["missing", "repeated", "nan", "inf"])
+    def test_missing_or_repeated_point_is_named(self, tmp_path, rows, point):
+        path = tmp_path / "lue.csv"
+        path.write_text("temperature,co2,ppfd,lue_dm,lue_fm\n" + rows)
+        with pytest.raises(ValueError) as exc:
+            LueTable.from_csv(path)
+        assert point in str(exc.value) and path.name in str(exc.value)
 
     def test_shipped_table_lue_non_increasing_in_ppfd(self, lue_base):
         for it, t in enumerate(lue_base.temps):
@@ -132,6 +153,19 @@ class TestLueCurve:
             expected = trilinear(table, t, c, p)
             assert table.curve(t, c)(p) == expected
             assert table.lookup(t, c, p) == expected
+
+    @pytest.mark.parametrize("sizes", [(4, 3, 6), (1, 3, 5), (3, 1, 4), (2, 2, 1),
+                                       (1, 1, 1)])
+    def test_array_call_is_its_scalar_calls(self, sizes):
+        rng = np.random.default_rng([8, *sizes])
+        table = random_table(rng, sizes, scale=1.2105210394249837)
+        for t, c, _ in queries(rng, table, 20):
+            curve = table.curve(t, c)
+            ppfds = np.array([p for _, _, p in queries(rng, table, 50)])
+            dm, fm, clamped = curve(ppfds)
+            assert [curve(p) for p in ppfds.tolist()] == list(zip(dm.tolist(), fm.tolist(),
+                                                                  clamped.tolist()))
+            assert all(v.shape == (0,) for v in curve(np.empty(0)))
 
     def test_shipped_table_bit_identical(self, lue_base):
         rng = np.random.default_rng(11)

@@ -10,7 +10,7 @@ import pytest
 from pipefarm import engine
 from pipefarm.climate import ClimateSeries, HOURS_PER_YEAR, SiteConfig
 from pipefarm.config import load_config_mapping, load_scenario_config
-from pipefarm.crop import CropParams, grow, growth_step, harvest_if_due, interception, \
+from pipefarm.crop import CropParams, CropState, grow, growth_step, harvest_if_due, interception, \
     standing_credit_kg
 from pipefarm.economics import break_even_unit_cost, led_cost_per_watt, light_cost_comparison, \
     payback_time
@@ -462,7 +462,7 @@ def _hourly_pre_roll(cfg, lue, states):
 
 def _hourly_crop_loop(cfg, lue, ppfd):
     """The crop stage as one hourly loop over CropState steps: the
-    reference the scalar recurrence must reproduce bit for bit."""
+    reference the lit-hour recurrence must reproduce bit for bit."""
     crop_p = cfg.crop
     n_tiers = ppfd.shape[1]
     states = [crop_p.transplant_state() for _ in range(n_tiers)]
@@ -623,6 +623,14 @@ class TestTiledTierYear:
             assert len(harvests) >= 3
             last = harvests[1 if grown_before else 0][0]
             assert len(grown) == np.count_nonzero(lit <= last)
+
+    def test_a_start_at_the_harvest_target_is_refused(self, bench_config, lue_calibrated):
+        p = bench_config.crop
+        ripe = CropState(dm_g_m2=400.0, fm_g_m2=p.target_fresh_g * p.plant_density, lai=6.0)
+        curve = lue_calibrated.curve(bench_config.setpoint_t, bench_config.setpoint_co2)
+        column = np.zeros(48)
+        with pytest.raises(ValueError, match="harvest target"):
+            engine._tier_year(ripe, column, curve, p, 1, np.empty(48), np.zeros(48), [])
 
 
 def _hourly_daylight_and_control(cfg, climate, table, solar):

@@ -105,6 +105,21 @@ class TestEfficiencyTable:
         assert np.array_equal(loaded.eta_diff_crop, table.eta_diff_crop)
         assert loaded.provenance == "imported"
 
+    @pytest.mark.parametrize("edit, point", [
+        (lambda rows: [r for r in rows if not r.startswith("diffuse,20.0,60.0,")],
+         "no diffuse cell at tilt 60, band 20"),
+        (lambda rows: rows + [rows[1]], "repeats the direct altitude 5"),
+        (lambda rows: rows + [next(r for r in rows if r.startswith("diffuse,"))],
+         "repeats the diffuse cell at tilt 45, band 10"),
+    ], ids=["missing-diffuse", "repeated-direct", "repeated-diffuse"])
+    def test_missing_or_repeated_cell_is_named(self, tmp_path, repo_paths, edit, point):
+        rows = (repo_paths["data"] / "lp_efficiency_reference.csv").read_text().splitlines()
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join(edit(rows)) + "\n")
+        with pytest.raises(ValueError) as exc:
+            OpticalEfficiencyTable.import_csv(path)
+        assert point in str(exc.value) and path.name in str(exc.value)
+
     def test_interpolation_and_clamp(self):
         t = _flat_table()
         eta, clamped = t.eta_dir_at(47.5)
