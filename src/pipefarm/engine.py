@@ -50,7 +50,7 @@ from .optics import OpticalEfficiencyTable, PAR_UMOL_PER_J, \
     apply_neutral_attenuation, apply_uv_ir_filter, gh_gains, lp_crop_ppfd, lp_solar_gains
 from .thermal import LATENT_HEAT_J_PER_KG, RA_VALID_RANGE, latent_balance, envelope_load, \
     hvac_electricity, lp_convection, solve_hvac_load, transient_loads
-from .tracer import build_efficiency_table
+from .tracer import MODEL_REVISION, build_efficiency_table
 
 __all__ = ["SimulationError", "SimulationResult", "Study", "prepare_efficiency_table",
            "solar_angles", "run_scenario", "calibrate_lue_scale",
@@ -79,14 +79,16 @@ def prepare_efficiency_table(cfg: ScenarioConfig) -> OpticalEfficiencyTable:
     """Load or trace the optical table for this geometry (cached on disk).
 
     Annual runs never trace inline; this is the explicit expensive stage.
-    A table read back from the cache keeps its `traced` provenance.
+    The cache file is keyed by geometry, ray count, seed and the tracer's
+    model revision. A table read back from it keeps its `traced` provenance.
     """
     geometry_hash = cfg.lp_geometry.content_hash()
     if cfg.table_path is not None:
         return OpticalEfficiencyTable.import_csv(cfg.table_path, geometry_hash=geometry_hash)
     path = None
     if cfg.table_cache_dir is not None:
-        path = Path(cfg.table_cache_dir) / f"optics_{geometry_hash}_r{cfg.rays}_s{cfg.seed}.csv"
+        path = Path(cfg.table_cache_dir) / (f"optics_{geometry_hash}_r{cfg.rays}_s{cfg.seed}"
+                                            f"_m{MODEL_REVISION}.csv")
         if path.exists():
             table = OpticalEfficiencyTable.import_csv(path, geometry_hash=geometry_hash)
             return replace(table, provenance="traced")

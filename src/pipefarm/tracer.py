@@ -21,6 +21,15 @@ Diffuse band efficiencies are instead normalized to the band's power on
 the horizontal aperture, because the ten-degree dome weights already
 carry the projection.
 
+Below the mirror's lowest reach the duct is a bare specular cylinder, and
+a ray crosses it in one closed-form step (the skew-ray treatment of
+cylindrical mirror light pipes, Swift & Smith 1995): a wall hit keeps the
+ray's axial cosine and its skew distance from the axis and turns its
+azimuth by a fixed angle, so the hit count, the exit point and the exit
+direction at the next end plane follow without stepping each bounce. The
+event loop handles the mirror, the roof, the aperture, the diffuser and
+the duct above the mirror's lowest reach; one duct crossing is one event.
+
 Per-ray bookkeeping is exact: every launched unit of weight ends in
 exactly one tally, so delivered + absorbed + escaped = launched to float
 rounding and the Monte Carlo error applies only to the estimates, not to
@@ -45,6 +54,10 @@ __all__ = ["TraceResult", "trace_direct", "trace_diffuse_band",
 
 DEFAULT_RAYS = 100_000
 MIN_RAYS = 10_000
+# Tracer model revision, part of the optical cache's file name: raise it
+# whenever a change moves traced values, so no older table is read back.
+# Revision 2 crosses the bare duct in closed form.
+MODEL_REVISION = 2
 FLUXMAP_EXTENT_M = 0.6     # crop-plane flux map: full side length
 FLUXMAP_PITCH_M = 0.02     # and cell pitch
 
@@ -87,6 +100,59 @@ def _reflect(d: np.ndarray, n: np.ndarray) -> np.ndarray:
     return d - 2.0 * np.einsum("ij,ij->i", d, n)[:, None] * n
 
 
+def _duct_transit(p: np.ndarray, d: np.ndarray, w: np.ndarray, R: float, z_lo: float,
+                  z_hi: float, rho: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Carry rays across a bare specular cylinder of radius R and wall
+    reflectance rho to the end plane each heads for: z_lo when falling,
+    z_hi when rising.
+
+    A wall hit keeps the axial cosine and the skew distance b from the
+    axis, and turns the horizontal path about the axis by g = 2 acos(b/R)
+    in the sense of the ray's circulation; every chord between hits has the
+    same length. So the last of the N hits is the first one turned by
+    (N - 1) g, and the exit direction is the entry one turned by N g.
+    Rays must lie inside the cylinder with z_lo <= z <= z_hi and d_z != 0.
+    Returns the hit counts N (as floats), the exit points, the exit
+    directions and the weights w * rho**N.
+    """
+    x, y = p[:, 0], p[:, 1]
+    dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
+    a = dx * dx + dy * dy
+    pd = x * dx + y * dy
+    cross = x * dy - y * dx
+    disc = a * R * R - cross * cross      # = pd^2 - a (x^2 + y^2 - R^2)
+    walls = (a > 1e-16) & (disc > 0.0)
+    sq = np.sqrt(np.where(walls, disc, 0.0))
+    a_safe = np.where(walls, a, 1.0)
+    t_first = np.where(walls, (sq - pd) / a_safe, np.inf)
+    z_end = np.where(dz < 0.0, z_lo, z_hi)
+    t_end = (z_end - p[:, 2]) / dz
+
+    hits = np.zeros(p.shape[0])
+    out_p = p + t_end[:, None] * d
+    out_d = d.copy()
+    k = np.flatnonzero(t_end > t_first)
+    if k.size:
+        tf = t_first[k]
+        t_chord = 2.0 * sq[k] / a[k]
+        n = 1.0 + np.floor((t_end[k] - tf) / t_chord)
+        turn = 2.0 * np.arctan2(sq[k], cross[k])
+        c_hit, s_hit = np.cos((n - 1.0) * turn), np.sin((n - 1.0) * turn)
+        c_out, s_out = np.cos(n * turn), np.sin(n * turn)
+        hx, hy = x[k] + tf * dx[k], y[k] + tf * dy[k]
+        ex = c_out * dx[k] - s_out * dy[k]
+        ey = s_out * dx[k] + c_out * dy[k]
+        rest = t_end[k] - tf - (n - 1.0) * t_chord
+        out_p[k, 0] = c_hit * hx - s_hit * hy + rest * ex
+        out_p[k, 1] = s_hit * hx + c_hit * hy + rest * ey
+        out_d[k, 0] = ex
+        out_d[k, 1] = ey
+        hits[k] = n
+    out_p[:, 2] = z_end
+    return hits, out_p, out_d, w * rho ** hits
+
+
 @dataclass
 class _Scene:
     geom: LpGeometry
@@ -101,11 +167,14 @@ class _Scene:
         self.L = g.length_m
         self.half_zone = g.target_zone_m / 2.0
         self.z_canopy = -g.length_m - g.canopy_distance_m
+        # the bare duct runs from the diffuser up to the mirror's lowest reach
         if self.tilt_deg is not None:
             t = math.radians(self.tilt_deg)
             self.mirror_n = np.array([math.sin(t), 0.0, -math.cos(t)])
+            self.z_bare_top = -self.R * math.sin(t)
         else:
             self.mirror_n = None
+            self.z_bare_top = 0.0
         s = math.radians(g.diffuser_facet_slope_deg)
         self.facet_sin = math.sin(s)
         self.facet_cos = math.cos(s)
@@ -139,12 +208,33 @@ def _trace(scene: _Scene, origins: np.ndarray, dirs: np.ndarray,
         "escaped": 0.0,
     }
     R, L = scene.R, scene.L
+    z_top = scene.z_bare_top
 
     for _ in range(scene.bounce_cap):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
+
+        # bare duct: one closed-form crossing; falling rays meet the diffuser
         p = pos[idx]
+        bare = ((p[:, 2] >= -L) & (p[:, 2] < z_top) & (np.abs(d[idx, 2]) > 1e-14)
+                & (p[:, 0] ** 2 + p[:, 1] ** 2 <= R * R))
+        if np.any(bare):
+            j = idx[bare]
+            _, h, nd, wt = _duct_transit(p[bare], d[j], w[j], R, -L, z_top,
+                                         g.wall_reflectance)
+            tallies["absorbed_wall"] += float((w[j] - wt).sum())
+            w[j] = wt
+            d[j] = nd
+            pos[j] = h
+            down = nd[:, 2] < 0.0
+            if np.any(down):
+                _diffuser_interaction(scene, j[down], h[down], d, pos, w, alive,
+                                      zone_w, chamber_w, tallies, rng)
+            idx = idx[~bare]
+            if idx.size == 0:
+                continue
+            p = p[~bare]
         dd = d[idx]
         ww = w[idx]
         m = idx.size
@@ -403,7 +493,14 @@ def _estimate(scene: _Scene, dirs: np.ndarray, rng: np.random.Generator,
 def trace_direct(geometry: LpGeometry, altitude: float, rays: int = DEFAULT_RAYS,
                  seed: int = 0, bounce_cap: int = 50, use_mirror: bool = True,
                  disable_diffuser: bool = False, collect_fluxmap: bool = True) -> TraceResult:
-    """Parallel beam at the given solar altitude (azimuth 0 by symmetry)."""
+    """Parallel beam at the given solar altitude (azimuth 0 by symmetry).
+
+    `bounce_cap` bounds each ray's loop events: a hit on the mirror, the
+    roof, the diffuser or the wall above the mirror's lowest reach, or one
+    whole crossing of the bare duct below it, however many wall hits that
+    takes. Weight still live after that many events is tallied as
+    `absorbed_cap`.
+    """
     if not 0.0 < altitude <= 90.0:
         raise ValueError(f"altitude must be in (0, 90]: {altitude}")
     _validate(rays, geometry)
@@ -428,7 +525,8 @@ def trace_diffuse_band(geometry: LpGeometry, tilt_deg: Optional[float],
     irradiance contribution (sin * cos in altitude), so each ray carries
     equal aperture power and the normalization constant is analytic. The
     rear half-dome never appears here; its occlusion is the downstream
-    I_diff/2 factor.
+    I_diff/2 factor. `bounce_cap` counts loop events as in `trace_direct`:
+    one crossing of the bare duct is one event.
     """
     if band_upper_deg not in DIFFUSE_BANDS:
         raise ValueError(f"band upper edge must be one of {DIFFUSE_BANDS}")

@@ -20,6 +20,7 @@ from pipefarm.engine import (SimulationError, Study, calibrate_lue_scale, compar
 from pipefarm.lighting import EC_FILM, STRATEGIES, control_tier3, ec_control, led_electric_power
 from pipefarm.optics import (DIFFUSE_BANDS, OpticalEfficiencyTable, apply_neutral_attenuation,
                              apply_uv_ir_filter, gh_gains, lp_crop_ppfd, lp_solar_gains)
+from pipefarm.tracer import MODEL_REVISION
 
 
 def flat_climate(temperature=24.0, dni=0.0, dhi=0.0) -> ClimateSeries:
@@ -136,19 +137,23 @@ class TestTableSwap:
         assert a.kpis == b.kpis
 
 
+def random_traced_table(seed: int) -> OpticalEfficiencyTable:
+    rng = np.random.default_rng(seed)
+    tilts = np.arange(45.0, 91.0, 5.0)
+    th = rng.uniform(0.1, 0.6, (tilts.size, 9))
+    return OpticalEfficiencyTable(
+        alt_grid=np.arange(5.0, 91.0, 5.0), eta_dir=rng.uniform(0.2, 0.7, 18),
+        se_dir=rng.uniform(0.0, 0.01, 18), tilt_grid=tilts, bands=DIFFUSE_BANDS,
+        eta_diff_th=th, eta_diff_crop=th * 0.3, se_diff_th=np.zeros_like(th),
+        se_diff_crop=np.zeros_like(th), provenance="traced")
+
+
 class TestTableCache:
     def test_cached_trace_reads_back_as_traced(self, scenario_configs, monkeypatch,
                                                tmp_path):
         """A rerun that reads the table from the disk cache reports the same
         provenance and the same arrays as the run that traced it."""
-        rng = np.random.default_rng(0)
-        tilts = np.arange(45.0, 91.0, 5.0)
-        th = rng.uniform(0.1, 0.6, (tilts.size, 9))
-        traced = OpticalEfficiencyTable(
-            alt_grid=np.arange(5.0, 91.0, 5.0), eta_dir=rng.uniform(0.2, 0.7, 18),
-            se_dir=rng.uniform(0.0, 0.01, 18), tilt_grid=tilts, bands=DIFFUSE_BANDS,
-            eta_diff_th=th, eta_diff_crop=th * 0.3, se_diff_th=np.zeros_like(th),
-            se_diff_crop=np.zeros_like(th), provenance="traced")
+        traced = random_traced_table(0)
         calls = []
 
         def trace(geometry, rays, seed):
@@ -165,6 +170,29 @@ class TestTableCache:
         for name in ("alt_grid", "eta_dir", "se_dir", "tilt_grid", "eta_diff_th",
                      "eta_diff_crop", "se_diff_th", "se_diff_crop"):
             assert np.array_equal(getattr(first, name), getattr(second, name)), name
+
+    def test_table_of_an_older_tracer_is_traced_again(self, scenario_configs, monkeypatch,
+                                                     tmp_path):
+        """A table cached under the name the tracer used before its model
+        revision joined the file name is not read back as this tracer's
+        output: the table is traced afresh."""
+        cfg = dataclasses.replace(scenario_configs["LP_Dim"], table_path=None,
+                                  table_cache_dir=tmp_path)
+        old = tmp_path / f"optics_{cfg.lp_geometry.content_hash()}_r{cfg.rays}_s{cfg.seed}.csv"
+        engine.write_csv(old, *random_traced_table(1).csv_columns())
+        fresh = random_traced_table(2)
+        calls = []
+
+        def trace(geometry, rays, seed):
+            calls.append((rays, seed))
+            return fresh, {}
+
+        monkeypatch.setattr(engine, "build_efficiency_table", trace)
+        table = prepare_efficiency_table(cfg)
+        assert calls == [(cfg.rays, cfg.seed)]
+        assert np.array_equal(table.eta_dir, fresh.eta_dir)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [old.name, old.name.replace(".csv", f"_m{MODEL_REVISION}.csv")])
 
 
 class TestCalibration:

@@ -1,16 +1,42 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pipefarm.engine import write_csv
 from pipefarm.optics import LpGeometry
-from pipefarm.tracer import trace_diffuse_band, trace_direct
+from pipefarm.tracer import _duct_transit, trace_diffuse_band, trace_direct
 
 GEOM = LpGeometry()
 LOSSLESS = replace(GEOM, dome_transmittance=1.0, wall_reflectance=1.0,
                    mirror_reflectance=1.0, diffuser_throughput=1.0)
+FROZEN = json.loads((Path(__file__).resolve().parent / "data" / "traced_small.json").read_text())
+
+
+def stepwise_transit(p, d, w, radius, z_lo, z_hi, rho):
+    """Scalar reference for the closed-form duct crossing: reflect one wall
+    hit at a time until the ray reaches the end plane it heads for."""
+    x, y, z = p
+    dx, dy, dz = d
+    z_end = z_lo if dz < 0.0 else z_hi
+    hits = 0
+    while True:
+        a = dx * dx + dy * dy
+        pd = x * dx + y * dy
+        disc = pd * pd - a * (x * x + y * y - radius * radius)
+        t_wall = (math.sqrt(disc) - pd) / a if a > 0.0 and disc > 0.0 else math.inf
+        t_end = (z_end - z) / dz
+        if t_end <= t_wall:
+            return hits, (x + t_end * dx, y + t_end * dy, z_end), (dx, dy, dz), w
+        x, y, z = x + t_wall * dx, y + t_wall * dy, z + t_wall * dz
+        nx, ny = -x / radius, -y / radius
+        dot = dx * nx + dy * ny
+        dx, dy = dx - 2.0 * dot * nx, dy - 2.0 * dot * ny
+        w *= rho
+        hits += 1
 
 
 def no_mirror_vertical_oracle(geom: LpGeometry) -> float:
@@ -35,6 +61,43 @@ def no_mirror_vertical_oracle(geom: LpGeometry) -> float:
         x = a / r
         capture = 1.0 - (math.acos(x) - x * math.sqrt(1.0 - x * x)) / math.pi
     return geom.dome_transmittance * geom.diffuser_throughput * capture
+
+
+def test_duct_transit_matches_stepwise_bounces():
+    rng = np.random.default_rng(31)
+    n = 3000
+    radius, z_lo = GEOM.radius_m, -GEOM.length_m
+    z_hi = -radius * math.sin(math.radians(60.0))
+    r = 0.999 * radius * np.sqrt(rng.random(n))
+    phi = 2.0 * math.pi * rng.random(n)
+    p = np.column_stack([r * np.cos(phi), r * np.sin(phi), rng.uniform(z_lo, z_hi, n)])
+    cos_axial = rng.uniform(0.05, 1.0, n)
+    cos_axial[:300] = rng.uniform(0.99999, 1.0, 300)     # near-vertical
+    cos_axial[300:400] = rng.uniform(0.01, 0.02, 100)    # near-horizontal
+    az = 2.0 * math.pi * rng.random(n)
+    sin_axial = np.sqrt(1.0 - cos_axial ** 2)
+    d = np.column_stack([sin_axial * np.cos(az), sin_axial * np.sin(az),
+                         np.where(rng.random(n) < 0.5, -1.0, 1.0) * cos_axial])
+    # skew distance 0: start on the line through the axis along the ray
+    along = radius * rng.uniform(-0.999, 0.999, 400)
+    p[400:800, 0] = along * np.cos(az[400:800])
+    p[400:800, 1] = along * np.sin(az[400:800])
+    p[800:850, :2] = 0.0
+    d[850:870] = [0.0, 0.0, -1.0]                         # vertical
+    d[860:870, 2] = 1.0
+    w = rng.uniform(0.5, 1.0, n)
+    rho = 0.97
+
+    hits, out_p, out_d, out_w = _duct_transit(p, d, w, radius, z_lo, z_hi, rho)
+    ref = [stepwise_transit(p[i], d[i], w[i], radius, z_lo, z_hi, rho) for i in range(n)]
+    assert np.array_equal(hits, [h for h, _, _, _ in ref])
+    assert np.allclose(out_p, [q for _, q, _, _ in ref], rtol=0.0, atol=1e-9)
+    assert np.allclose(out_d, [e for _, _, e, _ in ref], rtol=0.0, atol=1e-9)
+    assert np.allclose(out_w, [v for _, _, _, v in ref], rtol=1e-12, atol=0.0)
+    assert np.array_equal(out_w, w * rho ** hits)
+    # the sample reaches every regime: no hit, a few, hundreds, both ways
+    assert np.any(hits[:300] == 0) and np.count_nonzero(hits[300:400] >= 100) >= 50
+    assert np.any(d[:, 2] > 0.0) and np.any(d[:, 2] < 0.0)
 
 
 class TestConservation:
@@ -86,6 +149,15 @@ class TestDiffuseProperties:
                                      bounce_cap=1000, disable_diffuser=True)
             assert abs(res.eta_chamber - 1.0) <= max(4.0 * res.se_chamber, 0.005)
 
+    @pytest.mark.parametrize("band", [10, 30, 60, 90])
+    def test_default_cap_keeps_grazing_light(self, band):
+        # a duct crossing is one loop event, so the default cap of 50 no
+        # longer truncates grazing rays that bounce hundreds of times
+        res = trace_diffuse_band(LOSSLESS, None, band, rays=20_000, seed=8,
+                                 disable_diffuser=True)
+        assert res.tallies["absorbed_cap"] == 0.0
+        assert abs(res.eta_chamber - 1.0) <= 4.0 * res.se_chamber
+
     def test_lossless_near_vertical_band_with_diffuser(self):
         # near-zenith light sees no total internal reflection, so the
         # lossless chain still hands essentially everything to the chamber
@@ -104,6 +176,22 @@ class TestDiffuseProperties:
     def test_rear_mirror_face_absorbs_high_sky_at_low_tilt(self):
         res = trace_diffuse_band(GEOM, 47.5, 80, rays=20_000, seed=9)
         assert res.tallies["absorbed_mirror_back"] > 0.05 * res.rays
+
+
+@pytest.mark.parametrize("entry", FROZEN["direct"] + FROZEN["diffuse"],
+                         ids=lambda e: (f"direct-{e['altitude_deg']:g}" if "altitude_deg" in e
+                                        else f"diffuse-{e['tilt_deg']:g}-{e['band_upper_deg']}"))
+def test_agrees_with_frozen_trace(entry):
+    """A small traced reference frozen before the closed-form duct crossing:
+    the tracer may move only at the Monte Carlo level."""
+    budget = {"rays": FROZEN["rays"], "seed": FROZEN["seed"]}
+    if "altitude_deg" in entry:
+        res = trace_direct(GEOM, entry["altitude_deg"], collect_fluxmap=False, **budget)
+    else:
+        res = trace_diffuse_band(GEOM, entry["tilt_deg"], entry["band_upper_deg"], **budget)
+    for eta, se in (("eta_zone", "se_zone"), ("eta_chamber", "se_chamber")):
+        combined = math.hypot(getattr(res, se), entry[se])
+        assert abs(getattr(res, eta) - entry[eta]) <= 4.0 * combined, eta
 
 
 @pytest.mark.parametrize("name", sorted(LpGeometry.__dataclass_fields__))
