@@ -208,16 +208,22 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _load_yaml_with_includes(path: Path, seen: Optional[set] = None) -> dict:
-    seen = seen or set()
+# libyaml's loader when PyYAML was built with it; both give the same mappings
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _load_yaml_with_includes(path: Path, chain: tuple = ()) -> dict:
+    """The mapping of `path` over its includes, merged in order. `chain`
+    holds the files that include this one, so a file met twice on one
+    chain is circular, while two includes sharing a file are not."""
     rp = path.resolve()
-    if rp in seen:
+    if rp in chain:
         raise ConfigError(f"circular include at {path}")
-    seen.add(rp)
+    chain += (rp,)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = yaml.safe_load(path.read_text()) or {}
+        data = yaml.load(path.read_text(), Loader=_YAML_LOADER) or {}
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from None
     if not isinstance(data, dict):
@@ -233,7 +239,7 @@ def _load_yaml_with_includes(path: Path, seen: Optional[set] = None) -> dict:
         includes = [includes]
     merged: dict = {}
     for inc in includes:
-        merged = _deep_merge(merged, _load_yaml_with_includes(path.parent / inc, seen))
+        merged = _deep_merge(merged, _load_yaml_with_includes(path.parent / inc, chain))
     return _deep_merge(merged, data)
 
 

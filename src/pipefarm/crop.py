@@ -3,7 +3,9 @@
 Dry and fresh matter integrate PPFD * (1 - exp(-k * LAI)) * LUE each step;
 LAI follows dry matter through a specific-leaf-area surrogate with a cap.
 Plants are harvested at a target fresh mass and the tier resets to the
-transplant state.
+transplant state. `grow`, `harvest_due` and `interception` are the
+one-step reference forms of that law; the engine's lit-hour stepper
+carries the same operations inline, in the same order.
 """
 
 from __future__ import annotations

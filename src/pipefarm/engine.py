@@ -11,9 +11,10 @@ aggregates are reductions of those arrays. Two pieces stay scalar calls
 per hour, because the benchmark's traced run reads their per-call
 results: the film state (`ec_control`) and the quasi-steady pipe
 convection. The crop stage steps only the lit hours of each tier's year
-(and of the stagger pre-roll), on plain floats, with their LUE from one
-array call of the run's LUE curve (temperature and CO2 are fixed
-setpoints), bit-identical to stepping `CropState`s hour by hour; a tier
+(and of the stagger pre-roll), on plain floats with the growth law
+inline, with their LUE from one array call of the run's LUE curve
+(temperature and CO2 are fixed setpoints), bit-identical to stepping
+`CropState`s hour by hour with `crop`'s one-step forms; a tier
 lit at one PPFD steps one cycle and tiles it over the year. Bench has no
 daylight, so calibration iterates the crop stage alone on its LED light.
 
@@ -41,8 +42,8 @@ from .climate import HOURS_PER_YEAR, ClimateSeries, SiteConfig, load_climate, \
     solar_position
 from .config import ConfigError, ScenarioConfig
 # growth_step and harvest_if_due: no caller, but traced by the benchmark (ROADMAP item 12)
-from .crop import CropParams, CropState, LueCurve, LueTable, grow, growth_step, \
-    harvest_due, harvest_if_due, interception, standing_credit_kg
+from .crop import CropParams, CropState, LueCurve, LueTable, growth_step, harvest_due, \
+    harvest_if_due, interception, standing_credit_kg
 from .economics import REFERENCE_PIPE_PPF, KpiReport, compute_kpis, led_cost_per_watt, \
     payback_time, pipe_hardware, pipe_light_cost, sensitivity_sweep
 from .lighting import control_tier3, ec_control, led_electric_power
@@ -483,22 +484,25 @@ def _crop_stage(cfg: ScenarioConfig, lue: LueTable, ppfd: np.ndarray) -> _CropYe
         states = _staggered_states(cfg, lue, states)
     curve = lue.curve(cfg.setpoint_t, cfg.setpoint_co2)
     f_int = np.empty_like(ppfd)
-    fm_step = np.zeros_like(ppfd)          # fresh-matter growth per tier-hour, g m-2
     harvests: list = []
+    grown_at, grown = [], []               # lit tier-hours and their fresh growth, g m-2
     for t in range(n_tiers):
-        states[t] = _tier_year(states[t], ppfd[:, t], curve, crop_p, t + 1,
-                               f_int[:, t], fm_step[:, t], harvests)
+        states[t], lit, fm_step = _tier_year(states[t], ppfd[:, t], curve, crop_p, t + 1,
+                                             f_int[:, t], harvests)
+        grown_at.append(lit * n_tiers + t)
+        grown.append(fm_step)
     harvests.sort()                        # hour-major, then tier
 
-    umol = ppfd.reshape(-1, 24, n_tiers) * 3600.0
-    dli = np.zeros((umol.shape[0], n_tiers))
+    days = ppfd.reshape(-1, 24, n_tiers)
+    dli = np.zeros((days.shape[0], n_tiers))
     for h in range(24):                    # hour by hour, as an hourly loop adds
-        dli += umol[:, h]
+        dli += days[:, h] * 3600.0         # umol m-2
     dli /= 1e6  # umol m-2 day-1 -> mol m-2 day-1, one correctly rounded step
-    # left to right over hours, then tiers, as an hourly loop adds (np.sum
-    # would add pairwise)
-    growth_kg = (fm_step * crop_p.tier_area_m2 / 1000.0).ravel()
-    fm_growth_kg = float(np.add.accumulate(growth_kg)[-1])
+    # from zero, left to right over hours, then tiers, as an hourly loop adds
+    # (np.sum would add pairwise); dark tier-hours add nothing
+    growth_kg = np.concatenate(grown) * crop_p.tier_area_m2 / 1000.0
+    growth_kg = growth_kg[np.argsort(np.concatenate(grown_at), kind="stable")]  # merges runs
+    fm_growth_kg = float(np.add.accumulate(np.append(0.0, growth_kg))[-1])
 
     harvested = float(sum(h[2] for h in harvests))
     standing = float(sum(standing_credit_kg(s, crop_p) for s in states))
@@ -508,16 +512,17 @@ def _crop_stage(cfg: ScenarioConfig, lue: LueTable, ppfd: np.ndarray) -> _CropYe
 
 
 def _tier_year(state: CropState, ppfd: np.ndarray, curve: LueCurve, p: CropParams,
-               tier: int, f_int: np.ndarray, fm_step: np.ndarray,
-               harvests: list) -> CropState:
+               tier: int, f_int: np.ndarray, harvests: list
+               ) -> tuple[CropState, np.ndarray, np.ndarray]:
     """One tier's year from `state` under its hourly PPFD column.
 
-    Fills the tier's interception (at the start of each hour) and
-    fresh-growth columns, appends its (hour, tier, kg) harvests and returns
-    the final state. Dark hours change nothing, so only lit hours are
-    stepped. A column lit at one PPFD is stepped to its first harvest and
-    through one cycle from the transplant state (the first one, when
-    `state` is that state), and that cycle is tiled over the rest.
+    Fills the tier's interception column (at the start of each hour),
+    appends its (hour, tier, kg) harvests and returns the final state, the
+    lit hours and the fresh growth (g m-2) of each. Dark hours change
+    nothing, so only lit hours are stepped. A column lit at one PPFD is
+    stepped to its first harvest and through one cycle from the transplant
+    state (the first one, when `state` is that state), and that cycle is
+    tiled over the rest.
     """
     if harvest_due(state.fm_g_m2, p):
         raise ValueError("a tier cannot start at its harvest target")
@@ -535,18 +540,18 @@ def _tier_year(state: CropState, ppfd: np.ndarray, curve: LueCurve, p: CropParam
     elif tiled:                                     # the first cycle is the one tiled
         steps = np.resize(steps, (lit.size, 5))
     cut = steps[:, 3] > 0.0
-    fm_step[lit] = steps[:, 0]
+    fm_step = steps[:, 0].copy()                    # so the (lit, 5) rows are freed here
     harvests.extend((h, tier, p.harvest_kg) for h in lit[cut].tolist())
     # each hour reads the interception after the last lit hour before it
     f_int[:] = np.repeat(np.append(interception(state.lai, p.extinction_k), steps[:, 4]),
                          np.diff(np.concatenate(([-1], lit, [ppfd.size - 1]))))
     if not lit.size:
-        return state
+        return state, lit, fm_step
     cycles = state.cycles + int(np.count_nonzero(cut))
     if cut[-1]:
-        return replace(transplant, cycles=cycles)
+        return replace(transplant, cycles=cycles), lit, fm_step
     dm, fm = steps[-1, 1:3].tolist()
-    return CropState(dm, fm, p.leaf_area(dm), cycles)
+    return CropState(dm, fm, p.leaf_area(dm), cycles), lit, fm_step
 
 
 def _step_lit(state: CropState, hours: list, p: CropParams, once: bool) -> np.ndarray:
@@ -556,22 +561,33 @@ def _step_lit(state: CropState, hours: list, p: CropParams, once: bool) -> np.nd
     One row per hour: the fresh growth, the dry and fresh matter after
     growth, 1.0 where the hour ends in a harvest (which resets the tier to
     the transplant state) else 0.0, and the interception after the hour.
+    The growth law is `crop.grow`, `CropParams.leaf_area`, `harvest_due`
+    and `interception` on plain floats, each operation in their order.
     """
-    k = p.extinction_k
+    k, sla, lai_cap = p.extinction_k, p.sla_m2_per_g_dm, p.lai_cap
+    density, target = p.plant_density, p.target_fresh_g
     start = p.transplant_state()
+    f_start = float(interception(start.lai, k))
+    exp = np.exp                                    # math.exp differs in the last bit
     dm, fm = state.dm_g_m2, state.fm_g_m2
     f = float(interception(state.lai, k))
     rows: list = []
     for x, lue_dm, lue_fm in hours:
         fm0 = fm
-        dm, fm, lai = grow(dm, fm, x * f * 3600.0, lue_dm, lue_fm, p)
-        cut = harvest_due(fm, p)
-        f = float(interception(start.lai if cut else lai, k))
-        rows += (fm - fm0, dm, fm, cut, f)
-        if cut:
+        absorbed = x * f * 3600.0                   # umol m-2
+        dm = dm + absorbed * lue_dm
+        fm = fm + absorbed * lue_fm
+        if fm / density >= target:                  # harvested: back to the transplant
+            rows += (fm - fm0, dm, fm, 1.0, f_start)
             if once:
                 break
-            dm, fm = start.dm_g_m2, start.fm_g_m2
+            dm, fm, f = start.dm_g_m2, start.fm_g_m2, f_start
+            continue
+        lai = sla * dm
+        if lai > lai_cap:                           # min(), without the call
+            lai = lai_cap
+        f = 1.0 - float(exp(-k * lai)) if lai > 0.0 else 0.0
+        rows += (fm - fm0, dm, fm, 0.0, f)
     return np.array(rows, dtype=float).reshape(-1, 5)
 
 
@@ -584,8 +600,7 @@ def _staggered_states(cfg: ScenarioConfig, lue: LueTable,
     for t, s in enumerate(states):
         hours = int(round(cfg.crop.stagger_days * t * photo_h))
         light = np.full(hours, float(cfg.setpoint_ppfd))
-        out.append(_tier_year(s, light, curve, cfg.crop, t + 1, np.empty(hours),
-                              np.empty(hours), []))
+        out.append(_tier_year(s, light, curve, cfg.crop, t + 1, np.empty(hours), [])[0])
     return out
 
 

@@ -92,8 +92,19 @@ class TestIncludeMechanism:
     def test_circular_include_rejected(self, tmp_path):
         (tmp_path / "a.yaml").write_text("include: b.yaml\n")
         (tmp_path / "b.yaml").write_text("include: a.yaml\n")
-        with pytest.raises(ConfigError, match="circular"):
+        with pytest.raises(ConfigError, match=r"circular include at .*/a\.yaml$"):
             load_scenario_config(tmp_path / "a.yaml")
+
+    # in the diamond b's copy of c comes after a, so c's ppe overrides a's
+    @pytest.mark.parametrize("includes,seed", [("[a.yaml, b.yaml]", 9),
+                                               ("[c.yaml, c.yaml]", 4)])
+    def test_a_file_included_twice_is_not_circular(self, tmp_path, includes, seed):
+        (tmp_path / "c.yaml").write_text("scenario: Bench\nppe: 2.5\nseed: 4\n")
+        (tmp_path / "a.yaml").write_text("include: c.yaml\nppe: 2.8\n")
+        (tmp_path / "b.yaml").write_text("include: c.yaml\nseed: 9\n")
+        (tmp_path / "top.yaml").write_text(f"include: {includes}\n")
+        cfg = load_scenario_config(tmp_path / "top.yaml")
+        assert (cfg.scenario, cfg.ppe, cfg.seed) == ("Bench", 2.5, seed)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -117,6 +128,16 @@ class TestIncludeMechanism:
         cfg = load_scenario_config(tmp_path / "top.yaml")
         assert cfg.climate_path == tmp_path.resolve() / "../data/x.csv"
         assert cfg.table_cache_dir == tmp_path.resolve() / "c"
+
+
+def test_config_loader_reads_the_shipped_files_as_pyyaml_does(repo_paths):
+    """The loader config.py parses with (libyaml's where PyYAML has it)
+    against PyYAML's pure-Python safe loader."""
+    files = sorted(repo_paths["configs"].glob("*.yaml"))
+    assert len(files) >= 14
+    for path in files:
+        text = path.read_text()
+        assert yaml.load(text, Loader=config._YAML_LOADER) == yaml.safe_load(text), path.name
 
 
 class TestValidation:

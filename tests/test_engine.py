@@ -10,7 +10,7 @@ import pytest
 from pipefarm import engine
 from pipefarm.climate import ClimateSeries, HOURS_PER_YEAR, SiteConfig
 from pipefarm.config import load_config_mapping, load_scenario_config
-from pipefarm.crop import CropParams, CropState, grow, growth_step, harvest_if_due, interception, \
+from pipefarm.crop import CropParams, CropState, growth_step, harvest_if_due, interception, \
     standing_credit_kg
 from pipefarm.economics import break_even_unit_cost, led_cost_per_watt, light_cost_comparison, \
     payback_time
@@ -565,7 +565,8 @@ def _bench_light(cfg, case):
     """Bench's (hours, 3) canopy PPFD, reshaped as a test case names it."""
     year = engine._lighting_stage(cfg, np.zeros(HOURS_PER_YEAR))[0]
     lit = year > 0.0
-    return {"setpoint": year[:90 * 24],
+    return {"year": year,
+            "setpoint": year[:90 * 24],
             "short": year[:30 * 24],                  # the second cycle does not fit
             "s700": year[:700],
             "low": 0.3 * year[:30 * 24],              # never reaches a harvest
@@ -585,11 +586,17 @@ class TestTiledTierYear:
 
     @pytest.mark.parametrize("case,stagger,harvests_per_tier", [
         ("setpoint", 3.3, [4, 4, 4]), ("short", 7.0, [1, 1, 2]), ("low", 0.0, [0, 0, 0]),
-        ("x180", 0.0, [3, 3, 3]), ("zero", 7.0, [0, 0, 0]), ("two", 0.0, [3, 3, 3])])
+        ("x180", 0.0, [3, 3, 3]), ("zero", 7.0, [0, 0, 0]), ("two", 0.0, [3, 3, 3]),
+        ("lp_nl", 3.3, [16, 16, 8])])
     def test_crop_stage_matches_hourly_loop(self, case, stagger, harvests_per_tier,
-                                            bench_config, lue_calibrated):
+                                            bench_config, lue_calibrated, request):
         cfg = _with_stagger(bench_config, stagger)
-        ppfd = _bench_light(cfg, case)
+        if case == "lp_nl":     # tier 3 under LP_NL's daylight: a PPFD nearly every lit hour
+            ppfd = _bench_light(cfg, "year").copy()
+            ppfd[:, 2] = request.getfixturevalue("scenario_results")["LP_NL"].hourly[
+                "total_ppfd_t3"]
+        else:
+            ppfd = _bench_light(cfg, case)
         f_int, dli, harvests, fm_growth_kg, cycles, yield_kg = _hourly_crop_loop(
             cfg, lue_calibrated, ppfd)
         got = engine._crop_stage(cfg, lue_calibrated, ppfd)
@@ -612,7 +619,7 @@ class TestTiledTierYear:
         curve = lue_calibrated.curve(cfg.setpoint_t, cfg.setpoint_co2)
         got_f, got_harvests = np.empty_like(ppfd), []
         ends = [engine._tier_year(s, ppfd[:, t], curve, cfg.crop, t + 1, got_f[:, t],
-                                  np.zeros(ppfd.shape[0]), got_harvests)
+                                  got_harvests)[0]
                 for t, s in enumerate(states)]
         assert np.array_equal(got_f, f_int)
         assert sorted(got_harvests) == harvests and len(harvests) == 3
@@ -637,20 +644,26 @@ class TestTiledTierYear:
         cfg = bench_config
         curve = lue_calibrated.curve(cfg.setpoint_t, cfg.setpoint_co2)
         start = engine._tier_year(cfg.crop.transplant_state(), np.full(grown_before, 250.0),
-                                  curve, cfg.crop, 1, np.empty(grown_before),
-                                  np.empty(grown_before), [])
+                                  curve, cfg.crop, 1, np.empty(grown_before), [])[0]
         column = _bench_light(cfg, case)[:, 0].copy()
-        grown, harvests = [], []
-        monkeypatch.setattr(engine, "grow", lambda *a: grown.append(a) or grow(*a))
-        engine._tier_year(start, column, curve, cfg.crop, 1, np.empty(column.size),
-                          np.zeros(column.size), harvests)
+        harvests = []
+        stepped = []                            # rows of each _step_lit call: one per hour
+        step_lit = engine._step_lit
+
+        def counted(*args, **kwargs):
+            rows = step_lit(*args, **kwargs)
+            stepped.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(engine, "_step_lit", counted)
+        engine._tier_year(start, column, curve, cfg.crop, 1, np.empty(column.size), harvests)
         lit = np.flatnonzero(column > 0.0)
         if case == "two":                       # two PPFDs: stepped hour by hour
-            assert len(grown) == lit.size
+            assert sum(stepped) == lit.size
         else:
             assert len(harvests) >= 3
             last = harvests[1 if grown_before else 0][0]
-            assert len(grown) == np.count_nonzero(lit <= last)
+            assert sum(stepped) == np.count_nonzero(lit <= last)
 
     def test_a_start_at_the_harvest_target_is_refused(self, bench_config, lue_calibrated):
         p = bench_config.crop
@@ -658,7 +671,7 @@ class TestTiledTierYear:
         curve = lue_calibrated.curve(bench_config.setpoint_t, bench_config.setpoint_co2)
         column = np.zeros(48)
         with pytest.raises(ValueError, match="harvest target"):
-            engine._tier_year(ripe, column, curve, p, 1, np.empty(48), np.zeros(48), [])
+            engine._tier_year(ripe, column, curve, p, 1, np.empty(48), [])
 
 
 def _hourly_daylight_and_control(cfg, climate, table, solar):
