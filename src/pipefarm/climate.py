@@ -238,7 +238,8 @@ def load_climate(path: str | Path, columns: Optional[dict] = None) -> ClimateSer
     file's header names. Units are fixed: degC and W m-2. The file must
     contain exactly one full year of strictly increasing hourly records;
     gaps, duplicates and negative irradiance are rejected with the
-    offending row index.
+    offending row: its index among the rows after the header, blank rows
+    included.
     """
     path = Path(path)
     if not path.exists():
@@ -256,7 +257,7 @@ def load_climate(path: str | Path, columns: Optional[dict] = None) -> ClimateSer
             raise ClimateError(f"missing column(s) {missing} in {path.name}; header={header}")
         idx = {k: header.index(v) for k, v in names.items()}
 
-        hours, temps, dnis, dhis = [], [], [], []
+        rows, hours, temps, dnis, dhis = [], [], [], [], []
         reader = csv.reader(fh, delimiter=delimiter)
         for row_no, row in enumerate(reader):
             if not row or all(not c.strip() for c in row):
@@ -272,6 +273,7 @@ def load_climate(path: str | Path, columns: Optional[dict] = None) -> ClimateSer
                 raise ClimateError(f"negative DNI at row {row_no}")
             if dhi < 0.0:
                 raise ClimateError(f"negative DHI at row {row_no}")
+            rows.append(row_no)
             hours.append(t)
             temps.append(temp)
             dnis.append(dni)
@@ -282,10 +284,10 @@ def load_climate(path: str | Path, columns: Optional[dict] = None) -> ClimateSer
             f"incomplete year: {len(hours)} records, expected {HOURS_PER_YEAR}")
     steps = np.diff(np.asarray(hours))
     if np.any(steps <= 0.0):
-        bad = int(np.flatnonzero(steps <= 0.0)[0]) + 1
+        bad = rows[int(np.flatnonzero(steps <= 0.0)[0]) + 1]
         raise ClimateError(f"timestamps not strictly increasing at row {bad}")
     if not np.allclose(steps, 1.0, atol=1e-6):
-        bad = int(np.flatnonzero(np.abs(steps - 1.0) > 1e-6)[0]) + 1
+        bad = rows[int(np.flatnonzero(np.abs(steps - 1.0) > 1e-6)[0]) + 1]
         raise ClimateError(f"non-hourly timestamp step at row {bad}")
     return ClimateSeries(np.asarray(temps), np.asarray(dnis), np.asarray(dhis),
                          source=str(path))

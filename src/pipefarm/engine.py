@@ -7,16 +7,20 @@ lighting (LED commands and power as one array call over the year), crop
 (the one sequential stage: growth and harvests per tier) and thermal
 (canopy sink, latent terms, air-node balance and HVAC electricity, with
 the transient air node in `thermal.transient_loads`); the annual
-aggregates are reductions of those arrays. Two pieces stay scalar calls
-per hour, because the benchmark's traced run reads their per-call
-results: the film state (`ec_control`) and the quasi-steady pipe
-convection. The crop stage steps only the lit hours of each tier's year
-(and of the stagger pre-roll), on plain floats with the growth law
-inline, with their LUE from one array call of the run's LUE curve
-(temperature and CO2 are fixed setpoints), bit-identical to stepping
-`CropState`s hour by hour with `crop`'s one-step forms; a tier
-lit at one PPFD steps one cycle and tiles it over the year. Bench has no
-daylight, so calibration iterates the crop stage alone on its LED light.
+aggregates are reductions of those arrays. Two pieces stay scalar calls,
+because the benchmark's traced run reads their per-call results, but
+only in the hours they act: the film state (`ec_control`) in the sun-up
+hours its passive state would pass more than the cap, and the
+quasi-steady pipe convection in the hours the chamber is warmer than
+outside. Every other hour takes the answer the call would give: the
+passive transmittance, or no loss at Ra 0. The crop stage steps only the
+lit hours of each tier's year (and of the stagger pre-roll), on plain
+floats with the growth law inline, with their LUE from one array call of
+the run's LUE curve (temperature and CO2 are fixed setpoints),
+bit-identical to stepping `CropState`s hour by hour with `crop`'s
+one-step forms; a tier lit at one PPFD steps one cycle and tiles its
+read columns over the year. Bench has no daylight, so calibration
+iterates the crop stage alone on its LED light.
 
 A `Study` is a scenario set under one climate year and one LUE scale,
 which it fits itself: it builds their shared inputs once and refuses mixed
@@ -46,7 +50,7 @@ from .crop import CropParams, CropState, LueCurve, LueTable, growth_step, harves
     harvest_if_due, interception, standing_credit_kg
 from .economics import REFERENCE_PIPE_PPF, KpiReport, compute_kpis, led_cost_per_watt, \
     payback_time, pipe_hardware, pipe_light_cost, sensitivity_sweep
-from .lighting import control_tier3, ec_control, led_electric_power
+from .lighting import EC_FILM, control_tier3, ec_control, led_electric_power
 from .optics import OpticalEfficiencyTable, PAR_UMOL_PER_J, \
     apply_neutral_attenuation, apply_uv_ir_filter, gh_gains, lp_crop_ppfd, lp_solar_gains
 from .thermal import LATENT_HEAT_J_PER_KG, RA_VALID_RANGE, latent_balance, envelope_load, \
@@ -388,8 +392,11 @@ def _daylight_stage(cfg: ScenarioConfig, climate: ClimateSeries,
 
     Returns the chamber solar gain q_sol (W), the power reaching the crop
     plane q_crop (W), the delivered crop PPFD after any filter or film, and
-    the film transmittance (NaN where no film acts). The first table-clamp
-    and unreachable-cap hours go to `warnings` as (hour, text).
+    the film transmittance (NaN where no film acts). The film stays at its
+    passive `EC_FILM.tau_max` in every sun-up hour but those where that
+    would pass more than the cap, and `ec_control` is called for those
+    only. The first table-clamp and unreachable-cap hours go to `warnings`
+    as (hour, text).
     """
     q_sol = np.zeros(HOURS_PER_YEAR)
     q_crop = np.zeros(HOURS_PER_YEAR)
@@ -417,11 +424,16 @@ def _daylight_stage(cfg: ScenarioConfig, climate: ClimateSeries,
             if strategy.filter_tau is not None:
                 gains = apply_uv_ir_filter(gains, strategy.filter_tau)
             elif strategy.ec_film:
-                tau = np.empty(sun.size)
+                raw = lp_crop_ppfd(gains, tier_area)
+                tau = np.full(sun.size, EC_FILM.tau_max)
                 unreachable = np.zeros(sun.size, dtype=bool)
-                # memoryview hands ec_control Python floats without an hourly list
-                for k, raw in enumerate(memoryview(lp_crop_ppfd(gains, tier_area))):
-                    _, tau[k], _, unreachable[k] = ec_control(raw, cfg.ec_cap_ppfd)
+                # passive (tau_max) unless it would pass more than the cap:
+                # ec_control's own test, negated so that a NaN, like a
+                # negative PPFD it refuses, still takes the call
+                passive = (raw * EC_FILM.tau_max <= cfg.ec_cap_ppfd) & (raw >= 0.0)
+                act = np.flatnonzero(~passive)
+                for k, x in zip(act.tolist(), raw[act].tolist()):
+                    _, tau[k], _, unreachable[k] = ec_control(x, cfg.ec_cap_ppfd)
                 if unreachable.any():
                     i = int(sun[np.argmax(unreachable)])
                     warnings.append((i, f"hour {i}: EC cap unreachable at max attenuation"))
@@ -534,23 +546,32 @@ def _tier_year(state: CropState, ppfd: np.ndarray, curve: LueCurve, p: CropParam
     hours = list(zip(light.tolist(), *(v.tolist() for v in curve(light)[:2])))
     hours *= lit.size if tiled else 1
     steps = _step_lit(state, hours, p, once=tiled)
-    if tiled and replace(state, cycles=0) != transplant and len(steps) < lit.size:
-        cycle = _step_lit(transplant, hours[len(steps):], p, once=True)
-        steps = np.concatenate((steps, np.resize(cycle, (lit.size - len(steps), 5))))
-    elif tiled:                                     # the first cycle is the one tiled
-        steps = np.resize(steps, (lit.size, 5))
-    cut = steps[:, 3] > 0.0
-    fm_step = steps[:, 0].copy()                    # so the (lit, 5) rows are freed here
+    last = steps[-1] if len(steps) else None        # the row of the last lit hour
+    if tiled and len(steps) < lit.size:
+        if replace(state, cycles=0) == transplant:  # the first cycle is the one tiled
+            steps, cycle = steps[:0], steps
+        else:
+            cycle = _step_lit(transplant, hours[len(steps):], p, once=True)
+        n = lit.size - len(steps)
+        last = cycle[(n - 1) % len(cycle)]
+        # only the growth, harvest and interception columns are read per
+        # hour, so only they are tiled
+        fm_step, cut, f_after = (
+            np.concatenate((steps[:, j],) + (cycle[:, j],) * -(-n // len(cycle)))[:lit.size]
+            for j in range(3))
+    else:                                           # the copy frees the stepped rows
+        fm_step, cut, f_after = steps[:, 0].copy(), steps[:, 1], steps[:, 2]
+    cut = cut > 0.0
     harvests.extend((h, tier, p.harvest_kg) for h in lit[cut].tolist())
     # each hour reads the interception after the last lit hour before it
-    f_int[:] = np.repeat(np.append(interception(state.lai, p.extinction_k), steps[:, 4]),
+    f_int[:] = np.repeat(np.append(interception(state.lai, p.extinction_k), f_after),
                          np.diff(np.concatenate(([-1], lit, [ppfd.size - 1]))))
     if not lit.size:
         return state, lit, fm_step
     cycles = state.cycles + int(np.count_nonzero(cut))
     if cut[-1]:
         return replace(transplant, cycles=cycles), lit, fm_step
-    dm, fm = steps[-1, 1:3].tolist()
+    dm, fm = last[3:].tolist()
     return CropState(dm, fm, p.leaf_area(dm), cycles), lit, fm_step
 
 
@@ -558,9 +579,9 @@ def _step_lit(state: CropState, hours: list, p: CropParams, once: bool) -> np.nd
     """Step a tier from `state` over lit hours given as (PPFD, lue_dm,
     lue_fm), to their end or, when `once`, through the first harvest.
 
-    One row per hour: the fresh growth, the dry and fresh matter after
-    growth, 1.0 where the hour ends in a harvest (which resets the tier to
-    the transplant state) else 0.0, and the interception after the hour.
+    One row per hour: the fresh growth, 1.0 where the hour ends in a
+    harvest (which resets the tier to the transplant state) else 0.0, the
+    interception after the hour, and the dry and fresh matter after growth.
     The growth law is `crop.grow`, `CropParams.leaf_area`, `harvest_due`
     and `interception` on plain floats, each operation in their order.
     """
@@ -578,7 +599,7 @@ def _step_lit(state: CropState, hours: list, p: CropParams, once: bool) -> np.nd
         dm = dm + absorbed * lue_dm
         fm = fm + absorbed * lue_fm
         if fm / density >= target:                  # harvested: back to the transplant
-            rows += (fm - fm0, dm, fm, 1.0, f_start)
+            rows += (fm - fm0, 1.0, f_start, dm, fm)
             if once:
                 break
             dm, fm, f = start.dm_g_m2, start.fm_g_m2, f_start
@@ -587,7 +608,7 @@ def _step_lit(state: CropState, hours: list, p: CropParams, once: bool) -> np.nd
         if lai > lai_cap:                           # min(), without the call
             lai = lai_cap
         f = 1.0 - float(exp(-k * lai)) if lai > 0.0 else 0.0
-        rows += (fm - fm0, dm, fm, 0.0, f)
+        rows += (fm - fm0, 0.0, f, dm, fm)
     return np.array(rows, dtype=float).reshape(-1, 5)
 
 
@@ -622,8 +643,10 @@ def _thermal_stage(cfg: ScenarioConfig, t_ext: np.ndarray, ppfd: np.ndarray,
     The canopy sink adds tier 1, tier 2, tier-3 LED and tier-3 daylight
     light in that order, as an hourly sum would. Quasi-steady mode delivers
     the balance's closure term; transient mode delivers what
-    `transient_loads` integrates. The first hour with the pipe Rayleigh
-    number out of range goes to `warnings` as (hour, text).
+    `transient_loads` integrates. The pipe convection is one scalar
+    `lp_convection` call per hour the chamber is warmer than outside; the
+    other hours lose nothing. The first hour with the pipe Rayleigh number
+    out of range goes to `warnings` as (hour, text).
     """
     chamber = cfg.effective_chamber()
     tier_area = cfg.crop.tier_area_m2
@@ -644,9 +667,13 @@ def _thermal_stage(cfg: ScenarioConfig, t_ext: np.ndarray, ppfd: np.ndarray,
         pipe = dict(length_m=length, heat_area_m2=heat_area, n_pipes=cfg.n_pipes)
         ra_lo, ra_hi = RA_VALID_RANGE
         flagged = False
-        for i in range(HOURS_PER_YEAR):
-            q_conv[i], ra = lp_convection(cfg.setpoint_t, t_ext.item(i), length,
-                                          heat_area, n_pipes=cfg.n_pipes)
+        # no buoyant loss unless the chamber is warmer: lp_convection's own
+        # test, negated so that a NaN still takes the call; the others
+        # would return (0.0, 0.0)
+        warm = np.flatnonzero(~(cfg.setpoint_t - t_ext <= 0.0))
+        for i, t in zip(warm.tolist(), t_ext[warm].tolist()):
+            q_conv[i], ra = lp_convection(cfg.setpoint_t, t, length, heat_area,
+                                          n_pipes=cfg.n_pipes)
             if ra > 0.0 and not flagged and not ra_lo <= ra <= ra_hi:
                 warnings.append((i, f"hour {i}: pipe Rayleigh number {ra:.3g} outside "
                                     f"correlation range {RA_VALID_RANGE}"))

@@ -90,18 +90,28 @@ def lp_convection(t_in: float, t_ext: float, length_m: float, heat_area_m2: floa
     Suppressed entirely (+0.0) when the chamber is no warmer than outside.
     Returns (Q, Ra); Ra is 0 on the suppressed branch and lets callers
     flag operation outside the correlation's comfortable range. A float
-    difference takes a plain scalar path, the hot per-hour call.
+    difference takes a plain scalar path: the quasi-steady stage calls it
+    for each hour the chamber is warmer. Arrays (the transient air node's
+    substeps) evaluate the correlation on their warmer entries only.
     """
     dt = t_in - t_ext
+    warm = None
     if not isinstance(dt, float):
-        dt = np.where(dt > 0.0, dt, 0.0)
+        dt = np.asarray(dt)
+        warm = dt > 0.0
+        dt = dt[warm]
     elif dt <= 0.0:
         return 0.0, 0.0
     ra = (GRAVITY * AIR_BETA * dt * length_m ** 3
           / (AIR_KINEMATIC_VISCOSITY ** 2 / AIR_PRANDTL))
     nu = 0.15 * ra ** 0.33
     u_lp = nu * AIR_CONDUCTIVITY / length_m
-    return u_lp * heat_area_m2 * dt * n_pipes, ra
+    q = u_lp * heat_area_m2 * dt * n_pipes
+    if warm is None:
+        return q, ra
+    q_all, ra_all = np.zeros(warm.shape), np.zeros(warm.shape)  # +0.0 where not warmer
+    q_all[warm], ra_all[warm] = q, ra
+    return q_all, ra_all
 
 
 def envelope_load(geometry: ChamberGeometry, t_in: float, t_ext: float) -> float:

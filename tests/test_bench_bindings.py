@@ -72,6 +72,7 @@ def test_traced_runs_report_finite_metrics(tracing, scenario_configs, climate,
     bad = {k: v for k, v in values.items()
            if not (isinstance(v, (int, float)) and math.isfinite(v))}
     assert not bad
-    # the Rayleigh hook reads the quasi-steady stage's scalar per-hour calls
+    # the Rayleigh hook reads the quasi-steady stage's scalar calls, one per
+    # hour the chamber is warmer than outside
     assert values["thermal.lp_convection_calls"] > 0
     assert values["thermal.ra_out_of_range_hours"] > 0

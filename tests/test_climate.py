@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,24 @@ class TestLoadClimate:
         p = tmp_path / "neg.csv"
         _write_year(p, rows)
         with pytest.raises(ClimateError, match="row 100"):
+            load_climate(p)
+
+    # a blank row after hour 10 puts hour 100's record on row 101; every
+    # check names that row
+    @pytest.mark.parametrize("record,match", [
+        ((100, 25.0, -3.0, 100.0), "negative DNI at row 101"),
+        ((100, 25.0, 500.0, -1.0), "negative DHI at row 101"),
+        ((100.5, 25.0, 500.0, 100.0), "non-hourly timestamp step at row 101"),
+        ((98, 25.0, 500.0, 100.0), "timestamps not strictly increasing at row 101"),
+        (("noon", 25.0, 500.0, 100.0), "bad record at row 101: unparseable timestamp"),
+        ((100, "warm", 500.0, 100.0), "bad record at row 101")])
+    def test_rows_count_blank_lines(self, record, match, tmp_path):
+        rows = _default_rows()
+        rows[100] = record
+        rows.insert(11, ())
+        p = tmp_path / "blank.csv"
+        _write_year(p, rows)
+        with pytest.raises(ClimateError, match=f"^{re.escape(match)}"):
             load_climate(p)
 
     def test_incomplete_year(self, tmp_path):

@@ -45,6 +45,11 @@ class TestLightCost:
         with pytest.raises(ValueError):
             light_cost(300.0, 0.0)
 
+    def test_capex_bound_is_zero(self):
+        assert light_cost(0.0, 24.9) == 0.0
+        with pytest.raises(ValueError, match="capex"):
+            light_cost(-1e-9, 24.9)
+
     def test_lumens_conversion(self):
         assert lumens_to_photon_flux(9200.0) == pytest.approx(167.1, abs=0.2)
 

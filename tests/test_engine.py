@@ -20,6 +20,7 @@ from pipefarm.engine import (SimulationError, Study, calibrate_lue_scale, compar
 from pipefarm.lighting import EC_FILM, STRATEGIES, control_tier3, ec_control, led_electric_power
 from pipefarm.optics import (DIFFUSE_BANDS, OpticalEfficiencyTable, apply_neutral_attenuation,
                              apply_uv_ir_filter, gh_gains, lp_crop_ppfd, lp_solar_gains)
+from pipefarm.thermal import RA_VALID_RANGE, lp_convection
 from pipefarm.tracer import MODEL_REVISION
 
 
@@ -745,6 +746,50 @@ class TestDaylightAndControlOracle:
         assert np.array_equal(got_dim, dim)
         assert np.array_equal(got_p3, p3)
         assert got_warnings == warnings
+
+
+def _hourly_convection(cfg, t_ext):
+    """The quasi-steady pipe convection as a loop of scalar calls over every
+    hour, and its first out-of-range Rayleigh warning: the reference the
+    thermal stage must reproduce bit for bit."""
+    q = np.zeros(HOURS_PER_YEAR)
+    warnings = []
+    lo, hi = RA_VALID_RANGE
+    for i in range(HOURS_PER_YEAR):
+        q[i], ra = lp_convection(cfg.setpoint_t, t_ext.item(i), cfg.lp_geometry.length_m,
+                                 cfg.lp_heat_area_m2(), n_pipes=cfg.n_pipes)
+        if ra > 0.0 and not warnings and not lo <= ra <= hi:
+            warnings.append((i, f"hour {i}: pipe Rayleigh number {ra:.3g} outside "
+                                f"correlation range {RA_VALID_RANGE}"))
+    return q, warnings
+
+
+class TestPipeConvectionOracle:
+    """The thermal stage calls `lp_convection` only in the hours the chamber
+    is warmer than outside; every other hour must read as the scalar call."""
+
+    # outside equal to the setpoint, 1e-9 K either side of it, and well away
+    STRADDLE = np.array([0.0, 1e-9, 3.0, 0.0, -1e-9, -5.0, 1e-9, -0.01, -1e-9, 12.0, 0.0])
+
+    @pytest.mark.parametrize("name", [n for n, row in STRATEGIES.items()
+                                      if row.daylight == "pipe"])
+    @pytest.mark.parametrize("year", ["shipped", "straddle"])
+    def test_matches_scalar_calls_every_hour(self, name, year, scenario_configs, climate):
+        cfg = scenario_configs[name]
+        t_ext = climate.temperature
+        if year == "straddle":
+            t_ext = cfg.setpoint_t + np.resize(self.STRADDLE, HOURS_PER_YEAR)
+            assert (t_ext == cfg.setpoint_t).any()
+        q, warnings = _hourly_convection(cfg, t_ext)
+        dark, zeros = np.zeros((HOURS_PER_YEAR, 3)), np.zeros(HOURS_PER_YEAR)
+        got_warnings = []
+        got = engine._thermal_stage(cfg, t_ext, dark, zeros, dark, zeros, zeros, zeros,
+                                    got_warnings)
+        q_conv = got.hourly["q_lp_conv"]
+        assert np.array_equal(q_conv, q)
+        assert not np.signbit(q_conv).any()
+        assert 0 < np.count_nonzero(q) < HOURS_PER_YEAR
+        assert got_warnings == warnings and len(warnings) == 1
 
 
 def _row_writer(path, header, rows):

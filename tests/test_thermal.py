@@ -209,6 +209,21 @@ class TestHourArrays:
         assert np.all(q[off] == 0.0) and np.all(q[~off] > 0.0)
 
 
+    def test_pipe_convection_on_warm_entries_matches_the_whole_array(self):
+        """The correlation runs on the warmer entries only; the result equals
+        evaluating it over the whole array with the rest clipped to zero."""
+        rng = np.random.default_rng(3)
+        t_ext = np.concatenate((24.0 + rng.normal(0.0, 6.0, 8000),
+                                [24.0, 24.0 - 1e-9, 24.0 + 1e-9, np.nan, np.inf, -np.inf]))
+        q, ra = lp_convection(24.0, t_ext, 1.3, 0.0177, n_pipes=750)
+        with np.errstate(invalid="ignore"):
+            dt = np.where(24.0 - t_ext > 0.0, 24.0 - t_ext, 0.0)
+        dense_ra = (9.81 * (1.0 / 297.0) * dt * 1.3 ** 3 / ((1.5e-5) ** 2 / 0.71))
+        dense_q = 0.15 * dense_ra ** 0.33 * 0.026 / 1.3 * 0.0177 * dt * 750
+        assert np.array_equal(ra, dense_ra) and np.array_equal(q, dense_q)
+        assert not np.signbit(q).any() and not np.signbit(ra).any()
+        assert 0 < np.count_nonzero(q) < q.size
+
 def scalar_air_node(chamber, gains_fixed, t_ext, setpoint, substeps, deadband, capacity,
                     pipe=None, events=None):
     """One hour of the transient air node as scalar substeps: the reference
