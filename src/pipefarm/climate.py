@@ -214,7 +214,7 @@ class ClimateSeries:
 _TIME_FORMATS = ("%Y-%m-%d %H:%M", "%Y-%m-%dT%H:%M", "%Y%m%d:%H%M", "%d/%m/%Y %H:%M")
 
 
-def _parse_time_cell(cell: str, row: int) -> float:
+def _parse_time_cell(cell: str) -> float:
     """Hours since the first record; accepts an index or a datetime string."""
     cell = cell.strip()
     try:
@@ -228,7 +228,7 @@ def _parse_time_cell(cell: str, row: int) -> float:
             return (dt - ref).total_seconds() / 3600.0
         except ValueError:
             continue
-    raise ClimateError(f"unparseable timestamp {cell!r} at row {row}")
+    raise ClimateError(f"unparseable timestamp {cell!r}")
 
 
 def load_climate(path: str | Path, columns: Optional[dict] = None) -> ClimateSeries:
@@ -263,7 +263,7 @@ def load_climate(path: str | Path, columns: Optional[dict] = None) -> ClimateSer
             if not row or all(not c.strip() for c in row):
                 continue
             try:
-                t = _parse_time_cell(row[idx["time"]], row_no)
+                t = _parse_time_cell(row[idx["time"]])
                 temp = float(row[idx["temperature"]])
                 dni = float(row[idx["dni"]])
                 dhi = float(row[idx["dhi"]])

@@ -53,8 +53,9 @@ from .economics import REFERENCE_PIPE_PPF, KpiReport, compute_kpis, led_cost_per
 from .lighting import EC_FILM, control_tier3, ec_control, led_electric_power
 from .optics import OpticalEfficiencyTable, PAR_UMOL_PER_J, \
     apply_neutral_attenuation, apply_uv_ir_filter, gh_gains, lp_crop_ppfd, lp_solar_gains
-from .thermal import LATENT_HEAT_J_PER_KG, RA_VALID_RANGE, latent_balance, envelope_load, \
-    hvac_electricity, lp_convection, solve_hvac_load, transient_loads
+from .thermal import LATENT_HEAT_J_PER_KG, POWER_COLUMNS, RA_VALID_RANGE, latent_balance, \
+    envelope_load, hvac_electricity, lp_convection, relative_residual, solve_hvac_load, \
+    transient_loads
 from .tracer import MODEL_REVISION, build_efficiency_table
 
 __all__ = ["SimulationError", "SimulationResult", "Study", "prepare_efficiency_table",
@@ -217,18 +218,13 @@ class SimulationResult:
         p.write_text(json.dumps(kpis_doc, indent=2, sort_keys=True))
         written.append(p)
 
-        p = outdir / "hourly_power.csv"
-        cols = [c for c in self.hourly if c.startswith(("q_", "p_"))]
-        write_csv(p, ["hour"] + cols,
-                  [range(HOURS_PER_YEAR)] + [self.hourly[c] for c in cols])
-        written.append(p)
-
-        p = outdir / "hourly_lighting.csv"
-        cols = [c for c in self.hourly if c.startswith(("led_", "daylight", "total_ppfd",
-                                                        "ec_", "dim"))]
-        write_csv(p, ["hour"] + cols,
-                  [range(HOURS_PER_YEAR)] + [self.hourly[c] for c in cols])
-        written.append(p)
+        lighting = [c for c in self.hourly if c not in POWER_COLUMNS]
+        for name, cols in (("hourly_power.csv", POWER_COLUMNS),
+                           ("hourly_lighting.csv", lighting)):
+            p = outdir / name
+            write_csv(p, ["hour", *cols],
+                      [range(HOURS_PER_YEAR)] + [self.hourly[c] for c in cols])
+            written.append(p)
 
         p = outdir / "dli.csv"
         days, tiers = self.dli.shape
@@ -626,7 +622,7 @@ def _staggered_states(cfg: ScenarioConfig, lue: LueTable,
 
 
 class _ThermalYear(NamedTuple):
-    hourly: dict               # q_env ... p_total_el, in the result's column order
+    hourly: dict               # thermal.POWER_COLUMNS, in order
     q_cool: np.ndarray         # delivered cooling and heating magnitudes (W)
     q_heat: np.ndarray
     cool_el: np.ndarray        # the cooling share of p_hvac_el (W)
@@ -678,27 +674,25 @@ def _thermal_stage(cfg: ScenarioConfig, t_ext: np.ndarray, ppfd: np.ndarray,
                 warnings.append((i, f"hour {i}: pipe Rayleigh number {ra:.3g} outside "
                                     f"correlation range {RA_VALID_RANGE}"))
                 flagged = True
-    bd = solve_hvac_load(q_env=envelope_load(chamber, cfg.setpoint_t, t_ext), q_led=p_led,
-                         q_lp_sol=q_sol, q_lp_conv=q_conv,
-                         q_plant=cfg.surrogates.crop_storage_fraction * gross, q_eva=q_eva)
+    balance = solve_hvac_load(q_env=envelope_load(chamber, cfg.setpoint_t, t_ext), q_led=p_led,
+                              q_lp_sol=q_sol, q_lp_conv=q_conv, q_eva=q_eva,
+                              q_plant=cfg.surrogates.crop_storage_fraction * gross)
     if cfg.timestep_mode == "transient":
-        q_cool, q_heat = transient_loads(bd, t_ext, chamber, cfg.setpoint_t,
+        q_cool, q_heat = transient_loads(balance, t_ext, chamber, cfg.setpoint_t,
                                          cfg.transient_capacity_w, pipe)
     else:
-        q_cool = np.maximum(0.0, -bd.q_hc)
-        q_heat = np.maximum(0.0, bd.q_hc)
+        q_cool = np.maximum(0.0, -balance["q_hc"])
+        q_heat = np.maximum(0.0, balance["q_hc"])
     cool_el, heat_el = hvac_electricity(q_cool, q_heat, t_ext, cfg.cop, q_eva)
     p_hvac = cool_el + heat_el
     p_total = p_led + p_hvac
-    bad = ~(np.isfinite(p_total) & np.isfinite(bd.q_hc))
+    bad = ~(np.isfinite(p_total) & np.isfinite(balance["q_hc"]))
     if bad.any():
         raise SimulationError("non-finite power term", hour=int(np.argmax(bad)))
 
-    hourly = {"q_env": bd.q_env, "q_led": p_led, "q_lp_sol": q_sol, "q_lp_conv": q_conv,
-              "q_plant": bd.q_plant, "q_eva": q_eva, "q_hc": bd.q_hc,
-              "p_hvac_el": p_hvac, "p_total_el": p_total}
+    hourly = {**balance, "p_hvac_el": p_hvac, "p_total_el": p_total}
     return _ThermalYear(hourly, q_cool, q_heat, cool_el, float(transp.sum() * 3600.0),
-                        float(recovered.sum()), float(bd.relative_residual().max()))
+                        float(recovered.sum()), float(relative_residual(balance).max()))
 
 
 # ---------------------------------------------------------------------------

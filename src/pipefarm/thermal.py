@@ -5,14 +5,13 @@ balance is solved for the heating/cooling power each hour. Transient
 operation (`transient_loads`) sub-steps every hour's air node at once
 under a deadband thermostat. Constants no config varies (air properties,
 latent heat, the COP floor, the substeps and deadband) sit beside the code
-that reads them. Sign convention: every term is a signed flow into the air
-node, so cooling demand shows up as a negative closure term.
-The convection, balance, COP, HVAC and latent functions take one hour's
-scalars or arrays of hours alike.
+that reads them. The convection, balance, COP, HVAC and latent functions
+take one hour's scalars or arrays of hours alike.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import reduce
 
@@ -21,12 +20,14 @@ import numpy as np
 __all__ = [
     "Surface",
     "ChamberGeometry",
-    "PowerBreakdown",
+    "BALANCE",
+    "POWER_COLUMNS",
     "CopModel",
     "LatentModel",
     "lp_convection",
     "envelope_load",
     "solve_hvac_load",
+    "relative_residual",
     "transient_loads",
     "hvac_electricity",
     "latent_balance",
@@ -65,12 +66,8 @@ class ChamberGeometry:
             raise ValueError("chamber dimensions must be positive")
 
     @property
-    def air_volume_m3(self) -> float:
-        return self.floor_area_m2 * self.height_m
-
-    @property
     def thermal_capacity_j_per_k(self) -> float:
-        return AIR_DENSITY * AIR_CP * self.air_volume_m3
+        return AIR_DENSITY * AIR_CP * (self.floor_area_m2 * self.height_m)
 
 
 # Film-temperature air properties for the in-pipe buoyancy correlation, fixed
@@ -119,48 +116,55 @@ def envelope_load(geometry: ChamberGeometry, t_in: float, t_ext: float) -> float
     return sum(s.u_value * s.area_m2 for s in geometry.surfaces) * (t_ext - t_in)
 
 
-@dataclass(frozen=True)
-class PowerBreakdown:
-    """Signed air-node balance terms for one hour, all in watts.
+# The air node's driving terms (W) in the hourly columns' order, each with
+# its sign (+1 a gain to the air, -1 a sink) and whether the transient node
+# recomputes it from the drifting air. q_hc, the HVAC term, closes their
+# signed sum; each sum starts at its first term, as 0.0 + -0.0 is +0.0.
+Term = namedtuple("Term", "sign follows_air")
+BALANCE = {
+    "q_env": Term(+1, True),       # transmission through the envelope
+    "q_led": Term(+1, False),      # LED heat, equal to the LEDs' electric draw
+    "q_lp_sol": Term(+1, False),   # solar heat the light pipes deliver
+    "q_lp_conv": Term(-1, True),   # buoyant loss up the open light pipes
+    "q_plant": Term(-1, False),    # light the crop stores as biomass
+    "q_eva": Term(-1, False),      # evaporative cooling, condensed at the coil
+}
+POWER_COLUMNS = (*BALANCE, "q_hc", "p_hvac_el", "p_total_el")
 
-    q_hc closes the quasi-steady balance: negative is cooling demand,
-    positive heating. q_eva, the evaporative cooling of the air, is also
-    the latent load condensed at the cooling coil.
+
+def _signed(terms: dict, names):
+    """Each named term with its BALANCE sign, in order."""
+    return (terms[name] if BALANCE[name].sign > 0 else -terms[name] for name in names)
+
+
+def solve_hvac_load(**terms) -> dict:
+    """Close the air balance for q_hc with the setpoint held (dT/dt = 0).
+
+    Takes exactly BALANCE's terms by name, as scalars or arrays of hours;
+    returns them in its order, then q_hc: the sinks less the summed gains,
+    a flow into the air node that is negative for cooling demand.
     """
-
-    q_env: float = 0.0
-    q_led: float = 0.0
-    q_lp_sol: float = 0.0
-    q_lp_conv: float = 0.0
-    q_plant: float = 0.0
-    q_eva: float = 0.0
-    q_hc: float = 0.0
-
-    def residual(self) -> float:
-        """Signed quasi-steady balance residual (W)."""
-        return (self.q_env + self.q_led + self.q_lp_sol - self.q_lp_conv
-                - self.q_plant - self.q_eva + self.q_hc)
-
-    def relative_residual(self) -> float:
-        terms = (self.q_env, self.q_led, self.q_lp_sol, self.q_lp_conv, self.q_plant,
-                 self.q_eva, self.q_hc)
-        return abs(self.residual()) / reduce(np.maximum, map(abs, terms), 1.0)
+    if terms.keys() != BALANCE.keys():
+        raise TypeError(f"solve_hvac_load takes the terms {list(BALANCE)}, got {list(terms)}")
+    balance = {name: terms[name] for name in BALANCE}
+    gains = reduce(np.add, (terms[n] for n, term in BALANCE.items() if term.sign > 0))
+    sinks = (terms[n] for n, term in BALANCE.items() if term.sign < 0)
+    balance["q_hc"] = reduce(np.add, sinks, -gains)
+    return balance
 
 
-def solve_hvac_load(q_env: float = 0.0, q_led: float = 0.0, q_lp_sol: float = 0.0,
-                    q_lp_conv: float = 0.0, q_plant: float = 0.0, q_eva: float = 0.0
-                    ) -> PowerBreakdown:
-    """Close the air balance for q_hc with the setpoint held (dT/dt = 0)."""
-    q_hc = -(q_env + q_led + q_lp_sol) + q_lp_conv + q_plant + q_eva
-    return PowerBreakdown(q_env=q_env, q_led=q_led, q_lp_sol=q_lp_sol,
-                          q_lp_conv=q_lp_conv, q_plant=q_plant, q_eva=q_eva, q_hc=q_hc)
+def relative_residual(balance: dict):
+    """|signed term sum + q_hc| over the largest term magnitude, floored at 1 W."""
+    residual = reduce(np.add, _signed(balance, BALANCE)) + balance["q_hc"]
+    magnitudes = (abs(balance[name]) for name in (*BALANCE, "q_hc"))
+    return abs(residual) / reduce(np.maximum, magnitudes, 1.0)
 
 
 TRANSIENT_SUBSTEPS = 60
 TRANSIENT_DEADBAND_K = 0.5
 
 
-def transient_loads(bd: PowerBreakdown, t_ext: np.ndarray, chamber: ChamberGeometry,
+def transient_loads(balance: dict, t_ext: np.ndarray, chamber: ChamberGeometry,
                     setpoint_c: float, capacity_w: float, pipe: dict | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Mean cooling and heating magnitudes (W) a thermostat delivers each hour.
@@ -169,26 +173,27 @@ def transient_loads(bd: PowerBreakdown, t_ext: np.ndarray, chamber: ChamberGeome
     `TRANSIENT_SUBSTEPS` explicit steps, all hours at once; the drive acts
     outside the `TRANSIENT_DEADBAND_K` band. The envelope and, with `pipe`
     (`lp_convection`'s length_m, heat_area_m2 and n_pipes), the pipe
-    convection follow the drifting air temperature; the other terms of
-    `bd` hold their setpoint values.
+    convection, the BALANCE terms that follow the air, are recomputed from
+    the drifting air temperature; the others hold their `balance` values.
     """
     cap = chamber.thermal_capacity_j_per_k
     dt = 3600.0 / TRANSIENT_SUBSTEPS
     # proportional drive sized to close the error within one substep; a
     # stiffer gain would hunt around the deadband at this step length
     gain = cap / dt
-    gains_fixed = bd.q_led + bd.q_lp_sol - bd.q_plant - bd.q_eva
+    air = [name for name, term in BALANCE.items() if term.follows_air]
+    gains_fixed = reduce(np.add, _signed(balance, (n for n in BALANCE if n not in air)))
     t_air = np.full(np.shape(t_ext), float(setpoint_c))
     cool, heat = np.zeros_like(t_air), np.zeros_like(t_air)
     for _ in range(TRANSIENT_SUBSTEPS):
-        q_env = envelope_load(chamber, t_air, t_ext)
-        q_conv = 0.0 if pipe is None else lp_convection(t_air, t_ext, **pipe)[0]
+        drift = {"q_env": envelope_load(chamber, t_air, t_ext),
+                 "q_lp_conv": 0.0 if pipe is None else lp_convection(t_air, t_ext, **pipe)[0]}
         err = setpoint_c - t_air
         q_hc = np.where(np.abs(err) > TRANSIENT_DEADBAND_K,
                         np.clip(gain * err, -capacity_w, capacity_w), 0.0)
         cool -= np.minimum(q_hc, 0.0)
         heat += np.maximum(q_hc, 0.0)
-        t_air += (gains_fixed + q_env - q_conv + q_hc) * dt / cap
+        t_air += (reduce(np.add, _signed(drift, air), gains_fixed) + q_hc) * dt / cap
     return cool / TRANSIENT_SUBSTEPS, heat / TRANSIENT_SUBSTEPS
 
 

@@ -20,7 +20,7 @@ from pipefarm.engine import (SimulationError, Study, calibrate_lue_scale, compar
 from pipefarm.lighting import EC_FILM, STRATEGIES, control_tier3, ec_control, led_electric_power
 from pipefarm.optics import (DIFFUSE_BANDS, OpticalEfficiencyTable, apply_neutral_attenuation,
                              apply_uv_ir_filter, gh_gains, lp_crop_ppfd, lp_solar_gains)
-from pipefarm.thermal import RA_VALID_RANGE, lp_convection
+from pipefarm.thermal import POWER_COLUMNS, RA_VALID_RANGE, lp_convection
 from pipefarm.tracer import MODEL_REVISION
 
 
@@ -868,6 +868,11 @@ class TestSavedRoundTrip:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         return {h: np.array([float(r[j]) for r in rows[1:]]) for j, h in enumerate(rows[0])}
+
+    def test_power_header_is_the_declared_columns(self, scenario_results, tmp_path):
+        scenario_results["LP_Dim"].save(tmp_path)
+        with open(tmp_path / "hourly_power.csv") as fh:
+            assert fh.readline() == ",".join(["hour", *POWER_COLUMNS]) + "\n"
 
     @pytest.mark.parametrize("name", list(STRATEGIES))
     def test_hourly_and_dli_read_back_exactly(self, name, scenario_results, tmp_path):

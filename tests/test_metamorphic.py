@@ -27,6 +27,7 @@ import pytest
 from pipefarm.climate import ClimateSeries
 from pipefarm.engine import run_scenario
 from pipefarm.lighting import EC_FILM
+from pipefarm.thermal import BALANCE
 
 LED_SETPOINT_TIER3 = ("LP_Min_250", "LP_Dim", "LP_Dim_IR_98", "LP_Dim_IR_90", "LP_Dim_EC")
 DARK_TIER3 = ("LP_NL", "GH")
@@ -95,6 +96,6 @@ def setpoint_runs(scenario_configs, climate, reference_table, lue_calibrated, so
 
 class TestNoDrive:
     @pytest.mark.parametrize("name", NO_DRIVE)
-    @pytest.mark.parametrize("column", ["q_env", "q_lp_conv"])
+    @pytest.mark.parametrize("column", [n for n, term in BALANCE.items() if term.follows_air])
     def test_no_envelope_or_pipe_convection_load(self, setpoint_runs, name, column):
         assert np.all(setpoint_runs[name].hourly[column] == 0.0)

@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from pipefarm.thermal import (TRANSIENT_DEADBAND_K, TRANSIENT_SUBSTEPS, ChamberGeometry,
-                              CopModel, LatentModel, PowerBreakdown, Surface, envelope_load,
-                              hvac_electricity, latent_balance, lp_convection,
-                              solve_hvac_load, transient_loads)
+from pipefarm.thermal import (BALANCE, TRANSIENT_DEADBAND_K, TRANSIENT_SUBSTEPS,
+                              ChamberGeometry, CopModel, LatentModel, Surface, Term,
+                              envelope_load, hvac_electricity, latent_balance, lp_convection,
+                              relative_residual, solve_hvac_load, transient_loads)
+
+ZERO = dict.fromkeys(BALANCE, 0.0)
+
+
+def closed(**terms):
+    """`solve_hvac_load` with every term not given at 0.0."""
+    return solve_hvac_load(**{**dict.fromkeys(BALANCE, 0.0), **terms})
 
 
 def hand_pipe_loss(dt, length=1.0, area=math.pi * 0.075 ** 2):
@@ -67,25 +74,74 @@ class TestEnvelope:
 
 class TestBalanceClosure:
     def test_all_zero(self):
-        assert solve_hvac_load().q_hc == 0.0
+        assert closed()["q_hc"] == 0.0
 
     def test_reference_case(self):
-        bd = solve_hvac_load(q_led=9000.0, q_plant=1000.0, q_eva=2000.0)
-        assert bd.q_hc == pytest.approx(-6000.0, rel=1e-12)
+        bd = closed(q_led=9000.0, q_plant=1000.0, q_eva=2000.0)
+        assert bd["q_hc"] == pytest.approx(-6000.0, rel=1e-12)
 
     def test_solar_gain_grows_cooling(self):
-        bd = solve_hvac_load(q_led=9000.0, q_plant=1000.0, q_eva=2000.0,
-                             q_lp_sol=5000.0)
-        assert bd.q_hc == pytest.approx(-11000.0, rel=1e-12)
+        bd = closed(q_led=9000.0, q_plant=1000.0, q_eva=2000.0, q_lp_sol=5000.0)
+        assert bd["q_hc"] == pytest.approx(-11000.0, rel=1e-12)
 
     def test_residual_is_tiny(self):
         bd = solve_hvac_load(q_env=123.4, q_led=8765.0, q_lp_sol=432.1,
                              q_lp_conv=55.0, q_plant=321.0, q_eva=654.0)
-        assert bd.relative_residual() <= 1e-12
+        assert relative_residual(bd) <= 1e-12
 
-    def test_breakdown_is_balance_shaped(self):
-        bd = PowerBreakdown(q_env=10.0, q_led=100.0, q_hc=-110.0)
-        assert bd.residual() == pytest.approx(0.0, abs=1e-12)
+    def test_hand_closed_balance_has_no_residual(self):
+        bd = {**ZERO, "q_env": 10.0, "q_led": 100.0, "q_hc": -110.0}
+        assert relative_residual(bd) == 0.0
+
+    def test_residual_floor_is_one_watt(self):
+        # every term under 1 W: the residual is divided by the 1 W floor
+        assert relative_residual({**ZERO, "q_env": 0.5, "q_hc": 0.0}) == 0.5
+
+    def test_result_holds_the_table_then_q_hc(self):
+        bd = solve_hvac_load(**{name: float(k) for k, name in enumerate(reversed(BALANCE))})
+        assert list(bd) == [*BALANCE, "q_hc"]
+
+    def test_terms_outside_the_table_raise(self):
+        with pytest.raises(TypeError, match="q_fan"):
+            solve_hvac_load(**ZERO, q_fan=100.0)
+        with pytest.raises(TypeError):
+            solve_hvac_load(q_env=1.0, q_led=2.0)
+        with pytest.raises(KeyError):
+            relative_residual({"q_env": 1.0, "q_hc": -1.0})
+
+    def test_folds_match_the_written_out_balance_bit_for_bit(self):
+        """q_hc and the residual against the balance written out by hand,
+        signed zeros included: a sum started from 0.0 would flip them."""
+        rng = np.random.default_rng(5)
+        pool = np.array([0.0, -0.0, -0.0, 1.0, -1.0, 0.1, 1e16, 2.0 / 3.0])
+        t = {name: rng.choice(pool, 8000) for name in BALANCE}
+        bd = solve_hvac_load(**t)
+        q_hc = (-(t["q_env"] + t["q_led"] + t["q_lp_sol"]) + t["q_lp_conv"] + t["q_plant"]
+                + t["q_eva"])
+        residual = (t["q_env"] + t["q_led"] + t["q_lp_sol"] - t["q_lp_conv"] - t["q_plant"]
+                    - t["q_eva"] + q_hc)
+        assert np.array_equal(bd["q_hc"].view(np.int64), q_hc.view(np.int64))
+        zero_signs = np.signbit(q_hc[q_hc == 0.0])
+        assert zero_signs.any() and not zero_signs.all()       # the pool reaches both zeros
+        assert not np.signbit(closed(**dict.fromkeys(BALANCE, -0.0))["q_hc"])
+        floor = np.ones(8000)
+        magnitude = np.maximum.reduce([floor] + [np.abs(v) for v in (*t.values(), q_hc)])
+        assert np.array_equal(relative_residual(bd), np.abs(residual) / magnitude)
+
+    def test_a_term_added_to_the_table_reaches_the_balance(self, monkeypatch):
+        monkeypatch.setitem(BALANCE, "q_fan", Term(+1, False))
+        bd = closed(q_led=900.0, q_fan=100.0)
+        assert list(bd)[-2:] == ["q_fan", "q_hc"]
+        assert bd["q_hc"] == -1000.0 and relative_residual(bd) == 0.0
+        with pytest.raises(TypeError):
+            solve_hvac_load(**{name: 0.0 for name in BALANCE if name != "q_fan"})
+        # held, not recomputed, in the transient node: it heats the air as q_led does
+        t_ext = np.array([24.0])
+        (fan_cool, fan_heat), (led_cool, led_heat) = (
+            transient_loads(closed(**{name: 5000.0}), t_ext, ChamberGeometry(), 24.0, 20000.0)
+            for name in ("q_fan", "q_led"))
+        assert np.array_equal(fan_cool, led_cool) and np.array_equal(fan_heat, led_heat)
+        assert fan_cool[0] > 0.0 == fan_heat[0]
 
 
 class TestCopModel:
@@ -109,8 +165,9 @@ class TestCopModel:
 
     def test_clamped_range(self):
         cop = CopModel()
-        assert cop.cop_cooling(-40.0) <= 8.0
-        assert cop.cop_cooling(90.0) >= 1.5
+        assert cop.cop_cooling(90.0) == 1.5           # unclamped 0.45 * 280.15 / 93 = 1.356
+        assert cop.cop_heating(-60.0) == 1.5          # unclamped 0.45 * 318.15 / 110 = 1.302
+        assert cop.cop_cooling(-40.0) == cop.cop_max  # condenser below the evaporator
 
     def test_nonphysical_configuration_rejected(self):
         with pytest.raises(ValueError):
@@ -188,11 +245,11 @@ class TestHourArrays:
             latent_balance(np.array([0.0, -1e-6]), model)
         terms = dict(q_env=[-800.0, 0.0, 350.0], q_led=[9000.0, 0.0, 4500.0],
                      q_plant=[1200.0, 0.0, 0.25], q_eva=[0.3, 0.0, 400.0])
-        bd = solve_hvac_load(**{k: np.array(v) for k, v in terms.items()})
+        bd = closed(**{k: np.array(v) for k, v in terms.items()})
         for k in range(3):
-            one = solve_hvac_load(**{name: v[k] for name, v in terms.items()})
-            assert bd.q_hc[k] == one.q_hc
-            assert bd.relative_residual()[k] == one.relative_residual()
+            one = closed(**{name: v[k] for name, v in terms.items()})
+            assert bd["q_hc"][k] == one["q_hc"]
+            assert relative_residual(bd)[k] == relative_residual(one)
 
     def test_pipe_convection_matches_scalar_calls(self):
         t_in = np.array([24.0, 24.0, 24.0, 30.0, 24.0, -3.0, 24.0, 24.0])
@@ -270,13 +327,13 @@ class TestTransientAirNode:
     def breakdown(self):
         # the drifting terms carry junk: the node must recompute them
         g = np.array(self.GAINS)
-        return PowerBreakdown(q_env=np.full(g.size, 1e9), q_led=g * 1.5,
-                              q_lp_sol=g * 0.25, q_lp_conv=np.full(g.size, -1e9),
-                              q_plant=g * 0.5, q_eva=g * 0.25, q_hc=np.full(g.size, 7e8))
+        return {"q_env": np.full(g.size, 1e9), "q_led": g * 1.5, "q_lp_sol": g * 0.25,
+                "q_lp_conv": np.full(g.size, -1e9), "q_plant": g * 0.5, "q_eva": g * 0.25,
+                "q_hc": np.full(g.size, 7e8)}
 
     def run(self, pipe):
         bd = self.breakdown()
-        gains = bd.q_led + bd.q_lp_sol - bd.q_plant - bd.q_eva
+        gains = bd["q_led"] + bd["q_lp_sol"] - bd["q_plant"] - bd["q_eva"]
         chamber = ChamberGeometry()
         got = transient_loads(bd, np.array(self.T_EXT), chamber, self.SETPOINT,
                               self.CAPACITY, pipe)
