@@ -34,6 +34,7 @@ __all__ = [
     "OpticalEfficiencyTable",
     "mirror_tilt",
     "dome_band_fraction",
+    "band_mean_sin",
     "lp_solar_gains",
     "lp_crop_ppfd",
     "filtered_efficiency",
@@ -131,6 +132,23 @@ def dome_band_fraction(band_upper_deg: float) -> float:
     return math.sin(hi) ** 2 - math.sin(lo) ** 2
 
 
+def band_mean_sin(band_upper_deg: float) -> float:
+    """Mean sin(altitude) over the ten-degree band below band_upper_deg,
+    weighted by the band's horizontal irradiance (pdf ~ sin * cos in
+    altitude): the mean projection onto the aperture of a traced sky ray.
+
+    A diffuse efficiency is normalized to the band's power on the
+    horizontal aperture, which a launch disc of the aperture's area
+    exceeds by 1 / band_mean_sin; that ratio is the estimate's ceiling.
+    """
+    if band_upper_deg not in DIFFUSE_BANDS:
+        raise ValueError(f"band upper edge must be one of {DIFFUSE_BANDS}")
+    lo = math.radians(band_upper_deg - 10.0)
+    hi = math.radians(band_upper_deg)
+    s2lo, s2hi = math.sin(lo) ** 2, math.sin(hi) ** 2
+    return 2.0 * (math.sin(hi) ** 3 - math.sin(lo) ** 3) / (3.0 * (s2hi - s2lo))
+
+
 @dataclass(frozen=True)
 class FluxMap:
     """Normalized irradiance on the crop plane under one pipe.
@@ -192,10 +210,15 @@ class OpticalEfficiencyTable:
     def __post_init__(self):
         if self.provenance not in ("traced", "imported"):
             raise ValueError("provenance must be 'traced' or 'imported'")
-        for name in ("eta_dir", "eta_diff_th", "eta_diff_crop"):
+        if np.any(self.eta_dir < -1e-12) or np.any(self.eta_dir > 1.0 + 1e-9):
+            raise ValueError("eta_dir entries must lie in [0, 1]")
+        # a diffuse entry can pass 1: see band_mean_sin
+        ceiling = np.array([1.0 / band_mean_sin(b) for b in self.bands])
+        for name in ("eta_diff_th", "eta_diff_crop"):
             arr = getattr(self, name)
-            if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-9):
-                raise ValueError(f"{name} entries must lie in [0, 1]")
+            if np.any(arr < -1e-12) or np.any(arr > ceiling + 1e-9):
+                raise ValueError(f"{name} entries must lie in [0, 1 / band_mean_sin] "
+                                 "of their band")
         if np.any(self.eta_diff_crop > self.eta_diff_th + 3.0 * (self.se_diff_th + self.se_diff_crop) + 1e-9):
             raise ValueError("crop-side diffuse efficiency exceeds chamber-side")
         # isotropic-sky weighted sums per tilt (the per-band series with

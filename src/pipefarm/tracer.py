@@ -19,7 +19,8 @@ convention the mirror picking up rays that never cross the aperture disc
 lifts low-sun delivery without breaking the documented 73% ceiling.
 Diffuse band efficiencies are instead normalized to the band's power on
 the horizontal aperture, because the ten-degree dome weights already
-carry the projection.
+carry the projection; such an entry can pass 1, up to 1 /
+`optics.band_mean_sin` of its band.
 
 Below the mirror's lowest reach the duct is a bare specular cylinder, and
 a ray crosses it in one closed-form step (the skew-ray treatment of
@@ -29,6 +30,10 @@ azimuth by a fixed angle, so the hit count, the exit point and the exit
 direction at the next end plane follow without stepping each bounce. The
 event loop handles the mirror, the roof, the aperture, the diffuser and
 the duct above the mirror's lowest reach; one duct crossing is one event.
+Each pass first sends every ray inside the bare duct across it; every
+other live ray meets the nearest surface ahead of it, with a tie going to
+the wall, then the mirror, the roof and the diffuser, in that order. A ray
+with no surface ahead escapes.
 
 Per-ray bookkeeping is exact: every launched unit of weight ends in
 exactly one tally, so delivered + absorbed + escaped = launched to float
@@ -45,9 +50,10 @@ from typing import Optional
 import numpy as np
 
 from .optics import ALTITUDE_STEP_DEG, DIFFUSE_BANDS, TILT_STEP_DEG, FluxMap, LpGeometry, \
-    OpticalEfficiencyTable, mirror_tilt
+    OpticalEfficiencyTable, band_mean_sin, mirror_tilt
 
 _EPS = 1e-9
+_Z_UP = np.array([0.0, 0.0, 1.0])
 
 __all__ = ["TraceResult", "trace_direct", "trace_diffuse_band",
            "build_efficiency_table", "DEFAULT_RAYS"]
@@ -80,20 +86,22 @@ class TraceResult:
         return abs(total - self.rays) / self.rays
 
 
-def _refract(d: np.ndarray, n: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Snell refraction of unit rays d across normals n (oriented d.n < 0).
+def _refract(d: np.ndarray, n: np.ndarray, cos_i: np.ndarray, eta: float
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Snell refraction of unit rays d across normals n, one per ray or one
+    (3,) normal for all, oriented so that cos_i = -d.n >= 0.
 
     eta is n_incident / n_transmitted. Returns (directions, tir_mask);
     directions are unspecified where TIR occurred.
     """
-    cos_i = -np.einsum("ij,ij->i", d, n)
     sin2_t = eta * eta * (1.0 - cos_i * cos_i)
-    tir = sin2_t > 1.0
-    cos_t = np.sqrt(np.clip(1.0 - sin2_t, 0.0, None))
+    cos_t = np.sqrt(np.maximum(1.0 - sin2_t, 0.0))
     out = eta * d + (eta * cos_i - cos_t)[:, None] * n
-    norm = np.linalg.norm(out, axis=1)
+    x, y, z = out[:, 0], out[:, 1], out[:, 2]
+    norm = np.sqrt(x * x + y * y + z * z)
     norm[norm == 0.0] = 1.0
-    return out / norm[:, None], tir
+    out /= norm[:, None]
+    return out, sin2_t > 1.0
 
 
 def _reflect(d: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -130,9 +138,12 @@ def _duct_transit(p: np.ndarray, d: np.ndarray, w: np.ndarray, R: float, z_lo: f
     t_end = (z_end - p[:, 2]) / dz
 
     hits = np.zeros(p.shape[0])
-    out_p = p + t_end[:, None] * d
+    out_p = np.empty_like(p)
+    out_p[:, 0] = x + t_end * dx
+    out_p[:, 1] = y + t_end * dy
+    out_p[:, 2] = z_end
     out_d = d.copy()
-    k = np.flatnonzero(t_end > t_first)
+    k = (t_end > t_first).nonzero()[0]
     if k.size:
         tf = t_first[k]
         t_chord = 2.0 * sq[k] / a[k]
@@ -149,7 +160,6 @@ def _duct_transit(p: np.ndarray, d: np.ndarray, w: np.ndarray, R: float, z_lo: f
         out_d[k, 0] = ex
         out_d[k, 1] = ey
         hits[k] = n
-    out_p[:, 2] = z_end
     return hits, out_p, out_d, w * rho ** hits
 
 
@@ -176,8 +186,10 @@ class _Scene:
             self.mirror_n = None
             self.z_bare_top = 0.0
         s = math.radians(g.diffuser_facet_slope_deg)
-        self.facet_sin = math.sin(s)
-        self.facet_cos = math.cos(s)
+        fs, fc = math.sin(s), math.cos(s)
+        # the pyramid facet normals, facing down: tilted toward +x, -x, +y, -y
+        self.facets = np.array([[fs, 0.0, -fc], [-fs, 0.0, -fc],
+                                [0.0, fs, -fc], [0.0, -fs, -fc]])
         self.n_index = g.diffuser_refractive_index
         nbin = int(round(FLUXMAP_EXTENT_M / FLUXMAP_PITCH_M))
         self.fluxbins = np.zeros((nbin, nbin)) if self.collect_fluxmap else None
@@ -208,147 +220,147 @@ def _trace(scene: _Scene, origins: np.ndarray, dirs: np.ndarray,
         "escaped": 0.0,
     }
     R, L = scene.R, scene.L
+    R2 = R * R
     z_top = scene.z_bare_top
+    rho_wall, rho_mirror = g.wall_reflectance, g.mirror_reflectance
 
-    for _ in range(scene.bounce_cap):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-
-        # bare duct: one closed-form crossing; falling rays meet the diffuser
-        p = pos[idx]
-        bare = ((p[:, 2] >= -L) & (p[:, 2] < z_top) & (np.abs(d[idx, 2]) > 1e-14)
-                & (p[:, 0] ** 2 + p[:, 1] ** 2 <= R * R))
-        if np.any(bare):
-            j = idx[bare]
-            _, h, nd, wt = _duct_transit(p[bare], d[j], w[j], R, -L, z_top,
-                                         g.wall_reflectance)
-            tallies["absorbed_wall"] += float((w[j] - wt).sum())
-            w[j] = wt
-            d[j] = nd
-            pos[j] = h
-            down = nd[:, 2] < 0.0
-            if np.any(down):
-                _diffuser_interaction(scene, j[down], h[down], d, pos, w, alive,
-                                      zone_w, chamber_w, tallies, rng)
-            idx = idx[~bare]
+    # misses divide by zero or take roots of negatives; those lanes are masked
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(scene.bounce_cap):
+            idx = alive.nonzero()[0]
             if idx.size == 0:
-                continue
-            p = p[~bare]
-        dd = d[idx]
-        ww = w[idx]
-        m = idx.size
-        tc = np.full((m, 4), np.inf)  # wall, mirror, roof, diffuser
+                break
+            p = pos.take(idx, axis=0)
+            dd = d.take(idx, axis=0)
+            px, py, pz, dz = p[:, 0], p[:, 1], p[:, 2], dd[:, 2]
+            r2 = px * px + py * py
 
-        # duct wall: |xy| = R within -L <= z <= 0
-        a = dd[:, 0] ** 2 + dd[:, 1] ** 2
-        b = 2.0 * (p[:, 0] * dd[:, 0] + p[:, 1] * dd[:, 1])
-        c = p[:, 0] ** 2 + p[:, 1] ** 2 - R * R
-        quad = a > 1e-16
-        disc = b * b - 4.0 * a * c
-        ok = quad & (disc > 0.0)
-        sq = np.sqrt(np.where(ok, disc, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = np.where(ok, (-b - sq) / (2.0 * a), np.inf)
-            t2 = np.where(ok, (-b + sq) / (2.0 * a), np.inf)
-        for troot in (t1, t2):
-            z_hit = p[:, 2] + troot * dd[:, 2]
-            good = ok & (troot > _EPS) & (z_hit <= 1e-12) & (z_hit >= -L - 1e-12)
-            tc[:, 0] = np.where(good & (troot < tc[:, 0]), troot, tc[:, 0])
+            # bare duct: one closed-form crossing; falling rays meet the diffuser
+            bare = (pz >= -L) & (pz < z_top) & (np.abs(dz) > 1e-14) & (r2 <= R2)
+            if bare.any():
+                j = idx[bare]
+                wj = w[j]
+                _, h, nd, wt = _duct_transit(p.compress(bare, axis=0), dd.compress(bare, axis=0),
+                                             wj, R, -L, z_top, rho_wall)
+                tallies["absorbed_wall"] += float((wj - wt).sum())
+                w[j] = wt
+                # falling rays go on to the diffuser, which writes back the
+                # ones it reflects; the rest end there
+                down = nd[:, 2] < 0.0
+                up = ~down
+                if up.any():
+                    ju = j[up]
+                    d[ju] = nd.compress(up, axis=0)
+                    pos[ju] = h.compress(up, axis=0)
+                if down.any():
+                    _diffuser_interaction(scene, j[down], h.compress(down, axis=0),
+                                          nd.compress(down, axis=0), wt[down], d, pos,
+                                          alive, zone_w, chamber_w, tallies, rng)
+                rest = ~bare
+                idx = idx[rest]
+                if idx.size == 0:
+                    continue
+                p, dd, r2 = p.compress(rest, axis=0), dd.compress(rest, axis=0), r2[rest]
+                px, py, pz, dz = p[:, 0], p[:, 1], p[:, 2], dd[:, 2]
+            dx, dy = dd[:, 0], dd[:, 1]
+            ww = w[idx]
 
-        # mirror disc: radius R, centred at the origin
-        if scene.mirror_n is not None:
-            denom = dd @ scene.mirror_n
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # each ray's nearest surface, tried in the order wall, mirror,
+            # roof, diffuser; a strict < leaves a tie with the earlier one
+
+            # duct wall: |xy| = R within -L <= z <= 0; t1 <= t2 as a > 0
+            a = dx * dx + dy * dy
+            b = 2.0 * (px * dx + py * dy)
+            disc = b * b - 4.0 * a * (r2 - R2)
+            ok = (a > 1e-16) & (disc > 0.0)
+            sq = np.sqrt(disc)
+            t1 = (-b - sq) / (2.0 * a)
+            t2 = (-b + sq) / (2.0 * a)
+            z1 = pz + t1 * dz
+            z2 = pz + t2 * dz
+            wall1 = ok & (t1 > _EPS) & (z1 <= 1e-12) & (z1 >= -L - 1e-12)
+            wall2 = ok & (t2 > _EPS) & (z2 <= 1e-12) & (z2 >= -L - 1e-12)
+            t_hit = np.where(wall1, t1, np.where(wall2, t2, np.inf))
+            event = np.zeros(idx.size, dtype=np.int8)
+
+            # mirror disc: radius R, centred at the origin
+            if scene.mirror_n is not None:
+                denom = dd @ scene.mirror_n
                 tm = ((-p) @ scene.mirror_n) / denom
-            tm = np.where((np.abs(denom) > 1e-14) & (tm > _EPS), tm, np.inf)
-            finite = np.isfinite(tm)
-            if np.any(finite):
-                mhit = p[finite] + tm[finite, None] * dd[finite]
-                r2 = np.einsum("ij,ij->i", mhit, mhit)
-                keep = np.zeros_like(tm, dtype=bool)
-                keep[finite] = r2 <= R * R
-                tc[:, 1] = np.where(keep, tm, np.inf)
+                mhit = p + tm[:, None] * dd
+                near = ((np.abs(denom) > 1e-14) & (tm > _EPS)
+                        & (np.einsum("ij,ij->i", mhit, mhit) <= R2) & (tm < t_hit))
+                t_hit = np.where(near, tm, t_hit)
+                event[near] = 1
 
-        # roof plane z = 0 outside the aperture, from above only
-        falling = (dd[:, 2] < -1e-14) & (p[:, 2] > 1e-12)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tr = np.where(falling, -p[:, 2] / dd[:, 2], np.inf)
-        good = falling & (tr > _EPS)
-        if np.any(good):
-            xr = p[good, 0] + tr[good] * dd[good, 0]
-            yr = p[good, 1] + tr[good] * dd[good, 1]
-            outside = np.zeros_like(tr, dtype=bool)
-            outside[good] = xr * xr + yr * yr >= R * R
-            tc[:, 2] = np.where(outside, tr, np.inf)
+            # roof plane z = 0 outside the aperture, from above only
+            tr = -pz / dz
+            xr = px + tr * dx
+            yr = py + tr * dy
+            near = ((dz < -1e-14) & (pz > 1e-12) & (tr > _EPS)
+                    & (xr * xr + yr * yr >= R2) & (tr < t_hit))
+            t_hit = np.where(near, tr, t_hit)
+            event[near] = 2
 
-        # diffuser plane z = -L
-        with np.errstate(divide="ignore", invalid="ignore"):
-            td = np.where(dd[:, 2] < -1e-14, (-L - p[:, 2]) / dd[:, 2], np.inf)
-        good = (td > _EPS) & np.isfinite(td)
-        tc[:, 3] = np.where(good, td, np.inf)
+            # diffuser plane z = -L
+            td = (-L - pz) / dz
+            near = (dz < -1e-14) & (td > _EPS) & (td < t_hit)
+            t_hit = np.where(near, td, t_hit)
+            event[near] = 3
 
-        event = np.argmin(tc, axis=1)
-        t_hit = tc[np.arange(m), event]
-        lost = ~np.isfinite(t_hit)
+            # no surface ahead: the ray leaves through the dome opening
+            lost = t_hit == np.inf
+            if lost.any():
+                tallies["escaped"] += float(ww[lost].sum())
+                alive[idx[lost]] = False
+            hit = p + t_hit[:, None] * dd      # lost rows are never read
 
-        # no surface ahead: the ray leaves through the dome opening
-        if np.any(lost):
-            tallies["escaped"] += float(ww[lost].sum())
-            alive[idx[lost]] = False
+            # wall bounce
+            sel = (event == 0) & ~lost
+            if sel.any():
+                j = idx[sel]
+                h = hit.compress(sel, axis=0)
+                n = h / -R
+                n[:, 2] = 0.0
+                wj = ww[sel]
+                tallies["absorbed_wall"] += float((wj * (1.0 - rho_wall)).sum())
+                w[j] = wj * rho_wall
+                nd = _reflect(dd.compress(sel, axis=0), n)
+                d[j] = nd
+                pos[j] = h + nd * _EPS
 
-        live = ~lost
-        hit = p + np.where(lost, 0.0, t_hit)[:, None] * dd
+            # mirror: coated face reflects, rear face absorbs
+            sel = (event == 1).nonzero()[0]
+            if sel.size:
+                j = idx[sel]
+                coated = denom[sel] < 0.0
+                jc = j[coated]
+                if jc.size:
+                    wc = w[jc]
+                    tallies["absorbed_mirror"] += float((wc * (1.0 - rho_mirror)).sum())
+                    w[jc] = wc * rho_mirror
+                    nd = _reflect(d.take(jc, axis=0), scene.mirror_n[None, :])
+                    d[jc] = nd
+                    pos[jc] = hit.take(sel[coated], axis=0) + nd * _EPS
+                jb = j[~coated]
+                if jb.size:
+                    tallies["absorbed_mirror_back"] += float(w[jb].sum())
+                    alive[jb] = False
 
-        # wall bounce
-        sel = live & (event == 0)
-        if np.any(sel):
-            j = idx[sel]
-            h = hit[sel]
-            n = np.zeros_like(h)
-            n[:, 0] = -h[:, 0] / R
-            n[:, 1] = -h[:, 1] / R
-            tallies["absorbed_wall"] += float((w[j] * (1.0 - g.wall_reflectance)).sum())
-            w[j] *= g.wall_reflectance
-            nd = _reflect(d[j], n)
-            d[j] = nd
-            pos[j] = h + nd * _EPS
+            # roof
+            sel = event == 2
+            if sel.any():
+                tallies["missed_roof"] += float(ww[sel].sum())
+                alive[idx[sel]] = False
 
-        # mirror: coated face reflects, rear face absorbs
-        sel = live & (event == 1)
-        if np.any(sel):
-            j = idx[sel]
-            h = hit[sel]
-            cosd = d[j] @ scene.mirror_n
-            coated = cosd < 0.0
-            jc = j[coated]
-            if jc.size:
-                tallies["absorbed_mirror"] += float((w[jc] * (1.0 - g.mirror_reflectance)).sum())
-                w[jc] *= g.mirror_reflectance
-                nd = _reflect(d[jc], np.broadcast_to(scene.mirror_n, (jc.size, 3)))
-                d[jc] = nd
-                pos[jc] = h[coated] + nd * _EPS
-            jb = j[~coated]
-            if jb.size:
-                tallies["absorbed_mirror_back"] += float(w[jb].sum())
-                alive[jb] = False
+            # diffuser
+            sel = event == 3
+            if sel.any():
+                _diffuser_interaction(scene, idx[sel], hit.compress(sel, axis=0),
+                                      dd.compress(sel, axis=0), ww[sel], d, pos,
+                                      alive, zone_w, chamber_w, tallies, rng)
 
-        # roof
-        sel = live & (event == 2)
-        if np.any(sel):
-            j = idx[sel]
-            tallies["missed_roof"] += float(w[j].sum())
-            alive[j] = False
-
-        # diffuser
-        sel = live & (event == 3)
-        if np.any(sel):
-            j = idx[sel]
-            h = hit[sel]
-            _diffuser_interaction(scene, j, h, d, pos, w, alive, zone_w, chamber_w,
-                                  tallies, rng)
-
-    still = np.flatnonzero(alive)
+    still = alive.nonzero()[0]
     if still.size:
         tallies["absorbed_cap"] += float(w[still].sum())
         alive[still] = False
@@ -358,84 +370,85 @@ def _trace(scene: _Scene, origins: np.ndarray, dirs: np.ndarray,
     return zone_w, chamber_w, tallies
 
 
-def _diffuser_interaction(scene: _Scene, j, h, d, pos, w, alive, zone_w, chamber_w,
+def _diffuser_interaction(scene: _Scene, j, h, dj, wj, d, pos, alive, zone_w, chamber_w,
                           tallies, rng) -> None:
-    """Refract through the flat entry face and one pyramid facet, then fly
-    to the crop plane. Total internal reflection at the facet sends the ray
-    back up the duct specularly (thin-sheet approximation)."""
+    """Refract rays j (hit points h, directions dj, weights wj) through the
+    flat entry face and one pyramid facet, then fly them to the crop plane.
+    Total internal reflection at the facet sends the ray back up the duct
+    specularly (thin-sheet approximation)."""
     g = scene.geom
-    din = d[j]
-
     if scene.disable_diffuser:
-        out = din.copy()
+        out = dj
         tir = np.zeros(j.size, dtype=bool)
     else:
-        z_up = np.broadcast_to(np.array([0.0, 0.0, 1.0]), (j.size, 3))
-        d1, _ = _refract(din, z_up, 1.0 / scene.n_index)
-        quad = rng.integers(0, 4, size=j.size)
-        ex = np.where(quad == 0, 1.0, np.where(quad == 1, -1.0, 0.0))
-        ey = np.where(quad == 2, 1.0, np.where(quad == 3, -1.0, 0.0))
-        nf = np.column_stack([scene.facet_sin * ex, scene.facet_sin * ey,
-                              np.full(j.size, -scene.facet_cos)])
+        d1, _ = _refract(dj, _Z_UP, -dj[:, 2], 1.0 / scene.n_index)
+        nf = scene.facets.take(rng.integers(0, 4, size=j.size), axis=0)
         orient = np.einsum("ij,ij->i", d1, nf)
-        nf = np.where(orient[:, None] > 0.0, -nf, nf)
-        out, tir = _refract(d1, nf, scene.n_index)
+        np.negative(nf, out=nf, where=(orient > 0.0)[:, None])
+        out, tir = _refract(d1, nf, np.abs(orient), scene.n_index)
 
-    if np.any(tir):
+    if tir.any():
         jt = j[tir]
-        back = din[tir].copy()
+        back = dj.compress(tir, axis=0)
         back[:, 2] = -back[:, 2]
         d[jt] = back
-        pos[jt] = h[tir] + back * _EPS
+        pos[jt] = h.compress(tir, axis=0) + back * _EPS
 
-    ok = ~tir
-    if not np.any(ok):
-        return
-    jo = j[ok]
-    dT = out[ok]
     # transmitted rays must head down; numerical stragglers count as absorbed
-    down = dT[:, 2] < -1e-12
-    if np.any(~down):
-        jf = jo[~down]
-        tallies["absorbed_diffuser"] += float(w[jf].sum())
-        alive[jf] = False
-        jo = jo[down]
-        dT = dT[down]
-        if jo.size == 0:
-            return
-    loss = 1.0 - g.diffuser_throughput
-    tallies["absorbed_diffuser"] += float((w[jo] * loss).sum())
-    w[jo] *= g.diffuser_throughput
+    passed = ~tir
+    go = passed & (out[:, 2] < -1e-12)
+    stray = passed ^ go
+    if stray.any():
+        tallies["absorbed_diffuser"] += float(wj[stray].sum())
+        alive[j[stray]] = False
+    if not go.any():
+        return
+    jo = j[go]
+    wo = wj[go]
+    tallies["absorbed_diffuser"] += float((wo * (1.0 - g.diffuser_throughput)).sum())
+    wo = wo * g.diffuser_throughput
+    alive[jo] = False
 
-    hz = h[ok][down] if np.any(~down) else h[ok]
+    hz = h.compress(go, axis=0)
+    dT = out.compress(go, axis=0)
     tof = (scene.z_canopy - hz[:, 2]) / dT[:, 2]
     xc = hz[:, 0] + tof * dT[:, 0]
     yc = hz[:, 1] + tof * dT[:, 1]
-    in_zone = (np.abs(xc) <= scene.half_zone) & (np.abs(yc) <= scene.half_zone)
-    zone_w[jo[in_zone]] = w[jo[in_zone]]
-    chamber_w[jo[~in_zone]] = w[jo[~in_zone]]
+    ax, ay = np.abs(xc), np.abs(yc)
+    in_zone = (ax <= scene.half_zone) & (ay <= scene.half_zone)
+    # each ray lands once, so its other tally stays at zero
+    zone_w[jo] = np.where(in_zone, wo, 0.0)
+    chamber_w[jo] = np.where(in_zone, 0.0, wo)
     if scene.fluxbins is not None:
         half = FLUXMAP_EXTENT_M / 2.0
         nbin = scene.fluxbins.shape[0]
-        inside = (np.abs(xc) < half) & (np.abs(yc) < half)
+        inside = (ax < half) & (ay < half)
         ix = np.floor((xc[inside] + half) / FLUXMAP_PITCH_M).astype(int)
         iy = np.floor((yc[inside] + half) / FLUXMAP_PITCH_M).astype(int)
         np.clip(ix, 0, nbin - 1, out=ix)
         np.clip(iy, 0, nbin - 1, out=iy)
-        np.add.at(scene.fluxbins, (iy, ix), w[jo[inside]])
-    alive[jo] = False
+        np.add.at(scene.fluxbins, (iy, ix), wo[inside])
 
 
 def _perp_basis(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis perpendicular to each direction."""
-    z = np.array([0.0, 0.0, 1.0])
-    e1 = np.cross(dirs, z)
-    norms = np.linalg.norm(e1, axis=1)
+    """Orthonormal basis perpendicular to each direction: e1 = dirs x z,
+    normalized (x for a vertical direction), and e2 = dirs x e1. The cross
+    products are written out with the same terms np.cross forms."""
+    dx, dy, dz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
+    e1 = np.empty_like(dirs)
+    e1[:, 0] = dy - dz * 0.0
+    e1[:, 1] = dz * 0.0 - dx
+    e1[:, 2] = dx * 0.0 - dy * 0.0
+    x, y, z = e1[:, 0], e1[:, 1], e1[:, 2]
+    norms = np.sqrt(x * x + y * y + z * z)
     degenerate = norms < 1e-12
-    e1[degenerate] = np.array([1.0, 0.0, 0.0])
+    e1[degenerate] = (1.0, 0.0, 0.0)
     norms[degenerate] = 1.0
-    e1 = e1 / norms[:, None]
-    e2 = np.cross(dirs, e1)
+    e1 /= norms[:, None]
+    e2 = np.empty_like(dirs)
+    e2[:, 0] = dy * z - dz * y
+    e2[:, 1] = dz * x - dx * z
+    e2[:, 2] = dx * y - dy * x
     return e1, e2
 
 
@@ -445,9 +458,11 @@ def _launch(dirs: np.ndarray, rng: np.random.Generator, launch_radius: float,
     n = dirs.shape[0]
     r = launch_radius * np.sqrt(rng.random(n))
     th = 2.0 * math.pi * rng.random(n)
-    return (-dirs * up_beam
-            + (r * np.cos(th))[:, None] * e1
-            + (r * np.sin(th))[:, None] * e2)
+    rc, rs = r * np.cos(th), r * np.sin(th)
+    origins = np.empty_like(dirs)
+    for c in range(3):
+        origins[:, c] = -dirs[:, c] * up_beam + rc * e1[:, c] + rs * e2[:, c]
+    return origins
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
@@ -543,9 +558,7 @@ def trace_diffuse_band(geometry: LpGeometry, tilt_deg: Optional[float],
     cos_alt = np.sqrt(1.0 - sin_alt ** 2)
     az = math.pi * (rng.random(rays) - 0.5)  # front half-dome
     dirs = np.column_stack([-cos_alt * np.cos(az), -cos_alt * np.sin(az), -sin_alt])
-    # analytic mean of sin(alt) under the sampling pdf ~ sin*cos
-    e_sin = 2.0 * (math.sin(hi) ** 3 - math.sin(lo) ** 3) / (3.0 * (s2hi - s2lo))
-    return _estimate(scene, dirs, rng, e_sin)
+    return _estimate(scene, dirs, rng, band_mean_sin(band_upper_deg))
 
 
 def build_efficiency_table(geometry: LpGeometry, rays: int = DEFAULT_RAYS,

@@ -6,10 +6,11 @@ import pytest
 from pipefarm.engine import write_csv
 from pipefarm.optics import (DIFFUSE_BANDS, LpGains, LpGeometry,
                              OpticalEfficiencyTable, apply_neutral_attenuation,
-                             apply_uv_ir_filter, dome_band_fraction,
+                             apply_uv_ir_filter, band_mean_sin, dome_band_fraction,
                              filtered_efficiency, gh_gains, lp_crop_ppfd,
                              lp_solar_gains, mirror_tilt, PAR_UMOL_PER_J,
                              SOLAR_UMOL_PER_J)
+from pipefarm.tracer import trace_diffuse_band
 
 
 class TestMirrorTilt:
@@ -138,6 +139,52 @@ class TestEfficiencyTable:
         th, crop, _ = t.weighted_diffuse_at(70.0)
         assert th == pytest.approx(0.4, rel=1e-12)   # weights sum to one
         assert crop == pytest.approx(0.2, rel=1e-12)
+
+
+def _with_diffuse_cell(tilt, band, th, crop):
+    """The flat table's diffuse grids with one (tilt, band) cell replaced."""
+    grid_th = np.full((10, len(DIFFUSE_BANDS)), 0.30)
+    grid_crop = np.full_like(grid_th, 0.10)
+    cell = (int((tilt - 45.0) / 5.0), DIFFUSE_BANDS.index(band))
+    grid_th[cell], grid_crop[cell] = th, crop
+    return _flat_table(eta_th=grid_th, eta_crop=grid_crop)
+
+
+class TestDiffuseCeiling:
+    """Diffuse entries are normalized to the band's power on the horizontal
+    aperture, so their ceiling is 1 / band_mean_sin of the band, not 1."""
+
+    def test_traced_entry_above_one_accepted(self):
+        res = trace_diffuse_band(LpGeometry(), 50.0, 10, rays=10_000, seed=352)
+        assert res.eta_chamber > 1.0
+        table = _with_diffuse_cell(50.0, 10, res.eta_chamber, res.eta_zone)
+        assert table.eta_diff_th[1, 0] == res.eta_chamber
+
+    def test_band_mean_sin_matches_quadrature(self):
+        for band in DIFFUSE_BANDS:
+            alt = np.radians(np.linspace(band - 10.0, band, 20_001))
+            pdf = np.sin(alt) * np.cos(alt)
+            mean = np.trapezoid(np.sin(alt) * pdf, alt) / np.trapezoid(pdf, alt)
+            assert band_mean_sin(band) == pytest.approx(mean, rel=1e-8)
+
+    @pytest.mark.parametrize("field", ["eta_diff_th", "eta_diff_crop"])
+    def test_ceiling_is_per_band(self, field):
+        # 2.0 lies under band 10's ceiling (8.6) and over band 90's (1.01)
+        assert 1.0 / band_mean_sin(10) > 2.0 > 1.0 / band_mean_sin(90) > 1.0
+        _with_diffuse_cell(50.0, 10, 2.0, 2.0)
+        th, crop = (2.0, 0.1) if field == "eta_diff_th" else (1.0, 2.0)
+        with pytest.raises(ValueError, match=f"{field} entries"):
+            _with_diffuse_cell(50.0, 90, th, crop)
+
+    @pytest.mark.parametrize("field", ["eta_diff_th", "eta_diff_crop"])
+    def test_entry_below_zero_refused(self, field):
+        th, crop = (-1e-6, -1e-6) if field == "eta_diff_th" else (0.3, -1e-6)
+        with pytest.raises(ValueError, match=f"{field} entries"):
+            _with_diffuse_cell(50.0, 10, th, crop)
+
+    def test_direct_entry_above_one_refused(self):
+        with pytest.raises(ValueError, match="eta_dir entries"):
+            _flat_table(eta_dir=1.01)
 
 
 class TestLpSolarGains:
