@@ -3,7 +3,8 @@ any runs and writes what the engine returns; `economics` decides every cost.
 Each study fits its own LUE factor to the benchmark yield, so no command
 reads a calibration file.
 
-Subcommands: trace-optics (geometry -> efficiency table + flux maps),
+Subcommands: trace-optics (geometry -> efficiency table, its sidecar and
+flux maps; runs read the table through `optics.table`),
 calibrate (a report of the fit a study of the config makes; nothing
 reads it back), simulate (one scenario -> result files), compare
 (scenario set -> comparison tables, and light_cost.csv, each variant
@@ -34,7 +35,7 @@ from .config import ConfigError, ScenarioConfig, load_config_mapping, load_scena
 from .economics import light_cost_comparison
 from .engine import CalibrationError, SimulationError, Study, compare_scenarios, \
     light_cost_inputs, scenario_sweep, write_csv
-from .tracer import build_efficiency_table
+from .tracer import DEFAULT_RAYS, MODEL_REVISION, build_efficiency_table
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,21 +73,20 @@ def _cmd_trace_optics(args) -> int:
     cfg = _load_cfg(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    rays = args.rays or cfg.rays
-    table, fluxmaps = build_efficiency_table(cfg.lp_geometry, rays=rays, seed=cfg.seed,
+    table, fluxmaps = build_efficiency_table(cfg.lp_geometry, rays=args.rays, seed=cfg.seed,
                                              collect_fluxmaps=not args.no_fluxmaps)
-    write_csv(outdir / "efficiency_table.csv", *table.csv_columns())
-    for alt, fm in fluxmaps.items():
-        if int(alt) % 15 == 0:
-            path = outdir / f"fluxmap_alt{int(alt):02d}.csv"
-            write_csv(path, *fm.csv_columns())
-            Path(f"{path}.json").write_text(json.dumps(
-                _meta(cfg, pitch_m=fm.pitch_m, extent_m=fm.extent_m,
-                      shape=list(fm.cells.shape), altitude=alt, rays=rays),
-                indent=2, sort_keys=True))
-    (outdir / "trace_meta.json").write_text(json.dumps(
-        _meta(cfg, rays=rays, geometry_hash=cfg.lp_geometry.content_hash(),
-              bound_flags=table.bound_violations()), indent=2, sort_keys=True))
+    # each file with its `.csv.json` sidecar; the table's makes runs read it as traced
+    files = {f"fluxmap_alt{int(alt):02d}.csv": (fm, dict(
+        pitch_m=fm.pitch_m, extent_m=fm.extent_m, shape=list(fm.cells.shape), altitude=alt))
+        for alt, fm in fluxmaps.items() if int(alt) % 15 == 0}
+    files["efficiency_table.csv"] = (table, dict(
+        provenance="traced", lp=dataclasses.asdict(cfg.lp_geometry),
+        geometry_hash=table.geometry_hash, model_revision=MODEL_REVISION,
+        bound_flags=table.bound_violations()))
+    for name, (data, meta) in files.items():
+        write_csv(outdir / name, *data.csv_columns())
+        (outdir / f"{name}.json").write_text(json.dumps(_meta(cfg, rays=args.rays, **meta),
+                                                        indent=2, sort_keys=True))
     print(f"traced {len(table.alt_grid)} altitudes and "
           f"{table.eta_diff_th.size} diffuse entries -> {outdir}")
     return EXIT_OK
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace-optics", help="ray-trace the efficiency table")
     common(p)
-    p.add_argument("--rays", type=int, default=None)
+    p.add_argument("--rays", type=int, default=DEFAULT_RAYS, help="rays per trace call")
     p.add_argument("--no-fluxmaps", action="store_true")
     p.set_defaults(func=_cmd_trace_optics)
 

@@ -176,29 +176,21 @@ class ClimateSeries:
 
     def __init__(self, temperature: np.ndarray, dni: np.ndarray, dhi: np.ndarray,
                  source: str = "<memory>"):
-        temperature = np.asarray(temperature, dtype=float)
-        dni = np.asarray(dni, dtype=float)
-        dhi = np.asarray(dhi, dtype=float)
-        for name, arr in (("temperature", temperature), ("dni", dni), ("dhi", dhi)):
+        arrays = [np.asarray(a, dtype=float) for a in (temperature, dni, dhi)]
+        for name, arr in zip(CLIMATE_COLUMNS[1:], arrays):
             if arr.shape != (HOURS_PER_YEAR,):
                 raise ClimateError(
                     f"{name}: expected {HOURS_PER_YEAR} hourly values, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 bad = int(np.flatnonzero(~np.isfinite(arr))[0])
                 raise ClimateError(f"{name}: non-finite value at row {bad}")
-        if np.any(dni < 0.0):
-            bad = int(np.flatnonzero(dni < 0.0)[0])
-            raise ClimateError(f"negative DNI at row {bad}")
-        if np.any(dhi < 0.0):
-            bad = int(np.flatnonzero(dhi < 0.0)[0])
-            raise ClimateError(f"negative DHI at row {bad}")
-        self.temperature = temperature
-        self.dni = dni
-        self.dhi = dhi
+        for name, arr in zip(("DNI", "DHI"), arrays[1:]):
+            if np.any(arr < 0.0):
+                raise ClimateError(f"negative {name} at row {int(np.argmax(arr < 0.0))}")
+        self.temperature, self.dni, self.dhi = arrays
         self.source = source
-        self.temperature.flags.writeable = False
-        self.dni.flags.writeable = False
-        self.dhi.flags.writeable = False
+        for arr in arrays:
+            arr.flags.writeable = False
 
     def __len__(self) -> int:
         return HOURS_PER_YEAR

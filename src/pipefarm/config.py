@@ -98,9 +98,7 @@ class ScenarioConfig:
     photoperiod: tuple[float, float] = (4.0, 20.0)
     min_threshold_ppfd: float = 100.0
     hour_center_offset: float = 0.5
-    rays: int = 100_000
-    table_cache_dir: Optional[Path] = None
-    table_path: Optional[Path] = None         # imported efficiency table
+    table_path: Optional[Path] = None         # optical table file, read by piped runs
     timestep_mode: str = "quasi_steady"       # quasi_steady | transient
     transient_capacity_w: float = 20000.0
 
@@ -232,7 +230,7 @@ def _load_yaml_with_includes(path: Path, chain: tuple = ()) -> dict:
         section, _, name = key.rpartition(".")
         values = data.get(section) if section else data
         value = values.get(name) if isinstance(values, dict) else None
-        if isinstance(value, str) and value not in _NO_PATH:
+        if isinstance(value, str) and value:
             values[name] = str(path.parent.resolve() / value)
     includes = data.pop("include", [])
     if isinstance(includes, str):
@@ -251,8 +249,7 @@ _RENAMED = {
     "driver.min_dim": "min_dim", "ec.cap_ppfd": "ec_cap_ppfd",
     "setpoints.temperature": "setpoint_t", "setpoints.co2": "setpoint_co2",
     "setpoints.ppfd": "setpoint_ppfd",
-    "optics.table": "table_path", "optics.cache_dir": "table_cache_dir",
-    "optics.rays": "rays",
+    "optics.table": "table_path",
 }
 # YAML sections that build one object field; their other keys are its fields
 _SECTIONS = {"site": "site", "chamber": "chamber", "lp": "lp_geometry", "crop": "crop",
@@ -263,20 +260,19 @@ _TOP_LEVEL = ({f.name for f in fields(ScenarioConfig)}
               - set(_RENAMED.values()) - set(_SECTIONS.values()))
 _GROUPS = set(_SECTIONS) | {k.split(".")[0] for k in _RENAMED if "." in k}   # mappings
 # path keys, resolved by the loader against the directory of the file that sets them
-_PATHS = {"climate", "crop.lue_table", "optics.table", "optics.cache_dir"}
-_NO_PATH = (None, "", "traced")            # path values that set no path
+_PATHS = {"climate", "crop.lue_table", "optics.table"}
 
 
 def _number(key: str, default, value):
-    """`value` as the type of the numeric `default`; a boolean, a non-number
-    or a fractional value for an integer key is an error naming the key."""
+    """`value` as the type of the numeric `default`; a boolean, a non-number,
+    NaN, ±inf or a fractional value for an integer key is an error naming it."""
     try:
         fractional = isinstance(default, int) and not float(value).is_integer()
-        if isinstance(value, bool) or fractional:
+        if isinstance(value, bool) or fractional or not math.isfinite(float(value)):
             raise ValueError
         return type(default)(value)
     except (TypeError, ValueError):
-        kind = "an integer" if isinstance(default, int) else "a number"
+        kind = "an integer" if isinstance(default, int) else "a finite number"
         raise ConfigError(f"{key!r} must be {kind}, not {value!r}") from None
 
 
@@ -315,7 +311,7 @@ def _build(obj, keys: dict, section: Optional[str] = None):
                 raise ConfigError(f"{key!r} must be a list, not {value!r}")
             value = tuple(_LISTS[key](f"{key}[{i}]", v) for i, v in enumerate(value))
         elif key in _PATHS:
-            value = None if value in _NO_PATH else Path(value)
+            value = None if value in (None, "") else Path(value)   # "" sets no path
         elif isinstance(default, str):
             value = str(value)
         elif isinstance(default, (float, int)):

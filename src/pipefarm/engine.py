@@ -25,9 +25,8 @@ iterates the crop stage alone on its LED light.
 A `Study` is a scenario set under one climate year and one LUE scale,
 which it fits itself: it builds their shared inputs once and refuses mixed
 ones before any run.
-Expensive Monte Carlo tracing happens once per geometry and is cached on
-disk; annual runs only interpolate the resulting table. A run is
-deterministic for a fixed seed.
+Runs never trace: they interpolate an optical table that `trace-optics`
+(or another tracer) wrote, and they draw no random numbers.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -56,7 +55,7 @@ from .optics import OpticalEfficiencyTable, PAR_UMOL_PER_J, \
 from .thermal import LATENT_HEAT_J_PER_KG, POWER_COLUMNS, RA_VALID_RANGE, latent_balance, \
     envelope_load, hvac_electricity, lp_convection, relative_residual, solve_hvac_load, \
     transient_loads
-from .tracer import MODEL_REVISION, build_efficiency_table
+from .tracer import MODEL_REVISION
 
 __all__ = ["SimulationError", "SimulationResult", "Study", "prepare_efficiency_table",
            "solar_angles", "run_scenario", "calibrate_lue_scale",
@@ -82,27 +81,27 @@ class CalibrationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def prepare_efficiency_table(cfg: ScenarioConfig) -> OpticalEfficiencyTable:
-    """Load or trace the optical table for this geometry (cached on disk).
-
-    Annual runs never trace inline; this is the explicit expensive stage.
-    The cache file is keyed by geometry, ray count, seed and the tracer's
-    model revision. A table read back from it keeps its `traced` provenance.
-    """
-    geometry_hash = cfg.lp_geometry.content_hash()
-    if cfg.table_path is not None:
-        return OpticalEfficiencyTable.import_csv(cfg.table_path, geometry_hash=geometry_hash)
-    path = None
-    if cfg.table_cache_dir is not None:
-        path = Path(cfg.table_cache_dir) / (f"optics_{geometry_hash}_r{cfg.rays}_s{cfg.seed}"
-                                            f"_m{MODEL_REVISION}.csv")
-        if path.exists():
-            table = OpticalEfficiencyTable.import_csv(path, geometry_hash=geometry_hash)
-            return replace(table, provenance="traced")
-        path.parent.mkdir(parents=True, exist_ok=True)
-    table, _ = build_efficiency_table(cfg.lp_geometry, rays=cfg.rays, seed=cfg.seed)
-    if path is not None:
-        write_csv(path, *table.csv_columns())
-    return table
+    """The table `optics.table` names; runs never trace. With a sidecar
+    (`<table>.json`, from trace-optics) it reads as `traced`, and only under
+    the traced `lp.*` geometry and this tracer's model revision."""
+    if cfg.table_path is None:
+        raise ConfigError("'optics.table' is not set; trace-optics can write a table for it")
+    sidecar = Path(f"{cfg.table_path}.json")
+    if not sidecar.exists():
+        return OpticalEfficiencyTable.import_csv(cfg.table_path)
+    try:
+        meta = json.loads(sidecar.read_text())
+        differ = [f"'lp.{k}' (traced {meta['lp'].get(k)!r}, run {v!r})"
+                  for k, v in asdict(cfg.lp_geometry).items() if meta["lp"].get(k) != v]
+        revision, geometry_hash = meta["model_revision"], meta["geometry_hash"]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{sidecar}: not a trace-optics sidecar ({exc!r})") from None
+    if differ:
+        raise ConfigError(f"{sidecar}: the table was traced for another {', '.join(differ)}")
+    if revision != MODEL_REVISION:
+        raise ConfigError(f"{sidecar}: the table was traced by tracer model revision "
+                          f"{revision!r}; this tracer is revision {MODEL_REVISION}")
+    return OpticalEfficiencyTable.import_csv(cfg.table_path, "traced", geometry_hash)
 
 
 def load_lue_table(cfg: ScenarioConfig) -> LueTable:
@@ -170,8 +169,7 @@ class Study:
         """The optical table of a piped scenario; None without pipes."""
         if not cfg.uses_light_pipes:
             return None
-        # what prepare_efficiency_table reads (the rays and seed only trace)
-        key = (cfg.table_path, cfg.lp_geometry, cfg.rays, cfg.seed)
+        key = (cfg.table_path, cfg.lp_geometry)     # what prepare_efficiency_table reads
         if key not in self._tables:
             self._tables[key] = prepare_efficiency_table(cfg)
         return self._tables[key]

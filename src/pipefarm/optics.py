@@ -203,7 +203,7 @@ class OpticalEfficiencyTable:
     se_diff_th: np.ndarray
     se_diff_crop: np.ndarray
     provenance: str = "traced"            # traced | imported
-    geometry_hash: str = ""
+    geometry_hash: Optional[str] = None   # of the traced geometry; None if imported
 
     ETA_DIR_CEILING = 0.73     # stated single-pipe ceiling for the direct beam
 
@@ -270,43 +270,57 @@ class OpticalEfficiencyTable:
                  blank + self.se_diff_crop.ravel().tolist()])
 
     @classmethod
-    def import_csv(cls, path: str | Path, geometry_hash: str = "") -> "OpticalEfficiencyTable":
-        path = Path(path)
-        direct: dict[float, tuple] = {}
-        diff: dict[float, dict[float, tuple]] = {}
+    def import_csv(cls, path: str | Path, provenance: str = "imported",
+                   geometry_hash: Optional[str] = None) -> "OpticalEfficiencyTable":
+        """The table a file in `csv_columns`' form holds. A blank `eta_crop`
+        or stderr cell reads 0; every other cell must be a finite number."""
+        name = f"efficiency table {Path(path).name}"
+        direct, diff = {}, {}          # altitude: cells, and tilt: {band: cells}
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                kind = row["kind"].strip()
+            rows = csv.DictReader(fh)
+            for row in rows:
+                kind = (row.get("kind") or "").strip()
+                if kind not in _ROW_CELLS:
+                    raise ValueError(f"{name} line {rows.line_num}: unknown row kind {kind!r}")
+                try:
+                    v = [float(row[n]) if row[n] or n in ("angle", "tilt", "eta") else 0.0
+                         for n in _ROW_CELLS[kind]]
+                    if not all(map(math.isfinite, v)):
+                        raise ValueError
+                except (KeyError, TypeError, ValueError):
+                    raise ValueError(f"{name} line {rows.line_num}: "
+                                     f"{', '.join(_ROW_CELLS[kind])} must be finite numbers") from None
                 if kind == "direct":
-                    a = float(row["angle"])
-                    if a in direct:
-                        raise ValueError(f"efficiency table {path.name} repeats the direct "
-                                         f"altitude {a:g}")
-                    direct[a] = (float(row["eta"]), float(row["stderr"] or 0.0))
-                elif kind == "diffuse":
-                    t, b = float(row["tilt"]), float(row["angle"])
-                    if b in diff.setdefault(t, {}):
-                        raise ValueError(f"efficiency table {path.name} repeats the diffuse "
-                                         f"cell at tilt {t:g}, band {b:g}")
-                    diff[t][b] = (float(row["eta"]), float(row["eta_crop"] or 0.0),
-                                  float(row["stderr"] or 0.0), float(row["stderr_crop"] or 0.0))
+                    if v[0] in direct:
+                        raise ValueError(f"{name} repeats the direct altitude {v[0]:g}")
+                    direct[v[0]] = tuple(v[1:])
                 else:
-                    raise ValueError(f"unknown efficiency row kind {kind!r} in {path.name}")
+                    t, b = v[:2]
+                    if b in diff.setdefault(t, {}):
+                        raise ValueError(f"{name} repeats the diffuse cell at tilt {t:g}, band {b:g}")
+                    diff[t][b] = tuple(v[2:])
         if not direct or not diff:
-            raise ValueError(f"efficiency table {path.name} is missing direct or diffuse rows")
+            raise ValueError(f"{name} is missing direct or diffuse rows")
         alt, tilts = sorted(direct), sorted(diff)
         bands = tuple(sorted(set().union(*diff.values())))
         for t, b in itertools.product(tilts, bands):
             if b not in diff[t]:
-                raise ValueError(f"efficiency table {path.name} has no diffuse cell at "
-                                 f"tilt {t:g}, band {b:g}")
+                raise ValueError(f"{name} has no diffuse cell at tilt {t:g}, band {b:g}")
         eta_dir, se_dir = (np.array([direct[a][i] for a in alt]) for i in range(2))
         th, crop, se_th, se_crop = (np.array([[diff[t][b][i] for b in bands] for t in tilts])
                                     for i in range(4))
-        return cls(alt_grid=np.asarray(alt), eta_dir=eta_dir, se_dir=se_dir,
-                   tilt_grid=np.asarray(tilts, dtype=float), bands=bands, eta_diff_th=th,
-                   eta_diff_crop=crop, se_diff_th=se_th, se_diff_crop=se_crop,
-                   provenance="imported", geometry_hash=geometry_hash)
+        try:
+            return cls(alt_grid=np.asarray(alt), eta_dir=eta_dir, se_dir=se_dir,
+                       tilt_grid=np.asarray(tilts, dtype=float), bands=bands, eta_diff_th=th,
+                       eta_diff_crop=crop, se_diff_th=se_th, se_diff_crop=se_crop,
+                       provenance=provenance, geometry_hash=geometry_hash)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+
+
+# the cells `import_csv` reads from each kind of row, in order
+_ROW_CELLS = {"direct": ("angle", "eta", "stderr"),
+              "diffuse": ("tilt", "angle", "eta", "eta_crop", "stderr", "stderr_crop")}
 
 
 def _outside(x, grid: np.ndarray):

@@ -60,7 +60,7 @@ __all__ = ["TraceResult", "trace_direct", "trace_diffuse_band",
 
 DEFAULT_RAYS = 100_000
 MIN_RAYS = 10_000
-# Tracer model revision, part of the optical cache's file name: raise it
+# Tracer model revision, written to each traced table's sidecar: raise it
 # whenever a change moves traced values, so no older table is read back.
 # Revision 2 crosses the bare duct in closed form.
 MODEL_REVISION = 2

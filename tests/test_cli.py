@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import shutil
 import sys
@@ -10,8 +11,9 @@ import pipefarm.engine
 from pipefarm.cli import main
 from pipefarm.config import load_config_mapping, load_scenario_config
 from pipefarm.engine import calibrate_lue_scale, load_lue_table
+from pipefarm.tracer import MODEL_REVISION
 
-# CLI runs get their own config tree so out/ and cache paths stay inside tmp
+# CLI runs get their own config tree so every output stays inside tmp
 pytestmark = pytest.mark.usefixtures("repo_paths")
 
 
@@ -111,6 +113,21 @@ class TestDispatch:
         assert rc == 3
         detail = json.loads(capsys.readouterr().err)["detail"]
         assert point in detail and name in detail
+
+    @pytest.mark.parametrize("body, points", [
+        ("optics: {cache_dir: ../.cache/optics}", ("untabled.yaml", "'optics.cache_dir'")),
+        ("optics: {rays: 100000}", ("untabled.yaml", "'optics.rays'")),
+        ("optics: {table: ''}", ("'optics.table' is not set", "trace-optics")),
+    ])
+    def test_the_run_only_reads_tables(self, work_tree, capsys, body, points):
+        """No key makes a run trace: a piped run without a table is refused."""
+        path = work_tree / "configs" / "untabled.yaml"
+        path.write_text(f"include: lp_dim.yaml\n{body}\n")
+        rc = main(["simulate", "--config", str(path), "--out", str(work_tree / "o")])
+        assert rc == 3
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert all(p in detail for p in points)
+        assert not (work_tree / "o").exists()
 
     def test_missing_climate_exit_code(self, work_tree, capsys):
         (work_tree / "data" / "dubai_hourly_synthetic.csv").unlink()
@@ -379,8 +396,13 @@ class TestTraceOptics:
                    "--out", str(out), "--rays", "10000"])
         assert rc == 0
         assert (out / "efficiency_table.csv").exists()
-        meta = json.loads((out / "trace_meta.json").read_text())
-        assert meta["rays"] == 10000
+        meta = json.loads((out / "efficiency_table.csv.json").read_text())
+        geometry = load_scenario_config(work_tree / "configs" / "bench.yaml").lp_geometry
+        assert meta["rays"] == 10000 and meta["provenance"] == "traced"
+        assert meta["model_revision"] == MODEL_REVISION
+        assert meta["lp"] == dataclasses.asdict(geometry)
+        assert meta["geometry_hash"] == geometry.content_hash()
+        assert not (out / "trace_meta.json").exists()
         maps = list(out.glob("fluxmap_alt*.csv"))
         assert maps and all(p.with_suffix(".csv.json").exists() for p in maps)
         side = json.loads(maps[0].with_suffix(".csv.json").read_text())
@@ -388,3 +410,11 @@ class TestTraceOptics:
         with open(maps[0]) as fh:
             rows = list(csv.reader(fh))
         assert [len(rows) - 1, len(rows[0])] == side["shape"]
+
+        # the annual run reads the traced table back under its geometry
+        cfg = work_tree / "configs" / "lp_dim_traced.yaml"
+        cfg.write_text("include: lp_dim.yaml\noptics: {table: ../trace/efficiency_table.csv}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(work_tree / "sim")]) == 0
+        run = json.loads((work_tree / "sim" / "kpis.json").read_text())["metadata"]
+        assert run["table_provenance"] == "traced"
+        assert run["table_geometry_hash"] == geometry.content_hash()

@@ -114,20 +114,21 @@ class TestIncludeMechanism:
         (tmp_path / "shared").mkdir()
         (tmp_path / "sub" / "scen").mkdir(parents=True)
         (tmp_path / "shared" / "base.yaml").write_text(
-            "climate: ../data/x.csv\noptics: {table: traced}\n"
+            "climate: ../data/x.csv\noptics: {table: t.csv}\n"
             "crop: {lue_table: /abs/lue.csv}\n")
         (tmp_path / "sub" / "scen" / "a.yaml").write_text(
             "include: ../../shared/base.yaml\nscenario: Bench\n")
         cfg = load_scenario_config(tmp_path / "sub" / "scen" / "a.yaml")
         assert cfg.climate_path == tmp_path.resolve() / "shared" / "../data/x.csv"
-        assert cfg.lue_table_path == Path("/abs/lue.csv") and cfg.table_path is None
+        assert cfg.lue_table_path == Path("/abs/lue.csv")
+        assert cfg.table_path == tmp_path.resolve() / "shared" / "t.csv"
 
     def test_own_paths_resolve_against_the_file(self, tmp_path):
         (tmp_path / "base.yaml").write_text("climate: ../data/x.csv\n")
-        (tmp_path / "top.yaml").write_text("include: base.yaml\noptics: {cache_dir: c}\n")
+        (tmp_path / "top.yaml").write_text("include: base.yaml\noptics: {table: t.csv}\n")
         cfg = load_scenario_config(tmp_path / "top.yaml")
         assert cfg.climate_path == tmp_path.resolve() / "../data/x.csv"
-        assert cfg.table_cache_dir == tmp_path.resolve() / "c"
+        assert cfg.table_path == tmp_path.resolve() / "t.csv"
 
 
 def test_config_loader_reads_the_shipped_files_as_pyyaml_does(repo_paths):
@@ -181,6 +182,8 @@ class TestValidation:
         ("lp: {diffuser_pitch_mm: 2.0}", "lp.diffuser_pitch_mm"),         # removed keys
         ("lp: {mirror_hinge_height_m: 0.0}", "lp.mirror_hinge_height_m"),
         ("optics: {bounce_cap: 50}", "optics.bounce_cap"),
+        ("optics: {cache_dir: ../.cache/optics}", "optics.cache_dir"),   # runs only read
+        ("optics: {rays: 100000}", "optics.rays"),
         ("crop: {calibration: x.json}", "crop.calibration"),
         ("ec: {v_max: 100.0}", "ec.v_max"),               # now module constants
         ("hvac: {cop_min: 1.5}", "hvac.cop_min"),
@@ -233,7 +236,15 @@ class TestValidation:
     @pytest.mark.parametrize("body, key", [
         ("lp: {count: 750.9}", "lp.count"),               # fractional int
         ("seed: 1.9", "seed"),
-        ("optics: {rays: .inf}", "optics.rays"),
+        ("lp: {count: .inf}", "lp.count"),                # an integer key's infinity
+        ("crop: {lai_cap: .nan}", "crop.lai_cap"),         # non-finite numbers
+        ("hvac: {t_evap_c: .inf}", "hvac.t_evap_c"),
+        ("hvac: {cop_max: .inf}", "hvac.cop_max"),
+        ("costs: {electricity_usd_per_mwh: .nan}", "costs.electricity_usd_per_mwh"),
+        ("lp: {length_mm: .inf}", "lp.length_mm"),
+        ("ppe: -.inf", "ppe"),
+        ("chamber: {surfaces: [{name: roof, area_m2: 49.0, u_value: .inf}]}",
+         "chamber.surfaces[0].u_value"),
         ("ppe: true", "ppe"),                             # boolean number
         ("lp: {count: false}", "lp.count"),
         ("setpoints: {temperature: [24]}", "setpoints.temperature"),
@@ -308,8 +319,8 @@ SETTABLE_KEYS = [
     "latent.condensate_recovery", "lp.canopy_distance_m", "lp.count", "lp.diameter_mm",
     "lp.diffuser_apex_angle_deg", "lp.diffuser_refractive_index", "lp.diffuser_throughput",
     "lp.dome_transmittance", "lp.heat_area", "lp.length_mm", "lp.mirror_reflectance",
-    "lp.target_zone_m", "lp.wall_reflectance", "min_threshold_ppfd", "optics.cache_dir",
-    "optics.rays", "optics.table", "photoperiod", "ppe", "scenario", "seed",
+    "lp.target_zone_m", "lp.wall_reflectance", "min_threshold_ppfd", "optics.table",
+    "photoperiod", "ppe", "scenario", "seed",
     "setpoints.co2", "setpoints.ppfd", "setpoints.temperature", "site.latitude",
     "site.longitude", "site.utc_offset", "surrogates.crop_latent_fraction",
     "surrogates.crop_storage_fraction", "surrogates.fm_water_l_per_kg", "timestep_mode",
@@ -323,4 +334,4 @@ def test_settable_keys_are_frozen():
     for section, name in config._SECTIONS.items():
         keys |= {f"{section}.{f.name}" for f in dataclasses.fields(getattr(default, name))}
     assert sorted(keys) == SETTABLE_KEYS
-    assert len(SETTABLE_KEYS) == 71
+    assert len(SETTABLE_KEYS) == 69

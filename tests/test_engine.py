@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import math
 import re
 from pathlib import Path
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from pipefarm import engine
+from pipefarm.cli import main
 from pipefarm.climate import ClimateSeries, HOURS_PER_YEAR, SiteConfig
-from pipefarm.config import load_config_mapping, load_scenario_config
+from pipefarm.config import ConfigError, load_config_mapping, load_scenario_config
 from pipefarm.crop import CropParams, CropState, growth_step, harvest_if_due, interception, \
     standing_credit_kg
 from pipefarm.economics import break_even_unit_cost, led_cost_per_watt, light_cost_comparison, \
@@ -149,51 +151,55 @@ def random_traced_table(seed: int) -> OpticalEfficiencyTable:
         se_diff_crop=np.zeros_like(th), provenance="traced")
 
 
-class TestTableCache:
-    def test_cached_trace_reads_back_as_traced(self, scenario_configs, monkeypatch,
-                                               tmp_path):
-        """A rerun that reads the table from the disk cache reports the same
-        provenance and the same arrays as the run that traced it."""
-        traced = random_traced_table(0)
-        calls = []
+class TestTableSidecar:
+    """A table with a sidecar reads as traced, and only under the sidecar's
+    geometry and this tracer's model revision; no test here traces."""
 
-        def trace(geometry, rays, seed):
-            calls.append((rays, seed))
-            return traced, {}
+    def write(self, tmp_path, cfg, **edits):
+        path = tmp_path / "efficiency_table.csv"
+        engine.write_csv(path, *random_traced_table(0).csv_columns())
+        meta = {"provenance": "traced", "lp": dataclasses.asdict(cfg.lp_geometry),
+                "geometry_hash": cfg.lp_geometry.content_hash(), "rays": 10_000,
+                "seed": cfg.seed, "model_revision": MODEL_REVISION}
+        meta["lp"].update(edits.pop("lp", {}))
+        Path(f"{path}.json").write_text(json.dumps({**meta, **edits}))
+        return dataclasses.replace(cfg, table_path=path)
 
-        monkeypatch.setattr(engine, "build_efficiency_table", trace)
-        cfg = dataclasses.replace(scenario_configs["LP_Dim"], table_path=None,
-                                  table_cache_dir=tmp_path)
-        first = prepare_efficiency_table(cfg)
-        second = prepare_efficiency_table(cfg)
-        assert len(calls) == 1
-        assert first.provenance == second.provenance == "traced"
-        for name in ("alt_grid", "eta_dir", "se_dir", "tilt_grid", "eta_diff_th",
-                     "eta_diff_crop", "se_diff_th", "se_diff_crop"):
-            assert np.array_equal(getattr(first, name), getattr(second, name)), name
-
-    def test_table_of_an_older_tracer_is_traced_again(self, scenario_configs, monkeypatch,
-                                                     tmp_path):
-        """A table cached under the name the tracer used before its model
-        revision joined the file name is not read back as this tracer's
-        output: the table is traced afresh."""
-        cfg = dataclasses.replace(scenario_configs["LP_Dim"], table_path=None,
-                                  table_cache_dir=tmp_path)
-        old = tmp_path / f"optics_{cfg.lp_geometry.content_hash()}_r{cfg.rays}_s{cfg.seed}.csv"
-        engine.write_csv(old, *random_traced_table(1).csv_columns())
-        fresh = random_traced_table(2)
-        calls = []
-
-        def trace(geometry, rays, seed):
-            calls.append((rays, seed))
-            return fresh, {}
-
-        monkeypatch.setattr(engine, "build_efficiency_table", trace)
+    def test_sidecar_makes_the_table_traced(self, scenario_configs, tmp_path):
+        cfg = self.write(tmp_path, scenario_configs["LP_Dim"])
         table = prepare_efficiency_table(cfg)
-        assert calls == [(cfg.rays, cfg.seed)]
-        assert np.array_equal(table.eta_dir, fresh.eta_dir)
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            [old.name, old.name.replace(".csv", f"_m{MODEL_REVISION}.csv")])
+        assert table.provenance == "traced"
+        assert table.geometry_hash == cfg.lp_geometry.content_hash()
+        assert np.array_equal(table.eta_dir, random_traced_table(0).eta_dir)
+
+    @pytest.mark.parametrize("edits, points", [
+        ({"lp": {"diameter_mm": 200.0}}, ["'lp.diameter_mm'"]),
+        ({"model_revision": MODEL_REVISION - 1},
+         [f"revision {MODEL_REVISION - 1}", f"revision {MODEL_REVISION}"]),
+    ], ids=["geometry", "revision"])
+    def test_another_geometry_or_revision_exits_3(self, scenario_configs, tmp_path, capsys,
+                                                  repo_paths, edits, points):
+        self.write(tmp_path, scenario_configs["LP_Dim"], **edits)
+        path = tmp_path / "lp_dim_traced.yaml"
+        path.write_text(f"include: {repo_paths['configs'] / 'lp_dim.yaml'}\n"
+                        "optics: {table: efficiency_table.csv}\n")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert "efficiency_table.csv.json" in detail and all(p in detail for p in points)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{}", "not json"])
+    def test_malformed_sidecar_is_named(self, scenario_configs, tmp_path, text):
+        cfg = self.write(tmp_path, scenario_configs["LP_Dim"])
+        Path(f"{cfg.table_path}.json").write_text(text)
+        with pytest.raises(ConfigError, match="not a trace-optics sidecar"):
+            prepare_efficiency_table(cfg)
+
+    def test_shipped_runs_read_an_imported_table(self, scenario_results):
+        for name, result in scenario_results.items():
+            piped = result.config.uses_light_pipes
+            assert result.metadata["table_provenance"] == ("imported" if piped else None), name
+            assert result.metadata["table_geometry_hash"] is None, name
 
 
 class TestCalibration:

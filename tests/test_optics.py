@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -120,6 +121,36 @@ class TestEfficiencyTable:
         with pytest.raises(ValueError) as exc:
             OpticalEfficiencyTable.import_csv(path)
         assert point in str(exc.value) and path.name in str(exc.value)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "x", ""])
+    def test_non_finite_cell_is_named(self, tmp_path, repo_paths, cell):
+        """The range checks cannot see NaN, so the reader refuses it by file
+        and line, as the LUE and climate readers do."""
+        rows = (repo_paths["data"] / "lp_efficiency_reference.csv").read_text().splitlines()
+        first = next(i for i, r in enumerate(rows) if r.startswith("direct,"))
+        head = rows[0].split(",")
+        parts = rows[first].split(",")
+        parts[head.index("eta")] = cell
+        rows[first] = ",".join(parts)
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError) as exc:
+            OpticalEfficiencyTable.import_csv(path)
+        assert f"{path.name} line {first + 1}" in str(exc.value)
+
+    @pytest.mark.parametrize("sigmas, loads", [(2.5, True), (3.5, False)])
+    def test_crop_side_may_pass_chamber_side_by_under_three_stderr(self, sigmas, loads):
+        """The crop-side diffuse entry may exceed the chamber side by Monte
+        Carlo noise, up to 3 (se_th + se_crop), and no further."""
+        t = _flat_table(eta_th=0.30)
+        se = np.full_like(t.eta_diff_th, 0.01)
+        crop = t.eta_diff_th + sigmas * (se + se)
+        fields = dict(eta_diff_crop=crop, se_diff_th=se, se_diff_crop=se)
+        if loads:
+            assert np.array_equal(dataclasses.replace(t, **fields).eta_diff_crop, crop)
+        else:
+            with pytest.raises(ValueError, match="exceeds chamber-side"):
+                dataclasses.replace(t, **fields)
 
     def test_interpolation_and_clamp(self):
         t = _flat_table()
