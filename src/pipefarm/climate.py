@@ -53,7 +53,7 @@ class SiteConfig:
         if not -180.0 <= self.longitude <= 180.0:
             raise ValueError(f"longitude out of range: {self.longitude}")
         if not -180.0 <= self.reference_longitude <= 180.0:
-            raise ValueError(f"reference longitude out of range: {self.reference_longitude}")
+            raise ValueError(f"utc_offset {self.utc_offset} puts the reference longitude out of range")
 
     @property
     def reference_longitude(self) -> float:
@@ -289,7 +289,7 @@ def load_climate(path: str | Path, columns: Optional[dict] = None) -> ClimateSer
 # Synthetic reference year
 # ---------------------------------------------------------------------------
 
-def synthetic_dubai_year(site: Optional[SiteConfig] = None) -> ClimateSeries:
+def synthetic_dubai_year(site: SiteConfig) -> ClimateSeries:
     """Deterministic Dubai-like hourly year (clear-sky beam + haze/cloud dips).
 
     Purely analytic stand-in for a PVGIS-style TMY: Hottel-type beam
@@ -298,7 +298,6 @@ def synthetic_dubai_year(site: Optional[SiteConfig] = None) -> ClimateSeries:
     pattern (no RNG, so the series is bit-reproducible). Annual totals land
     near the emirate's typical DNI/DHI/GHI magnitudes.
     """
-    site = site or SiteConfig(latitude=25.0, longitude=55.0, utc_offset=4.0)
     solar_constant = 1361.0  # W m-2
     i = np.arange(HOURS_PER_YEAR)
     day = i // 24 + 1

@@ -64,11 +64,11 @@ class GlazingParams:
 
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
-            raise ConfigError("glazing tau must be in (0, 1]")
+            raise ConfigError("tau must be in (0, 1]")
         if self.u_value <= 0.0:
-            raise ConfigError("glazing U must be positive")
+            raise ConfigError("u_value must be positive")
         if self.wall_glazed_m2 < 0.0:
-            raise ConfigError("glazed wall area must be non-negative")
+            raise ConfigError("wall_glazed_m2 must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class ScenarioConfig:
         if self.n_pipes < 0:
             raise ConfigError("n_pipes must be non-negative")
         if self.lp_heat_area not in ("aperture", "lateral"):
-            raise ConfigError("lp_heat_area must be 'aperture' or 'lateral'")
+            raise ConfigError("'lp.heat_area' must be 'aperture' or 'lateral'")
         if self.timestep_mode not in ("quasi_steady", "transient"):
             raise ConfigError("timestep_mode must be 'quasi_steady' or 'transient'")
         if self.transient_capacity_w <= 0.0:
@@ -281,12 +281,8 @@ def _surface(key: str, entry) -> Surface:
     if not isinstance(entry, dict) or set(entry) != {"name", "area_m2", "u_value"}:
         raise ConfigError(f"{key!r} must set exactly name, area_m2 and u_value, "
                           f"not {entry!r}")
-    area = _number(f"{key}.area_m2", 0.0, entry["area_m2"])
-    u_value = _number(f"{key}.u_value", 0.0, entry["u_value"])
-    try:
-        return Surface(str(entry["name"]), area, u_value)
-    except ValueError as exc:
-        raise ConfigError(f"{key!r}: {exc}") from None
+    # a placeholder whose three fields the entry replaces
+    return _build(Surface("?", 1.0, 1.0), {k: (f"{key}.{k}", v) for k, v in entry.items()}, key)
 
 
 # list values, built entry by entry into their field's types
@@ -296,7 +292,8 @@ _LISTS = {"chamber.surfaces": _surface,
 
 def _build(obj, keys: dict, section: Optional[str] = None):
     """`obj` with the given fields replaced; `keys` maps field name to
-    (YAML key, value). Values take the type of the field's default.
+    (YAML key, value). Values take the type of the field's default; a
+    string or path field takes only a string (or null).
 
     A failed check of a `section` object is raised under the YAML key of
     the field its message starts with, else under the section."""
@@ -310,10 +307,11 @@ def _build(obj, keys: dict, section: Optional[str] = None):
             if not isinstance(value, list):
                 raise ConfigError(f"{key!r} must be a list, not {value!r}")
             value = tuple(_LISTS[key](f"{key}[{i}]", v) for i, v in enumerate(value))
-        elif key in _PATHS:
-            value = None if value in (None, "") else Path(value)   # "" sets no path
-        elif isinstance(default, str):
-            value = str(value)
+        elif key in _PATHS or isinstance(default, str):
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{key!r} must be a string, not {value!r}")
+            if key in _PATHS:
+                value = Path(value) if value else None        # "" sets no path
         elif isinstance(default, (float, int)):
             value = _number(key, default, value)
         changes[name] = value

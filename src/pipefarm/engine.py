@@ -111,7 +111,7 @@ def load_lue_table(cfg: ScenarioConfig) -> LueTable:
     return LueTable.from_csv(cfg.lue_table_path)
 
 
-def solar_angles(site: SiteConfig, hour_center_offset: float = 0.5
+def solar_angles(site: SiteConfig, hour_center_offset: float
                  ) -> tuple[np.ndarray, np.ndarray]:
     """(altitude, azimuth) for all 8760 hourly records of a non-leap year."""
     hours = np.arange(HOURS_PER_YEAR)

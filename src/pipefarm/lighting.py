@@ -167,7 +167,7 @@ class EcFilm:
 EC_FILM = EcFilm()
 
 
-def ec_control(ppfd_raw: float, cap: float = 400.0) -> tuple[float, float, float, bool]:
+def ec_control(ppfd_raw: float, cap: float) -> tuple[float, float, float, bool]:
     """Pick the `EC_FILM` state limiting crop PPFD to the cap.
 
     Returns (voltage, tau, ppfd_out, cap_unreachable). With weak daylight
@@ -194,16 +194,15 @@ def ec_control(ppfd_raw: float, cap: float = 400.0) -> tuple[float, float, float
 # -- tier-3 control -------------------------------------------------------------
 
 
-def control_tier3(strategy: str, daylight_ppfd, clock_hour,
-                  setpoint: float = 250.0, min_threshold: float = 100.0,
-                  min_dim: float = 0.30,
-                  photoperiod: tuple[float, float] = (4.0, 20.0)) -> LightingCommand:
+def control_tier3(strategy: str, daylight_ppfd, clock_hour, setpoint: float,
+                  min_threshold: float, min_dim: float,
+                  photoperiod: tuple[float, float]) -> LightingCommand:
     """LED commands for tier 3 of scenario `strategy` given the delivered
     daylight PPFD at each clock hour (arrays or scalars, broadcast together).
 
     daylight_ppfd must already include any filter or film attenuation.
     Daylight keeps entering outside the photoperiod (there is no shutter);
-    only the LEDs follow the 16 h window. PWM LEDs that would dim below
+    only the LEDs follow `photoperiod`. PWM LEDs that would dim below
     `min_dim` of nominal switch off instead.
     """
     row = STRATEGIES.get(strategy)

@@ -81,9 +81,9 @@ class LpGeometry:
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1]")
         if not 0.0 < self.diffuser_apex_angle_deg < 180.0:
-            raise ValueError("diffuser apex angle must be in (0, 180) deg")
+            raise ValueError("diffuser_apex_angle_deg must be in (0, 180) deg")
         if self.diffuser_refractive_index <= 1.0:
-            raise ValueError("diffuser refractive index must exceed 1")
+            raise ValueError("diffuser_refractive_index must exceed 1")
 
     @property
     def radius_m(self) -> float:

@@ -47,8 +47,11 @@ class Surface:
     u_value: float             # W m-2 K-1
 
     def __post_init__(self):
-        if self.area_m2 <= 0.0 or self.u_value <= 0.0:
-            raise ValueError(f"surface {self.name}: area and U must be positive")
+        if not self.name:
+            raise ValueError(f"name must be a non-empty string, not {self.name!r}")
+        for name in ("area_m2", "u_value"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} of surface {self.name!r} must be positive")
 
 
 @dataclass(frozen=True)
@@ -62,8 +65,9 @@ class ChamberGeometry:
     )
 
     def __post_init__(self):
-        if self.floor_area_m2 <= 0.0 or self.height_m <= 0.0:
-            raise ValueError("chamber dimensions must be positive")
+        for name in ("floor_area_m2", "height_m"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
 
     @property
     def thermal_capacity_j_per_k(self) -> float:
@@ -218,14 +222,16 @@ class CopModel:
 
     def __post_init__(self):
         if not 0.0 < self.eta_second_law <= 1.0:
-            raise ValueError("second-law efficiency must be in (0, 1]")
+            raise ValueError("eta_second_law must be in (0, 1]")
         if self.cop_max < COP_MIN:
             raise ValueError(f"cop_max is below the COP floor {COP_MIN}")
         # condenser at or below the evaporator is rejected at config time
-        if self.approach_k <= 0.0 or self.heat_approach_k < 0.0:
-            raise ValueError("approach temperatures must be positive")
+        if self.approach_k <= 0.0:
+            raise ValueError("approach_k must be positive")
+        if self.heat_approach_k < 0.0:
+            raise ValueError("heat_approach_k must be non-negative")
         if self.heat_supply_c + KELVIN <= 0.0:
-            raise ValueError("heat supply temperature is non-physical")
+            raise ValueError("heat_supply_c is below absolute zero")
 
     def cop_cooling(self, t_ext_c: float) -> float:
         t_evap = self.t_evap_c + KELVIN
@@ -272,7 +278,7 @@ class LatentModel:
 
     def __post_init__(self):
         if not 0.0 <= self.condensate_recovery <= 1.0:
-            raise ValueError("condensate recovery must be in [0, 1]")
+            raise ValueError("condensate_recovery must be in [0, 1]")
 
 
 def latent_balance(transpiration_kg_per_s: float, model: LatentModel, dt_s: float = 3600.0

@@ -14,6 +14,7 @@ import pytest
 
 import pipefarm.engine
 import pipefarm.thermal
+from pipefarm.config import ScenarioConfig
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +45,9 @@ def test_hooks_read_the_returned_shapes(tracing, scenario_results, tmp_path):
     rec = tracing.SpanRecorder()
     with tracing.installed(rec) as missing:
         assert missing == {}
-        pipefarm.engine.ec_control(1e4)       # cap out of the film's reach
-        pipefarm.engine.ec_control(100.0)
+        cap = ScenarioConfig().ec_cap_ppfd
+        pipefarm.engine.ec_control(1e4, cap)       # cap out of the film's reach
+        pipefarm.engine.ec_control(100.0, cap)
         written = scenario_results["LP_Dim_EC"].save(tmp_path)
     assert rec.counts[("", "ec_unreachable_hours", "")] == 1
     assert rec.counts[("", "save_bytes", "")] == sum(p.stat().st_size for p in written) > 0

@@ -8,6 +8,7 @@ import pytest
 from pipefarm.climate import (ClimateError, SiteConfig, _resolve_azimuth, declination,
                               equation_of_time, incidence_cosine, load_climate,
                               solar_position, sunpath_table, synthetic_dubai_year)
+from pipefarm.config import ScenarioConfig
 from pipefarm.engine import solar_angles
 
 DUBAI = SiteConfig(latitude=25.0, longitude=55.0, utc_offset=4.0)
@@ -271,7 +272,7 @@ class TestLoadClimate:
 
 class TestSyntheticYear:
     def test_shape_and_night(self):
-        s = synthetic_dubai_year()
+        s = synthetic_dubai_year(ScenarioConfig().site)
         assert len(s) == 8760
         assert s.dni.min() >= 0.0
         assert s.dhi.min() >= 0.0
@@ -279,13 +280,13 @@ class TestSyntheticYear:
         assert s.dni[0] == 0.0
 
     def test_matches_shipped_csv(self, repo_paths, climate):
-        regenerated = synthetic_dubai_year()
+        regenerated = synthetic_dubai_year(ScenarioConfig().site)
         assert np.array_equal(regenerated.dni, climate.dni)
         assert np.array_equal(regenerated.temperature, climate.temperature)
 
     def test_content_hash_stable(self):
-        a = synthetic_dubai_year()
-        b = synthetic_dubai_year()
+        a = synthetic_dubai_year(ScenarioConfig().site)
+        b = synthetic_dubai_year(ScenarioConfig().site)
         assert a.content_hash() == b.content_hash()
 
 

@@ -66,6 +66,27 @@ class TestShippedConfigs:
         assert a.content_hash() == b.content_hash()
         assert a.content_hash() != c.content_hash()
 
+    def test_shipped_files_restate_no_default(self, repo_paths):
+        """Every design value lives on its dataclass field: a shipped file
+        that sets a key to its default holds a second copy that nothing keeps
+        in step. The input files, their column map and the scenario id are
+        exempt."""
+        default = config.ScenarioConfig()
+        exempt = config._PATHS | {"climate_columns", "scenario"}
+        restated = []
+        for path in sorted(repo_paths["configs"].glob("*.yaml")):
+            doc = yaml.safe_load(path.read_text()) or {}
+            if "scenarios" in doc or "scenario_config" in doc:     # study files
+                continue
+            doc.pop("include", None)
+            for key, value in doc.items():
+                leaves = ({f"{key}.{k}": {key: {k: v}} for k, v in value.items()}
+                          if isinstance(value, dict) else {key: {key: value}})
+                restated += [f"{path.name}: {k}" for k, leaf in leaves.items()
+                             if key not in exempt and k not in exempt
+                             and config.resolve_config_dict(leaf) == default]
+        assert restated == []
+
     def test_content_hash_covers_overrides(self, repo_paths):
         a = load_scenario_config(repo_paths["configs"] / "bench.yaml")
         assert dataclasses.replace(a, seed=7).content_hash() != a.content_hash()
@@ -272,15 +293,39 @@ class TestValidation:
          "chamber.surfaces[1]"),
         ("chamber: {surfaces: [{name: roof, area_m2: big, u_value: 0.2}]}",
          "chamber.surfaces[0].area_m2"),
+        ("chamber: {surfaces: [{name: .nan, area_m2: 49.0, u_value: 0.2}]}",
+         "chamber.surfaces[0].name"),                 # a name is a non-empty string
+        ("chamber: {surfaces: [{name: '', area_m2: 49.0, u_value: 0.2}]}",
+         "chamber.surfaces[0].name"),
+        ("climate: 1.0", "climate"),                      # a path is a string
+        ("optics: {table: true}", "optics.table"),
+        ("crop: {lue_table: {a: 1}}", "crop.lue_table"),
+        ("lp: {heat_area: 5}", "lp.heat_area"),
+        ("lp: {heat_area: top}", "lp.heat_area"),
         # a section object's own check, under the key that set the field
         ("chamber: {surfaces: [{name: roof, area_m2: 49.0, u_value: -1}]}",
-         "chamber.surfaces[0]"),
+         "chamber.surfaces[0].u_value"),
+        ("chamber: {surfaces: [{name: roof, area_m2: 0, u_value: 0.2}]}",
+         "chamber.surfaces[0].area_m2"),
         ("crop: {lai_cap: -1}", "crop.lai_cap"),
         ("crop: {target_fresh_g: 1.0}", "crop.target_fresh_g"),
         ("crop: {transplant_dm_g_m2: 1000}", "crop.target_fresh_g"),
         ("site: {latitude: 95}", "site.latitude"),
         ("surrogates: {crop_latent_fraction: 2}", "surrogates.crop_latent_fraction"),
-        ("chamber: {height_m: 0}", "chamber"),
+        ("chamber: {height_m: 0}", "chamber.height_m"),
+        ("chamber: {floor_area_m2: -1}", "chamber.floor_area_m2"),
+        ("latent: {condensate_recovery: 2}", "latent.condensate_recovery"),
+        ("lp: {diffuser_apex_angle_deg: 180}", "lp.diffuser_apex_angle_deg"),
+        ("lp: {diffuser_refractive_index: 1.0}", "lp.diffuser_refractive_index"),
+        ("site: {utc_offset: 13}", "site.utc_offset"),
+        ("hvac: {eta_second_law: 0}", "hvac.eta_second_law"),
+        ("hvac: {approach_k: 0}", "hvac.approach_k"),
+        ("hvac: {heat_approach_k: -1}", "hvac.heat_approach_k"),
+        ("hvac: {heat_supply_c: -300}", "hvac.heat_supply_c"),
+        ("hvac: {cop_max: 0.5}", "hvac.cop_max"),
+        ("gh: {tau: 0}", "gh.tau"),
+        ("gh: {u_value: 0}", "gh.u_value"),
+        ("gh: {wall_glazed_m2: -1}", "gh.wall_glazed_m2"),
     ])
     def test_invalid_value_names_the_key(self, tmp_path, body, key):
         path = tmp_path / "bad.yaml"

@@ -2,13 +2,14 @@
 `pipefarm simulate` in process.
 
 Each mutant changes one thing in a scratch copy of `configs/` and `data/`:
-either one leaf of `configs/base.yaml`, set to NaN, +inf, -inf, -1, 0, 1e30,
-a string, a boolean, null, a list or a mapping, or one cell that the table
-reader reads in `data/lp_efficiency_reference.csv`, set to the text of
-those numbers, a word or a blank. It then runs
-`pipefarm.cli.main(["simulate", ...])` on a shipped scenario file drawn
-from those that leave the mutated leaf to `base.yaml` (a piped one for a
-table cell). A mutant passes when:
+either one key that a scenario file may set (the loader's key tables, a list
+or the climate column map by entry), written as an override into
+`configs/base.yaml` and set to NaN, +inf, -inf, -1, 0, 1e30, a string, a
+boolean, null, a list or a mapping, or one cell that the table reader reads
+in `data/lp_efficiency_reference.csv`, set to the text of those numbers, a
+word or a blank. It then runs `pipefarm.cli.main(["simulate", ...])` on a
+shipped scenario file drawn from those that leave the mutated key to
+`base.yaml` (a piped one for a table cell). A mutant passes when:
 
 - nothing raises out of `main` (a traceback);
 - a refusal exits 3 or 4, and its message names the file (the scenario
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -41,7 +43,9 @@ from pathlib import Path
 
 import yaml
 
+from pipefarm import config
 from pipefarm.cli import main
+from pipefarm.climate import CLIMATE_COLUMNS
 from pipefarm.optics import _ROW_CELLS as READ_CELLS    # the cells the table reader reads
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +59,11 @@ YAML_VALUES = (math.nan, math.inf, -math.inf, -1, 0, 1e30, "fuzz", True, None, [
                {"fuzz": 1.0})
 CELL_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e30", "fuzz", "")
 TABLE_SHARE = 0.2           # share of the mutants that change a table cell
+DEFAULT = config.ScenarioConfig()
+# keys mutated entry by entry, with the value each mutant starts from
+COMPOSITE = {("chamber", "surfaces"): [dataclasses.asdict(s) for s in DEFAULT.chamber.surfaces],
+             ("photoperiod",): list(DEFAULT.photoperiod),
+             ("climate_columns",): {name: name for name in CLIMATE_COLUMNS}}
 
 
 def leaves(node, key: str = ""):
@@ -70,14 +79,46 @@ def leaves(node, key: str = ""):
             yield name, (k, *path)
 
 
+def settable() -> list[tuple[str, tuple]]:
+    """(dotted key, path) of every key a scenario file may set, a composite
+    key by each leaf of its starting value."""
+    keys = set(config._RENAMED) | config._TOP_LEVEL
+    for section, name in config._SECTIONS.items():
+        keys |= {f"{section}.{f.name}" for f in dataclasses.fields(getattr(DEFAULT, name))}
+    out = []
+    for key in sorted(keys):
+        path = tuple(key.split("."))
+        out += ([(name, path + sub) for name, sub in leaves(COMPOSITE[path], key)]
+                if path in COMPOSITE else [(key, path)])
+    return out
+
+
+def override(path: tuple, value) -> dict:
+    """The mapping that sets the leaf at `path` to `value`; a composite key's
+    leaf sets its whole starting value with that leaf replaced."""
+    head = next((h for h in COMPOSITE if path[:len(h)] == h), None)
+    if head is not None:
+        whole = json.loads(json.dumps(COMPOSITE[head]))    # a deep copy
+        node = whole
+        *inner, last = path[len(head):]
+        for k in inner:
+            node = node[k]
+        node[last] = value
+        path, value = head, whole
+    for k in reversed(path):
+        value = {k: value}
+    return value
+
+
 def sets(doc: dict, path: tuple) -> bool:
     """Whether a scenario file's own mapping sets the leaf at `path` or above it."""
     node = doc
     for k in path:
-        if isinstance(node, dict) and k in node:
-            node = node[k]
-        else:
+        if not isinstance(node, dict):
+            return True                 # a list or value above the leaf
+        if k not in node:
             return False
+        node = node[k]
     return True
 
 
@@ -88,10 +129,10 @@ def is_non_finite(value) -> bool:
         return False
 
 
-def draw(rng: random.Random, count: int, base: dict, table_rows: list) -> list[dict]:
+def draw(rng: random.Random, count: int, table_rows: list) -> list[dict]:
     """`count` distinct mutants, each with its scenario file."""
     own = {s: yaml.safe_load((ROOT / "configs" / s).read_text()) or {} for s in SCENARIOS}
-    keys = list(leaves(base))
+    keys = [(k, p) for k, p in settable() if not all(sets(own[s], p) for s in SCENARIOS)]
     seen, out = set(), []
     while len(out) < count:
         if rng.random() < TABLE_SHARE:
@@ -116,12 +157,7 @@ def draw(rng: random.Random, count: int, base: dict, table_rows: list) -> list[d
 def apply(mutant: dict, tree: Path, base: dict, table_rows: list, header: list) -> None:
     """Write the mutated file into the scratch tree."""
     if mutant["target"] == "yaml":
-        doc = json.loads(json.dumps(base))         # a deep copy
-        node = doc
-        *parents, last = mutant["path"]
-        for k in parents:
-            node = node[k]
-        node[last] = mutant["value"]
+        doc = config._deep_merge(base, override(tuple(mutant["path"]), mutant["value"]))
         (tree / "configs" / "base.yaml").write_text(yaml.safe_dump(doc, sort_keys=False))
         return
     rows = [dict(r) for r in table_rows]
@@ -175,7 +211,7 @@ def fuzz(seed: int, count: int) -> dict:
     with open(ROOT / "data" / TABLE, newline="") as fh:
         reader = csv.DictReader(fh)
         table_rows, header = list(reader), reader.fieldnames
-    mutants = draw(random.Random(seed), count, base, table_rows)
+    mutants = draw(random.Random(seed), count, table_rows)
     records = []
     with tempfile.TemporaryDirectory(prefix="fuzz_inputs_") as tmp:
         tree = Path(tmp)
