@@ -71,6 +71,10 @@ class GlazingParams:
             raise ConfigError("wall_glazed_m2 must be non-negative")
 
 
+# the envelope parts a chamber is built from; `effective_chamber` glazes the first two
+SURFACE_NAMES = ("roof", "walls", "floor")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str = "Bench"
@@ -121,6 +125,13 @@ class ScenarioConfig:
         if not (math.isfinite(self.ec_cap_ppfd) and self.ec_cap_ppfd > 0.0):
             raise ConfigError(f"'ec.cap_ppfd' must be positive and finite, "
                               f"not {self.ec_cap_ppfd!r}")
+        if not self.setpoint_ppfd > 0.0:
+            raise ConfigError(f"'setpoints.ppfd' must be positive, not {self.setpoint_ppfd!r}")
+        if not self.setpoint_co2 > 0.0:
+            raise ConfigError(f"'setpoints.co2' must be positive, not {self.setpoint_co2!r}")
+        if not self.min_threshold_ppfd >= 0.0:
+            raise ConfigError(f"'min_threshold_ppfd' must be non-negative, "
+                              f"not {self.min_threshold_ppfd!r}")
         if not 0.0 <= self.hour_center_offset < 1.0:
             raise ConfigError("hour_center_offset must be in [0, 1)")
         p = self.photoperiod
@@ -282,7 +293,10 @@ def _surface(key: str, entry) -> Surface:
         raise ConfigError(f"{key!r} must set exactly name, area_m2 and u_value, "
                           f"not {entry!r}")
     # a placeholder whose three fields the entry replaces
-    return _build(Surface("?", 1.0, 1.0), {k: (f"{key}.{k}", v) for k, v in entry.items()}, key)
+    surface = _build(Surface("?", 1.0, 1.0), {k: (f"{key}.{k}", v) for k, v in entry.items()}, key)
+    if surface.name not in SURFACE_NAMES:
+        raise ConfigError(f"'{key}.name' must be one of {SURFACE_NAMES}, not {surface.name!r}")
+    return surface
 
 
 # list values, built entry by entry into their field's types

@@ -254,11 +254,14 @@ _NEEDS_QUOTING = frozenset(',"\r\n')
 def write_csv(path: Path, header: list, columns: Sequence) -> None:
     """Comma-separated text with a header line, written column-major.
 
-    `columns` holds one equal-length sequence per header name. A float64
-    array is rendered block by block with one `repr` of the block's list,
-    a `range` with one `str` map; any other sequence goes cell by cell. A
-    float cell keeps its shortest round-trip repr, None becomes an empty
-    cell and anything else is `str`.
+    `columns` holds one equal-length sequence per header name. Rows are
+    rendered and written `_BLOCK_ROWS` at a time. The float64 arrays of a
+    block are rendered together: each distinct value, keyed by its bit
+    pattern so that -0.0, 0.0 and every NaN keep their own text, goes
+    through `repr` once and its text is scattered back to its cells. A
+    `range` is rendered with one `str` map; any other sequence goes cell
+    by cell. A float cell keeps its shortest round-trip repr, None becomes
+    an empty cell and anything else is `str`.
     A cell that csv would have to quote (a comma, a double quote, CR or LF)
     is refused.
     """
@@ -267,16 +270,28 @@ def write_csv(path: Path, header: list, columns: Sequence) -> None:
     n = len(columns[0]) if columns else 0
     if any(len(col) != n for col in columns):
         raise ValueError(f"{path}: columns differ in length")
+    is_float = [isinstance(col, np.ndarray) and col.dtype == np.float64 for col in columns]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(map(_cell, header)) + "\n")
         for start in range(0, n, _BLOCK_ROWS):
-            block = [_render(col[start:start + _BLOCK_ROWS]) for col in columns]
+            block = [col[start:start + _BLOCK_ROWS] for col in columns]
+            floats = iter(_render_floats([col for col, f in zip(block, is_float) if f]))
+            block = [next(floats) if f else _render(col) for col, f in zip(block, is_float)]
             fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
+def _render_floats(cols: list) -> list:
+    """Equal-length float64 columns as text, one `repr` per distinct bit pattern."""
+    if not cols:
+        return []
+    m = len(cols[0])
+    distinct, inverse = np.unique(np.concatenate(cols).view(np.int64), return_inverse=True)
+    text = list(map(repr, distinct.view(np.float64).tolist()))
+    cells = [text[i] for i in inverse.tolist()]
+    return [cells[k:k + m] for k in range(0, len(cells), m)]
+
+
 def _render(col) -> list:
-    if isinstance(col, np.ndarray) and col.dtype == np.float64:
-        return repr(col.tolist())[1:-1].split(", ")
     if isinstance(col, range):             # an int never needs quoting
         return list(map(str, col))
     return [_cell(c) for c in col]

@@ -289,7 +289,7 @@ class TestValidation:
         ("chamber: {surfaces: [{name: roof, area_m2: 49.0}]}", "chamber.surfaces[0]"),
         ("chamber: {surfaces: [{name: roof, area_m2: 49.0, u_value: 0.2, u: 1}]}",
          "chamber.surfaces[0]"),
-        ("chamber: {surfaces: [{name: a, area_m2: 9, u_value: 1}, roof]}",
+        ("chamber: {surfaces: [{name: walls, area_m2: 9, u_value: 1}, roof]}",
          "chamber.surfaces[1]"),
         ("chamber: {surfaces: [{name: roof, area_m2: big, u_value: 0.2}]}",
          "chamber.surfaces[0].area_m2"),
@@ -297,6 +297,10 @@ class TestValidation:
          "chamber.surfaces[0].name"),                 # a name is a non-empty string
         ("chamber: {surfaces: [{name: '', area_m2: 49.0, u_value: 0.2}]}",
          "chamber.surfaces[0].name"),
+        ("chamber: {surfaces: [{name: Roof, area_m2: 49.0, u_value: 0.2}]}",
+         "chamber.surfaces[0].name"),                 # a surface the model knows
+        ("chamber: {surfaces: [{name: roof, area_m2: 49.0, u_value: 0.2}, "
+         "{name: ceiling, area_m2: 49.0, u_value: 0.2}]}", "chamber.surfaces[1].name"),
         ("climate: 1.0", "climate"),                      # a path is a string
         ("optics: {table: true}", "optics.table"),
         ("crop: {lue_table: {a: 1}}", "crop.lue_table"),
@@ -326,6 +330,10 @@ class TestValidation:
         ("gh: {tau: 0}", "gh.tau"),
         ("gh: {u_value: 0}", "gh.u_value"),
         ("gh: {wall_glazed_m2: -1}", "gh.wall_glazed_m2"),
+        ("setpoints: {ppfd: -1}", "setpoints.ppfd"),
+        ("setpoints: {ppfd: 0}", "setpoints.ppfd"),
+        ("setpoints: {co2: -5}", "setpoints.co2"),
+        ("min_threshold_ppfd: -1", "min_threshold_ppfd"),
     ])
     def test_invalid_value_names_the_key(self, tmp_path, body, key):
         path = tmp_path / "bad.yaml"

@@ -849,6 +849,47 @@ class TestWriteCsvOracle:
         _row_writer(tmp_path / "old.csv", header, zip(*columns))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+    # Blocks that pin the writer's distinct-value key: the bit pattern.
+    @staticmethod
+    def _shared(n):
+        a = np.resize(np.array([0.1, 0.0, 2.0 / 3.0, -0.0, 1e16]), n)
+        return [a, a[::-1].copy()]
+
+    @staticmethod
+    def _ulp(n):
+        x = np.array([0.1, 1.0, 1e16, 5e-324])
+        near = np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+        return [np.resize(near, n), np.resize(near[::-1], n)]
+
+    @staticmethod
+    def _nans(n):
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000,   # quiet, then sign bit set
+                         0x7FF0000000000001, 0x7FF80000DEADBEEF],  # other payloads
+                        dtype=np.uint64).view(np.float64)
+        assert np.isnan(nans).all() and np.signbit(nans[1])
+        return [np.resize(np.concatenate([nans, [0.0, -0.0]]), n)]
+
+    @staticmethod
+    def _strided(n):
+        table = np.arange(3.0 * n).reshape(n, 3) / 7.0     # save passes dli[:, t]
+        table[::4, 1] = -0.0
+        return [table[:, 1], table[:, 2]]
+
+    @staticmethod
+    def _one_value(n):
+        return [np.full(n, 0.1), np.full(n, 0.1)]
+
+    @pytest.mark.parametrize("make, n", [(m, engine._BLOCK_ROWS + 37) for m in
+                                         ("_shared", "_ulp", "_nans", "_strided", "_one_value")]
+                             + [("_shared", 0)])
+    def test_distinct_value_blocks(self, make, n, tmp_path):
+        floats = getattr(self, make)(n)
+        header = ["hour", *(f"x{k}" for k in range(len(floats))), "label"]
+        columns = [range(n), *floats, [f"s{i % 3}" for i in range(n)]]
+        engine.write_csv(tmp_path / "new.csv", header, columns)
+        _row_writer(tmp_path / "old.csv", header, zip(*columns))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     def test_lp_dim_ec_files(self, scenario_results, tmp_path):
         res = scenario_results["LP_Dim_EC"]
         paths = res.save(tmp_path / "new")
