@@ -1,22 +1,22 @@
 """Command-line entry point. It reads files, builds one `engine.Study` for
 any runs and writes what the engine returns; `economics` decides every cost.
-Each study fits its own LUE factor to the benchmark yield, so no command
-reads a calibration file.
+`config` reads every YAML file (scenario, compare and sweep) under one set
+of key, number, path and include rules. Each study fits its own LUE factor
+to the benchmark yield, so no command reads a calibration file.
 
 Subcommands: trace-optics (geometry -> efficiency table, its sidecar and
-flux maps; runs read the table through `optics.table`),
-calibrate (a report of the fit a study of the config makes; nothing
-reads it back), simulate (one scenario -> result files), compare
-(scenario set -> comparison tables, and light_cost.csv, each variant
-under its scenario's config when the set has one, else the first
-config), sweep (price/carbon grid and a break-even pipe cost), sunpath
-(solar position tables).
-Outputs are delimited text plus JSON. Every JSON file carries the tool
-version and config hash (comparison.json one hash per config,
-breakeven.json the bench config's too); kpis.json, calibration.json,
-comparison.json and breakeven.json also carry the climate hash and LUE
-scale. CSV files carry neither. Errors, unwritable outputs included, exit
-nonzero with a one-line JSON record on stderr.
+flux maps; runs read the table through `optics.table`), calibrate (a report
+of the fit a study of the config makes; nothing reads it back), simulate
+(one scenario -> result files), compare (a `CompareSet`'s scenarios ->
+comparison tables, and light_cost.csv, each variant under its scenario's
+config when the set has one, else the first config), sweep (a `SweepSet`:
+price/carbon grid and a break-even pipe cost), sunpath (solar position
+tables). Outputs are delimited text plus JSON. Every JSON file carries the
+tool version and config hash (comparison.json one hash per config and the
+resolved config paths, breakeven.json the bench config's hash too);
+kpis.json, calibration.json, comparison.json and breakeven.json also carry
+the climate hash and LUE scale. CSV files carry neither. Errors, unwritable
+outputs included, exit nonzero with a one-line JSON record on stderr.
 """
 
 from __future__ import annotations
@@ -24,14 +24,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
 from .climate import ClimateError, sunpath_table
-from .config import ConfigError, ScenarioConfig, load_config_mapping, load_scenario_config
+from .config import CompareSet, ConfigError, ScenarioConfig, SweepSet, load_scenario_config, \
+    load_set
 from .economics import light_cost_comparison
 from .engine import CalibrationError, SimulationError, Study, compare_scenarios, \
     light_cost_inputs, scenario_sweep, write_csv
@@ -117,50 +117,6 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-# keys a compare or sweep file may set: None for a value, else the keys of
-# that section; a key left out keeps its default
-_COMPARE_KEYS = {"scenarios": None}
-_SWEEP_KEYS = {"scenario_config": None, "bench_config": None, "target_pbt_years": None,
-               "grid": {"electricity_usd_per_mwh", "carbon_usd_per_t"}}
-
-
-def _load_strict(path, keys: dict) -> dict:
-    """The file's merged mapping; a key that `keys` does not list is an error
-    naming the file."""
-    doc = load_config_mapping(path)
-    for key, value in doc.items():
-        if key not in keys:
-            raise ConfigError(f"{path}: unknown key {key!r}")
-        if keys[key] is None:
-            continue
-        if not isinstance(value, dict):
-            raise ConfigError(f"{path}: section {key!r} must be a mapping")
-        for sub in value:
-            if sub not in keys[key]:
-                raise ConfigError(f"{path}: unknown key {f'{key}.{sub}'!r}")
-    return doc
-
-
-def _as_float(value) -> float:
-    """`value` as a float; NaN for a boolean or anything float() refuses."""
-    try:
-        return math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
-        return math.nan
-
-
-def _price_list(path, grid: dict, key: str, default) -> list[float]:
-    values = grid.get(key, default)
-    if not isinstance(values, (list, tuple)) or not values:
-        raise ConfigError(f"{path}: {f'grid.{key}'!r} must be a non-empty list of prices")
-    prices = [_as_float(x) for x in values]
-    bad = [x for x, p in zip(values, prices) if not (math.isfinite(p) and p >= 0.0)]
-    if bad:
-        raise ConfigError(f"{path}: {f'grid.{key}'!r} has a price that is negative or "
-                          f"not a finite number: {bad[0]!r}")
-    return prices
-
-
 def _write_rows(path: Path, rows: list[dict]) -> None:
     """One CSV from a list of same-keyed dicts, keys as the header."""
     header = list(rows[0])
@@ -168,13 +124,8 @@ def _write_rows(path: Path, rows: list[dict]) -> None:
 
 
 def _cmd_compare(args) -> int:
-    doc = _load_strict(args.config, _COMPARE_KEYS)
-    base_dir = Path(args.config).parent
-    paths = doc.get("scenarios")
-    if not (isinstance(paths, list) and paths and all(isinstance(p, str) and p for p in paths)):
-        raise ConfigError(f"{args.config}: 'scenarios' must be a non-empty list of "
-                          "config paths")
-    study = Study([_load_cfg(args, base_dir / p) for p in paths])
+    paths = load_set(args.config, CompareSet).scenarios
+    study = Study([_load_cfg(args, p) for p in paths])
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = compare_scenarios(study.results())
@@ -193,24 +144,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    doc = _load_strict(args.config, _SWEEP_KEYS)
-    base_dir = Path(args.config).parent
-    paths = (doc.get("scenario_config"), doc.get("bench_config"))
-    for key, value in zip(("scenario_config", "bench_config"), paths):
-        if not (isinstance(value, str) and value):
-            raise ConfigError(f"{args.config}: {key!r} must be a config path")
-    grid = doc.get("grid", {})
-    el_prices = _price_list(args.config, grid, "electricity_usd_per_mwh", (100, 200, 350))
-    co2_prices = _price_list(args.config, grid, "carbon_usd_per_t", (0, 50, 100))
-    target_pbt = _as_float(doc.get("target_pbt_years", 10.0))
-    if not (math.isfinite(target_pbt) and target_pbt > 0.0):
-        raise ConfigError(f"{args.config}: 'target_pbt_years' must be a positive finite "
-                          f"number, not {doc['target_pbt_years']!r}")
-    study = Study([_load_cfg(args, base_dir / p) for p in paths])
+    sweep = load_set(args.config, SweepSet)
+    study = Study([_load_cfg(args, p) for p in (sweep.scenario_config, sweep.bench_config)])
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     scen, bench = study.results()
-    breakeven, rows = scenario_sweep(scen, bench, el_prices, co2_prices, target_pbt)
+    breakeven, rows = scenario_sweep(scen, bench, sweep.grid.electricity_usd_per_mwh,
+                                     sweep.grid.carbon_usd_per_t, sweep.target_pbt_years)
     _write_rows(outdir / "pbt_grid.csv", rows)
     breakeven["metadata"] = _meta(scen.config, bench_config_hash=bench.config.content_hash(),
                                   climate_hash=study.climate.content_hash(),

@@ -9,9 +9,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Optional
+from typing import Optional
 
 import yaml
 
@@ -22,8 +22,8 @@ from .lighting import STRATEGIES, Strategy
 from .optics import LpGeometry
 from .thermal import ChamberGeometry, CopModel, LatentModel, Surface
 
-__all__ = ["ConfigError", "ScenarioConfig", "load_scenario_config",
-           "load_config_mapping", "resolve_config_dict"]
+__all__ = ["ConfigError", "ScenarioConfig", "CompareSet", "SweepSet", "PriceGrid",
+           "load_scenario_config", "load_set", "resolve_config_dict"]
 
 
 class ConfigError(ValueError):
@@ -135,8 +135,12 @@ class ScenarioConfig:
         if not 0.0 <= self.hour_center_offset < 1.0:
             raise ConfigError("hour_center_offset must be in [0, 1)")
         p = self.photoperiod
-        if len(p) != 2 or not 0 <= p[0] < p[1] <= 24:
-            raise ConfigError(f"invalid photoperiod {p}")
+        if len(p) != 2:
+            raise ConfigError(f"'photoperiod' must be two hours, not {p}")
+        if not 0 <= p[0] < 24:
+            raise ConfigError(f"'photoperiod[0]' must be in [0, 24), not {p[0]!r}")
+        if not p[0] < p[1] <= 24:
+            raise ConfigError(f"'photoperiod[1]' must be in ({p[0]!r}, 24], not {p[1]!r}")
         columns = self.climate_columns
         if columns is not None and not isinstance(columns, dict):
             raise ConfigError(f"'climate_columns' must be a mapping, not {columns!r}")
@@ -191,20 +195,53 @@ class ScenarioConfig:
     def content_hash(self) -> str:
         """Hash of the resolved config: every field, overrides and resolved
         paths included."""
-        blob = json.dumps(_jsonable(self), sort_keys=True, default=repr)
+        blob = json.dumps(asdict(self), sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _jsonable(obj: Any) -> Any:
-    if is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, Path):
-        return str(obj)
-    return obj
+@dataclass(frozen=True)
+class CompareSet:
+    """A compare file: the scenario configs tabulated side by side."""
+    scenarios: tuple[Path, ...] = ()
+
+    def __post_init__(self):
+        if not self.scenarios:
+            raise ConfigError("'scenarios' must be a non-empty list of config paths")
+        for i, p in enumerate(self.scenarios):
+            if not isinstance(p, Path):
+                raise ConfigError(f"'scenarios[{i}]' must be a config path, not {p!r}")
+
+
+@dataclass(frozen=True)
+class PriceGrid:
+    """A sweep's price axes: USD per MWh of electricity and per tonne of CO2."""
+    electricity_usd_per_mwh: tuple[float, ...] = (100.0, 200.0, 350.0)
+    carbon_usd_per_t: tuple[float, ...] = (0.0, 50.0, 100.0)
+
+    def __post_init__(self):
+        for f in fields(self):
+            prices = getattr(self, f.name)
+            if not prices:
+                raise ConfigError(f"{f.name} must be a non-empty list of prices")
+            for i, price in enumerate(prices):
+                if price < 0.0:
+                    raise ConfigError(f"{f.name}[{i}] must be non-negative, not {price!r}")
+
+
+@dataclass(frozen=True)
+class SweepSet:
+    """A sweep file: a scenario against the benchmark over a price grid."""
+    scenario_config: Optional[Path] = None      # both configs must be set
+    bench_config: Optional[Path] = None
+    target_pbt_years: float = 10.0
+    grid: PriceGrid = PriceGrid()               # frozen, so one shared default
+
+    def __post_init__(self):
+        for name in ("scenario_config", "bench_config"):
+            if getattr(self, name) is None:
+                raise ConfigError(f"{name!r} must be a config path")
+        if not self.target_pbt_years > 0.0:
+            raise ConfigError(f"'target_pbt_years' must be positive, not {self.target_pbt_years!r}")
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -243,6 +280,9 @@ def _load_yaml_with_includes(path: Path, chain: tuple = ()) -> dict:
         value = values.get(name) if isinstance(values, dict) else None
         if isinstance(value, str) and value:
             values[name] = str(path.parent.resolve() / value)
+        elif isinstance(value, list):      # a list of paths, entry by entry
+            values[name] = [str(path.parent.resolve() / v) if isinstance(v, str) and v else v
+                            for v in value]
     includes = data.pop("include", [])
     if isinstance(includes, str):
         includes = [includes]
@@ -271,7 +311,8 @@ _TOP_LEVEL = ({f.name for f in fields(ScenarioConfig)}
               - set(_RENAMED.values()) - set(_SECTIONS.values()))
 _GROUPS = set(_SECTIONS) | {k.split(".")[0] for k in _RENAMED if "." in k}   # mappings
 # path keys, resolved by the loader against the directory of the file that sets them
-_PATHS = {"climate", "crop.lue_table", "optics.table"}
+_PATHS = {"climate", "crop.lue_table", "optics.table",
+          "scenarios", "scenario_config", "bench_config"}
 
 
 def _number(key: str, default, value):
@@ -301,16 +342,19 @@ def _surface(key: str, entry) -> Surface:
 
 # list values, built entry by entry into their field's types
 _LISTS = {"chamber.surfaces": _surface,
-          "photoperiod": lambda key, x: _number(key, 0.0, x)}
+          "scenarios": lambda key, x: Path(x) if isinstance(x, str) and x else x,
+          **dict.fromkeys(("photoperiod", "grid.electricity_usd_per_mwh", "grid.carbon_usd_per_t"),
+                          lambda key, x: _number(key, 0.0, x))}
 
 
 def _build(obj, keys: dict, section: Optional[str] = None):
-    """`obj` with the given fields replaced; `keys` maps field name to
-    (YAML key, value). Values take the type of the field's default; a
-    string or path field takes only a string (or null).
+    """`obj` with the given fields replaced, or a new one if `obj` is a
+    class; `keys` maps field name to (YAML key, value). Values take the type
+    of the field's default; a string or path field takes only a string (or
+    null), and a section's mapping builds its object key by key.
 
     A failed check of a `section` object is raised under the YAML key of
-    the field its message starts with, else under the section."""
+    the field (or entry) its message starts with, else under the section."""
     names = {f.name for f in fields(obj)}
     changes = {}
     for name, (key, value) in keys.items():
@@ -328,14 +372,18 @@ def _build(obj, keys: dict, section: Optional[str] = None):
                 value = Path(value) if value else None        # "" sets no path
         elif isinstance(default, (float, int)):
             value = _number(key, default, value)
+        elif is_dataclass(default):
+            if value is not None and not isinstance(value, dict):
+                raise ConfigError(f"section {key!r} must be a mapping")
+            value = _build(default, {k: (f"{key}.{k}", v) for k, v in (value or {}).items()}, key)
         changes[name] = value
     try:
-        return replace(obj, **changes)
+        return obj(**changes) if isinstance(obj, type) else replace(obj, **changes)
     except ValueError as exc:
         if section is None:
             raise
         name = str(exc).split(" ", 1)[0]
-        key = f"{section}.{name}" if name in names else section
+        key = f"{section}.{name}" if name.split("[")[0] in names else section
         raise ConfigError(f"{key!r}: {exc}") from None
 
 
@@ -349,7 +397,6 @@ def resolve_config_dict(data: dict) -> ScenarioConfig:
     """
     default = ScenarioConfig()
     top: dict = {}
-    objects: dict = {}
     try:
         for key, value in data.items():
             if key in _RENAMED:
@@ -366,12 +413,9 @@ def resolve_config_dict(data: dict) -> ScenarioConfig:
                     if dotted in _RENAMED:
                         top[_RENAMED[dotted]] = (dotted, v)
                     elif key in _SECTIONS:
-                        objects.setdefault(key, {})[sub] = (dotted, v)
+                        top.setdefault(_SECTIONS[key], (key, {}))[1][sub] = v
                     else:
                         raise ConfigError(f"unknown key {dotted!r}")
-        for section, keys in objects.items():
-            name = _SECTIONS[section]
-            top[name] = (section, _build(getattr(default, name), keys, section))
         return _build(default, top)
     except ConfigError:
         raise
@@ -379,15 +423,20 @@ def resolve_config_dict(data: dict) -> ScenarioConfig:
         raise ConfigError(f"invalid configuration: {exc}") from None
 
 
-def load_config_mapping(path: str | Path) -> dict:
-    """Merged YAML mapping for a config file, includes resolved."""
-    return _load_yaml_with_includes(Path(path))
-
-
-def load_scenario_config(path: str | Path) -> ScenarioConfig:
+def _load(path: str | Path, resolve):
+    """`resolve` of the merged mapping at `path`; its errors name the file."""
     path = Path(path)
     data = _load_yaml_with_includes(path)
     try:
-        return resolve_config_dict(data)
+        return resolve(data)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+
+def load_scenario_config(path: str | Path) -> ScenarioConfig:
+    return _load(path, resolve_config_dict)
+
+
+def load_set(path: str | Path, kind: type):
+    """A compare (`kind` CompareSet) or sweep file (SweepSet), by the scenario file's rules."""
+    return _load(path, lambda data: _build(kind, {k: (k, v) for k, v in data.items()}))

@@ -712,11 +712,15 @@ def _thermal_stage(cfg: ScenarioConfig, t_ext: np.ndarray, ppfd: np.ndarray,
 # calibration
 # ---------------------------------------------------------------------------
 
+# the Bench yield the LUE factor is fitted to, and when its search stops or fails
+CALIBRATION_TARGET_KG = 9221.0
+CALIBRATION_TOL_KG = 40.0
+CALIBRATION_MAX_ITER = 30
+CALIBRATION_FAIL_REL = 0.01
+
+
 def calibrate_lue_scale(cfg: ScenarioConfig, climate: ClimateSeries,
-                        table: Optional[OpticalEfficiencyTable],
-                        lue_base: LueTable, target_kg: float = 9221.0,
-                        tol_kg: float = 40.0, max_iter: int = 30,
-                        fail_rel: float = 0.01,
+                        table: Optional[OpticalEfficiencyTable], lue_base: LueTable,
                         solar: Optional[tuple] = None) -> dict:
     """Fit the single multiplicative LUE factor to the benchmark yield.
 
@@ -728,11 +732,12 @@ def calibrate_lue_scale(cfg: ScenarioConfig, climate: ClimateSeries,
     small steps from hour-quantized harvest times, so the bracketing
     search accepts the nearest achievable yield once the bracket
     collapses; it fails only if that misses the target by more than
-    fail_rel.
+    CALIBRATION_FAIL_REL.
     """
     if cfg.scenario != "Bench":
         raise CalibrationError("calibration anchors on the Bench scenario")
     ppfd = _lighting_stage(cfg, np.zeros(HOURS_PER_YEAR))[0]
+    target_kg, tol_kg = CALIBRATION_TARGET_KG, CALIBRATION_TOL_KG
 
     def yield_at(scale: float) -> float:
         return _crop_stage(cfg, lue_base.with_scale(scale), ppfd).yield_kg
@@ -757,7 +762,7 @@ def calibrate_lue_scale(cfg: ScenarioConfig, climate: ClimateSeries,
             f"[{lo:g}, {hi:g}] (got {y_lo:.0f}..{y_hi:.0f} kg)")
 
     s1, y1 = hi, y_hi
-    for it in range(max_iter):
+    for it in range(CALIBRATION_MAX_ITER):
         if abs(y1 - target_kg) <= tol_kg or hi - lo < 1e-7:
             break
         if y_hi > y_lo:
@@ -774,7 +779,7 @@ def calibrate_lue_scale(cfg: ScenarioConfig, climate: ClimateSeries,
         # nearer edge
         s1, y1 = min(((lo, y_lo), (hi, y_hi)),
                      key=lambda p: abs(p[1] - target_kg))
-    if abs(y1 - target_kg) > fail_rel * target_kg:
+    if abs(y1 - target_kg) > CALIBRATION_FAIL_REL * target_kg:
         raise CalibrationError(
             f"calibration did not converge: yield {y1:.1f} kg vs {target_kg}")
     return {

@@ -279,23 +279,28 @@ class OpticalEfficiencyTable:
         with open(path, newline="") as fh:
             rows = csv.DictReader(fh)
             for row in rows:
+                where = f"{name} line {rows.line_num}"
                 kind = (row.get("kind") or "").strip()
                 if kind not in _ROW_CELLS:
-                    raise ValueError(f"{name} line {rows.line_num}: unknown row kind {kind!r}")
+                    raise ValueError(f"{where}: unknown row kind {kind!r}")
                 try:
                     v = [float(row[n]) if row[n] or n in ("angle", "tilt", "eta") else 0.0
                          for n in _ROW_CELLS[kind]]
                     if not all(map(math.isfinite, v)):
                         raise ValueError
                 except (KeyError, TypeError, ValueError):
-                    raise ValueError(f"{name} line {rows.line_num}: "
-                                     f"{', '.join(_ROW_CELLS[kind])} must be finite numbers") from None
+                    raise ValueError(f"{where}: {', '.join(_ROW_CELLS[kind])} "
+                                     "must be finite numbers") from None
                 if kind == "direct":
+                    if not 0.0 < v[0] <= 90.0:      # a sun above the horizon
+                        raise ValueError(f"{where}: direct angle {v[0]:g} is outside (0, 90]")
                     if v[0] in direct:
                         raise ValueError(f"{name} repeats the direct altitude {v[0]:g}")
                     direct[v[0]] = tuple(v[1:])
                 else:
                     t, b = v[:2]
+                    if not 45.0 <= t <= 90.0:       # the tilts `mirror_tilt` returns
+                        raise ValueError(f"{where}: diffuse tilt {t:g} is outside [45, 90]")
                     if b in diff.setdefault(t, {}):
                         raise ValueError(f"{name} repeats the diffuse cell at tilt {t:g}, band {b:g}")
                     diff[t][b] = tuple(v[2:])

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from pipefarm.climate import load_climate
-from pipefarm.config import load_config_mapping, load_scenario_config
+from pipefarm.config import CompareSet, load_scenario_config, load_set
 from pipefarm.crop import LueTable
 from pipefarm.engine import Study, calibrate_lue_scale, load_lue_table
 from pipefarm.optics import OpticalEfficiencyTable
@@ -22,8 +22,8 @@ DATA_DIR = REPO / "data"
 
 def shipped_configs() -> dict:
     """The nine scenarios of configs/compare_all.yaml, by scenario id."""
-    files = load_config_mapping(CONFIG_DIR / "compare_all.yaml")["scenarios"]
-    return {c.scenario: c for c in (load_scenario_config(CONFIG_DIR / f) for f in files)}
+    files = load_set(CONFIG_DIR / "compare_all.yaml", CompareSet).scenarios
+    return {c.scenario: c for c in map(load_scenario_config, files)}
 
 
 @pytest.fixture(scope="session")

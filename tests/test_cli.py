@@ -9,7 +9,7 @@ import pytest
 import pipefarm.climate
 import pipefarm.engine
 from pipefarm.cli import main
-from pipefarm.config import load_config_mapping, load_scenario_config
+from pipefarm.config import SweepSet, load_scenario_config, load_set
 from pipefarm.engine import calibrate_lue_scale, load_lue_table
 from pipefarm.tracer import MODEL_REVISION
 
@@ -259,11 +259,10 @@ class TestSweepCli:
         cfg = work_tree / "configs" / "sweep_lp_dim_ir.yaml"
         out = work_tree / "sweep"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        grid = load_config_mapping(cfg)["grid"]
+        grid = load_set(cfg, SweepSet).grid
         with open(out / "pbt_grid.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == (len(grid["electricity_usd_per_mwh"])
-                             * len(grid["carbon_usd_per_t"]))
+        assert len(rows) == len(grid.electricity_usd_per_mwh) * len(grid.carbon_usd_per_t)
         doc = json.loads((out / "breakeven.json").read_text())
         assert set(doc) == {"scenario", "delta_capex_usd", "delta_electricity_mwh",
                             "delta_yield_kg", "target_pbt_years", "per_pipe_hardware_usd",
@@ -331,13 +330,13 @@ class TestStrictCompareAndSweepFiles:
         assert "sweep_empty.yaml" in detail and repr(f"grid.{key}") in detail
         assert not (work_tree / "sweep").exists()
 
-    @pytest.mark.parametrize("key, prices", [
-        ("electricity_usd_per_mwh", "[0, -50]"), ("carbon_usd_per_t", "[0, -50]"),
-        ("carbon_usd_per_t", "[.nan]"), ("carbon_usd_per_t", "[.inf]"),
-        ("carbon_usd_per_t", "[[1]]"), ("electricity_usd_per_mwh", "[true]"),
+    @pytest.mark.parametrize("key, prices, leaf", [
+        ("electricity_usd_per_mwh", "[0, -50]", "[1]"), ("carbon_usd_per_t", "[0, -50]", "[1]"),
+        ("carbon_usd_per_t", "[.nan]", "[0]"), ("carbon_usd_per_t", "[.inf]", "[0]"),
+        ("carbon_usd_per_t", "[[1]]", "[0]"), ("electricity_usd_per_mwh", "[true]", "[0]"),
     ])
     def test_bad_price_is_refused_before_any_run(self, work_tree, capsys, monkeypatch,
-                                                 key, prices):
+                                                 key, prices, leaf):
         runs = _count_calls(monkeypatch, pipefarm.engine, "run_scenario")
         cfg = work_tree / "configs" / "sweep_negative.yaml"
         cfg.write_text("scenario_config: lp_dim_ir_98.yaml\nbench_config: bench.yaml\n"
@@ -345,7 +344,7 @@ class TestStrictCompareAndSweepFiles:
         rc = main(["sweep", "--config", str(cfg), "--out", str(work_tree / "sweep")])
         assert rc == 3
         detail = json.loads(capsys.readouterr().err)["detail"]
-        assert "sweep_negative.yaml" in detail and repr(f"grid.{key}") in detail
+        assert "sweep_negative.yaml" in detail and repr(f"grid.{key}{leaf}") in detail
         assert runs == [] and not (work_tree / "sweep").exists()
 
     def test_unknown_top_level_keys_are_config_errors(self, work_tree, capsys):
@@ -363,10 +362,16 @@ class TestStrictCompareAndSweepFiles:
 
 
     @pytest.mark.parametrize("command, body, key", [
-        ("compare", "scenarios: [1, 2]\n", "scenarios"),
+        ("compare", "scenarios: [1, 2]\n", "scenarios[0]"),
+        ("compare", "scenarios: [bench.yaml, '']\n", "scenarios[1]"),
+        ("compare", "scenarios: []\n", "scenarios"),
+        ("compare", "include: []\n", "scenarios"),
         ("compare", "scenarios: bench.yaml\n", "scenarios"),
         ("sweep", "scenario_config: 5\nbench_config: bench.yaml\n", "scenario_config"),
         ("sweep", "scenario_config: bench.yaml\nbench_config: [bench.yaml]\n", "bench_config"),
+        ("sweep", "scenario_config: bench.yaml\n", "bench_config"),
+        ("sweep", "scenario_config: ''\nbench_config: bench.yaml\n", "scenario_config"),
+        ("sweep", "grid: [100]\n", "grid"),
         ("sweep", "target_pbt_years: [1]\n", "target_pbt_years"),
         ("sweep", "target_pbt_years: -5\n", "target_pbt_years"),   # Bench vs Bench: no pipes
         ("sweep", "target_pbt_years: 0\n", "target_pbt_years"),
@@ -386,6 +391,41 @@ class TestStrictCompareAndSweepFiles:
         detail = json.loads(capsys.readouterr().err)["detail"]
         assert path.name in detail and repr(key) in detail
         assert runs == [] and not (work_tree / "o").exists()
+
+
+class TestIncludedStudyFiles:
+    """A compare or sweep file may include one in another directory; the
+    included file's config paths resolve against its own directory."""
+
+    def test_compare_file_includes_one_elsewhere(self, work_tree):
+        configs = (work_tree / "configs").resolve()
+        (configs / "pair.yaml").write_text("scenarios: [bench.yaml, lp_dim.yaml]\n")
+        (work_tree / "a").mkdir()
+        (work_tree / "a" / "compare.yaml").write_text("include: ../configs/pair.yaml\n")
+        out = work_tree / "cmp"
+        assert main(["compare", "--config", str(work_tree / "a" / "compare.yaml"),
+                     "--out", str(out)]) == 0
+        meta = json.loads((out / "comparison.json").read_text())["metadata"]
+        names = ("bench.yaml", "lp_dim.yaml")
+        assert meta["configs"] == [str(configs / n) for n in names]
+        assert meta["config_hashes"] == [load_scenario_config(configs / n).content_hash()
+                                         for n in names]
+
+    def test_sweep_file_includes_one_elsewhere(self, work_tree):
+        configs = work_tree / "configs"
+        (work_tree / "a").mkdir()
+        (work_tree / "a" / "sweep.yaml").write_text(
+            "include: ../configs/sweep_lp_dim_ir.yaml\ntarget_pbt_years: 8\n")
+        out = work_tree / "sweep"
+        assert main(["sweep", "--config", str(work_tree / "a" / "sweep.yaml"),
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / "breakeven.json").read_text())
+        assert doc["scenario"] == "LP_Dim_IR_98" and doc["target_pbt_years"] == 8.0
+        assert doc["metadata"]["config_hash"] == load_scenario_config(
+            configs / "lp_dim_ir_98.yaml").content_hash()
+        assert doc["metadata"]["bench_config_hash"] == load_scenario_config(
+            configs / "bench.yaml").content_hash()
+        assert len(doc["break_even_per_pipe_usd"]) == 12
 
 
 class TestTraceOptics:

@@ -5,7 +5,8 @@ import pytest
 import yaml
 
 from pipefarm import config
-from pipefarm.config import ConfigError, load_scenario_config
+from pipefarm.config import CompareSet, ConfigError, PriceGrid, SweepSet, \
+    load_scenario_config, load_set
 from pipefarm.lighting import STRATEGIES
 
 
@@ -152,6 +153,47 @@ class TestIncludeMechanism:
         assert cfg.table_path == tmp_path.resolve() / "t.csv"
 
 
+class TestStudyFiles:
+    """Compare and sweep files, read by the scenario file's rules."""
+
+    def test_sweep_defaults_live_on_the_dataclasses(self, tmp_path):
+        (tmp_path / "s.yaml").write_text("scenario_config: a.yaml\nbench_config: /b.yaml\n")
+        sweep = load_set(tmp_path / "s.yaml", SweepSet)
+        assert sweep == SweepSet(tmp_path.resolve() / "a.yaml", Path("/b.yaml"))
+        assert sweep.target_pbt_years == 10.0 and sweep.grid == PriceGrid()
+        assert PriceGrid() == PriceGrid((100.0, 200.0, 350.0), (0.0, 50.0, 100.0))
+
+    def test_numbers_and_partial_grid(self, tmp_path):
+        (tmp_path / "s.yaml").write_text("scenario_config: a.yaml\nbench_config: b.yaml\n"
+                                         "target_pbt_years: 8\ngrid: {carbon_usd_per_t: [5]}\n")
+        sweep = load_set(tmp_path / "s.yaml", SweepSet)
+        assert sweep.target_pbt_years == 8.0
+        assert sweep.grid == PriceGrid(carbon_usd_per_t=(5.0,))
+
+    def test_each_scenario_resolves_against_the_file_that_lists_it(self, tmp_path):
+        (tmp_path / "sets").mkdir()
+        (tmp_path / "sets" / "all.yaml").write_text("scenarios: [x.yaml, ../y.yaml, /z.yaml]\n")
+        (tmp_path / "top.yaml").write_text("include: sets/all.yaml\n")
+        here = tmp_path.resolve()
+        assert load_set(tmp_path / "top.yaml", CompareSet).scenarios == (
+            here / "sets" / "x.yaml", here / "sets" / "../y.yaml", Path("/z.yaml"))
+
+    @pytest.mark.parametrize("kind, body, key", [
+        (CompareSet, "scenarios: [a.yaml]\nppe: 2.5\n", "ppe"),
+        (CompareSet, "scenarios: [a.yaml]\ngrid: {}\n", "grid"),
+        (SweepSet, "scenario_config: a.yaml\nbench_config: b.yaml\nscenarios: [a.yaml]\n",
+         "scenarios"),
+        (SweepSet, "scenario_config: a.yaml\nbench_config: b.yaml\ngrid: {co2: [1]}\n",
+         "grid.co2"),
+    ])
+    def test_unknown_key_names_key_and_file(self, tmp_path, kind, body, key):
+        path = tmp_path / "set.yaml"
+        path.write_text(body)
+        with pytest.raises(ConfigError) as exc:
+            load_set(path, kind)
+        assert str(exc.value) == f"{path}: unknown key {key!r}"
+
+
 def test_config_loader_reads_the_shipped_files_as_pyyaml_does(repo_paths):
     """The loader config.py parses with (libyaml's where PyYAML has it)
     against PyYAML's pure-Python safe loader."""
@@ -216,6 +258,11 @@ class TestValidation:
         ("driver: {nominal: 0.95}", "driver.nominal"),    # every fixture draws its rating
         ("driver: {points: [[0.3, 0.9], [1.0, 0.95]]}", "driver.points"),
         ("climate_columns: {temprature: temperature}", "climate_columns.temprature"),
+        ("scenarios: [bench.yaml]", "scenarios"),      # compare and sweep keys
+        ("scenario_config: lp_dim.yaml", "scenario_config"),
+        ("bench_config: bench.yaml", "bench_config"),
+        ("target_pbt_years: 8", "target_pbt_years"),
+        ("grid: {carbon_usd_per_t: [0]}", "grid"),
     ])
     def test_unknown_key_rejected(self, tmp_path, body, key):
         path = tmp_path / "typo.yaml"
@@ -286,6 +333,12 @@ class TestValidation:
         ("photoperiod: [4, x]", "photoperiod[1]"),
         ("photoperiod: [true, 20]", "photoperiod[0]"),
         ("photoperiod: 4", "photoperiod"),
+        ("photoperiod: [4]", "photoperiod"),
+        ("photoperiod: [-1, 20]", "photoperiod[0]"),      # an hour out of range
+        ("photoperiod: [24, 24]", "photoperiod[0]"),
+        ("photoperiod: [4, -1]", "photoperiod[1]"),
+        ("photoperiod: [20, 4]", "photoperiod[1]"),
+        ("photoperiod: [4, 25]", "photoperiod[1]"),
         ("chamber: {surfaces: [{name: roof, area_m2: 49.0}]}", "chamber.surfaces[0]"),
         ("chamber: {surfaces: [{name: roof, area_m2: 49.0, u_value: 0.2, u: 1}]}",
          "chamber.surfaces[0]"),

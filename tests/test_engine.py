@@ -11,7 +11,7 @@ import pytest
 from pipefarm import engine
 from pipefarm.cli import main
 from pipefarm.climate import ClimateSeries, HOURS_PER_YEAR, SiteConfig
-from pipefarm.config import ConfigError, load_config_mapping, load_scenario_config
+from pipefarm.config import ConfigError, SweepSet, load_scenario_config, load_set
 from pipefarm.crop import CropParams, CropState, growth_step, harvest_if_due, interception, \
     standing_credit_kg
 from pipefarm.economics import break_even_unit_cost, led_cost_per_watt, light_cost_comparison, \
@@ -305,10 +305,10 @@ class TestCompare:
                                                            repo_paths):
         """Every row of the shipped grid is `payback_time` at its prices and
         `break_even_unit_cost` on the capex breakdown's pipe stack, bit for bit."""
-        grid = load_config_mapping(repo_paths["configs"] / "sweep_lp_dim_ir.yaml")["grid"]
+        grid = load_set(repo_paths["configs"] / "sweep_lp_dim_ir.yaml", SweepSet).grid
         scen, bench = scenario_results["LP_Dim_IR_98"], scenario_results["Bench"]
-        breakeven, rows = scenario_sweep(scen, bench, grid["electricity_usd_per_mwh"],
-                                         grid["carbon_usd_per_t"], 10.0)
+        breakeven, rows = scenario_sweep(scen, bench, grid.electricity_usd_per_mwh,
+                                         grid.carbon_usd_per_t, 10.0)
         capex, n = breakeven["delta_capex_usd"], scen.config.n_pipes
         stack = capex["lp"] + capex["ir_filter"] + capex["ec_film"]
         assert breakeven["per_pipe_hardware_usd"] == stack / n == 404.0

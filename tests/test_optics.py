@@ -138,6 +138,28 @@ class TestEfficiencyTable:
             OpticalEfficiencyTable.import_csv(path)
         assert f"{path.name} line {first + 1}" in str(exc.value)
 
+    @pytest.mark.parametrize("kind, column, value, point", [
+        ("direct", "angle", "-1", "direct angle -1 is outside (0, 90]"),
+        ("direct", "angle", "0", "direct angle 0 is outside (0, 90]"),
+        ("direct", "angle", "90.5", "direct angle 90.5 is outside (0, 90]"),
+        ("diffuse", "tilt", "44.9", "diffuse tilt 44.9 is outside [45, 90]"),
+        ("diffuse", "tilt", "95", "diffuse tilt 95 is outside [45, 90]"),
+    ])
+    def test_out_of_range_row_key_is_named(self, tmp_path, repo_paths, kind, column, value,
+                                           point):
+        """A sun below the horizon, or a tilt the tracking mirror never
+        takes, is refused at its line instead of bending the interpolation."""
+        rows = (repo_paths["data"] / "lp_efficiency_reference.csv").read_text().splitlines()
+        first = next(i for i, r in enumerate(rows) if r.startswith(f"{kind},"))
+        parts = rows[first].split(",")
+        parts[rows[0].split(",").index(column)] = value
+        rows[first] = ",".join(parts)
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError) as exc:
+            OpticalEfficiencyTable.import_csv(path)
+        assert str(exc.value) == f"efficiency table {path.name} line {first + 1}: {point}"
+
     @pytest.mark.parametrize("sigmas, loads", [(2.5, True), (3.5, False)])
     def test_crop_side_may_pass_chamber_side_by_under_three_stderr(self, sigmas, loads):
         """The crop-side diffuse entry may exceed the chamber side by Monte

@@ -1,5 +1,5 @@
 """Seeded input fuzzer: one-leaf mutants of the shipped inputs, run through
-`pipefarm simulate` in process.
+`pipefarm simulate`, `compare` or `sweep` in process.
 
 Each mutant changes one thing in a scratch copy of `configs/` and `data/`:
 either one key that a scenario file may set (the loader's key tables, a list
@@ -9,7 +9,11 @@ boolean, null, a list or a mapping, or one cell that the table reader reads
 in `data/lp_efficiency_reference.csv`, set to the text of those numbers, a
 word or a blank. It then runs `pipefarm.cli.main(["simulate", ...])` on a
 shipped scenario file drawn from those that leave the mutated key to
-`base.yaml` (a piped one for a table cell). A mutant passes when:
+`base.yaml` (a piped one for a table cell). After those `--count` mutants
+come a fifth as many of the shipped compare and sweep files: one key of
+`CompareSet` or `SweepSet` (a list by entry, `grid` by its `PriceGrid`
+fields) set in the file itself to one of the same values, and the file run
+by its own command. A mutant passes when:
 
 - nothing raises out of `main` (a traceback);
 - a refusal exits 3 or 4, and its message names the file (the scenario
@@ -59,6 +63,10 @@ YAML_VALUES = (math.nan, math.inf, -math.inf, -1, 0, 1e30, "fuzz", True, None, [
                {"fuzz": 1.0})
 CELL_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e30", "fuzz", "")
 TABLE_SHARE = 0.2           # share of the mutants that change a table cell
+STUDY_SHARE = 0.2           # compare and sweep mutants, per --count mutant
+# the study files mutated in place, with the command and the set each is read as
+STUDIES = {"compare_all.yaml": ("compare", config.CompareSet),
+           "sweep_lp_dim_ir.yaml": ("sweep", config.SweepSet)}
 DEFAULT = config.ScenarioConfig()
 # keys mutated entry by entry, with the value each mutant starts from
 COMPOSITE = {("chamber", "surfaces"): [dataclasses.asdict(s) for s in DEFAULT.chamber.surfaces],
@@ -90,6 +98,21 @@ def settable() -> list[tuple[str, tuple]]:
         path = tuple(key.split("."))
         out += ([(name, path + sub) for name, sub in leaves(COMPOSITE[path], key)]
                 if path in COMPOSITE else [(key, path)])
+    return out
+
+
+def study_keys(name: str) -> list[tuple[str, tuple]]:
+    """(dotted key, path) of every field of the study file's set, a section
+    by its own fields and a list by the entries the shipped file gives it."""
+    doc = yaml.safe_load((ROOT / "configs" / name).read_text())
+    out = []
+    for f in dataclasses.fields(STUDIES[name][1]):
+        for path in ([(f.name, g.name) for g in dataclasses.fields(f.default)]
+                     if dataclasses.is_dataclass(f.default) else [(f.name,)]):
+            node = doc
+            for k in path:
+                node = node.get(k) if isinstance(node, dict) else None
+            out += [(key, path + sub) for key, sub in leaves(node, ".".join(path))]
     return out
 
 
@@ -151,11 +174,29 @@ def draw(rng: random.Random, count: int, table_rows: list) -> list[dict]:
         if ident not in seen:
             seen.add(ident)
             out.append(mutant)
+    studies = [(name, key, path) for name in STUDIES for key, path in study_keys(name)]
+    while len(out) < count + round(count * STUDY_SHARE):
+        name, key, path = rng.choice(studies)
+        value = rng.choice(YAML_VALUES)
+        if (name, key, repr(value)) not in seen:
+            seen.add((name, key, repr(value)))
+            out.append({"target": "study", "key": key, "path": list(path), "value": value,
+                        "config": name})
     return out
 
 
 def apply(mutant: dict, tree: Path, base: dict, table_rows: list, header: list) -> None:
     """Write the mutated file into the scratch tree."""
+    if mutant["target"] == "study":
+        path = tree / "configs" / mutant["config"]
+        doc = yaml.safe_load(path.read_text())
+        node = doc
+        *inner, last = mutant["path"]
+        for k in inner:
+            node = node.setdefault(k, {}) if isinstance(node, dict) else node[k]
+        node[last] = mutant["value"]
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        return
     if mutant["target"] == "yaml":
         doc = config._deep_merge(base, override(tuple(mutant["path"]), mutant["value"]))
         (tree / "configs" / "base.yaml").write_text(yaml.safe_dump(doc, sort_keys=False))
@@ -169,7 +210,7 @@ def apply(mutant: dict, tree: Path, base: dict, table_rows: list, header: list) 
 
 
 def run(mutant: dict, tree: Path) -> dict:
-    """One simulate run of the mutant and the checks it fails."""
+    """One run of the mutant and the checks it fails."""
     err, out = io.StringIO(), io.StringIO()
     outdir = tree / "out"
     config = tree / "configs" / mutant["config"]
@@ -179,7 +220,8 @@ def run(mutant: dict, tree: Path) -> dict:
             contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
         warnings.simplefilter("always")
         try:
-            code = main(["simulate", "--config", str(config), "--out", str(outdir)])
+            command = STUDIES[mutant["config"]][0] if mutant["target"] == "study" else "simulate"
+            code = main([command, "--config", str(config), "--out", str(outdir)])
         except (Exception, SystemExit) as exc:      # a traceback, whatever it is
             code = None
             record["traceback"] = f"{type(exc).__name__}: {exc}"
@@ -195,7 +237,8 @@ def run(mutant: dict, tree: Path) -> dict:
     elif code not in (0, 3, 4):
         problems.append(f"refused with exit {code}, not 3 or 4")
     if code:
-        files = (mutant["config"], "base.yaml") if mutant["target"] == "yaml" else (TABLE,)
+        files = {"yaml": (mutant["config"], "base.yaml"), "table": (TABLE,),
+                 "study": (mutant["config"],)}[mutant["target"]]
         if not any(f in detail for f in files):
             problems.append("the refusal names no mutated or run file")
         if not re.search(rf"{re.escape(mutant['key'])}(?!\w)", detail):
@@ -220,7 +263,8 @@ def fuzz(seed: int, count: int) -> dict:
         for name in DATA:
             shutil.copy(ROOT / "data" / name, tree / "data" / name)
         originals = {p: p.read_bytes() for p in (tree / "configs" / "base.yaml",
-                                                  tree / "data" / TABLE)}
+                                                  tree / "data" / TABLE,
+                                                  *(tree / "configs" / n for n in STUDIES))}
         for mutant in mutants:
             apply(mutant, tree, base, table_rows, header)
             records.append(run(mutant, tree))
@@ -238,7 +282,8 @@ def fuzz(seed: int, count: int) -> dict:
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--count", type=int, default=260, help="number of mutants")
+    parser.add_argument("--count", type=int, default=260,
+                        help="number of scenario and table mutants")
     parser.add_argument("--out", default="out/fuzz_inputs.json", help="JSON report")
     return parser.parse_args(argv)
 
