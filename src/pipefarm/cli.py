@@ -5,18 +5,21 @@ of key, number, path and include rules. Each study fits its own LUE factor
 to the benchmark yield, so no command reads a calibration file.
 
 Subcommands: trace-optics (geometry -> efficiency table, its sidecar and
-flux maps; runs read the table through `optics.table`), calibrate (a report
-of the fit a study of the config makes; nothing reads it back), simulate
-(one scenario -> result files), compare (a `CompareSet`'s scenarios ->
-comparison tables, and light_cost.csv, each variant under its scenario's
-config when the set has one, else the first config), sweep (a `SweepSet`:
-price/carbon grid and a break-even pipe cost), sunpath (solar position
-tables). Outputs are delimited text plus JSON. Every JSON file carries the
-tool version and config hash (comparison.json one hash per config and the
-resolved config paths, breakeven.json the bench config's hash too);
-kpis.json, calibration.json, comparison.json and breakeven.json also carry
-the climate hash and LUE scale. CSV files carry neither. Errors, unwritable
-outputs included, exit nonzero with a one-line JSON record on stderr.
+flux maps, under --rays and --seed; runs read the table through
+`optics.table`), calibrate (a report of the fit a study of the config makes;
+nothing reads it back), simulate (one scenario -> result files), compare (a
+`CompareSet`'s scenarios -> comparison tables, and light_cost.csv, each
+variant under its scenario's config when the set has one, else the first
+config), sweep (a `SweepSet`: price/carbon grid and a break-even pipe cost),
+sunpath (solar position tables). Outputs are delimited text plus JSON, which
+`engine.write_json` writes with non-finite numbers as null. Every JSON file
+carries `engine.provenance`'s tool version and config hash (comparison.json
+one hash per config and the resolved config paths, breakeven.json the bench
+config's hash too); kpis.json, calibration.json, comparison.json and
+breakeven.json also carry the climate hash and LUE scale, and only the
+trace-optics sidecars the tracer's rays and seed. CSV files carry none of
+these. Errors, unwritable outputs included, exit nonzero with a one-line
+JSON record on stderr.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from .config import CompareSet, ConfigError, ScenarioConfig, SweepSet, load_scen
     load_set
 from .economics import light_cost_comparison
 from .engine import CalibrationError, SimulationError, Study, compare_scenarios, \
-    light_cost_inputs, scenario_sweep, write_csv
-from .tracer import DEFAULT_RAYS, MODEL_REVISION, build_efficiency_table
+    light_cost_inputs, provenance, scenario_sweep, write_csv, write_json
+from .tracer import DEFAULT_RAYS, DEFAULT_SEED, MODEL_REVISION, build_efficiency_table
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,30 +53,20 @@ def _fail(code: int, kind: str, message: str) -> int:
     return code
 
 
-def _meta(cfg: Optional[ScenarioConfig] = None, **extra) -> dict:
-    meta = {"version": __version__, **extra}
-    if cfg is not None:
-        meta.update(config_hash=cfg.content_hash(), scenario=cfg.scenario, seed=cfg.seed)
-    return meta
-
-
-def _load_cfg(args, path=None) -> ScenarioConfig:
-    """The config at `path` (default --config) with the command's overrides."""
-    cfg = load_scenario_config(path or args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if getattr(args, "scenario", None):
-        cfg = dataclasses.replace(cfg, scenario=args.scenario)
-    return cfg
+def _listed(args, key: str, path: Path) -> ScenarioConfig:
+    """The scenario config that the study file at --config lists under `key`."""
+    if not path.is_file():
+        raise ConfigError(f"{args.config}: {key!r} names no config file: {path}")
+    return load_scenario_config(path)
 
 
 # -- subcommands ---------------------------------------------------------------
 
 def _cmd_trace_optics(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = load_scenario_config(args.config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    table, fluxmaps = build_efficiency_table(cfg.lp_geometry, rays=args.rays, seed=cfg.seed,
+    table, fluxmaps = build_efficiency_table(cfg.lp_geometry, rays=args.rays, seed=args.seed,
                                              collect_fluxmaps=not args.no_fluxmaps)
     # each file with its `.csv.json` sidecar; the table's makes runs read it as traced
     files = {f"fluxmap_alt{int(alt):02d}.csv": (fm, dict(
@@ -85,8 +78,8 @@ def _cmd_trace_optics(args) -> int:
         bound_flags=table.bound_violations()))
     for name, (data, meta) in files.items():
         write_csv(outdir / name, *data.csv_columns())
-        (outdir / f"{name}.json").write_text(json.dumps(_meta(cfg, rays=args.rays, **meta),
-                                                        indent=2, sort_keys=True))
+        write_json(outdir / f"{name}.json",
+                   provenance(cfg, rays=args.rays, seed=args.seed, **meta))
     print(f"traced {len(table.alt_grid)} altitudes and "
           f"{table.eta_diff_th.size} diffuse entries -> {outdir}")
     return EXIT_OK
@@ -94,18 +87,22 @@ def _cmd_trace_optics(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     """Report the LUE fit that every study of this config makes for itself."""
-    cfg = dataclasses.replace(_load_cfg(args), scenario="Bench")
-    calib = {**Study([cfg]).calibration, **_meta(cfg)}
+    cfg = dataclasses.replace(load_scenario_config(args.config), scenario="Bench")
+    study = Study([cfg])
+    calib = provenance(cfg, climate_hash=study.climate.content_hash(),
+                       lue_table=str(cfg.lue_table_path), **study.calibration)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(calib, indent=2, sort_keys=True))
+    write_json(out, calib)
     print(f"lue_scale = {calib['lue_scale']:.6f} "
           f"(yield {calib['achieved_yield_kg']:.1f} kg) -> {out}")
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = load_scenario_config(args.config)
+    if args.scenario:
+        cfg = dataclasses.replace(cfg, scenario=args.scenario)
     result = Study([cfg]).run(cfg)
     files = result.save(args.out)
     k = result.kpis
@@ -125,16 +122,15 @@ def _write_rows(path: Path, rows: list[dict]) -> None:
 
 def _cmd_compare(args) -> int:
     paths = load_set(args.config, CompareSet).scenarios
-    study = Study([_load_cfg(args, p) for p in paths])
+    study = Study([_listed(args, f"scenarios[{i}]", p) for i, p in enumerate(paths)])
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = compare_scenarios(study.results())
     _write_rows(outdir / "comparison.csv", rows)
-    meta = _meta(None, configs=[str(p) for p in paths],
-                 config_hashes=[cfg.content_hash() for cfg in study.configs],
-                 climate_hash=study.climate.content_hash(), lue_scale=study.lue.scale)
-    (outdir / "comparison.json").write_text(json.dumps({"rows": rows, "metadata": meta},
-                                                       indent=2, sort_keys=True, default=str))
+    meta = provenance(configs=[str(p) for p in paths],
+                      config_hashes=[cfg.content_hash() for cfg in study.configs],
+                      climate_hash=study.climate.content_hash(), lue_scale=study.lue.scale)
+    write_json(outdir / "comparison.json", {"rows": rows, "metadata": meta})
     # each variant under its own scenario's config (the first, if repeated)
     own = {cfg.scenario: light_cost_inputs(cfg) for cfg in reversed(study.configs)}
     _write_rows(outdir / "light_cost.csv",
@@ -145,29 +141,29 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     sweep = load_set(args.config, SweepSet)
-    study = Study([_load_cfg(args, p) for p in (sweep.scenario_config, sweep.bench_config)])
+    study = Study([_listed(args, key, getattr(sweep, key))
+                   for key in ("scenario_config", "bench_config")])
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     scen, bench = study.results()
     breakeven, rows = scenario_sweep(scen, bench, sweep.grid.electricity_usd_per_mwh,
                                      sweep.grid.carbon_usd_per_t, sweep.target_pbt_years)
     _write_rows(outdir / "pbt_grid.csv", rows)
-    breakeven["metadata"] = _meta(scen.config, bench_config_hash=bench.config.content_hash(),
-                                  climate_hash=study.climate.content_hash(),
-                                  lue_scale=study.lue.scale)
-    (outdir / "breakeven.json").write_text(json.dumps(breakeven, indent=2, sort_keys=True))
+    breakeven["metadata"] = provenance(scen.config, lue_scale=study.lue.scale,
+                                       bench_config_hash=bench.config.content_hash(),
+                                       climate_hash=study.climate.content_hash())
+    write_json(outdir / "breakeven.json", breakeven)
     print(f"swept {len(rows)} price points -> {outdir}")
     return EXIT_OK
 
 
 def _cmd_sunpath(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = load_scenario_config(args.config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_rows(outdir / "sunpath.csv", sunpath_table(cfg.site))
-    (outdir / "sunpath_meta.json").write_text(json.dumps(
-        _meta(cfg, latitude=cfg.site.latitude, longitude=cfg.site.longitude),
-        indent=2, sort_keys=True))
+    write_json(outdir / "sunpath_meta.json",
+               provenance(cfg, latitude=cfg.site.latitude, longitude=cfg.site.longitude))
     print(f"sun-path table for lat {cfg.site.latitude:g} -> {outdir / 'sunpath.csv'}")
     return EXIT_OK
 
@@ -180,15 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="scenario YAML")
+    def common(p):
+        p.add_argument("--config", required=True, help="scenario YAML")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override RNG seed")
 
     p = sub.add_parser("trace-optics", help="ray-trace the efficiency table")
     common(p)
     p.add_argument("--rays", type=int, default=DEFAULT_RAYS, help="rays per trace call")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="tracer RNG seed")
     p.add_argument("--no-fluxmaps", action="store_true")
     p.set_defaults(func=_cmd_trace_optics)
 

@@ -79,7 +79,6 @@ SURFACE_NAMES = ("roof", "walls", "floor")
 class ScenarioConfig:
     scenario: str = "Bench"
     ppe: float = 2.5
-    seed: int = 42
     site: SiteConfig = field(default_factory=lambda: SiteConfig(25.0, 55.0, 4.0))
     climate_path: Optional[Path] = None
     climate_columns: Optional[dict] = None
@@ -113,7 +112,7 @@ class ScenarioConfig:
         if self.ppe <= 0.0:
             raise ConfigError("ppe must be positive")
         if self.n_pipes < 0:
-            raise ConfigError("n_pipes must be non-negative")
+            raise ConfigError(f"'lp.count' must be non-negative, not {self.n_pipes!r}")
         if self.lp_heat_area not in ("aperture", "lateral"):
             raise ConfigError("'lp.heat_area' must be 'aperture' or 'lateral'")
         if self.timestep_mode not in ("quasi_steady", "transient"):
@@ -266,7 +265,7 @@ def _load_yaml_with_includes(path: Path, chain: tuple = ()) -> dict:
     if rp in chain:
         raise ConfigError(f"circular include at {path}")
     chain += (rp,)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         data = yaml.load(path.read_text(), Loader=_YAML_LOADER) or {}
@@ -286,8 +285,12 @@ def _load_yaml_with_includes(path: Path, chain: tuple = ()) -> dict:
     includes = data.pop("include", [])
     if isinstance(includes, str):
         includes = [includes]
+    if not (isinstance(includes, list) and all(isinstance(i, str) and i for i in includes)):
+        raise ConfigError(f"{path}: 'include' must be a file or list of files, not {includes!r}")
     merged: dict = {}
     for inc in includes:
+        if not (path.parent / inc).is_file():
+            raise ConfigError(f"{path}: include {inc!r} names no config file: {path.parent / inc}")
         merged = _deep_merge(merged, _load_yaml_with_includes(path.parent / inc, chain))
     return _deep_merge(merged, data)
 

@@ -60,8 +60,8 @@ from .tracer import MODEL_REVISION
 __all__ = ["SimulationError", "SimulationResult", "Study", "prepare_efficiency_table",
            "solar_angles", "run_scenario", "calibrate_lue_scale",
            "compare_scenarios", "light_cost_inputs", "load_lue_table",
-           "scenario_capex_delta", "scenario_delta", "scenario_light_cost",
-           "scenario_sweep", "write_csv", "CalibrationError"]
+           "provenance", "scenario_capex_delta", "scenario_delta", "scenario_light_cost",
+           "scenario_sweep", "write_csv", "write_json", "CalibrationError"]
 
 W_TO_MWH = 1e-6  # 1 W over one hour = 1e-6 MWh
 
@@ -203,18 +203,9 @@ class SimulationResult:
     def save(self, outdir: str | Path) -> list[Path]:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        written = []
-
-        kpis_doc = {
-            "kpis": {k: _json_num(getattr(self.kpis, k))
-                     for k in self.kpis.__dataclass_fields__},
-            "aggregates": {k: _json_num(v) for k, v in sorted(self.aggregates.items())},
-            "metadata": self.metadata,
-            "warnings": self.warnings,
-        }
-        p = outdir / "kpis.json"
-        p.write_text(json.dumps(kpis_doc, indent=2, sort_keys=True))
-        written.append(p)
+        written = [write_json(outdir / "kpis.json", {
+            "kpis": asdict(self.kpis), "aggregates": self.aggregates,
+            "metadata": self.metadata, "warnings": self.warnings})]
 
         lighting = [c for c in self.hourly if c not in POWER_COLUMNS]
         for name, cols in (("hourly_power.csv", POWER_COLUMNS),
@@ -237,12 +228,30 @@ class SimulationResult:
         return written
 
 
-def _json_num(v):
-    if isinstance(v, float) and (math.isnan(v) or math.isinf(v)):
-        return None
-    if isinstance(v, tuple):
-        return list(v)
-    return v
+def provenance(cfg: Optional[ScenarioConfig] = None, **extra) -> dict:
+    """The header every JSON output carries: the tool version and, with
+    `cfg`, its config hash and scenario, plus `extra`."""
+    meta = {"version": __version__, **extra}
+    if cfg is not None:
+        meta.update(config_hash=cfg.content_hash(), scenario=cfg.scenario)
+    return meta
+
+
+def _finite(v):
+    """`v` with every non-finite float, at any depth, as None."""
+    if isinstance(v, dict):
+        return {k: _finite(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
+def write_json(path: str | Path, doc) -> Path:
+    """`doc` as strict JSON (sorted keys, indent 2, non-finite numbers as
+    null) at `path`, which it returns."""
+    path = Path(path)
+    path.write_text(json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False))
+    return path
 
 
 # Rows rendered and written at a time: an hourly file rendered whole holds
@@ -374,19 +383,11 @@ def run_scenario(cfg: ScenarioConfig, climate: ClimateSeries,
         "summer_cooling_el_mwh": float(cool_el_mwh[np.isin(month, (5, 6, 7))].sum()),
         "winter_cooling_el_mwh": float(cool_el_mwh[np.isin(month, (0, 1, 11))].sum()),
     }
-    metadata = {
-        "scenario": cfg.scenario,
-        "ppe": cfg.ppe,
-        "seed": cfg.seed,
-        "version": __version__,
-        "config_hash": cfg.content_hash(),
-        "climate_hash": climate.content_hash(),
-        "climate_source": climate.source,
-        "lue_scale": lue.scale,
-        "table_provenance": table.provenance if table is not None else None,
-        "table_geometry_hash": table.geometry_hash if table is not None else None,
-        "timestep_mode": cfg.timestep_mode,
-    }
+    metadata = provenance(
+        cfg, ppe=cfg.ppe, climate_hash=climate.content_hash(), climate_source=climate.source,
+        lue_scale=lue.scale, table_provenance=table.provenance if table is not None else None,
+        table_geometry_hash=table.geometry_hash if table is not None else None,
+        timestep_mode=cfg.timestep_mode)
     warnings.sort(key=lambda hw: hw[0])    # stable: stage order within an hour
     return SimulationResult(config=cfg, kpis=kpis, aggregates=aggregates,
                             hourly=hourly, dli=crop.dli, harvests=crop.harvests,
@@ -725,8 +726,8 @@ def calibrate_lue_scale(cfg: ScenarioConfig, climate: ClimateSeries,
     """Fit the single multiplicative LUE factor to the benchmark yield.
 
     Bench has no daylight, so its yield depends only on the crop stage fed
-    with its LED light: each trial runs that stage alone, and `table` and
-    `solar` are unused (kept so callers can pass a run's arguments).
+    with its LED light: each trial runs that stage alone, and `climate`,
+    `table` and `solar` are unused (kept so callers can pass a run's arguments).
 
     The normalized annual yield is monotone in the factor but carries
     small steps from hour-quantized harvest times, so the bracketing
@@ -782,14 +783,7 @@ def calibrate_lue_scale(cfg: ScenarioConfig, climate: ClimateSeries,
     if abs(y1 - target_kg) > CALIBRATION_FAIL_REL * target_kg:
         raise CalibrationError(
             f"calibration did not converge: yield {y1:.1f} kg vs {target_kg}")
-    return {
-        "lue_scale": s1,
-        "achieved_yield_kg": y1,
-        "target_yield_kg": target_kg,
-        "climate_hash": climate.content_hash(),
-        "lue_table": str(cfg.lue_table_path),
-        "version": __version__,
-    }
+    return {"lue_scale": s1, "achieved_yield_kg": y1, "target_yield_kg": target_kg}
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,9 @@ class ChamberGeometry:
         for name in ("floor_area_m2", "height_m"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        for i, s in enumerate(self.surfaces):     # one entry per part: none counts twice
+            if s.name in (t.name for t in self.surfaces[:i]):
+                raise ValueError(f"surfaces[{i}] repeats the surface name {s.name!r}")
 
     @property
     def thermal_capacity_j_per_k(self) -> float:

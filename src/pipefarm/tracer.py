@@ -56,9 +56,10 @@ _EPS = 1e-9
 _Z_UP = np.array([0.0, 0.0, 1.0])
 
 __all__ = ["TraceResult", "trace_direct", "trace_diffuse_band",
-           "build_efficiency_table", "DEFAULT_RAYS"]
+           "build_efficiency_table", "DEFAULT_RAYS", "DEFAULT_SEED"]
 
 DEFAULT_RAYS = 100_000
+DEFAULT_SEED = 42          # trace-optics' seed when it is given none
 MIN_RAYS = 10_000
 # Tracer model revision, written to each traced table's sidecar: raise it
 # whenever a change moves traced values, so no older table is read back.

@@ -11,7 +11,7 @@ import pipefarm.engine
 from pipefarm.cli import main
 from pipefarm.config import SweepSet, load_scenario_config, load_set
 from pipefarm.engine import calibrate_lue_scale, load_lue_table
-from pipefarm.tracer import MODEL_REVISION
+from pipefarm.tracer import DEFAULT_SEED, MODEL_REVISION
 
 # CLI runs get their own config tree so every output stays inside tmp
 pytestmark = pytest.mark.usefixtures("repo_paths")
@@ -393,6 +393,24 @@ class TestStrictCompareAndSweepFiles:
         assert runs == [] and not (work_tree / "o").exists()
 
 
+    @pytest.mark.parametrize("command, body, key", [
+        ("compare", "scenarios: [bench.yaml, nope.yaml]\n", "scenarios[1]"),
+        ("sweep", "scenario_config: nope.yaml\nbench_config: bench.yaml\n", "scenario_config"),
+        ("sweep", "scenario_config: bench.yaml\nbench_config: nope.yaml\n", "bench_config"),
+    ])
+    def test_an_entry_naming_no_file_names_the_entry(self, work_tree, capsys, monkeypatch,
+                                                     command, body, key):
+        runs = _count_calls(monkeypatch, pipefarm.engine, "run_scenario")
+        path = work_tree / "configs" / "listing.yaml"
+        path.write_text(body)
+        rc = main([command, "--config", str(path), "--out", str(work_tree / "o")])
+        assert rc == 3
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert detail.startswith(f"{path}: {key!r} names no config file")
+        assert str(work_tree / "configs" / "nope.yaml") in detail
+        assert runs == [] and not (work_tree / "o").exists()
+
+
 class TestIncludedStudyFiles:
     """A compare or sweep file may include one in another directory; the
     included file's config paths resolve against its own directory."""
@@ -439,6 +457,7 @@ class TestTraceOptics:
         meta = json.loads((out / "efficiency_table.csv.json").read_text())
         geometry = load_scenario_config(work_tree / "configs" / "bench.yaml").lp_geometry
         assert meta["rays"] == 10000 and meta["provenance"] == "traced"
+        assert meta["seed"] == DEFAULT_SEED
         assert meta["model_revision"] == MODEL_REVISION
         assert meta["lp"] == dataclasses.asdict(geometry)
         assert meta["geometry_hash"] == geometry.content_hash()
@@ -458,3 +477,42 @@ class TestTraceOptics:
         run = json.loads((work_tree / "sim" / "kpis.json").read_text())["metadata"]
         assert run["table_provenance"] == "traced"
         assert run["table_geometry_hash"] == geometry.content_hash()
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("command", ["simulate", "compare", "sweep", "calibrate",
+                                         "sunpath"])
+    def test_only_trace_optics_takes_a_seed(self, work_tree, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(work_tree / "configs" / "bench.yaml"),
+                  "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_every_json_output_is_strict_json(self, work_tree):
+        """Non-finite numbers (LP_NL's payback, for one) are written as null."""
+        configs, out = work_tree / "configs", work_tree / "out"
+        (configs / "pair.yaml").write_text("scenarios: [bench.yaml, lp_nl.yaml]\n")
+        for argv in (["simulate", "--config", configs / "lp_nl.yaml", "--out", out / "sim"],
+                     ["compare", "--config", configs / "pair.yaml", "--out", out / "cmp"],
+                     ["sweep", "--config", configs / "sweep_lp_dim_ir.yaml",
+                      "--out", out / "sweep"],
+                     ["calibrate", "--config", configs / "bench.yaml",
+                      "--out", out / "calibration.json"],
+                     ["sunpath", "--config", configs / "bench.yaml", "--out", out / "sun"],
+                     ["trace-optics", "--config", configs / "bench.yaml", "--rays", "10000",
+                      "--out", out / "trace"]):
+            assert main([str(a) for a in argv]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+        docs = {p.relative_to(out).as_posix(): json.loads(p.read_text(), parse_constant=refuse)
+                for p in out.rglob("*.json")}
+        assert {"sim/kpis.json", "cmp/comparison.json", "sweep/breakeven.json",
+                "calibration.json", "sun/sunpath_meta.json",
+                "trace/efficiency_table.csv.json"} <= set(docs)
+        assert [r["pbt_years"] for r in docs["cmp/comparison.json"]["rows"]] == [0.0, None]
+        for name, doc in docs.items():
+            meta = doc.get("metadata", doc)
+            assert meta["version"] and ("seed" in meta) == name.startswith("trace/")
+

@@ -90,7 +90,7 @@ class TestShippedConfigs:
 
     def test_content_hash_covers_overrides(self, repo_paths):
         a = load_scenario_config(repo_paths["configs"] / "bench.yaml")
-        assert dataclasses.replace(a, seed=7).content_hash() != a.content_hash()
+        assert dataclasses.replace(a, n_pipes=7).content_hash() != a.content_hash()
         assert dataclasses.replace(a, scenario="LP_NL").content_hash() != a.content_hash()
 
 
@@ -118,19 +118,32 @@ class TestIncludeMechanism:
             load_scenario_config(tmp_path / "a.yaml")
 
     # in the diamond b's copy of c comes after a, so c's ppe overrides a's
-    @pytest.mark.parametrize("includes,seed", [("[a.yaml, b.yaml]", 9),
-                                               ("[c.yaml, c.yaml]", 4)])
-    def test_a_file_included_twice_is_not_circular(self, tmp_path, includes, seed):
-        (tmp_path / "c.yaml").write_text("scenario: Bench\nppe: 2.5\nseed: 4\n")
+    @pytest.mark.parametrize("includes,count", [("[a.yaml, b.yaml]", 9),
+                                                ("[c.yaml, c.yaml]", 4)])
+    def test_a_file_included_twice_is_not_circular(self, tmp_path, includes, count):
+        (tmp_path / "c.yaml").write_text("scenario: Bench\nppe: 2.5\nlp: {count: 4}\n")
         (tmp_path / "a.yaml").write_text("include: c.yaml\nppe: 2.8\n")
-        (tmp_path / "b.yaml").write_text("include: c.yaml\nseed: 9\n")
+        (tmp_path / "b.yaml").write_text("include: c.yaml\nlp: {count: 9}\n")
         (tmp_path / "top.yaml").write_text(f"include: {includes}\n")
         cfg = load_scenario_config(tmp_path / "top.yaml")
-        assert (cfg.scenario, cfg.ppe, cfg.seed) == ("Bench", 2.5, seed)
+        assert (cfg.scenario, cfg.ppe, cfg.n_pipes) == ("Bench", 2.5, count)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_scenario_config(tmp_path / "nope.yaml")
+
+    @pytest.mark.parametrize("include, detail", [
+        ("[base.yaml, nope.yaml]", "include 'nope.yaml' names no config file"),
+        ("5", "'include' must be a file or list of files, not 5"),
+        ("[base.yaml, 5]", "'include' must be a file or list of files"),
+    ])
+    def test_a_bad_include_names_the_including_file(self, tmp_path, include, detail):
+        (tmp_path / "base.yaml").write_text("scenario: Bench\n")
+        (tmp_path / "mid.yaml").write_text(f"include: {include}\n")
+        (tmp_path / "top.yaml").write_text("include: mid.yaml\n")
+        with pytest.raises(ConfigError) as exc:
+            load_scenario_config(tmp_path / "top.yaml")
+        assert str(exc.value).startswith(f"{tmp_path / 'mid.yaml'}: {detail}")
 
     def test_included_paths_resolve_against_their_own_file(self, tmp_path):
         (tmp_path / "shared").mkdir()
@@ -247,6 +260,7 @@ class TestValidation:
         ("optics: {bounce_cap: 50}", "optics.bounce_cap"),
         ("optics: {cache_dir: ../.cache/optics}", "optics.cache_dir"),   # runs only read
         ("optics: {rays: 100000}", "optics.rays"),
+        ("seed: 42", "seed"),                             # trace-optics --seed
         ("crop: {calibration: x.json}", "crop.calibration"),
         ("ec: {v_max: 100.0}", "ec.v_max"),               # now module constants
         ("hvac: {cop_min: 1.5}", "hvac.cop_min"),
@@ -303,7 +317,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("body, key", [
         ("lp: {count: 750.9}", "lp.count"),               # fractional int
-        ("seed: 1.9", "seed"),
+        ("lp: {count: 0.5}", "lp.count"),
         ("lp: {count: .inf}", "lp.count"),                # an integer key's infinity
         ("crop: {lai_cap: .nan}", "crop.lai_cap"),         # non-finite numbers
         ("hvac: {t_evap_c: .inf}", "hvac.t_evap_c"),
@@ -387,6 +401,10 @@ class TestValidation:
         ("setpoints: {ppfd: 0}", "setpoints.ppfd"),
         ("setpoints: {co2: -5}", "setpoints.co2"),
         ("min_threshold_ppfd: -1", "min_threshold_ppfd"),
+        ("lp: {count: -1}", "lp.count"),
+        # one entry per surface: GH's walls given as two would glaze them twice
+        ("chamber: {surfaces: [{name: walls, area_m2: 42, u_value: 0.175}, "
+         "{name: walls, area_m2: 42, u_value: 0.175}]}", "chamber.surfaces[1]"),
     ])
     def test_invalid_value_names_the_key(self, tmp_path, body, key):
         path = tmp_path / "bad.yaml"
@@ -402,9 +420,9 @@ class TestValidation:
 
     def test_integral_and_int_values_still_load(self, tmp_path):
         path = tmp_path / "ok.yaml"
-        path.write_text("scenario: Bench\nlp: {count: 700.0}\nseed: 7\nppe: 3\n")
+        path.write_text("scenario: Bench\nlp: {count: 700.0}\nppe: 3\n")
         cfg = load_scenario_config(path)
-        assert (cfg.n_pipes, cfg.seed, cfg.ppe) == (700, 7, 3.0)
+        assert (cfg.n_pipes, cfg.ppe) == (700, 3.0)
         assert type(cfg.n_pipes) is int and type(cfg.ppe) is float
 
 
@@ -426,7 +444,7 @@ SETTABLE_KEYS = [
     "lp.diffuser_apex_angle_deg", "lp.diffuser_refractive_index", "lp.diffuser_throughput",
     "lp.dome_transmittance", "lp.heat_area", "lp.length_mm", "lp.mirror_reflectance",
     "lp.target_zone_m", "lp.wall_reflectance", "min_threshold_ppfd", "optics.table",
-    "photoperiod", "ppe", "scenario", "seed",
+    "photoperiod", "ppe", "scenario",
     "setpoints.co2", "setpoints.ppfd", "setpoints.temperature", "site.latitude",
     "site.longitude", "site.utc_offset", "surrogates.crop_latent_fraction",
     "surrogates.crop_storage_fraction", "surrogates.fm_water_l_per_kg", "timestep_mode",
@@ -440,4 +458,4 @@ def test_settable_keys_are_frozen():
     for section, name in config._SECTIONS.items():
         keys |= {f"{section}.{f.name}" for f in dataclasses.fields(getattr(default, name))}
     assert sorted(keys) == SETTABLE_KEYS
-    assert len(SETTABLE_KEYS) == 69
+    assert len(SETTABLE_KEYS) == 68

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pipefarm
 from pipefarm import engine
 from pipefarm.cli import main
 from pipefarm.climate import ClimateSeries, HOURS_PER_YEAR, SiteConfig
@@ -23,7 +24,7 @@ from pipefarm.lighting import EC_FILM, STRATEGIES, control_tier3, ec_control, le
 from pipefarm.optics import (DIFFUSE_BANDS, OpticalEfficiencyTable, apply_neutral_attenuation,
                              apply_uv_ir_filter, gh_gains, lp_crop_ppfd, lp_solar_gains)
 from pipefarm.thermal import POWER_COLUMNS, RA_VALID_RANGE, lp_convection
-from pipefarm.tracer import MODEL_REVISION
+from pipefarm.tracer import DEFAULT_SEED, MODEL_REVISION
 
 
 def flat_climate(temperature=24.0, dni=0.0, dhi=0.0) -> ClimateSeries:
@@ -160,7 +161,7 @@ class TestTableSidecar:
         engine.write_csv(path, *random_traced_table(0).csv_columns())
         meta = {"provenance": "traced", "lp": dataclasses.asdict(cfg.lp_geometry),
                 "geometry_hash": cfg.lp_geometry.content_hash(), "rays": 10_000,
-                "seed": cfg.seed, "model_revision": MODEL_REVISION}
+                "seed": DEFAULT_SEED, "model_revision": MODEL_REVISION}
         meta["lp"].update(edits.pop("lp", {}))
         Path(f"{path}.json").write_text(json.dumps({**meta, **edits}))
         return dataclasses.replace(cfg, table_path=path)
@@ -221,6 +222,9 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate_lue_scale(scenario_configs["LP_NL"], climate, None, lue_base)
 
+
+    def test_the_record_is_only_the_fit(self, calibration):
+        assert set(calibration) == {"lue_scale", "achieved_yield_kg", "target_yield_kg"}
 
     def test_achieved_yield_is_the_bench_run_yield(self, bench_config, climate,
                                                    calibration, lue_calibrated, solar):
@@ -905,6 +909,23 @@ class TestWriteCsvOracle:
             engine.write_csv(tmp_path / "t.csv", ["name", "v"], [["ok", text], [1.0, 2.0]])
         with pytest.raises(ValueError, match="quoting"):
             engine.write_csv(tmp_path / "t.csv", ["name", text], [["ok"], [1.0]])
+
+
+class TestWriteJson:
+    def test_non_finite_numbers_are_null_at_any_depth(self, tmp_path):
+        doc = {"b": [1.5, math.inf, (math.nan, {"c": -math.inf})], "a": None, "d": True}
+        path = engine.write_json(tmp_path / "doc.json", doc)
+        assert path == tmp_path / "doc.json"
+        assert path.read_text() == json.dumps(
+            {"a": None, "b": [1.5, None, [None, {"c": None}]], "d": True},
+            indent=2, sort_keys=True)
+
+    def test_the_header_restates_no_field(self, scenario_configs):
+        cfg = scenario_configs["LP_Dim"]
+        assert engine.provenance(cfg, rays=5) == {
+            "version": pipefarm.__version__, "config_hash": cfg.content_hash(),
+            "scenario": "LP_Dim", "rays": 5}
+        assert engine.provenance() == {"version": pipefarm.__version__}
 
 
 class TestSavedRoundTrip:

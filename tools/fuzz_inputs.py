@@ -50,6 +50,7 @@ import yaml
 from pipefarm import config
 from pipefarm.cli import main
 from pipefarm.climate import CLIMATE_COLUMNS
+from pipefarm.engine import write_json
 from pipefarm.optics import _ROW_CELLS as READ_CELLS    # the cells the table reader reads
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -293,6 +294,6 @@ if __name__ == "__main__":
     report = fuzz(args.seed, args.count)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True))
+    write_json(out, report)
     print(f"{report['count']} mutants (seed {report['seed']}): exits {report['exits']}, "
           f"{len(report['failed'])} failed a check -> {out}")
