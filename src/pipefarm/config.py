@@ -319,11 +319,14 @@ _PATHS = {"climate", "crop.lue_table", "optics.table",
 
 
 def _number(key: str, default, value):
-    """`value` as the type of the numeric `default`; a boolean, a non-number,
-    NaN, ±inf or a fractional value for an integer key is an error naming it."""
+    """`value` as the type of the numeric `default`; a boolean, a string (a
+    quoted number too), a non-number, NaN, ±inf or a fractional value for
+    an integer key is an error naming it."""
     try:
+        if isinstance(value, (bool, str)):
+            raise ValueError
         fractional = isinstance(default, int) and not float(value).is_integer()
-        if isinstance(value, bool) or fractional or not math.isfinite(float(value)):
+        if fractional or not math.isfinite(float(value)):
             raise ValueError
         return type(default)(value)
     except (TypeError, ValueError):

@@ -48,6 +48,8 @@ class CropParams:
                      "sla_m2_per_g_dm", "lai_cap", "dm_fraction", "transplant_dm_g_m2"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        if not 0.0 <= self.stagger_days <= 365.0:
+            raise ValueError(f"stagger_days must be in [0, 365] days, not {self.stagger_days!r}")
         # a transplant already at the target would be harvested every hour
         transplant_g = self.transplant_dm_g_m2 / self.dm_fraction / self.plant_density
         if transplant_g >= self.target_fresh_g:

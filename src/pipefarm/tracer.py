@@ -12,8 +12,16 @@ are far smaller than the duct, so the sheet acts as a thin deterministic
 deviator.
 
 Rays are launched over a disc of radius R perpendicular to their
-direction. Direct-beam efficiencies are normalized to the beam power over
-the aperture area (irradiance times A_LP, no incidence cosine); the cosine
+direction, above the roof and the mirror. The launch uniforms are
+stratified: a direct call jitters two rays into each cell of a grid over
+the disc's (r^2, angle), a diffuse call into each cell of one 4-D grid
+that adds the sky's sin^2(altitude) and azimuth, and the few rays the grid
+leaves over are iid. An efficiency is the plain mean over the rays; its
+standard error comes from the paired differences within the cells and the
+variance of the iid rest.
+
+Direct-beam efficiencies are normalized to the beam power over the
+aperture area (irradiance times A_LP, no incidence cosine); the cosine
 enters exactly once, downstream in the gain formula. Under this
 convention the mirror picking up rays that never cross the aperture disc
 lifts low-sun delivery without breaking the documented 73% ceiling.
@@ -63,8 +71,9 @@ DEFAULT_SEED = 42          # trace-optics' seed when it is given none
 MIN_RAYS = 10_000
 # Tracer model revision, written to each traced table's sidecar: raise it
 # whenever a change moves traced values, so no older table is read back.
-# Revision 2 crosses the bare duct in closed form.
-MODEL_REVISION = 2
+# Revision 2 crosses the bare duct in closed form; revision 3 stratifies
+# the launch uniforms and starts grazing sky rays above the roof.
+MODEL_REVISION = 3
 FLUXMAP_EXTENT_M = 0.6     # crop-plane flux map: full side length
 FLUXMAP_PITCH_M = 0.02     # and cell pitch
 
@@ -453,24 +462,76 @@ def _perp_basis(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def _launch(dirs: np.ndarray, rng: np.random.Generator, launch_radius: float,
+def _launch(dirs: np.ndarray, u: np.ndarray, launch_radius: float,
             up_beam: float = 3.0) -> np.ndarray:
+    """Origins on a disc of `launch_radius` across each ray, `up_beam` back
+    along it; the uniforms' first two rows place each one at r = R sqrt(u[0])
+    and angle 2 pi u[1]. An origin that would start below z = R, the mirror's
+    highest reach (a grazing sky ray), moves back along its own ray to
+    z = R, so every ray starts above the roof and the mirror."""
     e1, e2 = _perp_basis(dirs)
-    n = dirs.shape[0]
-    r = launch_radius * np.sqrt(rng.random(n))
-    th = 2.0 * math.pi * rng.random(n)
+    r = launch_radius * np.sqrt(u[0])
+    th = 2.0 * math.pi * u[1]
     rc, rs = r * np.cos(th), r * np.sin(th)
     origins = np.empty_like(dirs)
     for c in range(3):
         origins[:, c] = -dirs[:, c] * up_beam + rc * e1[:, c] + rs * e2[:, c]
+    low = (origins[:, 2] < launch_radius).nonzero()[0]
+    if low.size:
+        back = (launch_radius - origins[low, 2]) / dirs[low, 2]   # < 0: every ray falls
+        origins[low] += back[:, None] * dirs[low]
     return origins
 
 
-def _mean_se(x: np.ndarray) -> tuple[float, float]:
+def _strata(n: int, dims: int) -> tuple[int, ...]:
+    """Cells per axis of the launch grid: the most cells S = prod(m) with
+    S <= n / 2, as even as the axes allow, the earlier axes taking the
+    spare cells."""
+    half = n // 2
+    k = int(round(half ** (1.0 / dims)))
+    while k ** dims > half:
+        k -= 1
+    m = [k] * dims
+    for i in range(dims):
+        m[i] += 1
+        if math.prod(m) > half:
+            m[i] -= 1
+            break
+    return tuple(m)
+
+
+def _launch_uniforms(rng: np.random.Generator, n: int, dims: int) -> tuple[np.ndarray, int]:
+    """(dims, n) launch uniforms on the unit cube and the stratum count S.
+
+    Rows 2h and 2h+1 are two jittered points in cell h of a grid of
+    S = prod(m) <= n / 2 equal cells (Cochran, Sampling Techniques, 1977);
+    the n - 2S rows after them are iid. Each axis is built in place."""
+    m = _strata(n, dims)
+    s = math.prod(m)
+    u = rng.random((dims, n))
+    for row, cells, k in zip(u, np.unravel_index(np.arange(s), m), m):
+        pairs = row[:2 * s].reshape(s, 2)
+        pairs += cells[:, None]
+        pairs /= k
+    return u, s
+
+
+def _mean_se(x: np.ndarray, strata: int) -> tuple[float, float]:
+    """Plain mean of the per-ray values `x` and its standard error under the
+    launch design of `_launch_uniforms`.
+
+    With f = 2S/n, the variance is f^2 sum_h (x_2h - x_2h+1)^2 / (2S)^2
+    for the paired strata plus (1 - f)^2 var(rest) / n_rest for the iid
+    rest. A rest of one point folds into the grid's term (f = 1)."""
     n = x.size
-    mean = float(x.mean())
-    var = float(x.var(ddof=1)) if n > 1 else 0.0
-    return mean, math.sqrt(var / n)
+    k = 2 * strata
+    diff = x[0:k:2] - x[1:k:2]
+    rest = x[k:]
+    if rest.size > 1:
+        var = (float(diff @ diff) + rest.size * float(rest.var(ddof=1))) / (n * n)
+    else:
+        var = float(diff @ diff) / (k * k)
+    return float(x.mean()), math.sqrt(var)
 
 
 def _validate(rays: int, geometry: LpGeometry) -> None:
@@ -481,20 +542,21 @@ def _validate(rays: int, geometry: LpGeometry) -> None:
                          "assumes the zone covers the duct footprint")
 
 
-def _estimate(scene: _Scene, dirs: np.ndarray, rng: np.random.Generator,
-              mean_sin: float = 1.0) -> TraceResult:
-    """Launch `dirs` over a disc of the duct's radius, trace them and
+def _estimate(scene: _Scene, dirs: np.ndarray, u: np.ndarray, strata: int,
+              rng: np.random.Generator, mean_sin: float = 1.0) -> TraceResult:
+    """Launch `dirs` over a disc of the duct's radius at the first two rows
+    of the stratified uniforms `u` (see `_launch_uniforms`), trace them and
     normalize to the aperture power: the beam's irradiance times A_LP,
     times `mean_sin`, the mean projection onto the aperture of a sampled
     sky direction (1 for the direct beam, which carries no cosine)."""
-    origins = _launch(dirs, rng, scene.R)
+    origins = _launch(dirs, u, scene.R)
     zone_w, chamber_w, tallies = _trace(scene, origins, dirs, rng)
 
     a_launch = math.pi * scene.R ** 2
     per_ray_aperture = scene.geom.aperture_area_m2 * mean_sin / a_launch
     scale = 1.0 / per_ray_aperture
-    eta_zone, se_zone = _mean_se(zone_w * scale)
-    eta_ch, se_ch = _mean_se((zone_w + chamber_w) * scale)
+    eta_zone, se_zone = _mean_se(zone_w * scale, strata)
+    eta_ch, se_ch = _mean_se((zone_w + chamber_w) * scale, strata)
 
     rays = dirs.shape[0]
     fluxmap = None
@@ -528,7 +590,8 @@ def trace_direct(geometry: LpGeometry, altitude: float, rays: int = DEFAULT_RAYS
     d = np.array([-math.cos(alt_r), 0.0, -math.sin(alt_r)])
     dirs = np.broadcast_to(d, (rays, 3)).copy()
     rng = np.random.default_rng([seed, 11, int(round(altitude * 100))])
-    return _estimate(scene, dirs, rng)
+    u, strata = _launch_uniforms(rng, rays, 2)
+    return _estimate(scene, dirs, u, strata, rng)
 
 
 def trace_diffuse_band(geometry: LpGeometry, tilt_deg: Optional[float],
@@ -555,11 +618,13 @@ def trace_diffuse_band(geometry: LpGeometry, tilt_deg: Optional[float],
     s2lo, s2hi = math.sin(lo) ** 2, math.sin(hi) ** 2
     tilt_key = int(tilt_deg * 100) if tilt_deg is not None else 99_999
     rng = np.random.default_rng([seed, 23, tilt_key, int(band_upper_deg)])
-    sin_alt = np.sqrt(s2lo + (s2hi - s2lo) * rng.random(rays))
+    # one 4-D grid: the launch disc's r^2 and angle, the sky's sin^2(altitude), its azimuth
+    u, strata = _launch_uniforms(rng, rays, 4)
+    sin_alt = np.sqrt(s2lo + (s2hi - s2lo) * u[2])
     cos_alt = np.sqrt(1.0 - sin_alt ** 2)
-    az = math.pi * (rng.random(rays) - 0.5)  # front half-dome
+    az = math.pi * (u[3] - 0.5)  # front half-dome
     dirs = np.column_stack([-cos_alt * np.cos(az), -cos_alt * np.sin(az), -sin_alt])
-    return _estimate(scene, dirs, rng, band_mean_sin(band_upper_deg))
+    return _estimate(scene, dirs, u, strata, rng, band_mean_sin(band_upper_deg))
 
 
 def build_efficiency_table(geometry: LpGeometry, rays: int = DEFAULT_RAYS,

@@ -75,6 +75,14 @@ class TestDispatch:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "config"
 
+    def test_stagger_beyond_a_year_exits_3_naming_the_key(self, tmp_path, capsys):
+        # numpy's "Maximum allowed dimension exceeded" named no key
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("scenario: Bench\ncrop: {stagger_days: 1.0e+30}\n")
+        rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "'crop.stagger_days'" in json.loads(capsys.readouterr().err)["detail"]
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "none.yaml"),
                    "--out", str(tmp_path / "o")])

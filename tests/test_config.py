@@ -330,6 +330,9 @@ class TestValidation:
         ("ppe: true", "ppe"),                             # boolean number
         ("lp: {count: false}", "lp.count"),
         ("setpoints: {temperature: [24]}", "setpoints.temperature"),
+        ("lp: {count: '700'}", "lp.count"),               # a quoted number
+        ("ppe: '3.0'", "ppe"),
+        ("photoperiod: ['4', 20]", "photoperiod[0]"),
     ])
     def test_numbers_are_not_coerced(self, tmp_path, body, key):
         path = tmp_path / "bad.yaml"
@@ -381,6 +384,9 @@ class TestValidation:
         ("crop: {lai_cap: -1}", "crop.lai_cap"),
         ("crop: {target_fresh_g: 1.0}", "crop.target_fresh_g"),
         ("crop: {transplant_dm_g_m2: 1000}", "crop.target_fresh_g"),
+        ("crop: {stagger_days: 1.0e+30}", "crop.stagger_days"),   # more than a year
+        ("crop: {stagger_days: 365.5}", "crop.stagger_days"),
+        ("crop: {stagger_days: -1}", "crop.stagger_days"),
         ("site: {latitude: 95}", "site.latitude"),
         ("surrogates: {crop_latent_fraction: 2}", "surrogates.crop_latent_fraction"),
         ("chamber: {height_m: 0}", "chamber.height_m"),

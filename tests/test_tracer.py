@@ -8,7 +8,8 @@ import pytest
 
 from pipefarm.engine import write_csv
 from pipefarm.optics import LpGeometry
-from pipefarm.tracer import _duct_transit, trace_diffuse_band, trace_direct
+from pipefarm.tracer import _duct_transit, _launch, _launch_uniforms, _mean_se, _strata, \
+    trace_diffuse_band, trace_direct
 
 GEOM = LpGeometry()
 LOSSLESS = replace(GEOM, dome_transmittance=1.0, wall_reflectance=1.0,
@@ -230,6 +231,65 @@ class TestMonteCarloBehavior:
     def test_altitude_validation(self):
         with pytest.raises(ValueError):
             trace_direct(GEOM, 0.0, rays=20_000)
+
+
+class TestStratifiedLaunch:
+    @pytest.mark.parametrize("n, dims", [(10_000, 2), (10_000, 4), (100_001, 4), (20_000, 3)])
+    def test_pairs_fill_each_cell_once(self, n, dims):
+        counts = _strata(n, dims)
+        strata = math.prod(counts)
+        assert 2 * strata <= n and max(counts) - min(counts) <= 1
+        # the grid is as fine as an even one gets: one more cell on a short axis overflows
+        for i in np.flatnonzero(np.array(counts) == min(counts)):
+            assert 2 * strata // counts[i] * (counts[i] + 1) > n
+        u, s = _launch_uniforms(np.random.default_rng(3), n, dims)
+        assert s == strata and u.shape == (dims, n)
+        assert np.all((u >= 0.0) & (u <= 1.0))
+        # rows 2h and 2h+1 share a cell, and each cell holds one pair
+        idx = np.ravel_multi_index([np.minimum((row[:2 * s] * k).astype(int), k - 1)
+                                    for row, k in zip(u, counts)], counts)
+        assert np.array_equal(idx[0::2], idx[1::2])
+        assert np.array_equal(np.sort(idx[0::2]), np.arange(s))
+
+    def test_paired_standard_error(self):
+        x = np.array([1.0, 3.0, 2.0, 2.0, 5.0, 7.0, 9.0])   # two pairs, three iid
+        mean, se = _mean_se(x, 2)
+        rest = x[4:]
+        assert mean == x.mean()
+        assert se == pytest.approx(math.sqrt((4.0 + 0.0 + 3 * rest.var(ddof=1)) / 49.0))
+        # a rest of one point folds into the grid's term
+        mean, se = _mean_se(x[:5], 2)
+        assert mean == x[:5].mean() and se == pytest.approx(math.sqrt(4.0 / 16.0))
+
+    def test_grazing_origins_start_above_the_roof(self):
+        # sky rays down to 0.01 deg, from every edge of the launch disc
+        alt = np.radians(np.repeat([0.01, 0.5, 1.0, 1.4, 2.0, 5.0], 64))
+        az = np.radians(np.tile(np.linspace(-90.0, 90.0, 8), 48))
+        dirs = np.column_stack([-np.cos(alt) * np.cos(az), -np.cos(alt) * np.sin(az),
+                                -np.sin(alt)])
+        theta = np.tile(np.arange(8) / 8.0, 48)
+        radius = GEOM.radius_m
+        origins = _launch(dirs, np.vstack([np.ones(alt.size), theta]), radius)
+        assert np.all(origins[:, 2] >= 0.0)
+        assert np.all(origins[:, 2] >= radius * (1.0 - 1e-12))
+        # each ray keeps its line: the origin sits on the disc across it
+        on_disc = origins + 3.0 * dirs
+        lateral = on_disc - np.einsum("ij,ij->i", on_disc, dirs)[:, None] * dirs
+        assert np.allclose(np.linalg.norm(lateral, axis=1), radius, rtol=1e-9)
+
+    @pytest.mark.parametrize("call", ["diffuse-50-10", "direct-45"])
+    def test_reported_se_matches_spread_across_seeds(self, call):
+        """The paired se is honest: over 32 seeds, the spread of eta is
+        within [0.75, 1.33] of the mean reported se."""
+        if call == "direct-45":
+            runs = [trace_direct(GEOM, 45.0, rays=10_000, seed=s, collect_fluxmap=False)
+                    for s in range(32)]
+        else:
+            runs = [trace_diffuse_band(GEOM, 50.0, 10, rays=10_000, seed=s) for s in range(32)]
+        for eta, se in (("eta_zone", "se_zone"), ("eta_chamber", "se_chamber")):
+            spread = np.std([getattr(r, eta) for r in runs], ddof=1)
+            ratio = spread / np.mean([getattr(r, se) for r in runs])
+            assert 0.75 <= ratio <= 1.33, (eta, ratio)
 
 
 class TestFluxMap:
