@@ -1,25 +1,24 @@
 """Command-line entry point. It reads files, builds one `engine.Study` for
 any runs and writes what the engine returns; `economics` decides every cost.
-`config` reads every YAML file (scenario, compare and sweep) under one set
-of key, number, path and include rules. Each study fits its own LUE factor
-to the benchmark yield, so no command reads a calibration file.
+`config` reads every YAML file (scenario and compare) under one set of key,
+number, path and include rules. Each study fits its own LUE factor to the
+benchmark yield, so no command reads a calibration file.
 
 Subcommands: trace-optics (geometry -> efficiency table, its sidecar and
 flux maps, under --rays and --seed; runs read the table through
-`optics.table`), calibrate (a report of the fit a study of the config makes;
-nothing reads it back), simulate (one scenario -> result files), compare (a
-`CompareSet`'s scenarios -> comparison tables, and light_cost.csv, each
-variant under its scenario's config when the set has one, else the first
-config), sweep (a `SweepSet`: price/carbon grid and a break-even pipe cost),
-sunpath (solar position tables). Outputs are delimited text plus JSON, which
-`engine.write_json` writes with non-finite numbers as null. Every JSON file
-carries `engine.provenance`'s tool version and config hash (comparison.json
-one hash per config and the resolved config paths, breakeven.json the bench
-config's hash too); kpis.json, calibration.json, comparison.json and
-breakeven.json also carry the climate hash and LUE scale, and only the
-trace-optics sidecars the tracer's rays and seed. CSV files carry none of
-these. Errors, unwritable outputs included, exit nonzero with a one-line
-JSON record on stderr.
+`optics.table`), simulate (one scenario -> result files), compare (a
+`CompareSet`'s scenarios -> comparison tables; light_cost.csv, each variant
+under its scenario's config when the set has one, else the first config;
+and each non-Bench scenario's price/carbon payback grid and break-even pipe
+cost), sunpath (solar position tables). Outputs are delimited text plus
+JSON, which `engine.write_json` writes with non-finite numbers as null.
+Every JSON file carries `engine.provenance`'s tool version and config hash
+(comparison.json and breakeven.json one hash per config, the resolved
+config paths and the study's LUE fit: its scale, yields and table); kpis.json,
+comparison.json and breakeven.json also carry the climate hash and LUE
+scale, and only the trace-optics sidecars the tracer's rays and seed. CSV
+files carry none of these. Errors, unwritable outputs included, exit nonzero
+with a one-line JSON record on stderr.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from typing import Optional
 
 from . import __version__
 from .climate import ClimateError, sunpath_table
-from .config import CompareSet, ConfigError, ScenarioConfig, SweepSet, load_scenario_config, \
-    load_set
+from .config import CompareSet, ConfigError, load_scenario_config, load_set
 from .economics import light_cost_comparison
 from .engine import CalibrationError, SimulationError, Study, compare_scenarios, \
     light_cost_inputs, provenance, scenario_sweep, write_csv, write_json
@@ -51,13 +49,6 @@ def _fail(code: int, kind: str, message: str) -> int:
     sys.stderr.write(json.dumps({"error": kind, "code": code, "detail": message},
                                 sort_keys=True) + "\n")
     return code
-
-
-def _listed(args, key: str, path: Path) -> ScenarioConfig:
-    """The scenario config that the study file at --config lists under `key`."""
-    if not path.is_file():
-        raise ConfigError(f"{args.config}: {key!r} names no config file: {path}")
-    return load_scenario_config(path)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -85,20 +76,6 @@ def _cmd_trace_optics(args) -> int:
     return EXIT_OK
 
 
-def _cmd_calibrate(args) -> int:
-    """Report the LUE fit that every study of this config makes for itself."""
-    cfg = dataclasses.replace(load_scenario_config(args.config), scenario="Bench")
-    study = Study([cfg])
-    calib = provenance(cfg, climate_hash=study.climate.content_hash(),
-                       lue_table=str(cfg.lue_table_path), **study.calibration)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_json(out, calib)
-    print(f"lue_scale = {calib['lue_scale']:.6f} "
-          f"(yield {calib['achieved_yield_kg']:.1f} kg) -> {out}")
-    return EXIT_OK
-
-
 def _cmd_simulate(args) -> int:
     cfg = load_scenario_config(args.config)
     if args.scenario:
@@ -115,45 +92,40 @@ def _cmd_simulate(args) -> int:
 
 
 def _write_rows(path: Path, rows: list[dict]) -> None:
-    """One CSV from a list of same-keyed dicts, keys as the header."""
-    header = list(rows[0])
+    """One CSV from a list of same-keyed dicts, keys as the header (an empty
+    line for no rows: a study of Bench alone sweeps no scenario)."""
+    header = list(rows[0]) if rows else []
     write_csv(path, header, [[r[h] for r in rows] for h in header])
 
 
 def _cmd_compare(args) -> int:
-    paths = load_set(args.config, CompareSet).scenarios
-    study = Study([_listed(args, f"scenarios[{i}]", p) for i, p in enumerate(paths)])
+    study_set = load_set(args.config, CompareSet)
+    configs = []
+    for i, path in enumerate(study_set.scenarios):
+        if not path.is_file():
+            raise ConfigError(f"{args.config}: 'scenarios[{i}]' names no config file: {path}")
+        configs.append(load_scenario_config(path))
+    study = Study(configs)
+    results = study.results()
+    rows = compare_scenarios(results)
+    grid = study_set.grid
+    breakeven, pbt_rows = scenario_sweep(results, grid.electricity_usd_per_mwh,
+                                         grid.carbon_usd_per_t, study_set.target_pbt_years)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = compare_scenarios(study.results())
     _write_rows(outdir / "comparison.csv", rows)
-    meta = provenance(configs=[str(p) for p in paths],
-                      config_hashes=[cfg.content_hash() for cfg in study.configs],
-                      climate_hash=study.climate.content_hash(), lue_scale=study.lue.scale)
+    meta = provenance(configs=[str(p) for p in study_set.scenarios],
+                      config_hashes=[cfg.content_hash() for cfg in configs],
+                      climate_hash=study.climate.content_hash(),
+                      lue_table=str(configs[0].lue_table_path), **study.calibration)
     write_json(outdir / "comparison.json", {"rows": rows, "metadata": meta})
     # each variant under its own scenario's config (the first, if repeated)
-    own = {cfg.scenario: light_cost_inputs(cfg) for cfg in reversed(study.configs)}
+    own = {cfg.scenario: light_cost_inputs(cfg) for cfg in reversed(configs)}
     _write_rows(outdir / "light_cost.csv",
-                light_cost_comparison(*light_cost_inputs(study.configs[0]), own))
-    print(f"compared {len(rows)} scenarios -> {outdir}")
-    return EXIT_OK
-
-
-def _cmd_sweep(args) -> int:
-    sweep = load_set(args.config, SweepSet)
-    study = Study([_listed(args, key, getattr(sweep, key))
-                   for key in ("scenario_config", "bench_config")])
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    scen, bench = study.results()
-    breakeven, rows = scenario_sweep(scen, bench, sweep.grid.electricity_usd_per_mwh,
-                                     sweep.grid.carbon_usd_per_t, sweep.target_pbt_years)
-    _write_rows(outdir / "pbt_grid.csv", rows)
-    breakeven["metadata"] = provenance(scen.config, lue_scale=study.lue.scale,
-                                       bench_config_hash=bench.config.content_hash(),
-                                       climate_hash=study.climate.content_hash())
-    write_json(outdir / "breakeven.json", breakeven)
-    print(f"swept {len(rows)} price points -> {outdir}")
+                light_cost_comparison(*light_cost_inputs(configs[0]), own))
+    _write_rows(outdir / "pbt_grid.csv", pbt_rows)
+    write_json(outdir / "breakeven.json", {"breakeven": breakeven, "metadata": meta})
+    print(f"compared {len(rows)} scenarios, swept {len(pbt_rows)} price points -> {outdir}")
     return EXIT_OK
 
 
@@ -187,23 +159,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-fluxmaps", action="store_true")
     p.set_defaults(func=_cmd_trace_optics)
 
-    p = sub.add_parser("calibrate", help="report the LUE fit to the benchmark yield")
-    common(p)
-    p.set_defaults(func=_cmd_calibrate)
-    p.set_defaults(out="out/calibration.json")
-
     p = sub.add_parser("simulate", help="run one scenario for a year")
     common(p)
     p.add_argument("--scenario", default=None, help="override the scenario id")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("compare", help="run and tabulate a scenario set")
+    p = sub.add_parser("compare", help="run and tabulate a scenario set, with its "
+                                       "payback grid and break-even pipe costs")
     common(p)
     p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("sweep", help="price/carbon payback grid and break-even cost")
-    common(p)
-    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("sunpath", help="emit solar position tables for the site")
     common(p)
@@ -221,8 +185,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
-    except (FileNotFoundError, ClimateError) as exc:
-        return _fail(EXIT_MISSING, "missing-input", str(exc))
+    except (FileNotFoundError, ClimateError) as exc:      # an input the config names
+        return _fail(EXIT_MISSING, "missing-input", f"{args.config}: {exc}")
     except (SimulationError, CalibrationError) as exc:
         return _fail(EXIT_RUNTIME, "runtime", str(exc))
     except OSError as exc:

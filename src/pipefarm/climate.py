@@ -244,9 +244,11 @@ def load_climate(path: str | Path, columns: Optional[dict] = None) -> ClimateSer
         head = fh.readline()
         delimiter = ";" if head.count(";") > head.count(",") else ","
         header = [c.strip() for c in head.strip().split(delimiter)]
-        missing = [v for v in names.values() if v not in header]
+        missing = {k: v for k, v in names.items() if v not in header}
         if missing:
-            raise ClimateError(f"missing column(s) {missing} in {path.name}; header={header}")
+            keys = [f"climate_columns.{k}" if k in (columns or {}) else k for k in missing]
+            raise ClimateError(f"missing column(s) {list(missing.values())} for {keys} "
+                               f"in {path.name}; header={header}")
         idx = {k: header.index(v) for k, v in names.items()}
 
         rows, hours, temps, dnis, dhis = [], [], [], [], []

@@ -22,7 +22,7 @@ from .lighting import STRATEGIES, Strategy
 from .optics import LpGeometry
 from .thermal import ChamberGeometry, CopModel, LatentModel, Surface
 
-__all__ = ["ConfigError", "ScenarioConfig", "CompareSet", "SweepSet", "PriceGrid",
+__all__ = ["ConfigError", "ScenarioConfig", "CompareSet", "PriceGrid",
            "load_scenario_config", "load_set", "resolve_config_dict"]
 
 
@@ -128,6 +128,9 @@ class ScenarioConfig:
             raise ConfigError(f"'setpoints.ppfd' must be positive, not {self.setpoint_ppfd!r}")
         if not self.setpoint_co2 > 0.0:
             raise ConfigError(f"'setpoints.co2' must be positive, not {self.setpoint_co2!r}")
+        if self.crop.tier_area_m2 > self.chamber.floor_area_m2:   # gh_gains: occupancy <= 1
+            raise ConfigError(f"'crop.tier_area_m2' must not exceed 'chamber.floor_area_m2' "
+                              f"({self.chamber.floor_area_m2!r}), not {self.crop.tier_area_m2!r}")
         if not self.min_threshold_ppfd >= 0.0:
             raise ConfigError(f"'min_threshold_ppfd' must be non-negative, "
                               f"not {self.min_threshold_ppfd!r}")
@@ -199,21 +202,8 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class CompareSet:
-    """A compare file: the scenario configs tabulated side by side."""
-    scenarios: tuple[Path, ...] = ()
-
-    def __post_init__(self):
-        if not self.scenarios:
-            raise ConfigError("'scenarios' must be a non-empty list of config paths")
-        for i, p in enumerate(self.scenarios):
-            if not isinstance(p, Path):
-                raise ConfigError(f"'scenarios[{i}]' must be a config path, not {p!r}")
-
-
-@dataclass(frozen=True)
 class PriceGrid:
-    """A sweep's price axes: USD per MWh of electricity and per tonne of CO2."""
+    """A compare file's price axes: USD per MWh of electricity and per tonne of CO2."""
     electricity_usd_per_mwh: tuple[float, ...] = (100.0, 200.0, 350.0)
     carbon_usd_per_t: tuple[float, ...] = (0.0, 50.0, 100.0)
 
@@ -228,17 +218,19 @@ class PriceGrid:
 
 
 @dataclass(frozen=True)
-class SweepSet:
-    """A sweep file: a scenario against the benchmark over a price grid."""
-    scenario_config: Optional[Path] = None      # both configs must be set
-    bench_config: Optional[Path] = None
+class CompareSet:
+    """A compare file: the scenario configs tabulated side by side, and the
+    price grid and payback target that each non-Bench one is swept over."""
+    scenarios: tuple[Path, ...] = ()
     target_pbt_years: float = 10.0
     grid: PriceGrid = PriceGrid()               # frozen, so one shared default
 
     def __post_init__(self):
-        for name in ("scenario_config", "bench_config"):
-            if getattr(self, name) is None:
-                raise ConfigError(f"{name!r} must be a config path")
+        if not self.scenarios:
+            raise ConfigError("'scenarios' must be a non-empty list of config paths")
+        for i, p in enumerate(self.scenarios):
+            if not isinstance(p, Path):
+                raise ConfigError(f"'scenarios[{i}]' must be a config path, not {p!r}")
         if not self.target_pbt_years > 0.0:
             raise ConfigError(f"'target_pbt_years' must be positive, not {self.target_pbt_years!r}")
 
@@ -314,8 +306,7 @@ _TOP_LEVEL = ({f.name for f in fields(ScenarioConfig)}
               - set(_RENAMED.values()) - set(_SECTIONS.values()))
 _GROUPS = set(_SECTIONS) | {k.split(".")[0] for k in _RENAMED if "." in k}   # mappings
 # path keys, resolved by the loader against the directory of the file that sets them
-_PATHS = {"climate", "crop.lue_table", "optics.table",
-          "scenarios", "scenario_config", "bench_config"}
+_PATHS = {"climate", "crop.lue_table", "optics.table", "scenarios"}
 
 
 def _number(key: str, default, value):
@@ -444,5 +435,5 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
 
 
 def load_set(path: str | Path, kind: type):
-    """A compare (`kind` CompareSet) or sweep file (SweepSet), by the scenario file's rules."""
+    """A study file of `kind` (`CompareSet`), by the scenario file's rules."""
     return _load(path, lambda data: _build(kind, {k: (k, v) for k, v in data.items()}))

@@ -836,31 +836,45 @@ def scenario_delta(result: SimulationResult, bench: SimulationResult) -> dict:
     }
 
 
-def scenario_sweep(result: SimulationResult, bench: SimulationResult,
-                   electricity_prices: Sequence[float], carbon_prices: Sequence[float],
-                   target_pbt_years: float) -> tuple[dict, list[dict]]:
-    """A run's break-even record (`scenario_delta`, the per-pipe hardware
-    cost, 0.0 without pipes, and each price point's break-even, taken out of
-    `sensitivity_sweep`'s rows) and those rows: the payback grid."""
-    cfg = result.config
-    delta = scenario_delta(result, bench)
-    per_pipe = sum(pipe_hardware(cfg.strategy, cfg.costs).values()) if cfg.n_pipes else 0.0
-    grid = sensitivity_sweep(delta["delta_capex_usd"]["total"], delta["delta_electricity_mwh"],
-                             delta["delta_yield_kg"], cfg.costs, electricity_prices,
-                             carbon_prices, per_pipe, cfg.n_pipes, target_pbt_years)
-    breakeven = {f"el{row['electricity_usd_per_mwh']:g}_co2{row['carbon_usd_per_t']:g}":
-                 row.pop("break_even") for row in grid}
-    return {"scenario": cfg.scenario, **delta, "target_pbt_years": target_pbt_years,
-            "per_pipe_hardware_usd": per_pipe, "break_even_per_pipe_usd": breakeven}, grid
+def _bench_run(results: Sequence[SimulationResult]) -> SimulationResult:
+    """The study's Bench run, which every delta is taken against."""
+    bench = next((r for r in results if r.config.scenario == "Bench"), None)
+    if bench is None:
+        raise SimulationError("comparison requires a Bench scenario run")
+    return bench
+
+
+def scenario_sweep(results: Sequence[SimulationResult], electricity_prices: Sequence[float],
+                   carbon_prices: Sequence[float], target_pbt_years: float
+                   ) -> tuple[list[dict], list[dict]]:
+    """Each non-Bench run's break-even record (`scenario_delta` against the
+    Bench run, the per-pipe hardware cost, 0.0 without pipes, and each price
+    point's break-even, taken out of `sensitivity_sweep`'s rows), and the
+    payback grid: those rows, each led by its scenario, in run order."""
+    bench = _bench_run(results)
+    records, rows = [], []
+    for r in results:
+        cfg = r.config
+        if cfg.scenario == bench.config.scenario:
+            continue
+        delta = scenario_delta(r, bench)
+        per_pipe = sum(pipe_hardware(cfg.strategy, cfg.costs).values()) if cfg.n_pipes else 0.0
+        grid = sensitivity_sweep(delta["delta_capex_usd"]["total"],
+                                 delta["delta_electricity_mwh"], delta["delta_yield_kg"],
+                                 cfg.costs, electricity_prices, carbon_prices, per_pipe,
+                                 cfg.n_pipes, target_pbt_years)
+        breakeven = {f"el{row['electricity_usd_per_mwh']:g}_co2{row['carbon_usd_per_t']:g}":
+                     row.pop("break_even") for row in grid}
+        records.append({"scenario": cfg.scenario, **delta, "target_pbt_years": target_pbt_years,
+                        "per_pipe_hardware_usd": per_pipe, "break_even_per_pipe_usd": breakeven})
+        rows += [{"scenario": cfg.scenario, **row} for row in grid]
+    return records, rows
 
 
 def compare_scenarios(results: Sequence[SimulationResult]) -> list[dict]:
     """Side-by-side comparison rows; needs a Bench run in the set. The runs
     should come from one `Study`, which refuses mixed inputs."""
-    bench = next((r for r in results if r.config.scenario == "Bench"), None)
-    if bench is None:
-        raise SimulationError("comparison requires a Bench scenario run")
-
+    bench = _bench_run(results)
     rows = []
     for r in results:
         cfg = r.config

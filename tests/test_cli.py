@@ -9,7 +9,7 @@ import pytest
 import pipefarm.climate
 import pipefarm.engine
 from pipefarm.cli import main
-from pipefarm.config import SweepSet, load_scenario_config, load_set
+from pipefarm.config import CompareSet, load_scenario_config, load_set
 from pipefarm.engine import calibrate_lue_scale, load_lue_table
 from pipefarm.tracer import DEFAULT_SEED, MODEL_REVISION
 
@@ -82,6 +82,18 @@ class TestDispatch:
         rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "'crop.stagger_days'" in json.loads(capsys.readouterr().err)["detail"]
+
+    @pytest.mark.parametrize("body, code, key", [
+        ("crop: {tier_area_m2: 1.0e+30}", 3, "'crop.tier_area_m2'"),   # exit 5 from the LUE fit
+        ("climate_columns: {dni: fuzz}", 4, "'climate_columns.dni'"),  # named only the header
+    ], ids=["tier_area", "climate_column"])
+    def test_refusal_names_the_key(self, work_tree, capsys, body, code, key):
+        path = work_tree / "configs" / "bad.yaml"
+        path.write_text(f"include: lp_dim.yaml\n{body}\n")
+        rc = main(["simulate", "--config", str(path), "--out", str(work_tree / "o")])
+        assert rc == code
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert detail.startswith(f"{path}: ") and key in detail
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "none.yaml"),
@@ -158,29 +170,7 @@ class TestSunpath:
         assert meta["latitude"] == 25.0
 
 
-class TestCalibrateAndSimulate:
-    def test_calibrate_writes_artifact(self, work_tree, monkeypatch):
-        fits = _count_calls(monkeypatch, pipefarm.engine, "calibrate_lue_scale")
-        out = work_tree / "out" / "calibration.json"
-        rc = main(["calibrate", "--config", str(work_tree / "configs" / "bench.yaml"),
-                   "--out", str(out)])
-        assert rc == 0
-        assert len(fits) == 1                  # the report is the study's own fit
-        doc = json.loads(out.read_text())
-        assert doc["achieved_yield_kg"] == pytest.approx(9221.0, rel=0.02)
-        assert doc["lue_scale"] == _fitted_scale(work_tree)
-        assert doc["climate_hash"]
-
-    def test_unwritable_out_is_one_json_line(self, work_tree, capsys):
-        out = work_tree / "taken"
-        out.mkdir()
-        rc = main(["calibrate", "--config", str(work_tree / "configs" / "bench.yaml"),
-                   "--out", str(out)])
-        assert rc != 0
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        assert str(out) in json.loads(lines[0])["detail"]
-
+class TestSimulate:
     def test_simulate_bench(self, work_tree, capsys):
         out = work_tree / "sim"
         rc = main(["simulate", "--config", str(work_tree / "configs" / "bench.yaml"),
@@ -253,6 +243,25 @@ class TestCompareCli:
         expected = 24.999999999999993 if not ec else 21.61
         assert float(lc_row["light_cost"]) == pytest.approx(expected, abs=0.005)
 
+    def test_comparison_json_holds_the_fit(self, work_tree, monkeypatch):
+        """The study's own fit, once: what calibration.json held. A study of
+        Bench alone sweeps nothing."""
+        fits = _count_calls(monkeypatch, pipefarm.engine, "calibrate_lue_scale")
+        cmp_cfg = work_tree / "configs" / "bench_only.yaml"
+        cmp_cfg.write_text("scenarios: [bench.yaml]\n")
+        out = work_tree / "cmp"
+        assert main(["compare", "--config", str(cmp_cfg), "--out", str(out)]) == 0
+        assert len(fits) == 1
+        meta = json.loads((out / "comparison.json").read_text())["metadata"]
+        assert meta["achieved_yield_kg"] == pytest.approx(9221.0, rel=0.02)
+        assert meta["target_yield_kg"] == 9221.0
+        assert meta["lue_scale"] == _fitted_scale(work_tree)
+        bench = load_scenario_config(work_tree / "configs" / "bench.yaml")
+        assert meta["lue_table"] == str(bench.lue_table_path) and meta["climate_hash"]
+        doc = json.loads((out / "breakeven.json").read_text())
+        assert doc == {"breakeven": [], "metadata": meta}
+        assert (out / "pbt_grid.csv").read_text() == "\n"
+
     def test_nine_scenarios_load_the_climate_and_sun_once(self, work_tree, monkeypatch):
         loads = _count_calls(monkeypatch, pipefarm.climate, "load_climate")
         suns = _count_calls(monkeypatch, pipefarm.engine, "solar_angles")
@@ -262,65 +271,98 @@ class TestCompareCli:
         assert (len(loads), len(suns)) == (1, 1)
 
 
-class TestSweepCli:
+class TestCompareSweep:
+    """Compare's payback grid and break-even record of each non-Bench scenario."""
+
     def test_grid_and_breakeven(self, work_tree):
         cfg = work_tree / "configs" / "sweep_lp_dim_ir.yaml"
         out = work_tree / "sweep"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        grid = load_set(cfg, SweepSet).grid
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        grid = load_set(cfg, CompareSet).grid
         with open(out / "pbt_grid.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(grid.electricity_usd_per_mwh) * len(grid.carbon_usd_per_t)
+        assert {r["scenario"] for r in rows} == {"LP_Dim_IR_98"}
         doc = json.loads((out / "breakeven.json").read_text())
-        assert set(doc) == {"scenario", "delta_capex_usd", "delta_electricity_mwh",
-                            "delta_yield_kg", "target_pbt_years", "per_pipe_hardware_usd",
-                            "break_even_per_pipe_usd", "metadata"}
-        assert len(doc["break_even_per_pipe_usd"]) == len(rows)
-        assert doc["delta_capex_usd"]["total"] > 0.0
+        assert set(doc) == {"breakeven", "metadata"}
+        (record,) = doc["breakeven"]
+        assert set(record) == {"scenario", "delta_capex_usd", "delta_electricity_mwh",
+                               "delta_yield_kg", "target_pbt_years", "per_pipe_hardware_usd",
+                               "break_even_per_pipe_usd"}
+        assert len(record["break_even_per_pipe_usd"]) == len(rows)
+        assert record["delta_capex_usd"]["total"] > 0.0
         meta = doc["metadata"]
+        assert meta == json.loads((out / "comparison.json").read_text())["metadata"]
         bench = load_scenario_config(work_tree / "configs" / "bench.yaml")
-        assert meta["bench_config_hash"] == bench.content_hash() != meta["config_hash"]
+        assert meta["config_hashes"] == [bench.content_hash(), load_scenario_config(
+            work_tree / "configs" / "lp_dim_ir_98.yaml").content_hash()]
         assert meta["climate_hash"] == pipefarm.climate.load_climate(
             bench.climate_path, bench.climate_columns).content_hash()
         assert meta["lue_scale"] == _fitted_scale(work_tree)
+
+    def test_one_block_and_record_per_non_bench_scenario(self, work_tree):
+        cfg = work_tree / "configs" / "trio.yaml"
+        cfg.write_text("scenarios: [lp_nl.yaml, bench.yaml, lp_dim_ir_98.yaml]\n"
+                       "grid: {electricity_usd_per_mwh: [100, 350], carbon_usd_per_t: [0]}\n")
+        out = work_tree / "cmp"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out / "pbt_grid.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["scenario"], r["electricity_usd_per_mwh"]) for r in rows] == [
+            ("LP_NL", "100.0"), ("LP_NL", "350.0"),
+            ("LP_Dim_IR_98", "100.0"), ("LP_Dim_IR_98", "350.0")]
+        records = json.loads((out / "breakeven.json").read_text())["breakeven"]
+        assert [r["scenario"] for r in records] == ["LP_NL", "LP_Dim_IR_98"]
+        assert [list(r["break_even_per_pipe_usd"]) for r in records] == [
+            ["el100_co20", "el350_co20"]] * 2
+
+    def test_a_set_without_bench_writes_no_sweep(self, work_tree, capsys):
+        """A former sweep file's `bench_config: lp_nl.yaml` priced LP_Dim_IR_98
+        against LP_NL; compare takes the Bench run or none."""
+        cfg = work_tree / "configs" / "no_bench.yaml"
+        cfg.write_text("scenarios: [lp_nl.yaml, lp_dim_ir_98.yaml]\n")
+        out = work_tree / "cmp"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 5
+        assert "Bench" in json.loads(capsys.readouterr().err)["detail"]
+        assert not out.exists()
 
     def test_mixed_ppe_is_refused_before_any_run(self, work_tree, capsys):
         configs = work_tree / "configs"
         (configs / "lp_dim_ir_98_ppe30.yaml").write_text("include: lp_dim_ir_98.yaml\n"
                                                          "ppe: 3.0\n")
         cfg = configs / "sweep_mixed.yaml"
-        cfg.write_text("scenario_config: lp_dim_ir_98_ppe30.yaml\nbench_config: bench.yaml\n")
+        cfg.write_text("scenarios: [bench.yaml, lp_dim_ir_98_ppe30.yaml]\n")
         out = work_tree / "sweep"
-        rc = main(["sweep", "--config", str(cfg), "--out", str(out)])
+        rc = main(["compare", "--config", str(cfg), "--out", str(out)])
         assert rc == 5
         detail = json.loads(capsys.readouterr().err)["detail"]
         assert "mixed ppe" in detail and "LP_Dim_IR_98" in detail
         assert not out.exists()
 
-    @pytest.mark.parametrize("scenario", [
-        "scenario_config: bench.yaml\n",                       # no pipes in the strategy
-        "scenario_config: lp_dim_zero.yaml\n",                 # pipes, but none fitted
-    ], ids=["bench", "zero_pipes"])
-    def test_no_per_pipe_hardware_has_no_break_even(self, work_tree, scenario):
+    def test_no_per_pipe_hardware_has_no_break_even(self, work_tree):
+        """Pipes in the strategy, but none fitted."""
         configs = work_tree / "configs"
         (configs / "lp_dim_zero.yaml").write_text("include: lp_dim.yaml\nlp:\n  count: 0\n")
         cfg = configs / "sweep_flat.yaml"
-        cfg.write_text(scenario + "bench_config: bench.yaml\n")
+        cfg.write_text("scenarios: [bench.yaml, lp_dim_zero.yaml]\n")
         out = work_tree / "sweep"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        doc = json.loads((out / "breakeven.json").read_text())
-        assert doc["per_pipe_hardware_usd"] == 0.0
-        assert len(doc["break_even_per_pipe_usd"]) == 9
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        (record,) = json.loads((out / "breakeven.json").read_text())["breakeven"]
+        assert record["per_pipe_hardware_usd"] == 0.0
+        assert len(record["break_even_per_pipe_usd"]) == 9
         assert all(be == {"unit_usd": None, "reduction_needed": None}
-                   for be in doc["break_even_per_pipe_usd"].values())
+                   for be in record["break_even_per_pipe_usd"].values())
 
 
-class TestStrictCompareAndSweepFiles:
+PAIR = "scenarios: [bench.yaml, lp_dim_ir_98.yaml]\n"
+
+
+class TestStrictCompareFiles:
     def test_misspelled_grid_key_is_a_config_error(self, work_tree, capsys):
         cfg = work_tree / "configs" / "sweep_typo.yaml"
         text = (work_tree / "configs" / "sweep_lp_dim_ir.yaml").read_text()
         cfg.write_text(text.replace("electricity_usd_per_mwh", "electricity_usd_per_mw"))
-        rc = main(["sweep", "--config", str(cfg), "--out", str(work_tree / "sweep")])
+        rc = main(["compare", "--config", str(cfg), "--out", str(work_tree / "sweep")])
         assert rc == 3
         detail = json.loads(capsys.readouterr().err)["detail"]
         assert "sweep_typo.yaml" in detail and "'grid.electricity_usd_per_mw'" in detail
@@ -330,9 +372,8 @@ class TestStrictCompareAndSweepFiles:
     def test_empty_price_list_is_a_config_error(self, work_tree, capsys, key):
         capsys.readouterr()
         cfg = work_tree / "configs" / "sweep_empty.yaml"
-        cfg.write_text("scenario_config: lp_dim_ir_98.yaml\nbench_config: bench.yaml\n"
-                       f"grid:\n  {key}: []\n")
-        rc = main(["sweep", "--config", str(cfg), "--out", str(work_tree / "sweep")])
+        cfg.write_text(PAIR + f"grid:\n  {key}: []\n")
+        rc = main(["compare", "--config", str(cfg), "--out", str(work_tree / "sweep")])
         assert rc == 3
         detail = json.loads(capsys.readouterr().err)["detail"]
         assert "sweep_empty.yaml" in detail and repr(f"grid.{key}") in detail
@@ -347,9 +388,8 @@ class TestStrictCompareAndSweepFiles:
                                                  key, prices, leaf):
         runs = _count_calls(monkeypatch, pipefarm.engine, "run_scenario")
         cfg = work_tree / "configs" / "sweep_negative.yaml"
-        cfg.write_text("scenario_config: lp_dim_ir_98.yaml\nbench_config: bench.yaml\n"
-                       f"grid:\n  {key}: {prices}\n")
-        rc = main(["sweep", "--config", str(cfg), "--out", str(work_tree / "sweep")])
+        cfg.write_text(PAIR + f"grid:\n  {key}: {prices}\n")
+        rc = main(["compare", "--config", str(cfg), "--out", str(work_tree / "sweep")])
         assert rc == 3
         detail = json.loads(capsys.readouterr().err)["detail"]
         assert "sweep_negative.yaml" in detail and repr(f"grid.{key}{leaf}") in detail
@@ -361,67 +401,54 @@ class TestStrictCompareAndSweepFiles:
                          + "target_pbt_year: 8.0\n")
         compare = work_tree / "configs" / "compare_typo.yaml"
         compare.write_text("scenarios:\n  - bench.yaml\nscenario: [lp_dim.yaml]\n")
-        for command, path, key in (("sweep", sweep, "target_pbt_year"),
-                                   ("compare", compare, "scenario")):
-            rc = main([command, "--config", str(path), "--out", str(work_tree / "o")])
+        for path, key in ((sweep, "target_pbt_year"), (compare, "scenario")):
+            rc = main(["compare", "--config", str(path), "--out", str(work_tree / "o")])
             assert rc == 3
             detail = json.loads(capsys.readouterr().err)["detail"]
             assert path.name in detail and repr(key) in detail
 
-
-    @pytest.mark.parametrize("command, body, key", [
-        ("compare", "scenarios: [1, 2]\n", "scenarios[0]"),
-        ("compare", "scenarios: [bench.yaml, '']\n", "scenarios[1]"),
-        ("compare", "scenarios: []\n", "scenarios"),
-        ("compare", "include: []\n", "scenarios"),
-        ("compare", "scenarios: bench.yaml\n", "scenarios"),
-        ("sweep", "scenario_config: 5\nbench_config: bench.yaml\n", "scenario_config"),
-        ("sweep", "scenario_config: bench.yaml\nbench_config: [bench.yaml]\n", "bench_config"),
-        ("sweep", "scenario_config: bench.yaml\n", "bench_config"),
-        ("sweep", "scenario_config: ''\nbench_config: bench.yaml\n", "scenario_config"),
-        ("sweep", "grid: [100]\n", "grid"),
-        ("sweep", "target_pbt_years: [1]\n", "target_pbt_years"),
-        ("sweep", "target_pbt_years: -5\n", "target_pbt_years"),   # Bench vs Bench: no pipes
-        ("sweep", "target_pbt_years: 0\n", "target_pbt_years"),
-        ("sweep", "target_pbt_years: .nan\n", "target_pbt_years"),
-        ("sweep", "target_pbt_years: true\n", "target_pbt_years"),
+    @pytest.mark.parametrize("body, key", [
+        ("scenarios: [1, 2]\n", "scenarios[0]"),
+        ("scenarios: [bench.yaml, '']\n", "scenarios[1]"),
+        ("scenarios: []\n", "scenarios"),
+        ("include: []\n", "scenarios"),
+        ("scenarios: bench.yaml\n", "scenarios"),
+        (PAIR + "scenario_config: lp_dim_ir_98.yaml\n", "scenario_config"),  # old sweep keys
+        (PAIR + "bench_config: bench.yaml\n", "bench_config"),
+        (PAIR + "grid: [100]\n", "grid"),
+        (PAIR + "target_pbt_years: [1]\n", "target_pbt_years"),
+        (PAIR + "target_pbt_years: -5\n", "target_pbt_years"),
+        (PAIR + "target_pbt_years: 0\n", "target_pbt_years"),
+        (PAIR + "target_pbt_years: .nan\n", "target_pbt_years"),
+        (PAIR + "target_pbt_years: true\n", "target_pbt_years"),
     ])
     def test_malformed_file_is_refused_before_any_run(self, work_tree, capsys, monkeypatch,
-                                                      command, body, key):
+                                                      body, key):
         runs = _count_calls(monkeypatch, pipefarm.engine, "run_scenario")
         path = work_tree / "configs" / "malformed.yaml"
-        if command == "sweep" and "_config" not in body:
-            body = "scenario_config: bench.yaml\nbench_config: bench.yaml\n" + body
         path.write_text(body)
         capsys.readouterr()
-        rc = main([command, "--config", str(path), "--out", str(work_tree / "o")])
+        rc = main(["compare", "--config", str(path), "--out", str(work_tree / "o")])
         assert rc == 3
         detail = json.loads(capsys.readouterr().err)["detail"]
         assert path.name in detail and repr(key) in detail
         assert runs == [] and not (work_tree / "o").exists()
 
-
-    @pytest.mark.parametrize("command, body, key", [
-        ("compare", "scenarios: [bench.yaml, nope.yaml]\n", "scenarios[1]"),
-        ("sweep", "scenario_config: nope.yaml\nbench_config: bench.yaml\n", "scenario_config"),
-        ("sweep", "scenario_config: bench.yaml\nbench_config: nope.yaml\n", "bench_config"),
-    ])
-    def test_an_entry_naming_no_file_names_the_entry(self, work_tree, capsys, monkeypatch,
-                                                     command, body, key):
+    def test_an_entry_naming_no_file_names_the_entry(self, work_tree, capsys, monkeypatch):
         runs = _count_calls(monkeypatch, pipefarm.engine, "run_scenario")
         path = work_tree / "configs" / "listing.yaml"
-        path.write_text(body)
-        rc = main([command, "--config", str(path), "--out", str(work_tree / "o")])
+        path.write_text("scenarios: [bench.yaml, nope.yaml]\n")
+        rc = main(["compare", "--config", str(path), "--out", str(work_tree / "o")])
         assert rc == 3
         detail = json.loads(capsys.readouterr().err)["detail"]
-        assert detail.startswith(f"{path}: {key!r} names no config file")
+        assert detail.startswith(f"{path}: 'scenarios[1]' names no config file")
         assert str(work_tree / "configs" / "nope.yaml") in detail
         assert runs == [] and not (work_tree / "o").exists()
 
 
 class TestIncludedStudyFiles:
-    """A compare or sweep file may include one in another directory; the
-    included file's config paths resolve against its own directory."""
+    """A compare file may include one in another directory; the included
+    file's config paths resolve against its own directory."""
 
     def test_compare_file_includes_one_elsewhere(self, work_tree):
         configs = (work_tree / "configs").resolve()
@@ -437,21 +464,21 @@ class TestIncludedStudyFiles:
         assert meta["config_hashes"] == [load_scenario_config(configs / n).content_hash()
                                          for n in names]
 
-    def test_sweep_file_includes_one_elsewhere(self, work_tree):
+    def test_grid_file_includes_one_elsewhere(self, work_tree):
         configs = work_tree / "configs"
         (work_tree / "a").mkdir()
         (work_tree / "a" / "sweep.yaml").write_text(
             "include: ../configs/sweep_lp_dim_ir.yaml\ntarget_pbt_years: 8\n")
         out = work_tree / "sweep"
-        assert main(["sweep", "--config", str(work_tree / "a" / "sweep.yaml"),
+        assert main(["compare", "--config", str(work_tree / "a" / "sweep.yaml"),
                      "--out", str(out)]) == 0
         doc = json.loads((out / "breakeven.json").read_text())
-        assert doc["scenario"] == "LP_Dim_IR_98" and doc["target_pbt_years"] == 8.0
-        assert doc["metadata"]["config_hash"] == load_scenario_config(
-            configs / "lp_dim_ir_98.yaml").content_hash()
-        assert doc["metadata"]["bench_config_hash"] == load_scenario_config(
-            configs / "bench.yaml").content_hash()
-        assert len(doc["break_even_per_pipe_usd"]) == 12
+        (record,) = doc["breakeven"]
+        assert record["scenario"] == "LP_Dim_IR_98" and record["target_pbt_years"] == 8.0
+        assert doc["metadata"]["config_hashes"] == [
+            load_scenario_config(configs / n).content_hash()
+            for n in ("bench.yaml", "lp_dim_ir_98.yaml")]
+        assert len(record["break_even_per_pipe_usd"]) == 12
 
 
 class TestTraceOptics:
@@ -488,8 +515,7 @@ class TestTraceOptics:
 
 
 class TestOutputs:
-    @pytest.mark.parametrize("command", ["simulate", "compare", "sweep", "calibrate",
-                                         "sunpath"])
+    @pytest.mark.parametrize("command", ["simulate", "compare", "sunpath"])
     def test_only_trace_optics_takes_a_seed(self, work_tree, capsys, command):
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", str(work_tree / "configs" / "bench.yaml"),
@@ -497,16 +523,31 @@ class TestOutputs:
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "calibrate"])
+    def test_sweep_and_calibrate_are_gone(self, work_tree, capsys, command):
+        """Compare writes the payback grid and the LUE fit."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(work_tree / "configs" / "bench.yaml")])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_unwritable_out_is_one_json_line(self, work_tree, capsys):
+        (work_tree / "configs" / "bench_only.yaml").write_text("scenarios: [bench.yaml]\n")
+        out = work_tree / "taken"
+        out.write_text("")
+        rc = main(["compare", "--config", str(work_tree / "configs" / "bench_only.yaml"),
+                   "--out", str(out)])
+        assert rc != 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert str(out) in json.loads(lines[0])["detail"]
+
     def test_every_json_output_is_strict_json(self, work_tree):
         """Non-finite numbers (LP_NL's payback, for one) are written as null."""
         configs, out = work_tree / "configs", work_tree / "out"
         (configs / "pair.yaml").write_text("scenarios: [bench.yaml, lp_nl.yaml]\n")
         for argv in (["simulate", "--config", configs / "lp_nl.yaml", "--out", out / "sim"],
                      ["compare", "--config", configs / "pair.yaml", "--out", out / "cmp"],
-                     ["sweep", "--config", configs / "sweep_lp_dim_ir.yaml",
-                      "--out", out / "sweep"],
-                     ["calibrate", "--config", configs / "bench.yaml",
-                      "--out", out / "calibration.json"],
                      ["sunpath", "--config", configs / "bench.yaml", "--out", out / "sun"],
                      ["trace-optics", "--config", configs / "bench.yaml", "--rays", "10000",
                       "--out", out / "trace"]):
@@ -516,8 +557,8 @@ class TestOutputs:
             raise ValueError(f"{constant} is not JSON")
         docs = {p.relative_to(out).as_posix(): json.loads(p.read_text(), parse_constant=refuse)
                 for p in out.rglob("*.json")}
-        assert {"sim/kpis.json", "cmp/comparison.json", "sweep/breakeven.json",
-                "calibration.json", "sun/sunpath_meta.json",
+        assert {"sim/kpis.json", "cmp/comparison.json", "cmp/breakeven.json",
+                "sun/sunpath_meta.json",
                 "trace/efficiency_table.csv.json"} <= set(docs)
         assert [r["pbt_years"] for r in docs["cmp/comparison.json"]["rows"]] == [0.0, None]
         for name, doc in docs.items():

@@ -242,6 +242,13 @@ class TestLoadClimate:
         with pytest.raises(ClimateError, match="missing column"):
             load_climate(p)
 
+    def test_missing_mapped_column_names_its_key(self, tmp_path):
+        p = tmp_path / "cols.csv"
+        p.write_text("time,temperature,dni,dhi\n0,25,500,100\n")
+        with pytest.raises(ClimateError, match=re.escape(
+                "missing column(s) ['fuzz'] for ['climate_columns.dni'] in cols.csv; header=")):
+            load_climate(p, columns={"dni": "fuzz"})
+
     def test_non_monotone_timestamps(self, tmp_path):
         rows = _default_rows()
         rows[10] = (9, 25.0, 500.0, 100.0)

@@ -5,8 +5,8 @@ import pytest
 import yaml
 
 from pipefarm import config
-from pipefarm.config import CompareSet, ConfigError, PriceGrid, SweepSet, \
-    load_scenario_config, load_set
+from pipefarm.config import CompareSet, ConfigError, PriceGrid, load_scenario_config, \
+    load_set
 from pipefarm.lighting import STRATEGIES
 
 
@@ -167,21 +167,21 @@ class TestIncludeMechanism:
 
 
 class TestStudyFiles:
-    """Compare and sweep files, read by the scenario file's rules."""
+    """Compare files, read by the scenario file's rules."""
 
-    def test_sweep_defaults_live_on_the_dataclasses(self, tmp_path):
-        (tmp_path / "s.yaml").write_text("scenario_config: a.yaml\nbench_config: /b.yaml\n")
-        sweep = load_set(tmp_path / "s.yaml", SweepSet)
-        assert sweep == SweepSet(tmp_path.resolve() / "a.yaml", Path("/b.yaml"))
-        assert sweep.target_pbt_years == 10.0 and sweep.grid == PriceGrid()
+    def test_grid_defaults_live_on_the_dataclasses(self, tmp_path):
+        (tmp_path / "s.yaml").write_text("scenarios: [a.yaml, /b.yaml]\n")
+        study = load_set(tmp_path / "s.yaml", CompareSet)
+        assert study == CompareSet((tmp_path.resolve() / "a.yaml", Path("/b.yaml")))
+        assert study.target_pbt_years == 10.0 and study.grid == PriceGrid()
         assert PriceGrid() == PriceGrid((100.0, 200.0, 350.0), (0.0, 50.0, 100.0))
 
     def test_numbers_and_partial_grid(self, tmp_path):
-        (tmp_path / "s.yaml").write_text("scenario_config: a.yaml\nbench_config: b.yaml\n"
+        (tmp_path / "s.yaml").write_text("scenarios: [a.yaml]\n"
                                          "target_pbt_years: 8\ngrid: {carbon_usd_per_t: [5]}\n")
-        sweep = load_set(tmp_path / "s.yaml", SweepSet)
-        assert sweep.target_pbt_years == 8.0
-        assert sweep.grid == PriceGrid(carbon_usd_per_t=(5.0,))
+        study = load_set(tmp_path / "s.yaml", CompareSet)
+        assert study.target_pbt_years == 8.0
+        assert study.grid == PriceGrid(carbon_usd_per_t=(5.0,))
 
     def test_each_scenario_resolves_against_the_file_that_lists_it(self, tmp_path):
         (tmp_path / "sets").mkdir()
@@ -193,11 +193,8 @@ class TestStudyFiles:
 
     @pytest.mark.parametrize("kind, body, key", [
         (CompareSet, "scenarios: [a.yaml]\nppe: 2.5\n", "ppe"),
-        (CompareSet, "scenarios: [a.yaml]\ngrid: {}\n", "grid"),
-        (SweepSet, "scenario_config: a.yaml\nbench_config: b.yaml\nscenarios: [a.yaml]\n",
-         "scenarios"),
-        (SweepSet, "scenario_config: a.yaml\nbench_config: b.yaml\ngrid: {co2: [1]}\n",
-         "grid.co2"),
+        (CompareSet, "scenarios: [a.yaml]\nbench_config: b.yaml\n", "bench_config"),
+        (CompareSet, "scenarios: [a.yaml]\ngrid: {co2: [1]}\n", "grid.co2"),
     ])
     def test_unknown_key_names_key_and_file(self, tmp_path, kind, body, key):
         path = tmp_path / "set.yaml"
@@ -387,6 +384,9 @@ class TestValidation:
         ("crop: {stagger_days: 1.0e+30}", "crop.stagger_days"),   # more than a year
         ("crop: {stagger_days: 365.5}", "crop.stagger_days"),
         ("crop: {stagger_days: -1}", "crop.stagger_days"),
+        # a tier larger than the floor: the LUE fit failed at exit 5, naming no key
+        ("crop: {tier_area_m2: 1.0e+30}", "crop.tier_area_m2"),
+        ("chamber: {floor_area_m2: 29.5}", "crop.tier_area_m2"),
         ("site: {latitude: 95}", "site.latitude"),
         ("surrogates: {crop_latent_fraction: 2}", "surrogates.crop_latent_fraction"),
         ("chamber: {height_m: 0}", "chamber.height_m"),

@@ -12,7 +12,7 @@ import pipefarm
 from pipefarm import engine
 from pipefarm.cli import main
 from pipefarm.climate import ClimateSeries, HOURS_PER_YEAR, SiteConfig
-from pipefarm.config import ConfigError, SweepSet, load_scenario_config, load_set
+from pipefarm.config import CompareSet, ConfigError, load_scenario_config, load_set
 from pipefarm.crop import CropParams, CropState, growth_step, harvest_if_due, interception, \
     standing_credit_kg
 from pipefarm.economics import break_even_unit_cost, led_cost_per_watt, light_cost_comparison, \
@@ -279,6 +279,9 @@ class TestCompare:
     def test_requires_bench(self, scenario_results):
         with pytest.raises(SimulationError, match="Bench"):
             compare_scenarios([scenario_results["LP_Dim"]])
+        with pytest.raises(SimulationError, match="Bench"):
+            scenario_sweep([scenario_results["LP_NL"], scenario_results["LP_Dim"]],
+                           [100.0], [0.0], 10.0)
 
     def test_capex_components(self, scenario_results):
         bench = scenario_results["Bench"]
@@ -309,10 +312,11 @@ class TestCompare:
                                                            repo_paths):
         """Every row of the shipped grid is `payback_time` at its prices and
         `break_even_unit_cost` on the capex breakdown's pipe stack, bit for bit."""
-        grid = load_set(repo_paths["configs"] / "sweep_lp_dim_ir.yaml", SweepSet).grid
+        study = load_set(repo_paths["configs"] / "sweep_lp_dim_ir.yaml", CompareSet)
+        grid = study.grid
         scen, bench = scenario_results["LP_Dim_IR_98"], scenario_results["Bench"]
-        breakeven, rows = scenario_sweep(scen, bench, grid.electricity_usd_per_mwh,
-                                         grid.carbon_usd_per_t, 10.0)
+        (breakeven,), rows = scenario_sweep([bench, scen], grid.electricity_usd_per_mwh,
+                                            grid.carbon_usd_per_t, study.target_pbt_years)
         capex, n = breakeven["delta_capex_usd"], scen.config.n_pipes
         stack = capex["lp"] + capex["ir_filter"] + capex["ec_film"]
         assert breakeven["per_pipe_hardware_usd"] == stack / n == 404.0
@@ -323,7 +327,8 @@ class TestCompare:
                                         carbon_usd_per_t=row["carbon_usd_per_t"])
             pbt = payback_time(capex["total"], breakeven["delta_electricity_mwh"],
                                breakeven["delta_yield_kg"], costs)
-            assert row == {"electricity_usd_per_mwh": row["electricity_usd_per_mwh"],
+            assert row == {"scenario": "LP_Dim_IR_98",
+                           "electricity_usd_per_mwh": row["electricity_usd_per_mwh"],
                            "carbon_usd_per_t": row["carbon_usd_per_t"],
                            "pbt_years": pbt.years, "annual_savings_usd": pbt.annual_savings_usd,
                            "viable": pbt.viable}

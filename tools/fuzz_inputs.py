@@ -1,5 +1,5 @@
 """Seeded input fuzzer: one-leaf mutants of the shipped inputs, run through
-`pipefarm simulate`, `compare` or `sweep` in process.
+`pipefarm simulate` or `compare` in process.
 
 Each mutant changes one thing in a scratch copy of `configs/` and `data/`:
 either one key that a scenario file may set (the loader's key tables, a list
@@ -10,10 +10,10 @@ in `data/lp_efficiency_reference.csv`, set to the text of those numbers, a
 word or a blank. It then runs `pipefarm.cli.main(["simulate", ...])` on a
 shipped scenario file drawn from those that leave the mutated key to
 `base.yaml` (a piped one for a table cell). After those `--count` mutants
-come a fifth as many of the shipped compare and sweep files: one key of
-`CompareSet` or `SweepSet` (a list by entry, `grid` by its `PriceGrid`
-fields) set in the file itself to one of the same values, and the file run
-by its own command. A mutant passes when:
+come a fifth as many of the two shipped compare files: one key of
+`CompareSet` (a list by entry, `grid` by its `PriceGrid` fields) set in the
+file itself to one of the same values, and the file run by `compare`. A
+mutant passes when:
 
 - nothing raises out of `main` (a traceback);
 - a refusal exits 3 or 4, and its message names the file (the scenario
@@ -64,10 +64,9 @@ YAML_VALUES = (math.nan, math.inf, -math.inf, -1, 0, 1e30, "fuzz", True, None, [
                {"fuzz": 1.0})
 CELL_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e30", "fuzz", "")
 TABLE_SHARE = 0.2           # share of the mutants that change a table cell
-STUDY_SHARE = 0.2           # compare and sweep mutants, per --count mutant
-# the study files mutated in place, with the command and the set each is read as
-STUDIES = {"compare_all.yaml": ("compare", config.CompareSet),
-           "sweep_lp_dim_ir.yaml": ("sweep", config.SweepSet)}
+STUDY_SHARE = 0.2           # compare-file mutants, per --count mutant
+# the compare files mutated in place
+STUDIES = ("compare_all.yaml", "sweep_lp_dim_ir.yaml")
 DEFAULT = config.ScenarioConfig()
 # keys mutated entry by entry, with the value each mutant starts from
 COMPOSITE = {("chamber", "surfaces"): [dataclasses.asdict(s) for s in DEFAULT.chamber.surfaces],
@@ -103,11 +102,11 @@ def settable() -> list[tuple[str, tuple]]:
 
 
 def study_keys(name: str) -> list[tuple[str, tuple]]:
-    """(dotted key, path) of every field of the study file's set, a section
-    by its own fields and a list by the entries the shipped file gives it."""
+    """(dotted key, path) of every `CompareSet` field, a section by its own
+    fields and a list by the entries the shipped file gives it."""
     doc = yaml.safe_load((ROOT / "configs" / name).read_text())
     out = []
-    for f in dataclasses.fields(STUDIES[name][1]):
+    for f in dataclasses.fields(config.CompareSet):
         for path in ([(f.name, g.name) for g in dataclasses.fields(f.default)]
                      if dataclasses.is_dataclass(f.default) else [(f.name,)]):
             node = doc
@@ -221,7 +220,7 @@ def run(mutant: dict, tree: Path) -> dict:
             contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
         warnings.simplefilter("always")
         try:
-            command = STUDIES[mutant["config"]][0] if mutant["target"] == "study" else "simulate"
+            command = "compare" if mutant["target"] == "study" else "simulate"
             code = main([command, "--config", str(config), "--out", str(outdir)])
         except (Exception, SystemExit) as exc:      # a traceback, whatever it is
             code = None
