@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .optics import stray_lines
+
 __all__ = [
     "CropParams",
     "LueTable",
@@ -123,31 +125,49 @@ class LueTable:
 
     @classmethod
     def from_csv(cls, path: str | Path, scale: float = 1.0) -> "LueTable":
-        """Columns: temperature, co2, ppfd, lue_dm, lue_fm (full grid required)."""
+        """Columns: temperature, co2, ppfd, lue_dm, lue_fm (full grid
+        required). A refusal names the file and the line."""
         path = Path(path)
+        name = f"LUE table {path.name}"
         named = "point (temperature {:g}, co2 {:g}, ppfd {:g})".format
-        points: dict = {}
+        points, lines = {}, {}
         with open(path, newline="") as fh:
             rows = csv.DictReader(fh)
             for row in rows:
-                point = (float(row["temperature"]), float(row["co2"]), float(row["ppfd"]))
+                where = f"{name} line {rows.line_num}"
+                v = []
+                for column in LUE_COLUMNS:
+                    try:
+                        v.append(float(row[column]))
+                    except (KeyError, TypeError, ValueError):
+                        raise ValueError(f"{where}: {column} {row.get(column)!r} is not a "
+                                         "number") from None
+                point = tuple(v[:3])
                 if not all(map(math.isfinite, point)):
-                    raise ValueError(f"LUE table {path.name} line {rows.line_num}: "
-                                     f"the {named(*point)} is not finite")
+                    raise ValueError(f"{where}: the {named(*point)} is not finite")
+                for column, x in zip(LUE_COLUMNS[3:], v[3:]):
+                    if not (math.isfinite(x) and x > 0.0):
+                        raise ValueError(f"{where}: {column} {x!r} is not a finite positive "
+                                         "number")
                 if point in points:
-                    raise ValueError(f"LUE table {path.name} repeats the {named(*point)}")
-                points[point] = (float(row["lue_dm"]), float(row["lue_fm"]))
+                    raise ValueError(f"{where} repeats the {named(*point)} of line "
+                                     f"{lines[point]}")
+                points[point], lines[point] = tuple(v[3:]), rows.line_num
         if not points:
             raise ValueError(f"empty LUE table: {path}")
         axes = [sorted({point[i] for point in points}) for i in range(3)]
         grid = list(itertools.product(*axes))
         for point in grid:
             if point not in points:
-                raise ValueError(f"LUE table {path.name} does not cover the full grid: it "
-                                 f"has no {named(*point)}")
+                raise ValueError(f"{name} {stray_lines(lines)}: the table does not cover "
+                                 f"the full grid: it has no {named(*point)}")
         dm, fm = (np.array([points[point][i] for point in grid]).reshape(*map(len, axes))
                   for i in range(2))
         return cls(*axes, dm, fm, scale)
+
+
+# the columns `LueTable.from_csv` reads, in order
+LUE_COLUMNS = ("temperature", "co2", "ppfd", "lue_dm", "lue_fm")
 
 
 def _axis_weights(axis: np.ndarray, x):

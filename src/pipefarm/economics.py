@@ -1,4 +1,5 @@
-"""Cost model: capital items, light cost, simple payback, price sweeps.
+"""Annual record and cost model: every annual number of a run (`KpiReport`),
+capital items, light cost, simple payback, price sweeps.
 
 Light cost is capital cost per unit of delivered photon flux; payback
 compares the incremental investment of a daylighting scenario against the
@@ -9,7 +10,7 @@ delta from yield changes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .lighting import EC_FILM, STRATEGIES, Strategy
@@ -49,46 +50,57 @@ class CostTable:
         return self.lp_unit_usd + self.lp_aux_usd
 
 
+def _annual(unit: str, meaning: str):
+    return field(metadata={"unit": unit, "meaning": meaning})
+
+
 @dataclass(frozen=True)
 class KpiReport:
-    """Annual performance bundle for one scenario run.
+    """Every annual number of one scenario run, each declared once with its
+    unit and meaning.
 
     SEEC is electricity per kg; SEC adds the harvested daylight so free
     solar input is not invisible in the total (for the benchmark the two
     coincide). Total lighting energy consumption counts LED electricity
-    plus harvested daylight per kg. Undefined ratios (zero yield) are
-    reported as such rather than faked.
+    plus harvested daylight per kg. A ratio whose denominator is not
+    positive is None rather than faked: all four at zero yield.
     """
 
-    yield_kg: float
-    yield_raw_kg: float
-    electricity_mwh: float
-    harvested_daylight_mwh: float
-    led_electricity_mwh: float
-    seec_kwh_per_kg: Optional[float]
-    sec_kwh_per_kg: Optional[float]
-    total_lighting_kwh_per_kg: Optional[float]
-    wue_g_per_l: Optional[float]
-    net_water_l: float
-    mean_dli_per_tier: tuple
-    undefined: bool = False
+    yield_kg: float = _annual("kg", "fresh yield: harvests plus the standing crop's growth")
+    yield_harvested_kg: float = _annual("kg", "fresh mass harvested")
+    cycles: int = _annual("count", "harvests over all tiers")
+    mean_dli_per_tier: tuple = _annual("mol m-2 d-1", "mean daily light integral of each tier")
+    electricity_mwh: float = _annual("MWh", "electricity: LEDs plus HVAC")
+    led_electricity_mwh: float = _annual("MWh", "LED electricity of all tiers")
+    led_tier12_mwh: float = _annual("MWh", "LED electricity of tiers 1 and 2")
+    led_tier3_mwh: float = _annual("MWh", "LED electricity of tier 3")
+    hvac_electricity_mwh: float = _annual("MWh", "HVAC electricity, latent duty included")
+    harvested_daylight_mwh: float = _annual("MWh", "solar energy entering the chamber")
+    cooling_thermal_mwh: float = _annual("MWh", "sensible cooling delivered")
+    heating_thermal_mwh: float = _annual("MWh", "heating delivered")
+    coil_latent_mwh: float = _annual("MWh", "latent load the cooling coil condenses")
+    summer_cooling_el_mwh: float = _annual("MWh", "cooling electricity, June to August")
+    winter_cooling_el_mwh: float = _annual("MWh", "cooling electricity, December to February")
+    peak_coil_w: float = _annual("W", "largest hourly coil load, sensible plus latent")
+    peak_heat_w: float = _annual("W", "largest hourly heating load")
+    max_relative_residual: float = _annual("1", "largest hourly air-node balance residual")
+    transpired_kg: float = _annual("kg", "water the crop transpires")
+    condensate_recovered_l: float = _annual("L", "condensate the coil recovers")
+    net_water_l: float = _annual("L", "water in fresh growth plus unrecovered transpiration")
+    seec_kwh_per_kg: Optional[float] = _annual("kWh kg-1", "electricity per kg of yield")
+    sec_kwh_per_kg: Optional[float] = _annual("kWh kg-1", "electricity plus daylight per kg")
+    total_lighting_kwh_per_kg: Optional[float] = _annual("kWh kg-1", "LEDs plus daylight per kg")
+    wue_g_per_l: Optional[float] = _annual("g L-1", "yield per litre of net water")
 
 
-def compute_kpis(yield_kg: float, yield_raw_kg: float, electricity_mwh: float,
-                 harvested_daylight_mwh: float, led_electricity_mwh: float,
-                 net_water_l: float, mean_dli_per_tier: Sequence[float]) -> KpiReport:
-    if yield_kg <= 0.0:
-        return KpiReport(yield_kg, yield_raw_kg, electricity_mwh,
-                         harvested_daylight_mwh, led_electricity_mwh,
-                         None, None, None, None, net_water_l,
-                         tuple(mean_dli_per_tier), undefined=True)
-    seec = electricity_mwh * 1000.0 / yield_kg
-    sec = (electricity_mwh + harvested_daylight_mwh) * 1000.0 / yield_kg
-    lighting = (led_electricity_mwh + harvested_daylight_mwh) * 1000.0 / yield_kg
-    wue = yield_kg * 1000.0 / net_water_l if net_water_l > 0.0 else None
-    return KpiReport(yield_kg, yield_raw_kg, electricity_mwh, harvested_daylight_mwh,
-                     led_electricity_mwh, seec, sec, lighting, wue, net_water_l,
-                     tuple(mean_dli_per_tier))
+def compute_kpis(**annual) -> KpiReport:
+    """The record from every non-ratio field, by keyword, plus its ratios."""
+    y, el, sol = annual["yield_kg"], annual["electricity_mwh"], annual["harvested_daylight_mwh"]
+    led, water, per_kg = annual["led_electricity_mwh"], annual["net_water_l"], y > 0.0
+    return KpiReport(**annual, seec_kwh_per_kg=el * 1000.0 / y if per_kg else None,
+                     sec_kwh_per_kg=(el + sol) * 1000.0 / y if per_kg else None,
+                     total_lighting_kwh_per_kg=(led + sol) * 1000.0 / y if per_kg else None,
+                     wue_g_per_l=y * 1000.0 / water if per_kg and water > 0.0 else None)
 
 
 def led_cost_per_watt(costs: CostTable, ppe: float) -> float:

@@ -6,21 +6,21 @@ daylight (optics and filter as one array call over the sun-up hours),
 lighting (LED commands and power as one array call over the year), crop
 (the one sequential stage: growth and harvests per tier) and thermal
 (canopy sink, latent terms, air-node balance and HVAC electricity, with
-the transient air node in `thermal.transient_loads`); the annual
-aggregates are reductions of those arrays. Two pieces stay scalar calls,
-because the benchmark's traced run reads their per-call results, but
-only in the hours they act: the film state (`ec_control`) in the sun-up
-hours its passive state would pass more than the cap, and the
-quasi-steady pipe convection in the hours the chamber is warmer than
-outside. Every other hour takes the answer the call would give: the
-passive transmittance, or no loss at Ra 0. The crop stage steps only the
-lit hours of each tier's year (and of the stagger pre-roll), on plain
-floats with the growth law inline, with their LUE from one array call of
-the run's LUE curve (temperature and CO2 are fixed setpoints),
-bit-identical to stepping `CropState`s hour by hour with `crop`'s
-one-step forms; a tier lit at one PPFD steps one cycle and tiles its
-read columns over the year. Bench has no daylight, so calibration
-iterates the crop stage alone on its LED light.
+the transient air node in `thermal.transient_loads`); the run's annual
+numbers, one `economics.KpiReport`, are reductions of those arrays. Two
+pieces stay scalar calls, because the benchmark's traced run reads their
+per-call results, but only in the hours they act: the film state
+(`ec_control`) in the sun-up hours its passive state would pass more than
+the cap, and the quasi-steady pipe convection in the hours the chamber is
+warmer than outside. Every other hour takes the answer the call would
+give: the passive transmittance, or no loss at Ra 0. The crop stage steps
+only the lit hours of each tier's year (and of the stagger pre-roll), on
+plain floats with the growth law inline, with their LUE from one array
+call of the run's LUE curve (temperature and CO2 are fixed setpoints),
+bit-identical to stepping `CropState`s hour by hour with `crop`'s one-step
+forms; a tier lit at one PPFD steps one cycle and tiles its read columns
+over the year. Bench has no daylight, so calibration iterates the crop
+stage alone on its LED light.
 
 A `Study` is a scenario set under one climate year and one LUE scale,
 which it fits itself: it builds their shared inputs once and refuses mixed
@@ -64,6 +64,11 @@ __all__ = ["SimulationError", "SimulationResult", "Study", "prepare_efficiency_t
            "scenario_sweep", "write_csv", "write_json", "CalibrationError"]
 
 W_TO_MWH = 1e-6  # 1 W over one hour = 1e-6 MWh
+
+
+def _mwh(watts: np.ndarray) -> float:
+    """The energy of an hourly power series."""
+    return float(watts.sum() * W_TO_MWH)
 
 
 class SimulationError(RuntimeError):
@@ -192,20 +197,24 @@ class Study:
 @dataclass
 class SimulationResult:
     config: ScenarioConfig
-    kpis: KpiReport
-    aggregates: dict                      # annual sums, MWh / kg / L
+    kpis: KpiReport                       # every annual number
     hourly: dict                          # column name -> np.ndarray(8760)
     dli: np.ndarray                       # (365, n_tiers) mol m-2 day-1
     harvests: list                        # (hour, tier, kg)
     metadata: dict
     warnings: list = field(default_factory=list)
 
+    @property
+    def aggregates(self) -> dict:
+        """The one number `perfbench/workloads.check_result` reads under this
+        name; ROADMAP item 12, which moves that reader onto `kpis`, deletes it."""
+        return {"max_relative_residual": self.kpis.max_relative_residual}
+
     def save(self, outdir: str | Path) -> list[Path]:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         written = [write_json(outdir / "kpis.json", {
-            "kpis": asdict(self.kpis), "aggregates": self.aggregates,
-            "metadata": self.metadata, "warnings": self.warnings})]
+            "kpis": asdict(self.kpis), "metadata": self.metadata, "warnings": self.warnings})]
 
         lighting = [c for c in self.hourly if c not in POWER_COLUMNS]
         for name, cols in (("hourly_power.csv", POWER_COLUMNS),
@@ -347,51 +356,31 @@ def run_scenario(cfg: ScenarioConfig, climate: ClimateSeries,
     cool_el_mwh = heat.cool_el * W_TO_MWH
     days_in_month = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
     month = np.repeat(np.arange(12), 24 * np.array(days_in_month))   # 0 = January
-    led12_mwh = float(p12.sum() * W_TO_MWH)
-    led3_mwh = float(p3.sum() * W_TO_MWH)
-    led_mwh = led12_mwh + led3_mwh
-    electricity_mwh = float(hourly["p_total_el"].sum() * W_TO_MWH)
-    harvested_daylight = float(q_sol.sum() * W_TO_MWH)
+    led12_mwh, led3_mwh = _mwh(p12), _mwh(p3)
     embodied_l = crop.fm_growth_kg * cfg.surrogates.fm_water_l_per_kg
-    net_water_l = embodied_l + max(0.0, heat.transpired_kg - heat.recovered_l)
-
-    kpis = compute_kpis(yield_kg=crop.yield_kg, yield_raw_kg=crop.harvested_kg,
-                        electricity_mwh=electricity_mwh,
-                        harvested_daylight_mwh=harvested_daylight,
-                        led_electricity_mwh=led_mwh, net_water_l=net_water_l,
-                        mean_dli_per_tier=tuple(float(m) for m in crop.dli.mean(axis=0)))
-
-    aggregates = {
-        "electricity_mwh": electricity_mwh,
-        "led_electricity_mwh": led_mwh,
-        "led_tier12_mwh": led12_mwh,
-        "led_tier3_mwh": led3_mwh,
-        "hvac_electricity_mwh": float(hourly["p_hvac_el"].sum() * W_TO_MWH),
-        "cooling_thermal_mwh": float(heat.q_cool.sum() * W_TO_MWH),
-        "heating_thermal_mwh": float(heat.q_heat.sum() * W_TO_MWH),
-        "coil_latent_mwh": float(hourly["q_eva"].sum() * W_TO_MWH),
-        "harvested_daylight_mwh": harvested_daylight,
-        "yield_kg": crop.yield_kg,
-        "yield_harvested_kg": crop.harvested_kg,
-        "cycles": crop.cycles,
-        "transpired_kg": heat.transpired_kg,
-        "condensate_recovered_l": heat.recovered_l,
-        "net_water_l": net_water_l,
-        "max_relative_residual": heat.max_residual,
-        "peak_coil_w": float((heat.q_cool + hourly["q_eva"]).max()),
-        "peak_heat_w": float(heat.q_heat.max()),
-        "summer_cooling_el_mwh": float(cool_el_mwh[np.isin(month, (5, 6, 7))].sum()),
-        "winter_cooling_el_mwh": float(cool_el_mwh[np.isin(month, (0, 1, 11))].sum()),
-    }
+    kpis = compute_kpis(
+        yield_kg=crop.yield_kg, yield_harvested_kg=crop.harvested_kg, cycles=crop.cycles,
+        mean_dli_per_tier=tuple(float(m) for m in crop.dli.mean(axis=0)),
+        electricity_mwh=_mwh(hourly["p_total_el"]), led_electricity_mwh=led12_mwh + led3_mwh,
+        led_tier12_mwh=led12_mwh, led_tier3_mwh=led3_mwh,
+        hvac_electricity_mwh=_mwh(hourly["p_hvac_el"]), harvested_daylight_mwh=_mwh(q_sol),
+        cooling_thermal_mwh=_mwh(heat.q_cool), heating_thermal_mwh=_mwh(heat.q_heat),
+        coil_latent_mwh=_mwh(hourly["q_eva"]),
+        summer_cooling_el_mwh=float(cool_el_mwh[np.isin(month, (5, 6, 7))].sum()),
+        winter_cooling_el_mwh=float(cool_el_mwh[np.isin(month, (0, 1, 11))].sum()),
+        peak_coil_w=float((heat.q_cool + hourly["q_eva"]).max()),
+        peak_heat_w=float(heat.q_heat.max()), max_relative_residual=heat.max_residual,
+        transpired_kg=heat.transpired_kg, condensate_recovered_l=heat.recovered_l,
+        net_water_l=embodied_l + max(0.0, heat.transpired_kg - heat.recovered_l))
     metadata = provenance(
         cfg, ppe=cfg.ppe, climate_hash=climate.content_hash(), climate_source=climate.source,
         lue_scale=lue.scale, table_provenance=table.provenance if table is not None else None,
         table_geometry_hash=table.geometry_hash if table is not None else None,
         timestep_mode=cfg.timestep_mode)
     warnings.sort(key=lambda hw: hw[0])    # stable: stage order within an hour
-    return SimulationResult(config=cfg, kpis=kpis, aggregates=aggregates,
-                            hourly=hourly, dli=crop.dli, harvests=crop.harvests,
-                            metadata=metadata, warnings=[w for _, w in warnings])
+    return SimulationResult(config=cfg, kpis=kpis, hourly=hourly, dli=crop.dli,
+                            harvests=crop.harvests, metadata=metadata,
+                            warnings=[w for _, w in warnings])
 
 
 def _daylight_stage(cfg: ScenarioConfig, climate: ClimateSeries,
@@ -828,10 +817,8 @@ def scenario_delta(result: SimulationResult, bench: SimulationResult) -> dict:
     electricity saved (MWh) and the extra yield (kg)."""
     return {
         "delta_capex_usd": scenario_capex_delta(result.config, bench.config,
-                                                result.aggregates["peak_coil_w"],
-                                                bench.aggregates["peak_coil_w"]),
-        "delta_electricity_mwh": (bench.aggregates["electricity_mwh"]
-                                  - result.aggregates["electricity_mwh"]),
+                                                result.kpis.peak_coil_w, bench.kpis.peak_coil_w),
+        "delta_electricity_mwh": bench.kpis.electricity_mwh - result.kpis.electricity_mwh,
         "delta_yield_kg": result.kpis.yield_kg - bench.kpis.yield_kg,
     }
 
@@ -871,6 +858,12 @@ def scenario_sweep(results: Sequence[SimulationResult], electricity_prices: Sequ
     return records, rows
 
 
+# the annual numbers `compare_scenarios` tabulates, in column order
+COMPARED_KPIS = ("yield_kg", "yield_harvested_kg", "wue_g_per_l", "total_lighting_kwh_per_kg",
+                 "harvested_daylight_mwh", "electricity_mwh", "led_tier12_mwh",
+                 "led_tier3_mwh", "hvac_electricity_mwh", "sec_kwh_per_kg", "seec_kwh_per_kg")
+
+
 def compare_scenarios(results: Sequence[SimulationResult]) -> list[dict]:
     """Side-by-side comparison rows; needs a Bench run in the set. The runs
     should come from one `Study`, which refuses mixed inputs."""
@@ -884,17 +877,7 @@ def compare_scenarios(results: Sequence[SimulationResult]) -> list[dict]:
                            cfg.costs)
         rows.append({
             "scenario": cfg.scenario,
-            "yield_kg": r.kpis.yield_kg,
-            "yield_harvested_kg": r.kpis.yield_raw_kg,
-            "wue_g_per_l": r.kpis.wue_g_per_l,
-            "total_lighting_kwh_per_kg": r.kpis.total_lighting_kwh_per_kg,
-            "harvested_daylight_mwh": r.kpis.harvested_daylight_mwh,
-            "electricity_mwh": r.kpis.electricity_mwh,
-            "led_tier12_mwh": r.aggregates["led_tier12_mwh"],
-            "led_tier3_mwh": r.aggregates["led_tier3_mwh"],
-            "hvac_electricity_mwh": r.aggregates["hvac_electricity_mwh"],
-            "sec_kwh_per_kg": r.kpis.sec_kwh_per_kg,
-            "seec_kwh_per_kg": r.kpis.seec_kwh_per_kg,
+            **{name: getattr(r.kpis, name) for name in COMPARED_KPIS},
             "light_cost_usd_per_umol_s": scenario_light_cost(cfg),
             "delta_capex_usd": capex,
             "pbt_years": pbt.years,

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -183,6 +184,15 @@ class FluxMap:
         return self.centers().tolist(), list(self.cells.T)
 
 
+class TableCellError(ValueError):
+    """An out-of-range table entry; `cell` is ("direct", altitude) or
+    ("diffuse", tilt, band), so a reader can name the entry's line."""
+
+    def __init__(self, message: str, cell: tuple):
+        super().__init__(message)
+        self.cell = cell
+
+
 @dataclass(frozen=True)
 class OpticalEfficiencyTable:
     """Altitude-resolved direct and per-band diffuse efficiencies.
@@ -210,23 +220,38 @@ class OpticalEfficiencyTable:
     def __post_init__(self):
         if self.provenance not in ("traced", "imported"):
             raise ValueError("provenance must be 'traced' or 'imported'")
-        if np.any(self.eta_dir < -1e-12) or np.any(self.eta_dir > 1.0 + 1e-9):
-            raise ValueError("eta_dir entries must lie in [0, 1]")
+        self._refuse("eta_dir entries must lie in [0, 1]; the one {at} does not",
+                     (self.eta_dir < -1e-12) | (self.eta_dir > 1.0 + 1e-9))
         # a diffuse entry can pass 1: see band_mean_sin
         ceiling = np.array([1.0 / band_mean_sin(b) for b in self.bands])
         for name in ("eta_diff_th", "eta_diff_crop"):
             arr = getattr(self, name)
-            if np.any(arr < -1e-12) or np.any(arr > ceiling + 1e-9):
-                raise ValueError(f"{name} entries must lie in [0, 1 / band_mean_sin] "
-                                 "of their band")
-        if np.any(self.eta_diff_crop > self.eta_diff_th + 3.0 * (self.se_diff_th + self.se_diff_crop) + 1e-9):
-            raise ValueError("crop-side diffuse efficiency exceeds chamber-side")
+            self._refuse(name + " entries must lie in [0, 1 / band_mean_sin] of their band; "
+                         "the one {at} does not",
+                         (arr < -1e-12) | (arr > ceiling + 1e-9))
+        self._refuse("crop-side diffuse efficiency {at} exceeds chamber-side", self.eta_diff_crop
+                     > self.eta_diff_th + 3.0 * (self.se_diff_th + self.se_diff_crop) + 1e-9)
         # isotropic-sky weighted sums per tilt (the per-band series with
         # unit irradiance), precomputed because the annual loop hits them
         # every daylight hour
         f = np.array([dome_band_fraction(b) for b in self.bands])
         object.__setattr__(self, "_band_sum_th", self.eta_diff_th @ f)
         object.__setattr__(self, "_band_sum_crop", self.eta_diff_crop @ f)
+
+    def _refuse(self, message: str, bad: np.ndarray) -> None:
+        """Raise `TableCellError` for the first entry `bad` marks, named in
+        `message`'s {at}: a direct mask marks altitudes, a diffuse one
+        (tilt, band) cells."""
+        if not bad.any():
+            return
+        if bad.ndim == 1:
+            cell = ("direct", float(self.alt_grid[bad.argmax()]))
+            at = f"at altitude {cell[1]:g}"
+        else:
+            i, j = np.argwhere(bad)[0]
+            cell = ("diffuse", float(self.tilt_grid[i]), float(self.bands[j]))
+            at = f"at tilt {cell[1]:g}, band {cell[2]:g}"
+        raise TableCellError(message.format(at=at), cell)
 
     def weighted_diffuse_at(self, tilt):
         """Band-fraction-weighted diffuse efficiencies (chamber, crop) at
@@ -273,9 +298,11 @@ class OpticalEfficiencyTable:
     def import_csv(cls, path: str | Path, provenance: str = "imported",
                    geometry_hash: Optional[str] = None) -> "OpticalEfficiencyTable":
         """The table a file in `csv_columns`' form holds. A blank `eta_crop`
-        or stderr cell reads 0; every other cell must be a finite number."""
+        or stderr cell reads 0; every other cell must be a finite number. A
+        refusal names the file and the line of the entry it refuses."""
         name = f"efficiency table {Path(path).name}"
         direct, diff = {}, {}          # altitude: cells, and tilt: {band: cells}
+        lines = {}                     # `TableCellError.cell`: its line
         with open(path, newline="") as fh:
             rows = csv.DictReader(fh)
             for row in rows:
@@ -294,23 +321,29 @@ class OpticalEfficiencyTable:
                 if kind == "direct":
                     if not 0.0 < v[0] <= 90.0:      # a sun above the horizon
                         raise ValueError(f"{where}: direct angle {v[0]:g} is outside (0, 90]")
-                    if v[0] in direct:
-                        raise ValueError(f"{name} repeats the direct altitude {v[0]:g}")
+                    cell, what = ("direct", v[0]), f"the direct altitude {v[0]:g}"
                     direct[v[0]] = tuple(v[1:])
                 else:
                     t, b = v[:2]
                     if not 45.0 <= t <= 90.0:       # the tilts `mirror_tilt` returns
                         raise ValueError(f"{where}: diffuse tilt {t:g} is outside [45, 90]")
-                    if b in diff.setdefault(t, {}):
-                        raise ValueError(f"{name} repeats the diffuse cell at tilt {t:g}, band {b:g}")
-                    diff[t][b] = tuple(v[2:])
+                    if b not in DIFFUSE_BANDS:
+                        raise ValueError(f"{where}: diffuse angle {b:g} is not a band's upper "
+                                         f"edge, one of {', '.join(map(str, DIFFUSE_BANDS))}")
+                    cell, what = ("diffuse", t, b), f"the diffuse cell at tilt {t:g}, band {b:g}"
+                    diff.setdefault(t, {})[b] = tuple(v[2:])
+                if cell in lines:
+                    raise ValueError(f"{where} repeats {what} of line {lines[cell]}")
+                lines[cell] = rows.line_num
         if not direct or not diff:
             raise ValueError(f"{name} is missing direct or diffuse rows")
         alt, tilts = sorted(direct), sorted(diff)
         bands = tuple(sorted(set().union(*diff.values())))
         for t, b in itertools.product(tilts, bands):
             if b not in diff[t]:
-                raise ValueError(f"{name} has no diffuse cell at tilt {t:g}, band {b:g}")
+                cells = {k[1:]: n for k, n in lines.items() if k[0] == "diffuse"}
+                raise ValueError(f"{name} {stray_lines(cells)}: the grid is incomplete, with "
+                                 f"no diffuse cell at tilt {t:g}, band {b:g}")
         eta_dir, se_dir = (np.array([direct[a][i] for a in alt]) for i in range(2))
         th, crop, se_th, se_crop = (np.array([[diff[t][b][i] for b in bands] for t in tilts])
                                     for i in range(4))
@@ -319,6 +352,8 @@ class OpticalEfficiencyTable:
                        tilt_grid=np.asarray(tilts, dtype=float), bands=bands, eta_diff_th=th,
                        eta_diff_crop=crop, se_diff_th=se_th, se_diff_crop=se_crop,
                        provenance=provenance, geometry_hash=geometry_hash)
+        except TableCellError as exc:
+            raise ValueError(f"{name} line {lines[exc.cell]}: {exc}") from None
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from None
 
@@ -326,6 +361,16 @@ class OpticalEfficiencyTable:
 # the cells `import_csv` reads from each kind of row, in order
 _ROW_CELLS = {"direct": ("angle", "eta", "stderr"),
               "diffuse": ("tilt", "angle", "eta", "eta_crop", "stderr", "stderr_crop")}
+
+
+def stray_lines(lines: dict) -> str:
+    """Where a table's grid has a gap, given each grid point's line: the
+    line or lines that hold the axis value fewest points hold, which is a
+    stray row's, as "line N" or "lines N, M"."""
+    held = Counter((axis, x) for point in lines for axis, x in enumerate(point))
+    axis, x = min(held, key=held.__getitem__)
+    found = sorted(n for point, n in lines.items() if point[axis] == x)
+    return f"line{'s' if len(found) > 1 else ''} {', '.join(map(str, found))}"
 
 
 def _outside(x, grid: np.ndarray):

@@ -51,7 +51,7 @@ class TestCriterion02BenchLighting:
         from pipefarm.config import load_scenario_config
         cfg = load_scenario_config(repo_paths["configs"] / "bench_ppe30.yaml")
         res = run_scenario(cfg, climate, None, lue_calibrated, solar=solar)
-        e = res.aggregates["led_electricity_mwh"]
+        e = res.kpis.led_electricity_mwh
         ok = 43.8 * 0.99 <= e <= 44.0 * 1.01
         _report(2, "benchmark PPE-3 lighting energy in 43.8-44.0 MWh band (1%)",
                 ok, f"{e:.2f} MWh")
@@ -245,7 +245,7 @@ class TestCriterion12DirectionalScenarios:
 
 class TestCriterion13BalanceResidual:
     def test_all_scenarios_all_hours(self, scenario_results):
-        worst = max(res.aggregates["max_relative_residual"]
+        worst = max(res.kpis.max_relative_residual
                     for res in scenario_results.values())
         _report(13, "quasi-steady balance residual <= 1e-6 at all 8760 h of "
                     "every shipped scenario", worst <= 1e-6, f"max={worst:.2e}")
@@ -273,7 +273,7 @@ class TestCriterion15Determinism:
         cfg = scenario_configs["LP_Dim_EC"]
         a = run_scenario(cfg, climate, reference_table, lue_calibrated, solar=solar)
         b = run_scenario(cfg, climate, reference_table, lue_calibrated, solar=solar)
-        ok = a.aggregates == b.aggregates and a.harvests == b.harvests
+        ok = a.kpis == b.kpis and a.harvests == b.harvests
         for col in a.hourly:
             ok &= bool(np.array_equal(a.hourly[col], b.hourly[col], equal_nan=True))
         fa = a.save(tmp_path / "a")

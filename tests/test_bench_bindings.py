@@ -7,14 +7,17 @@ per-layer metrics into nulls. These tests read the binding list from
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import importlib.util
 import math
+import sys
 
 import pytest
 
 import pipefarm.engine
 import pipefarm.thermal
 from pipefarm.config import ScenarioConfig
+from pipefarm.economics import KpiReport
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +27,27 @@ def tracing(repo_paths):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def workloads(repo_paths):
+    """perfbench/workloads.py, imported with perfbench/ on the path as its
+    own conftest puts it."""
+    bench = str(repo_paths["repo"] / "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    return importlib.import_module("workloads")
+
+
+def test_benchmark_reads_every_annual_number(workloads, scenario_results):
+    """The benchmark's check passes on every shipped run, and its vector is
+    finite and holds `kpis.<name>` for every `KpiReport` field."""
+    names = {f.name for f in dataclasses.fields(KpiReport)}
+    for scenario, res in scenario_results.items():
+        assert workloads.check_result(res) == [], scenario
+        vector = workloads.kpi_vector(res)
+        assert all(map(math.isfinite, vector.values())), scenario
+        assert {k.split(".")[1] for k in vector if k.startswith("kpis.")} == names
 
 
 def test_every_traced_binding_resolves(tracing):

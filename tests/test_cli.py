@@ -10,6 +10,7 @@ import pipefarm.climate
 import pipefarm.engine
 from pipefarm.cli import main
 from pipefarm.config import CompareSet, load_scenario_config, load_set
+from pipefarm.economics import KpiReport
 from pipefarm.engine import calibrate_lue_scale, load_lue_table
 from pipefarm.tracer import DEFAULT_SEED, MODEL_REVISION
 
@@ -177,6 +178,9 @@ class TestSimulate:
                    "--out", str(out)])
         assert rc == 0
         doc = json.loads((out / "kpis.json").read_text())
+        # each annual number once, under its `KpiReport` name
+        assert sorted(doc) == ["kpis", "metadata", "warnings"]
+        assert sorted(doc["kpis"]) == sorted(f.name for f in dataclasses.fields(KpiReport))
         assert "calibrated" not in doc["metadata"]
         assert doc["metadata"]["lue_scale"] == _fitted_scale(work_tree)
         assert doc["metadata"]["config_hash"]

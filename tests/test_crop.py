@@ -70,20 +70,42 @@ class TestLueTable:
 
     @pytest.mark.parametrize("rows, point", [
         ("24,1400,100,2e-6,4e-5\n22,1400,300,1e-6,2e-5\n",
-         "full grid: it has no point (temperature 22, co2 1400, ppfd 100)"),
+         "line 2: the table does not cover the full grid: it has no point (temperature 22, "
+         "co2 1400, ppfd 100)"),
         ("24,1400,100,2e-6,4e-5\n24,1400,300,1e-6,2e-5\n24,1400.0,100,3e-6,5e-5\n",
-         "repeats the point (temperature 24, co2 1400, ppfd 100)"),
+         "line 4 repeats the point (temperature 24, co2 1400, ppfd 100) of line 2"),
         ("24,1400,100,2e-6,4e-5\nnan,1400,100,1e-6,2e-5\n",
          "line 3: the point (temperature nan, co2 1400, ppfd 100) is not finite"),
         ("24,1400,100,2e-6,4e-5\n24,1400,inf,1e-6,2e-5\n",
          "line 3: the point (temperature 24, co2 1400, ppfd inf) is not finite"),
-    ], ids=["missing", "repeated", "nan", "inf"])
+        ("22,1400,100,2e-6,4e-5\n22,1400,300,1e-6,2e-5\n24,1400,100,2e-6,4e-5\n"
+         "24,1400,300,1e-6,2e-5\n26,1400,100,2e-6,4e-5\n26,1400,250,1e-6,2e-5\n",
+         "line 7: the table does not cover the full grid: it has no point (temperature 22, "
+         "co2 1400, ppfd 250)"),
+    ], ids=["missing", "repeated", "nan", "inf", "stray"])
     def test_missing_or_repeated_point_is_named(self, tmp_path, rows, point):
         path = tmp_path / "lue.csv"
         path.write_text("temperature,co2,ppfd,lue_dm,lue_fm\n" + rows)
         with pytest.raises(ValueError) as exc:
             LueTable.from_csv(path)
         assert point in str(exc.value) and path.name in str(exc.value)
+
+    @pytest.mark.parametrize("row, refusal", [
+        ("24,1400,300,fuzz,2e-5", "lue_dm 'fuzz' is not a number"),
+        ("24,1400,300,,2e-5", "lue_dm '' is not a number"),
+        ("24,1400,300,1e-6", "lue_fm None is not a number"),
+        ("24,fuzz,300,1e-6,2e-5", "co2 'fuzz' is not a number"),
+        ("24,1400,300,nan,2e-5", "lue_dm nan is not a finite positive number"),
+        ("24,1400,300,1e-6,inf", "lue_fm inf is not a finite positive number"),
+        ("24,1400,300,-1,2e-5", "lue_dm -1.0 is not a finite positive number"),
+        ("24,1400,300,1e-6,0", "lue_fm 0.0 is not a finite positive number"),
+    ])
+    def test_bad_cell_is_named_by_line_and_column(self, tmp_path, row, refusal):
+        path = tmp_path / "lue.csv"
+        path.write_text(f"temperature,co2,ppfd,lue_dm,lue_fm\n24,1400,100,2e-6,4e-5\n{row}\n")
+        with pytest.raises(ValueError) as exc:
+            LueTable.from_csv(path)
+        assert str(exc.value) == f"LUE table lue.csv line 3: {refusal}"
 
     def test_shipped_table_lue_non_increasing_in_ppfd(self, lue_base):
         for it, t in enumerate(lue_base.temps):

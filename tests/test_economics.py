@@ -1,9 +1,11 @@
+import dataclasses
 import math
+import re
 
 import pytest
 
-from pipefarm.economics import (REFERENCE_PIPE_PPF, CostTable, break_even_unit_cost,
-                                compute_kpis, fiber_reference_light_cost,
+from pipefarm.economics import (REFERENCE_PIPE_PPF, CostTable, KpiReport,
+                                break_even_unit_cost, compute_kpis, fiber_reference_light_cost,
                                 led_cost_per_watt, light_cost, light_cost_comparison,
                                 lumens_to_photon_flux, payback_time, pipe_hardware,
                                 pipe_light_cost, sensitivity_sweep)
@@ -185,26 +187,57 @@ class TestSweep:
             break_even_unit_cost(100.0, 0.0, 0, 10.0)
 
 
+RATIOS = ("seec_kwh_per_kg", "sec_kwh_per_kg", "total_lighting_kwh_per_kg", "wue_g_per_l")
+
+
+def kpis(**given):
+    """`compute_kpis` over every non-ratio field, 0 where not given."""
+    fields = {f.name: 0.0 for f in dataclasses.fields(KpiReport) if f.name not in RATIOS}
+    return compute_kpis(**{**fields, "cycles": 0, "mean_dli_per_tier": (), **given})
+
+
 class TestKpis:
     def test_identity_between_seec_and_electricity(self):
-        k = compute_kpis(9221.0, 9000.0, 56.7, 0.0, 43.8, 10000.0, (14.4, 14.4, 14.4))
+        k = kpis(yield_kg=9221.0, yield_harvested_kg=9000.0, electricity_mwh=56.7,
+                 led_electricity_mwh=43.8, net_water_l=10000.0,
+                 mean_dli_per_tier=(14.4, 14.4, 14.4))
         assert k.seec_kwh_per_kg * k.yield_kg == pytest.approx(56.7 * 1000.0, rel=1e-12)
         assert k.seec_kwh_per_kg == pytest.approx(6.15, abs=0.01)
 
     def test_sec_includes_daylight(self):
-        k = compute_kpis(9000.0, 9000.0, 50.0, 10.0, 40.0, 10000.0, (14.4,))
+        k = kpis(yield_kg=9000.0, electricity_mwh=50.0, harvested_daylight_mwh=10.0,
+                 led_electricity_mwh=40.0, net_water_l=10000.0)
         assert k.sec_kwh_per_kg > k.seec_kwh_per_kg
         assert k.sec_kwh_per_kg == pytest.approx(60.0 * 1000.0 / 9000.0, rel=1e-12)
 
     def test_total_lighting_definition(self):
-        k = compute_kpis(9000.0, 9000.0, 50.0, 11.1, 40.0, 10000.0, (14.4,))
+        k = kpis(yield_kg=9000.0, electricity_mwh=50.0, harvested_daylight_mwh=11.1,
+                 led_electricity_mwh=40.0, net_water_l=10000.0)
         assert k.total_lighting_kwh_per_kg == pytest.approx((40.0 + 11.1) * 1000 / 9000,
                                                             rel=1e-12)
 
-    def test_zero_yield_reported_undefined(self):
-        k = compute_kpis(0.0, 0.0, 56.7, 0.0, 43.8, 10000.0, (0.0,))
-        assert k.undefined
-        assert k.seec_kwh_per_kg is None
+    def test_zero_yield_leaves_every_ratio_undefined(self):
+        k = kpis(yield_kg=0.0, electricity_mwh=56.7, led_electricity_mwh=43.8,
+                 net_water_l=10000.0)
+        assert all(getattr(k, name) is None for name in RATIOS)
+
+    def test_zero_net_water_leaves_only_wue_undefined(self):
+        k = kpis(yield_kg=9000.0, electricity_mwh=50.0, led_electricity_mwh=40.0,
+                 net_water_l=0.0)
+        assert k.wue_g_per_l is None
+        assert all(getattr(k, name) is not None for name in RATIOS[:3])
+
+    def test_readme_table_matches_the_declared_fields(self, repo_paths):
+        """Each field declares a unit and a meaning, and README's annual-numbers
+        table lists exactly the fields, once each, with those units and meanings."""
+        declared = {f.name: (f.metadata["unit"], f.metadata["meaning"])
+                    for f in dataclasses.fields(KpiReport)}
+        assert all(unit and meaning for unit, meaning in declared.values())
+        text = (repo_paths["repo"] / "README.md").read_text()
+        section = text.split("\n### Annual numbers\n", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \| ([^|]+) \|$", section, re.M)
+        assert len(rows) == len(declared)
+        assert {name: (unit, meaning) for name, unit, meaning in rows} == declared
 
     def test_constant_photoperiod_dli(self):
         # 250 umol for 16 h is the design daily light integral

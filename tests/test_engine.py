@@ -40,7 +40,7 @@ class TestBalanceDegeneracy:
         cfg = scenario_configs["Bench"]
         res = run_scenario(cfg, flat_climate(), None, lue_calibrated)
         h = res.hourly
-        assert res.aggregates["heating_thermal_mwh"] == 0.0
+        assert res.kpis.heating_thermal_mwh == 0.0
         expected = -(h["q_led"] - h["q_plant"] - h["q_eva"])
         assert np.allclose(h["q_hc"], expected, rtol=1e-12, atol=1e-9)
         assert np.all(h["q_hc"] <= 1e-12)
@@ -58,23 +58,21 @@ class TestBalanceDegeneracy:
                            reference_table, lue_calibrated)
         assert dim.kpis.yield_kg == bench.kpis.yield_kg
         assert dim.kpis.harvested_daylight_mwh == 0.0
-        d_led = (dim.aggregates["led_electricity_mwh"]
-                 - bench.aggregates["led_electricity_mwh"])
-        d_cool = (dim.aggregates["cooling_thermal_mwh"]
-                  - bench.aggregates["cooling_thermal_mwh"])
+        d_led = dim.kpis.led_electricity_mwh - bench.kpis.led_electricity_mwh
+        d_cool = dim.kpis.cooling_thermal_mwh - bench.kpis.cooling_thermal_mwh
         assert d_led == 0.0
         assert d_cool == 0.0
 
 
 class TestTraceConsistency:
-    def test_aggregates_equal_trace_sums(self, scenario_results):
+    def test_annual_sums_equal_trace_sums(self, scenario_results):
         for name, res in scenario_results.items():
             el = float(res.hourly["p_total_el"].sum() * 1e-6)
-            assert res.aggregates["electricity_mwh"] == pytest.approx(el, rel=1e-9)
+            assert res.kpis.electricity_mwh == pytest.approx(el, rel=1e-9)
             led = float(res.hourly["q_led"].sum() * 1e-6)
-            assert res.aggregates["led_electricity_mwh"] == pytest.approx(led, rel=1e-9)
+            assert res.kpis.led_electricity_mwh == pytest.approx(led, rel=1e-9)
             sol = float(res.hourly["q_lp_sol"].sum() * 1e-6)
-            assert res.aggregates["harvested_daylight_mwh"] == pytest.approx(sol, rel=1e-9)
+            assert res.kpis.harvested_daylight_mwh == pytest.approx(sol, rel=1e-9)
 
     def test_seec_identity(self, scenario_results):
         for res in scenario_results.values():
@@ -84,7 +82,7 @@ class TestTraceConsistency:
             assert k.sec_kwh_per_kg >= k.seec_kwh_per_kg
 
     def test_tier12_energy_identical_across_scenarios(self, scenario_results):
-        vals = {round(r.aggregates["led_tier12_mwh"], 12)
+        vals = {round(r.kpis.led_tier12_mwh, 12)
                 for r in scenario_results.values()}
         assert len(vals) == 1
 
@@ -100,14 +98,14 @@ class TestDeterminism:
         # a fresh standalone run matches the one executed inside the batch
         fresh = run_scenario(scenario_configs["LP_Min_200"], climate, reference_table,
                              lue_calibrated, solar=solar)
-        assert fresh.aggregates == scenario_results["LP_Min_200"].aggregates
+        assert fresh.kpis == scenario_results["LP_Min_200"].kpis
 
     def test_rerun_bit_identical(self, scenario_configs, climate, reference_table,
                                  lue_calibrated, solar):
         cfg = scenario_configs["LP_Dim"]
         a = run_scenario(cfg, climate, reference_table, lue_calibrated, solar=solar)
         b = run_scenario(cfg, climate, reference_table, lue_calibrated, solar=solar)
-        assert a.aggregates == b.aggregates
+        assert a.kpis == b.kpis
         for col in a.hourly:
             assert np.array_equal(a.hourly[col], b.hourly[col], equal_nan=True)
         assert a.harvests == b.harvests
@@ -137,7 +135,6 @@ class TestTableSwap:
         reload = OpticalEfficiencyTable.import_csv(path)
         a = run_scenario(cfg, climate, table, lue_calibrated, solar=solar)
         b = run_scenario(cfg, climate, reload, lue_calibrated, solar=solar)
-        assert a.aggregates == b.aggregates
         assert a.kpis == b.kpis
 
 
@@ -241,22 +238,22 @@ class TestCalibration:
 
 class TestSeasonal:
     def test_summer_cooling_exceeds_winter(self, scenario_results):
-        a = scenario_results["Bench"].aggregates
-        assert a["summer_cooling_el_mwh"] > a["winter_cooling_el_mwh"]
+        k = scenario_results["Bench"].kpis
+        assert k.summer_cooling_el_mwh > k.winter_cooling_el_mwh
 
     def test_heating_is_minor_for_bench(self, scenario_results):
-        a = scenario_results["Bench"].aggregates
-        assert a["heating_thermal_mwh"] < 0.1 * a["cooling_thermal_mwh"]
+        k = scenario_results["Bench"].kpis
+        assert k.heating_thermal_mwh < 0.1 * k.cooling_thermal_mwh
 
     def test_seasons_follow_calendar_months(self, bench_config, lue_calibrated):
         """Warming only Dec 27-31 moves winter cooling and leaves summer's."""
         temps = np.full(HOURS_PER_YEAR, 24.0)
         temps[-5 * 24:] = 40.0
         warm_tail = ClimateSeries(temps, np.zeros(HOURS_PER_YEAR), np.zeros(HOURS_PER_YEAR))
-        base = run_scenario(bench_config, flat_climate(), None, lue_calibrated).aggregates
-        warm = run_scenario(bench_config, warm_tail, None, lue_calibrated).aggregates
-        assert warm["winter_cooling_el_mwh"] > base["winter_cooling_el_mwh"]
-        assert warm["summer_cooling_el_mwh"] == base["summer_cooling_el_mwh"]
+        base = run_scenario(bench_config, flat_climate(), None, lue_calibrated).kpis
+        warm = run_scenario(bench_config, warm_tail, None, lue_calibrated).kpis
+        assert warm.winter_cooling_el_mwh > base.winter_cooling_el_mwh
+        assert warm.summer_cooling_el_mwh == base.summer_cooling_el_mwh
 
 
 class TestCompare:
@@ -286,16 +283,14 @@ class TestCompare:
     def test_capex_components(self, scenario_results):
         bench = scenario_results["Bench"]
         ir = scenario_results["LP_Dim_IR_98"]
-        capex = scenario_capex_delta(ir.config, bench.config,
-                                     ir.aggregates["peak_coil_w"],
-                                     bench.aggregates["peak_coil_w"])
+        capex = scenario_capex_delta(ir.config, bench.config, ir.kpis.peak_coil_w,
+                                     bench.kpis.peak_coil_w)
         assert capex["lp"] == 750 * 300.0
         assert capex["ir_filter"] == 750 * 104.0
         assert capex["ec_film"] == 0.0
         nl = scenario_results["LP_NL"]
-        capex_nl = scenario_capex_delta(nl.config, bench.config,
-                                        nl.aggregates["peak_coil_w"],
-                                        bench.aggregates["peak_coil_w"])
+        capex_nl = scenario_capex_delta(nl.config, bench.config, nl.kpis.peak_coil_w,
+                                        bench.kpis.peak_coil_w)
         assert capex_nl["led_delta"] < 0.0    # tier-3 fixtures removed
 
     def test_light_cost_table_reads_the_config(self, scenario_configs):
@@ -398,7 +393,7 @@ class TestScenarioOverride:
                                                           solar, scenario_results):
         cfg = dataclasses.replace(scenario_configs["LP_Dim_IR_98"], scenario="LP_Dim_IR_90")
         res = run_scenario(cfg, climate, reference_table, lue_calibrated, solar=solar)
-        assert res.aggregates == scenario_results["LP_Dim_IR_90"].aggregates
+        assert res.kpis == scenario_results["LP_Dim_IR_90"].kpis
         assert cfg.strategy.filter_tau == 0.90
 
     def test_override_to_plain_dimming_drops_the_filter(self, scenario_configs):
@@ -481,8 +476,8 @@ class TestKpiPlumbing:
 
     def test_water_ledger_positive(self, scenario_results):
         for res in scenario_results.values():
-            assert res.aggregates["net_water_l"] > 0.0
-            assert res.aggregates["condensate_recovered_l"] >= 0.0
+            assert res.kpis.net_water_l > 0.0
+            assert res.kpis.condensate_recovered_l >= 0.0
             assert res.kpis.wue_g_per_l > 500.0
 
     def test_dli_series_shape(self, scenario_results):

@@ -1,18 +1,20 @@
 """Golden guard: the nine quasi-steady scenario-years, transient Bench,
 LP_Dim and GH years, a Bench year with 7-day tier staggering and LP_Dim_EC
 years with the film capped at 250 and 300 umol m-2 s-1 (the only runs whose
-film attenuates, the 250 cap past reach) must reproduce the KPIs and annual
-aggregates frozen in `tests/data/golden_kpis.json` to 1e-12 relative.
+film attenuates, the 250 cap past reach) must reproduce the annual numbers
+(`KpiReport`) frozen in `tests/data/golden_kpis.json` to 1e-12 relative.
 
 The nine quasi-steady runs and transient LP_Dim were frozen before the
 tier-3 strategy table replaced the scenario-id dispatch; the other three
 before the annual loop was split into array stages. The seasonal cooling
-aggregates of every run were re-frozen when the summer/winter split moved
+numbers of every run were re-frozen when the summer/winter split moved
 to calendar months, and the 22 LP_Dim_EC entries that depend on the film's
 peak transmittance when that peak became exact instead of sampled. The
 five PWM entries (LP_Dim, LP_Dim_IR_98, LP_Dim_IR_90, LP_Dim_EC and
 LP_Dim/transient) were re-frozen when PWM fixtures stopped paying a flat
-0.95 driver efficiency that fixed fixtures did not. A refactor that keeps
+0.95 driver efficiency that fixed fixtures did not. When the `aggregates`
+dict folded into `KpiReport`, every entry was re-keyed `kpis.<field>`
+without a value moving, and the duplicates and `kpis.undefined` went. A refactor that keeps
 behaviour fixed reproduces them to summation order. Regenerate it
 (`PYTHONPATH=src python tests/test_golden.py`) only for a change that is
 meant to move the numbers, and say so in CHANGES.md; the script prints
@@ -33,14 +35,13 @@ RTOL = 1e-12
 
 
 def snapshot(res) -> dict:
-    """KPIs and aggregates of one run, flattened; floats keep their repr."""
+    """The annual numbers of one run, flattened; floats keep their repr."""
     out = {}
     for key, value in dataclasses.asdict(res.kpis).items():
         if isinstance(value, tuple):
             out.update({f"kpis.{key}.{i}": v for i, v in enumerate(value)})
         else:
             out[f"kpis.{key}"] = value
-    out.update({f"aggregates.{k}": v for k, v in sorted(res.aggregates.items())})
     return out
 
 

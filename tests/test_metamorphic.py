@@ -57,8 +57,8 @@ class TestDarkSky:
 
     @pytest.mark.parametrize("name", LED_SETPOINT_TIER3)
     def test_full_output_tier3_draws_bench_led_energy(self, dark_runs, name):
-        assert (dark_runs[name].aggregates["led_tier3_mwh"]
-                == dark_runs["Bench"].aggregates["led_tier3_mwh"])
+        assert (dark_runs[name].kpis.led_tier3_mwh
+                == dark_runs["Bench"].kpis.led_tier3_mwh)
 
 
 @pytest.fixture(scope="module")

@@ -109,11 +109,14 @@ class TestEfficiencyTable:
 
     @pytest.mark.parametrize("edit, point", [
         (lambda rows: [r for r in rows if not r.startswith("diffuse,20.0,60.0,")],
-         "no diffuse cell at tilt 60, band 20"),
-        (lambda rows: rows + [rows[1]], "repeats the direct altitude 5"),
+         "lines 47, 48, 49, 50, 51, 52, 53, 54: the grid is incomplete, with no diffuse cell "
+         "at tilt 60, band 20"),
+        (lambda rows: rows + [rows[1]], "line 110 repeats the direct altitude 5 of line 2"),
         (lambda rows: rows + [next(r for r in rows if r.startswith("diffuse,"))],
-         "repeats the diffuse cell at tilt 45, band 10"),
-    ], ids=["missing-diffuse", "repeated-direct", "repeated-diffuse"])
+         "line 110 repeats the diffuse cell at tilt 45, band 10 of line 20"),
+        (lambda rows: [r.replace("diffuse,30.0,75.0,", "diffuse,30.0,72.5,") for r in rows],
+         "line 76: the grid is incomplete, with no diffuse cell at tilt 72.5, band 10"),
+    ], ids=["missing-diffuse", "repeated-direct", "repeated-diffuse", "stray-tilt"])
     def test_missing_or_repeated_cell_is_named(self, tmp_path, repo_paths, edit, point):
         rows = (repo_paths["data"] / "lp_efficiency_reference.csv").read_text().splitlines()
         path = tmp_path / "table.csv"
@@ -159,6 +162,41 @@ class TestEfficiencyTable:
         with pytest.raises(ValueError) as exc:
             OpticalEfficiencyTable.import_csv(path)
         assert str(exc.value) == f"efficiency table {path.name} line {first + 1}: {point}"
+
+    @pytest.mark.parametrize("kind, column, value, point", [
+        ("direct", "eta", "1e30", "eta_dir entries must lie in [0, 1]; the one at altitude 25 "
+                                  "does not"),
+        ("diffuse", "eta", "-1", "eta_diff_th entries must lie in [0, 1 / band_mean_sin] of "
+                                 "their band; the one at tilt 55, band 50 does not"),
+        ("diffuse", "eta_crop", "-1", "eta_diff_crop entries must lie in [0, 1 / band_mean_sin] "
+                                      "of their band; the one at tilt 55, band 50 does not"),
+        ("diffuse", "eta_crop", "1e30", "eta_diff_crop entries must lie in [0, 1 / "
+                                        "band_mean_sin] of their band; the one at tilt 55, "
+                                        "band 50 does not"),
+        ("diffuse", "eta", "0", "crop-side diffuse efficiency at tilt 55, band 50 exceeds "
+                                "chamber-side"),
+        ("diffuse", "angle", "-1", "diffuse angle -1 is not a band's upper edge, one of 10, "
+                                   "20, 30, 40, 50, 60, 70, 80, 90"),
+        ("diffuse", "angle", "15", "diffuse angle 15 is not a band's upper edge, one of 10, "
+                                   "20, 30, 40, 50, 60, 70, 80, 90"),
+    ])
+    def test_table_level_refusal_names_the_line(self, tmp_path, repo_paths, kind, column,
+                                                 value, point):
+        """An entry that a check over the whole table refuses (a range, or
+        the crop side over the chamber side), or a band off the sky's grid,
+        is named by its line too. The edited row is not its kind's first:
+        the 5th direct row (altitude 25), the 23rd diffuse (tilt 55, band 50)."""
+        rows = (repo_paths["data"] / "lp_efficiency_reference.csv").read_text().splitlines()
+        i = [k for k, r in enumerate(rows) if r.startswith(f"{kind},")][
+            4 if kind == "direct" else 22]
+        parts = rows[i].split(",")
+        parts[rows[0].split(",").index(column)] = value
+        rows[i] = ",".join(parts)
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError) as exc:
+            OpticalEfficiencyTable.import_csv(path)
+        assert str(exc.value) == f"efficiency table {path.name} line {i + 1}: {point}"
 
     @pytest.mark.parametrize("sigmas, loads", [(2.5, True), (3.5, False)])
     def test_crop_side_may_pass_chamber_side_by_under_three_stderr(self, sigmas, loads):

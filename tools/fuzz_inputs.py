@@ -5,15 +5,16 @@ Each mutant changes one thing in a scratch copy of `configs/` and `data/`:
 either one key that a scenario file may set (the loader's key tables, a list
 or the climate column map by entry), written as an override into
 `configs/base.yaml` and set to NaN, +inf, -inf, -1, 0, 1e30, a string, a
-boolean, null, a list or a mapping, or one cell that the table reader reads
-in `data/lp_efficiency_reference.csv`, set to the text of those numbers, a
-word or a blank. It then runs `pipefarm.cli.main(["simulate", ...])` on a
-shipped scenario file drawn from those that leave the mutated key to
-`base.yaml` (a piped one for a table cell). After those `--count` mutants
-come a fifth as many of the two shipped compare files: one key of
-`CompareSet` (a list by entry, `grid` by its `PriceGrid` fields) set in the
-file itself to one of the same values, and the file run by `compare`. A
-mutant passes when:
+boolean, null, a list or a mapping, or one cell that a table reader reads
+in `data/lp_efficiency_reference.csv` (the optical table) or
+`data/lue_lettuce_default.csv` (the LUE table), set to the text of those
+numbers, a word or a blank. It then runs `pipefarm.cli.main(["simulate",
+...])` on a shipped scenario file drawn from those that leave the mutated
+key to `base.yaml` (a piped one for an optical-table cell). After those
+`--count` mutants come a fifth as many of the two shipped compare files:
+one key of `CompareSet` (a list by entry, `grid` by its `PriceGrid` fields)
+set in the file itself to one of the same values, and the file run by
+`compare`. A mutant passes when:
 
 - nothing raises out of `main` (a traceback);
 - a refusal exits 3 or 4, and its message names the file (the scenario
@@ -50,12 +51,13 @@ import yaml
 from pipefarm import config
 from pipefarm.cli import main
 from pipefarm.climate import CLIMATE_COLUMNS
+from pipefarm.crop import LUE_COLUMNS
 from pipefarm.engine import write_json
 from pipefarm.optics import _ROW_CELLS as READ_CELLS    # the cells the table reader reads
 
 ROOT = Path(__file__).resolve().parent.parent
-TABLE = "lp_efficiency_reference.csv"
-DATA = ("dubai_hourly_synthetic.csv", "lue_lettuce_default.csv", TABLE)
+TABLE, LUE = "lp_efficiency_reference.csv", "lue_lettuce_default.csv"
+DATA = ("dubai_hourly_synthetic.csv", LUE, TABLE)
 SCENARIOS = ("bench.yaml", "bench_ppe20.yaml", "bench_ppe30.yaml", "gh.yaml", "lp_nl.yaml",
              "lp_min_200.yaml", "lp_min_250.yaml", "lp_dim.yaml", "lp_dim_ir_98.yaml",
              "lp_dim_ir_90.yaml", "lp_dim_ec.yaml")
@@ -63,7 +65,8 @@ PIPED = tuple(s for s in SCENARIOS if s.startswith("lp_"))
 YAML_VALUES = (math.nan, math.inf, -math.inf, -1, 0, 1e30, "fuzz", True, None, [1.0],
                {"fuzz": 1.0})
 CELL_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e30", "fuzz", "")
-TABLE_SHARE = 0.2           # share of the mutants that change a table cell
+TABLE_SHARE = 0.2           # share of the mutants that change an optical-table cell
+LUE_SHARE = 0.1             # and that change a LUE-table cell
 STUDY_SHARE = 0.2           # compare-file mutants, per --count mutant
 # the compare files mutated in place
 STUDIES = ("compare_all.yaml", "sweep_lp_dim_ir.yaml")
@@ -72,6 +75,10 @@ DEFAULT = config.ScenarioConfig()
 COMPOSITE = {("chamber", "surfaces"): [dataclasses.asdict(s) for s in DEFAULT.chamber.surfaces],
              ("photoperiod",): list(DEFAULT.photoperiod),
              ("climate_columns",): {name: name for name in CLIMATE_COLUMNS}}
+# the tables mutated cell by cell: the file, the cells its reader reads from
+# a row, and the scenario files that read it
+TABLES = {"table": (TABLE, lambda row: READ_CELLS[row["kind"]], PIPED),
+          "lue": (LUE, lambda row: LUE_COLUMNS, SCENARIOS)}
 
 
 def leaves(node, key: str = ""):
@@ -152,18 +159,22 @@ def is_non_finite(value) -> bool:
         return False
 
 
-def draw(rng: random.Random, count: int, table_rows: list) -> list[dict]:
+def draw(rng: random.Random, count: int, tables: dict) -> list[dict]:
     """`count` distinct mutants, each with its scenario file."""
     own = {s: yaml.safe_load((ROOT / "configs" / s).read_text()) or {} for s in SCENARIOS}
     keys = [(k, p) for k, p in settable() if not all(sets(own[s], p) for s in SCENARIOS)]
     seen, out = set(), []
     while len(out) < count:
-        if rng.random() < TABLE_SHARE:
-            line = rng.randrange(len(table_rows))
-            column = rng.choice(READ_CELLS[table_rows[line]["kind"]])
+        share = rng.random()
+        if share < TABLE_SHARE + LUE_SHARE:
+            target = "table" if share < TABLE_SHARE else "lue"
+            _, cells, configs = TABLES[target]
+            rows = tables[target][0]
+            line = rng.randrange(len(rows))
+            column = rng.choice(cells(rows[line]))
             value = rng.choice(CELL_VALUES)
-            mutant = {"target": "table", "key": f"line {line + 2}", "column": column,
-                      "value": value, "config": rng.choice(PIPED)}
+            mutant = {"target": target, "key": f"line {line + 2}", "column": column,
+                      "value": value, "config": rng.choice(configs)}
         else:
             key, path = rng.choice(keys)
             value = rng.choice(YAML_VALUES)
@@ -185,7 +196,7 @@ def draw(rng: random.Random, count: int, table_rows: list) -> list[dict]:
     return out
 
 
-def apply(mutant: dict, tree: Path, base: dict, table_rows: list, header: list) -> None:
+def apply(mutant: dict, tree: Path, base: dict, tables: dict) -> None:
     """Write the mutated file into the scratch tree."""
     if mutant["target"] == "study":
         path = tree / "configs" / mutant["config"]
@@ -201,9 +212,10 @@ def apply(mutant: dict, tree: Path, base: dict, table_rows: list, header: list) 
         doc = config._deep_merge(base, override(tuple(mutant["path"]), mutant["value"]))
         (tree / "configs" / "base.yaml").write_text(yaml.safe_dump(doc, sort_keys=False))
         return
+    table_rows, header = tables[mutant["target"]]
     rows = [dict(r) for r in table_rows]
     rows[int(mutant["key"].split()[1]) - 2][mutant["column"]] = mutant["value"]
-    with open(tree / "data" / TABLE, "w", newline="") as fh:
+    with open(tree / "data" / TABLES[mutant["target"]][0], "w", newline="") as fh:
         writer = csv.DictWriter(fh, header, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
@@ -237,7 +249,7 @@ def run(mutant: dict, tree: Path) -> dict:
     elif code not in (0, 3, 4):
         problems.append(f"refused with exit {code}, not 3 or 4")
     if code:
-        files = {"yaml": (mutant["config"], "base.yaml"), "table": (TABLE,),
+        files = {"yaml": (mutant["config"], "base.yaml"), "table": (TABLE,), "lue": (LUE,),
                  "study": (mutant["config"],)}[mutant["target"]]
         if not any(f in detail for f in files):
             problems.append("the refusal names no mutated or run file")
@@ -251,10 +263,12 @@ def run(mutant: dict, tree: Path) -> dict:
 
 def fuzz(seed: int, count: int) -> dict:
     base = yaml.safe_load((ROOT / "configs" / "base.yaml").read_text())
-    with open(ROOT / "data" / TABLE, newline="") as fh:
-        reader = csv.DictReader(fh)
-        table_rows, header = list(reader), reader.fieldnames
-    mutants = draw(random.Random(seed), count, table_rows)
+    tables = {}
+    for target, (name, _, _) in TABLES.items():
+        with open(ROOT / "data" / name, newline="") as fh:
+            reader = csv.DictReader(fh)
+            tables[target] = list(reader), reader.fieldnames
+    mutants = draw(random.Random(seed), count, tables)
     records = []
     with tempfile.TemporaryDirectory(prefix="fuzz_inputs_") as tmp:
         tree = Path(tmp)
@@ -263,10 +277,10 @@ def fuzz(seed: int, count: int) -> dict:
         for name in DATA:
             shutil.copy(ROOT / "data" / name, tree / "data" / name)
         originals = {p: p.read_bytes() for p in (tree / "configs" / "base.yaml",
-                                                  tree / "data" / TABLE,
+                                                  tree / "data" / TABLE, tree / "data" / LUE,
                                                   *(tree / "configs" / n for n in STUDIES))}
         for mutant in mutants:
-            apply(mutant, tree, base, table_rows, header)
+            apply(mutant, tree, base, tables)
             records.append(run(mutant, tree))
             for path, blob in originals.items():
                 path.write_bytes(blob)
