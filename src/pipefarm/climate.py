@@ -10,6 +10,9 @@ with one row per hour covering a full non-leap year.
 from __future__ import annotations
 
 import csv
+import io
+import math
+import warnings
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -203,6 +206,7 @@ class ClimateSeries:
         return h.hexdigest()[:16]
 
 
+_STEP_TOLERANCE = 1e-6      # hours an hourly step may be off, absolute
 _TIME_FORMATS = ("%Y-%m-%d %H:%M", "%Y-%m-%dT%H:%M", "%Y%m%d:%H%M", "%d/%m/%Y %H:%M")
 
 
@@ -229,9 +233,14 @@ def load_climate(path: str | Path, columns: Optional[dict] = None) -> ClimateSer
     `columns` maps the logical names time/temperature/dni/dhi onto the
     file's header names. Units are fixed: degC and W m-2. The file must
     contain exactly one full year of strictly increasing hourly records;
-    gaps, duplicates and negative irradiance are rejected with the
-    offending row: its index among the rows after the header, blank rows
-    included.
+    gaps, duplicates and negative irradiance are rejected with the file's
+    name and the offending row: its index among the rows after the header,
+    blank rows included.
+
+    A body of plain numbers that passes every check is read in one
+    `np.loadtxt` call; any other body (timestamps, quoted cells, a cell
+    that call will not parse, a refusal) goes through the row reader,
+    which makes every refusal. Both give the same bits where both parse.
     """
     path = Path(path)
     if not path.exists():
@@ -242,49 +251,84 @@ def load_climate(path: str | Path, columns: Optional[dict] = None) -> ClimateSer
 
     with open(path, newline="") as fh:
         head = fh.readline()
-        delimiter = ";" if head.count(";") > head.count(",") else ","
-        header = [c.strip() for c in head.strip().split(delimiter)]
-        missing = {k: v for k, v in names.items() if v not in header}
-        if missing:
-            keys = [f"climate_columns.{k}" if k in (columns or {}) else k for k in missing]
-            raise ClimateError(f"missing column(s) {list(missing.values())} for {keys} "
-                               f"in {path.name}; header={header}")
-        idx = {k: header.index(v) for k, v in names.items()}
+        body = fh.read()
+    delimiter = ";" if head.count(";") > head.count(",") else ","
+    header = [c.strip() for c in head.strip().split(delimiter)]
+    missing = {k: v for k, v in names.items() if v not in header}
+    if missing:
+        keys = [f"climate_columns.{k}" if k in (columns or {}) else k for k in missing]
+        raise ClimateError(f"missing column(s) {list(missing.values())} for {keys} "
+                           f"in {path.name}; header={header}")
+    usecols = [header.index(names[k]) for k in CLIMATE_COLUMNS]
+    try:
+        year = _parse_plain(body, delimiter, usecols)
+        if year is None:
+            year = _read_rows(body, delimiter, usecols)
+        return ClimateSeries(*year[1:], source=str(path))
+    except ClimateError as exc:
+        raise ClimateError(f"climate file {path.name}: {exc}") from None
 
-        rows, hours, temps, dnis, dhis = [], [], [], [], []
-        reader = csv.reader(fh, delimiter=delimiter)
-        for row_no, row in enumerate(reader):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                t = _parse_time_cell(row[idx["time"]])
-                temp = float(row[idx["temperature"]])
-                dni = float(row[idx["dni"]])
-                dhi = float(row[idx["dhi"]])
-            except (ValueError, IndexError) as exc:
-                raise ClimateError(f"bad record at row {row_no}: {exc}") from None
-            if dni < 0.0:
-                raise ClimateError(f"negative DNI at row {row_no}")
-            if dhi < 0.0:
-                raise ClimateError(f"negative DHI at row {row_no}")
-            rows.append(row_no)
-            hours.append(t)
-            temps.append(temp)
-            dnis.append(dni)
-            dhis.append(dhi)
 
+def _parse_plain(body: str, delimiter: str, usecols: list) -> Optional[np.ndarray]:
+    """The body's time, temperature, DNI and DHI columns as the rows of one
+    (4, n) array, or None unless one `np.loadtxt` call reads every one of
+    their cells and the year passes every check `_read_rows` makes."""
+    if '"' in body:             # the csv reader unquotes a cell; loadtxt would not
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)    # a body with no data
+            year = np.loadtxt(io.StringIO(body), delimiter=delimiter, comments=None,
+                              usecols=usecols, ndmin=2).T.copy()
+    except ValueError:
+        return None
+    if (year.shape[1] == HOURS_PER_YEAR and np.isfinite(year).all() and (year[2:] >= 0.0).all()
+            and np.allclose(np.diff(year[0]), 1.0, rtol=0.0, atol=_STEP_TOLERANCE)):
+        return year
+    return None
+
+
+def _read_rows(body: str, delimiter: str, usecols: list) -> tuple:
+    """The body's time, temperature, DNI and DHI columns as four arrays,
+    read row by row; a refusal names its row."""
+    t_col, temp_col, dni_col, dhi_col = usecols
+    rows, hours, temps, dnis, dhis = [], [], [], [], []
+    reader = csv.reader(io.StringIO(body, newline=""), delimiter=delimiter)
+    for row_no, row in enumerate(reader):
+        if not row or all(not c.strip() for c in row):
+            continue
+        try:
+            t = _parse_time_cell(row[t_col])
+            temp = float(row[temp_col])
+            dni = float(row[dni_col])
+            dhi = float(row[dhi_col])
+        except (ValueError, IndexError) as exc:
+            raise ClimateError(f"bad record at row {row_no}: {exc}") from None
+        if dni < 0.0:
+            raise ClimateError(f"negative DNI at row {row_no}")
+        if dhi < 0.0:
+            raise ClimateError(f"negative DHI at row {row_no}")
+        for name, value in zip(CLIMATE_COLUMNS[1:], (temp, dni, dhi)):
+            if not math.isfinite(value):
+                raise ClimateError(f"{name}: non-finite value at row {row_no}")
+        rows.append(row_no)
+        hours.append(t)
+        temps.append(temp)
+        dnis.append(dni)
+        dhis.append(dhi)
+
+    # the first step off the hour names its row (a NaN step too), so a
+    # repeated, missing or blank row is found before the count is checked
+    steps = np.diff(np.asarray(hours))
+    off = np.flatnonzero(~np.isclose(steps, 1.0, rtol=0.0, atol=_STEP_TOLERANCE))
+    if off.size:
+        what = ("timestamps not strictly increasing" if steps[off[0]] <= 0.0
+                else "non-hourly timestamp step")
+        raise ClimateError(f"{what} at row {rows[off[0] + 1]}")
     if len(hours) != HOURS_PER_YEAR:
         raise ClimateError(
             f"incomplete year: {len(hours)} records, expected {HOURS_PER_YEAR}")
-    steps = np.diff(np.asarray(hours))
-    if np.any(steps <= 0.0):
-        bad = rows[int(np.flatnonzero(steps <= 0.0)[0]) + 1]
-        raise ClimateError(f"timestamps not strictly increasing at row {bad}")
-    if not np.allclose(steps, 1.0, atol=1e-6):
-        bad = rows[int(np.flatnonzero(np.abs(steps - 1.0) > 1e-6)[0]) + 1]
-        raise ClimateError(f"non-hourly timestamp step at row {bad}")
-    return ClimateSeries(np.asarray(temps), np.asarray(dnis), np.asarray(dhis),
-                         source=str(path))
+    return np.asarray(hours), np.asarray(temps), np.asarray(dnis), np.asarray(dhis)
 
 
 # ---------------------------------------------------------------------------

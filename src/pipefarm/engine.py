@@ -304,9 +304,8 @@ def _render_floats(cols: list) -> list:
         return []
     m = len(cols[0])
     distinct, inverse = np.unique(np.concatenate(cols).view(np.int64), return_inverse=True)
-    text = list(map(repr, distinct.view(np.float64).tolist()))
-    cells = [text[i] for i in inverse.tolist()]
-    return [cells[k:k + m] for k in range(0, len(cells), m)]
+    text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return text[inverse.reshape(len(cols), m)].tolist()
 
 
 def _render(col) -> list:

@@ -220,15 +220,16 @@ class OpticalEfficiencyTable:
     def __post_init__(self):
         if self.provenance not in ("traced", "imported"):
             raise ValueError("provenance must be 'traced' or 'imported'")
-        self._refuse("eta_dir entries must lie in [0, 1]; the one {at} does not",
-                     (self.eta_dir < -1e-12) | (self.eta_dir > 1.0 + 1e-9))
-        # a diffuse entry can pass 1: see band_mean_sin
+        # an efficiency and its standard error share the entry's range; a
+        # diffuse entry can pass 1: see band_mean_sin
         ceiling = np.array([1.0 / band_mean_sin(b) for b in self.bands])
-        for name in ("eta_diff_th", "eta_diff_crop"):
+        for name in ("eta_dir", "se_dir", "eta_diff_th", "eta_diff_crop", "se_diff_th",
+                     "se_diff_crop"):
             arr = getattr(self, name)
-            self._refuse(name + " entries must lie in [0, 1 / band_mean_sin] of their band; "
-                         "the one {at} does not",
-                         (arr < -1e-12) | (arr > ceiling + 1e-9))
+            span, top = (("[0, 1]", 1.0) if arr.ndim == 1
+                         else ("[0, 1 / band_mean_sin] of their band", ceiling))
+            self._refuse(f"{name} entries must lie in {span}; the one {{at}} does not",
+                         (arr < -1e-12) | (arr > top + 1e-9))
         self._refuse("crop-side diffuse efficiency {at} exceeds chamber-side", self.eta_diff_crop
                      > self.eta_diff_th + 3.0 * (self.se_diff_th + self.se_diff_crop) + 1e-9)
         # isotropic-sky weighted sums per tilt (the per-band series with

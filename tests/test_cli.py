@@ -135,6 +135,30 @@ class TestDispatch:
         detail = json.loads(capsys.readouterr().err)["detail"]
         assert point in detail and name in detail
 
+    @pytest.mark.parametrize("line, column, value, point", [
+        (3, "stderr", "-1", "se_dir entries must lie in [0, 1]; the one at altitude 10"),
+        (109, "stderr", "1e30", "se_diff_th entries must lie in [0, 1 / band_mean_sin] of "
+                                "their band; the one at tilt 90, band 90"),
+        (32, "stderr_crop", "1e30", "se_diff_crop entries must lie in [0, 1 / band_mean_sin] "
+                                    "of their band; the one at tilt 50, band 40"),
+    ])
+    def test_stderr_outside_its_entry_range_exits_3(self, work_tree, capsys, line, column,
+                                                    value, point):
+        """A negative standard error would flag a sound entry in
+        `bound_violations`; a huge one would switch the crop-over-chamber
+        check off."""
+        path = work_tree / "data" / "lp_efficiency_reference.csv"
+        rows = path.read_text().splitlines()
+        cells = rows[line - 1].split(",")
+        cells[rows[0].split(",").index(column)] = value
+        rows[line - 1] = ",".join(cells)
+        path.write_text("\n".join(rows) + "\n")
+        rc = main(["simulate", "--config", str(work_tree / "configs" / "lp_dim.yaml"),
+                   "--out", str(work_tree / "o")])
+        assert rc == 3
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert f"lp_efficiency_reference.csv line {line}: {point}" in detail
+
     @pytest.mark.parametrize("body, points", [
         ("optics: {cache_dir: ../.cache/optics}", ("untabled.yaml", "'optics.cache_dir'")),
         ("optics: {rays: 100000}", ("untabled.yaml", "'optics.rays'")),

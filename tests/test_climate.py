@@ -1,12 +1,16 @@
+import datetime
 import math
+import random
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pipefarm.climate import (ClimateError, SiteConfig, _resolve_azimuth, declination,
-                              equation_of_time, incidence_cosine, load_climate,
+from pipefarm import climate as climate_module
+from pipefarm.climate import (CLIMATE_COLUMNS, ClimateError, SiteConfig, _resolve_azimuth,
+                              declination, equation_of_time, incidence_cosine, load_climate,
                               solar_position, sunpath_table, synthetic_dubai_year)
 from pipefarm.config import ScenarioConfig
 from pipefarm.engine import solar_angles
@@ -216,6 +220,9 @@ class TestLoadClimate:
         ((100, 25.0, 500.0, -1.0), "negative DHI at row 101"),
         ((100.5, 25.0, 500.0, 100.0), "non-hourly timestamp step at row 101"),
         ((98, 25.0, 500.0, 100.0), "timestamps not strictly increasing at row 101"),
+        (("nan", 25.0, 500.0, 100.0), "non-hourly timestamp step at row 101"),
+        ((100, "nan", 500.0, 100.0), "temperature: non-finite value at row 101"),
+        ((100, 25.0, "inf", 100.0), "dni: non-finite value at row 101"),
         (("noon", 25.0, 500.0, 100.0), "bad record at row 101: unparseable timestamp 'noon'"),
         ((100, "warm", 500.0, 100.0),
          "bad record at row 101: could not convert string to float: 'warm'")])
@@ -225,7 +232,28 @@ class TestLoadClimate:
         rows.insert(11, ())
         p = tmp_path / "blank.csv"
         _write_year(p, rows)
-        with pytest.raises(ClimateError, match=f"^{re.escape(match)}$"):
+        with pytest.raises(ClimateError, match=f"^climate file blank.csv: {re.escape(match)}$"):
+            load_climate(p)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda rows: rows.insert(201, rows[200]), "timestamps not strictly increasing at row 201"),
+        (lambda rows: rows.pop(200), "non-hourly timestamp step at row 200"),
+        (lambda rows: rows.__setitem__(200, ()), "non-hourly timestamp step at row 201"),
+        (lambda rows: rows.__setitem__(200, (1e30, 25.0, 500.0, 100.0)),
+         "non-hourly timestamp step at row 200"),
+        (lambda rows: rows.__setitem__(slice(None), [(i * 1.000005, 25.0, 500.0, 100.0)
+                                                     for i in range(8760)]),
+         "non-hourly timestamp step at row 1"),
+    ], ids=["repeated", "missing", "blank", "far-ahead", "drift-5e-6"])
+    def test_first_step_off_the_hour_names_its_row(self, edit, match, tmp_path):
+        """A repeated, missing or blank row, or a step more than 1e-6 h off
+        the hour, is named where the hours break, before the record count
+        is checked."""
+        rows = _default_rows()
+        edit(rows)
+        p = tmp_path / "steps.csv"
+        _write_year(p, rows)
+        with pytest.raises(ClimateError, match=f"^climate file steps.csv: {re.escape(match)}$"):
             load_climate(p)
 
     def test_incomplete_year(self, tmp_path):
@@ -275,6 +303,114 @@ class TestLoadClimate:
                  25.0, 500.0, 100.0) for i in range(8760)]
         _write_year(p, rows)
         assert len(load_climate(p)) == 8760
+
+
+def _number(rng: random.Random, x: float) -> str:
+    """`x` written in one of the forms a climate file may use."""
+    forms = [repr(x), f"{x:.6g}", f"{x:.4e}", f" {x!r} ", f"{x:.3f}"]
+    if math.copysign(1.0, x) > 0.0:
+        forms.append(f"+{x!r}")
+    return rng.choice(forms)
+
+
+class TestIngestPathsAgree:
+    """`load_climate` against its row reader alone on seeded files: each
+    varies its layout and takes one corrupting edit (or none), and both
+    must read the same bits or refuse with the same text."""
+
+    EDITS = ("none", "negative", "nan", "gap", "repeat", "swap", "whitespace_row",
+             "underscore", "quoted", "comment")
+
+    @staticmethod
+    def write(rng: random.Random, path: Path, edit: str, stamped: bool) -> dict:
+        """A seeded climate year at `path`, `stamped` with dates or else
+        numbered, with `edit` applied; returns the `columns` map that reads it."""
+        delimiter = rng.choice(",;")
+        names = rng.choice([{name: name for name in CLIMATE_COLUMNS},
+                            {"time": "when", "temperature": "T2m", "dni": "DNI", "dhi": "DHI"}])
+        header = list(names.values()) + rng.sample(["rh", "wind", "note"], rng.randrange(3))
+        rng.shuffle(header)
+        start = datetime.datetime(2019, 1, 1)
+        cells = []
+        for i in range(8760):
+            sun = 6 <= i % 24 <= 18
+            value = {names["time"]: ((start + datetime.timedelta(hours=i)).strftime(
+                                         "%Y-%m-%d %H:%M") if stamped else str(i)),
+                     names["temperature"]: _number(rng, round(rng.uniform(-5.0, 48.0), 2)),
+                     names["dni"]: _number(rng, round(rng.uniform(0.0, 950.0), 1) if sun else 0.0),
+                     names["dhi"]: _number(rng, rng.uniform(0.0, 300.0) if sun else 0.0),
+                     "rh": str(rng.randrange(100)), "wind": f"{rng.uniform(0, 9):.1f}",
+                     "note": rng.choice(["calm", "dust", ""])}
+            cells.append([value[h] for h in header])
+        k = rng.randrange(1, 8759)
+        column = header.index(names[rng.choice(CLIMATE_COLUMNS)])
+        if edit in ("negative", "nan", "underscore", "quoted"):
+            cells[k][column] = {"negative": "-1", "nan": rng.choice(["nan", "NaN"]),
+                                "underscore": "1_000",
+                                "quoted": f'"{cells[k][column]}"'}[edit]
+        lines = [delimiter.join(row) for row in cells]
+        if edit == "gap":
+            del lines[k]
+        elif edit == "repeat":
+            lines.insert(k, lines[k])
+        elif edit == "swap":
+            lines[k], lines[k + 1] = lines[k + 1], lines[k]
+        elif edit == "whitespace_row":
+            lines.insert(k, " \t ")
+        elif edit == "comment":
+            lines.insert(k, "# " + lines[k])
+        for _ in range(rng.randrange(3)):
+            lines.insert(rng.randrange(len(lines)), "")
+        newline = rng.choice(["\n", "\r\n"])
+        with open(path, "w", newline="") as fh:
+            fh.write(newline.join([delimiter.join(header)] + lines) + newline)
+        return {k: v for k, v in names.items() if k != v}
+
+    @staticmethod
+    def read(path: Path, columns: dict):
+        try:
+            year = load_climate(path, columns)
+        except ClimateError as exc:
+            return str(exc)
+        return [a.tobytes() for a in (year.temperature, year.dni, year.dhi)]
+
+    def test_same_bits_or_same_refusal(self, tmp_path, monkeypatch):
+        rng = random.Random(44)
+        plain = climate_module._parse_plain
+        took = []
+
+        def spy(*args):
+            year = plain(*args)
+            took.append(year is not None)
+            return year
+
+        for n in range(2 * len(self.EDITS)):        # every edit on a numbered year first
+            edit = self.EDITS[n % len(self.EDITS)]
+            path = tmp_path / f"year{n}.csv"
+            columns = self.write(rng, path, edit, n >= len(self.EDITS) and rng.random() < 0.5)
+            monkeypatch.setattr(climate_module, "_parse_plain", spy)
+            got = self.read(path, columns)
+            monkeypatch.setattr(climate_module, "_parse_plain", lambda *args: None)
+            assert got == self.read(path, columns), (n, edit)
+        assert 0 < sum(took) < len(took)      # each path read some of the files
+
+    def test_quoted_delimiter_in_an_unread_column_is_one_cell(self, tmp_path):
+        """Split on every comma, row 5 would read 3, 4 and 5 W m-2 and pass."""
+        p = tmp_path / "note.csv"
+        rows = [f'{i},"dust,3,4,5,calm",25.0,500.0,100.0' if i == 5
+                else f"{i},calm,25.0,500.0,100.0" for i in range(8760)]
+        p.write_text("\n".join(["time,note,temperature,dni,dhi"] + rows) + "\n")
+        year = load_climate(p)
+        assert (year.temperature[5], year.dni[5], year.dhi[5]) == (25.0, 500.0, 100.0)
+
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        p = tmp_path / "header.csv"
+        p.write_text("time,temperature,dni,dhi\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ClimateError,
+                               match="^climate file header.csv: incomplete year: 0 records"):
+                load_climate(p)
 
 
 class TestSyntheticYear:

@@ -8,9 +8,12 @@ or the climate column map by entry), written as an override into
 boolean, null, a list or a mapping, or one cell that a table reader reads
 in `data/lp_efficiency_reference.csv` (the optical table) or
 `data/lue_lettuce_default.csv` (the LUE table), set to the text of those
-numbers, a word or a blank. It then runs `pipefarm.cli.main(["simulate",
-...])` on a shipped scenario file drawn from those that leave the mutated
-key to `base.yaml` (a piped one for an optical-table cell). After those
+numbers, a word or a blank, or one row of `data/dubai_hourly_synthetic.csv`
+(the climate year): one of the cells `load_climate` reads set to one of
+those texts, or the row duplicated, swapped with the next, blanked or
+deleted. It then runs `pipefarm.cli.main(["simulate", ...])` on a shipped
+scenario file drawn from those that leave the mutated key to `base.yaml`
+(a piped one for an optical-table cell). After those
 `--count` mutants come a fifth as many of the two shipped compare files:
 one key of `CompareSet` (a list by entry, `grid` by its `PriceGrid` fields)
 set in the file itself to one of the same values, and the file run by
@@ -18,7 +21,10 @@ set in the file itself to one of the same values, and the file run by
 
 - nothing raises out of `main` (a traceback);
 - a refusal exits 3 or 4, and its message names the file (the scenario
-  file run, or the mutated file) and the mutated key or table line;
+  file run, or the mutated file) and the mutated key, table line or
+  climate row (numbered among the rows after the header, from 0): a
+  swapped or duplicated row or the one after it, the row after a blanked
+  one, where the gap shows;
 - a non-finite value never exits 0.
 
 The outcomes, sorted, go to one JSON file with the seed, the count, the
@@ -56,8 +62,9 @@ from pipefarm.engine import write_json
 from pipefarm.optics import _ROW_CELLS as READ_CELLS    # the cells the table reader reads
 
 ROOT = Path(__file__).resolve().parent.parent
-TABLE, LUE = "lp_efficiency_reference.csv", "lue_lettuce_default.csv"
-DATA = ("dubai_hourly_synthetic.csv", LUE, TABLE)
+TABLE, LUE, CLIMATE = ("lp_efficiency_reference.csv", "lue_lettuce_default.csv",
+                       "dubai_hourly_synthetic.csv")
+DATA = (CLIMATE, LUE, TABLE)
 SCENARIOS = ("bench.yaml", "bench_ppe20.yaml", "bench_ppe30.yaml", "gh.yaml", "lp_nl.yaml",
              "lp_min_200.yaml", "lp_min_250.yaml", "lp_dim.yaml", "lp_dim_ir_98.yaml",
              "lp_dim_ir_90.yaml", "lp_dim_ec.yaml")
@@ -67,6 +74,8 @@ YAML_VALUES = (math.nan, math.inf, -math.inf, -1, 0, 1e30, "fuzz", True, None, [
 CELL_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e30", "fuzz", "")
 TABLE_SHARE = 0.2           # share of the mutants that change an optical-table cell
 LUE_SHARE = 0.1             # and that change a LUE-table cell
+CLIMATE_SHARE = 0.1         # and that change a climate cell or row
+ROW_EDITS = ("duplicated", "swapped", "blanked", "deleted")    # of one climate row
 STUDY_SHARE = 0.2           # compare-file mutants, per --count mutant
 # the compare files mutated in place
 STUDIES = ("compare_all.yaml", "sweep_lp_dim_ir.yaml")
@@ -166,7 +175,16 @@ def draw(rng: random.Random, count: int, tables: dict) -> list[dict]:
     seen, out = set(), []
     while len(out) < count:
         share = rng.random()
-        if share < TABLE_SHARE + LUE_SHARE:
+        if share >= 1.0 - CLIMATE_SHARE:
+            edit = rng.choice(CLIMATE_COLUMNS + ROW_EDITS)
+            row = rng.randrange(len(tables["climate"]) - 1 - (edit == "swapped"))
+            cell = edit in CLIMATE_COLUMNS
+            mutant = {"target": "climate", "key": f"row {row}",
+                      "rows": [row] if edit == "deleted" or cell else [row, row + 1],
+                      "column": edit if cell else None,
+                      "value": rng.choice(CELL_VALUES) if cell else edit,
+                      "config": rng.choice(SCENARIOS)}
+        elif share < TABLE_SHARE + LUE_SHARE:
             target = "table" if share < TABLE_SHARE else "lue"
             _, cells, configs = TABLES[target]
             rows = tables[target][0]
@@ -212,6 +230,23 @@ def apply(mutant: dict, tree: Path, base: dict, tables: dict) -> None:
         doc = config._deep_merge(base, override(tuple(mutant["path"]), mutant["value"]))
         (tree / "configs" / "base.yaml").write_text(yaml.safe_dump(doc, sort_keys=False))
         return
+    if mutant["target"] == "climate":
+        header, *lines = tables["climate"]
+        row = int(mutant["key"].split()[1])
+        if mutant["column"]:
+            cells = lines[row].split(",")
+            cells[header.split(",").index(mutant["column"])] = mutant["value"]
+            lines[row] = ",".join(cells)
+        elif mutant["value"] == "duplicated":
+            lines.insert(row + 1, lines[row])
+        elif mutant["value"] == "swapped":
+            lines[row], lines[row + 1] = lines[row + 1], lines[row]
+        elif mutant["value"] == "blanked":
+            lines[row] = ""
+        else:
+            del lines[row]
+        (tree / "data" / CLIMATE).write_text("\n".join([header] + lines) + "\n")
+        return
     table_rows, header = tables[mutant["target"]]
     rows = [dict(r) for r in table_rows]
     rows[int(mutant["key"].split()[1]) - 2][mutant["column"]] = mutant["value"]
@@ -250,11 +285,13 @@ def run(mutant: dict, tree: Path) -> dict:
         problems.append(f"refused with exit {code}, not 3 or 4")
     if code:
         files = {"yaml": (mutant["config"], "base.yaml"), "table": (TABLE,), "lue": (LUE,),
-                 "study": (mutant["config"],)}[mutant["target"]]
+                 "climate": (CLIMATE,), "study": (mutant["config"],)}[mutant["target"]]
         if not any(f in detail for f in files):
             problems.append("the refusal names no mutated or run file")
-        if not re.search(rf"{re.escape(mutant['key'])}(?!\w)", detail):
-            problems.append(f"the refusal does not name {mutant['key']}")
+        keys = ([f"row {r}" for r in mutant["rows"]] if mutant["target"] == "climate"
+                else [mutant["key"]])
+        if not any(re.search(rf"{re.escape(k)}(?!\w)", detail) for k in keys):
+            problems.append(f"the refusal does not name {' or '.join(keys)}")
     if code == 0 and is_non_finite(mutant["value"]):
         problems.append("a non-finite value ran to exit 0")
     record["problems"] = problems
@@ -268,6 +305,7 @@ def fuzz(seed: int, count: int) -> dict:
         with open(ROOT / "data" / name, newline="") as fh:
             reader = csv.DictReader(fh)
             tables[target] = list(reader), reader.fieldnames
+    tables["climate"] = (ROOT / "data" / CLIMATE).read_text().splitlines()
     mutants = draw(random.Random(seed), count, tables)
     records = []
     with tempfile.TemporaryDirectory(prefix="fuzz_inputs_") as tmp:
@@ -278,6 +316,7 @@ def fuzz(seed: int, count: int) -> dict:
             shutil.copy(ROOT / "data" / name, tree / "data" / name)
         originals = {p: p.read_bytes() for p in (tree / "configs" / "base.yaml",
                                                   tree / "data" / TABLE, tree / "data" / LUE,
+                                                  tree / "data" / CLIMATE,
                                                   *(tree / "configs" / n for n in STUDIES))}
         for mutant in mutants:
             apply(mutant, tree, base, tables)
@@ -297,7 +336,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--count", type=int, default=260,
-                        help="number of scenario and table mutants")
+                        help="number of scenario, table and climate mutants")
     parser.add_argument("--out", default="out/fuzz_inputs.json", help="JSON report")
     return parser.parse_args(argv)
 
