@@ -20,8 +20,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .declared import check_ranges, ranged
+
 HOURS_PER_YEAR = 8760
 CLIMATE_COLUMNS = ("time", "temperature", "dni", "dhi")   # the logical names of a climate file
+# each cell's valid range: degC beyond the air's recorded extremes; W m-2 above
+# the ~1412 W m-2 that reaches the top of the atmosphere at perihelion
+CLIMATE_RANGES = {"temperature": (-90.0, 60.0), "dni": (0.0, 1500.0), "dhi": (0.0, 1500.0)}
 
 __all__ = [
     "SiteConfig",
@@ -46,17 +51,11 @@ class ClimateError(ValueError):
 class SiteConfig:
     """Geographic site; longitudes positive east, ref = 15 deg * UTC offset."""
 
-    latitude: float            # deg
-    longitude: float           # deg east
-    utc_offset: float          # hours
+    latitude: float = ranged(ge=-90.0, le=90.0)      # deg
+    longitude: float = ranged(ge=-180.0, le=180.0)   # deg east
+    utc_offset: float = ranged(ge=-12.0, le=12.0)    # hours: a reference meridian within ±180
 
-    def __post_init__(self):
-        if not -90.0 <= self.latitude <= 90.0:
-            raise ValueError(f"latitude out of range: {self.latitude}")
-        if not -180.0 <= self.longitude <= 180.0:
-            raise ValueError(f"longitude out of range: {self.longitude}")
-        if not -180.0 <= self.reference_longitude <= 180.0:
-            raise ValueError(f"utc_offset {self.utc_offset} puts the reference longitude out of range")
+    __post_init__ = check_ranges
 
     @property
     def reference_longitude(self) -> float:
@@ -233,9 +232,9 @@ def load_climate(path: str | Path, columns: Optional[dict] = None) -> ClimateSer
     `columns` maps the logical names time/temperature/dni/dhi onto the
     file's header names. Units are fixed: degC and W m-2. The file must
     contain exactly one full year of strictly increasing hourly records;
-    gaps, duplicates and negative irradiance are rejected with the file's
-    name and the offending row: its index among the rows after the header,
-    blank rows included.
+    gaps, duplicates and a cell outside its `CLIMATE_RANGES` entry are
+    rejected with the file's name and the offending row: its index among
+    the rows after the header, blank rows included.
 
     A body of plain numbers that passes every check is read in one
     `np.loadtxt` call; any other body (timestamps, quoted cells, a cell
@@ -282,7 +281,9 @@ def _parse_plain(body: str, delimiter: str, usecols: list) -> Optional[np.ndarra
                               usecols=usecols, ndmin=2).T.copy()
     except ValueError:
         return None
-    if (year.shape[1] == HOURS_PER_YEAR and np.isfinite(year).all() and (year[2:] >= 0.0).all()
+    ranges = (CLIMATE_RANGES[name] for name in CLIMATE_COLUMNS[1:])
+    if (year.shape[1] == HOURS_PER_YEAR
+            and all(((low <= x) & (x <= high)).all() for x, (low, high) in zip(year[1:], ranges))
             and np.allclose(np.diff(year[0]), 1.0, rtol=0.0, atol=_STEP_TOLERANCE)):
         return year
     return None
@@ -304,13 +305,13 @@ def _read_rows(body: str, delimiter: str, usecols: list) -> tuple:
             dhi = float(row[dhi_col])
         except (ValueError, IndexError) as exc:
             raise ClimateError(f"bad record at row {row_no}: {exc}") from None
-        if dni < 0.0:
-            raise ClimateError(f"negative DNI at row {row_no}")
-        if dhi < 0.0:
-            raise ClimateError(f"negative DHI at row {row_no}")
         for name, value in zip(CLIMATE_COLUMNS[1:], (temp, dni, dhi)):
-            if not math.isfinite(value):
-                raise ClimateError(f"{name}: non-finite value at row {row_no}")
+            low, high = CLIMATE_RANGES[name]
+            if not low <= value <= high:
+                what = (f"negative {name.upper()}" if low == 0.0 and value < 0.0
+                        else f"{name}: non-finite value" if not math.isfinite(value)
+                        else f"{name}: {value!r} outside [{low:g}, {high:g}]")
+                raise ClimateError(f"{what} at row {row_no}")
         rows.append(row_no)
         hours.append(t)
         temps.append(temp)

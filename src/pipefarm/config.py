@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -17,6 +16,7 @@ import yaml
 
 from .climate import CLIMATE_COLUMNS, SiteConfig
 from .crop import CropParams
+from .declared import FieldError, check_ranges, ranged
 from .economics import CostTable
 from .lighting import STRATEGIES, Strategy
 from .optics import LpGeometry
@@ -40,35 +40,26 @@ class SurrogateParams:
     re-enters the air sensibly and is therefore never subtracted.
     """
 
-    crop_storage_fraction: float = 0.02
-    crop_latent_fraction: float = 0.23
-    fm_water_l_per_kg: float = 0.95
+    crop_storage_fraction: float = ranged(0.02, ge=0.0, le=1.0)
+    crop_latent_fraction: float = ranged(0.23, ge=0.0, le=1.0)
+    fm_water_l_per_kg: float = ranged(0.95, ge=0.0)
 
     def __post_init__(self):
-        if not 0.0 <= self.crop_storage_fraction <= 1.0:
-            raise ConfigError("crop_storage_fraction must be in [0, 1]")
-        if not 0.0 <= self.crop_latent_fraction <= 1.0:
-            raise ConfigError("crop_latent_fraction must be in [0, 1]")
+        check_ranges(self)
         if self.crop_storage_fraction + self.crop_latent_fraction > 1.0:
-            raise ConfigError("crop storage + latent fractions exceed 1")
-        if self.fm_water_l_per_kg < 0.0:
-            raise ConfigError("fm_water_l_per_kg must be non-negative")
+            raise FieldError("crop_latent_fraction", f"must not exceed 1 - crop_storage_fraction "
+                             f"({1.0 - self.crop_storage_fraction!r}), "
+                             f"not {self.crop_latent_fraction!r}")
 
 
 @dataclass(frozen=True)
 class GlazingParams:
-    tau: float = 0.82
-    u_value: float = 3.75
-    wall_glazed_m2: float = 18.0
-    glazing_usd_per_m2: float = 0.0   # no published figure; PBT optional
+    tau: float = ranged(0.82, gt=0.0, le=1.0)
+    u_value: float = ranged(3.75, gt=0.0)
+    wall_glazed_m2: float = ranged(18.0, ge=0.0)
+    glazing_usd_per_m2: float = ranged(0.0)   # no published figure; PBT optional
 
-    def __post_init__(self):
-        if not 0.0 < self.tau <= 1.0:
-            raise ConfigError("tau must be in (0, 1]")
-        if self.u_value <= 0.0:
-            raise ConfigError("u_value must be positive")
-        if self.wall_glazed_m2 < 0.0:
-            raise ConfigError("wall_glazed_m2 must be non-negative")
+    __post_init__ = check_ranges
 
 
 # the envelope parts a chamber is built from; `effective_chamber` glazes the first two
@@ -77,15 +68,15 @@ SURFACE_NAMES = ("roof", "walls", "floor")
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    scenario: str = "Bench"
-    ppe: float = 2.5
+    scenario: str = ranged("Bench", choices=STRATEGIES)
+    ppe: float = ranged(2.5, gt=0.0)
     site: SiteConfig = field(default_factory=lambda: SiteConfig(25.0, 55.0, 4.0))
     climate_path: Optional[Path] = None
     climate_columns: Optional[dict] = None
     chamber: ChamberGeometry = field(default_factory=ChamberGeometry)
     lp_geometry: LpGeometry = field(default_factory=LpGeometry)
-    n_pipes: int = 750
-    lp_heat_area: str = "aperture"            # pipe heat-loss area: aperture | lateral
+    n_pipes: int = ranged(750, ge=0)
+    lp_heat_area: str = ranged("aperture", choices=("aperture", "lateral"))   # pipe heat-loss area
     crop: CropParams = field(default_factory=CropParams)
     lue_table_path: Optional[Path] = None
     costs: CostTable = field(default_factory=CostTable)
@@ -93,65 +84,38 @@ class ScenarioConfig:
     latent: LatentModel = field(default_factory=LatentModel)
     surrogates: SurrogateParams = field(default_factory=SurrogateParams)
     glazing: GlazingParams = field(default_factory=GlazingParams)
-    min_dim: float = 0.30                     # PWM floor, a fraction of nominal PPFD
-    ec_cap_ppfd: float = 400.0
-    setpoint_t: float = 24.0
-    setpoint_co2: float = 1400.0
-    setpoint_ppfd: float = 250.0
-    photoperiod: tuple[float, float] = (4.0, 20.0)
-    min_threshold_ppfd: float = 100.0
-    hour_center_offset: float = 0.5
+    min_dim: float = ranged(0.30, gt=0.0, lt=1.0)   # PWM floor, a fraction of nominal PPFD
+    ec_cap_ppfd: float = ranged(400.0, gt=0.0)
+    setpoint_t: float = ranged(24.0)
+    setpoint_co2: float = ranged(1400.0, gt=0.0)
+    setpoint_ppfd: float = ranged(250.0, gt=0.0)
+    photoperiod: tuple[float, float] = ranged((4.0, 20.0), ge=0.0, le=24.0)   # lights on, off
+    min_threshold_ppfd: float = ranged(100.0, ge=0.0)
+    hour_center_offset: float = ranged(0.5, ge=0.0, lt=1.0)
     table_path: Optional[Path] = None         # optical table file, read by piped runs
-    timestep_mode: str = "quasi_steady"       # quasi_steady | transient
-    transient_capacity_w: float = 20000.0
+    timestep_mode: str = ranged("quasi_steady", choices=("quasi_steady", "transient"))
+    transient_capacity_w: float = ranged(20000.0, gt=0.0)
 
     def __post_init__(self):
-        if self.scenario not in STRATEGIES:
-            raise ConfigError(f"unknown scenario {self.scenario!r}; "
-                              f"expected one of {tuple(STRATEGIES)}")
-        if self.ppe <= 0.0:
-            raise ConfigError("ppe must be positive")
-        if self.n_pipes < 0:
-            raise ConfigError(f"'lp.count' must be non-negative, not {self.n_pipes!r}")
-        if self.lp_heat_area not in ("aperture", "lateral"):
-            raise ConfigError("'lp.heat_area' must be 'aperture' or 'lateral'")
-        if self.timestep_mode not in ("quasi_steady", "transient"):
-            raise ConfigError("timestep_mode must be 'quasi_steady' or 'transient'")
-        if self.transient_capacity_w <= 0.0:
-            raise ConfigError("transient_capacity_w must be positive")
-        if not 0.0 < self.min_dim < 1.0:
-            raise ConfigError(f"'driver.min_dim' must be in (0, 1), not {self.min_dim!r}")
-        if not (math.isfinite(self.ec_cap_ppfd) and self.ec_cap_ppfd > 0.0):
-            raise ConfigError(f"'ec.cap_ppfd' must be positive and finite, "
-                              f"not {self.ec_cap_ppfd!r}")
-        if not self.setpoint_ppfd > 0.0:
-            raise ConfigError(f"'setpoints.ppfd' must be positive, not {self.setpoint_ppfd!r}")
-        if not self.setpoint_co2 > 0.0:
-            raise ConfigError(f"'setpoints.co2' must be positive, not {self.setpoint_co2!r}")
-        if self.crop.tier_area_m2 > self.chamber.floor_area_m2:   # gh_gains: occupancy <= 1
-            raise ConfigError(f"'crop.tier_area_m2' must not exceed 'chamber.floor_area_m2' "
-                              f"({self.chamber.floor_area_m2!r}), not {self.crop.tier_area_m2!r}")
-        if not self.min_threshold_ppfd >= 0.0:
-            raise ConfigError(f"'min_threshold_ppfd' must be non-negative, "
-                              f"not {self.min_threshold_ppfd!r}")
-        if not 0.0 <= self.hour_center_offset < 1.0:
-            raise ConfigError("hour_center_offset must be in [0, 1)")
         p = self.photoperiod
         if len(p) != 2:
-            raise ConfigError(f"'photoperiod' must be two hours, not {p}")
-        if not 0 <= p[0] < 24:
-            raise ConfigError(f"'photoperiod[0]' must be in [0, 24), not {p[0]!r}")
-        if not p[0] < p[1] <= 24:
-            raise ConfigError(f"'photoperiod[1]' must be in ({p[0]!r}, 24], not {p[1]!r}")
+            raise FieldError("photoperiod", f"must be two hours, not {p}")
+        check_ranges(self)
+        if not p[0] < p[1]:         # lights on at 24 leave no hour to switch them off
+            raise FieldError("photoperiod[1]" if p[0] < 24.0 else "photoperiod[0]",
+                             f"must switch the lights on before off, not {list(p)}")
+        if self.crop.tier_area_m2 > self.chamber.floor_area_m2:   # gh_gains: occupancy <= 1
+            raise FieldError("crop.tier_area_m2", f"must not exceed the chamber's floor area "
+                             f"({self.chamber.floor_area_m2!r}), not {self.crop.tier_area_m2!r}")
         columns = self.climate_columns
         if columns is not None and not isinstance(columns, dict):
-            raise ConfigError(f"'climate_columns' must be a mapping, not {columns!r}")
+            raise FieldError("climate_columns", f"must be a mapping, not {columns!r}")
         for name, header in (columns or {}).items():
             if name not in CLIMATE_COLUMNS:
                 raise ConfigError(f"unknown key 'climate_columns.{name}'")
             if not isinstance(header, str) or not header:
-                raise ConfigError(f"'climate_columns.{name}' must be a non-empty string, "
-                                  f"not {header!r}")
+                raise FieldError(f"climate_columns.{name}",
+                                 f"must be a non-empty string, not {header!r}")
 
     @property
     def strategy(self) -> Strategy:
@@ -204,17 +168,14 @@ class ScenarioConfig:
 @dataclass(frozen=True)
 class PriceGrid:
     """A compare file's price axes: USD per MWh of electricity and per tonne of CO2."""
-    electricity_usd_per_mwh: tuple[float, ...] = (100.0, 200.0, 350.0)
-    carbon_usd_per_t: tuple[float, ...] = (0.0, 50.0, 100.0)
+    electricity_usd_per_mwh: tuple[float, ...] = ranged((100.0, 200.0, 350.0), ge=0.0)
+    carbon_usd_per_t: tuple[float, ...] = ranged((0.0, 50.0, 100.0), ge=0.0)
 
     def __post_init__(self):
         for f in fields(self):
-            prices = getattr(self, f.name)
-            if not prices:
-                raise ConfigError(f"{f.name} must be a non-empty list of prices")
-            for i, price in enumerate(prices):
-                if price < 0.0:
-                    raise ConfigError(f"{f.name}[{i}] must be non-negative, not {price!r}")
+            if not getattr(self, f.name):
+                raise FieldError(f.name, "must be a non-empty list of prices")
+        check_ranges(self)
 
 
 @dataclass(frozen=True)
@@ -222,17 +183,16 @@ class CompareSet:
     """A compare file: the scenario configs tabulated side by side, and the
     price grid and payback target that each non-Bench one is swept over."""
     scenarios: tuple[Path, ...] = ()
-    target_pbt_years: float = 10.0
+    target_pbt_years: float = ranged(10.0, gt=0.0)
     grid: PriceGrid = PriceGrid()               # frozen, so one shared default
 
     def __post_init__(self):
         if not self.scenarios:
-            raise ConfigError("'scenarios' must be a non-empty list of config paths")
+            raise FieldError("scenarios", "must be a non-empty list of config paths")
         for i, p in enumerate(self.scenarios):
             if not isinstance(p, Path):
-                raise ConfigError(f"'scenarios[{i}]' must be a config path, not {p!r}")
-        if not self.target_pbt_years > 0.0:
-            raise ConfigError(f"'target_pbt_years' must be positive, not {self.target_pbt_years!r}")
+                raise FieldError(f"scenarios[{i}]", f"must be a config path, not {p!r}")
+        check_ranges(self)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -301,27 +261,28 @@ _RENAMED = {
 _SECTIONS = {"site": "site", "chamber": "chamber", "lp": "lp_geometry", "crop": "crop",
              "costs": "costs", "hvac": "cop", "latent": "latent",
              "surrogates": "surrogates", "gh": "glazing"}
+_DEFAULT = ScenarioConfig()     # frozen, so one default that every load replaces into
 # top-level keys are the fields neither table targets: `n_pipes` is no key
 _TOP_LEVEL = ({f.name for f in fields(ScenarioConfig)}
               - set(_RENAMED.values()) - set(_SECTIONS.values()))
 _GROUPS = set(_SECTIONS) | {k.split(".")[0] for k in _RENAMED if "." in k}   # mappings
+# the YAML key or section of each ScenarioConfig field those two tables name
+_KEYS = {name: key for key, name in (_RENAMED | _SECTIONS).items()}
 # path keys, resolved by the loader against the directory of the file that sets them
 _PATHS = {"climate", "crop.lue_table", "optics.table", "scenarios"}
 
 
 def _number(key: str, default, value):
     """`value` as the type of the numeric `default`; a boolean, a string (a
-    quoted number too), a non-number, NaN, ±inf or a fractional value for
-    an integer key is an error naming it."""
+    quoted number too), a non-number or a non-integer for an integer key is
+    an error naming it. The field's declared range then refuses NaN and ±inf."""
     try:
-        if isinstance(value, (bool, str)):
-            raise ValueError
-        fractional = isinstance(default, int) and not float(value).is_integer()
-        if fractional or not math.isfinite(float(value)):
+        if isinstance(value, (bool, str)) or (
+                isinstance(default, int) and not float(value).is_integer()):
             raise ValueError
         return type(default)(value)
     except (TypeError, ValueError):
-        kind = "an integer" if isinstance(default, int) else "a finite number"
+        kind = "an integer" if isinstance(default, int) else "a number"
         raise ConfigError(f"{key!r} must be {kind}, not {value!r}") from None
 
 
@@ -350,8 +311,8 @@ def _build(obj, keys: dict, section: Optional[str] = None):
     of the field's default; a string or path field takes only a string (or
     null), and a section's mapping builds its object key by key.
 
-    A failed check of a `section` object is raised under the YAML key of
-    the field (or entry) its message starts with, else under the section."""
+    A refused field is named by the YAML key that set it: the `section`'s
+    key and the field's name, or at the top level the field's own key."""
     names = {f.name for f in fields(obj)}
     changes = {}
     for name, (key, value) in keys.items():
@@ -376,12 +337,10 @@ def _build(obj, keys: dict, section: Optional[str] = None):
         changes[name] = value
     try:
         return obj(**changes) if isinstance(obj, type) else replace(obj, **changes)
-    except ValueError as exc:
-        if section is None:
-            raise
-        name = str(exc).split(" ", 1)[0]
-        key = f"{section}.{name}" if name.split("[")[0] in names else section
-        raise ConfigError(f"{key!r}: {exc}") from None
+    except FieldError as exc:
+        name = exc.field.split(".")[0].split("[")[0]
+        key = f"{section}.{name}" if section else _KEYS.get(name, name)
+        raise ConfigError(f"{key + exc.field[len(name):]!r} {exc.problem}") from None
 
 
 def resolve_config_dict(data: dict) -> ScenarioConfig:
@@ -392,7 +351,6 @@ def resolve_config_dict(data: dict) -> ScenarioConfig:
     an error. Paths are taken as given: the loader has resolved each
     relative one against the directory of the file that sets it.
     """
-    default = ScenarioConfig()
     top: dict = {}
     try:
         for key, value in data.items():
@@ -413,7 +371,7 @@ def resolve_config_dict(data: dict) -> ScenarioConfig:
                         top.setdefault(_SECTIONS[key], (key, {}))[1][sub] = v
                     else:
                         raise ConfigError(f"unknown key {dotted!r}")
-        return _build(default, top)
+        return _build(_DEFAULT, top)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .declared import FieldError, check_ranges, ranged
 from .optics import stray_lines
 
 __all__ = [
@@ -35,27 +36,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CropParams:
-    extinction_k: float = 0.9            # canopy light extinction (config, not published)
-    plant_density: float = 25.0          # plants m-2
-    target_fresh_g: float = 250.0        # g per plant at harvest
-    tier_area_m2: float = 30.0
-    sla_m2_per_g_dm: float = 0.02        # leaf area per g dry matter
-    lai_cap: float = 6.0
-    dm_fraction: float = 0.05            # dry share of fresh growth
-    transplant_dm_g_m2: float = 2.0
-    stagger_days: float = 0.0            # tier-to-tier harvest offset
+    extinction_k: float = ranged(0.9, gt=0.0)            # canopy light extinction (not published)
+    plant_density: float = ranged(25.0, gt=0.0)          # plants m-2
+    target_fresh_g: float = ranged(250.0, gt=0.0)        # g per plant at harvest
+    tier_area_m2: float = ranged(30.0, gt=0.0)
+    sla_m2_per_g_dm: float = ranged(0.02, gt=0.0)        # leaf area per g dry matter
+    lai_cap: float = ranged(6.0, gt=0.0)
+    dm_fraction: float = ranged(0.05, gt=0.0)            # dry share of fresh growth
+    transplant_dm_g_m2: float = ranged(2.0, gt=0.0)
+    stagger_days: float = ranged(0.0, ge=0.0, le=365.0)  # tier-to-tier harvest offset
 
     def __post_init__(self):
-        for name in ("extinction_k", "plant_density", "target_fresh_g", "tier_area_m2",
-                     "sla_m2_per_g_dm", "lai_cap", "dm_fraction", "transplant_dm_g_m2"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 <= self.stagger_days <= 365.0:
-            raise ValueError(f"stagger_days must be in [0, 365] days, not {self.stagger_days!r}")
+        check_ranges(self)
         # a transplant already at the target would be harvested every hour
         transplant_g = self.transplant_dm_g_m2 / self.dm_fraction / self.plant_density
         if transplant_g >= self.target_fresh_g:
-            raise ValueError(f"target_fresh_g must exceed the transplant's "
+            raise FieldError("target_fresh_g", f"must exceed the transplant's "
                              f"{transplant_g:g} g per plant")
 
     @property

@@ -10,9 +10,10 @@ delta from yield changes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .declared import annual, check_ranges, ranged
 from .lighting import EC_FILM, STRATEGIES, Strategy
 from .optics import PAR_UMOL_PER_J
 
@@ -28,30 +29,23 @@ FIBER_USD, FIBER_LUMENS = 3264.0, 9200.0   # the optical-fiber reference system
 
 @dataclass(frozen=True)
 class CostTable:
-    led_usd_per_ft2: float = 35.0        # installed cost for low-light crops
-    reference_ppfd: float = 250.0        # design PPFD behind the $/W conversion
-    lp_unit_usd: float = 210.0           # bare light pipe
-    lp_aux_usd: float = 90.0             # mirror, gears, motors
-    ir_filter_usd: float = 104.0         # per pipe
-    ec_film_usd: float = 100.0           # per pipe
-    hvac_usd_per_w: float = 0.65         # per watt of installed capacity
-    lettuce_usd_per_kg: float = 7.82
-    electricity_usd_per_mwh: float = 150.0
-    carbon_usd_per_t: float = 0.0
-    grid_t_co2_per_mwh: float = 0.40
+    led_usd_per_ft2: float = ranged(35.0, ge=0.0)           # installed cost for low-light crops
+    reference_ppfd: float = ranged(250.0, ge=0.0)           # design PPFD behind the $/W conversion
+    lp_unit_usd: float = ranged(210.0, ge=0.0)              # bare light pipe
+    lp_aux_usd: float = ranged(90.0, ge=0.0)                # mirror, gears, motors
+    ir_filter_usd: float = ranged(104.0, ge=0.0)            # per pipe
+    ec_film_usd: float = ranged(100.0, ge=0.0)              # per pipe
+    hvac_usd_per_w: float = ranged(0.65, ge=0.0)            # per watt of installed capacity
+    lettuce_usd_per_kg: float = ranged(7.82, ge=0.0)
+    electricity_usd_per_mwh: float = ranged(150.0, ge=0.0)
+    carbon_usd_per_t: float = ranged(0.0, ge=0.0)
+    grid_t_co2_per_mwh: float = ranged(0.40, ge=0.0)
 
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+    __post_init__ = check_ranges
 
     @property
     def lp_total_usd(self) -> float:
         return self.lp_unit_usd + self.lp_aux_usd
-
-
-def _annual(unit: str, meaning: str):
-    return field(metadata={"unit": unit, "meaning": meaning})
 
 
 @dataclass(frozen=True)
@@ -66,31 +60,31 @@ class KpiReport:
     positive is None rather than faked: all four at zero yield.
     """
 
-    yield_kg: float = _annual("kg", "fresh yield: harvests plus the standing crop's growth")
-    yield_harvested_kg: float = _annual("kg", "fresh mass harvested")
-    cycles: int = _annual("count", "harvests over all tiers")
-    mean_dli_per_tier: tuple = _annual("mol m-2 d-1", "mean daily light integral of each tier")
-    electricity_mwh: float = _annual("MWh", "electricity: LEDs plus HVAC")
-    led_electricity_mwh: float = _annual("MWh", "LED electricity of all tiers")
-    led_tier12_mwh: float = _annual("MWh", "LED electricity of tiers 1 and 2")
-    led_tier3_mwh: float = _annual("MWh", "LED electricity of tier 3")
-    hvac_electricity_mwh: float = _annual("MWh", "HVAC electricity, latent duty included")
-    harvested_daylight_mwh: float = _annual("MWh", "solar energy entering the chamber")
-    cooling_thermal_mwh: float = _annual("MWh", "sensible cooling delivered")
-    heating_thermal_mwh: float = _annual("MWh", "heating delivered")
-    coil_latent_mwh: float = _annual("MWh", "latent load the cooling coil condenses")
-    summer_cooling_el_mwh: float = _annual("MWh", "cooling electricity, June to August")
-    winter_cooling_el_mwh: float = _annual("MWh", "cooling electricity, December to February")
-    peak_coil_w: float = _annual("W", "largest hourly coil load, sensible plus latent")
-    peak_heat_w: float = _annual("W", "largest hourly heating load")
-    max_relative_residual: float = _annual("1", "largest hourly air-node balance residual")
-    transpired_kg: float = _annual("kg", "water the crop transpires")
-    condensate_recovered_l: float = _annual("L", "condensate the coil recovers")
-    net_water_l: float = _annual("L", "water in fresh growth plus unrecovered transpiration")
-    seec_kwh_per_kg: Optional[float] = _annual("kWh kg-1", "electricity per kg of yield")
-    sec_kwh_per_kg: Optional[float] = _annual("kWh kg-1", "electricity plus daylight per kg")
-    total_lighting_kwh_per_kg: Optional[float] = _annual("kWh kg-1", "LEDs plus daylight per kg")
-    wue_g_per_l: Optional[float] = _annual("g L-1", "yield per litre of net water")
+    yield_kg: float = annual("kg", "fresh yield: harvests plus the standing crop's growth")
+    yield_harvested_kg: float = annual("kg", "fresh mass harvested")
+    cycles: int = annual("count", "harvests over all tiers")
+    mean_dli_per_tier: tuple = annual("mol m-2 d-1", "mean daily light integral of each tier")
+    electricity_mwh: float = annual("MWh", "electricity: LEDs plus HVAC")
+    led_electricity_mwh: float = annual("MWh", "LED electricity of all tiers")
+    led_tier12_mwh: float = annual("MWh", "LED electricity of tiers 1 and 2")
+    led_tier3_mwh: float = annual("MWh", "LED electricity of tier 3")
+    hvac_electricity_mwh: float = annual("MWh", "HVAC electricity, latent duty included")
+    harvested_daylight_mwh: float = annual("MWh", "solar energy entering the chamber")
+    cooling_thermal_mwh: float = annual("MWh", "sensible cooling delivered")
+    heating_thermal_mwh: float = annual("MWh", "heating delivered")
+    coil_latent_mwh: float = annual("MWh", "latent load the cooling coil condenses")
+    summer_cooling_el_mwh: float = annual("MWh", "cooling electricity, June to August")
+    winter_cooling_el_mwh: float = annual("MWh", "cooling electricity, December to February")
+    peak_coil_w: float = annual("W", "largest hourly coil load, sensible plus latent")
+    peak_heat_w: float = annual("W", "largest hourly heating load")
+    max_relative_residual: float = annual("1", "largest hourly air-node balance residual")
+    transpired_kg: float = annual("kg", "water the crop transpires")
+    condensate_recovered_l: float = annual("L", "condensate the coil recovers")
+    net_water_l: float = annual("L", "water in fresh growth plus unrecovered transpiration")
+    seec_kwh_per_kg: Optional[float] = annual("kWh kg-1", "electricity per kg of yield")
+    sec_kwh_per_kg: Optional[float] = annual("kWh kg-1", "electricity plus daylight per kg")
+    total_lighting_kwh_per_kg: Optional[float] = annual("kWh kg-1", "LEDs plus daylight per kg")
+    wue_g_per_l: Optional[float] = annual("g L-1", "yield per litre of net water")
 
 
 def compute_kpis(**annual) -> KpiReport:

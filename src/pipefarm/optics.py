@@ -20,6 +20,8 @@ from typing import Optional
 
 import numpy as np
 
+from .declared import check_ranges, ranged
+
 SOLAR_UMOL_PER_J = 2.247   # full solar spectrum -> photons
 PAR_UMOL_PER_J = 4.56      # 400-700 nm band -> photons
 PAR_FRACTION = SOLAR_UMOL_PER_J / PAR_UMOL_PER_J  # PAR share of solar power
@@ -61,30 +63,18 @@ class LpGeometry:
     radius, hinged through its centre on the aperture plane.
     """
 
-    diameter_mm: float = 150.0
-    length_mm: float = 1000.0
-    dome_transmittance: float = 0.91
-    wall_reflectance: float = 0.90
-    mirror_reflectance: float = 0.90
-    diffuser_apex_angle_deg: float = 152.0
-    diffuser_refractive_index: float = 1.49
-    diffuser_throughput: float = 0.89            # bulk Fresnel/absorption factor
-    canopy_distance_m: float = 0.5
-    target_zone_m: float = 0.20
+    diameter_mm: float = ranged(150.0, gt=0.0)
+    length_mm: float = ranged(1000.0, gt=0.0)
+    dome_transmittance: float = ranged(0.91, gt=0.0, le=1.0)
+    wall_reflectance: float = ranged(0.90, gt=0.0, le=1.0)
+    mirror_reflectance: float = ranged(0.90, gt=0.0, le=1.0)
+    diffuser_apex_angle_deg: float = ranged(152.0, gt=0.0, lt=180.0)
+    diffuser_refractive_index: float = ranged(1.49, gt=1.0)
+    diffuser_throughput: float = ranged(0.89, gt=0.0, le=1.0)    # bulk Fresnel/absorption factor
+    canopy_distance_m: float = ranged(0.5, gt=0.0)
+    target_zone_m: float = ranged(0.20, gt=0.0)
 
-    def __post_init__(self):
-        for name in ("diameter_mm", "length_mm", "canopy_distance_m", "target_zone_m"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("dome_transmittance", "wall_reflectance", "mirror_reflectance",
-                     "diffuser_throughput"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1]")
-        if not 0.0 < self.diffuser_apex_angle_deg < 180.0:
-            raise ValueError("diffuser_apex_angle_deg must be in (0, 180) deg")
-        if self.diffuser_refractive_index <= 1.0:
-            raise ValueError("diffuser_refractive_index must exceed 1")
+    __post_init__ = check_ranges
 
     @property
     def radius_m(self) -> float:
@@ -170,12 +160,6 @@ class FluxMap:
         """Cell-centre coordinates (m) along either axis of the square grid."""
         n = self.cells.shape[0]
         return (np.arange(n) + 0.5) * self.pitch_m - self.extent_m / 2.0
-
-    def zone_integral(self, half_width_m: float) -> float:
-        """Fraction of incident power landing within the centred square zone."""
-        inside = np.abs(self.centers()) <= half_width_m + 1e-12
-        area = self.pitch_m ** 2
-        return float(self.cells[np.ix_(inside, inside)].sum() * area)
 
     def csv_columns(self) -> tuple[list, list]:
         """Header and columns of the delimited grid (write with

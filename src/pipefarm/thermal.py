@@ -17,6 +17,8 @@ from functools import reduce
 
 import numpy as np
 
+from .declared import FieldError, check_ranges, ranged
+
 __all__ = [
     "Surface",
     "ChamberGeometry",
@@ -43,21 +45,19 @@ AIR_CP = 1006.0                # J kg-1 K-1
 @dataclass(frozen=True)
 class Surface:
     name: str
-    area_m2: float
-    u_value: float             # W m-2 K-1
+    area_m2: float = ranged(gt=0.0)
+    u_value: float = ranged(gt=0.0)    # W m-2 K-1
 
     def __post_init__(self):
         if not self.name:
-            raise ValueError(f"name must be a non-empty string, not {self.name!r}")
-        for name in ("area_m2", "u_value"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} of surface {self.name!r} must be positive")
+            raise FieldError("name", f"must be a non-empty string, not {self.name!r}")
+        check_ranges(self)
 
 
 @dataclass(frozen=True)
 class ChamberGeometry:
-    floor_area_m2: float = 49.0
-    height_m: float = 3.0
+    floor_area_m2: float = ranged(49.0, gt=0.0)
+    height_m: float = ranged(3.0, gt=0.0)
     surfaces: tuple[Surface, ...] = (
         Surface("roof", 49.0, 0.175),
         Surface("walls", 84.0, 0.175),
@@ -65,12 +65,10 @@ class ChamberGeometry:
     )
 
     def __post_init__(self):
-        for name in ("floor_area_m2", "height_m"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        check_ranges(self)
         for i, s in enumerate(self.surfaces):     # one entry per part: none counts twice
             if s.name in (t.name for t in self.surfaces[:i]):
-                raise ValueError(f"surfaces[{i}] repeats the surface name {s.name!r}")
+                raise FieldError(f"surfaces[{i}]", f"repeats the surface name {s.name!r}")
 
     @property
     def thermal_capacity_j_per_k(self) -> float:
@@ -216,25 +214,14 @@ class CopModel:
     fixed supply temperature and the evaporator tracking ambient.
     """
 
-    eta_second_law: float = 0.45
-    t_evap_c: float = 7.0
-    approach_k: float = 10.0
-    heat_supply_c: float = 45.0
-    heat_approach_k: float = 5.0
-    cop_max: float = 8.0
+    eta_second_law: float = ranged(0.45, gt=0.0, le=1.0)
+    t_evap_c: float = ranged(7.0)
+    approach_k: float = ranged(10.0, gt=0.0)     # a condenser above the evaporator
+    heat_supply_c: float = ranged(45.0, gt=-KELVIN)
+    heat_approach_k: float = ranged(5.0, ge=0.0)
+    cop_max: float = ranged(8.0, ge=COP_MIN)
 
-    def __post_init__(self):
-        if not 0.0 < self.eta_second_law <= 1.0:
-            raise ValueError("eta_second_law must be in (0, 1]")
-        if self.cop_max < COP_MIN:
-            raise ValueError(f"cop_max is below the COP floor {COP_MIN}")
-        # condenser at or below the evaporator is rejected at config time
-        if self.approach_k <= 0.0:
-            raise ValueError("approach_k must be positive")
-        if self.heat_approach_k < 0.0:
-            raise ValueError("heat_approach_k must be non-negative")
-        if self.heat_supply_c + KELVIN <= 0.0:
-            raise ValueError("heat_supply_c is below absolute zero")
+    __post_init__ = check_ranges
 
     def cop_cooling(self, t_ext_c: float) -> float:
         t_evap = self.t_evap_c + KELVIN
@@ -277,11 +264,9 @@ class LatentModel:
     separate AHU or humidifier load is modelled.
     """
 
-    condensate_recovery: float = 0.95
+    condensate_recovery: float = ranged(0.95, ge=0.0, le=1.0)
 
-    def __post_init__(self):
-        if not 0.0 <= self.condensate_recovery <= 1.0:
-            raise ValueError("condensate_recovery must be in [0, 1]")
+    __post_init__ = check_ranges
 
 
 def latent_balance(transpiration_kg_per_s: float, model: LatentModel, dt_s: float = 3600.0

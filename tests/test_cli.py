@@ -180,6 +180,23 @@ class TestDispatch:
                    "--out", str(work_tree / "o")])
         assert rc == 4
 
+    def test_a_climate_cell_beyond_its_range_exits_4_naming_the_row(self, work_tree, capsys):
+        # a finite 1e30 ran to exit 0 with electricity_mwh 2.3e25
+        path = work_tree / "data" / "dubai_hourly_synthetic.csv"
+        header, *rows = path.read_text().splitlines()
+        for row, column in ((3000, "temperature"), (4000, "dni")):
+            cells = rows[row].split(",")
+            cells[header.split(",").index(column)] = "1e30"
+            rows[row] = ",".join(cells)
+        path.write_text("\n".join([header] + rows) + "\n")
+        rc = main(["simulate", "--config", str(work_tree / "configs" / "lp_dim.yaml"),
+                   "--out", str(work_tree / "o")])
+        assert rc == 4
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert "climate file dubai_hourly_synthetic.csv: temperature: 1e+30 outside " \
+               "[-90, 60] at row 3000" in detail
+        assert not (work_tree / "o").exists()
+
 
 class TestSunpath:
     def test_table_contains_declination_extremes(self, work_tree, capsys):

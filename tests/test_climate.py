@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from pipefarm import climate as climate_module
-from pipefarm.climate import (CLIMATE_COLUMNS, ClimateError, SiteConfig, _resolve_azimuth,
-                              declination, equation_of_time, incidence_cosine, load_climate,
-                              solar_position, sunpath_table, synthetic_dubai_year)
+from pipefarm.climate import (CLIMATE_COLUMNS, CLIMATE_RANGES, ClimateError, SiteConfig,
+                              _resolve_azimuth, declination, equation_of_time, incidence_cosine,
+                              load_climate, solar_position, sunpath_table, synthetic_dubai_year)
 from pipefarm.config import ScenarioConfig
 from pipefarm.engine import solar_angles
 
@@ -255,6 +255,33 @@ class TestLoadClimate:
         _write_year(p, rows)
         with pytest.raises(ClimateError, match=f"^climate file steps.csv: {re.escape(match)}$"):
             load_climate(p)
+
+    @pytest.mark.parametrize("column, end", [(c, e) for c in CLIMATE_RANGES for e in (0, 1)])
+    def test_a_cell_beyond_its_range_names_its_row(self, column, end, tmp_path, monkeypatch):
+        """Just beyond either end of a cell's declared range, the plain read
+        turns the year down and the row reader names the row; at the end
+        itself, the year loads in one call."""
+        bound = CLIMATE_RANGES[column][end]
+        k = CLIMATE_COLUMNS.index(column)
+        plain, took = climate_module._parse_plain, []
+
+        def spy(*args):
+            took.append(plain(*args))
+            return took[-1]
+
+        monkeypatch.setattr(climate_module, "_parse_plain", spy)
+        for value in (bound, math.nextafter(bound, (-math.inf, math.inf)[end])):
+            rows = _default_rows()
+            rows[100] = rows[100][:k] + (value,) + rows[100][k + 1:]
+            p = tmp_path / "edge.csv"
+            _write_year(p, rows)
+            if value == bound:
+                assert getattr(load_climate(p), column)[100] == bound
+                assert took[-1] is not None
+            else:
+                with pytest.raises(ClimateError, match="at row 100$"):
+                    load_climate(p)
+                assert took[-1] is None
 
     def test_incomplete_year(self, tmp_path):
         p = tmp_path / "short.csv"

@@ -1,10 +1,14 @@
 import dataclasses
+import json
+import math
+import re
 from pathlib import Path
 
 import pytest
 import yaml
 
 from pipefarm import config
+from pipefarm.cli import main
 from pipefarm.config import CompareSet, ConfigError, PriceGrid, load_scenario_config, \
     load_set
 from pipefarm.lighting import STRATEGIES
@@ -217,7 +221,7 @@ def test_config_loader_reads_the_shipped_files_as_pyyaml_does(repo_paths):
 class TestValidation:
     def test_unknown_scenario(self, tmp_path):
         (tmp_path / "bad.yaml").write_text("scenario: LP_Warp\n")
-        with pytest.raises(ConfigError, match="unknown scenario"):
+        with pytest.raises(ConfigError, match=r"'scenario' must be in \{'Bench', .*'LP_Warp'"):
             load_scenario_config(tmp_path / "bad.yaml")
 
     def test_bad_photoperiod(self, tmp_path):
@@ -465,3 +469,132 @@ def test_settable_keys_are_frozen():
         keys |= {f"{section}.{f.name}" for f in dataclasses.fields(getattr(default, name))}
     assert sorted(keys) == SETTABLE_KEYS
     assert len(SETTABLE_KEYS) == 68
+
+
+def settable_fields() -> dict:
+    """Each settable key's default and dataclass field, whose metadata
+    declares the key's valid range."""
+    default, keys = config.ScenarioConfig(), {}
+    for f in dataclasses.fields(config.ScenarioConfig):
+        key = config._KEYS.get(f.name, f.name)
+        if key in config._SECTIONS:
+            section = getattr(default, f.name)
+            keys |= {f"{key}.{g.name}": (getattr(section, g.name), g)
+                     for g in dataclasses.fields(section)}
+        else:
+            keys[key] = (getattr(default, f.name), f)
+    return keys
+
+
+SETTABLE = settable_fields()
+CHOICE_KEYS = {"lp.heat_area", "scenario", "timestep_mode"}
+UNBOUNDED_KEYS = {"gh.glazing_usd_per_m2", "hvac.t_evap_c", "setpoints.temperature"}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def test_every_numeric_key_declares_its_range():
+    """Every numeric key (a list of numbers too) and every choice key
+    declares its range; the unbounded ones say so, and each default lies
+    in its range."""
+    assert sorted(SETTABLE) == SETTABLE_KEYS
+    numeric = {k for k, (v, _) in SETTABLE.items()
+               if _is_number(v) or isinstance(v, tuple) and all(map(_is_number, v))}
+    assert len(numeric) == 60
+    ranges = {k: f.metadata["range"] for k, (_, f) in SETTABLE.items() if "range" in f.metadata}
+    assert set(ranges) == numeric | CHOICE_KEYS
+    assert {k for k in ranges if ranges[k].choices} == CHOICE_KEYS
+    assert {k for k in numeric if str(ranges[k]) == "(-inf, inf)"} == UNBOUNDED_KEYS
+    for key, rng in ranges.items():
+        default = SETTABLE[key][0]
+        assert all(map(rng.admits, default if isinstance(default, tuple) else (default,))), key
+
+
+def test_readme_key_table_matches_the_declarations(repo_paths):
+    """README's configuration table lists every settable key once, and each
+    declared key with its default and its range (a note after '; ' names
+    a check across keys)."""
+    text = (repo_paths["repo"] / "README.md").read_text()
+    section = text.split("\n### Configuration\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `([\w.]+)` \| ([^|]+) \| ([^|]+) \|$", section, re.M)
+    assert sorted(key for key, _, _ in rows) == SETTABLE_KEYS
+    for key, default, valid in rows:
+        value, f = SETTABLE[key]
+        if "range" in f.metadata:
+            shown = str(list(value)) if isinstance(value, tuple) else str(value)
+            assert (default, valid.split("; ")[0]) == (shown, str(f.metadata["range"])), key
+
+
+SURFACE = {"name": "roof", "area_m2": 49.0, "u_value": 0.175}
+# fields outside the scenario keys' sections: a surface entry's, and a compare file's
+ENTRY_FIELDS = {f"chamber.surfaces[0].{f.name}": (SURFACE[f.name], f)
+                for f in dataclasses.fields(config.Surface)}
+STUDY_FIELDS = {"target_pbt_years": (10.0, CompareSet.__dataclass_fields__["target_pbt_years"]),
+                **{f"grid.{f.name}": (f.default, f) for f in dataclasses.fields(PriceGrid)}}
+# a closed end that a check across keys refuses, with the key that check names
+ACROSS = {("photoperiod[0]", 24.0): "photoperiod[0]",       # no later hour to switch off
+          ("photoperiod[1]", 0.0): "photoperiod[1]",
+          ("surrogates.crop_latent_fraction", 1.0): "surrogates.crop_latent_fraction",
+          ("surrogates.crop_storage_fraction", 1.0): "surrogates.crop_latent_fraction"}
+
+
+def _ends():
+    """(key, bound, closed, side, integer) of each finite end of each
+    declared range, a list's key by its first two entries."""
+    out = []
+    for key, (default, f) in {**SETTABLE, **ENTRY_FIELDS, **STUDY_FIELDS}.items():
+        rng = f.metadata.get("range")
+        if rng is None or rng.choices:
+            continue
+        names = ([f"{key}[{i}]" for i in range(min(len(default), 2))]
+                 if isinstance(default, tuple) else [key])
+        for name in names:
+            for bound, is_open, side in ((rng.low, rng.low_open, -1),
+                                         (rng.high, rng.high_open, 1)):
+                if math.isfinite(bound):
+                    out.append(pytest.param(name, bound, not is_open, side,
+                                            isinstance(default, int),
+                                            id=f"{name}{'>' if side > 0 else '<'}{bound:g}"))
+    return out
+
+
+def _setting(key: str, value) -> dict:
+    """The YAML mapping that sets `key` (an entry as 'photoperiod[1]' or
+    'chamber.surfaces[0].area_m2') to `value`, the rest of its list at its
+    default."""
+    head, i, leaf = re.fullmatch(r"([\w.]+)(?:\[(\d)\](?:\.(\w+))?)?", key).groups()
+    if leaf:
+        value = [{**SURFACE, leaf: value}]
+    elif i:
+        entries = list({**SETTABLE, **STUDY_FIELDS}[head][0])
+        entries[int(i)] = value
+        value = entries
+    for part in reversed(head.split(".")):
+        value = {part: value}
+    return value
+
+
+@pytest.mark.parametrize("key, bound, closed, side, integer", _ends())
+def test_a_value_beyond_a_declared_end_exits_3_naming_the_key(tmp_path, capsys, key, bound,
+                                                              closed, side, integer):
+    """Just beyond an end (math.nextafter, or one past for an integer key)
+    exits 3 naming the key; a closed end itself loads, unless a check
+    across keys refuses it (ACROSS names the key it refuses)."""
+    study = key.split("[")[0] in STUDY_FIELDS
+    command, head = (("compare", {"scenarios": ["bench.yaml"]}) if study
+                     else ("sunpath", {"scenario": "Bench"}))
+    beyond = bound + side if integer else math.nextafter(bound, side * math.inf)
+    for value, refused in ((beyond, key),
+                           (bound, ACROSS.get((key, bound), None if closed else key))):
+        body = {**head, **_setting(key, value)}
+        path = tmp_path / "edge.yaml"
+        path.write_text(yaml.safe_dump(body))
+        assert yaml.safe_load(path.read_text()) == body          # the exact value
+        if refused is None:
+            load_set(path, CompareSet) if study else load_scenario_config(path)
+            continue
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert detail.startswith(f"{path}: {refused!r} "), detail

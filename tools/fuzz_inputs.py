@@ -25,7 +25,11 @@ set in the file itself to one of the same values, and the file run by
   climate row (numbered among the rows after the header, from 0): a
   swapped or duplicated row or the one after it, the row after a blanked
   one, where the gap shows;
-- a non-finite value never exits 0.
+- a non-finite value never exits 0;
+- a key mutant that exits 0 holds a value inside the range declared on
+  the key's dataclass field (`declared.ranged`; a list's entries by the
+  list's field), and a climate mutant that exits 0 holds a cell inside
+  `climate.CLIMATE_RANGES`.
 
 The outcomes, sorted, go to one JSON file with the seed, the count, the
 exit codes and every failed check.
@@ -56,7 +60,7 @@ import yaml
 
 from pipefarm import config
 from pipefarm.cli import main
-from pipefarm.climate import CLIMATE_COLUMNS
+from pipefarm.climate import CLIMATE_COLUMNS, CLIMATE_RANGES
 from pipefarm.crop import LUE_COLUMNS
 from pipefarm.engine import write_json
 from pipefarm.optics import _ROW_CELLS as READ_CELLS    # the cells the table reader reads
@@ -115,6 +119,49 @@ def settable() -> list[tuple[str, tuple]]:
         out += ([(name, path + sub) for name, sub in leaves(COMPOSITE[path], key)]
                 if path in COMPOSITE else [(key, path)])
     return out
+
+
+def declared_ranges() -> dict:
+    """The `Range` declared on the field each mutated key sets, by the key
+    without its list indices ('photoperiod', 'chamber.surfaces.area_m2',
+    'grid.carbon_usd_per_t'), and whether the field is a list."""
+    def named(obj, prefix=""):
+        return {prefix + f.name: f for f in dataclasses.fields(obj)}
+    top = named(config.ScenarioConfig)
+    found = {key: top[config._RENAMED.get(key, key)]
+             for key in set(config._RENAMED) | config._TOP_LEVEL}
+    for section, name in config._SECTIONS.items():
+        found |= named(getattr(DEFAULT, name), f"{section}.")
+    found |= (named(config.Surface, "chamber.surfaces.") | named(config.CompareSet)
+              | named(config.PriceGrid, "grid."))
+    return {key: (f.metadata["range"], isinstance(f.default, tuple))
+            for key, f in found.items() if "range" in f.metadata}
+
+
+RANGES = declared_ranges()
+
+
+def outside(value, rng, is_list: bool) -> bool:
+    """Whether `value` lies outside the declared `rng` (a list field's list
+    by its entries); a boolean lies outside every interval, and a
+    non-number outside every range."""
+    if is_list and isinstance(value, list):
+        return any(outside(v, rng, False) for v in value)
+    if isinstance(value, bool) and not rng.choices:
+        return True
+    try:
+        return not rng.admits(value)
+    except TypeError:
+        return True
+
+
+def cell_outside(text: str, column: str) -> bool:
+    """Whether a climate cell's text is no number in its column's range."""
+    low, high = CLIMATE_RANGES[column]
+    try:
+        return not low <= float(text) <= high
+    except ValueError:
+        return True
 
 
 def study_keys(name: str) -> list[tuple[str, tuple]]:
@@ -294,6 +341,14 @@ def run(mutant: dict, tree: Path) -> dict:
             problems.append(f"the refusal does not name {' or '.join(keys)}")
     if code == 0 and is_non_finite(mutant["value"]):
         problems.append("a non-finite value ran to exit 0")
+    declared = RANGES.get(re.sub(r"\[\d+\]", "", mutant["key"]))
+    if (code == 0 and mutant["target"] in ("yaml", "study") and declared is not None
+            and outside(mutant["value"], *declared)):
+        problems.append(f"a value outside the declared {declared[0]} ran to exit 0")
+    if (code == 0 and mutant["target"] == "climate" and mutant["column"]
+            and cell_outside(mutant["value"], mutant["column"])):
+        problems.append(f"a {mutant['column']} outside {CLIMATE_RANGES[mutant['column']]} "
+                        f"ran to exit 0")
     record["problems"] = problems
     return record
 
