@@ -28,13 +28,18 @@ FROZEN_PATH = Path(__file__).resolve().parent / "data" / "traced_exact.json"
 GEOM = LpGeometry()
 RAYS = 10_000
 SEED = 1
-# call name -> (altitude) for a direct call or (tilt, band) for a diffuse one
+# call name -> ((altitude,), kwargs) for a direct call or ((tilt, band), kwargs)
+# for a diffuse one; the kwargs reach the branches the defaults leave out
 CALLS = {
-    "direct@10": (10.0,),
-    "direct@45": (45.0,),
-    "direct@80": (80.0,),
-    "diffuse@50/10": (50.0, 10),
-    "diffuse@70/50": (70.0, 50),
+    "direct@10": ((10.0,), {}),
+    "direct@45": ((45.0,), {}),
+    "direct@80": ((80.0,), {}),
+    "diffuse@50/10": ((50.0, 10), {}),
+    "diffuse@70/50": ((70.0, 50), {}),
+    "direct@75/no-mirror": ((75.0,), {"use_mirror": False}),
+    "diffuse@none/30": ((None, 30), {}),
+    "direct@45/no-diffuser": ((45.0,), {"disable_diffuser": True}),
+    "diffuse@90/30/cap4": ((90.0, 30), {"bounce_cap": 4}),
 }
 FLUXMAP_CALL = "direct@45"
 
@@ -42,12 +47,12 @@ FLUXMAP_CALL = "direct@45"
 def snapshot(name: str) -> dict:
     """Efficiencies, standard errors and tallies of one call; floats keep
     their repr, so the JSON round trip is exact."""
-    args = CALLS[name]
+    args, kwargs = CALLS[name]
     if len(args) == 1:
         res = trace_direct(GEOM, *args, rays=RAYS, seed=SEED,
-                           collect_fluxmap=name == FLUXMAP_CALL)
+                           collect_fluxmap=name == FLUXMAP_CALL, **kwargs)
     else:
-        res = trace_diffuse_band(GEOM, *args, rays=RAYS, seed=SEED)
+        res = trace_diffuse_band(GEOM, *args, rays=RAYS, seed=SEED, **kwargs)
     out = {k: getattr(res, k) for k in ("eta_zone", "eta_chamber", "se_zone", "se_chamber")}
     out.update({f"tallies.{k}": v for k, v in sorted(res.tallies.items())})
     if res.fluxmap is not None:
