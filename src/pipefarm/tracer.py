@@ -41,7 +41,12 @@ the duct above the mirror's lowest reach; one duct crossing is one event.
 Each pass first sends every ray inside the bare duct across it; every
 other live ray meets the nearest surface ahead of it, with a tie going to
 the wall, then the mirror, the roof and the diffuser, in that order. A ray
-with no surface ahead escapes.
+with no surface ahead escapes. The loop holds only the live rays, compact
+and in ray order, as the columns of one array of contiguous component rows
+(position, direction, weight); one compress at the end of each pass drops
+the rays that ended in it. Its dot and cross products are written out in
+the order einsum and np.cross form them, so no event-loop arithmetic goes
+through BLAS, whose kernels may round the same sum differently.
 
 Per-ray bookkeeping is exact: every launched unit of weight ends in
 exactly one tally, so delivered + absorbed + escaped = launched to float
@@ -61,7 +66,6 @@ from .optics import ALTITUDE_STEP_DEG, DIFFUSE_BANDS, TILT_STEP_DEG, FluxMap, Lp
     OpticalEfficiencyTable, band_mean_sin, mirror_tilt
 
 _EPS = 1e-9
-_Z_UP = np.array([0.0, 0.0, 1.0])
 
 __all__ = ["TraceResult", "trace_direct", "trace_diffuse_band",
            "build_efficiency_table", "DEFAULT_RAYS", "DEFAULT_SEED"]
@@ -96,28 +100,6 @@ class TraceResult:
         return abs(total - self.rays) / self.rays
 
 
-def _refract(d: np.ndarray, n: np.ndarray, cos_i: np.ndarray, eta: float
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Snell refraction of unit rays d across normals n, one per ray or one
-    (3,) normal for all, oriented so that cos_i = -d.n >= 0.
-
-    eta is n_incident / n_transmitted. Returns (directions, tir_mask);
-    directions are unspecified where TIR occurred.
-    """
-    sin2_t = eta * eta * (1.0 - cos_i * cos_i)
-    cos_t = np.sqrt(np.maximum(1.0 - sin2_t, 0.0))
-    out = eta * d + (eta * cos_i - cos_t)[:, None] * n
-    x, y, z = out[:, 0], out[:, 1], out[:, 2]
-    norm = np.sqrt(x * x + y * y + z * z)
-    norm[norm == 0.0] = 1.0
-    out /= norm[:, None]
-    return out, sin2_t > 1.0
-
-
-def _reflect(d: np.ndarray, n: np.ndarray) -> np.ndarray:
-    return d - 2.0 * np.einsum("ij,ij->i", d, n)[:, None] * n
-
-
 def _duct_transit(p: np.ndarray, d: np.ndarray, w: np.ndarray, R: float, z_lo: float,
                   z_hi: float, rho: float
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -130,12 +112,13 @@ def _duct_transit(p: np.ndarray, d: np.ndarray, w: np.ndarray, R: float, z_lo: f
     in the sense of the ray's circulation; every chord between hits has the
     same length. So the last of the N hits is the first one turned by
     (N - 1) g, and the exit direction is the entry one turned by N g.
-    Rays must lie inside the cylinder with z_lo <= z <= z_hi and d_z != 0.
-    Returns the hit counts N (as floats), the exit points, the exit
-    directions and the weights w * rho**N.
+    Positions p and directions d are (3, m), one row per component; rays
+    must lie inside the cylinder with z_lo <= z <= z_hi and d_z != 0.
+    Returns the hit counts N (as floats), the (3, m) exit points and exit
+    directions, and the weights w * rho**N.
     """
-    x, y = p[:, 0], p[:, 1]
-    dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
+    x, y, z = p
+    dx, dy, dz = d
     a = dx * dx + dy * dy
     pd = x * dx + y * dy
     cross = x * dy - y * dx
@@ -145,30 +128,33 @@ def _duct_transit(p: np.ndarray, d: np.ndarray, w: np.ndarray, R: float, z_lo: f
     a_safe = np.where(walls, a, 1.0)
     t_first = np.where(walls, (sq - pd) / a_safe, np.inf)
     z_end = np.where(dz < 0.0, z_lo, z_hi)
-    t_end = (z_end - p[:, 2]) / dz
+    t_end = (z_end - z) / dz
 
-    hits = np.zeros(p.shape[0])
-    out_p = np.empty_like(p)
-    out_p[:, 0] = x + t_end * dx
-    out_p[:, 1] = y + t_end * dy
-    out_p[:, 2] = z_end
-    out_d = d.copy()
+    hits = np.zeros(x.size)
+    out_p = np.empty((3, x.size))
+    out_p[0] = x + t_end * dx
+    out_p[1] = y + t_end * dy
+    out_p[2] = z_end
+    out_d = np.array(d)
     k = (t_end > t_first).nonzero()[0]
     if k.size:
-        tf = t_first[k]
-        t_chord = 2.0 * sq[k] / a[k]
-        n = 1.0 + np.floor((t_end[k] - tf) / t_chord)
-        turn = 2.0 * np.arctan2(sq[k], cross[k])
-        c_hit, s_hit = np.cos((n - 1.0) * turn), np.sin((n - 1.0) * turn)
-        c_out, s_out = np.cos(n * turn), np.sin(n * turn)
-        hx, hy = x[k] + tf * dx[k], y[k] + tf * dy[k]
-        ex = c_out * dx[k] - s_out * dy[k]
-        ey = s_out * dx[k] + c_out * dy[k]
-        rest = t_end[k] - tf - (n - 1.0) * t_chord
-        out_p[k, 0] = c_hit * hx - s_hit * hy + rest * ex
-        out_p[k, 1] = s_hit * hx + c_hit * hy + rest * ey
-        out_d[k, 0] = ex
-        out_d[k, 1] = ey
+        tf, sqk, dxk, dyk = t_first[k], sq[k], dx[k], dy[k]
+        span = t_end[k] - tf
+        t_chord = 2.0 * sqk / a[k]
+        n = 1.0 + np.floor(span / t_chord)
+        n1 = n - 1.0
+        turn = 2.0 * np.arctan2(sqk, cross[k])
+        hit_turn, out_turn = n1 * turn, n * turn
+        c_hit, s_hit = np.cos(hit_turn), np.sin(hit_turn)
+        c_out, s_out = np.cos(out_turn), np.sin(out_turn)
+        hx, hy = x[k] + tf * dxk, y[k] + tf * dyk
+        ex = c_out * dxk - s_out * dyk
+        ey = s_out * dxk + c_out * dyk
+        rest = span - n1 * t_chord
+        out_p[0, k] = c_hit * hx - s_hit * hy + rest * ex
+        out_p[1, k] = s_hit * hx + c_hit * hy + rest * ey
+        out_d[0, k] = ex
+        out_d[1, k] = ey
         hits[k] = n
     return hits, out_p, out_d, w * rho ** hits
 
@@ -190,16 +176,17 @@ class _Scene:
         # the bare duct runs from the diffuser up to the mirror's lowest reach
         if self.tilt_deg is not None:
             t = math.radians(self.tilt_deg)
-            self.mirror_n = np.array([math.sin(t), 0.0, -math.cos(t)])
+            self.mirror_n = np.array([[math.sin(t)], [0.0], [-math.cos(t)]])
             self.z_bare_top = -self.R * math.sin(t)
         else:
             self.mirror_n = None
             self.z_bare_top = 0.0
         s = math.radians(g.diffuser_facet_slope_deg)
         fs, fc = math.sin(s), math.cos(s)
-        # the pyramid facet normals, facing down: tilted toward +x, -x, +y, -y
-        self.facets = np.array([[fs, 0.0, -fc], [-fs, 0.0, -fc],
-                                [0.0, fs, -fc], [0.0, -fs, -fc]])
+        # the pyramid facet normals, one column each, facing down: tilted
+        # toward +x, -x, +y, -y
+        self.facets = np.array([[fs, -fs, 0.0, 0.0], [0.0, 0.0, fs, -fs],
+                                [-fc, -fc, -fc, -fc]])
         self.n_index = g.diffuser_refractive_index
         nbin = int(round(FLUXMAP_EXTENT_M / FLUXMAP_PITCH_M))
         self.fluxbins = np.zeros((nbin, nbin)) if self.collect_fluxmap else None
@@ -207,226 +194,250 @@ class _Scene:
 
 def _trace(scene: _Scene, origins: np.ndarray, dirs: np.ndarray,
            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Run the event loop; returns per-ray zone/chamber weights and tallies."""
+    """Run the event loop from (3, n) origins and directions; returns
+    per-ray zone/chamber weights and tallies.
+
+    `state` holds the live rays as (7, m) columns with their ray ids in
+    `ray`; a pass writes each ray's new state into its own column and
+    clears `keep` for the rays that end."""
     g = scene.geom
-    n_rays = origins.shape[0]
-    pos = origins.copy()
-    d = dirs.copy()
-    w = np.full(n_rays, g.dome_transmittance)
-    alive = np.ones(n_rays, dtype=bool)
+    n_rays = origins.shape[1]
+    state = np.vstack([origins, dirs, np.full((1, n_rays), g.dome_transmittance)])
+    ray = np.arange(n_rays)
 
     zone_w = np.zeros(n_rays)
     chamber_w = np.zeros(n_rays)
-    tallies = {
-        "delivered_zone": 0.0,
-        "delivered_chamber": 0.0,
-        "absorbed_dome": n_rays * (1.0 - g.dome_transmittance),
-        "absorbed_wall": 0.0,
-        "absorbed_mirror": 0.0,
-        "absorbed_mirror_back": 0.0,
-        "absorbed_diffuser": 0.0,
-        "absorbed_cap": 0.0,
-        "missed_roof": 0.0,
-        "escaped": 0.0,
-    }
+    tallies = dict.fromkeys(("delivered_zone", "delivered_chamber", "absorbed_dome",
+                             "absorbed_wall", "absorbed_mirror", "absorbed_mirror_back",
+                             "absorbed_diffuser", "absorbed_cap", "missed_roof", "escaped"), 0.0)
+    tallies["absorbed_dome"] = n_rays * (1.0 - g.dome_transmittance)
     R, L = scene.R, scene.L
     R2 = R * R
     z_top = scene.z_bare_top
     rho_wall, rho_mirror = g.wall_reflectance, g.mirror_reflectance
+    mirror_n = scene.mirror_n      # (3, 1), or None
 
     # misses divide by zero or take roots of negatives; those lanes are masked
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(scene.bounce_cap):
-            idx = alive.nonzero()[0]
-            if idx.size == 0:
+            if ray.size == 0:
                 break
-            p = pos.take(idx, axis=0)
-            dd = d.take(idx, axis=0)
-            px, py, pz, dz = p[:, 0], p[:, 1], p[:, 2], dd[:, 2]
-            r2 = px * px + py * py
+            keep = np.ones(ray.size, dtype=bool)
+            pz, dz = state[2], state[5]
+            xy = state[:2] * state[:2]
+            r2 = xy[0] + xy[1]
 
-            # bare duct: one closed-form crossing; falling rays meet the diffuser
+            # bare duct: one closed-form crossing; rising rays carry on from
+            # its top, falling ones meet the diffuser, which writes back the
+            # ones it reflects; the rest end there
             bare = (pz >= -L) & (pz < z_top) & (np.abs(dz) > 1e-14) & (r2 <= R2)
-            if bare.any():
-                j = idx[bare]
-                wj = w[j]
-                _, h, nd, wt = _duct_transit(p.compress(bare, axis=0), dd.compress(bare, axis=0),
-                                             wj, R, -L, z_top, rho_wall)
-                tallies["absorbed_wall"] += float((wj - wt).sum())
-                w[j] = wt
-                # falling rays go on to the diffuser, which writes back the
-                # ones it reflects; the rest end there
-                down = nd[:, 2] < 0.0
-                up = ~down
-                if up.any():
-                    ju = j[up]
-                    d[ju] = nd.compress(up, axis=0)
-                    pos[ju] = h.compress(up, axis=0)
+            k = (~bare).nonzero()[0]
+            rest = state
+            if k.size < ray.size:
+                kb = bare.nonzero()[0]
+                sub = state.take(kb, axis=1)
+                _, h, nd, wt = _duct_transit(sub[:3], sub[3:6], sub[6], R, -L, z_top, rho_wall)
+                tallies["absorbed_wall"] += float((sub[6] - wt).sum())
+                state[:3, kb] = h
+                state[3:6, kb] = nd
+                state[6, kb] = wt
+                down = nd[2] < 0.0
                 if down.any():
-                    _diffuser_interaction(scene, j[down], h.compress(down, axis=0),
-                                          nd.compress(down, axis=0), wt[down], d, pos,
-                                          alive, zone_w, chamber_w, tallies, rng)
-                rest = ~bare
-                idx = idx[rest]
-                if idx.size == 0:
-                    continue
-                p, dd, r2 = p.compress(rest, axis=0), dd.compress(rest, axis=0), r2[rest]
-                px, py, pz, dz = p[:, 0], p[:, 1], p[:, 2], dd[:, 2]
-            dx, dy = dd[:, 0], dd[:, 1]
-            ww = w[idx]
+                    _diffuser_interaction(scene, state, kb[down], h.compress(down, axis=1),
+                                          nd.compress(down, axis=1), wt[down], keep, ray,
+                                          zone_w, chamber_w, tallies, rng)
+                rest = state.take(k, axis=1)
+                r2 = r2[k]
 
-            # each ray's nearest surface, tried in the order wall, mirror,
-            # roof, diffuser; a strict < leaves a tie with the earlier one
+            # each other ray's nearest surface, tried in the order wall,
+            # mirror, roof, diffuser; a strict < leaves a tie with the earlier
+            # one. Rows of p and d are the components, and a dot product is
+            # written out, x + y + z, in the order einsum sums it
+            p, d, w = rest[:3], rest[3:6], rest[6]
+            pz, dz = p[2], d[2]
 
-            # duct wall: |xy| = R within -L <= z <= 0; t1 <= t2 as a > 0
-            a = dx * dx + dy * dy
-            b = 2.0 * (px * dx + py * dy)
+            # duct wall: |xy| = R within -L <= z <= 0; t1 <= t2 as a > 0, and
+            # only a ray outside the cylinder can meet it at t1: inside,
+            # disc >= b^2 rounds to sqrt(disc) >= |b|, so t1 <= 0
+            xy = d[:2] * d[:2]
+            a = xy[0] + xy[1]
+            xy = p[:2] * d[:2]
+            b = 2.0 * (xy[0] + xy[1])
             disc = b * b - 4.0 * a * (r2 - R2)
             ok = (a > 1e-16) & (disc > 0.0)
             sq = np.sqrt(disc)
-            t1 = (-b - sq) / (2.0 * a)
-            t2 = (-b + sq) / (2.0 * a)
-            z1 = pz + t1 * dz
+            a2 = 2.0 * a
+            t2 = (-b + sq) / a2
             z2 = pz + t2 * dz
-            wall1 = ok & (t1 > _EPS) & (z1 <= 1e-12) & (z1 >= -L - 1e-12)
             wall2 = ok & (t2 > _EPS) & (z2 <= 1e-12) & (z2 >= -L - 1e-12)
-            t_hit = np.where(wall1, t1, np.where(wall2, t2, np.inf))
-            event = np.zeros(idx.size, dtype=np.int8)
+            t_hit = np.where(wall2, t2, np.inf)
+            outside = r2 > R2
+            if outside.any():
+                t1 = (-b - sq) / a2
+                z1 = pz + t1 * dz
+                wall1 = ok & (t1 > _EPS) & (z1 <= 1e-12) & (z1 >= -L - 1e-12)
+                t_hit = np.where(wall1, t1, t_hit)
+            event = np.zeros(k.size, dtype=np.int8)
 
             # mirror disc: radius R, centred at the origin
-            if scene.mirror_n is not None:
-                denom = dd @ scene.mirror_n
-                tm = ((-p) @ scene.mirror_n) / denom
-                mhit = p + tm[:, None] * dd
+            if mirror_n is not None:
+                xyz = d * mirror_n
+                denom = xyz[0] + xyz[1] + xyz[2]
+                xyz = p * mirror_n
+                tm = -(xyz[0] + xyz[1] + xyz[2]) / denom
+                xyz = p + tm * d
+                xyz *= xyz
                 near = ((np.abs(denom) > 1e-14) & (tm > _EPS)
-                        & (np.einsum("ij,ij->i", mhit, mhit) <= R2) & (tm < t_hit))
+                        & (xyz[0] + xyz[1] + xyz[2] <= R2) & (tm < t_hit))
                 t_hit = np.where(near, tm, t_hit)
                 event[near] = 1
 
             # roof plane z = 0 outside the aperture, from above only
-            tr = -pz / dz
-            xr = px + tr * dx
-            yr = py + tr * dy
-            near = ((dz < -1e-14) & (pz > 1e-12) & (tr > _EPS)
-                    & (xr * xr + yr * yr >= R2) & (tr < t_hit))
-            t_hit = np.where(near, tr, t_hit)
-            event[near] = 2
+            falling = dz < -1e-14
+            near = falling & (pz > 1e-12)
+            if near.any():
+                tr = -pz / dz
+                xy = p[:2] + tr * d[:2]
+                xy *= xy
+                near &= (tr > _EPS) & (xy[0] + xy[1] >= R2) & (tr < t_hit)
+                t_hit = np.where(near, tr, t_hit)
+                event[near] = 2
 
             # diffuser plane z = -L
-            td = (-L - pz) / dz
-            near = (dz < -1e-14) & (td > _EPS) & (td < t_hit)
-            t_hit = np.where(near, td, t_hit)
-            event[near] = 3
+            if falling.any():
+                td = (-L - pz) / dz
+                near = falling & (td > _EPS) & (td < t_hit)
+                t_hit = np.where(near, td, t_hit)
+                event[near] = 3
 
             # no surface ahead: the ray leaves through the dome opening
             lost = t_hit == np.inf
             if lost.any():
-                tallies["escaped"] += float(ww[lost].sum())
-                alive[idx[lost]] = False
-            hit = p + t_hit[:, None] * dd      # lost rows are never read
+                tallies["escaped"] += float(w[lost].sum())
+                keep[k[lost]] = False
+            hit = p + t_hit * d      # lost rays' hit points are never read
 
-            # wall bounce
-            sel = (event == 0) & ~lost
-            if sel.any():
-                j = idx[sel]
-                h = hit.compress(sel, axis=0)
-                n = h / -R
-                n[:, 2] = 0.0
-                wj = ww[sel]
-                tallies["absorbed_wall"] += float((wj * (1.0 - rho_wall)).sum())
-                w[j] = wj * rho_wall
-                nd = _reflect(dd.compress(sel, axis=0), n)
-                d[j] = nd
-                pos[j] = h + nd * _EPS
+            # wall bounce about the inward normal (-x/R, -y/R, 0)
+            sel = ((event == 0) & ~lost).nonzero()[0]
+            if sel.size:
+                ks = k[sel]
+                ws = w[sel]
+                tallies["absorbed_wall"] += float((ws * (1.0 - rho_wall)).sum())
+                state[6, ks] = ws * rho_wall
+                hs, ds = hit.take(sel, axis=1), d.take(sel, axis=1)
+                u = hs[:2] / -R
+                du = ds[:2] * u
+                ds[:2] -= 2.0 * (du[0] + du[1] + ds[2] * 0.0) * u
+                hs += ds * _EPS
+                state[:3, ks] = hs
+                state[3:5, ks] = ds[:2]
 
             # mirror: coated face reflects, rear face absorbs
             sel = (event == 1).nonzero()[0]
             if sel.size:
-                j = idx[sel]
                 coated = denom[sel] < 0.0
-                jc = j[coated]
-                if jc.size:
-                    wc = w[jc]
+                sc, sb = sel[coated], sel[~coated]
+                if sc.size:
+                    kc = k[sc]
+                    wc = w[sc]
                     tallies["absorbed_mirror"] += float((wc * (1.0 - rho_mirror)).sum())
-                    w[jc] = wc * rho_mirror
-                    nd = _reflect(d.take(jc, axis=0), scene.mirror_n[None, :])
-                    d[jc] = nd
-                    pos[jc] = hit.take(sel[coated], axis=0) + nd * _EPS
-                jb = j[~coated]
-                if jb.size:
-                    tallies["absorbed_mirror_back"] += float(w[jb].sum())
-                    alive[jb] = False
+                    state[6, kc] = wc * rho_mirror
+                    ds = d.take(sc, axis=1)
+                    ds -= 2.0 * denom[sc] * mirror_n
+                    state[:3, kc] = hit.take(sc, axis=1) + ds * _EPS
+                    state[3:6, kc] = ds
+                if sb.size:
+                    tallies["absorbed_mirror_back"] += float(w[sb].sum())
+                    keep[k[sb]] = False
 
             # roof
             sel = event == 2
             if sel.any():
-                tallies["missed_roof"] += float(ww[sel].sum())
-                alive[idx[sel]] = False
+                tallies["missed_roof"] += float(w[sel].sum())
+                keep[k[sel]] = False
 
             # diffuser
-            sel = event == 3
-            if sel.any():
-                _diffuser_interaction(scene, idx[sel], hit.compress(sel, axis=0),
-                                      dd.compress(sel, axis=0), ww[sel], d, pos,
-                                      alive, zone_w, chamber_w, tallies, rng)
+            sel = (event == 3).nonzero()[0]
+            if sel.size:
+                _diffuser_interaction(scene, state, k[sel], hit.take(sel, axis=1),
+                                      d.take(sel, axis=1), w[sel], keep, ray,
+                                      zone_w, chamber_w, tallies, rng)
 
-    still = alive.nonzero()[0]
-    if still.size:
-        tallies["absorbed_cap"] += float(w[still].sum())
-        alive[still] = False
+            if not keep.all():
+                state = state.compress(keep, axis=1)
+                ray = ray[keep]
+
+    if ray.size:
+        tallies["absorbed_cap"] += float(state[6].sum())
 
     tallies["delivered_zone"] = float(zone_w.sum())
     tallies["delivered_chamber"] = float(chamber_w.sum())
     return zone_w, chamber_w, tallies
 
 
-def _diffuser_interaction(scene: _Scene, j, h, dj, wj, d, pos, alive, zone_w, chamber_w,
+def _diffuser_interaction(scene: _Scene, state, k, h, dj, wj, keep, ray, zone_w, chamber_w,
                           tallies, rng) -> None:
-    """Refract rays j (hit points h, directions dj, weights wj) through the
-    flat entry face and one pyramid facet, then fly them to the crop plane.
+    """Refract the live rays k (columns of `state`, with hit points h and
+    directions dj, one row per component, and weights wj) through the flat
+    entry face and one pyramid facet, then fly them to the crop plane.
     Total internal reflection at the facet sends the ray back up the duct
-    specularly (thin-sheet approximation)."""
+    specularly (thin-sheet approximation) from its column; every other ray
+    ends here."""
     g = scene.geom
     if scene.disable_diffuser:
         out = dj
-        tir = np.zeros(j.size, dtype=bool)
+        tir = np.zeros(k.size, dtype=bool)
     else:
-        d1, _ = _refract(dj, _Z_UP, -dj[:, 2], 1.0 / scene.n_index)
-        nf = scene.facets.take(rng.integers(0, 4, size=j.size), axis=0)
-        orient = np.einsum("ij,ij->i", d1, nf)
-        np.negative(nf, out=nf, where=(orient > 0.0)[:, None])
-        out, tir = _refract(d1, nf, np.abs(orient), scene.n_index)
+        # Snell with eta = n_incident / n_transmitted and cos_i = -d.n >= 0:
+        # out = eta d + (eta cos_i - cos_t) n, normalized; first the flat
+        # face, normal +z, then a facet drawn per ray, its normal turned
+        # against the ray (negating the factor negates the normal exactly)
+        eta = 1.0 / scene.n_index
+        cos_i = -dj[2]
+        mid = eta * dj
+        mid[2] += eta * cos_i - np.sqrt(np.maximum(1.0 - eta * eta * (1.0 - cos_i * cos_i), 0.0))
+        xyz = mid * mid
+        mid /= np.sqrt(xyz[0] + xyz[1] + xyz[2])
+        facet = scene.facets.take(rng.integers(0, 4, size=k.size), axis=1)
+        xyz = mid * facet
+        orient = xyz[0] + xyz[1] + xyz[2]
+        eta = scene.n_index
+        cos_i = np.abs(orient)
+        sin2_t = eta * eta * (1.0 - cos_i * cos_i)
+        c = eta * cos_i - np.sqrt(np.maximum(1.0 - sin2_t, 0.0))
+        np.negative(c, out=c, where=orient > 0.0)
+        out = eta * mid + c * facet
+        xyz = out * out
+        out /= np.sqrt(xyz[0] + xyz[1] + xyz[2])
+        tir = sin2_t > 1.0
 
     if tir.any():
-        jt = j[tir]
-        back = dj.compress(tir, axis=0)
-        back[:, 2] = -back[:, 2]
-        d[jt] = back
-        pos[jt] = h.compress(tir, axis=0) + back * _EPS
+        kt = k[tir]
+        back = dj.compress(tir, axis=1)
+        np.negative(back[2], out=back[2])
+        state[:3, kt] = h.compress(tir, axis=1) + back * _EPS
+        state[3:6, kt] = back
 
     # transmitted rays must head down; numerical stragglers count as absorbed
     passed = ~tir
-    go = passed & (out[:, 2] < -1e-12)
+    go = passed & (out[2] < -1e-12)
     stray = passed ^ go
     if stray.any():
         tallies["absorbed_diffuser"] += float(wj[stray].sum())
-        alive[j[stray]] = False
+        keep[k[stray]] = False
     if not go.any():
         return
-    jo = j[go]
     wo = wj[go]
     tallies["absorbed_diffuser"] += float((wo * (1.0 - g.diffuser_throughput)).sum())
     wo = wo * g.diffuser_throughput
-    alive[jo] = False
+    keep[k[go]] = False
 
-    hz = h.compress(go, axis=0)
-    dT = out.compress(go, axis=0)
-    tof = (scene.z_canopy - hz[:, 2]) / dT[:, 2]
-    xc = hz[:, 0] + tof * dT[:, 0]
-    yc = hz[:, 1] + tof * dT[:, 1]
+    hg, og = h.compress(go, axis=1), out.compress(go, axis=1)
+    xc, yc = hg[:2] + (scene.z_canopy - hg[2]) / og[2] * og[:2]
     ax, ay = np.abs(xc), np.abs(yc)
     in_zone = (ax <= scene.half_zone) & (ay <= scene.half_zone)
     # each ray lands once, so its other tally stays at zero
+    jo = ray[k[go]]
     zone_w[jo] = np.where(in_zone, wo, 0.0)
     chamber_w[jo] = np.where(in_zone, 0.0, wo)
     if scene.fluxbins is not None:
@@ -440,46 +451,32 @@ def _diffuser_interaction(scene: _Scene, j, h, dj, wj, d, pos, alive, zone_w, ch
         np.add.at(scene.fluxbins, (iy, ix), wo[inside])
 
 
-def _perp_basis(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis perpendicular to each direction: e1 = dirs x z,
-    normalized (x for a vertical direction), and e2 = dirs x e1. The cross
-    products are written out with the same terms np.cross forms."""
-    dx, dy, dz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
-    e1 = np.empty_like(dirs)
-    e1[:, 0] = dy - dz * 0.0
-    e1[:, 1] = dz * 0.0 - dx
-    e1[:, 2] = dx * 0.0 - dy * 0.0
-    x, y, z = e1[:, 0], e1[:, 1], e1[:, 2]
-    norms = np.sqrt(x * x + y * y + z * z)
-    degenerate = norms < 1e-12
-    e1[degenerate] = (1.0, 0.0, 0.0)
-    norms[degenerate] = 1.0
-    e1 /= norms[:, None]
-    e2 = np.empty_like(dirs)
-    e2[:, 0] = dy * z - dz * y
-    e2[:, 1] = dz * x - dx * z
-    e2[:, 2] = dx * y - dy * x
-    return e1, e2
-
-
 def _launch(dirs: np.ndarray, u: np.ndarray, launch_radius: float,
             up_beam: float = 3.0) -> np.ndarray:
-    """Origins on a disc of `launch_radius` across each ray, `up_beam` back
-    along it; the uniforms' first two rows place each one at r = R sqrt(u[0])
-    and angle 2 pi u[1]. An origin that would start below z = R, the mirror's
-    highest reach (a grazing sky ray), moves back along its own ray to
-    z = R, so every ray starts above the roof and the mirror."""
-    e1, e2 = _perp_basis(dirs)
+    """Origins, (3, n), on a disc of `launch_radius` across each ray of the
+    (3, n) `dirs`, `up_beam` back along it; the uniforms' first two rows
+    place each one at r = R sqrt(u[0]) and angle 2 pi u[1] in the basis
+    e1 = dirs x z, normalized (x for a vertical ray), and e2 = dirs x e1,
+    whose cross products are written out with the terms np.cross forms.
+    An origin that would start below z = R, the mirror's highest reach (a
+    grazing sky ray), moves back along its own ray to z = R, so every ray
+    starts above the roof and the mirror."""
+    dx, dy, dz = dirs
+    e1 = np.array([dy - dz * 0.0, dz * 0.0 - dx, dx * 0.0 - dy * 0.0])
+    xyz = e1 * e1
+    norms = np.sqrt(xyz[0] + xyz[1] + xyz[2])
+    degenerate = norms < 1e-12
+    e1[:, degenerate] = [[1.0], [0.0], [0.0]]
+    norms[degenerate] = 1.0
+    e1 /= norms
+    e2 = np.array([dy * e1[2] - dz * e1[1], dz * e1[0] - dx * e1[2], dx * e1[1] - dy * e1[0]])
     r = launch_radius * np.sqrt(u[0])
     th = 2.0 * math.pi * u[1]
-    rc, rs = r * np.cos(th), r * np.sin(th)
-    origins = np.empty_like(dirs)
-    for c in range(3):
-        origins[:, c] = -dirs[:, c] * up_beam + rc * e1[:, c] + rs * e2[:, c]
-    low = (origins[:, 2] < launch_radius).nonzero()[0]
+    origins = -dirs * up_beam + r * np.cos(th) * e1 + r * np.sin(th) * e2
+    low = (origins[2] < launch_radius).nonzero()[0]
     if low.size:
-        back = (launch_radius - origins[low, 2]) / dirs[low, 2]   # < 0: every ray falls
-        origins[low] += back[:, None] * dirs[low]
+        back = (launch_radius - origins[2, low]) / dz[low]   # < 0: every ray falls
+        origins[:, low] += back * dirs[:, low]
     return origins
 
 
@@ -544,7 +541,7 @@ def _validate(rays: int, geometry: LpGeometry) -> None:
 
 def _estimate(scene: _Scene, dirs: np.ndarray, u: np.ndarray, strata: int,
               rng: np.random.Generator, mean_sin: float = 1.0) -> TraceResult:
-    """Launch `dirs` over a disc of the duct's radius at the first two rows
+    """Launch the (3, n) `dirs` over a disc of the duct's radius at the first two rows
     of the stratified uniforms `u` (see `_launch_uniforms`), trace them and
     normalize to the aperture power: the beam's irradiance times A_LP,
     times `mean_sin`, the mean projection onto the aperture of a sampled
@@ -558,7 +555,7 @@ def _estimate(scene: _Scene, dirs: np.ndarray, u: np.ndarray, strata: int,
     eta_zone, se_zone = _mean_se(zone_w * scale, strata)
     eta_ch, se_ch = _mean_se((zone_w + chamber_w) * scale, strata)
 
-    rays = dirs.shape[0]
+    rays = dirs.shape[1]
     fluxmap = None
     if scene.fluxbins is not None:
         norm = rays * per_ray_aperture * FLUXMAP_PITCH_M ** 2
@@ -588,7 +585,7 @@ def trace_direct(geometry: LpGeometry, altitude: float, rays: int = DEFAULT_RAYS
                    disable_diffuser=disable_diffuser, collect_fluxmap=collect_fluxmap)
     alt_r = math.radians(altitude)
     d = np.array([-math.cos(alt_r), 0.0, -math.sin(alt_r)])
-    dirs = np.broadcast_to(d, (rays, 3)).copy()
+    dirs = np.repeat(d[:, None], rays, axis=1)
     rng = np.random.default_rng([seed, 11, int(round(altitude * 100))])
     u, strata = _launch_uniforms(rng, rays, 2)
     return _estimate(scene, dirs, u, strata, rng)
@@ -623,7 +620,7 @@ def trace_diffuse_band(geometry: LpGeometry, tilt_deg: Optional[float],
     sin_alt = np.sqrt(s2lo + (s2hi - s2lo) * u[2])
     cos_alt = np.sqrt(1.0 - sin_alt ** 2)
     az = math.pi * (u[3] - 0.5)  # front half-dome
-    dirs = np.column_stack([-cos_alt * np.cos(az), -cos_alt * np.sin(az), -sin_alt])
+    dirs = np.array([-cos_alt * np.cos(az), -cos_alt * np.sin(az), -sin_alt])
     return _estimate(scene, dirs, u, strata, rng, band_mean_sin(band_upper_deg))
 
 

@@ -71,34 +71,35 @@ def test_duct_transit_matches_stepwise_bounces():
     z_hi = -radius * math.sin(math.radians(60.0))
     r = 0.999 * radius * np.sqrt(rng.random(n))
     phi = 2.0 * math.pi * rng.random(n)
-    p = np.column_stack([r * np.cos(phi), r * np.sin(phi), rng.uniform(z_lo, z_hi, n)])
+    p = np.array([r * np.cos(phi), r * np.sin(phi), rng.uniform(z_lo, z_hi, n)])
     cos_axial = rng.uniform(0.05, 1.0, n)
     cos_axial[:300] = rng.uniform(0.99999, 1.0, 300)     # near-vertical
     cos_axial[300:400] = rng.uniform(0.01, 0.02, 100)    # near-horizontal
     az = 2.0 * math.pi * rng.random(n)
     sin_axial = np.sqrt(1.0 - cos_axial ** 2)
-    d = np.column_stack([sin_axial * np.cos(az), sin_axial * np.sin(az),
-                         np.where(rng.random(n) < 0.5, -1.0, 1.0) * cos_axial])
+    d = np.array([sin_axial * np.cos(az), sin_axial * np.sin(az),
+                  np.where(rng.random(n) < 0.5, -1.0, 1.0) * cos_axial])
     # skew distance 0: start on the line through the axis along the ray
     along = radius * rng.uniform(-0.999, 0.999, 400)
-    p[400:800, 0] = along * np.cos(az[400:800])
-    p[400:800, 1] = along * np.sin(az[400:800])
-    p[800:850, :2] = 0.0
-    d[850:870] = [0.0, 0.0, -1.0]                         # vertical
-    d[860:870, 2] = 1.0
+    p[0, 400:800] = along * np.cos(az[400:800])
+    p[1, 400:800] = along * np.sin(az[400:800])
+    p[:2, 800:850] = 0.0
+    d[:, 850:870] = [[0.0], [0.0], [-1.0]]                # vertical
+    d[2, 860:870] = 1.0
     w = rng.uniform(0.5, 1.0, n)
     rho = 0.97
 
+    # positions and directions go in and come out as (3, n) component rows
     hits, out_p, out_d, out_w = _duct_transit(p, d, w, radius, z_lo, z_hi, rho)
-    ref = [stepwise_transit(p[i], d[i], w[i], radius, z_lo, z_hi, rho) for i in range(n)]
+    ref = [stepwise_transit(p[:, i], d[:, i], w[i], radius, z_lo, z_hi, rho) for i in range(n)]
     assert np.array_equal(hits, [h for h, _, _, _ in ref])
-    assert np.allclose(out_p, [q for _, q, _, _ in ref], rtol=0.0, atol=1e-9)
-    assert np.allclose(out_d, [e for _, _, e, _ in ref], rtol=0.0, atol=1e-9)
+    assert np.allclose(out_p.T, [q for _, q, _, _ in ref], rtol=0.0, atol=1e-9)
+    assert np.allclose(out_d.T, [e for _, _, e, _ in ref], rtol=0.0, atol=1e-9)
     assert np.allclose(out_w, [v for _, _, _, v in ref], rtol=1e-12, atol=0.0)
     assert np.array_equal(out_w, w * rho ** hits)
     # the sample reaches every regime: no hit, a few, hundreds, both ways
     assert np.any(hits[:300] == 0) and np.count_nonzero(hits[300:400] >= 100) >= 50
-    assert np.any(d[:, 2] > 0.0) and np.any(d[:, 2] < 0.0)
+    assert np.any(d[2] > 0.0) and np.any(d[2] < 0.0)
 
 
 class TestConservation:
@@ -265,17 +266,17 @@ class TestStratifiedLaunch:
         # sky rays down to 0.01 deg, from every edge of the launch disc
         alt = np.radians(np.repeat([0.01, 0.5, 1.0, 1.4, 2.0, 5.0], 64))
         az = np.radians(np.tile(np.linspace(-90.0, 90.0, 8), 48))
-        dirs = np.column_stack([-np.cos(alt) * np.cos(az), -np.cos(alt) * np.sin(az),
-                                -np.sin(alt)])
+        dirs = np.array([-np.cos(alt) * np.cos(az), -np.cos(alt) * np.sin(az), -np.sin(alt)])
         theta = np.tile(np.arange(8) / 8.0, 48)
         radius = GEOM.radius_m
+        # directions in and origins out are (3, n) component rows
         origins = _launch(dirs, np.vstack([np.ones(alt.size), theta]), radius)
-        assert np.all(origins[:, 2] >= 0.0)
-        assert np.all(origins[:, 2] >= radius * (1.0 - 1e-12))
+        assert np.all(origins[2] >= 0.0)
+        assert np.all(origins[2] >= radius * (1.0 - 1e-12))
         # each ray keeps its line: the origin sits on the disc across it
         on_disc = origins + 3.0 * dirs
-        lateral = on_disc - np.einsum("ij,ij->i", on_disc, dirs)[:, None] * dirs
-        assert np.allclose(np.linalg.norm(lateral, axis=1), radius, rtol=1e-9)
+        lateral = on_disc - np.einsum("in,in->n", on_disc, dirs) * dirs
+        assert np.allclose(np.linalg.norm(lateral, axis=0), radius, rtol=1e-9)
 
     @pytest.mark.parametrize("call", ["diffuse-50-10", "direct-45"])
     def test_reported_se_matches_spread_across_seeds(self, call):
