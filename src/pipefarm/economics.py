@@ -30,7 +30,7 @@ FIBER_USD, FIBER_LUMENS = 3264.0, 9200.0   # the optical-fiber reference system
 @dataclass(frozen=True)
 class CostTable:
     led_usd_per_ft2: float = ranged(35.0, ge=0.0)           # installed cost for low-light crops
-    reference_ppfd: float = ranged(250.0, ge=0.0)           # design PPFD behind the $/W conversion
+    reference_ppfd: float = ranged(250.0, gt=0.0)           # design PPFD behind the $/W conversion
     lp_unit_usd: float = ranged(210.0, ge=0.0)              # bare light pipe
     lp_aux_usd: float = ranged(90.0, ge=0.0)                # mirror, gears, motors
     ir_filter_usd: float = ranged(104.0, ge=0.0)            # per pipe

@@ -398,6 +398,18 @@ class TestCompareSweep:
         assert all(be == {"unit_usd": None, "reduction_needed": None}
                    for be in record["break_even_per_pipe_usd"].values())
 
+    def test_a_zero_reference_ppfd_exits_3_naming_the_key(self, work_tree, capsys):
+        """The LED price per watt divides by the design PPFD, so 0 is
+        refused at load instead of failing in the sweep."""
+        base = work_tree / "configs" / "base.yaml"
+        base.write_text(base.read_text() + "costs: {reference_ppfd: 0}\n")
+        out = work_tree / "sweep"
+        assert main(["compare", "--config", str(work_tree / "configs" / "sweep_lp_dim_ir.yaml"),
+                     "--out", str(out)]) == 3
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert "'costs.reference_ppfd'" in detail, detail
+        assert not out.exists()
+
 
 PAIR = "scenarios: [bench.yaml, lp_dim_ir_98.yaml]\n"
 
