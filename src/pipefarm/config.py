@@ -206,7 +206,28 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 # libyaml's loader when PyYAML was built with it; both give the same mappings
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class _YAML_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Refuses a key given twice in one mapping, at any depth, where PyYAML
+    would keep the last one silently (YAML requires a mapping's keys to be
+    unique). An include may still override what it includes."""
+
+    def construct_mapping(self, node, deep=False):
+        lines: dict = {}
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            line = key_node.start_mark.line + 1
+            try:
+                first = lines.get(key)
+            except TypeError:        # unhashable; the base loader refuses it
+                continue
+            if first is not None:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"key {key!r} is given twice in one mapping, "
+                                f"on lines {first} and {line}")
+            lines[key] = line
+        return super().construct_mapping(node, deep=deep)
 
 
 def _load_yaml_with_includes(path: Path, chain: tuple = ()) -> dict:

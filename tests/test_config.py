@@ -169,6 +169,22 @@ class TestIncludeMechanism:
         assert cfg.climate_path == tmp_path.resolve() / "../data/x.csv"
         assert cfg.table_path == tmp_path.resolve() / "t.csv"
 
+    @pytest.mark.parametrize("body, key, lines", [
+        ("ppe: 2.0\nppe: 3.5\n", "ppe", (3, 4)),
+        ("crop:\n  dm_fraction: 0.05\nppe: 3.0\ncrop:\n  lai_cap: 5.0\n", "crop", (3, 6)),
+    ], ids=["scalar", "section"])
+    def test_a_key_given_twice_exits_3_naming_both_lines(self, tmp_path, capsys, repo_paths,
+                                                          body, key, lines):
+        """PyYAML keeps the last of two equal keys; the loader refuses them,
+        while an include may still override what it includes."""
+        path = tmp_path / "twice.yaml"
+        path.write_text(f"include: {repo_paths['configs'] / 'bench.yaml'}\n"
+                        f"scenario: Bench\n{body}")
+        assert main(["sunpath", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert detail == (f"invalid YAML in {path}: key {key!r} is given twice in one "
+                          f"mapping, on lines {lines[0]} and {lines[1]}")
+
 
 class TestStudyFiles:
     """Compare files, read by the scenario file's rules."""
