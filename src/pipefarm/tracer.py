@@ -198,8 +198,7 @@ def _trace(scene: _Scene, origins: np.ndarray, dirs: np.ndarray,
     per-ray zone/chamber weights and tallies.
 
     `state` holds the live rays as (7, m) columns with their ray ids in
-    `ray`; a pass writes each ray's new state into its own column and
-    clears `keep` for the rays that end."""
+    `ray`; each pass drops the rays that ended in it."""
     g = scene.geom
     n_rays = origins.shape[1]
     state = np.vstack([origins, dirs, np.full((1, n_rays), g.dome_transmittance)])
@@ -211,158 +210,13 @@ def _trace(scene: _Scene, origins: np.ndarray, dirs: np.ndarray,
                              "absorbed_wall", "absorbed_mirror", "absorbed_mirror_back",
                              "absorbed_diffuser", "absorbed_cap", "missed_roof", "escaped"), 0.0)
     tallies["absorbed_dome"] = n_rays * (1.0 - g.dome_transmittance)
-    R, L = scene.R, scene.L
-    R2 = R * R
-    z_top = scene.z_bare_top
-    rho_wall, rho_mirror = g.wall_reflectance, g.mirror_reflectance
-    mirror_n = scene.mirror_n      # (3, 1), or None
 
     # misses divide by zero or take roots of negatives; those lanes are masked
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(scene.bounce_cap):
             if ray.size == 0:
                 break
-            keep = np.ones(ray.size, dtype=bool)
-            pz, dz = state[2], state[5]
-            xy = state[:2] * state[:2]
-            r2 = xy[0] + xy[1]
-
-            # bare duct: one closed-form crossing; rising rays carry on from
-            # its top, falling ones meet the diffuser, which writes back the
-            # ones it reflects; the rest end there
-            bare = (pz >= -L) & (pz < z_top) & (np.abs(dz) > 1e-14) & (r2 <= R2)
-            k = (~bare).nonzero()[0]
-            rest = state
-            if k.size < ray.size:
-                kb = bare.nonzero()[0]
-                sub = state.take(kb, axis=1)
-                _, h, nd, wt = _duct_transit(sub[:3], sub[3:6], sub[6], R, -L, z_top, rho_wall)
-                tallies["absorbed_wall"] += float((sub[6] - wt).sum())
-                state[:3, kb] = h
-                state[3:6, kb] = nd
-                state[6, kb] = wt
-                down = nd[2] < 0.0
-                if down.any():
-                    _diffuser_interaction(scene, state, kb[down], h.compress(down, axis=1),
-                                          nd.compress(down, axis=1), wt[down], keep, ray,
-                                          zone_w, chamber_w, tallies, rng)
-                rest = state.take(k, axis=1)
-                r2 = r2[k]
-
-            # each other ray's nearest surface, tried in the order wall,
-            # mirror, roof, diffuser; a strict < leaves a tie with the earlier
-            # one. Rows of p and d are the components, and a dot product is
-            # written out, x + y + z, in the order einsum sums it
-            p, d, w = rest[:3], rest[3:6], rest[6]
-            pz, dz = p[2], d[2]
-
-            # duct wall: |xy| = R within -L <= z <= 0; t1 <= t2 as a > 0, and
-            # only a ray outside the cylinder can meet it at t1: inside,
-            # disc >= b^2 rounds to sqrt(disc) >= |b|, so t1 <= 0
-            xy = d[:2] * d[:2]
-            a = xy[0] + xy[1]
-            xy = p[:2] * d[:2]
-            b = 2.0 * (xy[0] + xy[1])
-            disc = b * b - 4.0 * a * (r2 - R2)
-            ok = (a > 1e-16) & (disc > 0.0)
-            sq = np.sqrt(disc)
-            a2 = 2.0 * a
-            t2 = (-b + sq) / a2
-            z2 = pz + t2 * dz
-            wall2 = ok & (t2 > _EPS) & (z2 <= 1e-12) & (z2 >= -L - 1e-12)
-            t_hit = np.where(wall2, t2, np.inf)
-            outside = r2 > R2
-            if outside.any():
-                t1 = (-b - sq) / a2
-                z1 = pz + t1 * dz
-                wall1 = ok & (t1 > _EPS) & (z1 <= 1e-12) & (z1 >= -L - 1e-12)
-                t_hit = np.where(wall1, t1, t_hit)
-            event = np.zeros(k.size, dtype=np.int8)
-
-            # mirror disc: radius R, centred at the origin
-            if mirror_n is not None:
-                xyz = d * mirror_n
-                denom = xyz[0] + xyz[1] + xyz[2]
-                xyz = p * mirror_n
-                tm = -(xyz[0] + xyz[1] + xyz[2]) / denom
-                xyz = p + tm * d
-                xyz *= xyz
-                near = ((np.abs(denom) > 1e-14) & (tm > _EPS)
-                        & (xyz[0] + xyz[1] + xyz[2] <= R2) & (tm < t_hit))
-                t_hit = np.where(near, tm, t_hit)
-                event[near] = 1
-
-            # roof plane z = 0 outside the aperture, from above only
-            falling = dz < -1e-14
-            near = falling & (pz > 1e-12)
-            if near.any():
-                tr = -pz / dz
-                xy = p[:2] + tr * d[:2]
-                xy *= xy
-                near &= (tr > _EPS) & (xy[0] + xy[1] >= R2) & (tr < t_hit)
-                t_hit = np.where(near, tr, t_hit)
-                event[near] = 2
-
-            # diffuser plane z = -L
-            if falling.any():
-                td = (-L - pz) / dz
-                near = falling & (td > _EPS) & (td < t_hit)
-                t_hit = np.where(near, td, t_hit)
-                event[near] = 3
-
-            # no surface ahead: the ray leaves through the dome opening
-            lost = t_hit == np.inf
-            if lost.any():
-                tallies["escaped"] += float(w[lost].sum())
-                keep[k[lost]] = False
-            hit = p + t_hit * d      # lost rays' hit points are never read
-
-            # wall bounce about the inward normal (-x/R, -y/R, 0)
-            sel = ((event == 0) & ~lost).nonzero()[0]
-            if sel.size:
-                ks = k[sel]
-                ws = w[sel]
-                tallies["absorbed_wall"] += float((ws * (1.0 - rho_wall)).sum())
-                state[6, ks] = ws * rho_wall
-                hs, ds = hit.take(sel, axis=1), d.take(sel, axis=1)
-                u = hs[:2] / -R
-                du = ds[:2] * u
-                ds[:2] -= 2.0 * (du[0] + du[1] + ds[2] * 0.0) * u
-                hs += ds * _EPS
-                state[:3, ks] = hs
-                state[3:5, ks] = ds[:2]
-
-            # mirror: coated face reflects, rear face absorbs
-            sel = (event == 1).nonzero()[0]
-            if sel.size:
-                coated = denom[sel] < 0.0
-                sc, sb = sel[coated], sel[~coated]
-                if sc.size:
-                    kc = k[sc]
-                    wc = w[sc]
-                    tallies["absorbed_mirror"] += float((wc * (1.0 - rho_mirror)).sum())
-                    state[6, kc] = wc * rho_mirror
-                    ds = d.take(sc, axis=1)
-                    ds -= 2.0 * denom[sc] * mirror_n
-                    state[:3, kc] = hit.take(sc, axis=1) + ds * _EPS
-                    state[3:6, kc] = ds
-                if sb.size:
-                    tallies["absorbed_mirror_back"] += float(w[sb].sum())
-                    keep[k[sb]] = False
-
-            # roof
-            sel = event == 2
-            if sel.any():
-                tallies["missed_roof"] += float(w[sel].sum())
-                keep[k[sel]] = False
-
-            # diffuser
-            sel = (event == 3).nonzero()[0]
-            if sel.size:
-                _diffuser_interaction(scene, state, k[sel], hit.take(sel, axis=1),
-                                      d.take(sel, axis=1), w[sel], keep, ray,
-                                      zone_w, chamber_w, tallies, rng)
-
+            keep = _pass(scene, state, ray, zone_w, chamber_w, tallies, rng)
             if not keep.all():
                 state = state.compress(keep, axis=1)
                 ray = ray[keep]
@@ -373,6 +227,155 @@ def _trace(scene: _Scene, origins: np.ndarray, dirs: np.ndarray,
     tallies["delivered_zone"] = float(zone_w.sum())
     tallies["delivered_chamber"] = float(chamber_w.sum())
     return zone_w, chamber_w, tallies
+
+
+def _pass(scene: _Scene, state, ray, zone_w, chamber_w, tallies, rng) -> np.ndarray:
+    """One event per live ray: write each ray's new state into its column
+    of `state` and return `keep`, false for the rays that ended."""
+    g = scene.geom
+    R, L = scene.R, scene.L
+    R2 = R * R
+    z_top = scene.z_bare_top
+    rho_wall, rho_mirror = g.wall_reflectance, g.mirror_reflectance
+    mirror_n = scene.mirror_n      # (3, 1), or None
+    keep = np.ones(ray.size, dtype=bool)
+    pz, dz = state[2], state[5]
+    xy = state[:2] * state[:2]
+    r2 = xy[0] + xy[1]
+
+    # bare duct: one closed-form crossing; rising rays carry on from its top, falling
+    # ones meet the diffuser, which writes back the ones it reflects; the rest end there
+    bare = (pz >= -L) & (pz < z_top) & (np.abs(dz) > 1e-14) & (r2 <= R2)
+    k = (~bare).nonzero()[0]
+    rest = state
+    if k.size < ray.size:
+        kb = bare.nonzero()[0]
+        sub = state.take(kb, axis=1)
+        _, h, nd, wt = _duct_transit(sub[:3], sub[3:6], sub[6], R, -L, z_top, rho_wall)
+        tallies["absorbed_wall"] += float((sub[6] - wt).sum())
+        state[:3, kb] = h
+        state[3:6, kb] = nd
+        state[6, kb] = wt
+        down = nd[2] < 0.0
+        if down.any():
+            _diffuser_interaction(scene, state, kb[down], h.compress(down, axis=1),
+                                  nd.compress(down, axis=1), wt[down], keep, ray,
+                                  zone_w, chamber_w, tallies, rng)
+        rest = state.take(k, axis=1)
+        r2 = r2[k]
+
+    # each other ray's nearest surface, tried in the order wall, mirror, roof, diffuser;
+    # a strict < leaves a tie with the earlier one. Rows of p and d are the components,
+    # and a dot product is written out, x + y + z, in the order einsum sums it
+    p, d, w = rest[:3], rest[3:6], rest[6]
+    pz, dz = p[2], d[2]
+
+    # duct wall: |xy| = R within -L <= z <= 0; t1 <= t2 as a > 0, and only a ray outside
+    # the cylinder meets it at t1: inside, disc >= b^2 rounds to sqrt(disc) >= |b|, so t1 <= 0
+    xy = d[:2] * d[:2]
+    a = xy[0] + xy[1]
+    xy = p[:2] * d[:2]
+    b = 2.0 * (xy[0] + xy[1])
+    disc = b * b - 4.0 * a * (r2 - R2)
+    ok = (a > 1e-16) & (disc > 0.0)
+    sq = np.sqrt(disc)
+    a2 = 2.0 * a
+    t2 = (-b + sq) / a2
+    z2 = pz + t2 * dz
+    wall2 = ok & (t2 > _EPS) & (z2 <= 1e-12) & (z2 >= -L - 1e-12)
+    t_hit = np.where(wall2, t2, np.inf)
+    outside = r2 > R2
+    if outside.any():
+        t1 = (-b - sq) / a2
+        z1 = pz + t1 * dz
+        wall1 = ok & (t1 > _EPS) & (z1 <= 1e-12) & (z1 >= -L - 1e-12)
+        t_hit = np.where(wall1, t1, t_hit)
+    event = np.zeros(k.size, dtype=np.int8)
+
+    # mirror disc: radius R, centred at the origin
+    if mirror_n is not None:
+        xyz = d * mirror_n
+        denom = xyz[0] + xyz[1] + xyz[2]
+        xyz = p * mirror_n
+        tm = -(xyz[0] + xyz[1] + xyz[2]) / denom
+        xyz = p + tm * d
+        xyz *= xyz
+        near = ((np.abs(denom) > 1e-14) & (tm > _EPS)
+                & (xyz[0] + xyz[1] + xyz[2] <= R2) & (tm < t_hit))
+        t_hit = np.where(near, tm, t_hit)
+        event[near] = 1
+
+    # roof plane z = 0 outside the aperture, from above only
+    falling = dz < -1e-14
+    near = falling & (pz > 1e-12)
+    if near.any():
+        tr = -pz / dz
+        xy = p[:2] + tr * d[:2]
+        xy *= xy
+        near &= (tr > _EPS) & (xy[0] + xy[1] >= R2) & (tr < t_hit)
+        t_hit = np.where(near, tr, t_hit)
+        event[near] = 2
+
+    # diffuser plane z = -L
+    if falling.any():
+        td = (-L - pz) / dz
+        near = falling & (td > _EPS) & (td < t_hit)
+        t_hit = np.where(near, td, t_hit)
+        event[near] = 3
+
+    # no surface ahead: the ray leaves through the dome opening
+    lost = t_hit == np.inf
+    if lost.any():
+        tallies["escaped"] += float(w[lost].sum())
+        keep[k[lost]] = False
+    hit = p + t_hit * d      # lost rays' hit points are never read
+
+    # wall bounce about the inward normal (-x/R, -y/R, 0)
+    sel = ((event == 0) & ~lost).nonzero()[0]
+    if sel.size:
+        ks = k[sel]
+        ws = w[sel]
+        tallies["absorbed_wall"] += float((ws * (1.0 - rho_wall)).sum())
+        state[6, ks] = ws * rho_wall
+        hs, ds = hit.take(sel, axis=1), d.take(sel, axis=1)
+        u = hs[:2] / -R
+        du = ds[:2] * u
+        ds[:2] -= 2.0 * (du[0] + du[1] + ds[2] * 0.0) * u
+        hs += ds * _EPS
+        state[:3, ks] = hs
+        state[3:5, ks] = ds[:2]
+
+    # mirror: coated face reflects, rear face absorbs
+    sel = (event == 1).nonzero()[0]
+    if sel.size:
+        coated = denom[sel] < 0.0
+        sc, sb = sel[coated], sel[~coated]
+        if sc.size:
+            kc = k[sc]
+            wc = w[sc]
+            tallies["absorbed_mirror"] += float((wc * (1.0 - rho_mirror)).sum())
+            state[6, kc] = wc * rho_mirror
+            ds = d.take(sc, axis=1)
+            ds -= 2.0 * denom[sc] * mirror_n
+            state[:3, kc] = hit.take(sc, axis=1) + ds * _EPS
+            state[3:6, kc] = ds
+        if sb.size:
+            tallies["absorbed_mirror_back"] += float(w[sb].sum())
+            keep[k[sb]] = False
+
+    # roof
+    sel = event == 2
+    if sel.any():
+        tallies["missed_roof"] += float(w[sel].sum())
+        keep[k[sel]] = False
+
+    # diffuser
+    sel = (event == 3).nonzero()[0]
+    if sel.size:
+        _diffuser_interaction(scene, state, k[sel], hit.take(sel, axis=1),
+                              d.take(sel, axis=1), w[sel], keep, ray,
+                              zone_w, chamber_w, tallies, rng)
+    return keep
 
 
 def _diffuser_interaction(scene: _Scene, state, k, h, dj, wj, keep, ray, zone_w, chamber_w,
